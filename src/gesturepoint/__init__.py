@@ -24,11 +24,8 @@ from .pipeline import GesturePipeline
 from .snap import (
     Area,
     AreaRegistry,
-    PickStrategy,
-    PlaceStrategy,
     SnapRequest,
     SnapResult,
-    SnapStrategy,
     Target,
     TargetRegistry,
     evaluate_request,
@@ -57,8 +54,6 @@ __all__ = [
     "GesturePoint",
     "GestureScenario",
     "KeypointFrame",
-    "PickStrategy",
-    "PlaceStrategy",
     "PlanarPoint",
     "Plane",
     "Point3",
@@ -66,7 +61,6 @@ __all__ = [
     "RunningAverageStabilizer",
     "SnapRequest",
     "SnapResult",
-    "SnapStrategy",
     "Target",
     "TargetRegistry",
     "Vec3",

@@ -31,6 +31,7 @@ import sys
 
 from . import __version__
 from .evaluation import (
+    DEFAULT_TRIALS_PER_TARGET,
     EvalError,
     InvalidParametersError,
     NonConvergenceError,
@@ -43,12 +44,9 @@ from .evaluation import (
     load_board,
     make_board,
     run_boards,
-    run_pick_sweep,
-    run_place_sweep,
-    run_quantitative,
+    template_plane_size,
 )
 from .geometry import (
-    CameraIntrinsics,
     GeometryError,
     PlanarPoint,
     Plane,
@@ -59,28 +57,36 @@ from .geometry import (
     plane_from_corners,
     workplane_frame,
 )
-from .live import LiveServer, PipelineSettings, gesture_point_record
+from .live import LiveServer, gesture_point_record
+from .pipeline import HISTORY_CAPACITY, PipelineSettings
 from .snap import (
+    DEFAULT_SAMPLE_COUNT,
+    DEFAULT_STABILITY_THRESHOLD,
     Area,
     AreaRegistry,
     DuplicateIdError,
     MalformedFileError,
     SnapError,
+    SnapRequest,
     Target,
     TargetRegistry,
     UnknownIdError,
+    evaluate_request,
     layout_document,
     load_layout,
-    pick_snap,
-    place_snap,
     save_layout,
 )
+from .stabilizer import DEFAULT_WINDOW
 from .stream import (
+    DEFAULT_MIN_CONFIDENCE,
+    MalformedRecordError,
     StreamError,
     StreamReader,
     generate_scenario,
     load_scenario_config,
+    parse_intrinsics_header,
     parse_kv_config,
+    parse_triplet,
     write_stream,
 )
 
@@ -147,14 +153,14 @@ def _load_layout(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_triplet(text: str, what: str) -> Point3:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ConfigError(f"{what}: expected 'x,y,z', got {text!r}")
-    try:
-        return Point3(float(parts[0]), float(parts[1]), float(parts[2]))
-    except (ValueError, GeometryError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+def _load_registries(path: str | None) -> tuple[TargetRegistry, AreaRegistry]:
+    """Registries loaded once from a layout file; empty without one."""
+    targets, areas = TargetRegistry(), AreaRegistry()
+    if path:
+        loaded_targets, loaded_areas = _load_layout(path)
+        targets.replace_all(loaded_targets)
+        areas.replace_all(loaded_areas)
+    return targets, areas
 
 
 def save_plane_file(
@@ -202,17 +208,10 @@ def load_corner_file(path: str) -> tuple[list[Point3], bool]:
     raw = doc.get("corners")
     if not isinstance(raw, list) or not 3 <= len(raw) <= 4:
         raise ConfigError(f"{path}: expected 3 or 4 corners")
-    intrinsics = None
-    if "intrinsics" in doc:
-        spec = doc["intrinsics"]
-        try:
-            intrinsics = CameraIntrinsics(
-                fx=float(spec["fx"]), fy=float(spec["fy"]),
-                cx=float(spec["cx"]), cy=float(spec["cy"]),
-                width=int(spec["width"]), height=int(spec["height"]),
-            )
-        except (KeyError, TypeError, ValueError, GeometryError) as exc:
-            raise ConfigError(f"{path}: bad intrinsics: {exc}") from exc
+    try:
+        intrinsics = parse_intrinsics_header(doc)
+    except MalformedRecordError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     corners: list[Point3] = []
     used_pixels = False
     for i, spec in enumerate(raw, start=1):
@@ -241,25 +240,27 @@ def _settings_from_args(args) -> PipelineSettings:
     if args.plane is None:
         raise ConfigError("--plane FILE is required")
     plane, frame, _, _ = load_plane_file(args.plane)
-    hand = args.hand or "right"
-    hands = ("left", "right") if hand == "both" else (hand,)
-    pair = (args.pair or "shoulder-wrist").replace("-", "_")
-    _positive("--n", args.n)
+    if args.n is not None and not 1 <= args.n <= HISTORY_CAPACITY:
+        raise ConfigError(f"--n must be in 1..{HISTORY_CAPACITY}, got {args.n}")
     _positive("--threshold", args.threshold)
     _positive("--window", args.window)
     if args.min_confidence is not None and not 0 <= args.min_confidence <= 1:
         raise ConfigError(f"--min-confidence must be in [0, 1], got {args.min_confidence}")
+    # only the flags given override the PipelineSettings defaults
+    given = {
+        "frame_mode": args.frame,
+        "min_confidence": args.min_confidence,
+        "snap_samples": args.n,
+        "threshold": args.threshold,
+        "window": args.window,
+        "group": getattr(args, "group", None),
+    }
+    if args.hand:
+        given["hands"] = ("left", "right") if args.hand == "both" else (args.hand,)
+    if args.pair:
+        given["pair"] = args.pair.replace("-", "_")
     return PipelineSettings(
-        plane=plane,
-        frame=frame,
-        frame_mode=args.frame or "workplane",
-        hands=hands,
-        pair=pair,
-        min_confidence=args.min_confidence if args.min_confidence is not None else 0.3,
-        snap_samples=args.n if args.n is not None else 15,
-        threshold=args.threshold if args.threshold is not None else 0.05,
-        window=args.window if args.window is not None else 5,
-        group=getattr(args, "group", None),
+        plane=plane, frame=frame, **{k: v for k, v in given.items() if v is not None}
     )
 
 
@@ -270,7 +271,7 @@ def cmd_define_plane(args) -> int:
     corners, used_pixels = load_corner_file(args.corners)
     viewpoint = None
     if args.viewpoint is not None:
-        viewpoint = _parse_triplet(args.viewpoint, "--viewpoint")
+        viewpoint = parse_triplet(args.viewpoint, "--viewpoint")
     elif used_pixels:
         viewpoint = Point3(0.0, 0.0, 0.0)  # pixel corners imply the camera at the origin
     try:
@@ -308,13 +309,9 @@ def cmd_generate(args) -> int:
 def cmd_replay(args) -> int:
     settings = _settings_from_args(args)
     pipe = settings.make_pipeline()
-    targets, areas = TargetRegistry(), AreaRegistry()
-    if args.snap:
-        if not args.registry:
-            raise ConfigError("--snap needs --registry FILE")
-        loaded_targets, loaded_areas = _load_layout(args.registry)
-        targets.replace_all(loaded_targets)
-        areas.replace_all(loaded_areas)
+    if args.snap and not args.registry:
+        raise ConfigError("--snap needs --registry FILE")
+    targets, areas = _load_registries(args.registry if args.snap else None)
     accepted: dict[str, int] = {hand: 0 for hand in settings.hands}
     frames = 0
     points_written = 0
@@ -330,16 +327,15 @@ def cmd_replay(args) -> int:
                 if args.snap:
                     accepted[gp.hand] += 1
                     if accepted[gp.hand] % settings.snap_samples == 0:
-                        samples = pipe.recent(gp.hand, settings.snap_samples)
-                        if args.snap == "pick":
-                            result = pick_snap(
-                                samples, targets.snapshot(),
-                                threshold=settings.threshold, group=settings.group,
-                            )
-                        else:
-                            result = place_snap(
-                                samples, areas.snapshot(), threshold=settings.threshold
-                            )
+                        request = SnapRequest(
+                            samples=tuple(pipe.recent(gp.hand, settings.snap_samples)),
+                            strategy=args.snap,
+                            group_filter=settings.group,
+                        )
+                        result = evaluate_request(
+                            request, targets.snapshot(), areas.snapshot(),
+                            threshold=settings.threshold,
+                        )
                         record = {
                             "t": gp.timestamp,
                             "hand": gp.hand,
@@ -359,11 +355,7 @@ def cmd_replay(args) -> int:
 
 def cmd_live(args) -> int:
     settings = _settings_from_args(args)
-    targets, areas = TargetRegistry(), AreaRegistry()
-    if args.registry:
-        loaded_targets, loaded_areas = _load_layout(args.registry)
-        targets.replace_all(loaded_targets)
-        areas.replace_all(loaded_areas)
+    targets, areas = _load_registries(args.registry)
     listen = args.listen or "127.0.0.1:0"
     host, sep, port_text = listen.rpartition(":")
     if not sep:
@@ -430,30 +422,27 @@ def cmd_sweep(args) -> int:
     if args.sigma is not None and args.sigma < 0:
         raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
     seed = args.seed if args.seed is not None else 0
-    trials = args.trials if args.trials is not None else 10
+    trials = args.trials if args.trials is not None else DEFAULT_TRIALS_PER_TARGET
     sigma = args.sigma if args.sigma is not None else 0.0
     template = _template_from_args(args, sigma)
     if args.calibrate is not None:
         calibrated = calibrate_sigma(args.calibrate, template, seed=seed)
         template = dataclasses.replace(template, sigma=calibrated)
-    boards = None
+    size = template_plane_size(template)
     if args.board:
         try:
             boards = [load_board(args.board)]
         except (OSError, EvalError) as exc:
             raise ConfigError(f"bad board file: {exc}") from exc
-        report = run_boards(template, boards, trials, seed)
     elif args.kind == "pick":
         distances = _parse_l_values(args.distances) if args.distances else PICK_DISTANCES
-        boards = [make_board("pick_square", l) for l in distances]
-        report = run_pick_sweep(template, distances, trials, seed)
+        boards = [make_board("pick_square", l, plane_size=size) for l in distances]
     elif args.kind == "place":
         sizes = _parse_l_values(args.sizes) if args.sizes else PLACE_SIZES
-        boards = [make_board("place_areas", l) for l in sizes]
-        report = run_place_sweep(template, sizes, trials, seed)
+        boards = [make_board("place_areas", l, plane_size=size) for l in sizes]
     else:
-        boards = [make_board("quantitative_10")]
-        report = run_quantitative(template, trials, seed)
+        boards = [make_board("quantitative_10", plane_size=size)]
+    report = run_boards(template, boards, trials, seed)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -549,10 +538,12 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hand", choices=("left", "right", "both"), help="hand selection")
     p.add_argument("--pair", choices=("shoulder-wrist", "elbow-wrist"), help="joint pair")
     p.add_argument("--min-confidence", dest="min_confidence", type=float,
-                   help="joint confidence floor (default 0.3)")
-    p.add_argument("--n", type=int, help="snap sample count (default 15)")
-    p.add_argument("--threshold", type=float, help="stability threshold in meters (default 0.05)")
-    p.add_argument("--window", type=int, help="stabilizer window (default 5)")
+                   help=f"joint confidence floor (default {DEFAULT_MIN_CONFIDENCE})")
+    p.add_argument("--n", type=int,
+                   help=f"snap sample count, 1..{HISTORY_CAPACITY} (default {DEFAULT_SAMPLE_COUNT})")
+    p.add_argument("--threshold", type=float,
+                   help=f"stability threshold in meters (default {DEFAULT_STABILITY_THRESHOLD})")
+    p.add_argument("--window", type=int, help=f"stabilizer window (default {DEFAULT_WINDOW})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -601,14 +592,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-trial aim bias sigma in meters (default 0)")
     p.add_argument("--calibrate", type=float, metavar="ERROR_M",
                    help="calibrate sigma to this mean intersection error first")
-    p.add_argument("--trials", type=int, help="trials per target (default 10)")
+    p.add_argument("--trials", type=int,
+                   help=f"trials per target (default {DEFAULT_TRIALS_PER_TARGET})")
     p.add_argument("--seed", type=int, help="base seed (default 0)")
     p.add_argument("--distances", help="comma-separated pick square sides in meters")
     p.add_argument("--sizes", help="comma-separated place area sides in meters")
     p.add_argument("--board", help="board layout JSON file replacing the generated series")
     p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
-    p.add_argument("--n", type=int, help="snap sample count (default 15)")
-    p.add_argument("--threshold", type=float, help="stability threshold (default 0.05)")
+    p.add_argument("--n", type=int, help=f"snap sample count (default {DEFAULT_SAMPLE_COUNT})")
+    p.add_argument("--threshold", type=float,
+                   help=f"stability threshold (default {DEFAULT_STABILITY_THRESHOLD})")
     p.add_argument("--out", help="report directory (default .)")
     p.set_defaults(func=cmd_sweep)
 

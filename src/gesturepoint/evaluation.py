@@ -43,14 +43,15 @@ from .snap import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_STABILITY_THRESHOLD,
     Area,
+    SnapRequest,
     SnapResult,
     Target,
+    evaluate_request,
     layout_document,
     parse_layout,
-    pick_snap,
-    place_snap,
     stability_gate,
 )
+from .stabilizer import DEFAULT_WINDOW
 from .stream import DEFAULT_FRAME_RATE, GestureScenario, generate_scenario, sample_joint_positions
 
 PLANE_SIZE = (0.60, 0.80)
@@ -58,6 +59,8 @@ PICK_DISTANCES = (0.40, 0.30, 0.20, 0.10, 0.08, 0.06, 0.04, 0.02)
 PLACE_SIZES = (0.20, 0.10, 0.05)
 BOARD_MARGIN = 0.10
 DEFAULT_TRIALS_PER_TARGET = 10
+CALIBRATION_REL_TOL = 0.02  # calibrate_sigma stops within this share of the target
+CALIBRATION_MAX_ITER = 60  # bracket doublings, then bisection steps
 
 CSV_COLUMNS = (
     "kind", "l_m", "target_id", "trials", "successes", "success_pct",
@@ -71,10 +74,6 @@ class EvalError(ValueError):
 
 
 class DimensionMismatchError(EvalError):
-    pass
-
-
-class InsufficientSamplesError(EvalError):
     pass
 
 
@@ -101,19 +100,6 @@ def euclidean_error(a: Point3 | PlanarPoint, b: Point3 | PlanarPoint) -> float:
         )
     raise DimensionMismatchError(
         f"cannot mix {type(a).__name__} and {type(b).__name__}"
-    )
-
-
-def ground_truth(samples: Sequence[Point3], n: int = 100) -> Point3:
-    """Reference position: arithmetic mean of the first ``n`` samples."""
-    if len(samples) < n:
-        raise InsufficientSamplesError(f"need {n} samples, got {len(samples)}")
-    head = samples[:n]
-    first = head[0]
-    return Point3(
-        first.x + sum(p.x - first.x for p in head) / n,
-        first.y + sum(p.y - first.y for p in head) / n,
-        first.z + sum(p.z - first.z for p in head) / n,
     )
 
 
@@ -270,7 +256,7 @@ class ScenarioTemplate:
     frames_per_trial: int = 30
     snap_samples: int = DEFAULT_SAMPLE_COUNT
     stability_threshold: float = DEFAULT_STABILITY_THRESHOLD
-    window: int = 5
+    window: int = DEFAULT_WINDOW
     frame_rate: float = DEFAULT_FRAME_RATE
     hand: str = "right"
 
@@ -418,10 +404,10 @@ def run_trial(
     mean: PlanarPoint | None = None
     if len(samples) >= template.snap_samples:
         mean = stability_gate(samples, template.stability_threshold).mean
-        if mode == "pick":
-            result = pick_snap(samples, board.targets, threshold=template.stability_threshold)
-        else:
-            result = place_snap(samples, board.areas, threshold=template.stability_threshold)
+        request = SnapRequest(samples=tuple(samples), strategy=mode)
+        result = evaluate_request(
+            request, board.targets, board.areas, threshold=template.stability_threshold
+        )
     error = None
     if mean is not None:
         error = euclidean_error(mean, PlanarPoint(aimed_uv.u, aimed_uv.v, 0.0))
@@ -439,12 +425,52 @@ def run_trial(
     )
 
 
-def _run_board_cells(
+def run_pick_sweep(
+    template: ScenarioTemplate,
+    distances: Sequence[float] = PICK_DISTANCES,
+    trials_per_target: int = DEFAULT_TRIALS_PER_TARGET,
+    base_seed: int = 0,
+) -> SweepReport:
+    """Pick boards over a series of square side lengths, 10 trials per bolt by
+    default; success means the aimed bolt was selected."""
+    size = template_plane_size(template)
+    boards = [make_board("pick_square", l, plane_size=size) for l in distances]
+    return run_boards(template, boards, trials_per_target, base_seed)
+
+
+def run_place_sweep(
+    template: ScenarioTemplate,
+    sizes: Sequence[float] = PLACE_SIZES,
+    trials_per_area: int = DEFAULT_TRIALS_PER_TARGET,
+    base_seed: int = 0,
+) -> SweepReport:
+    """Place boards over a series of area sizes; per-trial offsets from the
+    area centers are retained for downstream analysis."""
+    size = template_plane_size(template)
+    boards = [make_board("place_areas", l, plane_size=size) for l in sizes]
+    return run_boards(template, boards, trials_per_area, base_seed)
+
+
+def run_quantitative(
+    template: ScenarioTemplate,
+    trials_per_target: int = DEFAULT_TRIALS_PER_TARGET,
+    base_seed: int = 0,
+) -> SweepReport:
+    """The ten-target accuracy board, selection via the pick strategy."""
+    board = make_board("quantitative_10", plane_size=template_plane_size(template))
+    return run_boards(template, [board], trials_per_target, base_seed)
+
+
+def run_boards(
     template: ScenarioTemplate,
     boards: Sequence[BoardLayout],
-    trials_per_target: int,
-    base_seed: int,
-) -> list[SweepCell]:
+    trials_per_target: int = DEFAULT_TRIALS_PER_TARGET,
+    base_seed: int = 0,
+) -> SweepReport:
+    """Sweep over board layouts, generated or measured; the report takes the
+    first board's kind."""
+    if not boards:
+        raise EvalError("no boards to run")
     cells = []
     for board in boards:
         kind_code = _KIND_CODES.get(board.kind, 9)
@@ -458,80 +484,6 @@ def _run_board_cells(
             cells.append(
                 SweepCell(kind=board.kind, l=board.parameter, target_id=entity.id, trials=tuple(trials))
             )
-    return cells
-
-
-def run_pick_sweep(
-    template: ScenarioTemplate,
-    distances: Sequence[float] = PICK_DISTANCES,
-    trials_per_target: int = DEFAULT_TRIALS_PER_TARGET,
-    base_seed: int = 0,
-) -> SweepReport:
-    """Pick boards over a series of square side lengths, 10 trials per bolt by
-    default; success means the aimed bolt was selected."""
-    boards = [make_board("pick_square", l, plane_size=template_plane_size(template)) for l in distances]
-    cells = _run_board_cells(template, boards, trials_per_target, base_seed)
-    return SweepReport(
-        kind="pick_square",
-        sigma=template.sigma,
-        seed=base_seed,
-        snap_samples=template.snap_samples,
-        trials_per_target=trials_per_target,
-        stability_threshold=template.stability_threshold,
-        cells=tuple(cells),
-    )
-
-
-def run_place_sweep(
-    template: ScenarioTemplate,
-    sizes: Sequence[float] = PLACE_SIZES,
-    trials_per_area: int = DEFAULT_TRIALS_PER_TARGET,
-    base_seed: int = 0,
-) -> SweepReport:
-    """Place boards over a series of area sizes; per-trial offsets from the
-    area centers are retained for downstream analysis."""
-    boards = [make_board("place_areas", l, plane_size=template_plane_size(template)) for l in sizes]
-    cells = _run_board_cells(template, boards, trials_per_area, base_seed)
-    return SweepReport(
-        kind="place_areas",
-        sigma=template.sigma,
-        seed=base_seed,
-        snap_samples=template.snap_samples,
-        trials_per_target=trials_per_area,
-        stability_threshold=template.stability_threshold,
-        cells=tuple(cells),
-    )
-
-
-def run_quantitative(
-    template: ScenarioTemplate,
-    trials_per_target: int = DEFAULT_TRIALS_PER_TARGET,
-    base_seed: int = 0,
-) -> SweepReport:
-    """The ten-target accuracy board, selection via the pick strategy."""
-    board = make_board("quantitative_10", plane_size=template_plane_size(template))
-    cells = _run_board_cells(template, [board], trials_per_target, base_seed)
-    return SweepReport(
-        kind="quantitative_10",
-        sigma=template.sigma,
-        seed=base_seed,
-        snap_samples=template.snap_samples,
-        trials_per_target=trials_per_target,
-        stability_threshold=template.stability_threshold,
-        cells=tuple(cells),
-    )
-
-
-def run_boards(
-    template: ScenarioTemplate,
-    boards: Sequence[BoardLayout],
-    trials_per_target: int = DEFAULT_TRIALS_PER_TARGET,
-    base_seed: int = 0,
-) -> SweepReport:
-    """Sweep over explicit (possibly measured) board layouts."""
-    if not boards:
-        raise EvalError("no boards to run")
-    cells = _run_board_cells(template, boards, trials_per_target, base_seed)
     return SweepReport(
         kind=boards[0].kind,
         sigma=template.sigma,
@@ -615,11 +567,9 @@ def calibrate_sigma(
     *,
     samples: int = 10_000,
     seed: int = 0,
-    rel_tol: float = 0.02,
-    max_iter: int = 60,
 ) -> float:
     """Bisect the joint-noise sigma until the simulated mean intersection
-    error lands within ``rel_tol`` of ``target_mean_error``.
+    error lands within ``CALIBRATION_REL_TOL`` of ``target_mean_error``.
 
     The same seed is reused for every sigma evaluation (common random
     numbers), which keeps the objective smooth and monotone.
@@ -640,13 +590,13 @@ def calibrate_sigma(
         )
 
     floor = f(0.0)
-    if floor > target_mean_error * (1.0 + rel_tol):
+    if floor > target_mean_error * (1.0 + CALIBRATION_REL_TOL):
         raise NonConvergenceError(
             f"aim bias alone yields {floor:.4f} m mean error, above the "
             f"{target_mean_error} m target; no joint-noise sigma can reach it"
         )
     lo, hi = 0.0, target_mean_error
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_ITER):
         if f(hi) >= target_mean_error:
             break
         hi *= 2.0
@@ -654,17 +604,18 @@ def calibrate_sigma(
         raise NonConvergenceError(
             f"could not bracket sigma for target error {target_mean_error} m"
         )
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         err = f(mid)
-        if abs(err - target_mean_error) <= rel_tol * target_mean_error:
+        if abs(err - target_mean_error) <= CALIBRATION_REL_TOL * target_mean_error:
             return mid
         if err < target_mean_error:
             lo = mid
         else:
             hi = mid
     raise NonConvergenceError(
-        f"bisection did not reach {rel_tol:.0%} of {target_mean_error} m in {max_iter} iterations"
+        f"bisection did not reach {CALIBRATION_REL_TOL:.0%} of {target_mean_error} m "
+        f"in {CALIBRATION_MAX_ITER} iterations"
     )
 
 

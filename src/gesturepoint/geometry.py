@@ -29,7 +29,6 @@ PLANARITY_TOL = 0.005          # 4th-corner residual allowed off the plane
 COLLINEARITY_TOL = 1e-6        # cross-product norm (m^2) below which corners degenerate
 ARM_SEPARATION_MIN = 0.01      # shoulder and wrist must be at least this far apart
 PARALLEL_TOL = 1e-6            # |<n, unit dir>| below which a ray counts as parallel
-RESIDUAL_TOL = 0.01            # documented |z_residual| bound for on-plane points
 UNIT_TOL = 1e-9
 DEFAULT_T_MIN = 1.0            # intersection must lie beyond the wrist
 
@@ -330,14 +329,12 @@ def _orient_normal(n: Vec3, reference: Point3, viewpoint: Point3 | None) -> Vec3
 def plane_from_corners(
     corners: Sequence[Point3],
     viewpoint: Point3 | None = None,
-    *,
-    planarity_tol: float = PLANARITY_TOL,
 ) -> Plane:
     """Build an oriented plane from 3 or 4 corner points.
 
     The normal comes from the cross product of the first two edges and the
     offset from the third corner. A 4th corner is validated against the plane
-    (within ``planarity_tol``) and then snapped onto it; with only 3 corners
+    (within ``PLANARITY_TOL``) and then snapped onto it; with only 3 corners
     the 4th is completed as ``P1 + (P3 - P2)``. ``viewpoint``, when given,
     decides the normal sign (normal faces the viewer).
     """
@@ -352,10 +349,10 @@ def plane_from_corners(
     if len(corners) == 4:
         p4 = corners[3]
         residual = n.x * p4.x + n.y * p4.y + n.z * p4.z + d
-        if abs(residual) > planarity_tol:
+        if abs(residual) > PLANARITY_TOL:
             raise NonPlanarCornerError(
                 f"corner 4 lies {abs(residual):.4f} m off the plane "
-                f"(tolerance {planarity_tol} m)"
+                f"(tolerance {PLANARITY_TOL} m)"
             )
         p4 = p4 + n * (-residual)  # snap onto the plane so stored corners are exact
     else:
@@ -390,35 +387,27 @@ def project(point: Point3, intr: CameraIntrinsics) -> tuple[float, float]:
     )
 
 
-def intersect_ray_plane(
-    shoulder: Point3,
-    wrist: Point3,
-    plane: Plane,
-    *,
-    t_min: float = DEFAULT_T_MIN,
-    parallel_tol: float = PARALLEL_TOL,
-    min_separation: float = ARM_SEPARATION_MIN,
-) -> RayHit | None:
+def intersect_ray_plane(shoulder: Point3, wrist: Point3, plane: Plane) -> RayHit | None:
     """Extend the shoulder->wrist ray onto the plane.
 
     The scaling factor is ``t = -(<n, shoulder> + d) / <n, wrist - shoulder>``
     and the hit point ``shoulder + t * (wrist - shoulder)``. Returns None when
-    the ray is parallel to the plane or the hit would lie behind the wrist
-    (t < t_min); raises DegenerateArmError when the two joints are closer than
-    ``min_separation``.
+    the ray is parallel to the plane (``PARALLEL_TOL``) or the hit would lie
+    behind the wrist (t < ``DEFAULT_T_MIN``); raises DegenerateArmError when
+    the two joints are closer than ``ARM_SEPARATION_MIN``.
     """
     direction = wrist - shoulder
     length = direction.norm()
-    if length <= min_separation:
+    if length <= ARM_SEPARATION_MIN:
         raise DegenerateArmError(
-            f"shoulder and wrist are {length:.4f} m apart (minimum {min_separation} m)"
+            f"shoulder and wrist are {length:.4f} m apart (minimum {ARM_SEPARATION_MIN} m)"
         )
     n = plane.normal
     denom = n.dot(direction)
-    if abs(denom / length) < parallel_tol:
+    if abs(denom / length) < PARALLEL_TOL:
         return None
     t = -(plane.signed_distance(shoulder)) / denom
-    if t < t_min:
+    if t < DEFAULT_T_MIN:
         return None
     return RayHit(point=shoulder + direction * t, t=t)
 

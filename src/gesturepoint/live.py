@@ -7,8 +7,8 @@ line ``{"ok": ..., "id": ..., "fallback": ...}``. Malformed input is answered
 with ``{"err": ...}`` and never terminates the session.
 
 ``LiveServer`` serves any number of concurrent TCP sessions; each session
-owns its pipeline state, while target/area registries are shared read-only
-snapshots.
+owns its pipeline state, while every session reads the same load-once
+target/area tuples.
 """
 
 from __future__ import annotations
@@ -16,53 +16,18 @@ from __future__ import annotations
 import json
 import socketserver
 import threading
-from dataclasses import dataclass
 
-from .geometry import Plane, WorkplaneFrame, from_workplane
-from .pipeline import GesturePipeline
+from .geometry import from_workplane
+from .pipeline import HISTORY_CAPACITY, PipelineSettings
 from .snap import (
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_STABILITY_THRESHOLD,
     AreaRegistry,
-    EmptyAreasError,
-    EmptyRegistryError,
+    SnapError,
     SnapRequest,
     TargetRegistry,
     evaluate_request,
 )
-from .stream import (
-    DEFAULT_MIN_CONFIDENCE,
-    MalformedRecordError,
-    parse_frame,
-    parse_intrinsics_header,
-)
-from .stabilizer import DEFAULT_WINDOW, GesturePoint
-
-
-@dataclass(frozen=True)
-class PipelineSettings:
-    """Resolved pipeline configuration shared by replay and live modes."""
-
-    plane: Plane
-    frame: WorkplaneFrame
-    frame_mode: str = "workplane"  # "workplane" emits u/v, "camera" emits x/y/z
-    hands: tuple[str, ...] = ("right",)
-    pair: str = "shoulder_wrist"
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE
-    snap_samples: int = DEFAULT_SAMPLE_COUNT
-    threshold: float = DEFAULT_STABILITY_THRESHOLD
-    window: int = DEFAULT_WINDOW
-    group: str | None = None
-
-    def make_pipeline(self) -> GesturePipeline:
-        return GesturePipeline(
-            self.plane,
-            self.frame,
-            hands=self.hands,
-            pair=self.pair,
-            min_confidence=self.min_confidence,
-            window=self.window,
-        )
+from .stabilizer import GesturePoint
+from .stream import MalformedRecordError, parse_frame, parse_intrinsics_header
 
 
 def gesture_point_record(gp: GesturePoint, settings: PipelineSettings) -> str:
@@ -132,23 +97,21 @@ class LiveSession:
     def _handle_command(self, obj: dict) -> str:
         if obj.get("cmd") != "snap":
             return json.dumps({"err": f"unknown command {obj.get('cmd')!r}"})
-        strategy = obj.get("strategy", "pick")
-        if strategy not in ("pick", "place"):
-            return json.dumps({"err": f"unknown strategy {strategy!r}"})
         hand = obj.get("hand", self.settings.hands[0])
         if hand not in self.settings.hands:
             return json.dumps({"err": f"hand {hand!r} not enabled"})
-        try:
-            n = int(obj.get("n", self.settings.snap_samples))
-        except (TypeError, ValueError):
-            return json.dumps({"err": f"bad sample count {obj.get('n')!r}"})
+        n = obj.get("n", self.settings.snap_samples)
+        if type(n) is not int or not 1 <= n <= HISTORY_CAPACITY:  # rejects bools too
+            return json.dumps({"err": f"n must be an integer in 1..{HISTORY_CAPACITY}, got {n!r}"})
         group = obj.get("group", self.settings.group)
         samples = self.pipeline.recent(hand, n)
         if not samples:
             return json.dumps({"err": "no samples"})
         if len(samples) < n:
             return json.dumps({"err": f"insufficient samples: {len(samples)} of {n}"})
-        request = SnapRequest(samples=tuple(samples), strategy=strategy, group_filter=group)
+        request = SnapRequest(
+            samples=tuple(samples), strategy=obj.get("strategy", "pick"), group_filter=group
+        )
         try:
             result = evaluate_request(
                 request,
@@ -156,7 +119,7 @@ class LiveSession:
                 self.areas.snapshot(),
                 threshold=self.settings.threshold,
             )
-        except (EmptyRegistryError, EmptyAreasError) as exc:
+        except SnapError as exc:  # unknown strategy, or nothing registered
             return json.dumps({"err": str(exc)})
         if result is None:
             return json.dumps({"ok": False, "id": None, "fallback": False})

@@ -1,16 +1,17 @@
 """Wiring of the per-frame path: arm ray -> plane intersection -> workplane
 transform -> stabilizer. One pipeline instance per session/trial; state is
 the per-hand stabilizer buffers plus a short history of stabilized points for
-snap requests."""
+snap requests. ``PipelineSettings`` holds the resolved configuration that
+replay and live share; its defaults are the module constants."""
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import stream as streammod
 from .geometry import (
-    DEFAULT_T_MIN,
     DegenerateArmError,
     PlanarPoint,
     Plane,
@@ -20,6 +21,7 @@ from .geometry import (
     to_workplane,
     workplane_frame,
 )
+from .snap import DEFAULT_SAMPLE_COUNT, DEFAULT_STABILITY_THRESHOLD
 from .stabilizer import DEFAULT_WINDOW, GesturePoint, RunningAverageStabilizer
 
 HISTORY_CAPACITY = 256
@@ -36,7 +38,6 @@ class GesturePipeline:
         hands: Sequence[str] = ("right",),
         pair: str = "shoulder_wrist",
         min_confidence: float = streammod.DEFAULT_MIN_CONFIDENCE,
-        t_min: float = DEFAULT_T_MIN,
         window: int = DEFAULT_WINDOW,
     ) -> None:
         for hand in hands:
@@ -49,7 +50,6 @@ class GesturePipeline:
         self.hands = tuple(hands)
         self.pair = pair
         self.min_confidence = min_confidence
-        self.t_min = t_min
         self.bounds = corners_in_frame(plane, self.frame)
         self.stabilizer = RunningAverageStabilizer(self.bounds, window)
         self._history: dict[str, deque[GesturePoint]] = {
@@ -71,7 +71,7 @@ class GesturePipeline:
                 continue
             got_ray = True
             try:
-                hit = intersect_ray_plane(ray.start, ray.through, self.plane, t_min=self.t_min)
+                hit = intersect_ray_plane(ray.start, ray.through, self.plane)
             except DegenerateArmError:
                 continue  # arm_ray's 1 cm guard normally prevents this
             if hit is None:
@@ -99,3 +99,29 @@ class GesturePipeline:
         self.frames_seen = 0
         self.frames_without_ray = 0
         self.discarded_out_of_bounds = 0
+
+
+@dataclass(frozen=True)
+class PipelineSettings:
+    """Resolved pipeline configuration shared by replay and live modes."""
+
+    plane: Plane
+    frame: WorkplaneFrame
+    frame_mode: str = "workplane"  # "workplane" emits u/v, "camera" emits x/y/z
+    hands: tuple[str, ...] = ("right",)
+    pair: str = "shoulder_wrist"
+    min_confidence: float = streammod.DEFAULT_MIN_CONFIDENCE
+    snap_samples: int = DEFAULT_SAMPLE_COUNT
+    threshold: float = DEFAULT_STABILITY_THRESHOLD
+    window: int = DEFAULT_WINDOW
+    group: str | None = None
+
+    def make_pipeline(self) -> GesturePipeline:
+        return GesturePipeline(
+            self.plane,
+            self.frame,
+            hands=self.hands,
+            pair=self.pair,
+            min_confidence=self.min_confidence,
+            window=self.window,
+        )

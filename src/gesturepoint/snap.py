@@ -9,8 +9,10 @@ threshold of their mean, strict ``<``):
   every area, the nearest area center wins (``fallback_used``).
 
 Ties (equidistant targets, overlapping areas) break deterministically by
-distance then lexicographic id. Registries allow concurrent readers with
-exclusive writers; strategy evaluation is pure over a registry snapshot.
+distance then lexicographic id. ``evaluate_request`` is the one dispatch from
+a SnapRequest to a strategy; it is pure over the tuples it is given. Layouts
+load once: a registry validates and sorts its items in ``replace_all`` and
+hands every reader the same immutable tuple.
 
 Layout file format (meters, workplane frame):
 
@@ -25,8 +27,6 @@ import json
 import math
 import os
 import tempfile
-import threading
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -142,13 +142,11 @@ def pick_snap(
     *,
     threshold: float = DEFAULT_STABILITY_THRESHOLD,
     group: str | None = None,
-    max_distance: float | None = None,
 ) -> SnapResult | None:
     """Select the nearest target to the stable sample mean, or None.
 
-    None means no selection: the gate failed, the group filter matched
-    nothing, or the nearest target exceeds ``max_distance`` (off by default,
-    matching the original behaviour of always selecting the nearest target).
+    None means no selection: the gate failed or the group filter matched
+    nothing. The nearest target is selected however far away it is.
     """
     if not targets:
         raise EmptyRegistryError("no targets registered")
@@ -159,15 +157,12 @@ def pick_snap(
     if not gate.stable:
         return None
     best = min(candidates, key=lambda t: (_distance_uv(gate.mean, t.position), t.id))
-    distance = _distance_uv(gate.mean, best.position)
-    if max_distance is not None and distance > max_distance:
-        return None
     return SnapResult(
         selected_id=best.id,
         mean_point=gate.mean,
         max_radial_deviation=gate.max_deviation,
         fallback_used=False,
-        distance_to_selected=distance,
+        distance_to_selected=_distance_uv(gate.mean, best.position),
     )
 
 
@@ -202,89 +197,22 @@ def evaluate_request(
     areas: Sequence[Area],
     *,
     threshold: float = DEFAULT_STABILITY_THRESHOLD,
-    max_distance: float | None = None,
 ) -> SnapResult | None:
     """Dispatch a SnapRequest to the strategy it names."""
     if request.strategy == "pick":
-        return pick_snap(
-            request.samples, targets,
-            threshold=threshold, group=request.group_filter, max_distance=max_distance,
-        )
+        return pick_snap(request.samples, targets, threshold=threshold, group=request.group_filter)
     if request.strategy == "place":
         return place_snap(request.samples, areas, threshold=threshold)
     raise SnapError(f"unknown strategy {request.strategy!r}")
 
 
-class SnapStrategy(ABC):
-    """Common interface so selection servers can run strategies in parallel."""
-
-    name: str
-
-    @abstractmethod
-    def select(
-        self, samples: Sequence[PlanarPoint], group: str | None = None
-    ) -> SnapResult | None:
-        """Evaluate the strategy over a sample window."""
-
-
-class PickStrategy(SnapStrategy):
-    name = "pick"
-
-    def __init__(
-        self,
-        registry: "TargetRegistry",
-        threshold: float = DEFAULT_STABILITY_THRESHOLD,
-        max_distance: float | None = None,
-    ) -> None:
-        self.registry = registry
-        self.threshold = threshold
-        self.max_distance = max_distance
-
-    def select(
-        self, samples: Sequence[PlanarPoint], group: str | None = None
-    ) -> SnapResult | None:
-        return pick_snap(
-            samples,
-            self.registry.snapshot(),
-            threshold=self.threshold,
-            group=group,
-            max_distance=self.max_distance,
-        )
-
-
-class PlaceStrategy(SnapStrategy):
-    name = "place"
-
-    def __init__(
-        self, registry: "AreaRegistry", threshold: float = DEFAULT_STABILITY_THRESHOLD
-    ) -> None:
-        self.registry = registry
-        self.threshold = threshold
-
-    def select(
-        self, samples: Sequence[PlanarPoint], group: str | None = None
-    ) -> SnapResult | None:
-        return place_snap(samples, self.registry.snapshot(), threshold=self.threshold)
-
-
-class _Registry:
-    """Id-keyed store with copy-on-read snapshots; writers take the lock."""
+class Registry:
+    """Load-once targets or areas: ``replace_all`` rejects duplicate ids,
+    sorts by id and binds the new tuple in one assignment; ``snapshot``
+    returns that tuple. Nothing mutates it in place, so readers need no lock."""
 
     def __init__(self) -> None:
-        self._items: dict[str, object] = {}
-        self._lock = threading.RLock()
-
-    def _add(self, item_id: str, item: object) -> None:
-        with self._lock:
-            if item_id in self._items:
-                raise DuplicateIdError(f"id {item_id!r} already registered")
-            self._items[item_id] = item
-
-    def remove(self, item_id: str) -> None:
-        with self._lock:
-            if item_id not in self._items:
-                raise UnknownIdError(f"id {item_id!r} not registered")
-            del self._items[item_id]
+        self._items: tuple = ()
 
     def replace_all(self, items: Iterable) -> None:
         staged: dict[str, object] = {}
@@ -292,34 +220,13 @@ class _Registry:
             if item.id in staged:
                 raise DuplicateIdError(f"id {item.id!r} appears twice")
             staged[item.id] = item
-        with self._lock:
-            self._items = staged
+        self._items = tuple(staged[k] for k in sorted(staged))
 
     def snapshot(self) -> tuple:
-        with self._lock:
-            return tuple(self._items[k] for k in sorted(self._items))
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self._items
+        return self._items
 
 
-class TargetRegistry(_Registry):
-    def add(self, target: Target) -> None:
-        self._add(target.id, target)
-
-    def snapshot(self) -> tuple[Target, ...]:
-        return super().snapshot()
-
-
-class AreaRegistry(_Registry):
-    def add(self, area: Area) -> None:
-        self._add(area.id, area)
-
-    def snapshot(self) -> tuple[Area, ...]:
-        return super().snapshot()
+TargetRegistry = AreaRegistry = Registry
 
 
 def _target_from_dict(spec: dict) -> Target:
@@ -398,12 +305,3 @@ def save_layout(
             os.unlink(tmp)
         raise
 
-
-def load_into(
-    path: str | os.PathLike, targets: TargetRegistry, areas: AreaRegistry
-) -> tuple[int, int]:
-    """Atomically replace both registries from a layout file."""
-    loaded_targets, loaded_areas = load_layout(path)
-    targets.replace_all(loaded_targets)
-    areas.replace_all(loaded_areas)
-    return len(loaded_targets), len(loaded_areas)

@@ -12,7 +12,9 @@ streams containing any 2D joints must start with a header line
 
     {"intrinsics": {"fx":..., "fy":..., "cx":..., "cy":..., "width":..., "height":...}}
 
-Unknown joint names are ignored; missing joints are simply absent.
+Unknown joint names are ignored; missing joints are simply absent. A joint
+with any coordinate beyond ``MAX_JOINT_COORD`` meters (after deprojection for
+the 2D form) makes the record malformed.
 
 Scenario config files are flat ``key = value`` text (``#`` comments allowed):
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -57,6 +59,9 @@ KNOWN_JOINTS = frozenset(
 )
 DEFAULT_MIN_CONFIDENCE = 0.3
 DEFAULT_FRAME_RATE = 30.0
+# far beyond any camera's range, yet small enough that no ray arithmetic on two
+# joints (differences, norms, the plane hit) can overflow a float
+MAX_JOINT_COORD = 1e6
 
 
 class StreamError(ValueError):
@@ -149,6 +154,8 @@ def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None 
             if isinstance(exc, MalformedRecordError):
                 raise
             raise MalformedRecordError(f"joint {name!r}: {exc}") from exc
+        if max(abs(position.x), abs(position.y), abs(position.z)) > MAX_JOINT_COORD:
+            raise MalformedRecordError(f"joint {name!r} lies beyond {MAX_JOINT_COORD:g} m")
         joints[name] = JointSample(position=position, confidence=confidence)
     return KeypointFrame(
         timestamp=timestamp, joints=joints, source_id=str(record.get("source", ""))
@@ -244,12 +251,6 @@ class StreamReader:
             yield frame
 
 
-def read_stream(path: str | os.PathLike) -> list[KeypointFrame]:
-    """Read a whole skeleton JSONL file strictly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(StreamReader(fh))
-
-
 def arm_ray(
     frame: KeypointFrame,
     hand: str,
@@ -342,16 +343,6 @@ class GestureScenario:
         e1, e2 = self.plane_axes()
         return np.array(self.target.as_tuple()) + bias[0] * e1 + bias[1] * e2
 
-    def ideal_wrist(self) -> Point3:
-        direction = (self.target - self.shoulder_base).normalized()
-        return self.shoulder_base + direction * self.arm_length
-
-    def aimed_at(self, target: Point3, rng_seed: int | None = None) -> "GestureScenario":
-        """The same scenario pointed at a different target (and seed)."""
-        return replace(
-            self, target=target, rng_seed=self.rng_seed if rng_seed is None else rng_seed
-        )
-
 
 def _wrist_toward(shoulder: np.ndarray, aim: np.ndarray, arm_length: float) -> np.ndarray:
     direction = aim - shoulder
@@ -425,7 +416,7 @@ def parse_kv_config(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_triplet(value: str, key: str) -> Point3:
+def parse_triplet(value: str, key: str) -> Point3:
     parts = [p for p in value.replace(",", " ").split() if p]
     if len(parts) != 3:
         raise StreamError(f"{key}: expected three numbers, got {value!r}")
@@ -446,15 +437,15 @@ def load_scenario_config(path: str | os.PathLike) -> GestureScenario:
     missing = [k for k in required if k not in cfg]
     if missing:
         raise StreamError(f"scenario config missing keys: {', '.join(missing)}")
-    corners = [_parse_triplet(cfg[f"plane_corner_{i}"], f"plane_corner_{i}") for i in (1, 2, 3)]
+    corners = [parse_triplet(cfg[f"plane_corner_{i}"], f"plane_corner_{i}") for i in (1, 2, 3)]
     if "plane_corner_4" in cfg:
-        corners.append(_parse_triplet(cfg["plane_corner_4"], "plane_corner_4"))
+        corners.append(parse_triplet(cfg["plane_corner_4"], "plane_corner_4"))
     try:
         plane = plane_from_corners(corners)
         return GestureScenario(
             plane=plane,
-            shoulder_base=_parse_triplet(cfg["shoulder"], "shoulder"),
-            target=_parse_triplet(cfg["target"], "target"),
+            shoulder_base=parse_triplet(cfg["shoulder"], "shoulder"),
+            target=parse_triplet(cfg["target"], "target"),
             noise_sigma=float(cfg["sigma"]),
             arm_length=float(cfg["arm_length"]),
             sample_count=int(cfg["count"]),

@@ -13,8 +13,10 @@ from conftest import (
     write_corner_file,
     write_scenario_file,
 )
-from gesturepoint.cli import load_plane_file
-from gesturepoint.geometry import Point3, project, CameraIntrinsics
+import gesturepoint
+from gesturepoint.cli import ConfigError, _load_registries, load_plane_file
+from gesturepoint.geometry import PlanarPoint, Point3, project, CameraIntrinsics
+from gesturepoint.snap import Area, Target, save_layout
 
 
 def read_jsonl(path):
@@ -157,6 +159,50 @@ def test_replay_skips_malformed_lines_with_warning(tmp_path, capsys):
     assert "frames=6 points=6 warnings=1" in err
 
 
+def test_replay_counts_overflowing_frame_as_malformed(tmp_path, capsys):
+    plane = make_plane_file(tmp_path / "plane.json")
+    scenario = write_scenario_file(tmp_path / "s.cfg", count=6)
+    stream = tmp_path / "stream.jsonl"
+    run_cli(["generate", "--scenario", str(scenario), "--out", str(stream)])
+    lines = stream.read_text(encoding="utf-8").splitlines()
+    huge = {"t": 0.1, "joints": {"right_shoulder": {"x": 1e308, "y": 1e308, "z": 1e308},
+                                 "right_wrist": {"x": -1e308, "y": -1e308, "z": -1e308}}}
+    lines.insert(3, json.dumps(huge))
+    stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "points.jsonl"
+    assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "line 4" in err
+    assert "frames=6 points=6 warnings=1" in err
+
+
+def test_replay_n_beyond_history_capacity_exits_2(tmp_path, capsys):
+    plane = make_plane_file(tmp_path / "plane.json")
+    scenario = write_scenario_file(tmp_path / "s.cfg", count=5)
+    stream = tmp_path / "stream.jsonl"
+    run_cli(["generate", "--scenario", str(scenario), "--out", str(stream)])
+    base = ["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(tmp_path / "o.jsonl")]
+    assert run_cli(base + ["--n", "300"]) == 2
+    assert "--n must be in 1..256" in capsys.readouterr().err
+    assert run_cli(base + ["--n", "256"]) == 0
+
+
+def test_load_registries_from_layout_file(tmp_path):
+    path = tmp_path / "layout.json"
+    save_layout(
+        path,
+        [Target(id=f"t{i}", label="", position=PlanarPoint(0.1 * i, 0.1)) for i in (7, 3, 5)],
+        [Area(id="a1", center=PlanarPoint(0.3, 0.3), half_extent=(0.1, 0.1))],
+    )
+    targets, areas = _load_registries(str(path))
+    assert [t.id for t in targets.snapshot()] == ["t3", "t5", "t7"]
+    assert [a.id for a in areas.snapshot()] == ["a1"]
+    empty_targets, empty_areas = _load_registries(None)
+    assert empty_targets.snapshot() == () and empty_areas.snapshot() == ()
+    with pytest.raises(ConfigError):
+        _load_registries(str(tmp_path / "missing.json"))
+
+
 def test_replay_with_snap_logs_selection(tmp_path):
     plane = make_plane_file(tmp_path / "plane.json")
     scenario = write_scenario_file(tmp_path / "s.cfg", target="0.2, 0.3, 0.0", count=20)
@@ -218,6 +264,32 @@ def test_sweep_noiseless_pick(tmp_path):
     assert len(rows) == 1 + 2 * 4
     assert all(",100.00," in row for row in rows[1:])
     assert (out_dir / "pick_square_report.json").exists()
+
+
+def test_sweep_writes_the_boards_it_ran_on_a_scenario_plane(tmp_path):
+    scenario = tmp_path / "wide.cfg"
+    scenario.write_text(
+        "plane_corner_1 = 0, 0, 0\nplane_corner_2 = 1.0, 0, 0\n"
+        "plane_corner_3 = 1.0, 1.2, 0\nplane_corner_4 = 0, 1.2, 0\n"
+        "shoulder = 0.5, -0.1, 0.6\ntarget = 0.5, 0.6, 0\nsigma = 0\n"
+        "arm_length = 0.55\nseed = 1\ncount = 30\n",
+        encoding="utf-8",
+    )
+    args = ["sweep", "--kind", "pick", "--scenario", str(scenario), "--trials", "2",
+            "--seed", "3", "--distances", "0.4"]
+    generated, replayed = tmp_path / "generated", tmp_path / "replayed"
+    assert run_cli(args + ["--out", str(generated)]) == 0
+    boards = json.loads((generated / "pick_square_boards.json").read_text(encoding="utf-8"))
+    (board,) = boards["boards"]
+    assert board["board"]["plane_size_m"] == pytest.approx([1.0, 1.2])
+    b1 = next(t for t in board["targets"] if t["id"] == "B1")
+    assert (b1["u"], b1["v"]) == pytest.approx((0.7, 0.4))
+    # sweeping the written board reproduces the reports byte for byte
+    single = tmp_path / "board.json"
+    single.write_text(json.dumps(board), encoding="utf-8")
+    assert run_cli(args[:-2] + ["--board", str(single), "--out", str(replayed)]) == 0
+    for name in ("pick_square_report.csv", "pick_square_report.json"):
+        assert (generated / name).read_bytes() == (replayed / name).read_bytes()
 
 
 def test_sweep_rerun_byte_identical(tmp_path):
@@ -364,3 +436,7 @@ def test_unknown_flag_exits_2():
 
 def test_version_flag():
     assert run_cli(["--version"]) == 0
+
+
+def test_package_all_names_resolve():
+    assert [name for name in gesturepoint.__all__ if not hasattr(gesturepoint, name)] == []

@@ -1,4 +1,4 @@
-"""Evaluation harness tests: error metric, ground truth, boards, sweeps,
+"""Evaluation harness tests: error metric, boards, sweeps,
 calibration, report emission."""
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 from gesturepoint.evaluation import (
     CSV_COLUMNS,
     DimensionMismatchError,
-    InsufficientSamplesError,
     InvalidParametersError,
     PICK_DISTANCES,
     ScenarioTemplate,
@@ -27,7 +26,6 @@ from gesturepoint.evaluation import (
     desk_plane,
     emit_report,
     euclidean_error,
-    ground_truth,
     make_board,
     mean_intersection_error,
     run_pick_sweep,
@@ -82,46 +80,6 @@ def test_euclidean_error_rigid_invariance_under_workplane_transform():
         direct = euclidean_error(a, b)
         planar = euclidean_error(to_workplane(a, frame), to_workplane(b, frame))
         assert abs(direct - planar) < 1e-9
-
-
-# --- ground truth --------------------------------------------------------------
-
-
-def test_ground_truth_identical_points():
-    p = Point3(0.3, 0.7, 0.1)
-    assert ground_truth([p] * 100) == p
-
-
-def test_ground_truth_symmetric_perturbations_cancel():
-    center = Point3(0.5, 0.5, 0.0)
-    samples = []
-    for i in range(50):
-        d = 0.001 * (i + 1)
-        samples.append(Point3(center.x + d, center.y - d, center.z + d))
-        samples.append(Point3(center.x - d, center.y + d, center.z - d))
-    gt = ground_truth(samples, n=100)
-    assert gt.x == pytest.approx(center.x, abs=1e-12)
-    assert gt.y == pytest.approx(center.y, abs=1e-12)
-    assert gt.z == pytest.approx(center.z, abs=1e-12)
-
-
-def test_ground_truth_matches_running_sum_oracle():
-    rng = np.random.default_rng(19)
-    samples = [Point3(*rng.uniform(-1, 1, 3)) for _ in range(120)]
-    gt = ground_truth(samples, n=100)
-    sums = [0.0, 0.0, 0.0]
-    for p in samples[:100]:
-        sums[0] += p.x
-        sums[1] += p.y
-        sums[2] += p.z
-    assert gt.x == pytest.approx(sums[0] / 100, abs=1e-12)
-    assert gt.y == pytest.approx(sums[1] / 100, abs=1e-12)
-    assert gt.z == pytest.approx(sums[2] / 100, abs=1e-12)
-
-
-def test_ground_truth_insufficient_samples():
-    with pytest.raises(InsufficientSamplesError):
-        ground_truth([Point3(0, 0, 0)] * 99)
 
 
 # --- boards ------------------------------------------------------------------

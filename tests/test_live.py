@@ -23,9 +23,11 @@ def make_settings(tmp_path) -> PipelineSettings:
 
 def registries():
     targets, areas = TargetRegistry(), AreaRegistry()
-    targets.add(Target(id="goal", label="goal", position=PlanarPoint(0.2, 0.3)))
-    targets.add(Target(id="decoy", label="decoy", position=PlanarPoint(0.5, 0.6)))
-    areas.add(Area(id="zone", center=PlanarPoint(0.2, 0.3), half_extent=(0.1, 0.1)))
+    targets.replace_all([
+        Target(id="goal", label="goal", position=PlanarPoint(0.2, 0.3)),
+        Target(id="decoy", label="decoy", position=PlanarPoint(0.5, 0.6)),
+    ])
+    areas.replace_all([Area(id="zone", center=PlanarPoint(0.2, 0.3), half_extent=(0.1, 0.1))])
     return targets, areas
 
 
@@ -94,6 +96,28 @@ def test_snap_with_too_few_points(tmp_path):
         responses = talk(server.address, lines)
     errs = [r for r in responses if "err" in r]
     assert errs == [{"err": "insufficient samples: 5 of 15"}]
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.7, True, 257, "15"])
+def test_snap_rejects_bad_sample_count(tmp_path, n):
+    targets, areas = registries()
+    session = LiveSession(make_settings(tmp_path), targets, areas)
+    for line in stream_lines(tmp_path):
+        session.handle_line(line)
+    replies = session.handle_line(json.dumps({"cmd": "snap", "strategy": "pick", "n": n}))
+    assert [set(json.loads(r)) for r in replies] == [{"err"}]
+    ok = json.loads(session.handle_line(json.dumps({"cmd": "snap", "n": 20}))[0])
+    assert ok["ok"] is True and ok["id"] == "goal"
+
+
+def test_overflowing_frame_answered_with_err_and_session_kept(tmp_path):
+    targets, areas = registries()
+    session = LiveSession(make_settings(tmp_path), targets, areas)
+    huge = {"t": 0.0, "joints": {"right_shoulder": {"x": 1e308, "y": 1e308, "z": 1e308},
+                                 "right_wrist": {"x": -1e308, "y": -1e308, "z": -1e308}}}
+    replies = session.handle_line(json.dumps(huge))
+    assert [set(json.loads(r)) for r in replies] == [{"err"}]
+    assert len(session.handle_line(stream_lines(tmp_path, count=1)[0])) == 1
 
 
 def test_malformed_lines_answered_without_terminating(tmp_path):

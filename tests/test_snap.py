@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 
 import numpy as np
@@ -19,12 +20,10 @@ from gesturepoint.snap import (
     EmptyRegistryError,
     EmptySamplesError,
     MalformedFileError,
-    PickStrategy,
-    PlaceStrategy,
+    SnapRequest,
     Target,
     TargetRegistry,
-    UnknownIdError,
-    load_into,
+    evaluate_request,
     load_layout,
     pick_snap,
     place_snap,
@@ -130,12 +129,6 @@ def test_pick_tie_breaks_by_id():
     )
     result = pick_snap(pts(*[(0.0, 0.0)] * 15), targets)
     assert result.selected_id == "a"
-
-
-def test_pick_optional_distance_cutoff_defaults_off():
-    far_only = (Target(id="t", label="t", position=PlanarPoint(5.0, 5.0)),)
-    assert pick_snap(cluster((0.1, 0.1)), far_only).selected_id == "t"
-    assert pick_snap(cluster((0.1, 0.1)), far_only, max_distance=0.5) is None
 
 
 def test_pick_matches_exhaustive_scan_oracle():
@@ -280,8 +273,6 @@ def test_group_filter_monotonicity():
 
 
 def test_evaluate_request_dispatch():
-    from gesturepoint.snap import SnapRequest, evaluate_request
-
     samples = tuple(cluster((0.15, 0.15)))
     pick = evaluate_request(SnapRequest(samples, "pick"), TARGETS, AREAS)
     assert pick.selected_id == "t1"
@@ -307,26 +298,26 @@ def test_gate_soundness_of_both_strategies():
 # --- registries and files -----------------------------------------------------
 
 
-def test_registry_crud():
+def test_registry_replace_all_rejects_duplicate_ids():
     reg = TargetRegistry()
-    reg.add(Target(id="t1", label="one", position=PlanarPoint(0.1, 0.1)))
-    assert "t1" in reg and len(reg) == 1
+    t1 = Target(id="t1", label="one", position=PlanarPoint(0.1, 0.1))
+    reg.replace_all([t1])
     with pytest.raises(DuplicateIdError):
-        reg.add(Target(id="t1", label="dup", position=PlanarPoint(0.2, 0.2)))
-    reg.remove("t1")
-    assert len(reg) == 0
-    with pytest.raises(UnknownIdError):
-        reg.remove("t1")
+        reg.replace_all([Target(id="t2", label="", position=PlanarPoint(0, 0)), t1,
+                         Target(id="t1", label="dup", position=PlanarPoint(0.2, 0.2))])
+    assert reg.snapshot() == (t1,)  # a rejected load leaves the old layout in place
+    assert TargetRegistry().snapshot() == () and AreaRegistry is TargetRegistry
 
 
 def test_registry_snapshot_sorted_and_isolated():
     reg = TargetRegistry()
-    reg.add(Target(id="b", label="", position=PlanarPoint(0, 0)))
-    reg.add(Target(id="a", label="", position=PlanarPoint(0, 0)))
+    reg.replace_all([Target(id=i, label="", position=PlanarPoint(0, 0)) for i in "bca"])
     snap = reg.snapshot()
-    assert [t.id for t in snap] == ["a", "b"]
-    reg.remove("a")
-    assert [t.id for t in snap] == ["a", "b"]  # snapshot unaffected
+    assert isinstance(snap, tuple) and [t.id for t in snap] == ["a", "b", "c"]
+    assert reg.snapshot() is snap  # sorted once at load, shared by every reader
+    reg.replace_all([Target(id="z", label="", position=PlanarPoint(0, 0))])
+    assert [t.id for t in snap] == ["a", "b", "c"]  # an earlier snapshot never changes
+    assert [t.id for t in reg.snapshot()] == ["z"]
 
 
 def test_layout_file_round_trip(tmp_path):
@@ -349,42 +340,74 @@ def test_layout_malformed_file(tmp_path):
         load_layout(path)
 
 
-def test_load_into_replaces_registries(tmp_path):
-    path = tmp_path / "layout.json"
-    save_layout(
-        path,
-        [Target(id=f"t{i}", label="", position=PlanarPoint(0.1 * i, 0.1)) for i in range(8)],
-        [],
-    )
-    targets, areas = TargetRegistry(), AreaRegistry()
-    targets.add(Target(id="old", label="", position=PlanarPoint(0, 0)))
-    n_targets, n_areas = load_into(path, targets, areas)
-    assert (n_targets, n_areas) == (8, 0)
-    assert "old" not in targets and len(targets) == 8
-
-
 def test_strategies_share_registry_snapshots():
     targets, areas = TargetRegistry(), AreaRegistry()
-    targets.add(Target(id="t1", label="", position=PlanarPoint(0.1, 0.1)))
-    areas.add(Area(id="a1", center=PlanarPoint(0.2, 0.2), half_extent=(0.1, 0.1)))
-    pick = PickStrategy(targets)
-    place = PlaceStrategy(areas)
-    samples = cluster((0.15, 0.15))
+    targets.replace_all([Target(id="t1", label="", position=PlanarPoint(0.1, 0.1))])
+    areas.replace_all([Area(id="a1", center=PlanarPoint(0.2, 0.2), half_extent=(0.1, 0.1))])
+    shared_targets, shared_areas = targets.snapshot(), areas.snapshot()
+    samples = tuple(cluster((0.15, 0.15)))
     results = {}
 
-    def run(name, strat):
-        results[name] = strat.select(samples)
+    def run(name, strategy):
+        request = SnapRequest(samples=samples, strategy=strategy)
+        results[name] = [
+            evaluate_request(request, shared_targets, shared_areas) for _ in range(200)
+        ]
 
     threads = [
-        threading.Thread(target=run, args=("pick", pick)),
-        threading.Thread(target=run, args=("place", place)),
+        threading.Thread(target=run, args=(f"{strategy}{k}", strategy))
+        for k in range(4)
+        for strategy in ("pick", "place")
     ]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert results["pick"].selected_id == "t1"
-    assert results["place"].selected_id == "a1"
+    assert len(results) == 8
+    for name, got in results.items():
+        want = "t1" if name.startswith("pick") else "a1"
+        assert {r.selected_id for r in got} == {want}
+
+
+def test_registry_readers_see_whole_layouts_during_replace_all():
+    layouts = [
+        [Target(id=f"{prefix}{i}", label="", position=PlanarPoint(0.01 * i, 0)) for i in range(20)]
+        for prefix in ("a", "b")
+    ]
+    wanted = {tuple(sorted(layout, key=lambda t: t.id)) for layout in layouts}
+    reg = TargetRegistry()
+    reg.replace_all(layouts[0])
+    stop = threading.Event()
+    torn = []
+
+    def write():
+        k = 0
+        while not stop.is_set():
+            k += 1
+            reg.replace_all(layouts[k % 2])
+
+    def read():
+        for _ in range(2000):
+            snap = reg.snapshot()
+            if snap not in wanted:
+                torn.append(snap)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer = threading.Thread(target=write)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        writer.start()
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=30)
+        stop.set()
+        writer.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not writer.is_alive() and not any(t.is_alive() for t in readers)
+    assert torn == []
 
 
 def test_area_validation():

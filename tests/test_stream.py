@@ -17,6 +17,7 @@ from gesturepoint.geometry import (
     workplane_frame,
 )
 from gesturepoint.stream import (
+    MAX_JOINT_COORD,
     GestureScenario,
     MalformedRecordError,
     StreamReader,
@@ -25,7 +26,6 @@ from gesturepoint.stream import (
     generate_scenario,
     load_scenario_config,
     parse_frame,
-    read_stream,
     sample_joint_positions,
     serialize_frame,
     write_stream,
@@ -101,6 +101,18 @@ def test_parse_frame_2d_form_requires_intrinsics():
     record = {"t": 0.0, "joints": {"right_wrist": {"px": 320, "py": 240, "depth": 1.0, "c": 1.0}}}
     with pytest.raises(MalformedRecordError):
         parse_frame(record)
+
+
+def test_parse_frame_rejects_joints_beyond_coordinate_bound():
+    at_bound = {"x": MAX_JOINT_COORD, "y": -MAX_JOINT_COORD, "z": 1.0}
+    assert parse_frame({"t": 0.0, "joints": {"right_wrist": at_bound}}).joint("right_wrist")
+    for spec in ({"x": 1e308, "y": 1e308, "z": 1e308}, {"x": 0.0, "y": -2 * MAX_JOINT_COORD, "z": 1.0}):
+        with pytest.raises(MalformedRecordError, match="beyond"):
+            parse_frame({"t": 0.0, "joints": {"right_shoulder": spec}})
+    # the 2D form is bounded after deprojection
+    deep = {"px": 0, "py": 0, "depth": 1e300, "c": 1.0}
+    with pytest.raises(MalformedRecordError, match="beyond"):
+        parse_frame({"t": 0.0, "joints": {"right_wrist": deep}}, INTR)
 
 
 def test_serialize_parse_round_trip():
@@ -276,7 +288,8 @@ def test_write_and_read_stream(tmp_path):
     path = tmp_path / "stream.jsonl"
     count = write_stream(path, generate_scenario(scenario))
     assert count == 10
-    frames = read_stream(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        frames = list(StreamReader(fh))
     assert len(frames) == 10
     assert frames[0] == next(iter(generate_scenario(scenario)))
 
