@@ -38,12 +38,12 @@ from .evaluation import (
     PICK_DISTANCES,
     PLACE_SIZES,
     ScenarioTemplate,
-    board_document,
     calibrate_sigma,
     emit_report,
-    load_board,
+    load_boards,
     make_board,
     run_boards,
+    save_boards,
     template_plane_size,
 )
 from .geometry import (
@@ -217,17 +217,22 @@ def load_corner_file(path: str) -> tuple[list[Point3], bool]:
     for i, spec in enumerate(raw, start=1):
         if not isinstance(spec, dict):
             raise ConfigError(f"{path}: corner {i} must be an object")
-        if {"x", "y", "z"} <= spec.keys():
-            corners.append(Point3(float(spec["x"]), float(spec["y"]), float(spec["z"])))
-        elif {"px", "py", "depth"} <= spec.keys():
-            if intrinsics is None:
-                raise ConfigError(f"{path}: corner {i} uses pixels but the file has no intrinsics")
-            used_pixels = True
-            corners.append(
-                deproject((float(spec["px"]), float(spec["py"])), float(spec["depth"]), intrinsics)
-            )
-        else:
-            raise ConfigError(f"{path}: corner {i} needs x/y/z or px/py/depth")
+        try:
+            if {"x", "y", "z"} <= spec.keys():
+                corners.append(Point3(float(spec["x"]), float(spec["y"]), float(spec["z"])))
+            elif {"px", "py", "depth"} <= spec.keys():
+                if intrinsics is None:
+                    raise ConfigError(f"{path}: corner {i} uses pixels but the file has no intrinsics")
+                used_pixels = True
+                corners.append(
+                    deproject((float(spec["px"]), float(spec["py"])), float(spec["depth"]), intrinsics)
+                )
+            else:
+                raise ConfigError(f"{path}: corner {i} needs x/y/z or px/py/depth")
+        except (TypeError, ValueError) as exc:
+            if isinstance(exc, ConfigError):
+                raise
+            raise ConfigError(f"{path}: corner {i}: {exc}") from exc
     return corners, used_pixels
 
 
@@ -417,7 +422,6 @@ def cmd_sweep(args) -> int:
     if args.calibrate is not None and args.sigma is not None:
         raise ConfigError("give either --sigma or --calibrate, not both")
     _positive("--trials", args.trials)
-    _positive("--n", args.n)
     _positive("--threshold", args.threshold)
     if args.sigma is not None and args.sigma < 0:
         raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
@@ -431,7 +435,7 @@ def cmd_sweep(args) -> int:
     size = template_plane_size(template)
     if args.board:
         try:
-            boards = [load_board(args.board)]
+            boards = load_boards(args.board)
         except (OSError, EvalError) as exc:
             raise ConfigError(f"bad board file: {exc}") from exc
     elif args.kind == "pick":
@@ -452,9 +456,7 @@ def cmd_sweep(args) -> int:
             fh.write(emit_report(report, fmt))
         paths.append(path)
     boards_path = os.path.join(out_dir, f"{report.kind}_boards.json")
-    with open(boards_path, "w", encoding="utf-8") as fh:
-        json.dump({"boards": [board_document(b) for b in boards]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_boards(boards_path, boards)
     paths.append(boards_path)
     print(f"sigma_m={template.sigma:.6f}", file=sys.stderr)
     for path in paths:

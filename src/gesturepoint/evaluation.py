@@ -15,6 +15,7 @@ a smooth monotone function.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -209,15 +210,17 @@ def board_from_document(doc: dict) -> BoardLayout:
     )
 
 
-def save_board(path: str | os.PathLike, board: BoardLayout) -> None:
+def save_boards(path: str | os.PathLike, boards: Sequence[BoardLayout]) -> None:
+    """Write a board series as ``{"boards": [board document, ...]}``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(board_document(board), fh, indent=2, sort_keys=True)
+        json.dump({"boards": [board_document(b) for b in boards]}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_board(path: str | os.PathLike) -> BoardLayout:
-    """Read a board layout file (registry schema plus a "board" metadata key),
-    so measured layouts can replace the generated ones."""
+def load_boards(path: str | os.PathLike) -> list[BoardLayout]:
+    """Read a board series written by :func:`save_boards`, so measured layouts
+    can replace the generated ones. A lone board document (registry schema
+    plus a "board" metadata key) reads as a one-board series."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -225,10 +228,18 @@ def load_board(path: str | os.PathLike) -> BoardLayout:
         raise EvalError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise EvalError(f"{path}: expected a JSON object")
-    board = board_from_document(doc)
-    if not board.targets and not board.areas:
-        raise EvalError(f"{path}: board holds no targets or areas")
-    return board
+    docs = doc["boards"] if "boards" in doc else [doc]
+    if not isinstance(docs, list) or not docs:
+        raise EvalError(f"{path}: \"boards\" must be a non-empty list")
+    boards = []
+    for i, entry in enumerate(docs, start=1):
+        if not isinstance(entry, dict):
+            raise EvalError(f"{path}: board {i} must be a JSON object")
+        board = board_from_document(entry)
+        if not board.targets and not board.areas:
+            raise EvalError(f"{path}: board {i} holds no targets or areas")
+        boards.append(board)
+    return boards
 
 
 # --- scenario template and trials ------------------------------------------
@@ -274,14 +285,14 @@ class ScenarioTemplate:
             **overrides,
         )
 
-    def scenario_for(self, target_world: Point3, seed: int, count: int | None = None) -> GestureScenario:
+    def scenario_for(self, target_world: Point3, seed: int) -> GestureScenario:
         return GestureScenario(
             plane=self.plane,
             shoulder_base=self.shoulder_base,
             target=target_world,
             noise_sigma=self.sigma,
             arm_length=self.arm_length,
-            sample_count=self.frames_per_trial if count is None else count,
+            sample_count=self.frames_per_trial,
             rng_seed=seed,
             frame_rate=self.frame_rate,
             hand=self.hand,
@@ -471,6 +482,11 @@ def run_boards(
     first board's kind."""
     if not boards:
         raise EvalError("no boards to run")
+    if not 1 <= template.snap_samples <= template.frames_per_trial:
+        raise InvalidParametersError(
+            f"snap sample count must be in 1..{template.frames_per_trial} "
+            f"(frames per trial), got {template.snap_samples}"
+        )
     cells = []
     for board in boards:
         kind_code = _KIND_CODES.get(board.kind, 9)
@@ -517,33 +533,16 @@ def mean_intersection_error(
     """Mean Euclidean error of raw per-frame ray-plane intersections against
     the aimed target, vectorized.
 
-    This is the ensemble error over trials: each sample draws its own aim
-    bias (when the template has one) and its own joint noise. Frames whose
-    ray misses the plane (parallel, or hit not beyond the wrist) are excluded
-    from the mean.
+    This is the ensemble error over trials: each sample is the one frame of
+    its own trial from the generator's sampler
+    (:func:`~gesturepoint.stream.sample_joint_positions`), with its own aim
+    bias (when the template has one) and joint noise. Frames whose ray misses
+    the plane (parallel, or hit not beyond the wrist) are excluded from the
+    mean.
     """
-    scenario = GestureScenario(
-        plane=template.plane,
-        shoulder_base=template.shoulder_base,
-        target=target_world,
-        noise_sigma=sigma,
-        arm_length=template.arm_length,
-        sample_count=samples,
-        rng_seed=seed,
-        frame_rate=template.frame_rate,
-        hand=template.hand,
-        aim_bias_sigma=template.aim_bias_sigma,
-    )
-    rng = np.random.default_rng(seed)
-    biases = scenario.aim_bias_sigma * rng.standard_normal((samples, 2))
-    eps = rng.standard_normal((samples, 2, 3))
-    base = np.array(template.shoulder_base.as_tuple())
-    e1, e2 = scenario.plane_axes()
-    aims = np.array(target_world.as_tuple()) + biases[:, :1] * e1 + biases[:, 1:] * e2
-    aim_dirs = aims - base
-    ideal_wrists = base + aim_dirs * (template.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
-    shoulders = base + sigma * eps[:, 0, :]
-    wrists = ideal_wrists + sigma * eps[:, 1, :]
+    scenario = dataclasses.replace(template, sigma=sigma).scenario_for(target_world, seed)
+    shoulders, wrists = sample_joint_positions(scenario, trials=samples, frames=1)
+    shoulders, wrists = shoulders[:, 0], wrists[:, 0]
     n = np.array(template.plane.normal.as_tuple())
     d = template.plane.d
     dirs = wrists - shoulders

@@ -464,6 +464,18 @@ def corners_in_frame(plane: Plane, frame: WorkplaneFrame) -> tuple[tuple[float, 
     return tuple(out)
 
 
+def planar_mean(points: Sequence[PlanarPoint]) -> PlanarPoint:
+    """Componentwise mean of a non-empty point sequence, taken as the offset
+    from the first point so identical points average exactly."""
+    k = len(points)
+    first = points[0]
+    return PlanarPoint(
+        u=first.u + sum(p.u - first.u for p in points) / k,
+        v=first.v + sum(p.v - first.v for p in points) / k,
+        z_residual=first.z_residual + sum(p.z_residual - first.z_residual for p in points) / k,
+    )
+
+
 def _on_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
     cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
     scale = max(abs(bx - ax), abs(by - ay), 1.0)

@@ -30,7 +30,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import PlanarPoint
+from .geometry import PlanarPoint, planar_mean
 
 DEFAULT_STABILITY_THRESHOLD = 0.05
 DEFAULT_SAMPLE_COUNT = 15
@@ -124,14 +124,7 @@ def stability_gate(
     """Mean the samples and check every radial deviation is < threshold."""
     if not samples:
         raise EmptySamplesError("stability gate needs at least one sample")
-    k = len(samples)
-    # mean as offset from the first sample: exact for identical samples
-    first = samples[0]
-    mean = PlanarPoint(
-        u=first.u + sum(p.u - first.u for p in samples) / k,
-        v=first.v + sum(p.v - first.v for p in samples) / k,
-        z_residual=first.z_residual + sum(p.z_residual - first.z_residual for p in samples) / k,
-    )
+    mean = planar_mean(samples)
     max_dev = max(_distance_uv(p, mean) for p in samples)
     return GateResult(mean=mean, max_deviation=max_dev, stable=max_dev < threshold)
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import PlanarPoint, point_in_bounds
+from .geometry import PlanarPoint, planar_mean, point_in_bounds
 
 DEFAULT_WINDOW = 5
 
@@ -51,15 +51,9 @@ class RunningAverageStabilizer:
             buf = deque(maxlen=self.window)
             self._buffers[hand] = buf
         buf.append(raw)
-        k = len(buf)
-        # mean as offset from the first sample: exact for constant input
-        first = buf[0]
-        mean = PlanarPoint(
-            u=first.u + sum(p.u - first.u for p in buf) / k,
-            v=first.v + sum(p.v - first.v for p in buf) / k,
-            z_residual=first.z_residual + sum(p.z_residual - first.z_residual for p in buf) / k,
+        return GesturePoint(
+            position=planar_mean(buf), timestamp=timestamp, hand=hand, window_size=len(buf)
         )
-        return GesturePoint(position=mean, timestamp=timestamp, hand=hand, window_size=k)
 
     def reset(self, hand: str | None = None) -> None:
         """Clear one hand's buffer, or all buffers when hand is None."""

@@ -1,6 +1,12 @@
 """Skeleton-frame data model, JSONL ingestion and the synthetic noisy-gesture
 generator.
 
+All synthetic joints come from one sampler, :func:`sample_joint_positions`,
+which draws (trials, frames, 3) shoulder and wrist arrays from a scenario's
+seed. :func:`generate_scenario` streams its trial 0 as KeypointFrames; sigma
+calibration (``evaluation.mean_intersection_error``) takes one frame from
+each of many trials, so calibration fits the noise the sweeps run on.
+
 Wire format (one JSON object per line, coordinates in meters, camera frame):
 
     {"t": 0.033, "source": "cam0", "joints": {
@@ -328,60 +334,47 @@ class GestureScenario:
                 f"({reach:.4f} m away); the wrist would overshoot the plane"
             )
 
-    def plane_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal in-plane (u, v) directions used for aim offsets."""
-        n = np.array(self.plane.normal.as_tuple())
-        c0 = np.array(self.plane.corners[0].as_tuple())
-        c1 = np.array(self.plane.corners[1].as_tuple())
-        e1 = c1 - c0
-        e1 = e1 - n * (e1 @ n)
-        e1 /= np.linalg.norm(e1)
-        return e1, np.cross(n, e1)
-
-    def aim_point(self, bias: np.ndarray) -> np.ndarray:
-        """The aimed plane point for a drawn 2-vector bias (meters)."""
-        e1, e2 = self.plane_axes()
-        return np.array(self.target.as_tuple()) + bias[0] * e1 + bias[1] * e2
-
-
-def _wrist_toward(shoulder: np.ndarray, aim: np.ndarray, arm_length: float) -> np.ndarray:
-    direction = aim - shoulder
-    return shoulder + direction * (arm_length / np.linalg.norm(direction))
-
 
 def sample_joint_positions(
-    scenario: GestureScenario, count: int | None = None
+    scenario: GestureScenario, trials: int = 1, frames: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (shoulders, wrists) noise sampling, shape (n, 3) each.
+    """Draw (shoulders, wrists) for ``trials`` independent gestures of
+    ``frames`` frames each (default ``sample_count``), shape (trials, frames, 3).
 
-    Consumes the RNG exactly like :func:`generate_scenario` (one 2-vector aim
-    draw, then one (2, 3) block of standard normals per frame, shoulder
-    first), so batch consumers see the same joint positions as stream
-    consumers.
+    This is the only place joints are sampled. The RNG seeded with
+    ``rng_seed`` yields one (trials, 2) block of in-plane aim biases, then one
+    (trials, frames, 2, 3) block of standard normals (shoulder before wrist),
+    so trial 0 is the scenario's stream and ``frames=1`` gives calibration its
+    one raw frame per trial.
     """
-    n = scenario.sample_count if count is None else count
+    frames = scenario.sample_count if frames is None else frames
     rng = np.random.default_rng(scenario.rng_seed)
-    bias = scenario.aim_bias_sigma * rng.standard_normal(2)
-    eps = rng.standard_normal((n, 2, 3))
+    bias = scenario.aim_bias_sigma * rng.standard_normal((trials, 2))
+    eps = rng.standard_normal((trials, frames, 2, 3))
+    # orthonormal in-plane (u, v) directions for the aim offset
+    plane = scenario.plane
+    n = np.array(plane.normal.as_tuple())
+    e1 = np.array(plane.corners[1].as_tuple()) - np.array(plane.corners[0].as_tuple())
+    e1 = e1 - n * (e1 @ n)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
     base = np.array(scenario.shoulder_base.as_tuple())
-    wrist = _wrist_toward(base, scenario.aim_point(bias), scenario.arm_length)
-    shoulders = base + scenario.noise_sigma * eps[:, 0, :]
-    wrists = wrist + scenario.noise_sigma * eps[:, 1, :]
+    aims = np.array(scenario.target.as_tuple()) + bias[:, :1] * e1 + bias[:, 1:] * e2
+    aim_dirs = aims - base
+    # the ideal wrist sits on the shoulder->aim segment at arm_length
+    ideal = base + aim_dirs * (scenario.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
+    shoulders = base + scenario.noise_sigma * eps[:, :, 0, :]
+    wrists = ideal[:, None, :] + scenario.noise_sigma * eps[:, :, 1, :]
     return shoulders, wrists
 
 
 def generate_scenario(scenario: GestureScenario) -> Iterator[KeypointFrame]:
-    """Yield the scenario's KeypointFrames (timestamps step by 1/frame_rate)."""
-    rng = np.random.default_rng(scenario.rng_seed)
-    bias = scenario.aim_bias_sigma * rng.standard_normal(2)
-    base = np.array(scenario.shoulder_base.as_tuple())
-    wrist_ideal = _wrist_toward(base, scenario.aim_point(bias), scenario.arm_length)
+    """Yield the scenario's KeypointFrames (timestamps step by 1/frame_rate):
+    trial 0 of :func:`sample_joint_positions`."""
+    shoulders, wrists = sample_joint_positions(scenario)
     shoulder_name = f"{scenario.hand}_shoulder"
     wrist_name = f"{scenario.hand}_wrist"
-    for k in range(scenario.sample_count):
-        eps = rng.standard_normal((2, 3))
-        shoulder = base + scenario.noise_sigma * eps[0]
-        wrist = wrist_ideal + scenario.noise_sigma * eps[1]
+    for k, (shoulder, wrist) in enumerate(zip(shoulders[0].tolist(), wrists[0].tolist())):
         yield KeypointFrame(
             timestamp=k / scenario.frame_rate,
             joints={

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 
+import gesturepoint
 from gesturepoint.cli import main
 from gesturepoint.geometry import Point3, plane_from_corners
+
+# CLI subprocesses started by tests import the package from this same source tree
+_SRC = os.path.dirname(os.path.dirname(gesturepoint.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def run_cli(argv: list[str]) -> int:

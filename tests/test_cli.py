@@ -73,6 +73,24 @@ def test_define_plane_collinear_exits_2(tmp_path, capsys):
     assert "CollinearCorners" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad_corner",
+    [{"x": "abc", "y": 0, "z": 0}, {"x": 0, "y": None, "z": 0}, {"px": "abc", "py": 1, "depth": 1}],
+    ids=["x_text", "y_null", "px_text"],
+)
+def test_define_plane_non_numeric_corner_exits_2(tmp_path, capsys, bad_corner):
+    doc = {
+        "corners": [bad_corner, {"x": 1, "y": 0, "z": 0}, {"x": 1, "y": 1, "z": 0}],
+        "intrinsics": {"fx": 600, "fy": 600, "cx": 320, "cy": 240, "width": 640, "height": 480},
+    }
+    corners = tmp_path / "corners.json"
+    corners.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli(["define-plane", "--corners", str(corners), "--out", str(tmp_path / "p.json")])
+    assert code == 2
+    assert "corner 1" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_define_plane_missing_file_exits_2(tmp_path):
     code = run_cli(["define-plane", "--corners", str(tmp_path / "nope.json"), "--out", str(tmp_path / "p.json")])
     assert code == 2
@@ -284,12 +302,20 @@ def test_sweep_writes_the_boards_it_ran_on_a_scenario_plane(tmp_path):
     assert board["board"]["plane_size_m"] == pytest.approx([1.0, 1.2])
     b1 = next(t for t in board["targets"] if t["id"] == "B1")
     assert (b1["u"], b1["v"]) == pytest.approx((0.7, 0.4))
-    # sweeping the written board reproduces the reports byte for byte
-    single = tmp_path / "board.json"
-    single.write_text(json.dumps(board), encoding="utf-8")
-    assert run_cli(args[:-2] + ["--board", str(single), "--out", str(replayed)]) == 0
+    # sweeping the written boards file reproduces the reports byte for byte
+    written = generated / "pick_square_boards.json"
+    assert run_cli(args[:-2] + ["--board", str(written), "--out", str(replayed)]) == 0
     for name in ("pick_square_report.csv", "pick_square_report.json"):
         assert (generated / name).read_bytes() == (replayed / name).read_bytes()
+
+
+def test_sweep_n_outside_trial_frames_exits_2(tmp_path, capsys):
+    base = ["sweep", "--kind", "pick", "--trials", "2", "--distances", "0.2", "--out", str(tmp_path)]
+    for n in ("40", "0"):
+        assert run_cli(base + ["--n", n]) == 2
+        assert "snap sample count" in capsys.readouterr().err
+    assert not (tmp_path / "pick_square_report.csv").exists()
+    assert run_cli(base + ["--n", "30"]) == 0
 
 
 def test_sweep_rerun_byte_identical(tmp_path):
@@ -381,6 +407,14 @@ def test_env_config_supplies_defaults(tmp_path, monkeypatch, capsys):
     cfg.write_text("samples = 2000\nseed = 4\n", encoding="utf-8")
     assert run_cli(["calibrate", "--target-error", "0"]) == 0
     assert capsys.readouterr().out.strip() == "0.000000"
+
+
+def test_calibrate_ignores_env_config_n_beyond_trial_frames(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("n = 40\n", encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    assert run_cli(["calibrate", "--target-error", "0.03", "--samples", "2000"]) == 0
+    assert float(capsys.readouterr().out) > 0
 
 
 def test_env_config_flags_override(tmp_path, monkeypatch):

@@ -11,10 +11,11 @@ import pytest
 from conftest import make_plane_file, run_cli, write_scenario_file
 from gesturepoint.evaluation import (
     ScenarioTemplate,
-    load_board,
+    board_document,
+    load_boards,
     make_board,
     run_boards,
-    save_board,
+    save_boards,
 )
 from gesturepoint.geometry import Point3, plane_from_corners, project, CameraIntrinsics
 from gesturepoint.pipeline import GesturePipeline
@@ -138,19 +139,22 @@ def test_replay_supports_2d_streams_with_header(tmp_path, capsys):
 
 
 def test_board_file_round_trip_and_custom_sweep(tmp_path):
-    board = make_board("pick_square", 0.12)
-    path = tmp_path / "board.json"
-    save_board(path, board)
-    loaded = load_board(path)
-    assert loaded.targets == board.targets
-    report = run_boards(ScenarioTemplate.desk_default(0.0), [loaded], trials_per_target=2, base_seed=1)
+    boards = [make_board("pick_square", 0.12), make_board("pick_square", 0.3)]
+    path = tmp_path / "boards.json"
+    save_boards(path, boards)
+    loaded = load_boards(path)
+    assert loaded == boards
+    report = run_boards(ScenarioTemplate.desk_default(0.0), loaded, trials_per_target=2, base_seed=1)
+    assert len(report.cells) == 8
     assert all(cell.success_pct == 100.0 for cell in report.cells)
 
 
 def test_sweep_with_custom_board_file(tmp_path):
     board = make_board("place_areas", 0.15)
     path = tmp_path / "board.json"
-    save_board(path, board)
+    # a lone board document reads as a one-board series
+    path.write_text(json.dumps(board_document(board)), encoding="utf-8")
+    assert load_boards(path) == [board]
     out_dir = tmp_path / "rep"
     assert run_cli(["sweep", "--kind", "place", "--board", str(path), "--trials", "2",
                     "--out", str(out_dir)]) == 0

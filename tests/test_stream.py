@@ -256,9 +256,28 @@ def test_noiseless_frames_intersect_exactly_at_target():
 def test_vectorized_sampling_matches_generator():
     scenario = make_scenario(noise_sigma=0.013, aim_bias_sigma=0.004, sample_count=50)
     shoulders, wrists = sample_joint_positions(scenario)
+    assert shoulders.shape == wrists.shape == (1, 50, 3)
     for i, frame in enumerate(generate_scenario(scenario)):
-        assert frame.joint("right_shoulder").position.as_tuple() == tuple(shoulders[i])
-        assert frame.joint("right_wrist").position.as_tuple() == tuple(wrists[i])
+        assert frame.joint("right_shoulder").position.as_tuple() == tuple(shoulders[0, i])
+        assert frame.joint("right_wrist").position.as_tuple() == tuple(wrists[0, i])
+
+
+def test_calibration_sampling_draws_one_bias_and_one_frame_per_trial():
+    scenario = make_scenario(noise_sigma=0.013, aim_bias_sigma=0.004, rng_seed=7)
+    trials = 64
+    shoulders, wrists = sample_joint_positions(scenario, trials=trials, frames=1)
+    assert shoulders.shape == wrists.shape == (trials, 1, 3)
+    rng = np.random.default_rng(7)
+    bias = 0.004 * rng.standard_normal((trials, 2))
+    eps = rng.standard_normal((trials, 2, 3))
+    base = np.array([0.3, -0.1, 0.6])
+    np.testing.assert_array_equal(shoulders[:, 0], base + 0.013 * eps[:, 0])
+    # the desk plane's in-plane axes are world x and y, so the bias shifts
+    # the aim point by (du, dv, 0); the ideal wrist is 0.55 m toward it
+    aims = np.column_stack([0.3 + bias[:, 0], 0.4 + bias[:, 1], np.zeros(trials)])
+    reach = aims - base
+    ideal = base + 0.55 * reach / np.linalg.norm(reach, axis=1, keepdims=True)
+    np.testing.assert_allclose(wrists[:, 0], ideal + 0.013 * eps[:, 1], rtol=0, atol=1e-15)
 
 
 def test_mean_error_monotone_in_sigma():
