@@ -438,6 +438,10 @@ def cmd_sweep(args) -> int:
             boards = load_boards(args.board)
         except (OSError, EvalError) as exc:
             raise ConfigError(f"bad board file: {exc}") from exc
+        mode = "place" if args.kind == "place" else "pick"
+        for i, board in enumerate(boards, start=1):
+            if ("pick" if board.targets else "place") != mode:
+                raise ConfigError(f"{args.board}: board {i} ({board.kind}) does not fit --kind {args.kind}")
     elif args.kind == "pick":
         distances = _parse_l_values(args.distances) if args.distances else PICK_DISTANCES
         boards = [make_board("pick_square", l, plane_size=size) for l in distances]

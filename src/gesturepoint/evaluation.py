@@ -7,6 +7,11 @@ derivations, so every sweep is reproducible byte for byte. Reports are
 emitted as CSV (per-cell aggregates) and JSON (same aggregates plus per-trial
 signed offsets for downstream offset analysis).
 
+Sweeps run an array engine: ``stabilize_trials`` takes every trial's joints
+as (trials, frames, 3) arrays through the per-frame path at once, and
+``run_trial`` snaps and scores each trial through ``evaluate_request``. The
+scalar ``pipeline`` serves live and replay and is the engine's test reference.
+
 Calibration note: ``calibrate_sigma`` matches the *raw* per-frame
 intersection error (before any stabilization) against the requested mean
 error, using common random numbers across sigma evaluations so bisection sees
@@ -27,23 +32,23 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    ARM_SEPARATION_MIN,
-    DEFAULT_T_MIN,
-    PARALLEL_TOL,
     PlanarPoint,
     Plane,
     Point3,
     WorkplaneFrame,
     corners_in_frame,
     from_workplane,
+    intersect_rays_plane,
     plane_from_corners,
+    points_in_bounds,
     workplane_frame,
 )
-from .pipeline import GesturePipeline
 from .snap import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_STABILITY_THRESHOLD,
     Area,
+    DuplicateIdError,
+    Registry,
     SnapRequest,
     SnapResult,
     Target,
@@ -53,7 +58,7 @@ from .snap import (
     stability_gate,
 )
 from .stabilizer import DEFAULT_WINDOW
-from .stream import DEFAULT_FRAME_RATE, GestureScenario, generate_scenario, sample_joint_positions
+from .stream import DEFAULT_FRAME_RATE, GestureScenario, sample_joint_positions
 
 PLANE_SIZE = (0.60, 0.80)
 PICK_DISTANCES = (0.40, 0.30, 0.20, 0.10, 0.08, 0.06, 0.04, 0.02)
@@ -238,6 +243,11 @@ def load_boards(path: str | os.PathLike) -> list[BoardLayout]:
         board = board_from_document(entry)
         if not board.targets and not board.areas:
             raise EvalError(f"{path}: board {i} holds no targets or areas")
+        try:
+            Registry().replace_all(board.targets)
+            Registry().replace_all(board.areas)
+        except DuplicateIdError as exc:
+            raise EvalError(f"{path}: board {i} ({board.kind}): {exc}") from exc
         boards.append(board)
     return boards
 
@@ -378,15 +388,47 @@ _KIND_CODES = {"quantitative_10": 0, "pick_square": 1, "place_areas": 2}
 # board sizes reflect the geometry, not resampling noise.
 
 
+def _aimed_uv(entity: Target | Area) -> PlanarPoint:
+    return entity.position if isinstance(entity, Target) else entity.center
+
+
+def stabilize_trials(
+    template: ScenarioTemplate, shoulders: np.ndarray, wrists: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-frame path of ``pipeline`` for the template's hand, run over
+    (trials, frames, 3) joints at once. Returns (points, counts):
+    ``points[k, :counts[k]]`` are trial k's stabilized (u, v, z_residual)
+    points, oldest first. Dropped samples neither enter nor evict the window,
+    so a stable sort first moves each trial's accepted samples to the front;
+    the running mean then sums offsets from the window's first point in
+    buffer order, as :func:`~gesturepoint.geometry.planar_mean` does."""
+    hits, valid = intersect_rays_plane(shoulders, wrists, template.plane)
+    frame = template.frame
+    local = (hits - np.array(frame.origin.as_tuple())) @ np.array(frame.orientation.to_matrix())
+    bounds = corners_in_frame(template.plane, frame)
+    accepted = valid & points_in_bounds(local[..., 0], local[..., 1], bounds)
+    order = np.argsort(~accepted, axis=1, kind="stable")
+    raw = np.take_along_axis(local, order[..., None], axis=1)
+    idx = np.arange(raw.shape[1])
+    start = np.maximum(idx - template.window + 1, 0)
+    first = raw[:, start]
+    total = np.zeros_like(raw)
+    for slot in range(1, template.window):
+        j = start + slot
+        total += np.where((j <= idx)[:, None], raw[:, np.minimum(j, idx)] - first, 0.0)
+    return first + total / np.minimum(idx + 1, template.window)[:, None], accepted.sum(axis=1)
+
+
 def run_trial(
     template: ScenarioTemplate,
     board: BoardLayout,
-    aimed_id: str,
+    aimed: Target | Area,
     trial_id: str,
-    seed: int,
+    samples: Sequence[PlanarPoint],
 ) -> TrialResult:
-    """One end-to-end trial: synthesize frames aimed at the named target or
-    area, run the pipeline, snap over the last N stabilized points.
+    """Snap and score one trial aimed at a target or area of ``board``, given
+    its last stabilized points (fewer than ``template.snap_samples`` means
+    no snap).
 
     Pick success means the aimed target was selected. Place success means the
     gestured mean landed inside the aimed area; a nearest-center fallback
@@ -394,36 +436,18 @@ def run_trial(
     same way out-of-bounds selections are set aside in the reference
     protocol. No selection at all is always a failure.
     """
-    if board.targets:
-        aimed_uv = next(t.position for t in board.targets if t.id == aimed_id)
-        mode = "pick"
-    else:
-        aimed_uv = next(a.center for a in board.areas if a.id == aimed_id)
-        mode = "place"
-    target_world = from_workplane(aimed_uv, template.frame)
-    scenario = template.scenario_for(target_world, seed)
-    pipe = GesturePipeline(
-        template.plane,
-        template.frame,
-        hands=(template.hand,),
-        window=template.window,
-    )
-    for frame in generate_scenario(scenario):
-        pipe.process(frame)
-    samples = pipe.recent(template.hand, template.snap_samples)
+    aimed_uv = _aimed_uv(aimed)
     result: SnapResult | None = None
-    mean: PlanarPoint | None = None
+    mean = error = None
     if len(samples) >= template.snap_samples:
         mean = stability_gate(samples, template.stability_threshold).mean
-        request = SnapRequest(samples=tuple(samples), strategy=mode)
+        error = euclidean_error(mean, PlanarPoint(aimed_uv.u, aimed_uv.v, 0.0))
+        request = SnapRequest(samples=tuple(samples), strategy="pick" if board.targets else "place")
         result = evaluate_request(
             request, board.targets, board.areas, threshold=template.stability_threshold
         )
-    error = None
-    if mean is not None:
-        error = euclidean_error(mean, PlanarPoint(aimed_uv.u, aimed_uv.v, 0.0))
-    success = bool(result and result.selected_id == aimed_id)
-    if mode == "place" and result is not None and result.fallback_used:
+    success = bool(result and result.selected_id == aimed.id)
+    if not board.targets and result is not None and result.fallback_used:
         success = False
     return TrialResult(
         trial_id=trial_id,
@@ -487,19 +511,37 @@ def run_boards(
             f"snap sample count must be in 1..{template.frames_per_trial} "
             f"(frames per trial), got {template.snap_samples}"
         )
-    cells = []
-    for board in boards:
-        kind_code = _KIND_CODES.get(board.kind, 9)
-        entities = board.targets if board.targets else board.areas
-        for e_idx, entity in enumerate(entities):
-            trials = []
-            for k in range(trials_per_target):
-                seed = _derived_seed(base_seed, kind_code, e_idx, k)
-                trial_id = f"{board.kind}-{board.parameter}-{entity.id}-{k}"
-                trials.append(run_trial(template, board, entity.id, trial_id, seed))
-            cells.append(
-                SweepCell(kind=board.kind, l=board.parameter, target_id=entity.id, trials=tuple(trials))
-            )
+    if template.window < 1 or trials_per_target < 1:
+        raise InvalidParametersError(
+            f"window and trials per target must be >= 1, got {template.window} and {trials_per_target}"
+        )
+    runs = [
+        (board, e_idx, entity, k)
+        for board in boards
+        for e_idx, entity in enumerate(board.targets or board.areas)
+        for k in range(trials_per_target)
+    ]
+    joints = [
+        sample_joint_positions(template.scenario_for(
+            from_workplane(_aimed_uv(entity), template.frame),
+            _derived_seed(base_seed, _KIND_CODES.get(board.kind, 9), e_idx, k),
+        ))
+        for board, e_idx, entity, k in runs
+    ]
+    points, counts = stabilize_trials(template, *(np.concatenate(j) for j in zip(*joints)))
+    trials = [
+        run_trial(
+            template, board, entity, f"{board.kind}-{board.parameter}-{entity.id}-{k}",
+            [PlanarPoint(*p) for p in points[i, :counts[i]][-template.snap_samples:].tolist()],
+        )
+        for i, (board, _, entity, k) in enumerate(runs)
+    ]
+    cells = [
+        SweepCell(kind=board.kind, l=board.parameter, target_id=entity.id,
+                  trials=tuple(trials[i:i + trials_per_target]))
+        for i, (board, _, entity, _) in enumerate(runs)
+        if i % trials_per_target == 0
+    ]
     return SweepReport(
         kind=boards[0].kind,
         sigma=template.sigma,
@@ -542,21 +584,11 @@ def mean_intersection_error(
     """
     scenario = dataclasses.replace(template, sigma=sigma).scenario_for(target_world, seed)
     shoulders, wrists = sample_joint_positions(scenario, trials=samples, frames=1)
-    shoulders, wrists = shoulders[:, 0], wrists[:, 0]
-    n = np.array(template.plane.normal.as_tuple())
-    d = template.plane.d
-    dirs = wrists - shoulders
-    lengths = np.linalg.norm(dirs, axis=1)
-    denom = dirs @ n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit_dot = np.abs(denom) / lengths
-        t = -(shoulders @ n + d) / denom
-    valid = (lengths > ARM_SEPARATION_MIN) & (unit_dot >= PARALLEL_TOL) & (t >= DEFAULT_T_MIN)
+    hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], template.plane)
     if not valid.any():
         raise EvalError("no ray reached the plane; scenario geometry is off")
-    hits = shoulders[valid] + t[valid, None] * dirs[valid]
     target = np.array(target_world.as_tuple())
-    return float(np.linalg.norm(hits - target, axis=1).mean())
+    return float(np.linalg.norm(hits[valid] - target, axis=1).mean())
 
 
 def calibrate_sigma(

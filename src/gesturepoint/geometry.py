@@ -15,7 +15,8 @@ Conventions
   to an adjacent corner, its z axis is the plane normal, y = z x x. Points
   on the plane get (u, v, z_residual) coordinates with z_residual ~ 0.
 
-Everything in this module is a pure function over immutable values.
+Everything in this module is a pure function over immutable values. For the
+sweeps, the ray-plane hit has an array form and the bounds test takes arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 # Default tolerances (meters unless noted).
 PLANARITY_TOL = 0.005          # 4th-corner residual allowed off the plane
@@ -412,6 +415,24 @@ def intersect_ray_plane(shoulder: Point3, wrist: Point3, plane: Plane) -> RayHit
     return RayHit(point=shoulder + direction * t, t=t)
 
 
+def intersect_rays_plane(
+    shoulders: np.ndarray, wrists: np.ndarray, plane: Plane
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`intersect_ray_plane` over (..., 3) joints: the
+    hit points (NaN where a ray misses, for any of its reasons) and the mask
+    of rays that hit."""
+    n = np.array(plane.normal.as_tuple())
+    dirs = wrists - shoulders
+    lengths = np.linalg.norm(dirs, axis=-1)
+    denom = dirs @ n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit_dot = np.abs(denom) / lengths
+        t = -(shoulders @ n + plane.d) / denom
+        hits = shoulders + t[..., None] * dirs
+    valid = (lengths > ARM_SEPARATION_MIN) & (unit_dot >= PARALLEL_TOL) & (t >= DEFAULT_T_MIN)
+    return np.where(valid[..., None], hits, np.nan), valid
+
+
 def workplane_frame(plane: Plane, origin_corner: int = 0, x_corner: int = 1) -> WorkplaneFrame:
     """Frame at ``corners[origin_corner]`` with x along the edge to ``corners[x_corner]``.
 
@@ -476,34 +497,29 @@ def planar_mean(points: Sequence[PlanarPoint]) -> PlanarPoint:
     )
 
 
-def _on_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    scale = max(abs(bx - ax), abs(by - ay), 1.0)
-    if abs(cross) > 1e-12 * scale:
-        return False
-    dot = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
-    return -1e-12 <= dot <= (bx - ax) ** 2 + (by - ay) ** 2 + 1e-12
-
-
 def point_in_bounds(p: PlanarPoint, bounds: Sequence[tuple[float, float]]) -> bool:
     """Even-odd containment test of (u, v) in a simple polygon; boundary counts
     as inside."""
-    u, v = p.u, p.v
-    n = len(bounds)
-    for i in range(n):
-        ax, ay = bounds[i]
-        bx, by = bounds[(i + 1) % n]
-        if _on_segment(u, v, ax, ay, bx, by):
-            return True
-    inside = False
-    for i in range(n):
-        ax, ay = bounds[i]
-        bx, by = bounds[(i + 1) % n]
-        if (ay > v) != (by > v):
-            x_cross = ax + (v - ay) * (bx - ax) / (by - ay)
-            if u < x_cross:
-                inside = not inside
-    return inside
+    return bool(points_in_bounds(p.u, p.v, bounds))
+
+
+def points_in_bounds(
+    u: float | np.ndarray, v: float | np.ndarray, bounds: Sequence[tuple[float, float]]
+) -> bool | np.ndarray:
+    """:func:`point_in_bounds` elementwise over float or array coordinates,
+    with one arithmetic for both; NaN is outside."""
+    on_edge = inside = False
+    for (ax, ay), (bx, by) in zip(bounds, bounds[1:] + bounds[:1]):
+        dx, dy, du, dv = bx - ax, by - ay, u - ax, v - ay
+        dot = du * dx + dv * dy
+        on_edge = on_edge | (
+            (abs(dx * dv - dy * du) <= 1e-12 * max(abs(dx), abs(dy), 1.0))
+            & (dot >= -1e-12)
+            & (dot <= dx ** 2 + dy ** 2 + 1e-12)
+        )
+        if dy:
+            inside = inside ^ (((ay > v) != (by > v)) & (u < ax + dv * dx / dy))
+    return on_edge | inside
 
 
 def _simple_quadrilateral(pts: Sequence[tuple[float, float]]) -> bool:

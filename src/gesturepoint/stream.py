@@ -3,9 +3,11 @@ generator.
 
 All synthetic joints come from one sampler, :func:`sample_joint_positions`,
 which draws (trials, frames, 3) shoulder and wrist arrays from a scenario's
-seed. :func:`generate_scenario` streams its trial 0 as KeypointFrames; sigma
-calibration (``evaluation.mean_intersection_error``) takes one frame from
-each of many trials, so calibration fits the noise the sweeps run on.
+seed. :func:`generate_scenario` streams its trial 0 as KeypointFrames for
+files and live clients; sweeps (``evaluation.run_boards``) take each trial's
+arrays directly into the array engine, and sigma calibration
+(``evaluation.mean_intersection_error``) takes one frame from each of many
+trials, so calibration fits the noise the sweeps run on.
 
 Wire format (one JSON object per line, coordinates in meters, camera frame):
 

@@ -15,6 +15,7 @@ from conftest import (
 )
 import gesturepoint
 from gesturepoint.cli import ConfigError, _load_registries, load_plane_file
+from gesturepoint.evaluation import EvalError, load_boards
 from gesturepoint.geometry import PlanarPoint, Point3, project, CameraIntrinsics
 from gesturepoint.snap import Area, Target, save_layout
 
@@ -316,6 +317,42 @@ def test_sweep_n_outside_trial_frames_exits_2(tmp_path, capsys):
         assert "snap sample count" in capsys.readouterr().err
     assert not (tmp_path / "pick_square_report.csv").exists()
     assert run_cli(base + ["--n", "30"]) == 0
+
+
+def test_sweep_board_of_another_kind_exits_2(tmp_path, capsys):
+    base = ["sweep", "--trials", "1", "--seed", "3"]
+    assert run_cli(base + ["--kind", "place", "--sizes", "0.2", "--out", str(tmp_path / "place")]) == 0
+    assert run_cli(base + ["--kind", "pick", "--distances", "0.2", "--out", str(tmp_path / "pick")]) == 0
+    capsys.readouterr()
+    place_boards = tmp_path / "place" / "place_areas_boards.json"
+    pick_boards = tmp_path / "pick" / "pick_square_boards.json"
+    for kind, boards in (("pick", place_boards), ("quantitative", place_boards), ("place", pick_boards)):
+        out = tmp_path / f"{kind}-mismatch"
+        assert run_cli(base + ["--kind", kind, "--board", str(boards), "--out", str(out)]) == 2
+        assert f"does not fit --kind {kind}" in capsys.readouterr().err
+        assert not out.exists()
+    # quantitative boards select by pick, so pick boards fit --kind quantitative
+    assert run_cli(base + ["--kind", "quantitative", "--board", str(pick_boards),
+                           "--out", str(tmp_path / "q")]) == 0
+
+
+def test_sweep_board_with_duplicate_ids_exits_2(tmp_path, capsys):
+    def target(u, v):
+        return {"id": "B1", "label": "bolt", "group": None, "u": u, "v": v}
+
+    doc = {"boards": [
+        {"board": {"kind": "custom"}, "targets": [target(0.1, 0.1)], "areas": []},
+        {"board": {"kind": "custom"}, "targets": [target(0.1, 0.1), target(0.5, 0.7)], "areas": []},
+    ]}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(EvalError, match=r"board 2 \(custom\): id 'B1' appears twice"):
+        load_boards(path)
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--kind", "pick", "--trials", "1", "--board", str(path),
+                    "--out", str(out)]) == 2
+    assert "id 'B1' appears twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rerun_byte_identical(tmp_path):

@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 
 from gesturepoint.evaluation import (
+    _KIND_CODES,
     CSV_COLUMNS,
     DimensionMismatchError,
     InvalidParametersError,
     PICK_DISTANCES,
     ScenarioTemplate,
     SweepReport,
+    TrialResult,
     UnsupportedFormatError,
+    _derived_seed,
     board_document,
     board_from_document,
     calibrate_sigma,
@@ -28,11 +31,27 @@ from gesturepoint.evaluation import (
     euclidean_error,
     make_board,
     mean_intersection_error,
+    run_boards,
     run_pick_sweep,
     run_place_sweep,
     run_quantitative,
+    run_trial,
+    stabilize_trials,
+    template_plane_size,
 )
-from gesturepoint.geometry import PlanarPoint, Point3, Quaternion, to_workplane, workplane_frame
+from gesturepoint.geometry import (
+    PlanarPoint,
+    Point3,
+    Quaternion,
+    Vec3,
+    from_workplane,
+    plane_from_corners,
+    to_workplane,
+    workplane_frame,
+)
+from gesturepoint.pipeline import HISTORY_CAPACITY, GesturePipeline
+from gesturepoint.snap import SnapRequest, evaluate_request, stability_gate
+from gesturepoint.stream import JointSample, KeypointFrame, generate_scenario
 
 
 # --- error metric ------------------------------------------------------------
@@ -198,6 +217,172 @@ def test_sweep_rerun_is_identical():
     b = run_pick_sweep(tpl, distances=(0.04,), trials_per_target=5, base_seed=77)
     assert emit_report(a, "json") == emit_report(b, "json")
     assert emit_report(a, "csv") == emit_report(b, "csv")
+
+
+# --- array trial engine against the per-frame pipeline ----------------------
+
+
+def tilted_template(sigma: float = 0.0, **overrides) -> ScenarioTemplate:
+    """The desk scenario turned off every axis and moved off the origin."""
+    q = np.array([0.95, 0.2, -0.15, 0.18])
+    rot = Quaternion(*(q / np.linalg.norm(q)))
+    origin = Point3(0.2, -0.3, 0.1)
+    corners = [origin + rot.rotate(Vec3(u, v, 0.0)) for u, v in ((0, 0), (0.6, 0), (0.6, 0.8), (0, 0.8))]
+    plane = plane_from_corners(corners)
+    return ScenarioTemplate(
+        plane=plane,
+        frame=workplane_frame(plane),
+        shoulder_base=origin + rot.rotate(Vec3(0.30, -0.10, 0.60)),
+        arm_length=0.55,
+        sigma=sigma,
+        **overrides,
+    )
+
+
+def reference_trial(template, board, aimed, trial_id, frames) -> tuple[TrialResult, list]:
+    """The per-frame reference: frames one at a time through GesturePipeline,
+    then evaluate_request over the last snap_samples points. Returns the
+    trial result and every stabilized point."""
+    pipe = GesturePipeline(template.plane, template.frame, hands=(template.hand,), window=template.window)
+    for frame in frames:
+        pipe.process(frame)
+    points = pipe.recent(template.hand, HISTORY_CAPACITY)
+    aimed_uv = aimed.position if board.targets else aimed.center
+    mode = "pick" if board.targets else "place"
+    mean = result = error = None
+    if len(points) >= template.snap_samples:
+        samples = tuple(points[-template.snap_samples:])
+        mean = stability_gate(samples, template.stability_threshold).mean
+        result = evaluate_request(
+            SnapRequest(samples, mode), board.targets, board.areas, threshold=template.stability_threshold
+        )
+        error = euclidean_error(mean, PlanarPoint(aimed_uv.u, aimed_uv.v, 0.0))
+    selected = result.selected_id if result else None
+    fallback = bool(result and result.fallback_used)
+    success = selected == aimed.id and not (mode == "place" and fallback)
+    return TrialResult(trial_id, aimed_uv, mean, error, selected, success, fallback), points
+
+
+def assert_same_trial(engine: TrialResult, reference: TrialResult, exact: bool) -> None:
+    if exact:
+        assert engine == reference
+        return
+    assert (engine.selected_id, engine.success, engine.fallback_used) == (
+        reference.selected_id, reference.success, reference.fallback_used
+    )
+    assert (engine.error is None) == (reference.error is None)
+    if engine.error is not None:
+        assert abs(engine.error - reference.error) <= 1e-12
+
+
+def engine_samples(points, count: int, n: int) -> list[PlanarPoint]:
+    return [PlanarPoint(*p) for p in points[count - n:count].tolist()] if count >= n else []
+
+
+def joint_frames(template, shoulders, wrists) -> list[KeypointFrame]:
+    return [
+        KeypointFrame(
+            timestamp=k / 30.0,
+            joints={
+                f"{template.hand}_shoulder": JointSample(Point3(*s), 1.0),
+                f"{template.hand}_wrist": JointSample(Point3(*w), 1.0),
+            },
+        )
+        for k, (s, w) in enumerate(zip(shoulders.tolist(), wrists.tolist()))
+    ]
+
+
+def hand_built_joints(template, patterns, seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """(trials, frames, 3) joints where each pattern letter picks a frame's
+    kind: i in bounds, o out of bounds, p a ray parallel to the plane
+    (grazing it from 1e-8 m above, so only the parallel test drops the
+    in-bounds hit), b plane hit behind the wrist, s arm shorter than 1 cm."""
+    rng = np.random.default_rng(seed)
+    base = np.array(template.shoulder_base.as_tuple())
+    normal = np.array(template.plane.normal.as_tuple())
+
+    def world(u, v):
+        return np.array(from_workplane(PlanarPoint(u, v), template.frame).as_tuple())
+
+    def joints(kind):
+        if kind == "p":
+            shoulder = world(0.1, 0.4) + 1e-8 * normal
+            return shoulder, shoulder + (world(0.3, 0.4) - world(0.1, 0.4)) - 5e-9 * normal
+        aim = world(0.3 + rng.normal(0, 0.01), 0.4 + rng.normal(0, 0.01)) if kind != "o" else world(-0.2, 0.5)
+        if kind == "b":
+            return base, aim - 0.05 * normal
+        reach = 0.004 if kind == "s" else 0.55
+        return base, base + reach * (aim - base) / np.linalg.norm(aim - base)
+
+    pairs = np.array([[joints(kind) for kind in pattern] for pattern in patterns])
+    return pairs[:, :, 0], pairs[:, :, 1]
+
+
+PATTERNS = (
+    "iioipibisioi",  # every drop reason interleaved with accepted samples
+    "opbsooiiiiii",  # drops first, then fewer than a window of accepted samples
+    "ioiooiooooop",  # three accepted samples in all: no snap
+    "oooooooooooo",  # nothing accepted
+    "iiiiiiiiiiii",
+)
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["desk", "tilted"])
+def test_engine_matches_pipeline_on_hand_built_joints(tilted):
+    template = (tilted_template if tilted else ScenarioTemplate.desk_default)(0.0, snap_samples=5)
+    shoulders, wrists = hand_built_joints(template, PATTERNS)
+    points, counts = stabilize_trials(template, shoulders, wrists)
+    assert counts.tolist() == [p.count("i") for p in PATTERNS]
+    size = template_plane_size(template)
+    for board in (make_board("pick_square", 0.1, plane_size=size), make_board("place_areas", 0.2, plane_size=size)):
+        aimed = (board.targets or board.areas)[0]
+        for k in range(len(PATTERNS)):
+            reference, ref_points = reference_trial(
+                template, board, aimed, "t", joint_frames(template, shoulders[k], wrists[k])
+            )
+            got = points[k, :counts[k]]
+            want = np.array([(p.u, p.v, p.z_residual) for p in ref_points]).reshape(-1, 3)
+            if tilted:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            else:
+                assert got.tolist() == want.tolist()
+            engine = run_trial(template, board, aimed, "t", engine_samples(points[k], counts[k], 5))
+            assert_same_trial(engine, reference, exact=not tilted)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        ScenarioTemplate.desk_default(0.04, aim_bias_sigma=0.019, snap_samples=25),
+        ScenarioTemplate.desk_default(0.01, aim_bias_sigma=0.004),
+        tilted_template(0.03, aim_bias_sigma=0.019, snap_samples=20),
+    ],
+    ids=["desk-noisy", "desk", "tilted"],
+)
+def test_sweep_trials_match_pipeline_per_trial(template):
+    exact = template.plane.normal.as_tuple() == (0.0, 0.0, 1.0)
+    size = template_plane_size(template)
+    boards = [
+        make_board("pick_square", 0.3, plane_size=size),
+        make_board("pick_square", 0.04, plane_size=size),
+        make_board("place_areas", 0.1, plane_size=size),
+        make_board("quantitative_10", plane_size=size),
+    ]
+    report = run_boards(template, boards, trials_per_target=3, base_seed=11)
+    engine_trials = iter(t for cell in report.cells for t in cell.trials)
+    outcomes = set()
+    for board in boards:
+        for e_idx, aimed in enumerate(board.targets or board.areas):
+            aimed_uv = aimed.position if board.targets else aimed.center
+            for k in range(3):
+                seed = _derived_seed(11, _KIND_CODES[board.kind], e_idx, k)
+                scenario = template.scenario_for(from_workplane(aimed_uv, template.frame), seed)
+                engine = next(engine_trials)
+                reference, _ = reference_trial(template, board, aimed, engine.trial_id, generate_scenario(scenario))
+                assert_same_trial(engine, reference, exact)
+                outcomes.add((engine.gestured_mean is None, engine.selected_id is None, engine.success))
+    assert next(engine_trials, None) is None
+    assert (False, False, True) in outcomes  # some trials succeed
 
 
 # --- calibration ----------------------------------------------------------------

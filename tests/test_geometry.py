@@ -32,6 +32,7 @@ from gesturepoint.geometry import (
     intersect_ray_plane,
     plane_from_corners,
     point_in_bounds,
+    points_in_bounds,
     project,
     to_workplane,
     workplane_frame,
@@ -404,3 +405,38 @@ def test_point_in_bounds_matches_winding_oracle(poly):
             continue
         assert point_in_bounds(PlanarPoint(u, v), poly) == _winding_inside(u, v, poly)
         checked += 1
+
+
+def _reference_in_bounds(u: float, v: float, poly) -> bool:
+    """The branching scalar form of the bounds test: any edge within 1e-12
+    holds the point, else even-odd crossings decide."""
+    for i in range(len(poly)):
+        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % len(poly)]
+        cross = (bx - ax) * (v - ay) - (by - ay) * (u - ax)
+        if abs(cross) <= 1e-12 * max(abs(bx - ax), abs(by - ay), 1.0):
+            dot = (u - ax) * (bx - ax) + (v - ay) * (by - ay)
+            if -1e-12 <= dot <= (bx - ax) ** 2 + (by - ay) ** 2 + 1e-12:
+                return True
+    inside = False
+    for i in range(len(poly)):
+        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % len(poly)]
+        if (ay > v) != (by > v) and u < ax + (v - ay) * (bx - ax) / (by - ay):
+            inside = not inside
+    return inside
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [SQUARE_UV, ((0.0, 0.0), (2.0, 0.2), (1.8, 1.4), (-0.2, 1.0)), ((0.0, 0.0), (2.0, 0.0), (1.0, 0.5), (1.0, 2.0))],
+    ids=["square", "irregular", "dart"],
+)
+def test_points_in_bounds_matches_branching_reference(poly):
+    rng = np.random.default_rng(14)
+    corners = np.array(poly)
+    on_edges = [corners + f * (np.roll(corners, -1, axis=0) - corners) for f in (0.0, 0.25, 0.5, 1 / 3)]
+    uv = np.concatenate([rng.uniform(-0.6, 2.4, (5000, 2)), *on_edges])
+    want = [_reference_in_bounds(u, v, poly) for u, v in uv.tolist()]
+    assert points_in_bounds(uv[:, 0], uv[:, 1], poly).tolist() == want
+    assert [point_in_bounds(PlanarPoint(u, v), poly) for u, v in uv.tolist()] == want
+    assert all(want[5000:])  # the boundary counts as inside
+    assert not points_in_bounds(np.array([np.nan, 0.5]), np.array([0.5, np.nan]), poly).any()
