@@ -7,7 +7,9 @@ flags, missing or invalid input files).
 
 The environment variable GESTURE_POINTER_CONFIG may name a flat
 ``key = value`` file supplying defaults for any long flag (dashes become
-underscores, e.g. ``min_confidence = 0.4``); explicit flags win.
+underscores, e.g. ``min_confidence = 0.4``); explicit flags win. Float flags
+and float keys go through :func:`finite_float`, so ``nan`` or ``inf`` is a
+usage error (exit 2).
 
 Plane file format (written by define-plane, read by --plane):
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -110,13 +113,23 @@ _CONFIG_EXCEPTIONS = (
     InvalidParametersError,
 )
 
+
+def finite_float(text: str) -> float:
+    """The one parser of float flags and float env-config keys: NaN and
+    infinities raise ValueError, so argparse and the env config exit 2."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 _ENV_KEY_TYPES = {
     "plane": str, "frame": str, "hand": str, "pair": str, "registry": str,
     "out": str, "scenario": str, "group": str, "listen": str,
     "n": int, "window": int, "origin_corner": int, "x_corner": int,
     "trials": int, "samples": int, "seed": int, "count": int,
-    "threshold": float, "min_confidence": float, "sigma": float,
-    "calibrate": float, "target_error": float, "aim_bias": float,
+    "threshold": finite_float, "min_confidence": finite_float, "sigma": finite_float,
+    "calibrate": finite_float, "target_error": finite_float, "aim_bias": finite_float,
 }
 
 
@@ -195,7 +208,7 @@ def load_plane_file(path: str) -> tuple[Plane, WorkplaneFrame, int, int]:
         frame_spec = doc.get("frame", {})
         origin_corner = int(frame_spec.get("origin_corner", 0))
         x_corner = int(frame_spec.get("x_corner", 1))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad plane file: {exc}") from exc
     frame = workplane_frame(plane, origin_corner, x_corner)
     return plane, frame, origin_corner, x_corner
@@ -229,7 +242,7 @@ def load_corner_file(path: str) -> tuple[list[Point3], bool]:
                 )
             else:
                 raise ConfigError(f"{path}: corner {i} needs x/y/z or px/py/depth")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"{path}: corner {i}: {exc}") from exc
@@ -320,10 +333,14 @@ def cmd_replay(args) -> int:
     accepted: dict[str, int] = {hand: 0 for hand in settings.hands}
     frames = 0
     points_written = 0
-    text = _read_text(args.stream)
-    reader = StreamReader(text.splitlines(), skip_malformed=True)
+    try:
+        # undecodable bytes become U+FFFD and fail as one malformed line, as live
+        stream = open(args.stream, "r", encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {args.stream}: {exc}") from exc
+    reader = StreamReader(stream, skip_malformed=True)
     # line buffering: whole records reach the file even on interruption
-    with open(args.out, "w", encoding="utf-8", buffering=1) as out:
+    with stream, open(args.out, "w", encoding="utf-8", buffering=1) as out:
         for frame in reader:
             frames += 1
             for gp in pipe.process(frame):
@@ -410,7 +427,7 @@ def _template_from_args(args, sigma: float) -> ScenarioTemplate:
 
 def _parse_l_values(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(p) for p in text.replace(",", " ").split())
+        values = tuple(finite_float(p) for p in text.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"bad length list {text!r}: {exc}") from exc
     if not values or any(v <= 0 for v in values):
@@ -543,11 +560,11 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="output coordinate frame (default workplane)")
     p.add_argument("--hand", choices=("left", "right", "both"), help="hand selection")
     p.add_argument("--pair", choices=("shoulder-wrist", "elbow-wrist"), help="joint pair")
-    p.add_argument("--min-confidence", dest="min_confidence", type=float,
+    p.add_argument("--min-confidence", dest="min_confidence", type=finite_float,
                    help=f"joint confidence floor (default {DEFAULT_MIN_CONFIDENCE})")
     p.add_argument("--n", type=int,
                    help=f"snap sample count, 1..{HISTORY_CAPACITY} (default {DEFAULT_SAMPLE_COUNT})")
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=finite_float,
                    help=f"stability threshold in meters (default {DEFAULT_STABILITY_THRESHOLD})")
     p.add_argument("--window", type=int, help=f"stabilizer window (default {DEFAULT_WINDOW})")
 
@@ -593,10 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a seeded Monte-Carlo selection sweep")
     p.add_argument("--kind", required=True, choices=("pick", "place", "quantitative"))
-    p.add_argument("--sigma", type=float, help="joint noise sigma in meters (default 0)")
-    p.add_argument("--aim-bias", dest="aim_bias", type=float,
+    p.add_argument("--sigma", type=finite_float, help="joint noise sigma in meters (default 0)")
+    p.add_argument("--aim-bias", dest="aim_bias", type=finite_float,
                    help="per-trial aim bias sigma in meters (default 0)")
-    p.add_argument("--calibrate", type=float, metavar="ERROR_M",
+    p.add_argument("--calibrate", type=finite_float, metavar="ERROR_M",
                    help="calibrate sigma to this mean intersection error first")
     p.add_argument("--trials", type=int,
                    help=f"trials per target (default {DEFAULT_TRIALS_PER_TARGET})")
@@ -606,21 +623,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--board", help="board layout JSON file replacing the generated series")
     p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
     p.add_argument("--n", type=int, help=f"snap sample count (default {DEFAULT_SAMPLE_COUNT})")
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=finite_float,
                    help=f"stability threshold (default {DEFAULT_STABILITY_THRESHOLD})")
     p.add_argument("--out", help="report directory (default .)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate", help="find the sigma matching a target mean error")
-    p.add_argument("--target-error", dest="target_error", type=float, required=True,
+    p.add_argument("--target-error", dest="target_error", type=finite_float, required=True,
                    help="target mean intersection error in meters")
     p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
-    p.add_argument("--aim-bias", dest="aim_bias", type=float,
+    p.add_argument("--aim-bias", dest="aim_bias", type=finite_float,
                    help="per-trial aim bias sigma held fixed during calibration")
     p.add_argument("--samples", type=int, help="Monte-Carlo samples per evaluation (default 10000)")
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--n", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--threshold", type=float, help=argparse.SUPPRESS)
+    p.add_argument("--threshold", type=finite_float, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("registry", help="create and edit target/area files")
@@ -631,12 +648,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", help="target/area id")
     p.add_argument("--label", help="target label")
     p.add_argument("--group", help="target group")
-    p.add_argument("--u", type=float, help="target u, meters")
-    p.add_argument("--v", type=float, help="target v, meters")
-    p.add_argument("--cu", type=float, help="area center u, meters")
-    p.add_argument("--cv", type=float, help="area center v, meters")
-    p.add_argument("--hu", type=float, help="area half extent u, meters")
-    p.add_argument("--hv", type=float, help="area half extent v, meters")
+    p.add_argument("--u", type=finite_float, help="target u, meters")
+    p.add_argument("--v", type=finite_float, help="target v, meters")
+    p.add_argument("--cu", type=finite_float, help="area center u, meters")
+    p.add_argument("--cv", type=finite_float, help="area center v, meters")
+    p.add_argument("--hu", type=finite_float, help="area half extent u, meters")
+    p.add_argument("--hv", type=finite_float, help="area half extent v, meters")
     p.set_defaults(func=cmd_registry)
 
     return parser

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import statistics
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,6 +49,7 @@ from .snap import (
     DEFAULT_STABILITY_THRESHOLD,
     Area,
     DuplicateIdError,
+    MalformedFileError,
     Registry,
     SnapRequest,
     SnapResult,
@@ -203,15 +205,35 @@ def board_document(board: BoardLayout) -> dict:
     )
 
 
+def _positive_number(value) -> bool:
+    """A JSON number > 0 that a float holds (bools are not numbers here)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
+
+
 def board_from_document(doc: dict) -> BoardLayout:
+    """A board from its document; ``l_m`` must be null or a finite number
+    > 0 and ``plane_size_m`` two of them."""
     targets, areas = parse_layout(doc)
     meta = doc.get("board", {})
+    if not isinstance(meta, dict):
+        raise EvalError(f"board metadata must be an object, got {meta!r}")
+    kind = str(meta.get("kind", "custom"))
+    parameter = meta.get("l_m")
+    if parameter is not None and not _positive_number(parameter):
+        raise EvalError(f"l_m of a {kind!r} board must be null or a finite number > 0, got {parameter!r}")
+    plane_size = meta.get("plane_size_m", PLANE_SIZE)
+    if not (isinstance(plane_size, (list, tuple)) and len(plane_size) == 2
+            and all(_positive_number(x) for x in plane_size)):
+        raise EvalError(
+            f"plane_size_m of a {kind!r} board must be two finite numbers > 0, got {plane_size!r}"
+        )
     return BoardLayout(
-        kind=str(meta.get("kind", "custom")),
-        parameter=meta.get("l_m"),
+        kind=kind,
+        parameter=parameter,
         targets=tuple(targets),
         areas=tuple(areas),
-        plane_size=tuple(meta.get("plane_size_m", PLANE_SIZE)),
+        plane_size=tuple(plane_size),
     )
 
 
@@ -240,7 +262,10 @@ def load_boards(path: str | os.PathLike) -> list[BoardLayout]:
     for i, entry in enumerate(docs, start=1):
         if not isinstance(entry, dict):
             raise EvalError(f"{path}: board {i} must be a JSON object")
-        board = board_from_document(entry)
+        try:
+            board = board_from_document(entry)
+        except (EvalError, MalformedFileError) as exc:
+            raise EvalError(f"{path}: board {i}: {exc}") from exc
         if not board.targets and not board.areas:
             raise EvalError(f"{path}: board {i} holds no targets or areas")
         try:
@@ -440,12 +465,13 @@ def run_trial(
     result: SnapResult | None = None
     mean = error = None
     if len(samples) >= template.snap_samples:
-        mean = stability_gate(samples, template.stability_threshold).mean
-        error = euclidean_error(mean, PlanarPoint(aimed_uv.u, aimed_uv.v, 0.0))
         request = SnapRequest(samples=tuple(samples), strategy="pick" if board.targets else "place")
         result = evaluate_request(
             request, board.targets, board.areas, threshold=template.stability_threshold
         )
+        # a result carries the gate's mean; only a failed gate needs its own
+        mean = result.mean_point if result else stability_gate(samples, template.stability_threshold).mean
+        error = euclidean_error(mean, PlanarPoint(aimed_uv.u, aimed_uv.v, 0.0))
     success = bool(result and result.selected_id == aimed.id)
     if not board.targets and result is not None and result.fallback_used:
         success = False

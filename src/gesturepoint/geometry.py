@@ -17,6 +17,14 @@ Conventions
 
 Everything in this module is a pure function over immutable values. For the
 sweeps, the ray-plane hit has an array form and the bounds test takes arrays.
+
+Numbers are checked once, where they enter from outside; values built inside
+the package are trusted, so ``Point3``, ``Vec3`` and ``PlanarPoint`` check
+nothing. The checks that reject NaN and infinities: ``Plane``,
+``CameraIntrinsics``, ``Quaternion`` and :func:`deproject` here;
+``stream.parse_frame``, ``parse_triplet`` and ``GestureScenario``;
+``snap.Target`` and ``Area``; ``evaluation.board_from_document``; the CLI's
+``finite_float`` flag type.
 """
 
 from __future__ import annotations
@@ -90,9 +98,6 @@ class Point3:
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        _require_finite("Point3", self.x, self.y, self.z)
-
     def __sub__(self, other: "Point3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
@@ -110,9 +115,6 @@ class Vec3:
     x: float
     y: float
     z: float
-
-    def __post_init__(self) -> None:
-        _require_finite("Vec3", self.x, self.y, self.z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -158,9 +160,6 @@ class PlanarPoint:
     u: float
     v: float
     z_residual: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite("PlanarPoint", self.u, self.v, self.z_residual)
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,8 @@ class Plane:
     corners: tuple[Point3, Point3, Point3, Point3]
 
     def __post_init__(self) -> None:
-        _require_finite("Plane", self.d)
+        _require_finite("Plane", self.d, *self.normal.as_tuple(),
+                        *(v for c in self.corners for v in c.as_tuple()))
         if abs(self.normal.norm() - 1.0) > UNIT_TOL:
             raise GeometryError(f"plane normal must be unit length, |n|={self.normal.norm()}")
         if len(self.corners) != 4:
@@ -366,10 +366,9 @@ def plane_from_corners(
 def deproject(pixel: tuple[float, float], depth: float, intr: CameraIntrinsics) -> Point3:
     """Pinhole back-projection of an image pixel at a given depth."""
     px, py = pixel
-    _require_finite("pixel", px, py)
-    if not math.isfinite(depth) or depth <= 0:
-        raise NonPositiveDepthError(f"depth must be positive, got {depth!r}")
-    if not (0 <= px < intr.width and 0 <= py < intr.height):
+    if not 0 < depth < math.inf:
+        raise NonPositiveDepthError(f"depth must be positive and finite, got {depth!r}")
+    if not (0 <= px < intr.width and 0 <= py < intr.height):  # NaN fails too
         raise PixelOutOfBoundsError(
             f"pixel ({px}, {py}) outside {intr.width}x{intr.height} image"
         )

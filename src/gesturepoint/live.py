@@ -27,7 +27,7 @@ from .snap import (
     evaluate_request,
 )
 from .stabilizer import GesturePoint
-from .stream import MalformedRecordError, parse_frame, parse_intrinsics_header
+from .stream import JSON_DECODE_ERRORS, MalformedRecordError, parse_frame, parse_intrinsics_header
 
 
 def gesture_point_record(gp: GesturePoint, settings: PipelineSettings) -> str:
@@ -75,8 +75,8 @@ class LiveSession:
             return []
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return [json.dumps({"err": f"invalid JSON: {exc.msg}"})]
+        except JSON_DECODE_ERRORS as exc:
+            return [json.dumps({"err": f"invalid JSON: {getattr(exc, 'msg', exc)}"})]
         if not isinstance(obj, dict):
             return [json.dumps({"err": "expected a JSON object"})]
         if "cmd" in obj:

@@ -12,7 +12,6 @@ from typing import Sequence
 
 from . import stream as streammod
 from .geometry import (
-    DegenerateArmError,
     PlanarPoint,
     Plane,
     WorkplaneFrame,
@@ -70,10 +69,7 @@ class GesturePipeline:
             if ray is None:
                 continue
             got_ray = True
-            try:
-                hit = intersect_ray_plane(ray.start, ray.through, self.plane)
-            except DegenerateArmError:
-                continue  # arm_ray's 1 cm guard normally prevents this
+            hit = intersect_ray_plane(ray.start, ray.through, self.plane)
             if hit is None:
                 continue
             raw = to_workplane(hit.point, self.frame)

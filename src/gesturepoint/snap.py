@@ -14,7 +14,8 @@ a SnapRequest to a strategy; it is pure over the tuples it is given. Layouts
 load once: a registry validates and sorts its items in ``replace_all`` and
 hands every reader the same immutable tuple.
 
-Layout file format (meters, workplane frame):
+Layout file format (meters, workplane frame; every number finite, half
+extents > 0):
 
     {"targets": [{"id": "b1", "label": "big_bolt_1", "group": "big_bolt",
                   "u": 0.2, "v": 0.3}],
@@ -64,12 +65,20 @@ class MalformedFileError(SnapError):
     pass
 
 
+def _finite_uv(p: PlanarPoint) -> bool:
+    return math.isfinite(p.u) and math.isfinite(p.v)
+
+
 @dataclass(frozen=True)
 class Target:
     id: str
     label: str
     position: PlanarPoint
     group: str | None = None
+
+    def __post_init__(self) -> None:
+        if not _finite_uv(self.position):
+            raise SnapError(f"target {self.id!r} position must be finite, got {self.position}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,13 @@ class Area:
     half_extent: tuple[float, float]
 
     def __post_init__(self) -> None:
+        if not _finite_uv(self.center):
+            raise SnapError(f"area {self.id!r} center must be finite, got {self.center}")
         hu, hv = self.half_extent
-        if hu <= 0 or hv <= 0:
-            raise SnapError(f"area {self.id!r} half_extent must be positive, got {self.half_extent}")
+        if not (0 < hu < math.inf and 0 < hv < math.inf):  # NaN fails too
+            raise SnapError(
+                f"area {self.id!r} half_extent must be positive and finite, got {self.half_extent}"
+            )
 
     def contains(self, p: PlanarPoint) -> bool:
         """Axis-aligned containment in (u, v); the boundary counts as inside."""
@@ -230,7 +243,7 @@ def _target_from_dict(spec: dict) -> Target:
             position=PlanarPoint(u=float(spec["u"]), v=float(spec["v"])),
             group=None if spec.get("group") in (None, "") else str(spec["group"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"bad target entry {spec!r}: {exc}") from exc
 
 
@@ -241,7 +254,7 @@ def _area_from_dict(spec: dict) -> Area:
             center=PlanarPoint(u=float(spec["cu"]), v=float(spec["cv"])),
             half_extent=(float(spec["hu"]), float(spec["hv"])),
         )
-    except (KeyError, TypeError, ValueError, SnapError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"bad area entry {spec!r}: {exc}") from exc
 
 

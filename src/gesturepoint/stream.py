@@ -21,8 +21,9 @@ streams containing any 2D joints must start with a header line
     {"intrinsics": {"fx":..., "fy":..., "cx":..., "cy":..., "width":..., "height":...}}
 
 Unknown joint names are ignored; missing joints are simply absent. A joint
-with any coordinate beyond ``MAX_JOINT_COORD`` meters (after deprojection for
-the 2D form) makes the record malformed.
+with any coordinate that is NaN, infinite or beyond ``MAX_JOINT_COORD``
+meters (after deprojection for the 2D form) makes the record malformed; so
+does a non-finite pixel, depth, confidence, timestamp or intrinsics value.
 
 Scenario config files are flat ``key = value`` text (``#`` comments allowed):
 
@@ -38,6 +39,8 @@ Scenario config files are flat ``key = value`` text (``#`` comments allowed):
     count      = 100
     frame_rate = 30                     # optional, Hz
     hand       = right                  # optional
+
+Every number must be finite (:func:`parse_triplet`, :class:`GestureScenario`).
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .geometry import (
+    ARM_SEPARATION_MIN,
     PLANARITY_TOL,
     CameraIntrinsics,
-    GeometryError,
     Plane,
     Point3,
     deproject,
@@ -70,6 +73,11 @@ DEFAULT_FRAME_RATE = 30.0
 # far beyond any camera's range, yet small enough that no ray arithmetic on two
 # joints (differences, norms, the plane hit) can overflow a float
 MAX_JOINT_COORD = 1e6
+
+
+# what json.loads raises on an untrusted line: bad syntax, an integer past
+# Python's digit limit (ValueError), or nesting past the recursion limit
+JSON_DECODE_ERRORS = (ValueError, RecursionError)
 
 
 class StreamError(ValueError):
@@ -123,7 +131,7 @@ def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None 
     if isinstance(record, (str, bytes)):
         try:
             record = json.loads(record)
-        except json.JSONDecodeError as exc:
+        except JSON_DECODE_ERRORS as exc:
             raise MalformedRecordError(f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise MalformedRecordError(f"record must be a JSON object, got {type(record).__name__}")
@@ -131,7 +139,7 @@ def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None 
         raise MalformedRecordError('record missing "t" timestamp')
     try:
         timestamp = float(record["t"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecordError(f'bad timestamp {record["t"]!r}') from exc
     if not math.isfinite(timestamp):
         raise MalformedRecordError(f"non-finite timestamp {timestamp!r}")
@@ -158,11 +166,13 @@ def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None 
                 )
             else:
                 raise MalformedRecordError(f"joint {name!r} has neither x/y/z nor px/py/depth")
-        except (TypeError, ValueError, GeometryError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, MalformedRecordError):
                 raise
             raise MalformedRecordError(f"joint {name!r}: {exc}") from exc
-        if max(abs(position.x), abs(position.y), abs(position.z)) > MAX_JOINT_COORD:
+        # written so that NaN fails it too: the one finiteness check of a joint
+        if not (abs(position.x) <= MAX_JOINT_COORD and abs(position.y) <= MAX_JOINT_COORD
+                and abs(position.z) <= MAX_JOINT_COORD):
             raise MalformedRecordError(f"joint {name!r} lies beyond {MAX_JOINT_COORD:g} m")
         joints[name] = JointSample(position=position, confidence=confidence)
     return KeypointFrame(
@@ -188,7 +198,7 @@ def parse_intrinsics_header(record: str | dict) -> CameraIntrinsics | None:
     if isinstance(record, (str, bytes)):
         try:
             record = json.loads(record)
-        except json.JSONDecodeError:
+        except JSON_DECODE_ERRORS:
             return None
     if not isinstance(record, dict) or "intrinsics" not in record:
         return None
@@ -202,7 +212,7 @@ def parse_intrinsics_header(record: str | dict) -> CameraIntrinsics | None:
             width=int(spec["width"]),
             height=int(spec["height"]),
         )
-    except (TypeError, KeyError, ValueError, GeometryError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise MalformedRecordError(f"bad intrinsics header: {exc}") from exc
 
 
@@ -268,7 +278,8 @@ def arm_ray(
     """Extract a pointing ray from a frame, or None when it cannot be trusted.
 
     None is returned when either joint is absent, below ``min_confidence``,
-    or the two joints are closer than 1 cm.
+    or the two joints are closer than ``ARM_SEPARATION_MIN`` (1 cm), so
+    ``intersect_ray_plane`` never sees a degenerate arm from here.
     """
     if hand not in HANDS:
         raise StreamError(f"unknown hand {hand!r}")
@@ -281,7 +292,7 @@ def arm_ray(
         return None
     if start.confidence < min_confidence or through.confidence < min_confidence:
         return None
-    if (through.position - start.position).norm() <= 0.01:
+    if (through.position - start.position).norm() <= ARM_SEPARATION_MIN:
         return None
     return ArmRay(hand=hand, start=start.position, through=through.position, pair=pair)
 
@@ -317,16 +328,17 @@ class GestureScenario:
             raise StreamError(
                 f"target lies {abs(self.plane.signed_distance(self.target)):.4f} m off the plane"
             )
-        if self.noise_sigma < 0:
-            raise StreamError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.aim_bias_sigma < 0:
-            raise StreamError(f"aim_bias_sigma must be >= 0, got {self.aim_bias_sigma}")
+        # each range test fails on NaN and on infinities
+        if not 0 <= self.noise_sigma < math.inf:
+            raise StreamError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not 0 <= self.aim_bias_sigma < math.inf:
+            raise StreamError(f"aim_bias_sigma must be finite and >= 0, got {self.aim_bias_sigma}")
         if self.sample_count < 1:
             raise StreamError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.arm_length <= 0:
-            raise StreamError(f"arm_length must be positive, got {self.arm_length}")
-        if self.frame_rate <= 0:
-            raise StreamError(f"frame_rate must be positive, got {self.frame_rate}")
+        if not 0 < self.arm_length < math.inf:
+            raise StreamError(f"arm_length must be finite and positive, got {self.arm_length}")
+        if not 0 < self.frame_rate < math.inf:
+            raise StreamError(f"frame_rate must be finite and positive, got {self.frame_rate}")
         if self.hand not in HANDS:
             raise StreamError(f"unknown hand {self.hand!r}")
         reach = (self.target - self.shoulder_base).norm()
@@ -412,13 +424,17 @@ def parse_kv_config(text: str) -> dict[str, str]:
 
 
 def parse_triplet(value: str, key: str) -> Point3:
+    """Three finite numbers separated by commas and/or spaces."""
     parts = [p for p in value.replace(",", " ").split() if p]
     if len(parts) != 3:
         raise StreamError(f"{key}: expected three numbers, got {value!r}")
     try:
-        return Point3(float(parts[0]), float(parts[1]), float(parts[2]))
-    except (ValueError, GeometryError) as exc:
+        x, y, z = (float(p) for p in parts)
+    except ValueError as exc:
         raise StreamError(f"{key}: {exc}") from exc
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise StreamError(f"{key}: expected finite numbers, got {value!r}")
+    return Point3(x, y, z)
 
 
 def load_scenario_config(path: str | os.PathLike) -> GestureScenario:
@@ -448,7 +464,7 @@ def load_scenario_config(path: str | os.PathLike) -> GestureScenario:
             frame_rate=float(cfg.get("frame_rate", DEFAULT_FRAME_RATE)),
             hand=cfg.get("hand", "right"),
         )
-    except (ValueError, GeometryError) as exc:
+    except ValueError as exc:
         if isinstance(exc, StreamError):
             raise
         raise StreamError(f"bad scenario config: {exc}") from exc

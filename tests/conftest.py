@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+
+import pytest
 
 import gesturepoint
 from gesturepoint.cli import main
@@ -68,3 +71,28 @@ def make_plane_file(path, corners: list[Point3] | None = None):
     frame = workplane_frame(plane)
     save_plane_file(str(path), plane, frame, 0, 1)
     return path
+
+
+# --- input boundaries: every row is checked with NaN, +inf and -inf -----------
+
+non_finite = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+INTRINSICS = {"fx": 600, "fy": 600, "cx": 320, "cy": 240, "width": 640, "height": 480}
+JOINT_FIELDS = ("x", "y", "z", "px", "py", "depth", "c")
+
+
+def wrist_frame(field: str, value: float) -> dict:
+    """A two-joint record with ``value`` in the timestamp (``"t"``) or in one
+    field of the right wrist, in the 3D or the pixel form as ``field`` needs.
+    Left at its default, the 3D form points at (0.3, 0.3) on the desk plane."""
+    wrist = (
+        {"px": 320, "py": 240, "depth": 0.9, "c": 0.9}
+        if field in ("px", "py", "depth")
+        else {"x": 0.3, "y": 0.1, "z": 0.3, "c": 0.9}
+    )
+    record = {"t": 0.0, "joints": {"right_shoulder": {"x": 0.3, "y": -0.1, "z": 0.6, "c": 0.9},
+                                   "right_wrist": wrist}}
+    if field == "t":
+        record["t"] = value
+    else:
+        wrist[field] = value
+    return record

@@ -7,9 +7,13 @@ import json
 import pytest
 
 from conftest import (
+    INTRINSICS,
+    JOINT_FIELDS,
     desk_corners,
     make_plane_file,
+    non_finite,
     run_cli,
+    wrist_frame,
     write_corner_file,
     write_scenario_file,
 )
@@ -511,3 +515,302 @@ def test_version_flag():
 
 def test_package_all_names_resolve():
     assert [name for name in gesturepoint.__all__ if not hasattr(gesturepoint, name)] == []
+
+
+# --- input boundaries: NaN and infinities exit 2 where they enter ------------------
+
+
+class _NoServer:
+    """Stands in for LiveServer: `live` must exit before it would serve."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("live got past its input checks")
+
+
+def _generated_lines(tmp_path, count=6) -> list[str]:
+    stream = tmp_path / "generated.jsonl"
+    run_cli(["generate", "--scenario", str(write_scenario_file(tmp_path / "s.cfg", count=count)),
+             "--out", str(stream)])
+    return stream.read_text(encoding="utf-8").splitlines()
+
+
+@non_finite
+@pytest.mark.parametrize("field", ("t",) + JOINT_FIELDS + tuple(sorted(INTRINSICS)))
+def test_replay_counts_non_finite_stream_value_as_one_warning(tmp_path, capsys, field, bad):
+    plane = make_plane_file(tmp_path / "plane.json")
+    header = {"intrinsics": dict(INTRINSICS)}
+    lines = _generated_lines(tmp_path)
+    if field in INTRINSICS:
+        header["intrinsics"][field] = bad  # a bad header line is one malformed line
+    else:
+        lines.insert(3, json.dumps(wrist_frame(field, bad)))
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join([json.dumps(header)] + lines) + "\n", encoding="utf-8")
+    assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream),
+                    "--out", str(tmp_path / "o.jsonl")]) == 0
+    assert "frames=6 points=6 warnings=1" in capsys.readouterr().err
+
+
+def _set_plane_value(doc: dict, field: str, bad: float) -> None:
+    if field == "d":
+        doc["d"] = bad
+    elif field == "normal":
+        doc["normal"][0] = bad
+    else:
+        doc["corners"][2][1] = bad
+
+
+@non_finite
+@pytest.mark.parametrize("command", ["replay", "live"])
+@pytest.mark.parametrize("field", ["normal", "d", "corners"])
+def test_plane_file_with_non_finite_value_exits_2(tmp_path, monkeypatch, command, field, bad):
+    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    plane = make_plane_file(tmp_path / "plane.json")
+    doc = json.loads(plane.read_text(encoding="utf-8"))
+    _set_plane_value(doc, field, bad)
+    plane.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, "--plane", str(plane)]
+    if command == "replay":
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("\n".join(_generated_lines(tmp_path)) + "\n", encoding="utf-8")
+        argv += ["--stream", str(stream), "--out", str(tmp_path / "o.jsonl")]
+    assert run_cli(argv) == 2
+
+
+@non_finite
+@pytest.mark.parametrize("field", ["x", "y", "z", "px", "py", "depth"])
+def test_corner_file_with_non_finite_value_exits_2(tmp_path, field, bad):
+    if field in ("px", "py", "depth"):
+        corners = [{"px": px, "py": py, "depth": 1.0} for px, py in ((100, 100), (500, 100), (500, 400))]
+    else:
+        corners = [{"x": c.x, "y": c.y, "z": c.z} for c in desk_corners()]
+    corners[1][field] = bad
+    path = tmp_path / "corners.json"
+    path.write_text(json.dumps({"corners": corners, "intrinsics": INTRINSICS}), encoding="utf-8")
+    out = tmp_path / "p.json"
+    assert run_cli(["define-plane", "--corners", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@non_finite
+def test_viewpoint_with_non_finite_value_exits_2(tmp_path, bad):
+    corners = write_corner_file(tmp_path / "corners.json", desk_corners())
+    out = tmp_path / "p.json"
+    assert run_cli(["define-plane", "--corners", str(corners), "--out", str(out),
+                    f"--viewpoint=0, {bad!r}, 1"]) == 2
+    assert not out.exists()
+
+
+_SCENARIO = {
+    "plane_corner_1": "0, 0, 0", "plane_corner_2": "0.6, 0, 0", "plane_corner_3": "0.6, 0.8, 0",
+    "plane_corner_4": "0, 0.8, 0", "shoulder": "0.3, -0.1, 0.6", "target": "0.3, 0.4, 0",
+    "sigma": "0.01", "arm_length": "0.55", "frame_rate": "30", "seed": "1", "count": "5",
+}
+
+
+@non_finite
+@pytest.mark.parametrize("command", ["generate", "sweep", "calibrate"])
+@pytest.mark.parametrize("key", [k for k in _SCENARIO if k not in ("seed", "count")])
+def test_scenario_with_non_finite_value_exits_2(tmp_path, command, key, bad):
+    values = dict(_SCENARIO)
+    parts = values[key].split(", ")
+    parts[len(parts) // 2] = repr(bad)  # the middle number of a triplet
+    values[key] = ", ".join(parts)
+    scenario = tmp_path / "s.cfg"
+    scenario.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate", "--scenario", str(scenario), "--out", str(out)],
+        "sweep": ["sweep", "--kind", "pick", "--scenario", str(scenario), "--trials", "1",
+                  "--distances", "0.2", "--out", str(out)],
+        "calibrate": ["calibrate", "--target-error", "0.02", "--scenario", str(scenario),
+                      "--samples", "200"],
+    }[command]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+
+
+_LAYOUT_TARGET = {"id": "t1", "label": "t1", "u": 0.2, "v": 0.3}
+_LAYOUT_AREA = {"id": "a1", "cu": 0.3, "cv": 0.4, "hu": 0.1, "hv": 0.1}
+
+
+@non_finite
+@pytest.mark.parametrize("command", ["replay", "live", "registry"])
+@pytest.mark.parametrize("field", ["u", "v", "cu", "cv", "hu", "hv"])
+def test_layout_with_non_finite_value_exits_2(tmp_path, monkeypatch, command, field, bad):
+    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    target, area = dict(_LAYOUT_TARGET), dict(_LAYOUT_AREA)
+    (target if field in target else area)[field] = bad
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({"targets": [target], "areas": [area]}), encoding="utf-8")
+    plane = make_plane_file(tmp_path / "plane.json")
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(_generated_lines(tmp_path)) + "\n", encoding="utf-8")
+    argv = {
+        "replay": ["replay", "--plane", str(plane), "--stream", str(stream),
+                   "--out", str(tmp_path / "o.jsonl"), "--snap", "pick", "--registry", str(layout)],
+        "live": ["live", "--plane", str(plane), "--registry", str(layout)],
+        "registry": ["registry", "list", "--file", str(layout)],
+    }[command]
+    assert run_cli(argv) == 2
+
+
+@non_finite
+@pytest.mark.parametrize("field", ["u", "v", "cu", "cv", "hu", "hv", "l_m", "plane_size_m"])
+def test_board_file_with_non_finite_value_exits_2(tmp_path, capsys, field, bad):
+    meta = {"kind": "custom", "l_m": 0.2, "plane_size_m": [0.6, 0.8]}
+    target, area = dict(_LAYOUT_TARGET), dict(_LAYOUT_AREA)
+    if field in target:
+        target[field] = bad
+    elif field in area:
+        area[field] = bad
+    elif field == "l_m":
+        meta["l_m"] = bad
+    else:
+        meta["plane_size_m"][1] = bad
+    kind = "place" if field in area else "pick"
+    board = {"board": meta, "targets": [] if kind == "place" else [target],
+             "areas": [area] if kind == "place" else []}
+    path = tmp_path / "boards.json"
+    path.write_text(json.dumps({"boards": [board]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--kind", kind, "--trials", "1", "--board", str(path),
+                    "--out", str(out)]) == 2
+    assert "board" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [{"l_m": "x"}, {"l_m": True}, {"l_m": 0}, {"plane_size_m": "abc"}, {"plane_size_m": [0.6]},
+     {"plane_size_m": [0.6, -0.8]}, {"plane_size_m": [0.6, None]}],
+    ids=["l_text", "l_bool", "l_zero", "size_text", "size_one", "size_negative", "size_null"],
+)
+def test_board_file_with_bad_metadata_exits_2(tmp_path, capsys, meta):
+    board = {"board": dict({"kind": "custom"}, **meta), "targets": [_LAYOUT_TARGET], "areas": []}
+    path = tmp_path / "boards.json"
+    path.write_text(json.dumps({"boards": [board]}), encoding="utf-8")
+    with pytest.raises(EvalError, match="board 1: (l_m|plane_size_m) of a 'custom' board"):
+        load_boards(path)
+    assert run_cli(["sweep", "--kind", "pick", "--trials", "1", "--board", str(path),
+                    "--out", str(tmp_path / "out")]) == 2
+    assert "board 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["corners", "plane", "layout", "board"])
+def test_input_file_with_overlong_integer_exits_2(tmp_path, kind):
+    plane = make_plane_file(tmp_path / "plane.json")
+    out = str(tmp_path / "out")
+    doc, argv = {
+        "corners": ({"corners": [{"x": "HUGE", "y": 0, "z": 0}, {"x": 1, "y": 0, "z": 0}, {"x": 1, "y": 1, "z": 0}]},
+                    ["define-plane", "--out", out, "--corners"]),
+        "plane": (dict(json.loads(plane.read_text(encoding="utf-8")), d="HUGE"),
+                  ["replay", "--stream", str(plane), "--out", out, "--plane"]),
+        "layout": ({"targets": [{"id": "t", "u": "HUGE", "v": 0}]}, ["registry", "list", "--file"]),
+        "board": ({"board": {"l_m": "HUGE"}, "targets": [_LAYOUT_TARGET]},
+                  ["sweep", "--kind", "pick", "--trials", "1", "--out", out, "--board"]),
+    }[kind]
+    path = tmp_path / "input.json"
+    # a JSON integer no float can hold
+    path.write_text(json.dumps(doc).replace('"HUGE"', "9" * 400), encoding="utf-8")
+    assert run_cli(argv + [str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def _float_flag_commands(tmp_path) -> dict[str, list[str]]:
+    plane = make_plane_file(tmp_path / "plane.json")
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(_generated_lines(tmp_path)) + "\n", encoding="utf-8")
+    layout = tmp_path / "layout.json"
+    save_layout(layout, [], [])
+    out = str(tmp_path / "out")
+    return {
+        "replay": ["replay", "--plane", str(plane), "--stream", str(stream), "--out", out],
+        "live": ["live", "--plane", str(plane)],
+        "sweep": ["sweep", "--kind", "pick", "--trials", "1", "--distances", "0.2", "--out", out],
+        "calibrate": ["calibrate", "--target-error", "0.02", "--samples", "200"],
+        "add-target": ["registry", "add-target", "--file", str(layout), "--id", "t",
+                       "--u", "0.1", "--v", "0.1"],
+        "add-area": ["registry", "add-area", "--file", str(layout), "--id", "a",
+                     "--cu", "0.1", "--cv", "0.1", "--hu", "0.1", "--hv", "0.1"],
+    }
+
+
+@non_finite
+@pytest.mark.parametrize("command,flag", [
+    ("replay", "--min-confidence"), ("replay", "--threshold"),
+    ("live", "--min-confidence"), ("live", "--threshold"),
+    ("sweep", "--sigma"), ("sweep", "--aim-bias"), ("sweep", "--calibrate"), ("sweep", "--threshold"),
+    ("sweep", "--distances"), ("sweep", "--sizes"),
+    ("calibrate", "--target-error"), ("calibrate", "--aim-bias"), ("calibrate", "--threshold"),
+    ("add-target", "--u"), ("add-target", "--v"),
+    ("add-area", "--cu"), ("add-area", "--cv"), ("add-area", "--hu"), ("add-area", "--hv"),
+])
+def test_float_flag_with_non_finite_value_exits_2(tmp_path, monkeypatch, command, flag, bad):
+    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    argv = _float_flag_commands(tmp_path)[command]
+    if flag == "--sizes":
+        argv[argv.index("pick")] = "place"
+    # "=" keeps argparse from reading "-inf" as an option; the last occurrence wins
+    value = f"0.2,{bad!r}" if flag in ("--distances", "--sizes") else repr(bad)
+    before = (tmp_path / "layout.json").read_bytes()
+    assert run_cli(argv + [f"{flag}={value}"]) == 2
+    assert (tmp_path / "layout.json").read_bytes() == before
+    assert not (tmp_path / "out").exists()
+
+
+@non_finite
+@pytest.mark.parametrize("key", ["threshold", "min_confidence", "sigma", "calibrate", "aim_bias"])
+def test_env_config_float_key_with_non_finite_value_exits_2(tmp_path, monkeypatch, capsys, key, bad):
+    # target_error, the last float key, can only come from its required flag
+    commands = _float_flag_commands(tmp_path)
+    argv = {"threshold": commands["calibrate"], "min_confidence": commands["replay"],
+            "sigma": commands["sweep"], "calibrate": commands["sweep"],
+            "aim_bias": commands["calibrate"]}[key]
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(f"{key} = {bad!r}\n", encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    assert run_cli(argv) == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# --- replay reads its stream line by line -------------------------------------------
+
+
+def test_replay_streams_crlf_file_with_unchanged_line_numbers(tmp_path, capsys):
+    plane = make_plane_file(tmp_path / "plane.json")
+    lines = _generated_lines(tmp_path)
+    lines.insert(3, "{broken json")
+    outputs = []
+    for newline in ("\n", "\r\n"):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_bytes(newline.join(lines + [""]).encode("utf-8"))
+        out = tmp_path / "o.jsonl"
+        assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: line 4: invalid JSON" in err and "frames=6 points=6 warnings=1" in err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_replay_undecodable_bytes_are_one_malformed_line(tmp_path, capsys):
+    plane = make_plane_file(tmp_path / "plane.json")
+    lines = [line.encode("utf-8") for line in _generated_lines(tmp_path)]
+    lines.insert(2, b'{"t": 0.05, "joints": \xff\xfe}')
+    stream = tmp_path / "stream.jsonl"
+    stream.write_bytes(b"\n".join(lines) + b"\n")
+    assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream),
+                    "--out", str(tmp_path / "o.jsonl")]) == 0
+    err = capsys.readouterr().err
+    assert "line 3" in err and "frames=6 points=6 warnings=1" in err
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+def test_replay_unreadable_stream_exits_2(tmp_path, capsys, missing):
+    plane = make_plane_file(tmp_path / "plane.json")
+    stream = tmp_path / ("nope.jsonl" if missing else "")
+    out = tmp_path / "o.jsonl"
+    assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(out)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    assert not out.exists()

@@ -50,7 +50,7 @@ from gesturepoint.geometry import (
     workplane_frame,
 )
 from gesturepoint.pipeline import HISTORY_CAPACITY, GesturePipeline
-from gesturepoint.snap import SnapRequest, evaluate_request, stability_gate
+from gesturepoint.snap import DEFAULT_STABILITY_THRESHOLD, SnapRequest, evaluate_request, stability_gate
 from gesturepoint.stream import JointSample, KeypointFrame, generate_scenario
 
 
@@ -181,6 +181,27 @@ def test_noiseless_quantitative_board():
     report = run_quantitative(ScenarioTemplate.desk_default(0.0), trials_per_target=2, base_seed=5)
     assert len(report.cells) == 10
     assert all(cell.success_pct == 100.0 for cell in report.cells)
+
+
+def test_run_trial_gates_each_trial_once(monkeypatch):
+    calls = []
+
+    def counting_gate(samples, threshold=DEFAULT_STABILITY_THRESHOLD):
+        calls.append(len(samples))
+        return stability_gate(samples, threshold)
+
+    monkeypatch.setattr("gesturepoint.snap.stability_gate", counting_gate)
+    monkeypatch.setattr("gesturepoint.evaluation.stability_gate", counting_gate)
+    template = ScenarioTemplate.desk_default(0.0)
+    run_pick_sweep(template, distances=(0.10,), trials_per_target=2, base_seed=5)
+    assert calls == [template.snap_samples] * 8  # noiseless: every snap's gate passes
+    # a failed gate selects nothing, so the trial's mean needs one more
+    board = make_board("pick_square", 0.10)
+    samples = [PlanarPoint(0.3, 0.4)] * 14 + [PlanarPoint(0.9, 0.4)]
+    calls.clear()
+    result = run_trial(template, board, board.targets[0], "t", samples)
+    assert result.selected_id is None and result.gestured_mean == stability_gate(samples).mean
+    assert len(calls) == 2
 
 
 def test_default_pick_sweep_counts_match_protocol():

@@ -3,15 +3,19 @@ and replay/live output equivalence."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import socket
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_plane_file, run_cli, write_scenario_file
+from conftest import INTRINSICS, desk_corners, make_plane_file, run_cli, wrist_frame, write_scenario_file
 from gesturepoint.cli import load_plane_file
 from gesturepoint.live import LiveServer, LiveSession, PipelineSettings
-from gesturepoint.geometry import PlanarPoint
+from gesturepoint.geometry import PlanarPoint, plane_from_corners, workplane_frame
 from gesturepoint.snap import Area, AreaRegistry, Target, TargetRegistry
 from gesturepoint.stream import serialize_frame, generate_scenario, load_scenario_config
 
@@ -196,3 +200,85 @@ def test_replay_and_live_emit_identical_sequences(tmp_path, seed, target, sigma)
         live_lines = talk(server.address, stream_path.read_text(encoding="utf-8").splitlines())
     replay_lines = [json.loads(l) for l in replay_out.read_text(encoding="utf-8").splitlines()]
     assert live_lines == replay_lines
+
+
+def test_per_frame_path_runs_no_finiteness_check(tmp_path, monkeypatch):
+    base = make_settings(tmp_path)
+    sessions = [LiveSession(dataclasses.replace(base, frame_mode=mode), *registries())
+                for mode in ("workplane", "camera")]
+    for session in sessions:  # the header is a boundary: its intrinsics are checked once
+        assert session.handle_line(json.dumps({"intrinsics": INTRINSICS})) == []
+
+    def forbidden(*args):
+        raise AssertionError("finiteness check on the per-frame path")
+
+    lines = stream_lines(tmp_path) + [json.dumps(wrist_frame("px", 330))]
+    monkeypatch.setattr("gesturepoint.geometry._require_finite", forbidden)
+    for session in sessions:
+        replies = [session.handle_line(line) for line in lines]
+        assert all(len(r) == 1 for r in replies[:-1])
+
+
+# --- fuzzing the line boundary ---------------------------------------------------
+
+_NUMBERS = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, 5e-324, 0, 0.5, 1])
+    | st.floats()
+    | st.integers()
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _some_of(keys, values):
+    return st.fixed_dictionaries({}, optional={k: values for k in keys})
+
+
+_JOINT_NAMES = st.sampled_from(["right_shoulder", "right_elbow", "right_wrist", "left_wrist", "nose"])
+_FRAME = st.fixed_dictionaries({"t": _NUMBERS | _JSON}, optional={
+    "joints": st.dictionaries(_JOINT_NAMES, _some_of(["x", "y", "z", "px", "py", "depth", "c"], _NUMBERS) | _JSON,
+                              max_size=3) | _JSON,
+    "source": _JSON,
+})
+_HEADER = st.fixed_dictionaries({"intrinsics": _some_of(sorted(INTRINSICS), _NUMBERS) | _JSON})
+_SNAP = st.fixed_dictionaries({"cmd": st.just("snap") | _JSON}, optional={
+    "strategy": st.sampled_from(["pick", "place"]) | _JSON,
+    "n": _NUMBERS | _JSON,
+    "hand": st.sampled_from(["right", "left"]) | _JSON,
+    "group": _JSON,
+})
+_LINES = st.lists((_FRAME | _HEADER | _SNAP | _JSON).map(json.dumps) | st.text(max_size=20), max_size=8)
+_DESK = plane_from_corners(desk_corners())
+_DESK_SETTINGS = PipelineSettings(plane=_DESK, frame=workplane_frame(_DESK))
+# 20 points aimed at the "goal" target, so snap lines reach evaluate_request
+_WARM_UP = [json.dumps(wrist_frame("t", k / 30)) for k in range(20)]
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"reply holds the non-JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_LINES)
+@example(lines=["1" * 5000, "[" * 100_000, '{"t": 0, "joints": {"right_wrist": {"x": ' + "9" * 400 + ', "y": 0, "z": 1}}}',
+                '{"intrinsics": {"fx": 600, "fy": 600, "cx": 320, "cy": 240, "width": Infinity, "height": 480}}',
+                '{"cmd": "snap", "n": NaN}', '{"cmd": "snap", "strategy": "place", "n": 20}'])
+def test_handle_line_fuzz_never_raises_and_answers_in_json(lines):
+    session = LiveSession(_DESK_SETTINGS, *registries())
+    for line in _WARM_UP:
+        session.handle_line(line)
+    for line in lines:
+        replies = session.handle_line(line)
+        for reply in replies:
+            assert isinstance(json.loads(reply, parse_constant=_refuse_constant), dict)
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            obj = None
+        if isinstance(obj, dict) and "cmd" in obj:
+            assert len(replies) == 1
+    # the session survives whatever came before
+    assert len(session.handle_line(json.dumps(wrist_frame("t", 99.0)))) == 1

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import desk_corners, write_scenario_file
+from conftest import INTRINSICS, JOINT_FIELDS, desk_corners, non_finite, wrist_frame, write_scenario_file
 from gesturepoint.evaluation import ScenarioTemplate, mean_intersection_error
 from gesturepoint.geometry import (
     CameraIntrinsics,
@@ -16,16 +16,22 @@ from gesturepoint.geometry import (
     plane_from_corners,
     workplane_frame,
 )
+from gesturepoint.live import LiveSession
+from gesturepoint.pipeline import PipelineSettings
+from gesturepoint.snap import AreaRegistry, TargetRegistry
 from gesturepoint.stream import (
     MAX_JOINT_COORD,
     GestureScenario,
     MalformedRecordError,
+    StreamError,
     StreamReader,
     TargetUnreachableError,
     arm_ray,
     generate_scenario,
     load_scenario_config,
     parse_frame,
+    parse_intrinsics_header,
+    parse_triplet,
     sample_joint_positions,
     serialize_frame,
     write_stream,
@@ -113,6 +119,56 @@ def test_parse_frame_rejects_joints_beyond_coordinate_bound():
     deep = {"px": 0, "py": 0, "depth": 1e300, "c": 1.0}
     with pytest.raises(MalformedRecordError, match="beyond"):
         parse_frame({"t": 0.0, "joints": {"right_wrist": deep}}, INTR)
+
+
+# --- input boundaries: NaN and infinities are rejected where they enter --------
+
+
+@non_finite
+@pytest.mark.parametrize("field", ("t",) + JOINT_FIELDS)
+def test_parse_frame_rejects_non_finite_values(field, bad):
+    with pytest.raises(MalformedRecordError):
+        parse_frame(json.dumps(wrist_frame(field, bad)), INTR)
+
+
+@non_finite
+@pytest.mark.parametrize("key", sorted(INTRINSICS))
+def test_intrinsics_header_rejects_non_finite_values(key, bad):
+    with pytest.raises(MalformedRecordError):
+        parse_intrinsics_header(json.dumps({"intrinsics": dict(INTRINSICS, **{key: bad})}))
+
+
+@non_finite
+@pytest.mark.parametrize("field", ("t",) + JOINT_FIELDS + tuple(sorted(INTRINSICS)))
+def test_live_answers_non_finite_stream_value_with_err_and_keeps_session(field, bad):
+    plane = plane_from_corners(desk_corners())
+    session = LiveSession(
+        PipelineSettings(plane=plane, frame=workplane_frame(plane)), TargetRegistry(), AreaRegistry()
+    )
+    assert session.handle_line(json.dumps({"intrinsics": INTRINSICS})) == []
+    if field in INTRINSICS:
+        line = json.dumps({"intrinsics": dict(INTRINSICS, **{field: bad})})
+    else:
+        line = json.dumps(wrist_frame(field, bad))
+    assert [set(json.loads(r)) for r in session.handle_line(line)] == [{"err"}]
+    (point,) = [json.loads(r) for r in session.handle_line(json.dumps(wrist_frame("t", 1.0)))]
+    assert (point["u"], point["v"]) == pytest.approx((0.3, 0.3))
+
+
+@non_finite
+@pytest.mark.parametrize("position", range(3))
+def test_parse_triplet_rejects_non_finite_numbers(position, bad):
+    parts = ["0.1", "0.2", "0.3"]
+    parts[position] = repr(bad)
+    with pytest.raises(StreamError):
+        parse_triplet(", ".join(parts), "target")
+
+
+@non_finite
+@pytest.mark.parametrize("field", ["noise_sigma", "aim_bias_sigma", "arm_length", "frame_rate"])
+def test_scenario_rejects_non_finite_parameters(field, bad):
+    with pytest.raises(StreamError):
+        make_scenario(**{field: bad})
 
 
 def test_serialize_parse_round_trip():
