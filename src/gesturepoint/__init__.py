@@ -13,7 +13,6 @@ from .geometry import (
     WorkplaneFrame,
     deproject,
     from_workplane,
-    intersect_ray_plane,
     plane_from_corners,
     point_in_bounds,
     project,
@@ -35,10 +34,8 @@ from .snap import (
 )
 from .stabilizer import GesturePoint, RunningAverageStabilizer
 from .stream import (
-    ArmRay,
     GestureScenario,
     KeypointFrame,
-    arm_ray,
     generate_scenario,
     parse_frame,
     serialize_frame,
@@ -48,7 +45,6 @@ __all__ = [
     "__version__",
     "Area",
     "AreaRegistry",
-    "ArmRay",
     "CameraIntrinsics",
     "GesturePipeline",
     "GesturePoint",
@@ -65,12 +61,10 @@ __all__ = [
     "TargetRegistry",
     "Vec3",
     "WorkplaneFrame",
-    "arm_ray",
     "deproject",
     "evaluate_request",
     "from_workplane",
     "generate_scenario",
-    "intersect_ray_plane",
     "parse_frame",
     "pick_snap",
     "place_snap",

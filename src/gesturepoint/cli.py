@@ -511,12 +511,8 @@ def cmd_registry(args) -> int:
         return EXIT_OK
     if args.action == "add-target":
         _require(args, "id", "u", "v")
-        new = Target(
-            id=args.id,
-            label=args.label or args.id,
-            position=PlanarPoint(args.u, args.v),
-            group=args.group,
-        )
+        new = _from_flags(Target, id=args.id, label=args.label or args.id,
+                          position=PlanarPoint(args.u, args.v), group=args.group)
         if any(t.id == new.id for t in targets):
             raise DuplicateIdError(f"target id {new.id!r} already registered")
         targets.append(new)
@@ -527,9 +523,8 @@ def cmd_registry(args) -> int:
         targets = [t for t in targets if t.id != args.id]
     elif args.action == "add-area":
         _require(args, "id", "cu", "cv", "hu", "hv")
-        new_area = Area(
-            id=args.id, center=PlanarPoint(args.cu, args.cv), half_extent=(args.hu, args.hv)
-        )
+        new_area = _from_flags(Area, id=args.id, center=PlanarPoint(args.cu, args.cv),
+                               half_extent=(args.hu, args.hv))
         if any(a.id == new_area.id for a in areas):
             raise DuplicateIdError(f"area id {new_area.id!r} already registered")
         areas.append(new_area)
@@ -543,6 +538,14 @@ def cmd_registry(args) -> int:
     save_layout(path, targets, areas)
     print(f"wrote {path}")
     return EXIT_OK
+
+
+def _from_flags(entity, **fields):
+    """A Target or Area built from flag values: a bad value is a usage error."""
+    try:
+        return entity(**fields)
+    except SnapError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require(args, *names: str) -> None:

@@ -429,7 +429,7 @@ def stabilize_trials(
     buffer order, as :func:`~gesturepoint.geometry.planar_mean` does."""
     hits, valid = intersect_rays_plane(shoulders, wrists, template.plane)
     frame = template.frame
-    local = (hits - np.array(frame.origin.as_tuple())) @ np.array(frame.orientation.to_matrix())
+    local = (hits - np.array(frame.origin.as_tuple())) @ np.array(frame.rows)
     bounds = corners_in_frame(template.plane, frame)
     accepted = valid & points_in_bounds(local[..., 0], local[..., 1], bounds)
     order = np.argsort(~accepted, axis=1, kind="stable")

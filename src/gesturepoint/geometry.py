@@ -1,5 +1,5 @@
-"""Pure geometric core: plane construction, pinhole (de)projection, ray-plane
-intersection and workplane frame transforms.
+"""Pure geometric core: plane construction, pinhole (de)projection, the
+array ray-plane intersection of the sweeps and workplane frame transforms.
 
 Conventions
 -----------
@@ -15,12 +15,16 @@ Conventions
   to an adjacent corner, its z axis is the plane normal, y = z x x. Points
   on the plane get (u, v, z_residual) coordinates with z_residual ~ 0.
 
-Everything in this module is a pure function over immutable values. For the
-sweeps, the ray-plane hit has an array form and the bounds test takes arrays.
+Everything in this module is a pure function over immutable values. The
+ray-plane hit has two implementations: :func:`intersect_rays_plane` over
+arrays for the sweeps and calibration, and the float arithmetic of
+``pipeline.GesturePipeline.process`` for live and replay; the tests hold each
+to the other. The bounds test takes floats and arrays alike.
 
 Numbers are checked once, where they enter from outside; values built inside
 the package are trusted, so ``Point3``, ``Vec3`` and ``PlanarPoint`` check
-nothing. The checks that reject NaN and infinities: ``Plane``,
+nothing. Joint and plane corner coordinates are bounded by
+``MAX_JOINT_COORD``. The checks that reject NaN and infinities: ``Plane``,
 ``CameraIntrinsics``, ``Quaternion`` and :func:`deproject` here;
 ``stream.parse_frame``, ``parse_triplet`` and ``GestureScenario``;
 ``snap.Target`` and ``Area``; ``evaluation.board_from_document``; the CLI's
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +47,10 @@ ARM_SEPARATION_MIN = 0.01      # shoulder and wrist must be at least this far ap
 PARALLEL_TOL = 1e-6            # |<n, unit dir>| below which a ray counts as parallel
 UNIT_TOL = 1e-9
 DEFAULT_T_MIN = 1.0            # intersection must lie beyond the wrist
+# bound on every joint and plane corner coordinate: far beyond any camera's
+# range, yet small enough that no ray arithmetic on two joints and a plane
+# (differences, norms, the plane hit, the bounds test) can overflow a float
+MAX_JOINT_COORD = 1e6
 
 
 class GeometryError(ValueError):
@@ -73,10 +82,6 @@ class PixelOutOfBoundsError(GeometryError):
 
 
 class BehindCameraError(GeometryError):
-    pass
-
-
-class DegenerateArmError(GeometryError):
     pass
 
 
@@ -116,9 +121,6 @@ class Vec3:
     y: float
     z: float
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
@@ -127,8 +129,6 @@ class Vec3:
 
     def __mul__(self, s: float) -> "Vec3":
         return Vec3(self.x * s, self.y * s, self.z * s)
-
-    __rmul__ = __mul__
 
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -243,23 +243,6 @@ class Quaternion:
         sign = -1.0 if w < 0 else 1.0
         return cls(sign * w / n, sign * x / n, sign * y / n, sign * z / n)
 
-    def rotate(self, v: Vec3) -> Vec3:
-        r = self.to_matrix()
-        return Vec3(
-            r[0][0] * v.x + r[0][1] * v.y + r[0][2] * v.z,
-            r[1][0] * v.x + r[1][1] * v.y + r[1][2] * v.z,
-            r[2][0] * v.x + r[2][1] * v.y + r[2][2] * v.z,
-        )
-
-    def rotate_back(self, v: Vec3) -> Vec3:
-        """Inverse rotation (parent -> frame), i.e. R^T @ v."""
-        r = self.to_matrix()
-        return Vec3(
-            r[0][0] * v.x + r[1][0] * v.y + r[2][0] * v.z,
-            r[0][1] * v.x + r[1][1] * v.y + r[2][1] * v.z,
-            r[0][2] * v.x + r[1][2] * v.y + r[2][2] * v.z,
-        )
-
 
 @dataclass(frozen=True)
 class Plane:
@@ -270,8 +253,10 @@ class Plane:
     corners: tuple[Point3, Point3, Point3, Point3]
 
     def __post_init__(self) -> None:
-        _require_finite("Plane", self.d, *self.normal.as_tuple(),
-                        *(v for c in self.corners for v in c.as_tuple()))
+        coords = [v for c in self.corners for v in (c.x, c.y, c.z)]
+        _require_finite("Plane", self.d, *self.normal.as_tuple(), *coords)
+        if max(map(abs, coords)) > MAX_JOINT_COORD:
+            raise GeometryError(f"plane corner coordinates must lie within +-{MAX_JOINT_COORD:g} m")
         if abs(self.normal.norm() - 1.0) > UNIT_TOL:
             raise GeometryError(f"plane normal must be unit length, |n|={self.normal.norm()}")
         if len(self.corners) != 4:
@@ -307,13 +292,10 @@ class WorkplaneFrame:
     origin: Point3
     orientation: Quaternion
 
-
-@dataclass(frozen=True)
-class RayHit:
-    """Result of a successful ray-plane intersection."""
-
-    point: Point3
-    t: float
+    @cached_property
+    def rows(self) -> tuple[tuple[float, float, float], ...]:
+        """The rotation matrix rows of ``orientation``, computed once."""
+        return self.orientation.to_matrix()
 
 
 def _orient_normal(n: Vec3, reference: Point3, viewpoint: Point3 | None) -> Vec3:
@@ -389,37 +371,17 @@ def project(point: Point3, intr: CameraIntrinsics) -> tuple[float, float]:
     )
 
 
-def intersect_ray_plane(shoulder: Point3, wrist: Point3, plane: Plane) -> RayHit | None:
-    """Extend the shoulder->wrist ray onto the plane.
-
-    The scaling factor is ``t = -(<n, shoulder> + d) / <n, wrist - shoulder>``
-    and the hit point ``shoulder + t * (wrist - shoulder)``. Returns None when
-    the ray is parallel to the plane (``PARALLEL_TOL``) or the hit would lie
-    behind the wrist (t < ``DEFAULT_T_MIN``); raises DegenerateArmError when
-    the two joints are closer than ``ARM_SEPARATION_MIN``.
-    """
-    direction = wrist - shoulder
-    length = direction.norm()
-    if length <= ARM_SEPARATION_MIN:
-        raise DegenerateArmError(
-            f"shoulder and wrist are {length:.4f} m apart (minimum {ARM_SEPARATION_MIN} m)"
-        )
-    n = plane.normal
-    denom = n.dot(direction)
-    if abs(denom / length) < PARALLEL_TOL:
-        return None
-    t = -(plane.signed_distance(shoulder)) / denom
-    if t < DEFAULT_T_MIN:
-        return None
-    return RayHit(point=shoulder + direction * t, t=t)
-
-
 def intersect_rays_plane(
     shoulders: np.ndarray, wrists: np.ndarray, plane: Plane
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`intersect_ray_plane` over (..., 3) joints: the
-    hit points (NaN where a ray misses, for any of its reasons) and the mask
-    of rays that hit."""
+    """Extend each shoulder->wrist ray over (..., 3) joints onto the plane.
+
+    The scaling factor is ``t = -(<n, shoulder> + d) / <n, wrist - shoulder>``
+    and the hit ``shoulder + t * (wrist - shoulder)``. A ray misses when its
+    joints lie within ``ARM_SEPARATION_MIN``, it runs parallel to the plane
+    (``PARALLEL_TOL``) or the hit would lie behind the wrist
+    (t < ``DEFAULT_T_MIN``). Returns the hit points (NaN where a ray misses)
+    and the mask of rays that hit."""
     n = np.array(plane.normal.as_tuple())
     dirs = wrists - shoulders
     lengths = np.linalg.norm(dirs, axis=-1)
@@ -464,15 +426,28 @@ def workplane_frame(plane: Plane, origin_corner: int = 0, x_corner: int = 1) -> 
 
 
 def to_workplane(point: Point3, frame: WorkplaneFrame) -> PlanarPoint:
-    """Express a parent-frame point in workplane coordinates (u, v, z_residual)."""
-    local = frame.orientation.rotate_back(point - frame.origin)
-    return PlanarPoint(u=local.x, v=local.y, z_residual=local.z)
+    """Express a parent-frame point in workplane coordinates (u, v, z_residual):
+    R^T @ (point - origin)."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = frame.rows
+    o = frame.origin
+    x, y, z = point.x - o.x, point.y - o.y, point.z - o.z
+    return PlanarPoint(
+        u=r00 * x + r10 * y + r20 * z,
+        v=r01 * x + r11 * y + r21 * z,
+        z_residual=r02 * x + r12 * y + r22 * z,
+    )
 
 
 def from_workplane(p: PlanarPoint, frame: WorkplaneFrame) -> Point3:
-    """Inverse of :func:`to_workplane`."""
-    offset = frame.orientation.rotate(Vec3(p.u, p.v, p.z_residual))
-    return frame.origin + offset
+    """Inverse of :func:`to_workplane`: origin + R @ (u, v, z_residual)."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = frame.rows
+    o = frame.origin
+    u, v, w = p.u, p.v, p.z_residual
+    return Point3(
+        o.x + (r00 * u + r01 * v + r02 * w),
+        o.y + (r10 * u + r11 * v + r12 * w),
+        o.z + (r20 * u + r21 * v + r22 * w),
+    )
 
 
 def corners_in_frame(plane: Plane, frame: WorkplaneFrame) -> tuple[tuple[float, float], ...]:

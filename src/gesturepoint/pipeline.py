@@ -1,23 +1,28 @@
-"""Wiring of the per-frame path: arm ray -> plane intersection -> workplane
-transform -> stabilizer. One pipeline instance per session/trial; state is
-the per-hand stabilizer buffers plus a short history of stabilized points for
-snap requests. ``PipelineSettings`` holds the resolved configuration that
-replay and live share; its defaults are the module constants."""
+"""The per-frame path of live and replay: arm ray -> plane intersection ->
+workplane transform -> stabilizer. ``GesturePipeline.process`` runs the
+geometry on floats, from plane and frame constants taken once per pipeline;
+``evaluation.stabilize_trials`` is its array twin for the sweeps. One
+pipeline instance per session/trial; state is the per-hand stabilizer
+buffers plus a short history of stabilized points for snap requests.
+``PipelineSettings`` holds the resolved configuration that replay and live
+share; its defaults are the module constants."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import stream as streammod
 from .geometry import (
+    ARM_SEPARATION_MIN,
+    DEFAULT_T_MIN,
+    PARALLEL_TOL,
     PlanarPoint,
     Plane,
     WorkplaneFrame,
     corners_in_frame,
-    intersect_ray_plane,
-    to_workplane,
     workplane_frame,
 )
 from .snap import DEFAULT_SAMPLE_COUNT, DEFAULT_STABILITY_THRESHOLD
@@ -57,22 +62,56 @@ class GesturePipeline:
         self.frames_seen = 0
         self.frames_without_ray = 0
         self.discarded_out_of_bounds = 0
+        # what process reads per frame: the plane, the frame, each hand's joints
+        n = plane.normal
+        self._plane = (n.x, n.y, n.z, plane.d)
+        o = self.frame.origin
+        self._origin = (o.x, o.y, o.z)
+        self._rows = self.frame.rows
+        start = "shoulder" if pair == "shoulder_wrist" else "elbow"
+        self._arms = tuple((hand, f"{hand}_{start}", f"{hand}_wrist") for hand in self.hands)
 
     def process(self, frame: streammod.KeypointFrame) -> list[GesturePoint]:
         """Feed one skeleton frame; returns the stabilized points it produced
-        (zero, one, or one per hand)."""
+        (zero, one, or one per hand).
+
+        Per hand: two joints present, at ``min_confidence`` or above and more
+        than ``ARM_SEPARATION_MIN`` apart make a ray (a frame without one
+        counts in ``frames_without_ray``); a ray not parallel to the plane
+        hits it at t = -(<n, start> + d) / <n, wrist - start>, which must be
+        at least ``DEFAULT_T_MIN``; the hit's workplane coordinates
+        R^T (hit - origin) go to the stabilizer."""
         self.frames_seen += 1
+        nx, ny, nz, d = self._plane
+        ox, oy, oz = self._origin
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self._rows
+        min_confidence = self.min_confidence
+        joints = frame.joints
         got_ray = False
         out: list[GesturePoint] = []
-        for hand in self.hands:
-            ray = streammod.arm_ray(frame, hand, self.pair, self.min_confidence)
-            if ray is None:
+        for hand, start_name, wrist_name in self._arms:
+            start = joints.get(start_name)
+            wrist = joints.get(wrist_name)
+            if start is None or wrist is None:
+                continue
+            if start.confidence < min_confidence or wrist.confidence < min_confidence:
+                continue
+            s, w = start.position, wrist.position
+            dx, dy, dz = w.x - s.x, w.y - s.y, w.z - s.z
+            length = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if length <= ARM_SEPARATION_MIN:
                 continue
             got_ray = True
-            hit = intersect_ray_plane(ray.start, ray.through, self.plane)
-            if hit is None:
+            denom = nx * dx + ny * dy + nz * dz
+            if abs(denom / length) < PARALLEL_TOL:
                 continue
-            raw = to_workplane(hit.point, self.frame)
+            t = -(nx * s.x + ny * s.y + nz * s.z + d) / denom
+            if t < DEFAULT_T_MIN:
+                continue
+            x, y, z = s.x + dx * t - ox, s.y + dy * t - oy, s.z + dz * t - oz
+            raw = PlanarPoint(
+                r00 * x + r10 * y + r20 * z, r01 * x + r11 * y + r21 * z, r02 * x + r12 * y + r22 * z
+            )
             point = self.stabilizer.push(raw, frame.timestamp, hand)
             if point is None:
                 self.discarded_out_of_bounds += 1

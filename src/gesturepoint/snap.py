@@ -261,9 +261,10 @@ def _area_from_dict(spec: dict) -> Area:
 def parse_layout(doc: dict) -> tuple[list[Target], list[Area]]:
     if not isinstance(doc, dict):
         raise MalformedFileError("layout file must hold a JSON object")
-    targets = [_target_from_dict(t) for t in doc.get("targets", [])]
-    areas = [_area_from_dict(a) for a in doc.get("areas", [])]
-    return targets, areas
+    targets, areas = doc.get("targets", []), doc.get("areas", [])
+    if not (isinstance(targets, list) and isinstance(areas, list)):
+        raise MalformedFileError('layout "targets" and "areas" must be lists')
+    return [_target_from_dict(t) for t in targets], [_area_from_dict(a) for a in areas]
 
 
 def load_layout(path: str | os.PathLike) -> tuple[list[Target], list[Area]]:

@@ -1,5 +1,7 @@
 """Skeleton-frame data model, JSONL ingestion and the synthetic noisy-gesture
-generator.
+generator. A frame's pointing ray runs from a shoulder or elbow (``PAIRS``)
+through the wrist of one of ``HANDS``; ``pipeline.GesturePipeline.process``
+reads it from the frame's joints.
 
 All synthetic joints come from one sampler, :func:`sample_joint_positions`,
 which draws (trials, frames, 3) shoulder and wrist arrays from a scenario's
@@ -54,7 +56,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .geometry import (
-    ARM_SEPARATION_MIN,
+    MAX_JOINT_COORD,
     PLANARITY_TOL,
     CameraIntrinsics,
     Plane,
@@ -70,9 +72,6 @@ KNOWN_JOINTS = frozenset(
 )
 DEFAULT_MIN_CONFIDENCE = 0.3
 DEFAULT_FRAME_RATE = 30.0
-# far beyond any camera's range, yet small enough that no ray arithmetic on two
-# joints (differences, norms, the plane hit) can overflow a float
-MAX_JOINT_COORD = 1e6
 
 
 # what json.loads raises on an untrusted line: bad syntax, an integer past
@@ -112,14 +111,6 @@ class KeypointFrame:
 
     def joint(self, name: str) -> JointSample | None:
         return self.joints.get(name)
-
-
-@dataclass(frozen=True)
-class ArmRay:
-    hand: str
-    start: Point3
-    through: Point3
-    pair: str = "shoulder_wrist"
 
 
 def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None = None) -> KeypointFrame:
@@ -267,34 +258,6 @@ class StreamReader:
                 )
             last_t = frame.timestamp
             yield frame
-
-
-def arm_ray(
-    frame: KeypointFrame,
-    hand: str,
-    pair: str = "shoulder_wrist",
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-) -> ArmRay | None:
-    """Extract a pointing ray from a frame, or None when it cannot be trusted.
-
-    None is returned when either joint is absent, below ``min_confidence``,
-    or the two joints are closer than ``ARM_SEPARATION_MIN`` (1 cm), so
-    ``intersect_ray_plane`` never sees a degenerate arm from here.
-    """
-    if hand not in HANDS:
-        raise StreamError(f"unknown hand {hand!r}")
-    if pair not in PAIRS:
-        raise StreamError(f"unknown joint pair {pair!r}")
-    start_name = f"{hand}_{'shoulder' if pair == 'shoulder_wrist' else 'elbow'}"
-    start = frame.joint(start_name)
-    through = frame.joint(f"{hand}_wrist")
-    if start is None or through is None:
-        return None
-    if start.confidence < min_confidence or through.confidence < min_confidence:
-        return None
-    if (through.position - start.position).norm() <= ARM_SEPARATION_MIN:
-        return None
-    return ArmRay(hand=hand, start=start.position, through=through.position, pair=pair)
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,13 @@ from gesturepoint.geometry import (
     PlanarPoint,
     Point3,
     Quaternion,
-    intersect_ray_plane,
     plane_from_corners,
     point_in_bounds,
 )
 from gesturepoint.live import LiveServer, PipelineSettings
 from gesturepoint.snap import Area, Target, pick_snap, place_snap, stability_gate
 from gesturepoint.stabilizer import RunningAverageStabilizer
-from test_geometry import random_arm_case
+from test_geometry import hit as intersect, random_arm_case
 
 
 def report(criterion: int, description: str, passed: bool) -> None:
@@ -66,23 +65,23 @@ def test_criterion_1_geometry_oracles():
     ok = True
     for _ in range(10_000):
         plane, shoulder, wrist = random_arm_case(rng)
-        hit = intersect_ray_plane(shoulder, wrist, plane)
+        hit = intersect(shoulder, wrist, plane)
         # substitution oracle
-        ok &= hit is not None and abs(plane.signed_distance(hit.point)) < 1e-9
+        ok &= hit is not None and abs(plane.signed_distance(hit)) < 1e-9
 
         # scale invariance
         s = float(rng.uniform(0.2, 5.0))
         scaled_plane = plane_from_corners(
             [Point3(c.x * s, c.y * s, c.z * s) for c in plane.corners]
         )
-        scaled = intersect_ray_plane(
+        scaled = intersect(
             Point3(shoulder.x * s, shoulder.y * s, shoulder.z * s),
             Point3(wrist.x * s, wrist.y * s, wrist.z * s),
             scaled_plane,
         )
         ok &= scaled is not None and all(
             math.isclose(got, want * s, rel_tol=1e-9, abs_tol=1e-12)
-            for got, want in zip(scaled.point.as_tuple(), hit.point.as_tuple())
+            for got, want in zip(scaled.as_tuple(), hit.as_tuple())
         )
 
         # rigid-motion equivariance
@@ -90,13 +89,14 @@ def test_criterion_1_geometry_oracles():
         q /= np.linalg.norm(q)
         rot = np.array(Quaternion(*q).to_matrix())
         t = rng.uniform(-2, 2, 3)
-        move = lambda p: Point3(*(rot @ np.array(p.as_tuple()) + t))
-        moved_plane = plane_from_corners([move(c) for c in plane.corners])
-        moved = intersect_ray_plane(move(shoulder), move(wrist), moved_plane)
-        want = move(hit.point)
+        points = [p.as_tuple() for p in (*plane.corners, shoulder, wrist, hit)]
+        *corners, moved_shoulder, moved_wrist, want = (
+            Point3(*p) for p in (np.array(points) @ rot.T + t).tolist()
+        )
+        moved = intersect(moved_shoulder, moved_wrist, plane_from_corners(corners))
         ok &= moved is not None and all(
             abs(got - expected) < 1e-9
-            for got, expected in zip(moved.point.as_tuple(), want.as_tuple())
+            for got, expected in zip(moved.as_tuple(), want.as_tuple())
         )
         if not ok:
             break

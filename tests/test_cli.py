@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import os
 
 import pytest
 
@@ -436,6 +438,25 @@ def test_registry_malformed_file_exits_2(tmp_path):
     assert run_cli(["registry", "list", "--file", str(layout)]) == 2
 
 
+@pytest.mark.parametrize("doc", [{"targets": 5}, {"areas": 5}, {"targets": {"id": "t"}}])
+def test_registry_layout_without_lists_exits_2(tmp_path, capsys, doc):
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["registry", "list", "--file", str(layout)]) == 2
+    assert "must be lists" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--hu", "0"), ("--hv", "0"), ("--hu", "-0.1")])
+def test_registry_add_area_with_bad_half_extent_exits_2(tmp_path, flag, value):
+    layout = tmp_path / "layout.json"
+    run_cli(["registry", "init", "--file", str(layout)])
+    before = layout.read_bytes()
+    argv = ["registry", "add-area", "--file", str(layout), "--id", "a",
+            "--cu", "0.1", "--cv", "0.1", "--hu", "0.1", "--hv", "0.1"]
+    assert run_cli(argv + [f"{flag}={value}"]) == 2
+    assert layout.read_bytes() == before
+
+
 # --- env config ------------------------------------------------------------------
 
 
@@ -575,6 +596,24 @@ def test_plane_file_with_non_finite_value_exits_2(tmp_path, monkeypatch, command
         stream.write_text("\n".join(_generated_lines(tmp_path)) + "\n", encoding="utf-8")
         argv += ["--stream", str(stream), "--out", str(tmp_path / "o.jsonl")]
     assert run_cli(argv) == 2
+
+
+@pytest.mark.parametrize("command", ["replay", "live"])
+def test_plane_file_beyond_coordinate_bound_exits_2(tmp_path, monkeypatch, capsys, command):
+    """Corners at 1e200 m once overflowed the bounds test of the first frame."""
+    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({
+        "normal": [0.0, 0.0, 1.0], "d": 0.0,
+        "corners": [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [1e200, 1e200, 0.0], [0.0, 1e200, 0.0]],
+    }), encoding="utf-8")
+    argv = [command, "--plane", str(plane)]
+    if command == "replay":
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(_generated_lines(tmp_path, count=1)[0] + "\n", encoding="utf-8")
+        argv += ["--stream", str(stream), "--out", str(tmp_path / "o.jsonl")]
+    assert run_cli(argv) == 2
+    assert "1e+06" in capsys.readouterr().err
 
 
 @non_finite
@@ -814,3 +853,20 @@ def test_replay_unreadable_stream_exits_2(tmp_path, capsys, missing):
     assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(out)]) == 2
     assert "cannot read" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- docs ------------------------------------------------------------------------
+
+
+def test_readme_library_surface_imports_resolve():
+    """Every import of the README's "Library surface" block names a symbol
+    the package still has."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Library surface"):]
+    start = section.index("```python") + len("```python")
+    block = section[start:section.index("```", start)]
+    imports = [node for node in ast.parse(block).body if isinstance(node, ast.ImportFrom)]
+    assert any(node.module == "gesturepoint" for node in imports)
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})

@@ -43,7 +43,7 @@ from gesturepoint.geometry import (
     PlanarPoint,
     Point3,
     Quaternion,
-    Vec3,
+    WorkplaneFrame,
     from_workplane,
     plane_from_corners,
     to_workplane,
@@ -247,13 +247,13 @@ def tilted_template(sigma: float = 0.0, **overrides) -> ScenarioTemplate:
     """The desk scenario turned off every axis and moved off the origin."""
     q = np.array([0.95, 0.2, -0.15, 0.18])
     rot = Quaternion(*(q / np.linalg.norm(q)))
-    origin = Point3(0.2, -0.3, 0.1)
-    corners = [origin + rot.rotate(Vec3(u, v, 0.0)) for u, v in ((0, 0), (0.6, 0), (0.6, 0.8), (0, 0.8))]
+    tilt = WorkplaneFrame(Point3(0.2, -0.3, 0.1), rot)
+    corners = [from_workplane(PlanarPoint(u, v), tilt) for u, v in ((0, 0), (0.6, 0), (0.6, 0.8), (0, 0.8))]
     plane = plane_from_corners(corners)
     return ScenarioTemplate(
         plane=plane,
         frame=workplane_frame(plane),
-        shoulder_base=origin + rot.rotate(Vec3(0.30, -0.10, 0.60)),
+        shoulder_base=from_workplane(PlanarPoint(0.30, -0.10, 0.60), tilt),
         arm_length=0.55,
         sigma=sigma,
         **overrides,

@@ -14,7 +14,7 @@ from gesturepoint.geometry import (
     BehindCameraError,
     CameraIntrinsics,
     CollinearCornersError,
-    DegenerateArmError,
+    GeometryError,
     InvalidCornerPairError,
     NonFiniteValueError,
     NonPlanarCornerError,
@@ -29,7 +29,7 @@ from gesturepoint.geometry import (
     corners_in_frame,
     deproject,
     from_workplane,
-    intersect_ray_plane,
+    intersect_rays_plane,
     plane_from_corners,
     point_in_bounds,
     points_in_bounds,
@@ -56,7 +56,7 @@ def random_plane(rng: np.random.Generator) -> Plane:
         center + a * e1 + b * e2,
         center - a * e1 + b * e2,
     ]
-    return plane_from_corners([Point3(*c) for c in corners])
+    return plane_from_corners([Point3(*c.tolist()) for c in corners])
 
 
 def random_arm_case(rng: np.random.Generator):
@@ -70,7 +70,7 @@ def random_arm_case(rng: np.random.Generator):
     shoulder = target + rng.uniform(0.5, 2.0) * n + rng.uniform(-0.3, 0.3, 3)
     frac = rng.uniform(0.2, 0.8)  # wrist partway to the target, so t = 1/frac > 1
     wrist = shoulder + frac * (target - shoulder)
-    return plane, Point3(*shoulder), Point3(*wrist)
+    return plane, Point3(*shoulder.tolist()), Point3(*wrist.tolist())
 
 
 # --- plane construction ------------------------------------------------------
@@ -124,6 +124,15 @@ def test_plane_fourth_corner_within_tolerance_is_snapped():
 def test_plane_nonfinite_corner():
     with pytest.raises(NonFiniteValueError):
         plane_from_corners([Point3(0, 0, float("nan")), Point3(1, 0, 0), Point3(1, 1, 0)])
+
+
+def test_plane_corner_coordinates_are_bounded():
+    at_bound = plane_from_corners([Point3(c.x * 1e6, c.y * 1e6, c.z) for c in UNIT_SQUARE])
+    assert at_bound.corners[2] == Point3(1e6, 1e6, 0.0)
+    with pytest.raises(GeometryError, match=r"1e\+06"):
+        plane_from_corners([Point3(c.x * 2e6, c.y * 2e6, c.z) for c in UNIT_SQUARE])
+    with pytest.raises(GeometryError, match=r"1e\+06"):
+        Plane(at_bound.normal, at_bound.d, (*at_bound.corners[:3], Point3(0.0, 1e200, 0.0)))
 
 
 def test_plane_rejects_self_intersecting_corner_order():
@@ -199,38 +208,51 @@ def test_intrinsics_validation():
 # --- ray-plane intersection --------------------------------------------------
 
 
+def hit(shoulder: Point3, wrist: Point3, plane: Plane) -> Point3 | None:
+    """One ray through :func:`intersect_rays_plane`: the hit, or None on a miss."""
+    point, valid = intersect_rays_plane(np.array(shoulder.as_tuple()), np.array(wrist.as_tuple()), plane)
+    return Point3(*point.tolist()) if valid else None
+
+
+def scaling_factor(shoulder: Point3, wrist: Point3, point: Point3) -> float:
+    """t of ``point = shoulder + t * (wrist - shoulder)``."""
+    arm = wrist - shoulder
+    return (point - shoulder).dot(arm) / arm.dot(arm)
+
+
 def test_intersection_scaling_factor():
     plane = plane_from_corners(UNIT_SQUARE)
-    hit = intersect_ray_plane(Point3(0, 0, 1), Point3(0, 0, 0.5), plane)
-    assert hit.t == pytest.approx(2.0)
-    assert hit.point == Point3(0.0, 0.0, 0.0)
+    point = hit(Point3(0, 0, 1), Point3(0, 0, 0.5), plane)
+    assert point == Point3(0.0, 0.0, 0.0)
+    assert scaling_factor(Point3(0, 0, 1), Point3(0, 0, 0.5), point) == pytest.approx(2.0)
 
 
 def test_intersection_parallel_ray():
     plane = plane_from_corners(UNIT_SQUARE)
-    assert intersect_ray_plane(Point3(0, 0, 1), Point3(1, 0, 1), plane) is None
+    points, valid = intersect_rays_plane(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0]), plane)
+    assert not valid and np.isnan(points).all()
 
 
 def test_intersection_pointing_away():
     plane = plane_from_corners(UNIT_SQUARE)
-    assert intersect_ray_plane(Point3(0, 0, 1), Point3(0, 0, 1.5), plane) is None
+    assert hit(Point3(0, 0, 1), Point3(0, 0, 1.5), plane) is None
 
 
 def test_intersection_degenerate_arm():
     plane = plane_from_corners(UNIT_SQUARE)
-    with pytest.raises(DegenerateArmError):
-        intersect_ray_plane(Point3(0, 0, 1), Point3(0, 0, 1.005), plane)
+    assert hit(Point3(0, 0, 1), Point3(0, 0, 1.005), plane) is None
+    assert hit(Point3(0, 0, 1), Point3(0, 0, 0.98), plane) == Point3(0.0, 0.0, 0.0)
 
 
 def test_intersection_substitution_oracle():
     rng = np.random.default_rng(101)
     for _ in range(1000):
         plane, shoulder, wrist = random_arm_case(rng)
-        hit = intersect_ray_plane(shoulder, wrist, plane)
-        assert hit is not None
-        assert abs(plane.signed_distance(hit.point)) < 1e-9
+        point = hit(shoulder, wrist, plane)
+        assert point is not None
+        assert abs(plane.signed_distance(point)) < 1e-9
         arm = wrist - shoulder
-        reach = hit.point - shoulder
+        reach = point - shoulder
         cross = arm.cross(reach)
         assert cross.norm() < 1e-9 * arm.norm() * max(reach.norm(), 1e-300)
 
@@ -241,14 +263,14 @@ def test_intersection_scale_invariance():
         plane, shoulder, wrist = random_arm_case(rng)
         s = rng.uniform(0.1, 10.0)
         scaled_plane = plane_from_corners([Point3(c.x * s, c.y * s, c.z * s) for c in plane.corners])
-        base = intersect_ray_plane(shoulder, wrist, plane)
-        scaled = intersect_ray_plane(
-            Point3(shoulder.x * s, shoulder.y * s, shoulder.z * s),
-            Point3(wrist.x * s, wrist.y * s, wrist.z * s),
-            scaled_plane,
+        scaled_shoulder = Point3(shoulder.x * s, shoulder.y * s, shoulder.z * s)
+        scaled_wrist = Point3(wrist.x * s, wrist.y * s, wrist.z * s)
+        base = hit(shoulder, wrist, plane)
+        scaled = hit(scaled_shoulder, scaled_wrist, scaled_plane)
+        assert scaling_factor(scaled_shoulder, scaled_wrist, scaled) == pytest.approx(
+            scaling_factor(shoulder, wrist, base), rel=1e-9
         )
-        assert scaled.t == pytest.approx(base.t, rel=1e-9)
-        for got, want in zip(scaled.point.as_tuple(), base.point.as_tuple()):
+        for got, want in zip(scaled.as_tuple(), base.as_tuple()):
             assert got == pytest.approx(want * s, rel=1e-9, abs=1e-12)
 
 
@@ -265,10 +287,10 @@ def test_intersection_rigid_motion_equivariance():
             return Point3(*(rot @ np.array(p.as_tuple()) + t))
 
         moved_plane = plane_from_corners([move(c) for c in plane.corners])
-        base = intersect_ray_plane(shoulder, wrist, plane)
-        moved = intersect_ray_plane(move(shoulder), move(wrist), moved_plane)
-        expected = move(base.point)
-        for got, want in zip(moved.point.as_tuple(), expected.as_tuple()):
+        base = hit(shoulder, wrist, plane)
+        moved = hit(move(shoulder), move(wrist), moved_plane)
+        expected = move(base)
+        for got, want in zip(moved.as_tuple(), expected.as_tuple()):
             assert got == pytest.approx(want, abs=1e-9)
 
 

@@ -5,6 +5,7 @@ intersection maths cannot shift them unnoticed."""
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -20,9 +21,10 @@ from gesturepoint.evaluation import (
     run_place_sweep,
     run_quantitative,
 )
-from gesturepoint.geometry import Point3, from_workplane
-from gesturepoint.pipeline import GesturePipeline
-from gesturepoint.stream import generate_scenario
+from gesturepoint.geometry import Point3, Quaternion, from_workplane, plane_from_corners, workplane_frame
+from gesturepoint.live import gesture_point_record
+from gesturepoint.pipeline import GesturePipeline, PipelineSettings
+from gesturepoint.stream import JointSample, KeypointFrame, generate_scenario
 
 
 @pytest.mark.parametrize(
@@ -122,3 +124,69 @@ def test_noisy_pick_and_place_report_digests():
         ("place", "csv"): "27fade53419a838dce0d0ea54e91483d7c8c923f9d82b8c6a3fe56041ba927b7",
         ("place", "json"): "db5745e2244be34b145d44e37baa9052bb9883fa8a734fe9fe2c1a9d3531c897",
     }
+
+
+def _tilted_plane_case(rng: random.Random, pair: str) -> list[str]:
+    """Every output of one seeded tilted plane and frame: both hands through
+    ``pair`` over 40 frames that aim inside and outside the bounds, miss a
+    joint, lose confidence, collapse the arm, point away or run parallel;
+    each point in workplane and camera records, then the drop counters."""
+    q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    norm = sum(c * c for c in q) ** 0.5
+    rows = Quaternion(*(c / norm for c in q)).to_matrix()
+    origin = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+    width, depth = rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)
+
+    def place(u: float, v: float, w: float) -> tuple[float, float, float]:
+        return tuple(o + (a * u + b * v + c * w) for o, (a, b, c) in zip(origin, rows))
+
+    corners = [Point3(*place(u, v, 0.0)) for u, v in ((0, 0), (width, 0), (width, depth), (0, depth))]
+    plane = plane_from_corners(corners, Point3(*place(0.5 * width, 0.5 * depth, 2.0)))
+    origin_corner = rng.randrange(4)
+    frame = workplane_frame(plane, origin_corner, (origin_corner + rng.choice((1, 3))) % 4)
+    settings = PipelineSettings(plane=plane, frame=frame, hands=("left", "right"), pair=pair)
+    camera = PipelineSettings(plane=plane, frame=frame, frame_mode="camera")
+    pipe = settings.make_pipeline()
+    out = []
+    for k in range(40):
+        joints = {}
+        for hand in ("left", "right"):
+            kind = rng.choice(("aim", "aim", "aim", "aim", "missing", "low", "short", "away", "parallel"))
+            tu, tv, tw = rng.uniform(-0.1, 1.1) * width, rng.uniform(-0.1, 1.1) * depth, 0.0
+            su, sv, sw = tu + rng.uniform(-0.3, 0.3), tv + rng.uniform(-0.3, 0.3), rng.uniform(0.4, 1.2)
+            if kind == "away":  # mirrored through the shoulder: the hit lies behind
+                tu, tv, tw = 2 * su - tu, 2 * sv - tv, 2 * sw
+            elif kind == "parallel":
+                tw = sw
+            frac = 0.004 if kind == "short" else rng.uniform(0.3, 0.7)
+            noise = 0.0 if kind == "parallel" else 0.003
+            shoulder = place(su, sv, sw)
+            wrist = tuple(c + rng.gauss(0.0, noise) for c in place(
+                su + frac * (tu - su), sv + frac * (tv - sv), sw + frac * (tw - sw)))
+            elbow = tuple(s + 0.5 * (w - s) + rng.gauss(0.0, noise) for s, w in zip(shoulder, wrist))
+            confidence = rng.uniform(0.0, 0.25) if kind == "low" else rng.uniform(0.35, 1.0)
+            for part, position in (("shoulder", shoulder), ("elbow", elbow), ("wrist", wrist)):
+                joints[f"{hand}_{part}"] = JointSample(Point3(*position), confidence)
+            if kind == "missing":
+                del joints[f"{hand}_{rng.choice(('shoulder', 'elbow', 'wrist'))}"]
+        for gp in pipe.process(KeypointFrame(timestamp=k / 30, joints=joints)):
+            out.append(gesture_point_record(gp, settings))
+            out.append(gesture_point_record(gp, camera))
+    out.append(f"{pipe.frames_seen} {pipe.frames_without_ray} {pipe.discarded_out_of_bounds}")
+    return out
+
+
+@pytest.mark.parametrize(
+    "pair, expected",
+    [
+        ("shoulder_wrist", "c3c45af245e6fb3fd47994debd0250cf62dc4099211a6dd97a75e71a42f2b0ef"),
+        ("elbow_wrist", "2cfca5a10a4323a0ade6010ffa36161c3da349d74bdb716d93811871a31a9aae"),
+    ],
+)
+def test_tilted_plane_pipeline_digest(pair, expected):
+    """``GesturePipeline.process`` on 30 seeded tilted planes and frames, bit
+    for bit: workplane and camera records of both hands, then the frame
+    counters."""
+    rng = random.Random(f"tilted-{pair}")
+    lines = [line for _ in range(30) for line in _tilted_plane_case(rng, pair)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == expected

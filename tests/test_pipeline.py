@@ -17,8 +17,9 @@ from gesturepoint.evaluation import (
     run_boards,
     save_boards,
 )
-from gesturepoint.geometry import Point3, plane_from_corners, project, CameraIntrinsics
-from gesturepoint.pipeline import GesturePipeline
+from gesturepoint.geometry import CameraIntrinsics, Point3, Quaternion, plane_from_corners, project, workplane_frame
+from gesturepoint.live import gesture_point_record
+from gesturepoint.pipeline import GesturePipeline, PipelineSettings
 from gesturepoint.stream import parse_frame
 
 PLANE = plane_from_corners(
@@ -88,6 +89,24 @@ def test_frames_without_ray_counter():
     assert pipe.frames_without_ray == 1
     pipe.reset()
     assert pipe.frames_without_ray == 0
+
+
+def test_per_frame_path_never_rebuilds_the_rotation(monkeypatch):
+    """The frame's rotation rows are computed once, before the first frame:
+    neither process nor a camera-frame record rebuilds them."""
+    settings = PipelineSettings(plane=PLANE, frame=workplane_frame(PLANE, 1, 2), frame_mode="camera",
+                                hands=("left", "right"))
+    pipe = settings.make_pipeline()
+
+    def rebuild(_):
+        raise AssertionError("rotation matrix rebuilt after the pipeline was built")
+
+    monkeypatch.setattr(Quaternion, "to_matrix", rebuild)
+    points = [p for t in range(6) for p in pipe.process(two_hand_frame(t=t / 30))]
+    assert len(points) == 12
+    for p in points:
+        record = json.loads(gesture_point_record(p, settings))
+        assert record["z"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_recent_returns_oldest_first():

@@ -338,6 +338,10 @@ def test_layout_malformed_file(tmp_path):
     path.write_text(json.dumps({"targets": [{"id": "x"}]}), encoding="utf-8")
     with pytest.raises(MalformedFileError):
         load_layout(path)
+    for doc in ({"targets": 5}, {"areas": 5}, {"targets": {"id": "t"}}, {"areas": None}):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(MalformedFileError, match="must be lists"):
+            load_layout(path)
 
 
 def test_strategies_share_registry_snapshots():

@@ -1,4 +1,5 @@
-"""Stream tests: JSONL parsing, arm rays, and the synthetic generator."""
+"""Stream tests: JSONL parsing, arm rays (through ``GesturePipeline.process``),
+and the synthetic generator."""
 
 from __future__ import annotations
 
@@ -7,17 +8,25 @@ import json
 import numpy as np
 import pytest
 
-from conftest import INTRINSICS, JOINT_FIELDS, desk_corners, non_finite, wrist_frame, write_scenario_file
+from conftest import (
+    INTRINSICS,
+    JOINT_FIELDS,
+    desk_corners,
+    non_finite,
+    unit_square_plane,
+    wrist_frame,
+    write_scenario_file,
+)
 from gesturepoint.evaluation import ScenarioTemplate, mean_intersection_error
 from gesturepoint.geometry import (
     CameraIntrinsics,
     Point3,
-    intersect_ray_plane,
+    from_workplane,
     plane_from_corners,
     workplane_frame,
 )
 from gesturepoint.live import LiveSession
-from gesturepoint.pipeline import PipelineSettings
+from gesturepoint.pipeline import GesturePipeline, PipelineSettings
 from gesturepoint.snap import AreaRegistry, TargetRegistry
 from gesturepoint.stream import (
     MAX_JOINT_COORD,
@@ -26,7 +35,6 @@ from gesturepoint.stream import (
     StreamError,
     StreamReader,
     TargetUnreachableError,
-    arm_ray,
     generate_scenario,
     load_scenario_config,
     parse_frame,
@@ -224,52 +232,52 @@ def _frame_with(joints):
     return parse_frame({"t": 0.0, "joints": joints})
 
 
+def _process(joints, hand="right", **options):
+    """One frame through a fresh pipeline on the unit square (z = 0): the
+    (u, v) of each emitted point and the count of frames without a ray."""
+    pipe = GesturePipeline(unit_square_plane(), hands=(hand,), **options)
+    points = pipe.process(_frame_with(joints))
+    return [(p.position.u, p.position.v) for p in points], pipe.frames_without_ray
+
+
 def test_arm_ray_present():
-    frame = _frame_with(
-        {
-            "right_shoulder": {"x": 0, "y": 0, "z": 1, "c": 0.9},
-            "right_wrist": {"x": 0, "y": 0, "z": 0.5, "c": 0.9},
-        }
-    )
-    ray = arm_ray(frame, "right")
-    assert ray is not None
-    assert ray.start == Point3(0, 0, 1)
-    assert ray.through == Point3(0, 0, 0.5)
+    joints = {
+        "right_shoulder": {"x": 0, "y": 0, "z": 1, "c": 0.9},
+        "right_wrist": {"x": 0, "y": 0, "z": 0.5, "c": 0.9},
+    }
+    assert _process(joints) == ([(0.0, 0.0)], 0)
+    assert _process(joints, hand="left") == ([], 1)
 
 
 def test_arm_ray_low_confidence():
-    frame = _frame_with(
-        {
-            "right_shoulder": {"x": 0, "y": 0, "z": 1, "c": 0.9},
-            "right_wrist": {"x": 0, "y": 0, "z": 0.5, "c": 0.1},
-        }
-    )
-    assert arm_ray(frame, "right", min_confidence=0.3) is None
-    assert arm_ray(frame, "right", min_confidence=0.05) is not None
+    joints = {
+        "right_shoulder": {"x": 0.5, "y": 0.5, "z": 1, "c": 0.9},
+        "right_wrist": {"x": 0.5, "y": 0.5, "z": 0.5, "c": 0.1},
+    }
+    assert _process(joints, min_confidence=0.3) == ([], 1)
+    assert _process(joints, min_confidence=0.05) == ([(0.5, 0.5)], 0)
 
 
 def test_arm_ray_missing_joint_and_degenerate():
-    only_wrist = _frame_with({"right_wrist": {"x": 0, "y": 0, "z": 0.5, "c": 0.9}})
-    assert arm_ray(only_wrist, "right") is None
-    coincident = _frame_with(
-        {
-            "right_shoulder": {"x": 0, "y": 0, "z": 1, "c": 0.9},
-            "right_wrist": {"x": 0, "y": 0, "z": 1, "c": 0.9},
-        }
-    )
-    assert arm_ray(coincident, "right") is None
+    only_wrist = {"right_wrist": {"x": 0.5, "y": 0.5, "z": 0.5, "c": 0.9}}
+    assert _process(only_wrist) == ([], 1)
+    shoulder = {"x": 0.5, "y": 0.5, "z": 1, "c": 0.9}
+    for wrist_z, want in ((1, ([], 1)), (1.005, ([], 1)), (0.98, ([(0.5, 0.5)], 0))):
+        wrist = {"x": 0.5, "y": 0.5, "z": wrist_z, "c": 0.9}
+        assert _process({"right_shoulder": shoulder, "right_wrist": wrist}) == want
 
 
 def test_arm_ray_elbow_pair():
-    frame = _frame_with(
-        {
-            "left_shoulder": {"x": 0, "y": 0, "z": 1.2, "c": 0.9},
-            "left_elbow": {"x": 0, "y": 0, "z": 1.0, "c": 0.9},
-            "left_wrist": {"x": 0, "y": 0, "z": 0.5, "c": 0.9},
-        }
-    )
-    ray = arm_ray(frame, "left", pair="elbow_wrist")
-    assert ray.start == Point3(0, 0, 1.0)
+    joints = {
+        "left_shoulder": {"x": 0.9, "y": 0.9, "z": 1.2, "c": 0.9},
+        "left_elbow": {"x": 0.5, "y": 0.5, "z": 1.0, "c": 0.9},
+        "left_wrist": {"x": 0.5, "y": 0.5, "z": 0.5, "c": 0.9},
+    }
+    assert _process(joints, hand="left", pair="elbow_wrist") == ([(0.5, 0.5)], 0)
+    (u, v), = _process(joints, hand="left")[0]
+    assert u == pytest.approx(0.5 - 0.4 * 0.5 / 0.7) and v == pytest.approx(u)
+    del joints["left_elbow"]
+    assert _process(joints, hand="left", pair="elbow_wrist") == ([], 1)
 
 
 # --- scenarios ------------------------------------------------------------------
@@ -302,11 +310,12 @@ def test_generator_timestamps_step():
 
 def test_noiseless_frames_intersect_exactly_at_target():
     scenario = make_scenario(noise_sigma=0.0)
+    pipe = GesturePipeline(scenario.plane, window=1)
     for frame in generate_scenario(scenario):
-        ray = arm_ray(frame, "right")
-        hit = intersect_ray_plane(ray.start, ray.through, scenario.plane)
-        err = (hit.point - scenario.target).norm()
+        (point,) = pipe.process(frame)
+        err = (from_workplane(point.position, pipe.frame) - scenario.target).norm()
         assert err < 1e-9
+    assert pipe.frames_without_ray == 0
 
 
 def test_vectorized_sampling_matches_generator():
