@@ -36,7 +36,6 @@ from .stabilizer import GesturePoint, RunningAverageStabilizer
 from .stream import (
     GestureScenario,
     KeypointFrame,
-    generate_scenario,
     parse_frame,
     serialize_frame,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "deproject",
     "evaluate_request",
     "from_workplane",
-    "generate_scenario",
     "parse_frame",
     "pick_snap",
     "place_snap",

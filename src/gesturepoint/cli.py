@@ -1,7 +1,8 @@
 """Command-line front end wiring the pipeline end to end.
 
 Subcommands: define-plane, generate, replay, live, sweep, calibrate,
-registry. Exit codes: 0 success, 1 runtime failure (write errors, port bind,
+registry; only generate, sweep and calibrate import ``evaluation`` and numpy.
+Exit codes: 0 success, 1 runtime failure (write errors, port bind,
 non-convergence, registry id conflicts), 2 usage or configuration error (bad
 flags, missing or invalid input files).
 
@@ -33,22 +34,6 @@ import os
 import sys
 
 from . import __version__
-from .evaluation import (
-    DEFAULT_TRIALS_PER_TARGET,
-    EvalError,
-    InvalidParametersError,
-    NonConvergenceError,
-    PICK_DISTANCES,
-    PLACE_SIZES,
-    ScenarioTemplate,
-    calibrate_sigma,
-    emit_report,
-    load_boards,
-    make_board,
-    run_boards,
-    save_boards,
-    template_plane_size,
-)
 from .geometry import (
     GeometryError,
     PlanarPoint,
@@ -82,10 +67,13 @@ from .snap import (
 from .stabilizer import DEFAULT_WINDOW
 from .stream import (
     DEFAULT_MIN_CONFIDENCE,
+    DEFAULT_TRIALS_PER_TARGET,
+    EvalError,
+    InvalidParametersError,
     MalformedRecordError,
+    NonConvergenceError,
     StreamError,
     StreamReader,
-    generate_scenario,
     load_scenario_config,
     parse_intrinsics_header,
     parse_kv_config,
@@ -130,6 +118,8 @@ _ENV_KEY_TYPES = {
     "trials": int, "samples": int, "seed": int, "count": int,
     "threshold": finite_float, "min_confidence": finite_float, "sigma": finite_float,
     "calibrate": finite_float, "target_error": finite_float, "aim_bias": finite_float,
+    "u": finite_float, "v": finite_float, "cu": finite_float, "cv": finite_float,
+    "hu": finite_float, "hv": finite_float,
 }
 
 
@@ -311,6 +301,8 @@ def cmd_define_plane(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .evaluation import generate_scenario
+
     scenario = _load_scenario(args.scenario)
     overrides = {}
     if args.seed is not None:
@@ -400,7 +392,7 @@ def cmd_live(args) -> int:
     return EXIT_OK
 
 
-def _template_from_args(args, sigma: float) -> ScenarioTemplate:
+def _template_from_args(template_cls, args, sigma: float):
     overrides = {}
     if args.n is not None:
         overrides["snap_samples"] = args.n
@@ -412,7 +404,7 @@ def _template_from_args(args, sigma: float) -> ScenarioTemplate:
         scenario = _load_scenario(args.scenario)
         plane = scenario.plane
         frame = workplane_frame(plane)
-        return ScenarioTemplate(
+        return template_cls(
             plane=plane,
             frame=frame,
             shoulder_base=scenario.shoulder_base,
@@ -422,7 +414,7 @@ def _template_from_args(args, sigma: float) -> ScenarioTemplate:
             hand=scenario.hand,
             **overrides,
         )
-    return ScenarioTemplate.desk_default(sigma, **overrides)
+    return template_cls.desk_default(sigma, **overrides)
 
 
 def _parse_l_values(text: str) -> tuple[float, ...]:
@@ -436,6 +428,10 @@ def _parse_l_values(text: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args) -> int:
+    from .evaluation import (PICK_DISTANCES, PLACE_SIZES, ScenarioTemplate, calibrate_sigma,
+                             emit_report, load_boards, make_board, run_boards, save_boards,
+                             template_plane_size)
+
     if args.calibrate is not None and args.sigma is not None:
         raise ConfigError("give either --sigma or --calibrate, not both")
     _positive("--trials", args.trials)
@@ -445,7 +441,7 @@ def cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else 0
     trials = args.trials if args.trials is not None else DEFAULT_TRIALS_PER_TARGET
     sigma = args.sigma if args.sigma is not None else 0.0
-    template = _template_from_args(args, sigma)
+    template = _template_from_args(ScenarioTemplate, args, sigma)
     if args.calibrate is not None:
         calibrated = calibrate_sigma(args.calibrate, template, seed=seed)
         template = dataclasses.replace(template, sigma=calibrated)
@@ -486,7 +482,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    template = _template_from_args(args, 0.0)
+    from .evaluation import ScenarioTemplate, calibrate_sigma
+
+    template = _template_from_args(ScenarioTemplate, args, 0.0)
     sigma = calibrate_sigma(
         args.target_error,
         template,

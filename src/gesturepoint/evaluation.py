@@ -1,6 +1,14 @@
-"""Desk-scale evaluation harness: board layouts, error metrics, seeded
-Monte-Carlo pick/place sweeps over the synthetic generator, and report
-emission.
+"""Desk-scale evaluation harness: the synthetic joint generator, board
+layouts, error metrics, seeded Monte-Carlo pick/place sweeps, calibration
+and report emission. It is the one module that imports numpy.
+
+All synthetic joints come from one sampler, :func:`sample_joint_positions`,
+which draws (trials, frames, 3) shoulder and wrist arrays from a scenario's
+seed. :func:`generate_scenario` streams its trial 0 as KeypointFrames for
+files and live clients; sweeps (``run_boards``) take each trial's arrays
+directly into the array engine, and sigma calibration
+(``mean_intersection_error``) takes one frame from each of many trials, so
+calibration fits the noise the sweeps run on.
 
 All randomness flows from a single base seed through per-trial SeedSequence
 derivations, so every sweep is reproducible byte for byte. Reports are
@@ -8,9 +16,10 @@ emitted as CSV (per-cell aggregates) and JSON (same aggregates plus per-trial
 signed offsets for downstream offset analysis).
 
 Sweeps run an array engine: ``stabilize_trials`` takes every trial's joints
-as (trials, frames, 3) arrays through the per-frame path at once, and
-``run_trial`` snaps and scores each trial through ``evaluate_request``. The
-scalar ``pipeline`` serves live and replay and is the engine's test reference.
+as (trials, frames, 3) arrays through the per-frame path at once, with the
+ray-plane hit of :func:`intersect_rays_plane`, and ``run_trial`` snaps and
+scores each trial through ``evaluate_request``. The scalar ``pipeline``
+serves live and replay and is the engine's test reference.
 
 Calibration note: ``calibrate_sigma`` matches the *raw* per-frame
 intersection error (before any stabilization) against the requested mean
@@ -28,18 +37,20 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .geometry import (
+    ARM_SEPARATION_MIN,
+    DEFAULT_T_MIN,
+    PARALLEL_TOL,
     PlanarPoint,
     Plane,
     Point3,
     WorkplaneFrame,
     corners_in_frame,
     from_workplane,
-    intersect_rays_plane,
     plane_from_corners,
     points_in_bounds,
     workplane_frame,
@@ -60,13 +71,16 @@ from .snap import (
     stability_gate,
 )
 from .stabilizer import DEFAULT_WINDOW
-from .stream import DEFAULT_FRAME_RATE, GestureScenario, sample_joint_positions
+from .stream import (  # re-exports the EvalError family and DEFAULT_TRIALS_PER_TARGET
+    DEFAULT_FRAME_RATE, DEFAULT_TRIALS_PER_TARGET, DimensionMismatchError, EvalError,
+    GestureScenario, InvalidParametersError, JointSample, KeypointFrame, NonConvergenceError,
+    UnsupportedFormatError,
+)
 
 PLANE_SIZE = (0.60, 0.80)
 PICK_DISTANCES = (0.40, 0.30, 0.20, 0.10, 0.08, 0.06, 0.04, 0.02)
 PLACE_SIZES = (0.20, 0.10, 0.05)
 BOARD_MARGIN = 0.10
-DEFAULT_TRIALS_PER_TARGET = 10
 CALIBRATION_REL_TOL = 0.02  # calibrate_sigma stops within this share of the target
 CALIBRATION_MAX_ITER = 60  # bracket doublings, then bisection steps
 
@@ -75,26 +89,6 @@ CSV_COLUMNS = (
     "mean_err_m", "std_err_m", "fallback_pct", "mean_du_m", "mean_dv_m",
     "sigma_m", "seed",
 )
-
-
-class EvalError(ValueError):
-    pass
-
-
-class DimensionMismatchError(EvalError):
-    pass
-
-
-class InvalidParametersError(EvalError):
-    pass
-
-
-class NonConvergenceError(EvalError):
-    pass
-
-
-class UnsupportedFormatError(EvalError):
-    pass
 
 
 def euclidean_error(a: Point3 | PlanarPoint, b: Point3 | PlanarPoint) -> float:
@@ -402,6 +396,83 @@ class SweepReport:
         }
 
 
+# --- synthetic joints and the array ray-plane hit -----------------------------
+
+
+def sample_joint_positions(
+    scenario: GestureScenario, trials: int = 1, frames: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (shoulders, wrists) for ``trials`` independent gestures of
+    ``frames`` frames each (default ``sample_count``), shape (trials, frames, 3).
+
+    This is the only place joints are sampled. The RNG seeded with
+    ``rng_seed`` yields one (trials, 2) block of in-plane aim biases, then one
+    (trials, frames, 2, 3) block of standard normals (shoulder before wrist),
+    so trial 0 is the scenario's stream and ``frames=1`` gives calibration its
+    one raw frame per trial.
+    """
+    frames = scenario.sample_count if frames is None else frames
+    rng = np.random.default_rng(scenario.rng_seed)
+    bias = scenario.aim_bias_sigma * rng.standard_normal((trials, 2))
+    eps = rng.standard_normal((trials, frames, 2, 3))
+    # orthonormal in-plane (u, v) directions for the aim offset
+    plane = scenario.plane
+    n = np.array(plane.normal.as_tuple())
+    e1 = np.array(plane.corners[1].as_tuple()) - np.array(plane.corners[0].as_tuple())
+    e1 = e1 - n * (e1 @ n)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    base = np.array(scenario.shoulder_base.as_tuple())
+    aims = np.array(scenario.target.as_tuple()) + bias[:, :1] * e1 + bias[:, 1:] * e2
+    aim_dirs = aims - base
+    # the ideal wrist sits on the shoulder->aim segment at arm_length
+    ideal = base + aim_dirs * (scenario.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
+    shoulders = base + scenario.noise_sigma * eps[:, :, 0, :]
+    wrists = ideal[:, None, :] + scenario.noise_sigma * eps[:, :, 1, :]
+    return shoulders, wrists
+
+
+def generate_scenario(scenario: GestureScenario) -> Iterator[KeypointFrame]:
+    """Yield the scenario's KeypointFrames (timestamps step by 1/frame_rate):
+    trial 0 of :func:`sample_joint_positions`."""
+    shoulders, wrists = sample_joint_positions(scenario)
+    shoulder_name = f"{scenario.hand}_shoulder"
+    wrist_name = f"{scenario.hand}_wrist"
+    for k, (shoulder, wrist) in enumerate(zip(shoulders[0].tolist(), wrists[0].tolist())):
+        yield KeypointFrame(
+            timestamp=k / scenario.frame_rate,
+            joints={
+                shoulder_name: JointSample(Point3(*shoulder), 1.0),
+                wrist_name: JointSample(Point3(*wrist), 1.0),
+            },
+            source_id=scenario.source_id,
+        )
+
+
+def intersect_rays_plane(
+    shoulders: np.ndarray, wrists: np.ndarray, plane: Plane
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extend each shoulder->wrist ray over (..., 3) joints onto the plane.
+
+    The scaling factor is ``t = -(<n, shoulder> + d) / <n, wrist - shoulder>``
+    and the hit ``shoulder + t * (wrist - shoulder)``. A ray misses when its
+    joints lie within ``ARM_SEPARATION_MIN``, it runs parallel to the plane
+    (``PARALLEL_TOL``) or the hit would lie behind the wrist
+    (t < ``DEFAULT_T_MIN``). Returns the hit points (NaN where a ray misses)
+    and the mask of rays that hit."""
+    n = np.array(plane.normal.as_tuple())
+    dirs = wrists - shoulders
+    lengths = np.linalg.norm(dirs, axis=-1)
+    denom = dirs @ n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit_dot = np.abs(denom) / lengths
+        t = -(shoulders @ n + plane.d) / denom
+        hits = shoulders + t[..., None] * dirs
+    valid = (lengths > ARM_SEPARATION_MIN) & (unit_dot >= PARALLEL_TOL) & (t >= DEFAULT_T_MIN)
+    return np.where(valid[..., None], hits, np.nan), valid
+
+
+
 def _derived_seed(base_seed: int, *path: int) -> int:
     ss = np.random.SeedSequence([int(base_seed), *[int(p) for p in path]])
     return int(ss.generate_state(1, np.uint64)[0])
@@ -603,7 +674,7 @@ def mean_intersection_error(
 
     This is the ensemble error over trials: each sample is the one frame of
     its own trial from the generator's sampler
-    (:func:`~gesturepoint.stream.sample_joint_positions`), with its own aim
+    (:func:`sample_joint_positions`), with its own aim
     bias (when the template has one) and joint noise. Frames whose ray misses
     the plane (parallel, or hit not beyond the wrist) are excluded from the
     mean.

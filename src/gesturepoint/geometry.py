@@ -1,5 +1,5 @@
-"""Pure geometric core: plane construction, pinhole (de)projection, the
-array ray-plane intersection of the sweeps and workplane frame transforms.
+"""Pure geometric core: plane construction, pinhole (de)projection and
+workplane frame transforms, on the standard library alone.
 
 Conventions
 -----------
@@ -16,10 +16,10 @@ Conventions
   on the plane get (u, v, z_residual) coordinates with z_residual ~ 0.
 
 Everything in this module is a pure function over immutable values. The
-ray-plane hit has two implementations: :func:`intersect_rays_plane` over
-arrays for the sweeps and calibration, and the float arithmetic of
+ray-plane hit lives outside it, twice: ``evaluation.intersect_rays_plane``
+over arrays for the sweeps, and the float arithmetic of
 ``pipeline.GesturePipeline.process`` for live and replay; the tests hold each
-to the other. The bounds test takes floats and arrays alike.
+to the other. The bounds test takes floats and numpy arrays alike.
 
 Numbers are checked once, where they enter from outside; values built inside
 the package are trusted, so ``Point3``, ``Vec3`` and ``PlanarPoint`` check
@@ -36,9 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Default tolerances (meters unless noted).
 PLANARITY_TOL = 0.005          # 4th-corner residual allowed off the plane
@@ -276,12 +277,13 @@ class Plane:
 
     def _corners_2d(self) -> list[tuple[float, float]]:
         # project onto an arbitrary in-plane basis, enough for the simplicity check
-        e1 = (self.corners[1] - self.corners[0]).normalized()
+        o = self.corners[0]
+        e1 = (self.corners[1] - o).normalized()
         e2 = self.normal.cross(e1)
         out = []
         for c in self.corners:
-            w = c - self.corners[0]
-            out.append((w.dot(e1), w.dot(e2)))
+            wx, wy, wz = c.x - o.x, c.y - o.y, c.z - o.z  # w.dot(e) on floats, same order
+            out.append((wx * e1.x + wy * e1.y + wz * e1.z, wx * e2.x + wy * e2.y + wz * e2.z))
         return out
 
 
@@ -318,10 +320,11 @@ def plane_from_corners(
     """Build an oriented plane from 3 or 4 corner points.
 
     The normal comes from the cross product of the first two edges and the
-    offset from the third corner. A 4th corner is validated against the plane
-    (within ``PLANARITY_TOL``) and then snapped onto it; with only 3 corners
-    the 4th is completed as ``P1 + (P3 - P2)``. ``viewpoint``, when given,
-    decides the normal sign (normal faces the viewer).
+    offset from the third corner. A 4th corner is validated as given, by the
+    one planarity test in :class:`Plane` (within ``PLANARITY_TOL``), and then
+    snapped onto the plane; with only 3 corners the 4th is completed as
+    ``P1 + (P3 - P2)``. ``viewpoint``, when given, decides the normal sign
+    (normal faces the viewer).
     """
     if len(corners) not in (3, 4):
         raise GeometryError(f"expected 3 or 4 corners, got {len(corners)}")
@@ -331,18 +334,14 @@ def plane_from_corners(
         raise CollinearCornersError("corners 1-3 are collinear (degenerate cross product)")
     n = _orient_normal(cross.normalized(), p1, viewpoint)
     d = -(n.x * p3.x + n.y * p3.y + n.z * p3.z)
-    if len(corners) == 4:
-        p4 = corners[3]
-        residual = n.x * p4.x + n.y * p4.y + n.z * p4.z + d
-        if abs(residual) > PLANARITY_TOL:
-            raise NonPlanarCornerError(
-                f"corner 4 lies {abs(residual):.4f} m off the plane "
-                f"(tolerance {PLANARITY_TOL} m)"
-            )
-        p4 = p4 + n * (-residual)  # snap onto the plane so stored corners are exact
-    else:
-        p4 = p1 + (p3 - p2)
-    return Plane(normal=n, d=d, corners=(p1, p2, p3, p4))
+    if len(corners) == 3:
+        return Plane(normal=n, d=d, corners=(p1, p2, p3, p1 + (p3 - p2)))
+    p4 = corners[3]
+    plane = Plane(normal=n, d=d, corners=(p1, p2, p3, p4))
+    # the checks passed on the corner as given; store it snapped onto the plane
+    # so the stored corners are exact, without running them a second time
+    object.__setattr__(plane, "corners", (p1, p2, p3, p4 + n * (-plane.signed_distance(p4))))
+    return plane
 
 
 def deproject(pixel: tuple[float, float], depth: float, intr: CameraIntrinsics) -> Point3:
@@ -369,29 +368,6 @@ def project(point: Point3, intr: CameraIntrinsics) -> tuple[float, float]:
         intr.fx * point.x / point.z + intr.cx,
         intr.fy * point.y / point.z + intr.cy,
     )
-
-
-def intersect_rays_plane(
-    shoulders: np.ndarray, wrists: np.ndarray, plane: Plane
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extend each shoulder->wrist ray over (..., 3) joints onto the plane.
-
-    The scaling factor is ``t = -(<n, shoulder> + d) / <n, wrist - shoulder>``
-    and the hit ``shoulder + t * (wrist - shoulder)``. A ray misses when its
-    joints lie within ``ARM_SEPARATION_MIN``, it runs parallel to the plane
-    (``PARALLEL_TOL``) or the hit would lie behind the wrist
-    (t < ``DEFAULT_T_MIN``). Returns the hit points (NaN where a ray misses)
-    and the mask of rays that hit."""
-    n = np.array(plane.normal.as_tuple())
-    dirs = wrists - shoulders
-    lengths = np.linalg.norm(dirs, axis=-1)
-    denom = dirs @ n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit_dot = np.abs(denom) / lengths
-        t = -(shoulders @ n + plane.d) / denom
-        hits = shoulders + t[..., None] * dirs
-    valid = (lengths > ARM_SEPARATION_MIN) & (unit_dot >= PARALLEL_TOL) & (t >= DEFAULT_T_MIN)
-    return np.where(valid[..., None], hits, np.nan), valid
 
 
 def workplane_frame(plane: Plane, origin_corner: int = 0, x_corner: int = 1) -> WorkplaneFrame:

@@ -1,7 +1,8 @@
 """The per-frame path of live and replay: arm ray -> plane intersection ->
 workplane transform -> stabilizer. ``GesturePipeline.process`` runs the
-geometry on floats, from plane and frame constants taken once per pipeline;
-``evaluation.stabilize_trials`` is its array twin for the sweeps. One
+geometry on floats, from plane and frame constants taken once per pipeline,
+and loads no numpy; ``evaluation.stabilize_trials``, with
+``evaluation.intersect_rays_plane``, is its array twin for the sweeps. One
 pipeline instance per session/trial; state is the per-hand stabilizer
 buffers plus a short history of stabilized points for snap requests.
 ``PipelineSettings`` holds the resolved configuration that replay and live

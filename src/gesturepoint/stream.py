@@ -1,15 +1,10 @@
-"""Skeleton-frame data model, JSONL ingestion and the synthetic noisy-gesture
-generator. A frame's pointing ray runs from a shoulder or elbow (``PAIRS``)
-through the wrist of one of ``HANDS``; ``pipeline.GesturePipeline.process``
-reads it from the frame's joints.
+"""Skeleton-frame data model, JSONL ingestion and the configuration of the
+synthetic noisy gesture. A frame's pointing ray runs from a shoulder or elbow
+(``PAIRS``) through the wrist of one of ``HANDS``;
+``pipeline.GesturePipeline.process`` reads it from the frame's joints.
 
-All synthetic joints come from one sampler, :func:`sample_joint_positions`,
-which draws (trials, frames, 3) shoulder and wrist arrays from a scenario's
-seed. :func:`generate_scenario` streams its trial 0 as KeypointFrames for
-files and live clients; sweeps (``evaluation.run_boards``) take each trial's
-arrays directly into the array engine, and sigma calibration
-(``evaluation.mean_intersection_error``) takes one frame from each of many
-trials, so calibration fits the noise the sweeps run on.
+The numpy generator of a :class:`GestureScenario`'s joints lives in
+``evaluation`` (``sample_joint_positions``, ``generate_scenario``).
 
 Wire format (one JSON object per line, coordinates in meters, camera frame):
 
@@ -53,8 +48,6 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .geometry import (
     MAX_JOINT_COORD,
     PLANARITY_TOL,
@@ -88,6 +81,31 @@ class MalformedRecordError(StreamError):
 
 
 class TargetUnreachableError(StreamError):
+    pass
+
+
+# evaluation's errors and trial default, here so that the CLI maps exit codes
+# and prints its help without importing evaluation (and numpy)
+DEFAULT_TRIALS_PER_TARGET = 10
+
+
+class EvalError(ValueError):
+    pass
+
+
+class DimensionMismatchError(EvalError):
+    pass
+
+
+class InvalidParametersError(EvalError):
+    pass
+
+
+class NonConvergenceError(EvalError):
+    pass
+
+
+class UnsupportedFormatError(EvalError):
     pass
 
 
@@ -310,56 +328,6 @@ class GestureScenario:
                 f"arm_length {self.arm_length} m reaches past the target "
                 f"({reach:.4f} m away); the wrist would overshoot the plane"
             )
-
-
-def sample_joint_positions(
-    scenario: GestureScenario, trials: int = 1, frames: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (shoulders, wrists) for ``trials`` independent gestures of
-    ``frames`` frames each (default ``sample_count``), shape (trials, frames, 3).
-
-    This is the only place joints are sampled. The RNG seeded with
-    ``rng_seed`` yields one (trials, 2) block of in-plane aim biases, then one
-    (trials, frames, 2, 3) block of standard normals (shoulder before wrist),
-    so trial 0 is the scenario's stream and ``frames=1`` gives calibration its
-    one raw frame per trial.
-    """
-    frames = scenario.sample_count if frames is None else frames
-    rng = np.random.default_rng(scenario.rng_seed)
-    bias = scenario.aim_bias_sigma * rng.standard_normal((trials, 2))
-    eps = rng.standard_normal((trials, frames, 2, 3))
-    # orthonormal in-plane (u, v) directions for the aim offset
-    plane = scenario.plane
-    n = np.array(plane.normal.as_tuple())
-    e1 = np.array(plane.corners[1].as_tuple()) - np.array(plane.corners[0].as_tuple())
-    e1 = e1 - n * (e1 @ n)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    base = np.array(scenario.shoulder_base.as_tuple())
-    aims = np.array(scenario.target.as_tuple()) + bias[:, :1] * e1 + bias[:, 1:] * e2
-    aim_dirs = aims - base
-    # the ideal wrist sits on the shoulder->aim segment at arm_length
-    ideal = base + aim_dirs * (scenario.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
-    shoulders = base + scenario.noise_sigma * eps[:, :, 0, :]
-    wrists = ideal[:, None, :] + scenario.noise_sigma * eps[:, :, 1, :]
-    return shoulders, wrists
-
-
-def generate_scenario(scenario: GestureScenario) -> Iterator[KeypointFrame]:
-    """Yield the scenario's KeypointFrames (timestamps step by 1/frame_rate):
-    trial 0 of :func:`sample_joint_positions`."""
-    shoulders, wrists = sample_joint_positions(scenario)
-    shoulder_name = f"{scenario.hand}_shoulder"
-    wrist_name = f"{scenario.hand}_wrist"
-    for k, (shoulder, wrist) in enumerate(zip(shoulders[0].tolist(), wrists[0].tolist())):
-        yield KeypointFrame(
-            timestamp=k / scenario.frame_rate,
-            joints={
-                shoulder_name: JointSample(Point3(*shoulder), 1.0),
-                wrist_name: JointSample(Point3(*wrist), 1.0),
-            },
-            source_id=scenario.source_id,
-        )
 
 
 def write_stream(path: str | os.PathLike, frames: Iterable[KeypointFrame]) -> int:

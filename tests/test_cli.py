@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -507,6 +509,39 @@ def test_env_config_hand_applies(tmp_path, monkeypatch):
     assert out.read_text(encoding="utf-8") == ""  # stream is right-handed, config says left
 
 
+_REGISTRY_FLOAT_KEYS = {"add-target": ("u", "v"), "add-area": ("cu", "cv", "hu", "hv")}
+
+
+@pytest.mark.parametrize("action", sorted(_REGISTRY_FLOAT_KEYS))
+def test_env_config_registry_float_keys_apply(tmp_path, monkeypatch, action):
+    layout = tmp_path / "layout.json"
+    run_cli(["registry", "init", "--file", str(layout)])
+    keys = _REGISTRY_FLOAT_KEYS[action]
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("".join(f"{key} = 0.1\n" for key in keys), encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    assert run_cli(["registry", action, "--file", str(layout), "--id", "e1"]) == 0
+    doc = json.loads(layout.read_text(encoding="utf-8"))
+    (entry,) = doc["targets"] if action == "add-target" else doc["areas"]
+    assert {key: entry[key] for key in keys} == dict.fromkeys(keys, 0.1)
+
+
+@non_finite
+@pytest.mark.parametrize("key", [k for keys in _REGISTRY_FLOAT_KEYS.values() for k in keys])
+def test_env_config_registry_key_with_non_finite_value_exits_2(tmp_path, monkeypatch, capsys, key, bad):
+    layout = tmp_path / "layout.json"
+    run_cli(["registry", "init", "--file", str(layout)])
+    before = layout.read_bytes()
+    action = next(a for a, keys in _REGISTRY_FLOAT_KEYS.items() if key in keys)
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("".join(f"{k} = {bad if k == key else 0.1!r}\n"
+                           for k in _REGISTRY_FLOAT_KEYS[action]), encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    assert run_cli(["registry", action, "--file", str(layout), "--id", "e1"]) == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+    assert layout.read_bytes() == before
+
+
 # --- usage errors ------------------------------------------------------------------
 
 
@@ -870,3 +905,50 @@ def test_readme_library_surface_imports_resolve():
     imports = [node for node in ast.parse(block).body if isinstance(node, ast.ImportFrom)]
     assert any(node.module == "gesturepoint" for node in imports)
     exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+# --- the streaming side runs on the standard library ---------------------------------
+
+_STREAMING_SIDE = """
+import json, sys
+import gesturepoint, gesturepoint.cli, gesturepoint.live
+from gesturepoint.cli import _load_registries, load_plane_file, main
+from gesturepoint.live import LiveSession, PipelineSettings
+
+d, frame_line = sys.argv[1], sys.argv[2]
+codes = [
+    main(["define-plane", "--corners", f"{d}/corners.json", "--out", f"{d}/plane.json"]),
+    main(["registry", "init", "--file", f"{d}/layout.json"]),
+    main(["registry", "add-target", "--file", f"{d}/layout.json", "--id", "t1",
+          "--u", "0.3", "--v", "0.3"]),
+    main(["registry", "list", "--file", f"{d}/layout.json"]),
+    main(["replay", "--plane", f"{d}/plane.json", "--stream", f"{d}/stream.jsonl",
+          "--out", f"{d}/out.jsonl"]),
+]
+plane, frame, _, _ = load_plane_file(f"{d}/plane.json")
+session = LiveSession(PipelineSettings(plane=plane, frame=frame),
+                      *_load_registries(f"{d}/layout.json"))
+replies = session.handle_line(frame_line)
+replies += session.handle_line('{"cmd": "snap", "strategy": "pick", "n": 1}')
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+print(json.dumps({"codes": codes, "replies": replies, "numpy": loaded}))
+"""
+
+
+def test_streaming_side_never_imports_numpy(tmp_path):
+    """Importing the package, its CLI and live modules, and running define-plane,
+    registry, a one-frame replay and a live session's frame and snap lines
+    loads no numpy: only generate, sweep and calibrate need it."""
+    write_corner_file(tmp_path / "corners.json", desk_corners())
+    frame_line = json.dumps(wrist_frame("c", 0.9))
+    (tmp_path / "stream.jsonl").write_text(frame_line + "\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, "-c", _STREAMING_SIDE, str(tmp_path), frame_line],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert len(read_jsonl(tmp_path / "out.jsonl")) == 1
+    point, snap = (json.loads(r) for r in result["replies"])
+    assert (point["u"], point["v"]) == pytest.approx((0.3, 0.3))
+    assert snap["ok"] and snap["id"] == "t1"
+    assert result["numpy"] == []

@@ -29,6 +29,7 @@ from gesturepoint.evaluation import (
     desk_plane,
     emit_report,
     euclidean_error,
+    generate_scenario,
     make_board,
     mean_intersection_error,
     run_boards,
@@ -51,7 +52,7 @@ from gesturepoint.geometry import (
 )
 from gesturepoint.pipeline import HISTORY_CAPACITY, GesturePipeline
 from gesturepoint.snap import DEFAULT_STABILITY_THRESHOLD, SnapRequest, evaluate_request, stability_gate
-from gesturepoint.stream import JointSample, KeypointFrame, generate_scenario
+from gesturepoint.stream import JointSample, KeypointFrame
 
 
 # --- error metric ------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gesturepoint.evaluation import intersect_rays_plane
 from gesturepoint.geometry import (
     BehindCameraError,
     CameraIntrinsics,
@@ -29,7 +30,6 @@ from gesturepoint.geometry import (
     corners_in_frame,
     deproject,
     from_workplane,
-    intersect_rays_plane,
     plane_from_corners,
     point_in_bounds,
     points_in_bounds,

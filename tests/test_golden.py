@@ -15,6 +15,7 @@ from gesturepoint.evaluation import (
     _derived_seed,
     calibrate_sigma,
     emit_report,
+    generate_scenario,
     make_board,
     mean_intersection_error,
     run_pick_sweep,
@@ -24,7 +25,7 @@ from gesturepoint.evaluation import (
 from gesturepoint.geometry import Point3, Quaternion, from_workplane, plane_from_corners, workplane_frame
 from gesturepoint.live import gesture_point_record
 from gesturepoint.pipeline import GesturePipeline, PipelineSettings
-from gesturepoint.stream import JointSample, KeypointFrame, generate_scenario
+from gesturepoint.stream import JointSample, KeypointFrame
 
 
 @pytest.mark.parametrize(

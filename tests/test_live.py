@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from conftest import INTRINSICS, desk_corners, make_plane_file, run_cli, wrist_frame, write_scenario_file
 from gesturepoint.cli import load_plane_file
+from gesturepoint.evaluation import generate_scenario
 from gesturepoint.live import LiveServer, LiveSession, PipelineSettings
 from gesturepoint.geometry import PlanarPoint, plane_from_corners, workplane_frame
 from gesturepoint.snap import Area, AreaRegistry, Target, TargetRegistry
-from gesturepoint.stream import serialize_frame, generate_scenario, load_scenario_config
+from gesturepoint.stream import serialize_frame, load_scenario_config
 
 
 def make_settings(tmp_path) -> PipelineSettings:

@@ -17,7 +17,12 @@ from conftest import (
     wrist_frame,
     write_scenario_file,
 )
-from gesturepoint.evaluation import ScenarioTemplate, mean_intersection_error
+from gesturepoint.evaluation import (
+    ScenarioTemplate,
+    generate_scenario,
+    mean_intersection_error,
+    sample_joint_positions,
+)
 from gesturepoint.geometry import (
     CameraIntrinsics,
     Point3,
@@ -35,12 +40,10 @@ from gesturepoint.stream import (
     StreamError,
     StreamReader,
     TargetUnreachableError,
-    generate_scenario,
     load_scenario_config,
     parse_frame,
     parse_intrinsics_header,
     parse_triplet,
-    sample_joint_positions,
     serialize_frame,
     write_stream,
 )
