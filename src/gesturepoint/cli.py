@@ -7,10 +7,11 @@ non-convergence, registry id conflicts), 2 usage or configuration error (bad
 flags, missing or invalid input files).
 
 The environment variable GESTURE_POINTER_CONFIG may name a flat
-``key = value`` file supplying defaults for any long flag (dashes become
-underscores, e.g. ``min_confidence = 0.4``); explicit flags win. Float flags
-and float keys go through :func:`finite_float`, so ``nan`` or ``inf`` is a
-usage error (exit 2).
+``key = value`` file supplying defaults for the chosen subcommand's optional
+flags that take a value (dashes become underscores, e.g.
+``min_confidence = 0.4``); explicit flags win, and other keys are ignored.
+Each value goes through its flag's own type and choices, so ``nan``, ``inf``
+or an unknown choice is a usage error (exit 2) from either source.
 
 Plane file format (written by define-plane, read by --plane):
 
@@ -61,11 +62,12 @@ from .snap import (
     UnknownIdError,
     evaluate_request,
     layout_document,
-    load_layout,
+    parse_layout,
     save_layout,
 )
 from .stabilizer import DEFAULT_WINDOW
 from .stream import (
+    DEFAULT_CALIBRATION_SAMPLES,
     DEFAULT_MIN_CONFIDENCE,
     DEFAULT_TRIALS_PER_TARGET,
     EvalError,
@@ -103,31 +105,19 @@ _CONFIG_EXCEPTIONS = (
 
 
 def finite_float(text: str) -> float:
-    """The one parser of float flags and float env-config keys: NaN and
-    infinities raise ValueError, so argparse and the env config exit 2."""
+    """The type of every float flag, which config values go through too: NaN
+    and infinities raise ValueError, so either source exits 2."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-_ENV_KEY_TYPES = {
-    "plane": str, "frame": str, "hand": str, "pair": str, "registry": str,
-    "out": str, "scenario": str, "group": str, "listen": str,
-    "n": int, "window": int, "origin_corner": int, "x_corner": int,
-    "trials": int, "samples": int, "seed": int, "count": int,
-    "threshold": finite_float, "min_confidence": finite_float, "sigma": finite_float,
-    "calibrate": finite_float, "target_error": finite_float, "aim_bias": finite_float,
-    "u": finite_float, "v": finite_float, "cu": finite_float, "cv": finite_float,
-    "hu": finite_float, "hv": finite_float,
-}
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -145,15 +135,12 @@ def _read_json(path: str) -> dict:
 def _load_scenario(path: str):
     try:
         return load_scenario_config(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_layout(path: str):
-    try:
-        return load_layout(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return parse_layout(_read_json(path))
 
 
 def _load_registries(path: str | None) -> tuple[TargetRegistry, AreaRegistry]:
@@ -252,6 +239,8 @@ def _settings_from_args(args) -> PipelineSettings:
         raise ConfigError(f"--n must be in 1..{HISTORY_CAPACITY}, got {args.n}")
     _positive("--threshold", args.threshold)
     _positive("--window", args.window)
+    if args.window is not None and args.window > sys.maxsize:  # the stabilizer's deque bound
+        raise ConfigError(f"--window must be at most {sys.maxsize}, got {args.window}")
     if args.min_confidence is not None and not 0 <= args.min_confidence <= 1:
         raise ConfigError(f"--min-confidence must be in [0, 1], got {args.min_confidence}")
     # only the flags given override the PipelineSettings defaults
@@ -261,7 +250,7 @@ def _settings_from_args(args) -> PipelineSettings:
         "snap_samples": args.n,
         "threshold": args.threshold,
         "window": args.window,
-        "group": getattr(args, "group", None),
+        "group": args.group,
     }
     if args.hand:
         given["hands"] = ("left", "right") if args.hand == "both" else (args.hand,)
@@ -286,10 +275,8 @@ def cmd_define_plane(args) -> int:
         plane = plane_from_corners(corners, viewpoint)
     except GeometryError as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
-    origin_corner = args.origin_corner if args.origin_corner is not None else 0
-    x_corner = args.x_corner if args.x_corner is not None else 1
-    frame = workplane_frame(plane, origin_corner, x_corner)
-    save_plane_file(args.out, plane, frame, origin_corner, x_corner)
+    frame = workplane_frame(plane, args.origin_corner, args.x_corner)
+    save_plane_file(args.out, plane, frame, args.origin_corner, args.x_corner)
     q = frame.orientation
     print(f"normal = ({plane.normal.x:.6f}, {plane.normal.y:.6f}, {plane.normal.z:.6f})")
     print(f"d = {plane.d:.6f} m")
@@ -322,6 +309,9 @@ def cmd_replay(args) -> int:
     if args.snap and not args.registry:
         raise ConfigError("--snap needs --registry FILE")
     targets, areas = _load_registries(args.registry if args.snap else None)
+    pool, kind = (targets, "targets") if args.snap == "pick" else (areas, "areas")
+    if args.snap and not pool.snapshot():
+        raise ConfigError(f"{args.registry}: no {kind} registered for --snap {args.snap}")
     accepted: dict[str, int] = {hand: 0 for hand in settings.hands}
     frames = 0
     points_written = 0
@@ -330,7 +320,8 @@ def cmd_replay(args) -> int:
         stream = open(args.stream, "r", encoding="utf-8", errors="replace")
     except OSError as exc:
         raise ConfigError(f"cannot read {args.stream}: {exc}") from exc
-    reader = StreamReader(stream, skip_malformed=True)
+    reader = StreamReader(stream, skip_malformed=True,
+                          on_warning=lambda message: print(f"warning: {message}", file=sys.stderr))
     # line buffering: whole records reach the file even on interruption
     with stream, open(args.out, "w", encoding="utf-8", buffering=1) as out:
         for frame in reader:
@@ -360,8 +351,6 @@ def cmd_replay(args) -> int:
                             },
                         }
                         out.write(json.dumps(record, separators=(",", ":")) + "\n")
-    for message in reader.warnings:
-        print(f"warning: {message}", file=sys.stderr)
     warnings = reader.malformed + reader.nonmonotonic + pipe.frames_without_ray
     print(f"frames={frames} points={points_written} warnings={warnings}", file=sys.stderr)
     return EXIT_OK
@@ -370,15 +359,12 @@ def cmd_replay(args) -> int:
 def cmd_live(args) -> int:
     settings = _settings_from_args(args)
     targets, areas = _load_registries(args.registry)
-    listen = args.listen or "127.0.0.1:0"
-    host, sep, port_text = listen.rpartition(":")
+    host, sep, port_text = args.listen.rpartition(":")
     if not sep:
-        raise ConfigError(f"--listen expects HOST:PORT, got {listen!r}")
-    try:
-        port = int(port_text)
-    except ValueError as exc:
-        raise ConfigError(f"bad port {port_text!r}") from exc
-    server = LiveServer(host or "127.0.0.1", port, settings, targets, areas)
+        raise ConfigError(f"--listen expects HOST:PORT, got {args.listen!r}")
+    if not (len(port_text) <= 5 and port_text.isdecimal() and int(port_text) <= 65535):
+        raise ConfigError(f"bad port {port_text!r}")
+    server = LiveServer(host or "127.0.0.1", int(port_text), settings, targets, areas)
     bound_host, bound_port = server.address
     try:
         # the ready line is printed inside the try so an interrupt any time
@@ -398,7 +384,7 @@ def _template_from_args(template_cls, args, sigma: float):
         overrides["snap_samples"] = args.n
     if args.threshold is not None:
         overrides["stability_threshold"] = args.threshold
-    if getattr(args, "aim_bias", None) is not None:
+    if args.aim_bias is not None:
         overrides["aim_bias_sigma"] = args.aim_bias
     if args.scenario:
         scenario = _load_scenario(args.scenario)
@@ -438,12 +424,9 @@ def cmd_sweep(args) -> int:
     _positive("--threshold", args.threshold)
     if args.sigma is not None and args.sigma < 0:
         raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
-    seed = args.seed if args.seed is not None else 0
-    trials = args.trials if args.trials is not None else DEFAULT_TRIALS_PER_TARGET
-    sigma = args.sigma if args.sigma is not None else 0.0
-    template = _template_from_args(ScenarioTemplate, args, sigma)
+    template = _template_from_args(ScenarioTemplate, args, args.sigma or 0.0)
     if args.calibrate is not None:
-        calibrated = calibrate_sigma(args.calibrate, template, seed=seed)
+        calibrated = calibrate_sigma(args.calibrate, template, seed=args.seed)
         template = dataclasses.replace(template, sigma=calibrated)
     size = template_plane_size(template)
     if args.board:
@@ -463,16 +446,15 @@ def cmd_sweep(args) -> int:
         boards = [make_board("place_areas", l, plane_size=size) for l in sizes]
     else:
         boards = [make_board("quantitative_10", plane_size=size)]
-    report = run_boards(template, boards, trials, seed)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    report = run_boards(template, boards, args.trials, args.seed)
+    os.makedirs(args.out, exist_ok=True)
     paths = []
     for fmt in ("csv", "json"):
-        path = os.path.join(out_dir, f"{report.kind}_report.{fmt}")
+        path = os.path.join(args.out, f"{report.kind}_report.{fmt}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(emit_report(report, fmt))
         paths.append(path)
-    boards_path = os.path.join(out_dir, f"{report.kind}_boards.json")
+    boards_path = os.path.join(args.out, f"{report.kind}_boards.json")
     save_boards(boards_path, boards)
     paths.append(boards_path)
     print(f"sigma_m={template.sigma:.6f}", file=sys.stderr)
@@ -485,12 +467,7 @@ def cmd_calibrate(args) -> int:
     from .evaluation import ScenarioTemplate, calibrate_sigma
 
     template = _template_from_args(ScenarioTemplate, args, 0.0)
-    sigma = calibrate_sigma(
-        args.target_error,
-        template,
-        samples=args.samples if args.samples is not None else 10_000,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    sigma = calibrate_sigma(args.target_error, template, samples=args.samples, seed=args.seed)
     print(f"{sigma:.6f}")
     return EXIT_OK
 
@@ -577,12 +554,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command")
+    parser.set_defaults(commands=sub.choices)
 
     p = sub.add_parser("define-plane", help="build a workplane file from corner points")
     p.add_argument("--corners", required=True, help="corner JSON file (3D or pixel+depth)")
     p.add_argument("--out", required=True, help="plane file to write")
-    p.add_argument("--origin-corner", dest="origin_corner", type=int, help="frame origin corner (default 0)")
-    p.add_argument("--x-corner", dest="x_corner", type=int, help="frame x-axis corner (default 1)")
+    p.add_argument("--origin-corner", dest="origin_corner", type=int, default=0,
+                   help="frame origin corner (default %(default)s)")
+    p.add_argument("--x-corner", dest="x_corner", type=int, default=1,
+                   help="frame x-axis corner (default %(default)s)")
     p.add_argument("--viewpoint", help="orient the normal toward this point, 'x,y,z'")
     p.set_defaults(func=cmd_define_plane)
 
@@ -604,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("live", help="serve the line protocol over TCP")
     _add_pipeline_flags(p)
-    p.add_argument("--listen", help="HOST:PORT to bind (default 127.0.0.1:0)")
+    p.add_argument("--listen", default="127.0.0.1:0", help="HOST:PORT to bind (default %(default)s)")
     p.add_argument("--registry", help="targets/areas JSON file")
     p.add_argument("--group", help="default target group filter")
     p.set_defaults(func=cmd_live)
@@ -616,9 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-trial aim bias sigma in meters (default 0)")
     p.add_argument("--calibrate", type=finite_float, metavar="ERROR_M",
                    help="calibrate sigma to this mean intersection error first")
-    p.add_argument("--trials", type=int,
-                   help=f"trials per target (default {DEFAULT_TRIALS_PER_TARGET})")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_PER_TARGET,
+                   help="trials per target (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
     p.add_argument("--distances", help="comma-separated pick square sides in meters")
     p.add_argument("--sizes", help="comma-separated place area sides in meters")
     p.add_argument("--board", help="board layout JSON file replacing the generated series")
@@ -626,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help=f"snap sample count (default {DEFAULT_SAMPLE_COUNT})")
     p.add_argument("--threshold", type=finite_float,
                    help=f"stability threshold (default {DEFAULT_STABILITY_THRESHOLD})")
-    p.add_argument("--out", help="report directory (default .)")
+    p.add_argument("--out", default=".", help="report directory (default %(default)s)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate", help="find the sigma matching a target mean error")
@@ -635,8 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
     p.add_argument("--aim-bias", dest="aim_bias", type=finite_float,
                    help="per-trial aim bias sigma held fixed during calibration")
-    p.add_argument("--samples", type=int, help="Monte-Carlo samples per evaluation (default 10000)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p.add_argument("--samples", type=int, default=DEFAULT_CALIBRATION_SAMPLES,
+                   help="Monte-Carlo samples per evaluation (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
     p.add_argument("--n", type=int, help=argparse.SUPPRESS)
     p.add_argument("--threshold", type=finite_float, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_calibrate)
@@ -660,23 +641,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_env_config(args: argparse.Namespace) -> None:
+def _config_defaults(command: argparse.ArgumentParser) -> dict:
+    """The config file's values for ``command``'s optional flags that take a
+    value, each converted and checked by the flag's own type and choices."""
     path = os.environ.get(ENV_CONFIG)
     if not path:
-        return
+        return {}
     try:
         cfg = parse_kv_config(_read_text(path))
     except StreamError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # positionals, switches (nargs 0) and required flags take nothing from the file
+    actions = {action.dest: action for action in command._actions
+               if action.option_strings and action.nargs != 0 and not action.required}
+    defaults = {}
     for key, raw in cfg.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest) or getattr(args, dest) is not None:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             continue
-        caster = _ENV_KEY_TYPES.get(dest, str)
         try:
-            setattr(args, dest, caster(raw))
+            value = action.type(raw) if action.type else raw
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{raw!r} is not one of {', '.join(action.choices)}")
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
+        defaults[action.dest] = value
+    return defaults
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -686,7 +676,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        _apply_env_config(args)
+        command = args.commands[args.command]
+        command.set_defaults(**_config_defaults(command))
+        args = parser.parse_args(argv)  # again, so that explicit flags override the file
         return args.func(args)
     except _CONFIG_EXCEPTIONS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,10 +71,10 @@ from .snap import (
     stability_gate,
 )
 from .stabilizer import DEFAULT_WINDOW
-from .stream import (  # re-exports the EvalError family and DEFAULT_TRIALS_PER_TARGET
-    DEFAULT_FRAME_RATE, DEFAULT_TRIALS_PER_TARGET, DimensionMismatchError, EvalError,
-    GestureScenario, InvalidParametersError, JointSample, KeypointFrame, NonConvergenceError,
-    UnsupportedFormatError,
+from .stream import (  # re-exports the EvalError family and the sample-count defaults
+    DEFAULT_CALIBRATION_SAMPLES, DEFAULT_FRAME_RATE, DEFAULT_TRIALS_PER_TARGET,
+    DimensionMismatchError, EvalError, GestureScenario, InvalidParametersError, JointSample,
+    KeypointFrame, NonConvergenceError, UnsupportedFormatError,
 )
 
 PLANE_SIZE = (0.60, 0.80)
@@ -666,7 +666,7 @@ def mean_intersection_error(
     target_world: Point3,
     sigma: float,
     *,
-    samples: int = 10_000,
+    samples: int = DEFAULT_CALIBRATION_SAMPLES,
     seed: int = 0,
 ) -> float:
     """Mean Euclidean error of raw per-frame ray-plane intersections against
@@ -693,7 +693,7 @@ def calibrate_sigma(
     template: ScenarioTemplate,
     target_world: Point3 | None = None,
     *,
-    samples: int = 10_000,
+    samples: int = DEFAULT_CALIBRATION_SAMPLES,
     seed: int = 0,
 ) -> float:
     """Bisect the joint-noise sigma until the simulated mean intersection

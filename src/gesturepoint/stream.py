@@ -46,7 +46,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .geometry import (
     MAX_JOINT_COORD,
@@ -84,9 +84,10 @@ class TargetUnreachableError(StreamError):
     pass
 
 
-# evaluation's errors and trial default, here so that the CLI maps exit codes
-# and prints its help without importing evaluation (and numpy)
+# evaluation's errors and sample-count defaults, here so that the CLI maps exit
+# codes and prints its help without importing evaluation (and numpy)
 DEFAULT_TRIALS_PER_TARGET = 10
+DEFAULT_CALIBRATION_SAMPLES = 10_000
 
 
 class EvalError(ValueError):
@@ -231,16 +232,18 @@ class StreamReader:
     Handles the optional intrinsics header and keeps warning counters instead
     of failing on recoverable problems: with ``skip_malformed`` bad lines are
     counted and skipped, otherwise they raise. Non-monotonic timestamps are
-    always a warning, never an error.
+    always a warning, never an error. Each warning message goes to
+    ``on_warning`` as it occurs; none is kept.
     """
 
-    def __init__(self, lines: Iterable[str], *, skip_malformed: bool = False) -> None:
+    def __init__(self, lines: Iterable[str], *, skip_malformed: bool = False,
+                 on_warning: Callable[[str], object] = lambda message: None) -> None:
         self._lines = lines
         self._skip_malformed = skip_malformed
+        self._warn = on_warning
         self.intrinsics: CameraIntrinsics | None = None
         self.malformed = 0
         self.nonmonotonic = 0
-        self.warnings: list[str] = []
 
     def __iter__(self) -> Iterator[KeypointFrame]:
         last_t: float | None = None
@@ -256,7 +259,7 @@ class StreamReader:
                     if not self._skip_malformed:
                         raise
                     self.malformed += 1
-                    self.warnings.append(f"line {lineno}: {exc}")
+                    self._warn(f"line {lineno}: {exc}")
                     continue
                 if header is not None:
                     self.intrinsics = header
@@ -267,13 +270,11 @@ class StreamReader:
                 if not self._skip_malformed:
                     raise MalformedRecordError(f"line {lineno}: {exc}") from exc
                 self.malformed += 1
-                self.warnings.append(f"line {lineno}: {exc}")
+                self._warn(f"line {lineno}: {exc}")
                 continue
             if last_t is not None and frame.timestamp < last_t:
                 self.nonmonotonic += 1
-                self.warnings.append(
-                    f"line {lineno}: timestamp {frame.timestamp} before {last_t}"
-                )
+                self._warn(f"line {lineno}: timestamp {frame.timestamp} before {last_t}")
             last_t = frame.timestamp
             yield frame
 

@@ -7,8 +7,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     INTRINSICS,
@@ -22,7 +25,7 @@ from conftest import (
     write_scenario_file,
 )
 import gesturepoint
-from gesturepoint.cli import ConfigError, _load_registries, load_plane_file
+from gesturepoint.cli import ConfigError, _load_registries, build_parser, load_plane_file
 from gesturepoint.evaluation import EvalError, load_boards
 from gesturepoint.geometry import PlanarPoint, Point3, project, CameraIntrinsics
 from gesturepoint.snap import Area, Target, save_layout
@@ -268,6 +271,43 @@ def test_replay_snap_requires_registry(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("strategy", ["pick", "place"])
+def test_replay_snap_without_its_entries_exits_2_before_writing(tmp_path, capsys, strategy):
+    plane = make_plane_file(tmp_path / "plane.json")
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(_generated_lines(tmp_path, count=20)) + "\n", encoding="utf-8")
+    layout = tmp_path / "layout.json"  # holds only what the other strategy snaps to
+    layout.write_text(json.dumps({"targets": [] if strategy == "pick" else [_LAYOUT_TARGET],
+                                  "areas": [_LAYOUT_AREA] if strategy == "pick" else []}),
+                      encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(out),
+                    "--snap", strategy, "--registry", str(layout)]) == 2
+    kind = "targets" if strategy == "pick" else "areas"
+    assert f"no {kind} registered" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_memory_does_not_grow_with_its_warnings(tmp_path, monkeypatch):
+    """Each warning is printed as it occurs: the traced peak of replaying 20k
+    malformed lines stays within 1 MB of 1k lines (keeping them costs ~3 MB)."""
+    plane = make_plane_file(tmp_path / "plane.json")
+    peaks = []
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(sys, "stderr", devnull)
+        for lines in (1_000, 20_000):
+            stream = tmp_path / f"malformed-{lines}.jsonl"
+            stream.write_text("{broken\n" * lines, encoding="utf-8")
+            tracemalloc.start()
+            try:
+                assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream),
+                                "--out", str(tmp_path / "o.jsonl")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
 def test_replay_unwritable_output_exits_1(tmp_path):
     plane = make_plane_file(tmp_path / "plane.json")
     scenario = write_scenario_file(tmp_path / "s.cfg", count=5)
@@ -509,6 +549,77 @@ def test_env_config_hand_applies(tmp_path, monkeypatch):
     assert out.read_text(encoding="utf-8") == ""  # stream is right-handed, config says left
 
 
+@pytest.mark.parametrize("key,choice", [("hand", "left"), ("pair", "elbow-wrist"),
+                                        ("frame", "camera"), ("snap", "pick")])
+def test_env_config_key_outside_its_choices_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                                      capsys, key, choice):
+    argv = _float_flag_commands(tmp_path)["replay"]
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(f"registry = {tmp_path / 'layout.json'}\n{key} = banana\n", encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    for flags in ([], [f"--{key}", choice]):  # a valid flag does not excuse the file
+        assert run_cli(argv + flags) == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_env_config_overrides_a_flag_default_and_the_flag_overrides_it(tmp_path, monkeypatch):
+    corners = write_corner_file(tmp_path / "corners.json", desk_corners())
+    out = tmp_path / "plane.json"
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("origin_corner = 2\n", encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    argv = ["define-plane", "--corners", str(corners), "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert load_plane_file(str(out))[2:] == (2, 1)
+    assert run_cli(argv + ["--origin-corner", "0"]) == 0
+    assert load_plane_file(str(out))[2:] == (0, 1)
+
+
+_COMMAND_PARSERS = build_parser().get_default("commands")
+
+
+# any text, plus every option's choices and numbers of any size, as text
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(sorted({c for command in _COMMAND_PARSERS.values()
+                            for action in command._actions for c in action.choices or ()})),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+
+
+def _option_keys(command: str) -> list[str]:
+    return sorted({action.dest for action in _COMMAND_PARSERS[command]._actions})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_env_config_fuzz_any_key_and_value_exits_cleanly(tmp_path, monkeypatch, data):
+    """Any option key of the subcommand, with any text, ends in exit 0, 1 or 2."""
+    layout = tmp_path / "layout.json"
+    save_layout(layout, [], [])
+    if not (tmp_path / "stream.jsonl").exists():
+        write_corner_file(tmp_path / "corners.json", desk_corners())
+        make_plane_file(tmp_path / "plane.json")
+        (tmp_path / "stream.jsonl").write_text(json.dumps(wrist_frame("c", 0.9)) + "\n",
+                                               encoding="utf-8")
+    argv = data.draw(st.sampled_from([
+        ["replay", "--plane", str(tmp_path / "plane.json"), "--stream", str(tmp_path / "stream.jsonl"),
+         "--out", str(tmp_path / "o.jsonl")],
+        ["define-plane", "--corners", str(tmp_path / "corners.json"), "--out", str(tmp_path / "p.json")],
+        ["registry", "list", "--file", str(layout)],
+        ["registry", "add-target", "--file", str(layout)],
+    ]))
+    entries = data.draw(st.lists(st.tuples(st.sampled_from(_option_keys(argv[0])),
+                                           _CONFIG_VALUES), min_size=1, max_size=3))
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries), encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    assert run_cli(argv) in (0, 1, 2)
+
+
 _REGISTRY_FLOAT_KEYS = {"add-target": ("u", "v"), "add-area": ("cu", "cv", "hu", "hv")}
 
 
@@ -554,6 +665,7 @@ def test_nonpositive_numeric_params_exit_2(tmp_path):
     assert run_cli(base + ["--n", "0"]) == 2
     assert run_cli(base + ["--threshold", "-0.01"]) == 2
     assert run_cli(base + ["--min-confidence", "1.5"]) == 2
+    assert run_cli(base + ["--window", str(2**63)]) == 2  # beyond what a deque can hold
     assert run_cli(["sweep", "--kind", "pick", "--trials", "0", "--out", str(tmp_path)]) == 2
 
 
@@ -581,6 +693,15 @@ class _NoServer:
 
     def __init__(self, *args, **kwargs):
         raise AssertionError("live got past its input checks")
+
+
+@pytest.mark.parametrize("port", ["99999", "-1", "x", "9" * 5000],
+                         ids=["99999", "-1", "x", "5000-digits"])
+def test_live_port_outside_0_to_65535_exits_2(tmp_path, monkeypatch, capsys, port):
+    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    plane = make_plane_file(tmp_path / "plane.json")
+    assert run_cli(["live", "--plane", str(plane), f"--listen=127.0.0.1:{port}"]) == 2
+    assert f"bad port {port!r}" in capsys.readouterr().err
 
 
 def _generated_lines(tmp_path, count=6) -> list[str]:
@@ -888,6 +1009,22 @@ def test_replay_unreadable_stream_exits_2(tmp_path, capsys, missing):
     assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(out)]) == 2
     assert "cannot read" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["replay --plane", "registry list --file", "calibrate --scenario",
+                                     "config"])
+def test_undecodable_input_file_exits_2(tmp_path, monkeypatch, capsys, command):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe{}\n")
+    argv = {"replay --plane": ["replay", "--plane", str(binary), "--stream", str(binary),
+                               "--out", str(tmp_path / "o.jsonl")],
+            "registry list --file": ["registry", "list", "--file", str(binary)],
+            "calibrate --scenario": ["calibrate", "--target-error", "0.03", "--scenario", str(binary)],
+            "config": ["registry", "list", "--file", str(binary)]}[command]
+    if command == "config":
+        monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(binary))
+    assert run_cli(argv) == 2
+    assert f"cannot read {binary}" in capsys.readouterr().err
 
 
 # --- docs ------------------------------------------------------------------------
