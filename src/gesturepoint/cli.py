@@ -135,7 +135,9 @@ def _read_json(path: str) -> dict:
 def _load_scenario(path: str):
     try:
         return load_scenario_config(path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except StreamError:
+        raise
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -432,7 +434,7 @@ def cmd_sweep(args) -> int:
     if args.board:
         try:
             boards = load_boards(args.board)
-        except (OSError, EvalError) as exc:
+        except (OSError, ValueError) as exc:  # EvalError is a ValueError, as is a NUL in the path
             raise ConfigError(f"bad board file: {exc}") from exc
         mode = "place" if args.kind == "place" else "pick"
         for i, board in enumerate(boards, start=1):
@@ -447,7 +449,10 @@ def cmd_sweep(args) -> int:
     else:
         boards = [make_board("quantitative_10", plane_size=size)]
     report = run_boards(template, boards, args.trials, args.seed)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except ValueError as exc:  # a NUL in the path
+        raise ConfigError(f"cannot create {args.out!r}: {exc}") from exc
     paths = []
     for fmt in ("csv", "json"):
         path = os.path.join(args.out, f"{report.kind}_report.{fmt}")
@@ -466,6 +471,7 @@ def cmd_sweep(args) -> int:
 def cmd_calibrate(args) -> int:
     from .evaluation import ScenarioTemplate, calibrate_sigma
 
+    _positive("--samples", args.samples)
     template = _template_from_args(ScenarioTemplate, args, 0.0)
     sigma = calibrate_sigma(args.target_error, template, samples=args.samples, seed=args.seed)
     print(f"{sigma:.6f}")

@@ -2,13 +2,15 @@
 layouts, error metrics, seeded Monte-Carlo pick/place sweeps, calibration
 and report emission. It is the one module that imports numpy.
 
-All synthetic joints come from one sampler, :func:`sample_joint_positions`,
-which draws (trials, frames, 3) shoulder and wrist arrays from a scenario's
-seed. :func:`generate_scenario` streams its trial 0 as KeypointFrames for
-files and live clients; sweeps (``run_boards``) take each trial's arrays
-directly into the array engine, and sigma calibration
-(``mean_intersection_error``) takes one frame from each of many trials, so
-calibration fits the noise the sweeps run on.
+All synthetic joints come from one sampler in two steps: a draw
+(:func:`draw_joint_noise`: aim biases, then standard normals, from one seed)
+and a placement (:func:`ideal_wrists` once per plane for all trials, then
+:func:`noisy_joints`). :func:`sample_joint_positions` chains them for one
+scenario, and :func:`generate_scenario` streams its trial 0 as KeypointFrames
+for files and live clients. Sweeps (``run_boards``) stack one draw per trial
+and place every trial at once; sigma calibration draws one frame from each
+of many trials once and re-noises it per sigma, so calibration fits the
+noise the sweeps run on.
 
 All randomness flows from a single base seed through per-trial SeedSequence
 derivations, so every sweep is reproducible byte for byte. Reports are
@@ -37,7 +39,7 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -399,37 +401,61 @@ class SweepReport:
 # --- synthetic joints and the array ray-plane hit -----------------------------
 
 
+def draw_joint_noise(
+    seed: int, aim_bias_sigma: float, trials: int, frames: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's draw step: the RNG seeded with ``seed`` yields one
+    (trials, 2) block of in-plane aim biases, scaled by ``aim_bias_sigma``,
+    then one (trials, frames, 2, 3) block of standard normals (shoulder
+    before wrist). ``np.random.default_rng`` is called nowhere else."""
+    rng = np.random.default_rng(seed)
+    return aim_bias_sigma * rng.standard_normal((trials, 2)), rng.standard_normal((trials, frames, 2, 3))
+
+
+def ideal_wrists(
+    geometry: GestureScenario | ScenarioTemplate, targets: np.ndarray, bias: np.ndarray
+) -> np.ndarray:
+    """The sampler's placement step: each trial's noiseless wrist, shape
+    (trials, 3). It sits ``arm_length`` along the segment from the shoulder
+    base to the trial's aim, its target ((3,) or (trials, 3)) moved by its
+    (u, v) bias. ``geometry`` gives the plane, shoulder base and arm length;
+    the in-plane basis is computed once for all trials."""
+    plane = geometry.plane
+    n = np.array(plane.normal.as_tuple())
+    e1 = np.array(plane.corners[1].as_tuple()) - np.array(plane.corners[0].as_tuple())
+    e1 = e1 - n * (e1 @ n)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    base = np.array(geometry.shoulder_base.as_tuple())
+    aim_dirs = targets + bias[:, :1] * e1 + bias[:, 1:] * e2 - base
+    return base + aim_dirs * (geometry.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
+
+
+def noisy_joints(
+    shoulder_base: Point3, ideal: np.ndarray, eps: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(shoulders, wrists), shape (trials, frames, 3): the shoulder base and
+    the ideal wrists plus ``sigma`` times the draw's normal block."""
+    base = np.array(shoulder_base.as_tuple())
+    return base + sigma * eps[:, :, 0, :], ideal[:, None, :] + sigma * eps[:, :, 1, :]
+
+
 def sample_joint_positions(
     scenario: GestureScenario, trials: int = 1, frames: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (shoulders, wrists) for ``trials`` independent gestures of
     ``frames`` frames each (default ``sample_count``), shape (trials, frames, 3).
 
-    This is the only place joints are sampled. The RNG seeded with
-    ``rng_seed`` yields one (trials, 2) block of in-plane aim biases, then one
-    (trials, frames, 2, 3) block of standard normals (shoulder before wrist),
-    so trial 0 is the scenario's stream and ``frames=1`` gives calibration its
-    one raw frame per trial.
+    It is :func:`draw_joint_noise` seeded with ``rng_seed`` (one (trials, 2)
+    block of aim biases, then one (trials, frames, 2, 3) block of standard
+    normals), :func:`ideal_wrists` and :func:`noisy_joints`, so trial 0 is
+    the scenario's stream. Sweeps and calibration call the same steps on
+    draws they stack or keep across sigmas.
     """
     frames = scenario.sample_count if frames is None else frames
-    rng = np.random.default_rng(scenario.rng_seed)
-    bias = scenario.aim_bias_sigma * rng.standard_normal((trials, 2))
-    eps = rng.standard_normal((trials, frames, 2, 3))
-    # orthonormal in-plane (u, v) directions for the aim offset
-    plane = scenario.plane
-    n = np.array(plane.normal.as_tuple())
-    e1 = np.array(plane.corners[1].as_tuple()) - np.array(plane.corners[0].as_tuple())
-    e1 = e1 - n * (e1 @ n)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    base = np.array(scenario.shoulder_base.as_tuple())
-    aims = np.array(scenario.target.as_tuple()) + bias[:, :1] * e1 + bias[:, 1:] * e2
-    aim_dirs = aims - base
-    # the ideal wrist sits on the shoulder->aim segment at arm_length
-    ideal = base + aim_dirs * (scenario.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
-    shoulders = base + scenario.noise_sigma * eps[:, :, 0, :]
-    wrists = ideal[:, None, :] + scenario.noise_sigma * eps[:, :, 1, :]
-    return shoulders, wrists
+    bias, eps = draw_joint_noise(scenario.rng_seed, scenario.aim_bias_sigma, trials, frames)
+    ideal = ideal_wrists(scenario, np.array(scenario.target.as_tuple()), bias)
+    return noisy_joints(scenario.shoulder_base, ideal, eps, scenario.noise_sigma)
 
 
 def generate_scenario(scenario: GestureScenario) -> Iterator[KeypointFrame]:
@@ -612,20 +638,23 @@ def run_boards(
         raise InvalidParametersError(
             f"window and trials per target must be >= 1, got {template.window} and {trials_per_target}"
         )
-    runs = [
-        (board, e_idx, entity, k)
-        for board in boards
-        for e_idx, entity in enumerate(board.targets or board.areas)
-        for k in range(trials_per_target)
+    aimed = [(board, e_idx, entity) for board in boards
+             for e_idx, entity in enumerate(board.targets or board.areas)]
+    runs = [(board, e_idx, entity, k) for board, e_idx, entity in aimed for k in range(trials_per_target)]
+    # one scenario per aimed entity checks its target; its trials differ only in their draws
+    targets = [
+        template.scenario_for(from_workplane(_aimed_uv(entity), template.frame), base_seed).target.as_tuple()
+        for _, _, entity in aimed
     ]
-    joints = [
-        sample_joint_positions(template.scenario_for(
-            from_workplane(_aimed_uv(entity), template.frame),
-            _derived_seed(base_seed, _KIND_CODES.get(board.kind, 9), e_idx, k),
-        ))
-        for board, e_idx, entity, k in runs
-    ]
-    points, counts = stabilize_trials(template, *(np.concatenate(j) for j in zip(*joints)))
+    bias, eps = (np.concatenate(block) for block in zip(*(
+        draw_joint_noise(_derived_seed(base_seed, _KIND_CODES.get(board.kind, 9), e_idx, k),
+                         template.aim_bias_sigma, 1, template.frames_per_trial)
+        for board, e_idx, _, k in runs
+    )))
+    ideal = ideal_wrists(template, np.repeat(targets, trials_per_target, axis=0), bias)
+    points, counts = stabilize_trials(
+        template, *noisy_joints(template.shoulder_base, ideal, eps, template.sigma)
+    )
     trials = [
         run_trial(
             template, board, entity, f"{board.kind}-{board.parameter}-{entity.id}-{k}",
@@ -635,9 +664,8 @@ def run_boards(
     ]
     cells = [
         SweepCell(kind=board.kind, l=board.parameter, target_id=entity.id,
-                  trials=tuple(trials[i:i + trials_per_target]))
-        for i, (board, _, entity, _) in enumerate(runs)
-        if i % trials_per_target == 0
+                  trials=tuple(trials[c * trials_per_target:(c + 1) * trials_per_target]))
+        for c, (board, _, entity) in enumerate(aimed)
     ]
     return SweepReport(
         kind=boards[0].kind,
@@ -661,6 +689,29 @@ def template_plane_size(template: ScenarioTemplate) -> tuple[float, float]:
 # --- calibration -----------------------------------------------------------
 
 
+def _mean_error_by_sigma(
+    template: ScenarioTemplate, target_world: Point3, samples: int, seed: int
+) -> Callable[[float], float]:
+    """Calibration's objective: the joints are drawn and placed once, so each
+    sigma costs only the noisy joints, the ray-plane hit and the mean error.
+    The template's scenario runs its checks; its own sigma is not used."""
+    if samples < 1:
+        raise InvalidParametersError(f"calibration needs at least 1 sample, got {samples}")
+    scenario = template.scenario_for(target_world, seed)
+    target = np.array(target_world.as_tuple())
+    bias, eps = draw_joint_noise(seed, scenario.aim_bias_sigma, samples, 1)
+    ideal = ideal_wrists(scenario, target, bias)
+
+    def mean_error(sigma: float) -> float:
+        shoulders, wrists = noisy_joints(scenario.shoulder_base, ideal, eps, sigma)
+        hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], scenario.plane)
+        if not valid.any():
+            raise EvalError("no ray reached the plane; scenario geometry is off")
+        return float(np.linalg.norm(hits[valid] - target, axis=1).mean())
+
+    return mean_error
+
+
 def mean_intersection_error(
     template: ScenarioTemplate,
     target_world: Point3,
@@ -670,22 +721,17 @@ def mean_intersection_error(
     seed: int = 0,
 ) -> float:
     """Mean Euclidean error of raw per-frame ray-plane intersections against
-    the aimed target, vectorized.
+    the aimed target, vectorized: calibration's objective at one sigma.
 
     This is the ensemble error over trials: each sample is the one frame of
-    its own trial from the generator's sampler
-    (:func:`sample_joint_positions`), with its own aim
+    its own trial from the generator's sampler steps, with its own aim
     bias (when the template has one) and joint noise. Frames whose ray misses
     the plane (parallel, or hit not beyond the wrist) are excluded from the
     mean.
     """
-    scenario = dataclasses.replace(template, sigma=sigma).scenario_for(target_world, seed)
-    shoulders, wrists = sample_joint_positions(scenario, trials=samples, frames=1)
-    hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], template.plane)
-    if not valid.any():
-        raise EvalError("no ray reached the plane; scenario geometry is off")
-    target = np.array(target_world.as_tuple())
-    return float(np.linalg.norm(hits[valid] - target, axis=1).mean())
+    # the template carries sigma, so the scenario's checks see it
+    with_sigma = dataclasses.replace(template, sigma=sigma)
+    return _mean_error_by_sigma(with_sigma, target_world, samples, seed)(sigma)
 
 
 def calibrate_sigma(
@@ -699,8 +745,9 @@ def calibrate_sigma(
     """Bisect the joint-noise sigma until the simulated mean intersection
     error lands within ``CALIBRATION_REL_TOL`` of ``target_mean_error``.
 
-    The same seed is reused for every sigma evaluation (common random
-    numbers), which keeps the objective smooth and monotone.
+    The joints are drawn once and reused for every sigma evaluation (common
+    random numbers), which keeps the objective smooth and monotone. A zero
+    target returns 0 without drawing.
     """
     if target_mean_error < 0:
         raise EvalError(f"target mean error must be >= 0, got {target_mean_error}")
@@ -712,11 +759,7 @@ def calibrate_sigma(
             sum(c.x for c in cs) / 4, sum(c.y for c in cs) / 4, sum(c.z for c in cs) / 4
         )
 
-    def f(sigma: float) -> float:
-        return mean_intersection_error(
-            template, target_world, sigma, samples=samples, seed=seed
-        )
-
+    f = _mean_error_by_sigma(template, target_world, samples, seed)
     floor = f(0.0)
     if floor > target_mean_error * (1.0 + CALIBRATION_REL_TOL):
         raise NonConvergenceError(

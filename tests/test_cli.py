@@ -445,6 +445,12 @@ def test_calibrate_unreachable_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_calibrate_samples_below_one_exits_2(capsys, samples):
+    assert run_cli(["calibrate", "--target-error", "0.03", "--samples", samples]) == 2
+    assert "--samples must be > 0" in capsys.readouterr().err
+
+
 # --- registry ------------------------------------------------------------------
 
 
@@ -1025,6 +1031,22 @@ def test_undecodable_input_file_exits_2(tmp_path, monkeypatch, capsys, command):
         monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(binary))
     assert run_cli(argv) == 2
     assert f"cannot read {binary}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("out", ["sweep", "--kind", "pick", "--trials", "1", "--distances", "0.2"]),
+    ("scenario", ["calibrate", "--target-error", "0.03"]),
+    ("board", ["sweep", "--kind", "pick", "--trials", "1"]),
+])
+def test_env_config_path_with_nul_byte_exits_2(tmp_path, monkeypatch, capsys, key, argv):
+    """A NUL cannot come from a real command line, so the config file is the
+    only way one reaches a path."""
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(f"{key} = a\0b\n", encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    assert "null byte" in capsys.readouterr().err
 
 
 # --- docs ------------------------------------------------------------------------

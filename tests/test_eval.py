@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from gesturepoint import evaluation
 from gesturepoint.evaluation import (
     _KIND_CODES,
     CSV_COLUMNS,
@@ -30,6 +31,7 @@ from gesturepoint.evaluation import (
     emit_report,
     euclidean_error,
     generate_scenario,
+    intersect_rays_plane,
     make_board,
     mean_intersection_error,
     run_boards,
@@ -37,6 +39,7 @@ from gesturepoint.evaluation import (
     run_place_sweep,
     run_quantitative,
     run_trial,
+    sample_joint_positions,
     stabilize_trials,
     template_plane_size,
 )
@@ -427,6 +430,36 @@ def test_calibrated_sigma_reproduces_on_fresh_seed():
     sigma = calibrate_sigma(0.031, tpl, samples=6000, seed=3)
     err = mean_intersection_error(tpl, target, sigma, samples=6000, seed=1234)
     assert abs(err - 0.031) / 0.031 < 0.05
+
+
+@pytest.mark.parametrize(
+    "make_template", [ScenarioTemplate.desk_default, tilted_template], ids=["desk", "tilted"]
+)
+def test_calibration_objective_matches_a_fresh_draw_per_sigma(make_template):
+    """The reference: each sigma draws its own trials through
+    ``sample_joint_positions``, as calibration did before it drew once."""
+    template = make_template(0.0, aim_bias_sigma=0.008)
+    target = from_workplane(PlanarPoint(0.2, 0.5), template.frame)
+    target_xyz = np.array(target.as_tuple())
+    for sigma in (0.0, 0.004, 0.03):
+        scenario = dataclasses.replace(template.scenario_for(target, 11), noise_sigma=sigma)
+        shoulders, wrists = sample_joint_positions(scenario, trials=1500, frames=1)
+        hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], template.plane)
+        expected = float(np.linalg.norm(hits[valid] - target_xyz, axis=1).mean())
+        assert mean_intersection_error(template, target, sigma, samples=1500, seed=11) == expected
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_calibration_samples_below_one_raise_before_drawing(monkeypatch, samples):
+    def no_draw(*args):
+        raise AssertionError("drew joints")
+
+    monkeypatch.setattr(evaluation, "draw_joint_noise", no_draw)
+    tpl = ScenarioTemplate.desk_default(0.0)
+    with pytest.raises(InvalidParametersError, match="at least 1 sample"):
+        calibrate_sigma(0.031, tpl, samples=samples, seed=3)
+    with pytest.raises(InvalidParametersError, match="at least 1 sample"):
+        mean_intersection_error(tpl, Point3(0.3, 0.4, 0.0), 0.01, samples=samples, seed=3)
 
 
 def test_calibrate_unreachable_when_bias_floor_exceeds_target():

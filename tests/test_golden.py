@@ -35,6 +35,8 @@ from gesturepoint.stream import JointSample, KeypointFrame
         (0.0, 11, "0x1.f4978bed16ce9p-6"),
         (0.006, 3, "0x1.008e43c9b51ecp-5"),
         (0.006, 11, "0x1.022dc67e0ff60p-5"),
+        (0.019, 0, "0x1.3cd1098d20a17p-5"),
+        (0.019, 7, "0x1.3877022d968fcp-5"),
     ],
 )
 def test_mean_intersection_error_golden(aim_bias, seed, expected):
@@ -43,12 +45,34 @@ def test_mean_intersection_error_golden(aim_bias, seed, expected):
     assert value.hex() == expected
 
 
+# The first two rows keep the ids they had before the target, sample-count
+# and seed columns were added. The rows at 10,000 samples are the sweep
+# envelope's calibration (3.1 cm, 1.9 cm aim bias, seeds 0-7) and the
+# benchmark's calibration set (3.1 and 6.5 cm, seeds 2024-2026).
 @pytest.mark.parametrize(
-    "aim_bias, expected", [(0.0, "0x1.dc28f5c28f5c2p-7"), (0.006, "0x1.cc49ba5e353f8p-7")]
+    "target, aim_bias, samples, seed, expected",
+    [
+        pytest.param(0.031, 0.0, 2000, 5, "0x1.dc28f5c28f5c2p-7", id="0.0-0x1.dc28f5c28f5c2p-7"),
+        pytest.param(0.031, 0.006, 2000, 5, "0x1.cc49ba5e353f8p-7", id="0.006-0x1.cc49ba5e353f8p-7"),
+        (0.031, 0.019, 10_000, 0, "0x1.2d916872b020cp-7"),
+        (0.031, 0.019, 10_000, 1, "0x1.3d70a3d70a3d7p-7"),
+        (0.031, 0.019, 10_000, 2, "0x1.2d916872b020cp-7"),
+        (0.031, 0.019, 10_000, 3, "0x1.3d70a3d70a3d7p-7"),
+        (0.031, 0.019, 10_000, 4, "0x1.2d916872b020cp-7"),
+        (0.031, 0.019, 10_000, 5, "0x1.1db22d0e56042p-7"),
+        (0.031, 0.019, 10_000, 6, "0x1.1db22d0e56042p-7"),
+        (0.031, 0.019, 10_000, 7, "0x1.3d70a3d70a3d7p-7"),
+        (0.031, 0.0, 10_000, 2024, "0x1.dc28f5c28f5c2p-7"),
+        (0.031, 0.0, 10_000, 2025, "0x1.dc28f5c28f5c2p-7"),
+        (0.031, 0.0, 10_000, 2026, "0x1.dc28f5c28f5c2p-7"),
+        (0.065, 0.0, 10_000, 2024, "0x1.f333333333334p-6"),
+        (0.065, 0.0, 10_000, 2025, "0x1.f333333333334p-6"),
+        (0.065, 0.0, 10_000, 2026, "0x1.f333333333334p-6"),
+    ],
 )
-def test_calibrated_sigma_golden(aim_bias, expected):
+def test_calibrated_sigma_golden(target, aim_bias, samples, seed, expected):
     template = ScenarioTemplate.desk_default(0.0, aim_bias_sigma=aim_bias)
-    assert calibrate_sigma(0.031, template, samples=2000, seed=5).hex() == expected
+    assert calibrate_sigma(target, template, samples=samples, seed=seed).hex() == expected
 
 
 def _digests(reports: dict) -> dict:
