@@ -23,6 +23,11 @@ Plane file format (written by define-plane, read by --plane):
 Corner files for define-plane hold pre-detected marker poses or clicked
 pixels: {"corners": [{"x":..,"y":..,"z":..} | {"px":..,"py":..,"depth":..},
 ...], "intrinsics": {...}} (intrinsics required for the pixel form).
+
+Every input file goes through ``stream``'s one reader, ``read_text`` (UTF-8,
+optionally BOM-prefixed), and every JSON one through its one decoder,
+``decode_object``; corners go through the stream's joint-position parser,
+``parse_position``. Replay's stream is the one other file read.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .geometry import (
     Point3,
     Vec3,
     WorkplaneFrame,
-    deproject,
     plane_from_corners,
     workplane_frame,
 )
@@ -62,7 +66,7 @@ from .snap import (
     UnknownIdError,
     evaluate_request,
     layout_document,
-    parse_layout,
+    load_layout,
     save_layout,
 )
 from .stabilizer import DEFAULT_WINDOW
@@ -70,16 +74,20 @@ from .stream import (
     DEFAULT_CALIBRATION_SAMPLES,
     DEFAULT_MIN_CONFIDENCE,
     DEFAULT_TRIALS_PER_TARGET,
+    ConfigError,
     EvalError,
     InvalidParametersError,
     MalformedRecordError,
     NonConvergenceError,
     StreamError,
     StreamReader,
+    decode_object,
     load_scenario_config,
     parse_intrinsics_header,
     parse_kv_config,
+    parse_position,
     parse_triplet,
+    read_text,
     write_stream,
 )
 
@@ -88,11 +96,6 @@ ENV_CONFIG = "GESTURE_POINTER_CONFIG"
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-class ConfigError(ValueError):
-    """Bad or missing configuration/input files; maps to exit code 2."""
-
 
 # exceptions that indicate the *inputs* were wrong, not that the run failed
 _CONFIG_EXCEPTIONS = (
@@ -113,43 +116,19 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_json(path: str) -> dict:
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return doc
-
-
-def _load_scenario(path: str):
-    try:
-        return load_scenario_config(path)
-    except StreamError:
-        raise
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_layout(path: str):
-    return parse_layout(_read_json(path))
+def non_negative_int(text: str) -> int:
+    """The type of every ``--seed`` flag (and ``seed`` config key)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _load_registries(path: str | None) -> tuple[TargetRegistry, AreaRegistry]:
     """Registries loaded once from a layout file; empty without one."""
     targets, areas = TargetRegistry(), AreaRegistry()
     if path:
-        loaded_targets, loaded_areas = _load_layout(path)
+        loaded_targets, loaded_areas = load_layout(path)
         targets.replace_all(loaded_targets)
         areas.replace_all(loaded_areas)
     return targets, areas
@@ -179,12 +158,14 @@ def save_plane_file(
 def load_plane_file(path: str) -> tuple[Plane, WorkplaneFrame, int, int]:
     """Load a plane file; the frame is recomputed from the stored corner
     indices so hand-edited corners stay consistent."""
-    doc = _read_json(path)
+    doc = decode_object(read_text(path), ConfigError, path)
     try:
         normal = Vec3(*[float(x) for x in doc["normal"]])
         corners = tuple(Point3(*[float(x) for x in c]) for c in doc["corners"])
         plane = Plane(normal=normal, d=float(doc["d"]), corners=corners)
         frame_spec = doc.get("frame", {})
+        if not isinstance(frame_spec, dict):
+            raise TypeError(f'"frame" must be an object, got {type(frame_spec).__name__}')
         origin_corner = int(frame_spec.get("origin_corner", 0))
         x_corner = int(frame_spec.get("x_corner", 1))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -194,38 +175,19 @@ def load_plane_file(path: str) -> tuple[Plane, WorkplaneFrame, int, int]:
 
 
 def load_corner_file(path: str) -> tuple[list[Point3], bool]:
-    """Read corner points (3D, or pixel+depth deprojected through the file's
-    intrinsics). Returns (corners, used_pixels)."""
-    doc = _read_json(path)
+    """Read corner points through the stream's joint-position parser (3D, or
+    pixel+depth deprojected through the file's intrinsics). Returns
+    (corners, used_pixels)."""
+    doc = decode_object(read_text(path), ConfigError, path)
     raw = doc.get("corners")
     if not isinstance(raw, list) or not 3 <= len(raw) <= 4:
         raise ConfigError(f"{path}: expected 3 or 4 corners")
     try:
         intrinsics = parse_intrinsics_header(doc)
+        corners = [parse_position(spec, intrinsics, "corner", i) for i, spec in enumerate(raw, start=1)]
     except MalformedRecordError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    corners: list[Point3] = []
-    used_pixels = False
-    for i, spec in enumerate(raw, start=1):
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{path}: corner {i} must be an object")
-        try:
-            if {"x", "y", "z"} <= spec.keys():
-                corners.append(Point3(float(spec["x"]), float(spec["y"]), float(spec["z"])))
-            elif {"px", "py", "depth"} <= spec.keys():
-                if intrinsics is None:
-                    raise ConfigError(f"{path}: corner {i} uses pixels but the file has no intrinsics")
-                used_pixels = True
-                corners.append(
-                    deproject((float(spec["px"]), float(spec["py"])), float(spec["depth"]), intrinsics)
-                )
-            else:
-                raise ConfigError(f"{path}: corner {i} needs x/y/z or px/py/depth")
-        except (TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{path}: corner {i}: {exc}") from exc
-    return corners, used_pixels
+    return corners, any(not {"x", "y", "z"} <= spec.keys() for spec in raw)
 
 
 def _positive(name: str, value, *, minimum=0) -> None:
@@ -292,7 +254,7 @@ def cmd_define_plane(args) -> int:
 def cmd_generate(args) -> int:
     from .evaluation import generate_scenario
 
-    scenario = _load_scenario(args.scenario)
+    scenario = load_scenario_config(args.scenario)
     overrides = {}
     if args.seed is not None:
         overrides["rng_seed"] = args.seed
@@ -319,7 +281,7 @@ def cmd_replay(args) -> int:
     points_written = 0
     try:
         # undecodable bytes become U+FFFD and fail as one malformed line, as live
-        stream = open(args.stream, "r", encoding="utf-8", errors="replace")
+        stream = open(args.stream, "r", encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise ConfigError(f"cannot read {args.stream}: {exc}") from exc
     reader = StreamReader(stream, skip_malformed=True,
@@ -389,7 +351,7 @@ def _template_from_args(template_cls, args, sigma: float):
     if args.aim_bias is not None:
         overrides["aim_bias_sigma"] = args.aim_bias
     if args.scenario:
-        scenario = _load_scenario(args.scenario)
+        scenario = load_scenario_config(args.scenario)
         plane = scenario.plane
         frame = workplane_frame(plane)
         return template_cls(
@@ -434,7 +396,7 @@ def cmd_sweep(args) -> int:
     if args.board:
         try:
             boards = load_boards(args.board)
-        except (OSError, ValueError) as exc:  # EvalError is a ValueError, as is a NUL in the path
+        except EvalError as exc:
             raise ConfigError(f"bad board file: {exc}") from exc
         mode = "place" if args.kind == "place" else "pick"
         for i, board in enumerate(boards, start=1):
@@ -486,7 +448,7 @@ def cmd_registry(args) -> int:
         save_layout(path, [], [])
         print(f"wrote {path}")
         return EXIT_OK
-    targets, areas = _load_layout(path)
+    targets, areas = load_layout(path)
     if args.action == "list":
         print(json.dumps(layout_document(targets, areas), indent=2, sort_keys=True))
         return EXIT_OK
@@ -575,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthesize a skeleton stream from a scenario config")
     p.add_argument("--scenario", required=True, help="flat key=value scenario file")
     p.add_argument("--out", required=True, help="stream JSONL to write")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--seed", type=non_negative_int, help="override the scenario seed")
     p.add_argument("--count", type=int, help="override the scenario frame count")
     p.set_defaults(func=cmd_generate)
 
@@ -604,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="calibrate sigma to this mean intersection error first")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_PER_TARGET,
                    help="trials per target (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="base seed (default %(default)s)")
     p.add_argument("--distances", help="comma-separated pick square sides in meters")
     p.add_argument("--sizes", help="comma-separated place area sides in meters")
     p.add_argument("--board", help="board layout JSON file replacing the generated series")
@@ -623,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-trial aim bias sigma held fixed during calibration")
     p.add_argument("--samples", type=int, default=DEFAULT_CALIBRATION_SAMPLES,
                    help="Monte-Carlo samples per evaluation (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default %(default)s)")
     p.add_argument("--n", type=int, help=argparse.SUPPRESS)
     p.add_argument("--threshold", type=finite_float, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_calibrate)
@@ -654,7 +616,7 @@ def _config_defaults(command: argparse.ArgumentParser) -> dict:
     if not path:
         return {}
     try:
-        cfg = parse_kv_config(_read_text(path))
+        cfg = parse_kv_config(read_text(path))
     except StreamError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     # positionals, switches (nargs 0) and required flags take nothing from the file

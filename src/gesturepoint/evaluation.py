@@ -76,7 +76,7 @@ from .stabilizer import DEFAULT_WINDOW
 from .stream import (  # re-exports the EvalError family and the sample-count defaults
     DEFAULT_CALIBRATION_SAMPLES, DEFAULT_FRAME_RATE, DEFAULT_TRIALS_PER_TARGET,
     DimensionMismatchError, EvalError, GestureScenario, InvalidParametersError, JointSample,
-    KeypointFrame, NonConvergenceError, UnsupportedFormatError,
+    KeypointFrame, NonConvergenceError, UnsupportedFormatError, decode_object, read_text,
 )
 
 PLANE_SIZE = (0.60, 0.80)
@@ -244,13 +244,7 @@ def load_boards(path: str | os.PathLike) -> list[BoardLayout]:
     """Read a board series written by :func:`save_boards`, so measured layouts
     can replace the generated ones. A lone board document (registry schema
     plus a "board" metadata key) reads as a one-board series."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise EvalError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise EvalError(f"{path}: expected a JSON object")
+    doc = decode_object(read_text(path), EvalError, path)
     docs = doc["boards"] if "boards" in doc else [doc]
     if not isinstance(docs, list) or not docs:
         raise EvalError(f"{path}: \"boards\" must be a non-empty list")
@@ -750,7 +744,7 @@ def calibrate_sigma(
     target returns 0 without drawing.
     """
     if target_mean_error < 0:
-        raise EvalError(f"target mean error must be >= 0, got {target_mean_error}")
+        raise InvalidParametersError(f"target mean error must be >= 0, got {target_mean_error}")
     if target_mean_error == 0:
         return 0.0
     if target_world is None:

@@ -27,7 +27,7 @@ from .snap import (
     evaluate_request,
 )
 from .stabilizer import GesturePoint
-from .stream import JSON_DECODE_ERRORS, MalformedRecordError, parse_frame, parse_intrinsics_header
+from .stream import MalformedRecordError, decode_object, parse_frame, parse_intrinsics_header
 
 
 def gesture_point_record(gp: GesturePoint, settings: PipelineSettings) -> str:
@@ -74,20 +74,12 @@ class LiveSession:
         if not line:
             return []
         try:
-            obj = json.loads(line)
-        except JSON_DECODE_ERRORS as exc:
-            return [json.dumps({"err": f"invalid JSON: {getattr(exc, 'msg', exc)}"})]
-        if not isinstance(obj, dict):
-            return [json.dumps({"err": "expected a JSON object"})]
-        if "cmd" in obj:
-            return [self._handle_command(obj)]
-        if "intrinsics" in obj:
-            try:
+            obj = decode_object(line, MalformedRecordError)
+            if "cmd" in obj:
+                return [self._handle_command(obj)]
+            if "intrinsics" in obj:
                 self.intrinsics = parse_intrinsics_header(obj)
-            except MalformedRecordError as exc:
-                return [json.dumps({"err": str(exc)})]
-            return []
-        try:
+                return []
             frame = parse_frame(obj, self.intrinsics)
         except MalformedRecordError as exc:
             return [json.dumps({"err": str(exc)})]

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import PlanarPoint, planar_mean
+from .stream import decode_object, read_text
 
 DEFAULT_STABILITY_THRESHOLD = 0.05
 DEFAULT_SAMPLE_COUNT = 15
@@ -268,13 +269,9 @@ def parse_layout(doc: dict) -> tuple[list[Target], list[Area]]:
 
 
 def load_layout(path: str | os.PathLike) -> tuple[list[Target], list[Area]]:
-    """Read a targets/areas JSON document."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_layout(doc)
+    """Read a targets/areas JSON document: an unreadable file raises
+    ConfigError, any other fault MalformedFileError."""
+    return parse_layout(decode_object(read_text(path), MalformedFileError, path))
 
 
 def layout_document(

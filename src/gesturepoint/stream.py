@@ -13,14 +13,20 @@ Wire format (one JSON object per line, coordinates in meters, camera frame):
         "right_wrist":    {"px": 412, "py": 280, "depth": 0.9, "c": 0.88}}}
 
 Joints may use either the 3D form (x/y/z) or the 2D+depth form (px/py/depth);
-streams containing any 2D joints must start with a header line
+2D joints need the intrinsics of a header record
 
     {"intrinsics": {"fx":..., "fy":..., "cx":..., "cy":..., "width":..., "height":...}}
 
-Unknown joint names are ignored; missing joints are simply absent. A joint
-with any coordinate that is NaN, infinite or beyond ``MAX_JOINT_COORD``
+which sets them for every record after it, in ``StreamReader`` as in a live
+session. Unknown joint names are ignored; missing joints are simply absent. A
+joint with any coordinate that is NaN, infinite or beyond ``MAX_JOINT_COORD``
 meters (after deprojection for the 2D form) makes the record malformed; so
 does a non-finite pixel, depth, confidence, timestamp or intrinsics value.
+
+Each input format has one reader here: :func:`read_text` opens every input
+file (UTF-8, optionally BOM-prefixed), :func:`decode_object` is the one JSON
+decoder, and :func:`parse_position` the one joint-position parser, shared by
+stream records and define-plane's corner files.
 
 Scenario config files are flat ``key = value`` text (``#`` comments allowed):
 
@@ -32,7 +38,7 @@ Scenario config files are flat ``key = value`` text (``#`` comments allowed):
     target     = 0.3, 0.4, 0.0          # aimed point, must lie on the plane
     sigma      = 0.01                   # per-axis Gaussian noise, meters
     arm_length = 0.55
-    seed       = 42
+    seed       = 42                     # >= 0
     count      = 100
     frame_rate = 30                     # optional, Hz
     hand       = right                  # optional
@@ -84,6 +90,32 @@ class TargetUnreachableError(StreamError):
     pass
 
 
+class ConfigError(ValueError):
+    """Bad or missing configuration/input files; maps to exit code 2."""
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The one reader of input files (plane, corner, layout, board, scenario
+    and config files): UTF-8, with or without a BOM."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def decode_object(text: str | bytes, error: type[ValueError], source: str | os.PathLike = "") -> dict:
+    """The one JSON decoder: ``text`` must hold one JSON object, else
+    ``error`` is raised, naming ``source`` (a file) if given."""
+    try:
+        doc = json.loads(text)
+    except JSON_DECODE_ERRORS as exc:
+        raise error(f"{source}: invalid JSON: {exc}" if source else f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{source or 'record'} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 # evaluation's errors and sample-count defaults, here so that the CLI maps exit
 # codes and prints its help without importing evaluation (and numpy)
 DEFAULT_TRIALS_PER_TARGET = 10
@@ -132,6 +164,34 @@ class KeypointFrame:
         return self.joints.get(name)
 
 
+def parse_position(spec: dict, intrinsics: CameraIntrinsics | None, kind: str, name) -> Point3:
+    """The one joint-position parser: ``x/y/z``, or ``px/py/depth``
+    deprojected through ``intrinsics``, within ``MAX_JOINT_COORD`` of the
+    origin. Anything else raises MalformedRecordError about ``kind name``."""
+    if not isinstance(spec, dict):
+        raise MalformedRecordError(f"{kind} {name!r} must be an object")
+    try:
+        if "x" in spec and "y" in spec and "z" in spec:
+            position = Point3(float(spec["x"]), float(spec["y"]), float(spec["z"]))
+        elif "px" in spec and "py" in spec and "depth" in spec:
+            if intrinsics is None:
+                raise MalformedRecordError(f"{kind} {name!r} uses the 2D form without intrinsics")
+            position = deproject(
+                (float(spec["px"]), float(spec["py"])), float(spec["depth"]), intrinsics
+            )
+        else:
+            raise MalformedRecordError(f"{kind} {name!r} has neither x/y/z nor px/py/depth")
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, MalformedRecordError):
+            raise
+        raise MalformedRecordError(f"{kind} {name!r}: {exc}") from exc
+    # written so that NaN fails it too: the one finiteness check of a position
+    if not (abs(position.x) <= MAX_JOINT_COORD and abs(position.y) <= MAX_JOINT_COORD
+            and abs(position.z) <= MAX_JOINT_COORD):
+        raise MalformedRecordError(f"{kind} {name!r} lies beyond {MAX_JOINT_COORD:g} m")
+    return position
+
+
 def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None = None) -> KeypointFrame:
     """Parse one JSONL record into a KeypointFrame.
 
@@ -139,11 +199,8 @@ def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None 
     header); unknown joints are dropped.
     """
     if isinstance(record, (str, bytes)):
-        try:
-            record = json.loads(record)
-        except JSON_DECODE_ERRORS as exc:
-            raise MalformedRecordError(f"invalid JSON: {exc}") from exc
-    if not isinstance(record, dict):
+        record = decode_object(record, MalformedRecordError)
+    elif not isinstance(record, dict):
         raise MalformedRecordError(f"record must be a JSON object, got {type(record).__name__}")
     if "t" not in record:
         raise MalformedRecordError('record missing "t" timestamp')
@@ -160,30 +217,11 @@ def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None 
     for name, spec in raw_joints.items():
         if name not in KNOWN_JOINTS:
             continue
-        if not isinstance(spec, dict):
-            raise MalformedRecordError(f"joint {name!r} must be an object")
+        position = parse_position(spec, intrinsics, "joint", name)
         try:
             confidence = float(spec.get("c", 1.0))
-            if {"x", "y", "z"} <= spec.keys():
-                position = Point3(float(spec["x"]), float(spec["y"]), float(spec["z"]))
-            elif {"px", "py", "depth"} <= spec.keys():
-                if intrinsics is None:
-                    raise MalformedRecordError(
-                        f"joint {name!r} uses the 2D form but the stream declared no intrinsics"
-                    )
-                position = deproject(
-                    (float(spec["px"]), float(spec["py"])), float(spec["depth"]), intrinsics
-                )
-            else:
-                raise MalformedRecordError(f"joint {name!r} has neither x/y/z nor px/py/depth")
         except (TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, MalformedRecordError):
-                raise
             raise MalformedRecordError(f"joint {name!r}: {exc}") from exc
-        # written so that NaN fails it too: the one finiteness check of a joint
-        if not (abs(position.x) <= MAX_JOINT_COORD and abs(position.y) <= MAX_JOINT_COORD
-                and abs(position.z) <= MAX_JOINT_COORD):
-            raise MalformedRecordError(f"joint {name!r} lies beyond {MAX_JOINT_COORD:g} m")
         joints[name] = JointSample(position=position, confidence=confidence)
     return KeypointFrame(
         timestamp=timestamp, joints=joints, source_id=str(record.get("source", ""))
@@ -207,8 +245,8 @@ def parse_intrinsics_header(record: str | dict) -> CameraIntrinsics | None:
     """Return intrinsics if the record is a stream header line, else None."""
     if isinstance(record, (str, bytes)):
         try:
-            record = json.loads(record)
-        except JSON_DECODE_ERRORS:
+            record = decode_object(record, MalformedRecordError)
+        except MalformedRecordError:
             return None
     if not isinstance(record, dict) or "intrinsics" not in record:
         return None
@@ -229,11 +267,12 @@ def parse_intrinsics_header(record: str | dict) -> CameraIntrinsics | None:
 class StreamReader:
     """Iterate KeypointFrames out of JSONL lines.
 
-    Handles the optional intrinsics header and keeps warning counters instead
-    of failing on recoverable problems: with ``skip_malformed`` bad lines are
-    counted and skipped, otherwise they raise. Non-monotonic timestamps are
-    always a warning, never an error. Each warning message goes to
-    ``on_warning`` as it occurs; none is kept.
+    Decodes each line once. A record holding ``"intrinsics"`` is a header: it
+    sets the intrinsics for the records after it, as in a live session.
+    Keeps warning counters instead of failing on recoverable problems: with
+    ``skip_malformed`` bad lines are counted and skipped, otherwise they
+    raise. Non-monotonic timestamps are always a warning, never an error.
+    Each warning message goes to ``on_warning`` as it occurs; none is kept.
     """
 
     def __init__(self, lines: Iterable[str], *, skip_malformed: bool = False,
@@ -251,21 +290,12 @@ class StreamReader:
             line = line.strip()
             if not line:
                 continue
-            if lineno == 1:
-                header = None
-                try:
-                    header = parse_intrinsics_header(line)
-                except MalformedRecordError as exc:
-                    if not self._skip_malformed:
-                        raise
-                    self.malformed += 1
-                    self._warn(f"line {lineno}: {exc}")
-                    continue
-                if header is not None:
-                    self.intrinsics = header
-                    continue
             try:
-                frame = parse_frame(line, self.intrinsics)
+                record = decode_object(line, MalformedRecordError)
+                if "intrinsics" in record:
+                    self.intrinsics = parse_intrinsics_header(record)
+                    continue
+                frame = parse_frame(record, self.intrinsics)
             except MalformedRecordError as exc:
                 if not self._skip_malformed:
                     raise MalformedRecordError(f"line {lineno}: {exc}") from exc
@@ -317,6 +347,8 @@ class GestureScenario:
             raise StreamError(f"aim_bias_sigma must be finite and >= 0, got {self.aim_bias_sigma}")
         if self.sample_count < 1:
             raise StreamError(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.rng_seed < 0:
+            raise StreamError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0 < self.arm_length < math.inf:
             raise StreamError(f"arm_length must be finite and positive, got {self.arm_length}")
         if not 0 < self.frame_rate < math.inf:
@@ -371,8 +403,7 @@ def parse_triplet(value: str, key: str) -> Point3:
 
 def load_scenario_config(path: str | os.PathLike) -> GestureScenario:
     """Load a GestureScenario from a flat key/value config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = parse_kv_config(fh.read())
+    cfg = parse_kv_config(read_text(path))
     required = [
         "plane_corner_1", "plane_corner_2", "plane_corner_3",
         "shoulder", "target", "sigma", "arm_length", "seed", "count",

@@ -345,7 +345,7 @@ def test_criterion_7_determinism_and_formats(tmp_path):
           "--out", str(tmp_path / "rep")], 0),
         (["sweep", "--kind", "pick", "--distances", "nonsense", "--out", str(tmp_path / "rep")], 2),
         (["calibrate", "--target-error", "0"], 0),
-        (["calibrate", "--target-error", "-1"], 1),
+        (["calibrate", "--target-error", "-1"], 2),
         (["calibrate", "--target-error", "0.004", "--aim-bias", "0.05", "--samples", "2000"], 1),
         (["registry", "init", "--file", str(layout)], 0),
         (["registry", "add-target", "--file", str(layout), "--id", "t"], 2),  # missing --u/--v

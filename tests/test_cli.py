@@ -5,8 +5,10 @@ from __future__ import annotations
 import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
@@ -28,7 +30,7 @@ import gesturepoint
 from gesturepoint.cli import ConfigError, _load_registries, build_parser, load_plane_file
 from gesturepoint.evaluation import EvalError, load_boards
 from gesturepoint.geometry import PlanarPoint, Point3, project, CameraIntrinsics
-from gesturepoint.snap import Area, Target, save_layout
+from gesturepoint.snap import Area, MalformedFileError, Target, load_layout, save_layout
 
 
 def read_jsonl(path):
@@ -1047,6 +1049,204 @@ def test_env_config_path_with_nul_byte_exits_2(tmp_path, monkeypatch, capsys, ke
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 2
     assert "null byte" in capsys.readouterr().err
+
+
+# --- one reader per input format --------------------------------------------------
+
+BOM = "\ufeff"
+
+
+def _json_inputs(tmp_path) -> dict[str, tuple[str, list[str]]]:
+    """Per JSON input file kind: a valid document, and the command that reads
+    it with the file's path appended. Each command but ``registry list``
+    writes ``out``."""
+    plane = make_plane_file(tmp_path / "plane.json")
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(json.dumps(wrist_frame("t", 0.0)) + "\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    return {
+        "corners": (json.dumps({"corners": [{"x": c.x, "y": c.y, "z": c.z} for c in desk_corners()]}),
+                    ["define-plane", "--out", out, "--corners"]),
+        "plane": (plane.read_text(encoding="utf-8"),
+                  ["replay", "--stream", str(stream), "--out", out, "--plane"]),
+        "layout": (json.dumps({"targets": [_LAYOUT_TARGET], "areas": [_LAYOUT_AREA]}),
+                   ["registry", "list", "--file"]),
+        "board": (json.dumps({"boards": [{"board": {"kind": "custom", "l_m": 0.1, "plane_size_m": [0.6, 0.8]},
+                                          "targets": [_LAYOUT_TARGET], "areas": []}]}),
+                  ["sweep", "--kind", "pick", "--trials", "1", "--out", out, "--board"]),
+    }
+
+
+def _written(path) -> dict:
+    """Every file under ``path`` (or ``path`` itself) by name, as bytes."""
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    return {path.name: path.read_bytes()} if path.exists() else {}
+
+
+@pytest.mark.parametrize("kind", ["corners", "plane", "layout", "board"])
+@pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000, "9" * 5000],
+                         ids=["nested-past-recursion-limit", "5000-digit-integer"])
+def test_input_file_past_the_json_decoder_limits_exits_2(tmp_path, capsys, kind, value):
+    text, argv = _json_inputs(tmp_path)[kind]
+    path = tmp_path / "input.json"
+    path.write_text('{"pad": %s, %s' % (value, text.lstrip()[1:]), encoding="utf-8")
+    assert run_cli(argv + [str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("frame", [None, [0, 1], "x"], ids=["null", "list", "text"])
+def test_plane_file_whose_frame_is_no_object_exits_2(tmp_path, capsys, frame):
+    text, argv = _json_inputs(tmp_path)["plane"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(json.loads(text), frame=frame)), encoding="utf-8")
+    assert run_cli(argv + [str(path)]) == 2
+    assert '"frame" must be an object' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["corners", "plane", "layout", "board", "scenario"])
+def test_input_file_with_bom_reads_as_without(tmp_path, capsys, kind):
+    if kind == "scenario":
+        text = write_scenario_file(tmp_path / "s.cfg").read_text(encoding="utf-8")
+        argv = ["generate", "--out", str(tmp_path / "out"), "--scenario"]
+    else:
+        text, argv = _json_inputs(tmp_path)[kind]
+    path = tmp_path / "input"
+    results = []
+    for prefix in ("", BOM):
+        path.write_text(prefix + text, encoding="utf-8")
+        assert run_cli(argv + [str(path)]) == 0
+        results.append((capsys.readouterr().out, _written(tmp_path / "out")))
+    assert results[0] == results[1]
+    assert results[0][0] if kind == "layout" else results[0][1]
+
+
+def test_env_config_with_bom_applies_its_first_key(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(BOM + "hand = banana\n", encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    assert run_cli(_float_flag_commands(tmp_path)["replay"]) == 2
+    assert "bad value for hand" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _pixel_wrist_lines(tmp_path) -> list[str]:
+    """The generated stream with each right wrist in the pixel form, after
+    an intrinsics header (fx = fy = 100, so the wrists fall in the image)."""
+    intrinsics = dict(INTRINSICS, fx=100, fy=100)
+    camera = CameraIntrinsics(**intrinsics)
+    lines = [json.dumps({"intrinsics": intrinsics})]
+    for line in _generated_lines(tmp_path):
+        record = json.loads(line)
+        wrist = record["joints"]["right_wrist"]
+        px, py = project(Point3(wrist["x"], wrist["y"], wrist["z"]), camera)
+        record["joints"]["right_wrist"] = {"px": px, "py": py, "depth": wrist["z"], "c": wrist["c"]}
+        lines.append(json.dumps(record))
+    return lines
+
+
+@pytest.mark.parametrize("lead", ["\n", BOM, BOM + "\n\n"], ids=["blank-line", "bom", "bom-blank-lines"])
+def test_replay_header_after_blank_line_or_bom_writes_the_same_output(tmp_path, capsys, lead):
+    plane = make_plane_file(tmp_path / "plane.json")
+    text = "\n".join(_pixel_wrist_lines(tmp_path)) + "\n"
+    outputs = []
+    for prefix in ("", lead):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(prefix + text, encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(out)]) == 0
+        assert "frames=6 points=6 warnings=0" in capsys.readouterr().err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("case", ["generate --seed", "generate scenario seed", "sweep --seed",
+                                  "calibrate --seed", "generate config seed", "sweep config seed",
+                                  "calibrate config seed"])
+def test_negative_seed_exits_2_before_any_output(tmp_path, monkeypatch, capsys, case):
+    out = tmp_path / "out"
+    scenario = write_scenario_file(tmp_path / "s.cfg", seed=-5 if case == "generate scenario seed" else 1)
+    argv = {
+        "generate": ["generate", "--scenario", str(scenario), "--out", str(out)],
+        "sweep": ["sweep", "--kind", "pick", "--trials", "1", "--distances", "0.2", "--out", str(out)],
+        "calibrate": ["calibrate", "--target-error", "0.02", "--samples", "200"],
+    }[case.split()[0]]
+    if case.endswith("--seed"):
+        argv.append("--seed=-1")
+    elif case.endswith("config seed"):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("seed = -1\n", encoding="utf-8")
+        monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sweep"])
+def test_negative_target_error_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {"calibrate": ["calibrate", "--target-error=-0.01"],
+            "sweep": ["sweep", "--kind", "pick", "--trials", "1", "--calibrate=-0.01", "--out", str(out)]}
+    assert run_cli(argv[command]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_FILE_KEYS = ("corners", "intrinsics", "x", "y", "z", "px", "py", "depth", "fx", "fy", "cx", "cy",
+              "width", "height", "normal", "d", "frame", "origin_corner", "x_corner", "targets",
+              "areas", "id", "label", "group", "u", "v", "cu", "cv", "hu", "hv", "boards", "board",
+              "kind", "l_m", "plane_size_m")
+# stand-ins for raw JSON text that no json.dumps writes
+_RAW = {'"@deep@"': "[" * 5000 + "]" * 5000, '"@near-limit@"': "[" * 950 + "]" * 950,
+        '"@long-int@"': "9" * 4400}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([0, 0.2, 1, 640, 1e300, -1, "t1"] + [k.strip('"') for k in _RAW]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FILE_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=16,
+)
+
+
+def _replace_one_value(data, doc) -> None:
+    """Replace one value of ``doc``, at any depth, by an arbitrary one."""
+    key = data.draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+    if isinstance(doc[key], (dict, list)) and doc[key] and data.draw(st.booleans()):
+        _replace_one_value(data, doc[key])
+    else:
+        doc[key] = data.draw(_JSON_VALUES)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(kind=st.sampled_from(["corners", "plane", "layout", "board"]), how=st.integers(0, 3),
+       bom=st.booleans(), data=st.data())
+def test_input_file_fuzz_exits_0_or_2(tmp_path, capsys, kind, how, bom, data):
+    """A plane, corner, layout or board file holding any JSON value, a valid
+    document with one value replaced (deep nesting and over-long integers
+    included), or either behind a BOM, ends in exit 0 or 2, never a traceback."""
+    example_dir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))  # an earlier example's out stays apart
+    text, argv = _json_inputs(example_dir)[kind]
+    doc = json.loads(text)
+    if how == 0:
+        doc = data.draw(_JSON_VALUES)
+    elif how < 3:
+        _replace_one_value(data, doc)
+    text = json.dumps(doc)
+    for marker, raw in _RAW.items():
+        text = text.replace(marker, raw)
+    path = example_dir / "fuzz.json"
+    path.write_text(BOM * bom + text, encoding="utf-8")
+    if kind == "layout":
+        try:
+            load_layout(path)
+        except (MalformedFileError, ConfigError):
+            pass
+    assert run_cli(argv + [str(path)]) in (0, 2)
+    capsys.readouterr()
 
 
 # --- docs ------------------------------------------------------------------------

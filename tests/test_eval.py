@@ -462,6 +462,11 @@ def test_calibration_samples_below_one_raise_before_drawing(monkeypatch, samples
         mean_intersection_error(tpl, Point3(0.3, 0.4, 0.0), 0.01, samples=samples, seed=3)
 
 
+def test_calibrate_negative_target_is_an_invalid_parameter():
+    with pytest.raises(InvalidParametersError, match="must be >= 0"):
+        calibrate_sigma(-0.01, ScenarioTemplate.desk_default(0.0))
+
+
 def test_calibrate_unreachable_when_bias_floor_exceeds_target():
     tpl = ScenarioTemplate.desk_default(0.0, aim_bias_sigma=0.05)
     with pytest.raises(Exception, match="aim bias"):

@@ -214,6 +214,41 @@ def test_stream_reader_header_and_warnings():
     assert reader.malformed == 0
 
 
+def test_stream_reader_header_sets_intrinsics_for_the_records_after_it():
+    """A header on any line applies from there on, as in a live session."""
+    pixel_wrist = {"right_wrist": {"px": 320, "py": 240, "depth": 1.0, "c": 1.0}}
+    lines = [
+        "",
+        json.dumps({"t": 0.0, "joints": {}}),
+        json.dumps({"intrinsics": INTRINSICS}),
+        json.dumps({"t": 1.0, "joints": pixel_wrist}),
+        json.dumps({"intrinsics": dict(INTRINSICS, cx=0)}),
+        json.dumps({"t": 2.0, "joints": pixel_wrist}),
+    ]
+    reader = StreamReader(lines)
+    frames = list(reader)
+    assert [f.joint("right_wrist").position for f in frames[1:]] == [
+        Point3(0.0, 0.0, 1.0), Point3(320 / 600, 0.0, 1.0)]
+    assert reader.intrinsics.cx == 0 and reader.malformed == 0
+
+
+def test_stream_reader_bad_header_keeps_the_last_good_one():
+    pixel_wrist = {"right_wrist": {"px": 320, "py": 240, "depth": 1.0, "c": 1.0}}
+    lines = [json.dumps({"intrinsics": INTRINSICS}),
+             json.dumps({"intrinsics": dict(INTRINSICS, fx=-1)}),
+             json.dumps({"t": 0.0, "joints": pixel_wrist})]
+    reader = StreamReader(lines, skip_malformed=True)
+    assert len(list(reader)) == 1 and reader.malformed == 1
+    with pytest.raises(MalformedRecordError, match="line 2: bad intrinsics header"):
+        list(StreamReader(lines))
+
+
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_scenario_rejects_negative_seed(seed):
+    with pytest.raises(StreamError, match="rng_seed must be >= 0"):
+        make_scenario(rng_seed=seed)
+
+
 def test_stream_reader_skip_malformed_counts():
     lines = [
         json.dumps({"t": 0.0, "joints": {}}),
