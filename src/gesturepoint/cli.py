@@ -24,10 +24,10 @@ Corner files for define-plane hold pre-detected marker poses or clicked
 pixels: {"corners": [{"x":..,"y":..,"z":..} | {"px":..,"py":..,"depth":..},
 ...], "intrinsics": {...}} (intrinsics required for the pixel form).
 
-Every input file goes through ``stream``'s one reader, ``read_text`` (UTF-8,
-optionally BOM-prefixed), and every JSON one through its one decoder,
-``decode_object``; corners go through the stream's joint-position parser,
-``parse_position``. Replay's stream is the one other file read.
+Every input file goes through ``stream``'s readers: ``read_text`` (UTF-8,
+optionally BOM-prefixed), the JSON decoder ``decode_object``, ``json_number``
+and ``json_int`` for its numbers, and ``parse_position`` for corners.
+Replay's stream is the one other file read.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -82,6 +81,9 @@ from .stream import (
     StreamError,
     StreamReader,
     decode_object,
+    finite_float,
+    json_int,
+    json_number,
     load_scenario_config,
     parse_intrinsics_header,
     parse_kv_config,
@@ -105,15 +107,6 @@ _CONFIG_EXCEPTIONS = (
     MalformedFileError,
     InvalidParametersError,
 )
-
-
-def finite_float(text: str) -> float:
-    """The type of every float flag, which config values go through too: NaN
-    and infinities raise ValueError, so either source exits 2."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
 
 
 def non_negative_int(text: str) -> int:
@@ -158,20 +151,26 @@ def save_plane_file(
 def load_plane_file(path: str) -> tuple[Plane, WorkplaneFrame, int, int]:
     """Load a plane file; the frame is recomputed from the stored corner
     indices so hand-edited corners stay consistent."""
-    doc = decode_object(read_text(path), ConfigError, path)
-    try:
-        normal = Vec3(*[float(x) for x in doc["normal"]])
-        corners = tuple(Point3(*[float(x) for x in c]) for c in doc["corners"])
-        plane = Plane(normal=normal, d=float(doc["d"]), corners=corners)
-        frame_spec = doc.get("frame", {})
-        if not isinstance(frame_spec, dict):
-            raise TypeError(f'"frame" must be an object, got {type(frame_spec).__name__}')
-        origin_corner = int(frame_spec.get("origin_corner", 0))
-        x_corner = int(frame_spec.get("x_corner", 1))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: bad plane file: {exc}") from exc
+    doc, what = decode_object(read_text(path), ConfigError, path), f"{path}: bad plane file"
+    corners, frame_spec = doc.get("corners"), doc.get("frame", {})
+    if not (isinstance(corners, list) and len(corners) == 4):
+        raise ConfigError(f'{what}: "corners" must be a list of four corners')
+    if not isinstance(frame_spec, dict):
+        raise ConfigError(f'{what}: "frame" must be an object, got {type(frame_spec).__name__}')
+    plane = Plane(normal=Vec3(*_three_numbers(doc.get("normal"), what, "normal")),
+                  d=json_number(doc.get("d"), ConfigError, what, "d"),
+                  corners=tuple(Point3(*_three_numbers(c, what, "corners")) for c in corners))
+    origin_corner = json_int(frame_spec.get("origin_corner", 0), ConfigError, what, "origin_corner")
+    x_corner = json_int(frame_spec.get("x_corner", 1), ConfigError, what, "x_corner")
     frame = workplane_frame(plane, origin_corner, x_corner)
     return plane, frame, origin_corner, x_corner
+
+
+def _three_numbers(value, what: str, name: str) -> tuple[float, float, float]:
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ConfigError(f"{what} {name!r}: expected a list of three numbers")
+    return (json_number(value[0], ConfigError, what, name), json_number(value[1], ConfigError, what, name),
+            json_number(value[2], ConfigError, what, name))
 
 
 def load_corner_file(path: str) -> tuple[list[Point3], bool]:
@@ -454,8 +453,8 @@ def cmd_registry(args) -> int:
         return EXIT_OK
     if args.action == "add-target":
         _require(args, "id", "u", "v")
-        new = _from_flags(Target, id=args.id, label=args.label or args.id,
-                          position=PlanarPoint(args.u, args.v), group=args.group)
+        new = Target(id=args.id, label=args.label or args.id,
+                     position=PlanarPoint(args.u, args.v), group=args.group)
         if any(t.id == new.id for t in targets):
             raise DuplicateIdError(f"target id {new.id!r} already registered")
         targets.append(new)
@@ -466,8 +465,10 @@ def cmd_registry(args) -> int:
         targets = [t for t in targets if t.id != args.id]
     elif args.action == "add-area":
         _require(args, "id", "cu", "cv", "hu", "hv")
-        new_area = _from_flags(Area, id=args.id, center=PlanarPoint(args.cu, args.cv),
-                               half_extent=(args.hu, args.hv))
+        try:
+            new_area = Area(id=args.id, center=PlanarPoint(args.cu, args.cv), half_extent=(args.hu, args.hv))
+        except SnapError as exc:  # a half extent <= 0 is a usage error
+            raise ConfigError(str(exc)) from exc
         if any(a.id == new_area.id for a in areas):
             raise DuplicateIdError(f"area id {new_area.id!r} already registered")
         areas.append(new_area)
@@ -481,14 +482,6 @@ def cmd_registry(args) -> int:
     save_layout(path, targets, areas)
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _from_flags(entity, **fields):
-    """A Target or Area built from flag values: a bad value is a usage error."""
-    try:
-        return entity(**fields)
-    except SnapError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _require(args, *names: str) -> None:

@@ -37,7 +37,6 @@ import json
 import math
 import os
 import statistics
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -61,9 +60,7 @@ from .snap import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_STABILITY_THRESHOLD,
     Area,
-    DuplicateIdError,
     MalformedFileError,
-    Registry,
     SnapRequest,
     SnapResult,
     Target,
@@ -76,7 +73,7 @@ from .stabilizer import DEFAULT_WINDOW
 from .stream import (  # re-exports the EvalError family and the sample-count defaults
     DEFAULT_CALIBRATION_SAMPLES, DEFAULT_FRAME_RATE, DEFAULT_TRIALS_PER_TARGET,
     DimensionMismatchError, EvalError, GestureScenario, InvalidParametersError, JointSample,
-    KeypointFrame, NonConvergenceError, UnsupportedFormatError, decode_object, read_text,
+    KeypointFrame, NonConvergenceError, UnsupportedFormatError, decode_object, json_number, read_text,
 )
 
 PLANE_SIZE = (0.60, 0.80)
@@ -201,29 +198,24 @@ def board_document(board: BoardLayout) -> dict:
     )
 
 
-def _positive_number(value) -> bool:
-    """A JSON number > 0 that a float holds (bools are not numbers here)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value <= sys.float_info.max)
-
-
 def board_from_document(doc: dict) -> BoardLayout:
-    """A board from its document; ``l_m`` must be null or a finite number
-    > 0 and ``plane_size_m`` two of them."""
-    targets, areas = parse_layout(doc)
+    """A board from its document: first its metadata (a string ``kind``,
+    ``l_m`` null or a number > 0, ``plane_size_m`` two of them), then its layout."""
     meta = doc.get("board", {})
     if not isinstance(meta, dict):
-        raise EvalError(f"board metadata must be an object, got {meta!r}")
-    kind = str(meta.get("kind", "custom"))
-    parameter = meta.get("l_m")
-    if parameter is not None and not _positive_number(parameter):
-        raise EvalError(f"l_m of a {kind!r} board must be null or a finite number > 0, got {parameter!r}")
-    plane_size = meta.get("plane_size_m", PLANE_SIZE)
+        raise EvalError(f"board metadata must be an object, got {type(meta).__name__}")
+    kind, parameter = meta.get("kind", "custom"), meta.get("l_m")
+    if not isinstance(kind, str):
+        raise EvalError(f"board kind: expected a JSON string, got {type(kind).__name__}")
+    what = f"l_m of a {kind!r} board"
+    if parameter is not None and json_number(parameter, EvalError, what) <= 0:
+        raise EvalError(f"{what} must be null or a finite number > 0, got {parameter!r}")
+    plane_size, what = meta.get("plane_size_m", PLANE_SIZE), f"plane_size_m of a {kind!r} board"
     if not (isinstance(plane_size, (list, tuple)) and len(plane_size) == 2
-            and all(_positive_number(x) for x in plane_size)):
-        raise EvalError(
-            f"plane_size_m of a {kind!r} board must be two finite numbers > 0, got {plane_size!r}"
-        )
+            and json_number(plane_size[0], EvalError, what) > 0
+            and json_number(plane_size[1], EvalError, what) > 0):
+        raise EvalError(f"{what} must be two finite numbers > 0")
+    targets, areas = parse_layout(doc)
     return BoardLayout(
         kind=kind,
         parameter=parameter,
@@ -254,15 +246,12 @@ def load_boards(path: str | os.PathLike) -> list[BoardLayout]:
             raise EvalError(f"{path}: board {i} must be a JSON object")
         try:
             board = board_from_document(entry)
-        except (EvalError, MalformedFileError) as exc:
+        except EvalError as exc:
             raise EvalError(f"{path}: board {i}: {exc}") from exc
+        except MalformedFileError as exc:
+            raise EvalError(f"{path}: board {i} ({entry.get('board', {}).get('kind', 'custom')}): {exc}") from exc
         if not board.targets and not board.areas:
             raise EvalError(f"{path}: board {i} holds no targets or areas")
-        try:
-            Registry().replace_all(board.targets)
-            Registry().replace_all(board.areas)
-        except DuplicateIdError as exc:
-            raise EvalError(f"{path}: board {i} ({board.kind}): {exc}") from exc
         boards.append(board)
     return boards
 

@@ -21,14 +21,11 @@ over arrays for the sweeps, and the float arithmetic of
 ``pipeline.GesturePipeline.process`` for live and replay; the tests hold each
 to the other. The bounds test takes floats and numpy arrays alike.
 
-Numbers are checked once, where they enter from outside; values built inside
-the package are trusted, so ``Point3``, ``Vec3`` and ``PlanarPoint`` check
-nothing. Joint and plane corner coordinates are bounded by
-``MAX_JOINT_COORD``. The checks that reject NaN and infinities: ``Plane``,
-``CameraIntrinsics``, ``Quaternion`` and :func:`deproject` here;
-``stream.parse_frame``, ``parse_triplet`` and ``GestureScenario``;
-``snap.Target`` and ``Area``; ``evaluation.board_from_document``; the CLI's
-``finite_float`` flag type.
+Numbers are checked once, where they enter from outside, by ``stream``'s two
+readers: ``json_number`` (and ``json_int``) for JSON, ``finite_float`` for
+text; values built inside the package are trusted, so ``Point3``, ``Vec3`` and
+``PlanarPoint`` check nothing. Joint and plane corner coordinates are bounded
+by ``MAX_JOINT_COORD``.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .snap import (
     evaluate_request,
 )
 from .stabilizer import GesturePoint
-from .stream import MalformedRecordError, decode_object, parse_frame, parse_intrinsics_header
+from .stream import MalformedRecordError, decode_object, json_int, parse_frame, parse_intrinsics_header
 
 
 def gesture_point_record(gp: GesturePoint, settings: PipelineSettings) -> str:
@@ -92,8 +92,8 @@ class LiveSession:
         hand = obj.get("hand", self.settings.hands[0])
         if hand not in self.settings.hands:
             return json.dumps({"err": f"hand {hand!r} not enabled"})
-        n = obj.get("n", self.settings.snap_samples)
-        if type(n) is not int or not 1 <= n <= HISTORY_CAPACITY:  # rejects bools too
+        n = json_int(obj.get("n", self.settings.snap_samples), MalformedRecordError, "snap n")
+        if not 1 <= n <= HISTORY_CAPACITY:
             return json.dumps({"err": f"n must be an integer in 1..{HISTORY_CAPACITY}, got {n!r}"})
         group = obj.get("group", self.settings.group)
         samples = self.pipeline.recent(hand, n)

@@ -14,8 +14,8 @@ a SnapRequest to a strategy; it is pure over the tuples it is given. Layouts
 load once: a registry validates and sorts its items in ``replace_all`` and
 hands every reader the same immutable tuple.
 
-Layout file format (meters, workplane frame; every number finite, half
-extents > 0):
+Layout file format (meters, workplane frame; ids, labels and groups are JSON
+strings, every number a finite JSON number, half extents > 0, ids unique):
 
     {"targets": [{"id": "b1", "label": "big_bolt_1", "group": "big_bolt",
                   "u": 0.2, "v": 0.3}],
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import PlanarPoint, planar_mean
-from .stream import decode_object, read_text
+from .stream import decode_object, json_number, read_text
 
 DEFAULT_STABILITY_THRESHOLD = 0.05
 DEFAULT_SAMPLE_COUNT = 15
@@ -66,20 +66,12 @@ class MalformedFileError(SnapError):
     pass
 
 
-def _finite_uv(p: PlanarPoint) -> bool:
-    return math.isfinite(p.u) and math.isfinite(p.v)
-
-
 @dataclass(frozen=True)
 class Target:
     id: str
     label: str
     position: PlanarPoint
     group: str | None = None
-
-    def __post_init__(self) -> None:
-        if not _finite_uv(self.position):
-            raise SnapError(f"target {self.id!r} position must be finite, got {self.position}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +81,6 @@ class Area:
     half_extent: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not _finite_uv(self.center):
-            raise SnapError(f"area {self.id!r} center must be finite, got {self.center}")
         hu, hv = self.half_extent
         if not (0 < hu < math.inf and 0 < hv < math.inf):  # NaN fails too
             raise SnapError(
@@ -236,36 +226,42 @@ class Registry:
 TargetRegistry = AreaRegistry = Registry
 
 
-def _target_from_dict(spec: dict) -> Target:
-    try:
-        return Target(
-            id=str(spec["id"]),
-            label=str(spec.get("label", spec["id"])),
-            position=PlanarPoint(u=float(spec["u"]), v=float(spec["v"])),
-            group=None if spec.get("group") in (None, "") else str(spec["group"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedFileError(f"bad target entry {spec!r}: {exc}") from exc
+def _target_from_dict(spec) -> Target:
+    if not (isinstance(spec, dict) and isinstance(spec.get("id"), str) and isinstance(spec.get("label", ""), str)
+            and isinstance(spec.get("group"), (str, type(None)))):
+        raise MalformedFileError("bad target entry: expected an object whose id, label and group are JSON strings")
+    tid = spec["id"]
+    return Target(id=tid, label=spec.get("label", tid), group=spec.get("group") or None,
+                  position=PlanarPoint(u=json_number(spec.get("u"), MalformedFileError, "u of target", tid),
+                                       v=json_number(spec.get("v"), MalformedFileError, "v of target", tid)))
 
 
-def _area_from_dict(spec: dict) -> Area:
+def _area_from_dict(spec) -> Area:
+    if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)):
+        raise MalformedFileError("bad area entry: expected an object whose id is a JSON string")
+    aid = spec["id"]
+    center = PlanarPoint(u=json_number(spec.get("cu"), MalformedFileError, "cu of area", aid),
+                         v=json_number(spec.get("cv"), MalformedFileError, "cv of area", aid))
+    half_extent = (json_number(spec.get("hu"), MalformedFileError, "hu of area", aid),
+                   json_number(spec.get("hv"), MalformedFileError, "hv of area", aid))
     try:
-        return Area(
-            id=str(spec["id"]),
-            center=PlanarPoint(u=float(spec["cu"]), v=float(spec["cv"])),
-            half_extent=(float(spec["hu"]), float(spec["hv"])),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedFileError(f"bad area entry {spec!r}: {exc}") from exc
+        return Area(id=aid, center=center, half_extent=half_extent)
+    except SnapError as exc:  # a half extent <= 0
+        raise MalformedFileError(str(exc)) from exc
 
 
 def parse_layout(doc: dict) -> tuple[list[Target], list[Area]]:
-    if not isinstance(doc, dict):
-        raise MalformedFileError("layout file must hold a JSON object")
+    """A layout document's targets and areas; an id repeated in either is malformed."""
     targets, areas = doc.get("targets", []), doc.get("areas", [])
     if not (isinstance(targets, list) and isinstance(areas, list)):
         raise MalformedFileError('layout "targets" and "areas" must be lists')
-    return [_target_from_dict(t) for t in targets], [_area_from_dict(a) for a in areas]
+    targets, areas = [_target_from_dict(t) for t in targets], [_area_from_dict(a) for a in areas]
+    try:
+        Registry().replace_all(targets)
+        Registry().replace_all(areas)
+    except DuplicateIdError as exc:
+        raise MalformedFileError(str(exc)) from exc
+    return targets, areas
 
 
 def load_layout(path: str | os.PathLike) -> tuple[list[Target], list[Area]]:

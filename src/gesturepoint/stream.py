@@ -21,12 +21,12 @@ which sets them for every record after it, in ``StreamReader`` as in a live
 session. Unknown joint names are ignored; missing joints are simply absent. A
 joint with any coordinate that is NaN, infinite or beyond ``MAX_JOINT_COORD``
 meters (after deprojection for the 2D form) makes the record malformed; so
-does a non-finite pixel, depth, confidence, timestamp or intrinsics value.
+does any number field that holds a string, a bool or a non-finite value.
 
 Each input format has one reader here: :func:`read_text` opens every input
-file (UTF-8, optionally BOM-prefixed), :func:`decode_object` is the one JSON
-decoder, and :func:`parse_position` the one joint-position parser, shared by
-stream records and define-plane's corner files.
+file (UTF-8, optionally BOM-prefixed), :func:`decode_object` decodes JSON,
+:func:`json_number`/:func:`json_int` read its numbers and :func:`finite_float`
+those of text, and :func:`parse_position` parses every joint and corner.
 
 Scenario config files are flat ``key = value`` text (``#`` comments allowed):
 
@@ -43,7 +43,7 @@ Scenario config files are flat ``key = value`` text (``#`` comments allowed):
     frame_rate = 30                     # optional, Hz
     hand       = right                  # optional
 
-Every number must be finite (:func:`parse_triplet`, :class:`GestureScenario`).
+Every number must be finite (:func:`finite_float`, :class:`GestureScenario`).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .geometry import (
     MAX_JOINT_COORD,
     PLANARITY_TOL,
     CameraIntrinsics,
+    GeometryError,
     Plane,
     Point3,
     deproject,
@@ -116,6 +117,40 @@ def decode_object(text: str | bytes, error: type[ValueError], source: str | os.P
     return doc
 
 
+def _not_a(kind: str, value, what: str, name) -> str:
+    got = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)  # no deep repr
+    return f"{what if name is None else f'{what} {name!r}'}: expected {kind}, got {got}"
+
+
+def json_number(value, error: type[ValueError], what: str, name=None) -> float:
+    """The one reader of a JSON number: an int or a float, not a bool, that a
+    finite float holds, as a float; else ``error`` names ``what`` (``name``)."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+    elif isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise error(_not_a("a finite JSON number", value, what, name))
+
+
+def json_int(value, error: type[ValueError], what: str, name=None) -> int:
+    """The one reader of a JSON integer: an int, not a bool and not ``1.0``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(_not_a("a JSON integer", value, what, name))
+
+
+def finite_float(text: str) -> float:
+    """The one reader of a number in text: NaN and infinities raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # evaluation's errors and sample-count defaults, here so that the CLI maps exit
 # codes and prints its help without importing evaluation (and numpy)
 DEFAULT_TRIALS_PER_TARGET = 10
@@ -170,22 +205,22 @@ def parse_position(spec: dict, intrinsics: CameraIntrinsics | None, kind: str, n
     origin. Anything else raises MalformedRecordError about ``kind name``."""
     if not isinstance(spec, dict):
         raise MalformedRecordError(f"{kind} {name!r} must be an object")
-    try:
-        if "x" in spec and "y" in spec and "z" in spec:
-            position = Point3(float(spec["x"]), float(spec["y"]), float(spec["z"]))
-        elif "px" in spec and "py" in spec and "depth" in spec:
-            if intrinsics is None:
-                raise MalformedRecordError(f"{kind} {name!r} uses the 2D form without intrinsics")
-            position = deproject(
-                (float(spec["px"]), float(spec["py"])), float(spec["depth"]), intrinsics
-            )
-        else:
-            raise MalformedRecordError(f"{kind} {name!r} has neither x/y/z nor px/py/depth")
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, MalformedRecordError):
-            raise
-        raise MalformedRecordError(f"{kind} {name!r}: {exc}") from exc
-    # written so that NaN fails it too: the one finiteness check of a position
+    if "x" in spec and "y" in spec and "z" in spec:
+        position = Point3(json_number(spec["x"], MalformedRecordError, kind, name),
+                          json_number(spec["y"], MalformedRecordError, kind, name),
+                          json_number(spec["z"], MalformedRecordError, kind, name))
+    elif "px" in spec and "py" in spec and "depth" in spec:
+        if intrinsics is None:
+            raise MalformedRecordError(f"{kind} {name!r} uses the 2D form without intrinsics")
+        try:
+            position = deproject((json_number(spec["px"], MalformedRecordError, kind, name),
+                                  json_number(spec["py"], MalformedRecordError, kind, name)),
+                                 json_number(spec["depth"], MalformedRecordError, kind, name), intrinsics)
+        except GeometryError as exc:
+            raise MalformedRecordError(f"{kind} {name!r}: {exc}") from exc
+    else:
+        raise MalformedRecordError(f"{kind} {name!r} has neither x/y/z nor px/py/depth")
+    # a deprojection can overflow to infinity, which fails this bound too
     if not (abs(position.x) <= MAX_JOINT_COORD and abs(position.y) <= MAX_JOINT_COORD
             and abs(position.z) <= MAX_JOINT_COORD):
         raise MalformedRecordError(f"{kind} {name!r} lies beyond {MAX_JOINT_COORD:g} m")
@@ -202,14 +237,7 @@ def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None 
         record = decode_object(record, MalformedRecordError)
     elif not isinstance(record, dict):
         raise MalformedRecordError(f"record must be a JSON object, got {type(record).__name__}")
-    if "t" not in record:
-        raise MalformedRecordError('record missing "t" timestamp')
-    try:
-        timestamp = float(record["t"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedRecordError(f'bad timestamp {record["t"]!r}') from exc
-    if not math.isfinite(timestamp):
-        raise MalformedRecordError(f"non-finite timestamp {timestamp!r}")
+    timestamp = json_number(record.get("t"), MalformedRecordError, 'timestamp "t"')
     raw_joints = record.get("joints", {})
     if not isinstance(raw_joints, dict):
         raise MalformedRecordError('"joints" must be an object')
@@ -218,10 +246,7 @@ def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None 
         if name not in KNOWN_JOINTS:
             continue
         position = parse_position(spec, intrinsics, "joint", name)
-        try:
-            confidence = float(spec.get("c", 1.0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedRecordError(f"joint {name!r}: {exc}") from exc
+        confidence = json_number(spec.get("c", 1.0), MalformedRecordError, "joint", name)
         joints[name] = JointSample(position=position, confidence=confidence)
     return KeypointFrame(
         timestamp=timestamp, joints=joints, source_id=str(record.get("source", ""))
@@ -250,18 +275,20 @@ def parse_intrinsics_header(record: str | dict) -> CameraIntrinsics | None:
             return None
     if not isinstance(record, dict) or "intrinsics" not in record:
         return None
-    spec = record["intrinsics"]
+    spec, what = record["intrinsics"], "bad intrinsics header"
+    if not isinstance(spec, dict):
+        raise MalformedRecordError(f"{what}: expected an object, got {type(spec).__name__}")
     try:
         return CameraIntrinsics(
-            fx=float(spec["fx"]),
-            fy=float(spec["fy"]),
-            cx=float(spec["cx"]),
-            cy=float(spec["cy"]),
-            width=int(spec["width"]),
-            height=int(spec["height"]),
+            fx=json_number(spec.get("fx"), MalformedRecordError, what, "fx"),
+            fy=json_number(spec.get("fy"), MalformedRecordError, what, "fy"),
+            cx=json_number(spec.get("cx"), MalformedRecordError, what, "cx"),
+            cy=json_number(spec.get("cy"), MalformedRecordError, what, "cy"),
+            width=json_int(spec.get("width"), MalformedRecordError, what, "width"),
+            height=json_int(spec.get("height"), MalformedRecordError, what, "height"),
         )
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        raise MalformedRecordError(f"bad intrinsics header: {exc}") from exc
+    except GeometryError as exc:
+        raise MalformedRecordError(f"{what}: {exc}") from exc
 
 
 class StreamReader:
@@ -389,16 +416,13 @@ def parse_kv_config(text: str) -> dict[str, str]:
 
 def parse_triplet(value: str, key: str) -> Point3:
     """Three finite numbers separated by commas and/or spaces."""
-    parts = [p for p in value.replace(",", " ").split() if p]
+    parts = value.replace(",", " ").split()
     if len(parts) != 3:
         raise StreamError(f"{key}: expected three numbers, got {value!r}")
     try:
-        x, y, z = (float(p) for p in parts)
+        return Point3(finite_float(parts[0]), finite_float(parts[1]), finite_float(parts[2]))
     except ValueError as exc:
         raise StreamError(f"{key}: {exc}") from exc
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise StreamError(f"{key}: expected finite numbers, got {value!r}")
-    return Point3(x, y, z)
 
 
 def load_scenario_config(path: str | os.PathLike) -> GestureScenario:
@@ -420,11 +444,11 @@ def load_scenario_config(path: str | os.PathLike) -> GestureScenario:
             plane=plane,
             shoulder_base=parse_triplet(cfg["shoulder"], "shoulder"),
             target=parse_triplet(cfg["target"], "target"),
-            noise_sigma=float(cfg["sigma"]),
-            arm_length=float(cfg["arm_length"]),
+            noise_sigma=finite_float(cfg["sigma"]),
+            arm_length=finite_float(cfg["arm_length"]),
             sample_count=int(cfg["count"]),
             rng_seed=int(cfg["seed"]),
-            frame_rate=float(cfg.get("frame_rate", DEFAULT_FRAME_RATE)),
+            frame_rate=finite_float(cfg.get("frame_rate", DEFAULT_FRAME_RATE)),
             hand=cfg.get("hand", "right"),
         )
     except ValueError as exc:

@@ -722,6 +722,18 @@ def _generated_lines(tmp_path, count=6) -> list[str]:
 @non_finite
 @pytest.mark.parametrize("field", ("t",) + JOINT_FIELDS + tuple(sorted(INTRINSICS)))
 def test_replay_counts_non_finite_stream_value_as_one_warning(tmp_path, capsys, field, bad):
+    _replay_counts_one_warning(tmp_path, capsys, field, bad)
+
+
+@pytest.mark.parametrize("field, bad", [("t", "0.5"), ("c", True), ("x", "0.1"), ("width", 640.5), ("fx", "300")],
+                         ids=["t-text", "c-bool", "x-text", "width-fraction", "fx-text"])
+def test_replay_counts_a_stream_value_that_is_no_json_number_as_one_warning(tmp_path, capsys, field, bad):
+    _replay_counts_one_warning(tmp_path, capsys, field, bad)
+
+
+def _replay_counts_one_warning(tmp_path, capsys, field, bad) -> None:
+    """``bad`` in one frame's ``field``, or in the header's intrinsics, is one
+    malformed line of a 6-frame replay."""
     plane = make_plane_file(tmp_path / "plane.json")
     header = {"intrinsics": dict(INTRINSICS)}
     lines = _generated_lines(tmp_path)
@@ -1106,6 +1118,59 @@ def test_plane_file_whose_frame_is_no_object_exits_2(tmp_path, capsys, frame):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, where, value", [
+    ("plane", ["normal"], "001"),
+    ("plane", ["corners"], ["000", "100", "110", "010"]),
+    ("plane", ["d"], "0"),
+    ("plane", ["d"], False),
+    ("plane", ["frame"], {"origin_corner": 1.9, "x_corner": 2}),
+    ("plane", ["frame"], {"origin_corner": True, "x_corner": 2}),
+    ("corners", ["corners", 0, "x"], "0"),
+    ("layout", ["targets", 0, "u"], "0.1"),
+    ("layout", ["areas", 0, "hv"], True),
+    ("layout", ["targets", 0, "id"], None),
+    ("layout", ["targets", 0, "label"], [1]),
+    ("layout", ["targets", 0, "group"], 5),
+    ("board", ["boards", 0, "board", "kind"], 5),
+], ids=["plane-normal-text", "plane-corners-text", "plane-d-text", "plane-d-false", "plane-origin-fraction",
+        "plane-origin-true", "corner-x-text", "layout-u-text", "layout-hv-true", "layout-id-null",
+        "layout-label-list", "layout-group-number", "board-kind-number"])
+def test_input_file_with_a_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, kind, where, value):
+    """Every number of a plane, corner, layout or board file is a JSON number
+    (an integer where it counts corners), and every id, label, group and board
+    kind a JSON string."""
+    text, argv = _json_inputs(tmp_path)[kind]
+    doc = json.loads(text)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(argv + [str(path)]) == 2
+    assert "expected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entity", ["targets", "areas"])
+@pytest.mark.parametrize("command", ["registry", "replay"])
+def test_layout_with_a_repeated_id_exits_2(tmp_path, capsys, entity, command):
+    _, argv = _json_inputs(tmp_path)["layout"]
+    if command == "replay":
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("\n".join(_generated_lines(tmp_path)) + "\n", encoding="utf-8")
+        argv = ["replay", "--plane", str(make_plane_file(tmp_path / "plane.json")), "--stream", str(stream),
+                "--out", str(tmp_path / "out"), "--snap", "pick" if entity == "targets" else "place",
+                "--registry"]
+    entry = _LAYOUT_TARGET if entity == "targets" else _LAYOUT_AREA
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps({entity: [entry, dict(entry)]}), encoding="utf-8")
+    assert run_cli(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"id {entry['id']!r} appears twice" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", ["corners", "plane", "layout", "board", "scenario"])
 def test_input_file_with_bom_reads_as_without(tmp_path, capsys, kind):
     if kind == "scenario":
@@ -1211,13 +1276,19 @@ _JSON_VALUES = st.recursive(
 )
 
 
-def _replace_one_value(data, doc) -> None:
-    """Replace one value of ``doc``, at any depth, by an arbitrary one."""
+# the keys whose value every file reader takes as a number
+_NUMBER_KEYS = frozenset(("x", "y", "z", "px", "py", "depth", "fx", "fy", "cx", "cy", "width", "height", "d",
+                          "origin_corner", "x_corner", "u", "v", "cu", "cv", "hu", "hv", "l_m"))
+
+
+def _replace_one_value(data, doc) -> tuple:
+    """Replace one value of ``doc``, at any depth, by an arbitrary one;
+    returns the key (or list index) it replaced and the new value."""
     key = data.draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
     if isinstance(doc[key], (dict, list)) and doc[key] and data.draw(st.booleans()):
-        _replace_one_value(data, doc[key])
-    else:
-        doc[key] = data.draw(_JSON_VALUES)
+        return _replace_one_value(data, doc[key])
+    doc[key] = data.draw(_JSON_VALUES)
+    return key, doc[key]
 
 
 @settings(max_examples=120, deadline=None,
@@ -1227,14 +1298,19 @@ def _replace_one_value(data, doc) -> None:
 def test_input_file_fuzz_exits_0_or_2(tmp_path, capsys, kind, how, bom, data):
     """A plane, corner, layout or board file holding any JSON value, a valid
     document with one value replaced (deep nesting and over-long integers
-    included), or either behind a BOM, ends in exit 0 or 2, never a traceback."""
+    included), or either behind a BOM, ends in exit 0 or 2, never a traceback.
+    A number replaced by anything but an int or a float (a bool included)
+    exits 2; only ``l_m`` may be null."""
     example_dir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))  # an earlier example's out stays apart
     text, argv = _json_inputs(example_dir)[kind]
     doc = json.loads(text)
+    not_a_number = False
     if how == 0:
         doc = data.draw(_JSON_VALUES)
     elif how < 3:
-        _replace_one_value(data, doc)
+        key, value = _replace_one_value(data, doc)
+        not_a_number = (key in _NUMBER_KEYS and not (key == "l_m" and value is None)
+                        and (isinstance(value, bool) or not isinstance(value, (int, float))))
     text = json.dumps(doc)
     for marker, raw in _RAW.items():
         text = text.replace(marker, raw)
@@ -1245,7 +1321,7 @@ def test_input_file_fuzz_exits_0_or_2(tmp_path, capsys, kind, how, bom, data):
             load_layout(path)
         except (MalformedFileError, ConfigError):
             pass
-    assert run_cli(argv + [str(path)]) in (0, 2)
+    assert run_cli(argv + [str(path)]) in ((2,) if not_a_number else (0, 2))
     capsys.readouterr()
 
 

@@ -4,9 +4,13 @@ and the synthetic generator."""
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     INTRINSICS,
@@ -40,6 +44,7 @@ from gesturepoint.stream import (
     StreamError,
     StreamReader,
     TargetUnreachableError,
+    json_number,
     load_scenario_config,
     parse_frame,
     parse_intrinsics_header,
@@ -140,6 +145,26 @@ def test_parse_frame_rejects_joints_beyond_coordinate_bound():
 def test_parse_frame_rejects_non_finite_values(field, bad):
     with pytest.raises(MalformedRecordError):
         parse_frame(json.dumps(wrist_frame(field, bad)), INTR)
+
+
+_FLOAT_MAX = int(sys.float_info.max)
+_HALF_ULP = 2 ** 970  # half the float spacing at the top of the range
+
+
+@given(st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+       | st.sampled_from([_FLOAT_MAX, _FLOAT_MAX + _HALF_ULP - 1, _FLOAT_MAX + _HALF_ULP, -10 ** 400, -0.0]))
+def test_json_number_reads_exactly_the_ints_and_floats_a_finite_float_holds(value):
+    accepted = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        accepted = accepted and math.isfinite(float(value))
+    except OverflowError:
+        accepted = False
+    if accepted:
+        number = json_number(value, StreamError, "value")
+        assert type(number) is float and repr(number) == repr(float(value))
+    else:
+        with pytest.raises(StreamError, match="value: expected a finite JSON number"):
+            json_number(value, StreamError, "value")
 
 
 @non_finite
