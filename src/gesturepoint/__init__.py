@@ -9,7 +9,6 @@ from .geometry import (
     Plane,
     Point3,
     Quaternion,
-    Vec3,
     WorkplaneFrame,
     deproject,
     from_workplane,
@@ -58,7 +57,6 @@ __all__ = [
     "SnapResult",
     "Target",
     "TargetRegistry",
-    "Vec3",
     "WorkplaneFrame",
     "deproject",
     "evaluate_request",

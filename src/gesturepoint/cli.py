@@ -44,7 +44,6 @@ from .geometry import (
     PlanarPoint,
     Plane,
     Point3,
-    Vec3,
     WorkplaneFrame,
     plane_from_corners,
     workplane_frame,
@@ -80,6 +79,7 @@ from .stream import (
     NonConvergenceError,
     StreamError,
     StreamReader,
+    decimal_int,
     decode_object,
     finite_float,
     json_int,
@@ -111,7 +111,7 @@ _CONFIG_EXCEPTIONS = (
 
 def non_negative_int(text: str) -> int:
     """The type of every ``--seed`` flag (and ``seed`` config key)."""
-    value = int(text)
+    value = decimal_int(text)
     if value < 0:
         raise ValueError(f"expected an integer >= 0, got {text!r}")
     return value
@@ -157,7 +157,7 @@ def load_plane_file(path: str) -> tuple[Plane, WorkplaneFrame, int, int]:
         raise ConfigError(f'{what}: "corners" must be a list of four corners')
     if not isinstance(frame_spec, dict):
         raise ConfigError(f'{what}: "frame" must be an object, got {type(frame_spec).__name__}')
-    plane = Plane(normal=Vec3(*_three_numbers(doc.get("normal"), what, "normal")),
+    plane = Plane(normal=Point3(*_three_numbers(doc.get("normal"), what, "normal")),
                   d=json_number(doc.get("d"), ConfigError, what, "d"),
                   corners=tuple(Point3(*_three_numbers(c, what, "corners")) for c in corners))
     origin_corner = json_int(frame_spec.get("origin_corner", 0), ConfigError, what, "origin_corner")
@@ -325,9 +325,13 @@ def cmd_live(args) -> int:
     host, sep, port_text = args.listen.rpartition(":")
     if not sep:
         raise ConfigError(f"--listen expects HOST:PORT, got {args.listen!r}")
-    if not (len(port_text) <= 5 and port_text.isdecimal() and int(port_text) <= 65535):
+    if not (len(port_text) <= 5 and port_text.isascii() and port_text.isdecimal()
+            and int(port_text) <= 65535):
         raise ConfigError(f"bad port {port_text!r}")
-    server = LiveServer(host or "127.0.0.1", int(port_text), settings, targets, areas)
+    try:
+        server = LiveServer(host or "127.0.0.1", int(port_text), settings, targets, areas)
+    except TypeError as exc:  # the socket layer's verdict on a host it cannot encode (a NUL, bad IDNA)
+        raise ConfigError(f"bad --listen host {host!r}: {exc}") from exc
     bound_host, bound_port = server.address
     try:
         # the ready line is printed inside the try so an interrupt any time
@@ -501,11 +505,11 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair", choices=("shoulder-wrist", "elbow-wrist"), help="joint pair")
     p.add_argument("--min-confidence", dest="min_confidence", type=finite_float,
                    help=f"joint confidence floor (default {DEFAULT_MIN_CONFIDENCE})")
-    p.add_argument("--n", type=int,
+    p.add_argument("--n", type=decimal_int,
                    help=f"snap sample count, 1..{HISTORY_CAPACITY} (default {DEFAULT_SAMPLE_COUNT})")
     p.add_argument("--threshold", type=finite_float,
                    help=f"stability threshold in meters (default {DEFAULT_STABILITY_THRESHOLD})")
-    p.add_argument("--window", type=int, help=f"stabilizer window (default {DEFAULT_WINDOW})")
+    p.add_argument("--window", type=decimal_int, help=f"stabilizer window (default {DEFAULT_WINDOW})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,9 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("define-plane", help="build a workplane file from corner points")
     p.add_argument("--corners", required=True, help="corner JSON file (3D or pixel+depth)")
     p.add_argument("--out", required=True, help="plane file to write")
-    p.add_argument("--origin-corner", dest="origin_corner", type=int, default=0,
+    p.add_argument("--origin-corner", dest="origin_corner", type=decimal_int, default=0,
                    help="frame origin corner (default %(default)s)")
-    p.add_argument("--x-corner", dest="x_corner", type=int, default=1,
+    p.add_argument("--x-corner", dest="x_corner", type=decimal_int, default=1,
                    help="frame x-axis corner (default %(default)s)")
     p.add_argument("--viewpoint", help="orient the normal toward this point, 'x,y,z'")
     p.set_defaults(func=cmd_define_plane)
@@ -531,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="flat key=value scenario file")
     p.add_argument("--out", required=True, help="stream JSONL to write")
     p.add_argument("--seed", type=non_negative_int, help="override the scenario seed")
-    p.add_argument("--count", type=int, help="override the scenario frame count")
+    p.add_argument("--count", type=decimal_int, help="override the scenario frame count")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("replay", help="run a recorded stream through the pipeline")
@@ -557,14 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-trial aim bias sigma in meters (default 0)")
     p.add_argument("--calibrate", type=finite_float, metavar="ERROR_M",
                    help="calibrate sigma to this mean intersection error first")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_PER_TARGET,
+    p.add_argument("--trials", type=decimal_int, default=DEFAULT_TRIALS_PER_TARGET,
                    help="trials per target (default %(default)s)")
     p.add_argument("--seed", type=non_negative_int, default=0, help="base seed (default %(default)s)")
     p.add_argument("--distances", help="comma-separated pick square sides in meters")
     p.add_argument("--sizes", help="comma-separated place area sides in meters")
     p.add_argument("--board", help="board layout JSON file replacing the generated series")
     p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
-    p.add_argument("--n", type=int, help=f"snap sample count (default {DEFAULT_SAMPLE_COUNT})")
+    p.add_argument("--n", type=decimal_int, help=f"snap sample count (default {DEFAULT_SAMPLE_COUNT})")
     p.add_argument("--threshold", type=finite_float,
                    help=f"stability threshold (default {DEFAULT_STABILITY_THRESHOLD})")
     p.add_argument("--out", default=".", help="report directory (default %(default)s)")
@@ -576,10 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
     p.add_argument("--aim-bias", dest="aim_bias", type=finite_float,
                    help="per-trial aim bias sigma held fixed during calibration")
-    p.add_argument("--samples", type=int, default=DEFAULT_CALIBRATION_SAMPLES,
+    p.add_argument("--samples", type=decimal_int, default=DEFAULT_CALIBRATION_SAMPLES,
                    help="Monte-Carlo samples per evaluation (default %(default)s)")
     p.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default %(default)s)")
-    p.add_argument("--n", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--n", type=decimal_int, help=argparse.SUPPRESS)
     p.add_argument("--threshold", type=finite_float, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_calibrate)
 

@@ -21,11 +21,11 @@ over arrays for the sweeps, and the float arithmetic of
 ``pipeline.GesturePipeline.process`` for live and replay; the tests hold each
 to the other. The bounds test takes floats and numpy arrays alike.
 
-Numbers are checked once, where they enter from outside, by ``stream``'s two
-readers: ``json_number`` (and ``json_int``) for JSON, ``finite_float`` for
-text; values built inside the package are trusted, so ``Point3``, ``Vec3`` and
-``PlanarPoint`` check nothing. Joint and plane corner coordinates are bounded
-by ``MAX_JOINT_COORD``.
+Numbers are checked once, where they enter from outside, by ``stream``'s
+readers: ``json_number`` (and ``json_int``) for JSON, ``finite_float`` (and
+``decimal_int``) for text; values built inside the package are trusted, so
+``Point3`` and ``PlanarPoint`` check nothing. Joint and plane corner
+coordinates are bounded by ``MAX_JOINT_COORD``.
 """
 
 from __future__ import annotations
@@ -95,60 +95,26 @@ def _require_finite(name: str, *values: float) -> None:
 
 @dataclass(frozen=True)
 class Point3:
-    """A 3D position in meters."""
+    """A 3D position in meters; a plane's unit normal is one too."""
 
     x: float
     y: float
     z: float
 
-    def __sub__(self, other: "Point3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __add__(self, v: "Vec3") -> "Point3":
-        return Point3(self.x + v.x, self.y + v.y, self.z + v.z)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """A 3D direction or displacement."""
+def _cross(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
+    (ax, ay, az), (bx, by, bz) = a, b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
-    x: float
-    y: float
-    z: float
 
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
-    def __mul__(self, s: float) -> "Vec3":
-        return Vec3(self.x * s, self.y * s, self.z * s)
-
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def normalized(self) -> "Vec3":
-        n = self.norm()
-        if n == 0.0:
-            raise GeometryError("cannot normalize a zero vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
+    n = math.sqrt(x * x + y * y + z * z)
+    if n == 0.0:
+        raise GeometryError("cannot normalize a zero vector")
+    return (x / n, y / n, z / n)
 
 
 @dataclass(frozen=True)
@@ -246,7 +212,7 @@ class Quaternion:
 class Plane:
     """An oriented plane <n, p> + d = 0 with its four corner points."""
 
-    normal: Vec3
+    normal: Point3
     d: float
     corners: tuple[Point3, Point3, Point3, Point3]
 
@@ -255,8 +221,10 @@ class Plane:
         _require_finite("Plane", self.d, *self.normal.as_tuple(), *coords)
         if max(map(abs, coords)) > MAX_JOINT_COORD:
             raise GeometryError(f"plane corner coordinates must lie within +-{MAX_JOINT_COORD:g} m")
-        if abs(self.normal.norm() - 1.0) > UNIT_TOL:
-            raise GeometryError(f"plane normal must be unit length, |n|={self.normal.norm()}")
+        nx, ny, nz = self.normal.as_tuple()
+        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+        if abs(norm - 1.0) > UNIT_TOL:
+            raise GeometryError(f"plane normal must be unit length, |n|={norm}")
         if len(self.corners) != 4:
             raise GeometryError(f"plane needs exactly 4 corners, got {len(self.corners)}")
         for i, c in enumerate(self.corners):
@@ -274,13 +242,13 @@ class Plane:
 
     def _corners_2d(self) -> list[tuple[float, float]]:
         # project onto an arbitrary in-plane basis, enough for the simplicity check
-        o = self.corners[0]
-        e1 = (self.corners[1] - o).normalized()
-        e2 = self.normal.cross(e1)
+        o, c1 = self.corners[0], self.corners[1]
+        e1 = _unit(c1.x - o.x, c1.y - o.y, c1.z - o.z)
+        (ax, ay, az), (bx, by, bz) = e1, _cross(self.normal.as_tuple(), e1)
         out = []
         for c in self.corners:
-            wx, wy, wz = c.x - o.x, c.y - o.y, c.z - o.z  # w.dot(e) on floats, same order
-            out.append((wx * e1.x + wy * e1.y + wz * e1.z, wx * e2.x + wy * e2.y + wz * e2.z))
+            wx, wy, wz = c.x - o.x, c.y - o.y, c.z - o.z
+            out.append((wx * ax + wy * ay + wz * az, wx * bx + wy * by + wz * bz))
         return out
 
 
@@ -297,17 +265,14 @@ class WorkplaneFrame:
         return self.orientation.to_matrix()
 
 
-def _orient_normal(n: Vec3, reference: Point3, viewpoint: Point3 | None) -> Vec3:
+def _orient_normal(n: Sequence[float], reference: Point3, viewpoint: Point3 | None) -> Point3:
+    nx, ny, nz = n
+    s = 0.0
     if viewpoint is not None:
-        toward = viewpoint - reference
-        s = n.dot(toward)
-        if s != 0.0:
-            return n if s > 0 else -n
-    # deterministic fallback: first non-zero of (z, y, x) made positive
-    for comp in (n.z, n.y, n.x):
-        if abs(comp) > 1e-12:
-            return n if comp > 0 else -n
-    return n
+        s = nx * (viewpoint.x - reference.x) + ny * (viewpoint.y - reference.y) + nz * (viewpoint.z - reference.z)
+    if s == 0.0:  # deterministic fallback: first non-zero of (z, y, x) made positive
+        s = next((comp for comp in (nz, ny, nx) if abs(comp) > 1e-12), 1.0)
+    return Point3(nx, ny, nz) if s > 0 else Point3(-nx, -ny, -nz)
 
 
 def plane_from_corners(
@@ -326,18 +291,20 @@ def plane_from_corners(
     if len(corners) not in (3, 4):
         raise GeometryError(f"expected 3 or 4 corners, got {len(corners)}")
     p1, p2, p3 = corners[0], corners[1], corners[2]
-    cross = (p2 - p1).cross(p3 - p2)
-    if cross.norm() <= COLLINEARITY_TOL:
+    cx, cy, cz = _cross((p2.x - p1.x, p2.y - p1.y, p2.z - p1.z), (p3.x - p2.x, p3.y - p2.y, p3.z - p2.z))
+    if math.sqrt(cx * cx + cy * cy + cz * cz) <= COLLINEARITY_TOL:
         raise CollinearCornersError("corners 1-3 are collinear (degenerate cross product)")
-    n = _orient_normal(cross.normalized(), p1, viewpoint)
+    n = _orient_normal(_unit(cx, cy, cz), p1, viewpoint)
     d = -(n.x * p3.x + n.y * p3.y + n.z * p3.z)
     if len(corners) == 3:
-        return Plane(normal=n, d=d, corners=(p1, p2, p3, p1 + (p3 - p2)))
+        p4 = Point3(p1.x + (p3.x - p2.x), p1.y + (p3.y - p2.y), p1.z + (p3.z - p2.z))
+        return Plane(normal=n, d=d, corners=(p1, p2, p3, p4))
     p4 = corners[3]
     plane = Plane(normal=n, d=d, corners=(p1, p2, p3, p4))
     # the checks passed on the corner as given; store it snapped onto the plane
     # so the stored corners are exact, without running them a second time
-    object.__setattr__(plane, "corners", (p1, p2, p3, p4 + n * (-plane.signed_distance(p4))))
+    s = -plane.signed_distance(p4)
+    object.__setattr__(plane, "corners", (p1, p2, p3, Point3(p4.x + n.x * s, p4.y + n.y * s, p4.z + n.z * s)))
     return plane
 
 
@@ -382,19 +349,15 @@ def workplane_frame(plane: Plane, origin_corner: int = 0, x_corner: int = 1) -> 
         raise InvalidCornerPairError(
             f"corners {origin_corner} and {x_corner} are not adjacent in corner order"
         )
-    origin = plane.corners[origin_corner]
-    edge = plane.corners[x_corner] - origin
-    if edge.norm() <= COLLINEARITY_TOL:
+    origin, far = plane.corners[origin_corner], plane.corners[x_corner]
+    ex, ey, ez = far.x - origin.x, far.y - origin.y, far.z - origin.z
+    if math.sqrt(ex * ex + ey * ey + ez * ez) <= COLLINEARITY_TOL:
         raise InvalidCornerPairError("chosen corners coincide")
     z = plane.normal
-    x = edge - z * edge.dot(z)  # remove any planarity slack
-    x = x.normalized()
-    y = z.cross(x)
-    rows = (
-        (x.x, y.x, z.x),
-        (x.y, y.y, z.y),
-        (x.z, y.z, z.z),
-    )
+    s = ex * z.x + ey * z.y + ez * z.z
+    x = _unit(ex - z.x * s, ey - z.y * s, ez - z.z * s)  # remove any planarity slack
+    y = _cross(z.as_tuple(), x)
+    rows = tuple(zip(x, y, z.as_tuple()))  # columns x, y, z
     return WorkplaneFrame(origin=origin, orientation=Quaternion.from_matrix(rows))
 
 

@@ -25,8 +25,8 @@ does any number field that holds a string, a bool or a non-finite value.
 
 Each input format has one reader here: :func:`read_text` opens every input
 file (UTF-8, optionally BOM-prefixed), :func:`decode_object` decodes JSON,
-:func:`json_number`/:func:`json_int` read its numbers and :func:`finite_float`
-those of text, and :func:`parse_position` parses every joint and corner.
+:func:`json_number`/:func:`json_int` read its numbers, :func:`finite_float`/
+:func:`decimal_int` those of text and :func:`parse_position` every joint and corner.
 
 Scenario config files are flat ``key = value`` text (``#`` comments allowed):
 
@@ -51,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -144,11 +145,21 @@ def json_int(value, error: type[ValueError], what: str, name=None) -> int:
 
 
 def finite_float(text: str) -> float:
-    """The one reader of a number in text: NaN and infinities raise ValueError."""
+    """The one reader of a number in text: a sign, ASCII digits with a fraction and an
+    exponent, each optional; anything else (``0_01``, other digits, NaN) raises ValueError."""
+    if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", text.strip()):
+        raise ValueError(f"expected a plain decimal number, got {text!r}")
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
+
+
+def decimal_int(text: str) -> int:
+    """The one reader of an integer in text: an optional sign and ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"expected a plain decimal integer, got {text!r}")
+    return int(text)
 
 
 # evaluation's errors and sample-count defaults, here so that the CLI maps exit
@@ -382,7 +393,8 @@ class GestureScenario:
             raise StreamError(f"frame_rate must be finite and positive, got {self.frame_rate}")
         if self.hand not in HANDS:
             raise StreamError(f"unknown hand {self.hand!r}")
-        reach = (self.target - self.shoulder_base).norm()
+        dx, dy, dz = (t - b for t, b in zip(self.target.as_tuple(), self.shoulder_base.as_tuple()))
+        reach = math.sqrt(dx * dx + dy * dy + dz * dz)
         if self.arm_length >= reach:
             raise TargetUnreachableError(
                 f"arm_length {self.arm_length} m reaches past the target "
@@ -446,9 +458,9 @@ def load_scenario_config(path: str | os.PathLike) -> GestureScenario:
             target=parse_triplet(cfg["target"], "target"),
             noise_sigma=finite_float(cfg["sigma"]),
             arm_length=finite_float(cfg["arm_length"]),
-            sample_count=int(cfg["count"]),
-            rng_seed=int(cfg["seed"]),
-            frame_rate=finite_float(cfg.get("frame_rate", DEFAULT_FRAME_RATE)),
+            sample_count=decimal_int(cfg["count"]),
+            rng_seed=decimal_int(cfg["seed"]),
+            frame_rate=finite_float(cfg["frame_rate"]) if "frame_rate" in cfg else DEFAULT_FRAME_RATE,
             hand=cfg.get("hand", "right"),
         )
     except ValueError as exc:

@@ -703,13 +703,29 @@ class _NoServer:
         raise AssertionError("live got past its input checks")
 
 
-@pytest.mark.parametrize("port", ["99999", "-1", "x", "9" * 5000],
-                         ids=["99999", "-1", "x", "5000-digits"])
+@pytest.mark.parametrize("port", ["99999", "-1", "x", "9" * 5000, "\u0668\u0660"],
+                         ids=["99999", "-1", "x", "5000-digits", "arabic-indic-80"])
 def test_live_port_outside_0_to_65535_exits_2(tmp_path, monkeypatch, capsys, port):
     monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
     plane = make_plane_file(tmp_path / "plane.json")
     assert run_cli(["live", "--plane", str(plane), f"--listen=127.0.0.1:{port}"]) == 2
     assert f"bad port {port!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config-nul", "flag-idna"])
+def test_live_listen_host_the_socket_cannot_encode_exits_2(tmp_path, monkeypatch, capsys, source):
+    """A NUL (only a config file can carry one) or a host IDNA cannot encode
+    fails before any name lookup, as a usage error."""
+    plane = make_plane_file(tmp_path / "plane.json")
+    argv = ["live", "--plane", str(plane)]
+    if source == "config-nul":
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("listen = a\0b:0\n", encoding="utf-8")
+        monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    else:
+        argv.append("--listen=" + "\u00e4" * 300 + ":0")
+    assert run_cli(argv) == 2
+    assert "bad --listen host" in capsys.readouterr().err
 
 
 def _generated_lines(tmp_path, count=6) -> list[str]:
@@ -988,6 +1004,62 @@ def test_env_config_float_key_with_non_finite_value_exits_2(tmp_path, monkeypatc
     assert run_cli(argv) == 2
     assert f"bad value for {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# text numbers that are no plain ASCII decimal: each was read as the number
+# Python's int() or float() makes of it
+_NOT_PLAIN = {"underscore": lambda v: "0_" + v,
+              "arabic-indic": lambda v: v.translate({ord(d): 0x660 + int(d) for d in "0123456789"})}
+
+
+@pytest.mark.parametrize("form", sorted(_NOT_PLAIN))
+@pytest.mark.parametrize("command, flag, value", [
+    ("replay", "--n", "5"), ("replay", "--window", "3"), ("replay", "--min-confidence", "0.3"),
+    ("live", "--n", "5"), ("live", "--window", "3"), ("live", "--threshold", "0.03"),
+    ("define-plane", "--origin-corner", "2"), ("define-plane", "--x-corner", "3"),
+    ("generate", "--count", "5"), ("generate", "--seed", "7"),
+    ("sweep", "--trials", "1"), ("sweep", "--n", "5"), ("sweep", "--seed", "3"), ("sweep", "--sigma", "0.01"),
+    ("calibrate", "--samples", "200"), ("calibrate", "--seed", "3"), ("calibrate", "--n", "5"),
+    ("add-target", "--u", "0.2"),
+])
+def test_flag_number_that_is_no_plain_decimal_exits_2(tmp_path, monkeypatch, command, flag, value, form):
+    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    out = str(tmp_path / "out")
+    argv = dict(_float_flag_commands(tmp_path), **{
+        "define-plane": ["define-plane", "--corners", str(write_corner_file(tmp_path / "c.json", desk_corners())),
+                         "--out", out],
+        "generate": ["generate", "--scenario", str(write_scenario_file(tmp_path / "s.cfg")), "--out", out],
+    })[command]
+    before = (tmp_path / "layout.json").read_bytes()
+    assert run_cli(argv + [f"{flag}={_NOT_PLAIN[form](value)}"]) == 2
+    assert (tmp_path / "layout.json").read_bytes() == before
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("form", sorted(_NOT_PLAIN))
+@pytest.mark.parametrize("source, key, value", [
+    ("config", "seed", "3"), ("config", "trials", "1"), ("config", "sigma", "0.01"),
+    ("scenario", "sigma", "0.01"), ("scenario", "seed", "1"), ("scenario", "count", "5"),
+    ("scenario", "target", "0.3"),
+])
+def test_file_number_that_is_no_plain_decimal_exits_2(tmp_path, monkeypatch, source, key, value, form):
+    """A ``GESTURE_POINTER_CONFIG`` value goes through its flag's type; a
+    scenario value (a triplet's first number for ``target``) through the
+    scenario reader."""
+    out = tmp_path / "out"
+    argv = ["sweep", "--kind", "pick", "--trials", "1", "--distances", "0.2", "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text(f"{key} = {_NOT_PLAIN[form](value)}\n", encoding="utf-8")
+        monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    else:
+        values = dict(_SCENARIO)
+        values[key] = _NOT_PLAIN[form](value) + values[key][len(value):]
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        argv = ["generate", "--scenario", str(scenario), "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert not out.exists()
 
 
 # --- replay reads its stream line by line -------------------------------------------
@@ -1281,6 +1353,21 @@ _NUMBER_KEYS = frozenset(("x", "y", "z", "px", "py", "depth", "fx", "fy", "cx", 
                           "origin_corner", "x_corner", "u", "v", "cu", "cv", "hu", "hv", "l_m"))
 
 
+# what a number-keyed value is replaced by when the fuzz aims at that rule
+_NON_NUMBERS = (st.booleans() | st.none() | st.integers().map(str) | st.floats().map(repr)
+                | st.lists(st.integers(), max_size=2) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _number_slots(doc) -> list[tuple]:
+    """Every (container, key) of ``doc``, at any depth, whose key is in
+    ``_NUMBER_KEYS``."""
+    if isinstance(doc, list):
+        return [slot for item in doc for slot in _number_slots(item)]
+    if not isinstance(doc, dict):
+        return []
+    return [(doc, k) for k in doc if k in _NUMBER_KEYS] + [s for v in doc.values() for s in _number_slots(v)]
+
+
 def _replace_one_value(data, doc) -> tuple:
     """Replace one value of ``doc``, at any depth, by an arbitrary one;
     returns the key (or list index) it replaced and the new value."""
@@ -1293,14 +1380,16 @@ def _replace_one_value(data, doc) -> tuple:
 
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(kind=st.sampled_from(["corners", "plane", "layout", "board"]), how=st.integers(0, 3),
+@given(kind=st.sampled_from(["corners", "plane", "layout", "board"]), how=st.integers(0, 4),
        bom=st.booleans(), data=st.data())
 def test_input_file_fuzz_exits_0_or_2(tmp_path, capsys, kind, how, bom, data):
     """A plane, corner, layout or board file holding any JSON value, a valid
     document with one value replaced (deep nesting and over-long integers
     included), or either behind a BOM, ends in exit 0 or 2, never a traceback.
     A number replaced by anything but an int or a float (a bool included)
-    exits 2; only ``l_m`` may be null."""
+    exits 2; only ``l_m`` may be null. One mode in five aims at that rule: it
+    replaces the value of a number key by a bool, a numeric string, null or a
+    container."""
     example_dir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))  # an earlier example's out stays apart
     text, argv = _json_inputs(example_dir)[kind]
     doc = json.loads(text)
@@ -1311,6 +1400,10 @@ def test_input_file_fuzz_exits_0_or_2(tmp_path, capsys, kind, how, bom, data):
         key, value = _replace_one_value(data, doc)
         not_a_number = (key in _NUMBER_KEYS and not (key == "l_m" and value is None)
                         and (isinstance(value, bool) or not isinstance(value, (int, float))))
+    elif how == 4:
+        container, key = data.draw(st.sampled_from(_number_slots(doc)))
+        container[key] = data.draw(_NON_NUMBERS)
+        not_a_number = not (key == "l_m" and container[key] is None)
     text = json.dumps(doc)
     for marker, raw in _RAW.items():
         text = text.replace(marker, raw)

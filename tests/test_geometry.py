@@ -26,7 +26,6 @@ from gesturepoint.geometry import (
     Plane,
     Point3,
     Quaternion,
-    Vec3,
     corners_in_frame,
     deproject,
     from_workplane,
@@ -64,8 +63,8 @@ def random_arm_case(rng: np.random.Generator):
     plane = random_plane(rng)
     n = np.array(plane.normal.as_tuple())
     c = np.array(plane.corners[0].as_tuple())
-    e1 = np.array((plane.corners[1] - plane.corners[0]).as_tuple())
-    e2 = np.array((plane.corners[3] - plane.corners[0]).as_tuple())
+    e1 = np.subtract(plane.corners[1].as_tuple(), plane.corners[0].as_tuple())
+    e2 = np.subtract(plane.corners[3].as_tuple(), plane.corners[0].as_tuple())
     target = c + rng.uniform(0.1, 0.9) * e1 + rng.uniform(0.1, 0.9) * e2
     shoulder = target + rng.uniform(0.5, 2.0) * n + rng.uniform(-0.3, 0.3, 3)
     frac = rng.uniform(0.2, 0.8)  # wrist partway to the target, so t = 1/frac > 1
@@ -78,7 +77,7 @@ def random_arm_case(rng: np.random.Generator):
 
 def test_plane_from_unit_square():
     plane = plane_from_corners(UNIT_SQUARE[:3])
-    assert plane.normal == Vec3(0.0, 0.0, 1.0)
+    assert plane.normal == Point3(0.0, 0.0, 1.0)
     assert plane.d == 0.0
     # 3-corner form completes the parallelogram
     assert plane.corners[3] == Point3(0.0, 1.0, 0.0)
@@ -110,7 +109,7 @@ def test_plane_nonplanar_fourth_corner():
     rng = np.random.default_rng(5)
     for _ in range(20):
         plane = random_plane(rng)
-        lifted = plane.corners[3] + plane.normal * 0.02
+        lifted = Point3(*(np.array(plane.corners[3].as_tuple()) + np.array(plane.normal.as_tuple()) * 0.02))
         with pytest.raises(NonPlanarCornerError):
             plane_from_corners(list(plane.corners[:3]) + [lifted])
 
@@ -216,8 +215,8 @@ def hit(shoulder: Point3, wrist: Point3, plane: Plane) -> Point3 | None:
 
 def scaling_factor(shoulder: Point3, wrist: Point3, point: Point3) -> float:
     """t of ``point = shoulder + t * (wrist - shoulder)``."""
-    arm = wrist - shoulder
-    return (point - shoulder).dot(arm) / arm.dot(arm)
+    arm = np.subtract(wrist.as_tuple(), shoulder.as_tuple())
+    return float(np.subtract(point.as_tuple(), shoulder.as_tuple()) @ arm / (arm @ arm))
 
 
 def test_intersection_scaling_factor():
@@ -251,10 +250,11 @@ def test_intersection_substitution_oracle():
         point = hit(shoulder, wrist, plane)
         assert point is not None
         assert abs(plane.signed_distance(point)) < 1e-9
-        arm = wrist - shoulder
-        reach = point - shoulder
-        cross = arm.cross(reach)
-        assert cross.norm() < 1e-9 * arm.norm() * max(reach.norm(), 1e-300)
+        arm = np.subtract(wrist.as_tuple(), shoulder.as_tuple())
+        reach = np.subtract(point.as_tuple(), shoulder.as_tuple())
+        cross = np.cross(arm, reach)
+        norm = np.linalg.norm
+        assert norm(cross) < 1e-9 * norm(arm) * max(norm(reach), 1e-300)
 
 
 def test_intersection_scale_invariance():
@@ -333,7 +333,7 @@ def test_workplane_frame_orthonormal_right_handed():
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
         # z column is the plane normal, x column is along the chosen edge
         assert float(r[:, 2] @ np.array(plane.normal.as_tuple())) >= 1 - 1e-6
-        edge = np.array((plane.corners[1] - plane.corners[0]).as_tuple())
+        edge = np.subtract(plane.corners[1].as_tuple(), plane.corners[0].as_tuple())
         assert float(r[:, 0] @ (edge / np.linalg.norm(edge))) >= 1 - 1e-6
 
 
@@ -359,8 +359,8 @@ def test_to_workplane_on_plane_residual():
     plane = random_plane(rng)
     frame = workplane_frame(plane)
     c = np.array(plane.corners[0].as_tuple())
-    e1 = np.array((plane.corners[1] - plane.corners[0]).as_tuple())
-    e2 = np.array((plane.corners[3] - plane.corners[0]).as_tuple())
+    e1 = np.subtract(plane.corners[1].as_tuple(), plane.corners[0].as_tuple())
+    e2 = np.subtract(plane.corners[3].as_tuple(), plane.corners[0].as_tuple())
     for _ in range(1000):
         p = Point3(*(c + rng.uniform(0, 1) * e1 + rng.uniform(0, 1) * e2))
         assert abs(to_workplane(p, frame).z_residual) < 1e-9

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from gesturepoint.cli import save_plane_file
 from gesturepoint.evaluation import (
     _KIND_CODES,
     ScenarioTemplate,
@@ -215,3 +216,33 @@ def test_tilted_plane_pipeline_digest(pair, expected):
     rng = random.Random(f"tilted-{pair}")
     lines = [line for _ in range(30) for line in _tilted_plane_case(rng, pair)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == expected
+
+
+def test_plane_file_digest(tmp_path):
+    """``save_plane_file`` bytes for 40 seeded tilted quadrilaterals, bit for
+    bit: 3 and 4 corners (the 4th up to 4 mm off the plane), with a
+    viewpoint on either side or none, each in every adjacent
+    ``(origin_corner, x_corner)`` pair."""
+    rng = random.Random("plane-files")
+    path, digest = tmp_path / "plane.json", hashlib.sha256()
+    for k in range(40):
+        q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        norm = sum(c * c for c in q) ** 0.5
+        rows = Quaternion(*(c / norm for c in q)).to_matrix()
+        origin = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+
+        def place(u: float, v: float, w: float) -> Point3:
+            return Point3(*(o + (a * u + b * v + c * w) for o, (a, b, c) in zip(origin, rows)))
+
+        width, depth, skew = rng.uniform(0.2, 1.2), rng.uniform(0.2, 1.2), rng.uniform(-0.1, 0.1)
+        corners = [place(0.0, 0.0, 0.0), place(width, 0.0, 0.0), place(width + skew, depth, 0.0)]
+        if k % 2:
+            corners.append(place(skew + rng.uniform(-0.02, 0.02), depth, rng.uniform(-0.004, 0.004)))
+        viewpoint = (None, place(0.5 * width, 0.5 * depth, 2.0), place(0.3, 0.2, -1.5))[k % 3]
+        plane = plane_from_corners(corners, viewpoint)
+        for origin_corner in range(4):
+            for x_corner in ((origin_corner + 1) % 4, (origin_corner + 3) % 4):
+                frame = workplane_frame(plane, origin_corner, x_corner)
+                save_plane_file(str(path), plane, frame, origin_corner, x_corner)
+                digest.update(path.read_bytes())
+    assert digest.hexdigest() == "dbfcf2612d545931fe1f06c9a0f12eac0bc62e20480b64b22ff0042c14adf17d"

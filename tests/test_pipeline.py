@@ -5,6 +5,7 @@ files)."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -124,8 +125,8 @@ def test_replay_supports_2d_streams_with_header(tmp_path, capsys):
     # joints of a noiseless gesture, expressed as pixels + depth
     shoulder = Point3(0.3, -0.1, 0.6)
     target = Point3(0.3, 0.4, 0.0)
-    direction = (target - shoulder).normalized()
-    wrist = shoulder + direction * 0.55
+    reach = math.dist(target.as_tuple(), shoulder.as_tuple())
+    wrist = Point3(*(s + (t - s) / reach * 0.55 for s, t in zip(shoulder.as_tuple(), target.as_tuple())))
 
     def cam(p: Point3) -> Point3:
         # camera 2 m above the plane center looking down (180 deg about x)

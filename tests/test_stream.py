@@ -44,6 +44,8 @@ from gesturepoint.stream import (
     StreamError,
     StreamReader,
     TargetUnreachableError,
+    decimal_int,
+    finite_float,
     json_number,
     load_scenario_config,
     parse_frame,
@@ -198,6 +200,34 @@ def test_parse_triplet_rejects_non_finite_numbers(position, bad):
     parts[position] = repr(bad)
     with pytest.raises(StreamError):
         parse_triplet(", ".join(parts), "target")
+
+
+@pytest.mark.parametrize("part", ["0_3", "\u0660.\u0663"], ids=["underscore", "arabic-indic"])
+def test_parse_triplet_rejects_numbers_that_are_no_plain_decimal(part):
+    with pytest.raises(StreamError):
+        parse_triplet(f"{part}, -0.1, 0.6", "target")
+
+
+@pytest.mark.parametrize("text", ["0.5", " -1e-3\n", "+2", "5.", ".5", "1E+2", "12345678901234567890.5"])
+def test_finite_float_reads_plain_ascii_decimals(text):
+    assert finite_float(text) == float(text)
+
+
+@pytest.mark.parametrize("text", ["0_01", "\u0661.\u0665", "nan", "-inf", "1e999", "0x10", "1e", ".", ""])
+def test_finite_float_rejects_text_that_is_no_plain_decimal(text):
+    with pytest.raises(ValueError):
+        finite_float(text)
+
+
+@pytest.mark.parametrize("text", ["15", " -3 ", "+7", "007"])
+def test_decimal_int_reads_plain_ascii_integers(text):
+    assert decimal_int(text) == int(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0665", "1.0", "1e3", "+", ""])
+def test_decimal_int_rejects_text_that_is_no_plain_integer(text):
+    with pytest.raises(ValueError):
+        decimal_int(text)
 
 
 @non_finite
@@ -376,7 +406,7 @@ def test_noiseless_frames_intersect_exactly_at_target():
     pipe = GesturePipeline(scenario.plane, window=1)
     for frame in generate_scenario(scenario):
         (point,) = pipe.process(frame)
-        err = (from_workplane(point.position, pipe.frame) - scenario.target).norm()
+        err = math.dist(from_workplane(point.position, pipe.frame).as_tuple(), scenario.target.as_tuple())
         assert err < 1e-9
     assert pipe.frames_without_ray == 0
 
