@@ -189,9 +189,9 @@ def load_corner_file(path: str) -> tuple[list[Point3], bool]:
     return corners, any(not {"x", "y", "z"} <= spec.keys() for spec in raw)
 
 
-def _positive(name: str, value, *, minimum=0) -> None:
-    if value is not None and value <= minimum:
-        raise ConfigError(f"{name} must be > {minimum}, got {value}")
+def _positive(name: str, value) -> None:
+    if value is not None and value <= 0:
+        raise ConfigError(f"{name} must be > 0, got {value}")
 
 
 def _settings_from_args(args) -> PipelineSettings:
@@ -276,8 +276,15 @@ def cmd_replay(args) -> int:
     if args.snap and not pool.snapshot():
         raise ConfigError(f"{args.registry}: no {kind} registered for --snap {args.snap}")
     accepted: dict[str, int] = {hand: 0 for hand in settings.hands}
-    frames = 0
     points_written = 0
+    # opening --out for writing truncates it, so it may name no file this run reads
+    for path in (args.plane, args.stream, args.registry if args.snap else None):
+        try:
+            same = path is not None and os.path.samefile(args.out, path)
+        except (OSError, ValueError):  # --out does not exist yet, or a path holds a NUL
+            same = False
+        if same:
+            raise ConfigError(f"--out {args.out} is the input file {path}; writing it would destroy it")
     try:
         # undecodable bytes become U+FFFD and fail as one malformed line, as live
         stream = open(args.stream, "r", encoding="utf-8-sig", errors="replace")
@@ -288,7 +295,6 @@ def cmd_replay(args) -> int:
     # line buffering: whole records reach the file even on interruption
     with stream, open(args.out, "w", encoding="utf-8", buffering=1) as out:
         for frame in reader:
-            frames += 1
             for gp in pipe.process(frame):
                 out.write(gesture_point_record(gp, settings) + "\n")
                 points_written += 1
@@ -315,7 +321,7 @@ def cmd_replay(args) -> int:
                         }
                         out.write(json.dumps(record, separators=(",", ":")) + "\n")
     warnings = reader.malformed + reader.nonmonotonic + pipe.frames_without_ray
-    print(f"frames={frames} points={points_written} warnings={warnings}", file=sys.stderr)
+    print(f"frames={pipe.frames_seen} points={points_written} warnings={warnings}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -341,7 +347,7 @@ def cmd_live(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        server.close()
+        server.server_close()
     return EXIT_OK
 
 

@@ -72,7 +72,7 @@ from .snap import (
 from .stabilizer import DEFAULT_WINDOW
 from .stream import (  # re-exports the EvalError family and the sample-count defaults
     DEFAULT_CALIBRATION_SAMPLES, DEFAULT_FRAME_RATE, DEFAULT_TRIALS_PER_TARGET,
-    DimensionMismatchError, EvalError, GestureScenario, InvalidParametersError, JointSample,
+    EvalError, GestureScenario, InvalidParametersError, JointSample,
     KeypointFrame, NonConvergenceError, UnsupportedFormatError, decode_object, json_number, read_text,
 )
 
@@ -90,24 +90,12 @@ CSV_COLUMNS = (
 )
 
 
-def euclidean_error(a: Point3 | PlanarPoint, b: Point3 | PlanarPoint) -> float:
-    """Euclidean norm of the componentwise difference; both arguments must be
-    the same kind of point."""
-    if isinstance(a, Point3) and isinstance(b, Point3):
-        return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
-    if isinstance(a, PlanarPoint) and isinstance(b, PlanarPoint):
-        return math.sqrt(
-            (a.u - b.u) ** 2 + (a.v - b.v) ** 2 + (a.z_residual - b.z_residual) ** 2
-        )
-    raise DimensionMismatchError(
-        f"cannot mix {type(a).__name__} and {type(b).__name__}"
-    )
+def euclidean_error(a: PlanarPoint, b: PlanarPoint) -> float:
+    """Euclidean norm of the componentwise difference of two workplane points."""
+    return math.sqrt((a.u - b.u) ** 2 + (a.v - b.v) ** 2 + (a.z_residual - b.z_residual) ** 2)
 
 
 # --- boards ---------------------------------------------------------------
-
-BOARD_KINDS = ("quantitative_10", "pick_square", "place_areas")
-
 
 @dataclass(frozen=True)
 class BoardLayout:

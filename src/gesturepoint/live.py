@@ -4,7 +4,8 @@ A session accepts skeleton JSONL lines and answers with gesture-point lines;
 a control line ``{"cmd": "snap", "strategy": "pick"|"place", ...}`` runs a
 snap over the most recent N stabilized points and answers with one result
 line ``{"ok": ..., "id": ..., "fallback": ...}``. Malformed input is answered
-with ``{"err": ...}`` and never terminates the session.
+with ``{"err": ...}`` and never terminates the session; so is a line longer
+than ``MAX_LINE_BYTES``, which is skipped without being held in memory.
 
 ``LiveServer`` serves any number of concurrent TCP sessions; each session
 owns its pipeline state, while every session reads the same load-once
@@ -28,6 +29,11 @@ from .snap import (
 )
 from .stabilizer import GesturePoint
 from .stream import MalformedRecordError, decode_object, json_int, parse_frame, parse_intrinsics_header
+
+# the longest input line a session reads, its newline not counted; a longer
+# one is skipped and answered with one {"err": ...}, so no line holds more
+# than this much memory
+MAX_LINE_BYTES = 64 * 1024
 
 
 def gesture_point_record(gp: GesturePoint, settings: PipelineSettings) -> str:
@@ -127,27 +133,33 @@ class LiveSession:
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
+    server: LiveServer
+
     def handle(self) -> None:
-        session = LiveSession(
-            self.server.settings, self.server.targets, self.server.areas  # type: ignore[attr-defined]
-        )
-        for raw in self.rfile:
-            try:
-                responses = session.handle_line(raw.decode("utf-8", errors="replace"))
+        session = LiveSession(self.server.settings, self.server.targets, self.server.areas)
+        readline = self.rfile.readline
+        try:
+            while raw := readline(MAX_LINE_BYTES + 1):
+                if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                    # skip the rest of the line, one bounded read at a time
+                    while (rest := readline(MAX_LINE_BYTES + 1)) and not rest.endswith(b"\n"):
+                        pass
+                    responses = [json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"})]
+                else:
+                    responses = session.handle_line(raw.decode("utf-8", errors="replace"))
                 for line in responses:
                     self.wfile.write(line.encode("utf-8") + b"\n")
                 self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                break
+        except (BrokenPipeError, ConnectionResetError):  # the client went away
+            pass
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class LiveServer(socketserver.ThreadingTCPServer):
+    """TCP server running one LiveSession per connection. Its ``with`` form
+    serves from a background thread and shuts the server down on exit."""
+
     daemon_threads = True
     allow_reuse_address = True
-
-
-class LiveServer:
-    """TCP server running one LiveSession per connection."""
 
     def __init__(
         self,
@@ -157,39 +169,23 @@ class LiveServer:
         targets: TargetRegistry | None = None,
         areas: AreaRegistry | None = None,
     ) -> None:
-        self._server = _ThreadingServer((host, port), _SessionHandler)
-        self._server.settings = settings  # type: ignore[attr-defined]
-        self._server.targets = targets if targets is not None else TargetRegistry()  # type: ignore[attr-defined]
-        self._server.areas = areas if areas is not None else AreaRegistry()  # type: ignore[attr-defined]
+        self.settings = settings
+        self.targets = targets if targets is not None else TargetRegistry()
+        self.areas = areas if areas is not None else AreaRegistry()
         self._thread: threading.Thread | None = None
+        super().__init__((host, port), _SessionHandler)
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
+        host, port = self.server_address[:2]
         return str(host), int(port)
 
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
-    def start_background(self) -> None:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
-
-    def close(self) -> None:
-        """Release the listening socket; for foreground serving, where the
-        serve loop has already returned (shutdown() would block)."""
-        self._server.server_close()
-
-    def shutdown(self) -> None:
-        """Stop a background serve loop and release the socket."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
     def __enter__(self) -> "LiveServer":
-        self.start_background()
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=5)

@@ -2,9 +2,10 @@
 workplane transform -> stabilizer. ``GesturePipeline.process`` runs the
 geometry on floats, from plane and frame constants taken once per pipeline,
 and loads no numpy; ``evaluation.stabilize_trials``, with
-``evaluation.intersect_rays_plane``, is its array twin for the sweeps. One
-pipeline instance per session/trial; state is the per-hand stabilizer
-buffers plus a short history of stabilized points for snap requests.
+``evaluation.intersect_rays_plane``, is its array twin for the sweeps. Live
+and replay build one pipeline per session and never reset it; state is the
+per-hand stabilizer buffers plus a short history of stabilized points for
+snap requests.
 ``PipelineSettings`` holds the resolved configuration that replay and live
 share; its defaults are the module constants."""
 
@@ -127,14 +128,6 @@ class GesturePipeline:
         """The most recent stabilized positions for a hand, oldest first."""
         history = self._history.get(hand, ())
         return [gp.position for gp in list(history)[-count:]]
-
-    def reset(self) -> None:
-        self.stabilizer.reset()
-        for buf in self._history.values():
-            buf.clear()
-        self.frames_seen = 0
-        self.frames_without_ray = 0
-        self.discarded_out_of_bounds = 0
 
 
 @dataclass(frozen=True)

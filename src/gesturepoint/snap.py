@@ -115,7 +115,6 @@ class SnapResult:
     mean_point: PlanarPoint
     max_radial_deviation: float
     fallback_used: bool
-    distance_to_selected: float
 
 
 def _distance_uv(a: PlanarPoint, b: PlanarPoint) -> float:
@@ -159,7 +158,6 @@ def pick_snap(
         mean_point=gate.mean,
         max_radial_deviation=gate.max_deviation,
         fallback_used=False,
-        distance_to_selected=_distance_uv(gate.mean, best.position),
     )
 
 
@@ -184,7 +182,6 @@ def place_snap(
         mean_point=gate.mean,
         max_radial_deviation=gate.max_deviation,
         fallback_used=not containing,
-        distance_to_selected=_distance_uv(gate.mean, best.center),
     )
 
 
@@ -285,14 +282,9 @@ def layout_document(
     return doc
 
 
-def save_layout(
-    path: str | os.PathLike,
-    targets: Sequence[Target],
-    areas: Sequence[Area],
-    extra: dict | None = None,
-) -> None:
+def save_layout(path: str | os.PathLike, targets: Sequence[Target], areas: Sequence[Area]) -> None:
     """Write a layout document atomically (write-then-rename)."""
-    doc = layout_document(targets, areas, extra)
+    doc = layout_document(targets, areas)
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -3,8 +3,8 @@
 Raw intersections outside the workspace bounds are discarded outright (they
 neither enter nor evict buffer contents); in-bounds samples feed a per-hand
 FIFO of capacity five and every accepted sample emits the current buffer
-mean. There is no time-based expiry; :meth:`RunningAverageStabilizer.reset`
-clears state explicitly between trials or sessions.
+mean. There is no time-based expiry and no reset: live and replay build a
+new pipeline, and with it a new stabilizer, for each session.
 """
 
 from __future__ import annotations
@@ -54,10 +54,3 @@ class RunningAverageStabilizer:
         return GesturePoint(
             position=planar_mean(buf), timestamp=timestamp, hand=hand, window_size=len(buf)
         )
-
-    def reset(self, hand: str | None = None) -> None:
-        """Clear one hand's buffer, or all buffers when hand is None."""
-        if hand is None:
-            self._buffers.clear()
-        else:
-            self._buffers.pop(hand, None)

@@ -27,6 +27,8 @@ Each input format has one reader here: :func:`read_text` opens every input
 file (UTF-8, optionally BOM-prefixed), :func:`decode_object` decodes JSON,
 :func:`json_number`/:func:`json_int` read its numbers, :func:`finite_float`/
 :func:`decimal_int` those of text and :func:`parse_position` every joint and corner.
+The record parsers :func:`parse_frame` and :func:`parse_intrinsics_header`
+take the object that :func:`decode_object` returned, never text.
 
 Scenario config files are flat ``key = value`` text (``#`` comments allowed):
 
@@ -172,10 +174,6 @@ class EvalError(ValueError):
     pass
 
 
-class DimensionMismatchError(EvalError):
-    pass
-
-
 class InvalidParametersError(EvalError):
     pass
 
@@ -206,9 +204,6 @@ class KeypointFrame:
     joints: Mapping[str, JointSample]
     source_id: str = ""
 
-    def joint(self, name: str) -> JointSample | None:
-        return self.joints.get(name)
-
 
 def parse_position(spec: dict, intrinsics: CameraIntrinsics | None, kind: str, name) -> Point3:
     """The one joint-position parser: ``x/y/z``, or ``px/py/depth``
@@ -238,16 +233,12 @@ def parse_position(spec: dict, intrinsics: CameraIntrinsics | None, kind: str, n
     return position
 
 
-def parse_frame(record: str | bytes | dict, intrinsics: CameraIntrinsics | None = None) -> KeypointFrame:
-    """Parse one JSONL record into a KeypointFrame.
+def parse_frame(record: dict, intrinsics: CameraIntrinsics | None = None) -> KeypointFrame:
+    """Parse one decoded JSONL record into a KeypointFrame.
 
     2D+depth joints require ``intrinsics`` (normally taken from the stream
     header); unknown joints are dropped.
     """
-    if isinstance(record, (str, bytes)):
-        record = decode_object(record, MalformedRecordError)
-    elif not isinstance(record, dict):
-        raise MalformedRecordError(f"record must be a JSON object, got {type(record).__name__}")
     timestamp = json_number(record.get("t"), MalformedRecordError, 'timestamp "t"')
     raw_joints = record.get("joints", {})
     if not isinstance(raw_joints, dict):
@@ -277,14 +268,9 @@ def serialize_frame(frame: KeypointFrame) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def parse_intrinsics_header(record: str | dict) -> CameraIntrinsics | None:
-    """Return intrinsics if the record is a stream header line, else None."""
-    if isinstance(record, (str, bytes)):
-        try:
-            record = decode_object(record, MalformedRecordError)
-        except MalformedRecordError:
-            return None
-    if not isinstance(record, dict) or "intrinsics" not in record:
+def parse_intrinsics_header(record: dict) -> CameraIntrinsics | None:
+    """Return intrinsics if the decoded record is a stream header, else None."""
+    if "intrinsics" not in record:
         return None
     spec, what = record["intrinsics"], "bad intrinsics header"
     if not isinstance(spec, dict):

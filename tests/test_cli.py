@@ -320,6 +320,20 @@ def test_replay_unwritable_output_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("clobbered", ["plane", "stream", "registry"])
+def test_replay_out_naming_one_of_its_inputs_exits_2_and_keeps_it(tmp_path, capsys, clobbered):
+    inputs = {"plane": make_plane_file(tmp_path / "plane.json"), "stream": tmp_path / "stream.jsonl",
+              "registry": tmp_path / "layout.json"}
+    inputs["stream"].write_text("\n".join(_generated_lines(tmp_path, count=20)) + "\n", encoding="utf-8")
+    inputs["registry"].write_text(json.dumps({"targets": [_LAYOUT_TARGET], "areas": []}), encoding="utf-8")
+    before = {name: path.read_bytes() for name, path in inputs.items()}
+    assert run_cli(["replay", "--plane", str(inputs["plane"]), "--stream", str(inputs["stream"]),
+                    "--snap", "pick", "--registry", str(inputs["registry"]),
+                    "--out", str(inputs[clobbered])]) == 2
+    assert f"is the input file {inputs[clobbered]}" in capsys.readouterr().err
+    assert {name: path.read_bytes() for name, path in inputs.items()} == before
+
+
 # --- sweep and calibrate --------------------------------------------------------
 
 

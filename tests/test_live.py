@@ -7,6 +7,9 @@ import dataclasses
 import json
 import math
 import socket
+import struct
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import INTRINSICS, desk_corners, make_plane_file, run_cli, wrist_frame, write_scenario_file
 from gesturepoint.cli import load_plane_file
 from gesturepoint.evaluation import generate_scenario
-from gesturepoint.live import LiveServer, LiveSession, PipelineSettings
+from gesturepoint.live import MAX_LINE_BYTES, LiveServer, LiveSession, PipelineSettings
 from gesturepoint.geometry import PlanarPoint, plane_from_corners, workplane_frame
 from gesturepoint.snap import Area, AreaRegistry, Target, TargetRegistry
 from gesturepoint.stream import serialize_frame, load_scenario_config
@@ -138,6 +141,58 @@ def test_malformed_lines_answered_without_terminating(tmp_path):
         responses = talk(server.address, lines)
     assert sum("err" in r for r in responses) == 4
     assert sum("u" in r for r in responses) == 1  # the session survived to process it
+
+
+def test_client_that_resets_its_connection_ends_its_session_quietly(tmp_path, capsys):
+    frame = stream_lines(tmp_path, count=1)[0]
+    with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server:
+        before = set(threading.enumerate())
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall((frame + "\n").encode("utf-8"))
+            with sock.makefile("rb") as reader:
+                assert "u" in json.loads(reader.readline())  # the session is reading
+            sock.sendall(frame[:20].encode("utf-8"))
+            # closing with a zero linger time resets the connection mid-line
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        responses = talk(server.address, [frame])
+        sessions = set(threading.enumerate()) - before
+        for thread in sessions:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in sessions)
+    assert len(responses) == 1 and "u" in responses[0]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_line_past_the_cap_is_skipped_in_bounded_memory(tmp_path):
+    """16 MiB without a newline: the session reads it in bounded pieces,
+    answers one err and then serves the next frame."""
+    frame = stream_lines(tmp_path, count=1)[0]
+    chunk = b"x" * (64 * 1024)
+    with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server:
+        with socket.create_connection(server.address, timeout=30) as sock:
+            tracemalloc.start()
+            try:
+                for _ in range(256):
+                    sock.sendall(chunk)
+                sock.sendall(("\n" + frame + "\n").encode("utf-8"))
+                sock.shutdown(socket.SHUT_WR)
+                with sock.makefile("rb") as reader:
+                    responses = [json.loads(line) for line in reader]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert responses[0] == {"err": f"line longer than {MAX_LINE_BYTES} bytes"}
+    assert len(responses) == 2 and "u" in responses[1]
+
+
+@pytest.mark.parametrize("extra, answer", [(0, "u"), (1, "err")], ids=["at-cap", "one-past"])
+def test_line_at_the_cap_gets_its_point_and_one_byte_more_is_refused(tmp_path, extra, answer):
+    frame = stream_lines(tmp_path, count=1)[0]
+    padded = frame + " " * (MAX_LINE_BYTES + extra - len(frame))
+    with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server:
+        responses = talk(server.address, [padded, frame])
+    assert len(responses) == 2 and answer in responses[0] and "u" in responses[1]
 
 
 def test_concurrent_sessions_have_independent_buffers(tmp_path):

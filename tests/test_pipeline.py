@@ -88,8 +88,6 @@ def test_frames_without_ray_counter():
     frame = parse_frame({"t": 0.0, "joints": {}})
     assert pipe.process(frame) == []
     assert pipe.frames_without_ray == 1
-    pipe.reset()
-    assert pipe.frames_without_ray == 0
 
 
 def test_per_frame_path_never_rebuilds_the_rotation(monkeypatch):

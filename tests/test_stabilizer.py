@@ -105,21 +105,3 @@ def test_mean_matches_fraction_oracle():
     assert out.position.u == float(exact_u)
     assert out.position.v == float(exact_v)
 
-
-def test_reset_clears_only_named_hand():
-    stab = make()
-    stab.push(PlanarPoint(0.2, 0.2), 0.0, "left")
-    stab.push(PlanarPoint(0.8, 0.8), 0.0, "right")
-    stab.reset("left")
-    left = stab.push(PlanarPoint(0.4, 0.4), 0.1, "left")
-    assert left.window_size == 1
-    right = stab.push(PlanarPoint(0.6, 0.6), 0.1, "right")
-    assert right.window_size == 2
-
-
-def test_reset_on_empty_is_noop():
-    stab = make()
-    stab.reset("left")
-    stab.reset()
-    out = stab.push(PlanarPoint(0.5, 0.5), 0.0, "left")
-    assert out.window_size == 1

@@ -45,6 +45,7 @@ from gesturepoint.stream import (
     StreamReader,
     TargetUnreachableError,
     decimal_int,
+    decode_object,
     finite_float,
     json_number,
     load_scenario_config,
@@ -86,12 +87,12 @@ def test_parse_frame_basic():
             },
         }
     )
-    frame = parse_frame(line)
+    frame = parse_frame(json.loads(line))
     assert frame.timestamp == 1.5
     assert frame.source_id == "cam0"
     assert set(frame.joints) == {"right_shoulder", "right_wrist"}
-    assert frame.joint("right_wrist").position == Point3(0.0, 0.0, 0.5)
-    assert frame.joint("right_wrist").confidence == 0.8
+    assert frame.joints["right_wrist"].position == Point3(0.0, 0.0, 0.5)
+    assert frame.joints["right_wrist"].confidence == 0.8
 
 
 def test_parse_frame_ignores_unknown_joints():
@@ -107,8 +108,12 @@ def test_parse_frame_confidence_out_of_range():
 
 
 def test_parse_frame_bad_json_and_missing_fields():
-    with pytest.raises(MalformedRecordError):
-        parse_frame("{not json")
+    # a line is decoded before it is parsed: bad JSON fails there
+    for line in ("{not json", "[1, 2]"):
+        with pytest.raises(MalformedRecordError):
+            decode_object(line, MalformedRecordError)
+        with pytest.raises(MalformedRecordError, match="line 1: "):
+            list(StreamReader([line]))
     with pytest.raises(MalformedRecordError):
         parse_frame({"joints": {}})
     with pytest.raises(MalformedRecordError):
@@ -118,7 +123,7 @@ def test_parse_frame_bad_json_and_missing_fields():
 def test_parse_frame_2d_form_deprojects():
     record = {"t": 0.0, "joints": {"right_wrist": {"px": 320, "py": 240, "depth": 1.0, "c": 1.0}}}
     frame = parse_frame(record, INTR)
-    assert frame.joint("right_wrist").position == Point3(0.0, 0.0, 1.0)
+    assert frame.joints["right_wrist"].position == Point3(0.0, 0.0, 1.0)
 
 
 def test_parse_frame_2d_form_requires_intrinsics():
@@ -129,7 +134,7 @@ def test_parse_frame_2d_form_requires_intrinsics():
 
 def test_parse_frame_rejects_joints_beyond_coordinate_bound():
     at_bound = {"x": MAX_JOINT_COORD, "y": -MAX_JOINT_COORD, "z": 1.0}
-    assert parse_frame({"t": 0.0, "joints": {"right_wrist": at_bound}}).joint("right_wrist")
+    assert parse_frame({"t": 0.0, "joints": {"right_wrist": at_bound}}).joints["right_wrist"]
     for spec in ({"x": 1e308, "y": 1e308, "z": 1e308}, {"x": 0.0, "y": -2 * MAX_JOINT_COORD, "z": 1.0}):
         with pytest.raises(MalformedRecordError, match="beyond"):
             parse_frame({"t": 0.0, "joints": {"right_shoulder": spec}})
@@ -146,7 +151,7 @@ def test_parse_frame_rejects_joints_beyond_coordinate_bound():
 @pytest.mark.parametrize("field", ("t",) + JOINT_FIELDS)
 def test_parse_frame_rejects_non_finite_values(field, bad):
     with pytest.raises(MalformedRecordError):
-        parse_frame(json.dumps(wrist_frame(field, bad)), INTR)
+        parse_frame(wrist_frame(field, bad), INTR)
 
 
 _FLOAT_MAX = int(sys.float_info.max)
@@ -173,7 +178,7 @@ def test_json_number_reads_exactly_the_ints_and_floats_a_finite_float_holds(valu
 @pytest.mark.parametrize("key", sorted(INTRINSICS))
 def test_intrinsics_header_rejects_non_finite_values(key, bad):
     with pytest.raises(MalformedRecordError):
-        parse_intrinsics_header(json.dumps({"intrinsics": dict(INTRINSICS, **{key: bad})}))
+        parse_intrinsics_header({"intrinsics": dict(INTRINSICS, **{key: bad})})
 
 
 @non_finite
@@ -248,10 +253,10 @@ def test_serialize_parse_round_trip():
             },
         }
     )
-    frame = parse_frame(line)
+    frame = parse_frame(json.loads(line))
     canonical = serialize_frame(frame)
-    assert parse_frame(canonical) == frame
-    assert serialize_frame(parse_frame(canonical)) == canonical
+    assert parse_frame(json.loads(canonical)) == frame
+    assert serialize_frame(parse_frame(json.loads(canonical))) == canonical
 
 
 def test_stream_reader_header_and_warnings():
@@ -264,7 +269,7 @@ def test_stream_reader_header_and_warnings():
     reader = StreamReader(lines)
     frames = list(reader)
     assert len(frames) == 3
-    assert frames[0].joint("right_wrist").position == Point3(0.0, 0.0, 1.0)
+    assert frames[0].joints["right_wrist"].position == Point3(0.0, 0.0, 1.0)
     assert reader.nonmonotonic == 1
     assert reader.malformed == 0
 
@@ -282,7 +287,7 @@ def test_stream_reader_header_sets_intrinsics_for_the_records_after_it():
     ]
     reader = StreamReader(lines)
     frames = list(reader)
-    assert [f.joint("right_wrist").position for f in frames[1:]] == [
+    assert [f.joints["right_wrist"].position for f in frames[1:]] == [
         Point3(0.0, 0.0, 1.0), Point3(320 / 600, 0.0, 1.0)]
     assert reader.intrinsics.cx == 0 and reader.malformed == 0
 
@@ -416,8 +421,8 @@ def test_vectorized_sampling_matches_generator():
     shoulders, wrists = sample_joint_positions(scenario)
     assert shoulders.shape == wrists.shape == (1, 50, 3)
     for i, frame in enumerate(generate_scenario(scenario)):
-        assert frame.joint("right_shoulder").position.as_tuple() == tuple(shoulders[0, i])
-        assert frame.joint("right_wrist").position.as_tuple() == tuple(wrists[0, i])
+        assert frame.joints["right_shoulder"].position.as_tuple() == tuple(shoulders[0, i])
+        assert frame.joints["right_wrist"].position.as_tuple() == tuple(wrists[0, i])
 
 
 def test_calibration_sampling_draws_one_bias_and_one_frame_per_trial():
