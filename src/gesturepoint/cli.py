@@ -227,7 +227,20 @@ def _settings_from_args(args) -> PipelineSettings:
 # --- subcommands -------------------------------------------------------------
 
 
+def _check_out_spares_inputs(out: str, *inputs: str | None) -> None:
+    """Opening ``--out`` for writing truncates it, so it may name no file the
+    command reads; naming one is a ConfigError (exit 2)."""
+    for path in inputs:
+        try:
+            same = path is not None and os.path.samefile(out, path)
+        except (OSError, ValueError):  # --out does not exist yet, or a path holds a NUL
+            same = False
+        if same:
+            raise ConfigError(f"--out {out} is the input file {path}; writing it would destroy it")
+
+
 def cmd_define_plane(args) -> int:
+    _check_out_spares_inputs(args.out, args.corners)
     corners, used_pixels = load_corner_file(args.corners)
     viewpoint = None
     if args.viewpoint is not None:
@@ -253,6 +266,7 @@ def cmd_define_plane(args) -> int:
 def cmd_generate(args) -> int:
     from .evaluation import generate_scenario
 
+    _check_out_spares_inputs(args.out, args.scenario)
     scenario = load_scenario_config(args.scenario)
     overrides = {}
     if args.seed is not None:
@@ -277,14 +291,7 @@ def cmd_replay(args) -> int:
         raise ConfigError(f"{args.registry}: no {kind} registered for --snap {args.snap}")
     accepted: dict[str, int] = {hand: 0 for hand in settings.hands}
     points_written = 0
-    # opening --out for writing truncates it, so it may name no file this run reads
-    for path in (args.plane, args.stream, args.registry if args.snap else None):
-        try:
-            same = path is not None and os.path.samefile(args.out, path)
-        except (OSError, ValueError):  # --out does not exist yet, or a path holds a NUL
-            same = False
-        if same:
-            raise ConfigError(f"--out {args.out} is the input file {path}; writing it would destroy it")
+    _check_out_spares_inputs(args.out, args.plane, args.stream, args.registry if args.snap else None)
     try:
         # undecodable bytes become U+FFFD and fail as one malformed line, as live
         stream = open(args.stream, "r", encoding="utf-8-sig", errors="replace")

@@ -6,6 +6,8 @@ snap over the most recent N stabilized points and answers with one result
 line ``{"ok": ..., "id": ..., "fallback": ...}``. Malformed input is answered
 with ``{"err": ...}`` and never terminates the session; so is a line longer
 than ``MAX_LINE_BYTES``, which is skipped without being held in memory.
+Gesture-point lines are written out by ``gesture_point_record``, with the
+bytes ``json.dumps`` would give them.
 
 ``LiveServer`` serves any number of concurrent TCP sessions; each session
 owns its pipeline state, while every session reads the same load-once
@@ -18,7 +20,6 @@ import json
 import socketserver
 import threading
 
-from .geometry import from_workplane
 from .pipeline import HISTORY_CAPACITY, PipelineSettings
 from .snap import (
     AreaRegistry,
@@ -28,7 +29,7 @@ from .snap import (
     evaluate_request,
 )
 from .stabilizer import GesturePoint
-from .stream import MalformedRecordError, decode_object, json_int, parse_frame, parse_intrinsics_header
+from .stream import HANDS, MalformedRecordError, decode_object, json_int, parse_frame, parse_intrinsics_header
 
 # the longest input line a session reads, its newline not counted; a longer
 # one is skipped and answered with one {"err": ...}, so no line holds more
@@ -36,27 +37,30 @@ from .stream import MalformedRecordError, decode_object, json_int, parse_frame, 
 MAX_LINE_BYTES = 64 * 1024
 
 
+# the JSON text of each hand name the pipeline accepts
+_HAND_JSON = {hand: json.dumps(hand) for hand in HANDS}
+_float_repr = float.__repr__  # json.dumps's float text, also for numpy floats
+
+
 def gesture_point_record(gp: GesturePoint, settings: PipelineSettings) -> str:
-    """Serialize one stabilized point in the configured output frame."""
+    """Serialize one stabilized point in the configured output frame, as
+    ``json.dumps(doc, separators=(",", ":"))`` would, written out directly;
+    camera mode maps (u, v, z_residual) back as ``geometry.from_workplane``
+    does. Coordinates must be finite floats (every point the pipeline emits
+    is one); an int timestamp prints as an int."""
+    t = gp.timestamp
+    t = _float_repr(t) if isinstance(t, float) else json.dumps(t)
+    hand = _HAND_JSON.get(gp.hand) or json.dumps(gp.hand)
+    p = gp.position
     if settings.frame_mode == "camera":
-        world = from_workplane(gp.position, settings.frame)
-        doc = {
-            "t": gp.timestamp,
-            "hand": gp.hand,
-            "x": world.x,
-            "y": world.y,
-            "z": world.z,
-            "window": gp.window_size,
-        }
-    else:
-        doc = {
-            "t": gp.timestamp,
-            "hand": gp.hand,
-            "u": gp.position.u,
-            "v": gp.position.v,
-            "window": gp.window_size,
-        }
-    return json.dumps(doc, separators=(",", ":"))
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = settings.frame.rows
+        o = settings.frame.origin
+        u, v, w = p.u, p.v, p.z_residual
+        x = _float_repr(o.x + (r00 * u + r01 * v + r02 * w))
+        y = _float_repr(o.y + (r10 * u + r11 * v + r12 * w))
+        z = _float_repr(o.z + (r20 * u + r21 * v + r22 * w))
+        return f'{{"t":{t},"hand":{hand},"x":{x},"y":{y},"z":{z},"window":{gp.window_size}}}'
+    return f'{{"t":{t},"hand":{hand},"u":{_float_repr(p.u)},"v":{_float_repr(p.v)},"window":{gp.window_size}}}'
 
 
 class LiveSession:

@@ -1,7 +1,9 @@
 """The per-frame path of live and replay: arm ray -> plane intersection ->
 workplane transform -> stabilizer. ``GesturePipeline.process`` runs the
 geometry on floats, from plane and frame constants taken once per pipeline,
-and loads no numpy; ``evaluation.stabilize_trials``, with
+and loads no numpy; each hit's bounds test and window mean are one call of
+``RunningAverageStabilizer.push``, against edge constants also taken once
+per pipeline. ``evaluation.stabilize_trials``, with
 ``evaluation.intersect_rays_plane``, is its array twin for the sweeps. Live
 and replay build one pipeline per session and never reset it; state is the
 per-hand stabilizer buffers plus a short history of stabilized points for
@@ -88,7 +90,8 @@ class GesturePipeline:
         ox, oy, oz = self._origin
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self._rows
         min_confidence = self.min_confidence
-        joints = frame.joints
+        push = self.stabilizer.push
+        joints, timestamp = frame.joints, frame.timestamp
         got_ray = False
         out: list[GesturePoint] = []
         for hand, start_name, wrist_name in self._arms:
@@ -114,7 +117,7 @@ class GesturePipeline:
             raw = PlanarPoint(
                 r00 * x + r10 * y + r20 * z, r01 * x + r11 * y + r21 * z, r02 * x + r12 * y + r22 * z
             )
-            point = self.stabilizer.push(raw, frame.timestamp, hand)
+            point = push(raw, timestamp, hand)
             if point is None:
                 self.discarded_out_of_bounds += 1
                 continue

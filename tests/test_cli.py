@@ -110,6 +110,19 @@ def test_define_plane_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("spelling", ["same", "symlink"])
+def test_define_plane_out_naming_its_corner_file_exits_2_and_keeps_it(tmp_path, capsys, spelling):
+    corners = write_corner_file(tmp_path / "corners.json", desk_corners())
+    out = corners
+    if spelling == "symlink":
+        out = tmp_path / "link.json"
+        out.symlink_to(corners)
+    before = corners.read_bytes()
+    assert run_cli(["define-plane", "--corners", str(corners), "--out", str(out)]) == 2
+    assert f"is the input file {corners}" in capsys.readouterr().err
+    assert corners.read_bytes() == before
+
+
 # --- generate ------------------------------------------------------------------
 
 
@@ -129,6 +142,14 @@ def test_generate_bad_scenario_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("sigma = 0.1\n", encoding="utf-8")
     assert run_cli(["generate", "--scenario", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 2
+
+
+def test_generate_out_naming_its_scenario_exits_2_and_keeps_it(tmp_path, capsys):
+    scenario = write_scenario_file(tmp_path / "s.cfg", count=5)
+    before = scenario.read_bytes()
+    assert run_cli(["generate", "--scenario", str(scenario), "--out", str(scenario)]) == 2
+    assert f"is the input file {scenario}" in capsys.readouterr().err
+    assert scenario.read_bytes() == before
 
 
 # --- replay ------------------------------------------------------------------

@@ -36,6 +36,7 @@ from gesturepoint.geometry import (
     to_workplane,
     workplane_frame,
 )
+from gesturepoint.stabilizer import RunningAverageStabilizer
 
 UNIT_SQUARE = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0), Point3(0, 1, 0)]
 
@@ -462,3 +463,39 @@ def test_points_in_bounds_matches_branching_reference(poly):
     assert [point_in_bounds(PlanarPoint(u, v), poly) for u, v in uv.tolist()] == want
     assert all(want[5000:])  # the boundary counts as inside
     assert not points_in_bounds(np.array([np.nan, 0.5]), np.array([0.5, np.nan]), poly).any()
+
+
+@st.composite
+def _star_polygons(draw):
+    """A simple polygon and a point it surrounds: 3-8 vertices at increasing
+    angles around a centre, each at its own radius, no angle gap above pi."""
+    n = draw(st.integers(3, 8))
+    cu, cv = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    steps = draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n))
+    radii = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    angles = [2 * math.pi * sum(steps[:i]) / sum(steps) for i in range(n)]
+    return tuple((cu + r * math.cos(a), cv + r * math.sin(a)) for a, r in zip(angles, radii)), (cu, cv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_star_polygons(), st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)), max_size=20))
+def test_stabilizer_bounds_kernel_matches_points_in_bounds(polygon, offsets):
+    """``RunningAverageStabilizer.push`` keeps exactly the points that
+    ``points_in_bounds`` keeps, and away from the edges exactly those the
+    winding-number oracle puts inside: over vertices, edge points, the
+    centre, scattered and far points, and non-finite coordinates."""
+    poly, (cu, cv) = polygon
+    edges = list(zip(poly, poly[1:] + poly[:1]))
+    on_edges = [(ax + f * (bx - ax), ay + f * (by - ay)) for (ax, ay), (bx, by) in edges for f in (0.25, 0.5, 1 / 3)]
+    scattered = [(cu + du, cv + dv) for du, dv in offsets] + [(cu, cv), (cu + 10.0, cv), (cu, cv - 10.0)]
+    non_finite = [(math.nan, cv), (cu, math.nan), (math.inf, cv), (-math.inf, cv), (cu, math.inf), (cu, -math.inf)]
+    stab = RunningAverageStabilizer(poly)
+    kept = {}
+    for u, v in [*poly, *on_edges, *scattered, *non_finite]:
+        kept[u, v] = stab.push(PlanarPoint(u, v), 0.0, "right") is not None
+        assert kept[u, v] == bool(points_in_bounds(u, v, poly)), (u, v)
+    for u, v in scattered:
+        if _distance_to_edges(u, v, poly) > 1e-9:
+            assert kept[u, v] == _winding_inside(u, v, poly), (u, v)
+    assert all(kept[p] for p in poly)
+    assert not any(kept[p] for p in non_finite)

@@ -4,13 +4,16 @@ and replay/live output equivalence."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import random
 import socket
 import struct
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,10 +21,11 @@ from hypothesis import strategies as st
 from conftest import INTRINSICS, desk_corners, make_plane_file, run_cli, wrist_frame, write_scenario_file
 from gesturepoint.cli import load_plane_file
 from gesturepoint.evaluation import generate_scenario
-from gesturepoint.live import MAX_LINE_BYTES, LiveServer, LiveSession, PipelineSettings
-from gesturepoint.geometry import PlanarPoint, plane_from_corners, workplane_frame
+from gesturepoint.live import MAX_LINE_BYTES, LiveServer, LiveSession, PipelineSettings, gesture_point_record
+from gesturepoint.geometry import PlanarPoint, Point3, Quaternion, from_workplane, plane_from_corners, workplane_frame
 from gesturepoint.snap import Area, AreaRegistry, Target, TargetRegistry
-from gesturepoint.stream import serialize_frame, load_scenario_config
+from gesturepoint.stabilizer import GesturePoint
+from gesturepoint.stream import load_scenario_config, parse_frame, serialize_frame
 
 
 def make_settings(tmp_path) -> PipelineSettings:
@@ -273,6 +277,68 @@ def test_per_frame_path_runs_no_finiteness_check(tmp_path, monkeypatch):
     for session in sessions:
         replies = [session.handle_line(line) for line in lines]
         assert all(len(r) == 1 for r in replies[:-1])
+
+
+# --- the record formatter --------------------------------------------------------
+
+# signed zeros, a subnormal, values past 2**53 and below 1e-4 (where repr
+# switches to exponent notation), and plain decimals
+_EDGE_FLOATS = (0.0, -0.0, 1e16, -1e16, 5e-324, 1e-7, -1e-7, 0.1, 1 / 3, 123456.789)
+
+
+def _json_dumps_record(gp: GesturePoint, settings: PipelineSettings) -> str:
+    if settings.frame_mode == "camera":
+        world = from_workplane(gp.position, settings.frame)
+        doc = {"t": gp.timestamp, "hand": gp.hand, "x": world.x, "y": world.y, "z": world.z,
+               "window": gp.window_size}
+    else:
+        doc = {"t": gp.timestamp, "hand": gp.hand, "u": gp.position.u, "v": gp.position.v,
+               "window": gp.window_size}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _tilted_frames(count: int):
+    """Seeded planes of any orientation, each with a frame at a random corner."""
+    rng = random.Random("record-frames")
+    for _ in range(count):
+        q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        norm = math.sqrt(sum(c * c for c in q))
+        rows = Quaternion(*(c / norm for c in q)).to_matrix()
+        origin = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+        corners = [Point3(*(o + a * u + b * v for o, (a, b, _) in zip(origin, rows)))
+                   for u, v in ((0.0, 0.0), (0.7, 0.0), (0.7, 0.5), (0.0, 0.5))]
+        plane = plane_from_corners(corners)
+        corner = rng.randrange(4)
+        yield plane, workplane_frame(plane, corner, (corner + rng.choice((1, 3))) % 4)
+
+
+@pytest.mark.parametrize("mode", ["workplane", "camera"])
+def test_gesture_point_record_writes_the_bytes_of_json_dumps(mode):
+    """The written-out record equals ``json.dumps`` of the record object on
+    tilted planes, for edge floats in every coordinate, numpy float
+    coordinates, and float, numpy and int timestamps."""
+    for plane, frame in _tilted_frames(8):
+        settings = PipelineSettings(plane=plane, frame=frame, frame_mode=mode)
+        for u, v, w in itertools.product(_EDGE_FLOATS, repeat=3):
+            for position, t in ((PlanarPoint(u, v, w), u), (PlanarPoint(np.float64(u), np.float64(v), np.float64(w)),
+                                                            np.float64(v))):
+                gp = GesturePoint(position, t, "left", 3)
+                assert gesture_point_record(gp, settings) == _json_dumps_record(gp, settings)
+        for t in (0, 7, -2, 10**20):
+            gp = GesturePoint(PlanarPoint(0.25, 0.125), t, "right", 5)
+            assert gesture_point_record(gp, settings) == _json_dumps_record(gp, settings)
+
+
+def test_gesture_point_record_matches_json_dumps_on_pipeline_points(tmp_path):
+    """Every point of a noisy session, in both output frames."""
+    base = make_settings(tmp_path)
+    frames = [parse_frame(json.loads(line)) for line in stream_lines(tmp_path, count=60, sigma=0.01)]
+    for settings in (base, dataclasses.replace(base, frame_mode="camera")):
+        pipe = settings.make_pipeline()
+        points = [gp for f in frames for gp in pipe.process(f)]
+        assert points
+        for gp in points:
+            assert gesture_point_record(gp, settings) == _json_dumps_record(gp, settings)
 
 
 # --- fuzzing the line boundary ---------------------------------------------------

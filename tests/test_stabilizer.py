@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gesturepoint.geometry import PlanarPoint
-from gesturepoint.stabilizer import RunningAverageStabilizer
+from gesturepoint.geometry import PlanarPoint, planar_mean
+from gesturepoint.stabilizer import GesturePoint, RunningAverageStabilizer
 
 BOUNDS = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -105,3 +107,35 @@ def test_mean_matches_fraction_oracle():
     assert out.position.u == float(exact_u)
     assert out.position.v == float(exact_v)
 
+
+def test_mean_adds_offsets_one_by_one_on_every_python():
+    """Offsets 0, 1e16, 1, -1e16 add up to 0 one by one (1e16 + 1 rounds
+    back to 1e16) and to 1 in a compensated sum, as ``sum()`` of floats is
+    from Python 3.12 on; both means take the sequential 0, on every Python."""
+    window = [PlanarPoint(0.5 + du, 0.25, 0.0) for du in (0.0, 1e16, 1.0, -1e16)]
+    assert planar_mean(window).u == 0.5
+    huge = ((-2e16, -2e16), (2e16, -2e16), (2e16, 2e16), (-2e16, 2e16))
+    stab = RunningAverageStabilizer(huge)
+    outs = [stab.push(p, i / 30, "right") for i, p in enumerate(window)]
+    assert outs[-1].position == PlanarPoint(0.5, 0.25, 0.0)
+    assert outs[-1].window_size == 4
+
+
+@pytest.mark.parametrize(
+    "cls, args", [(PlanarPoint, (0.1, 0.2, 0.3)), (GesturePoint, (PlanarPoint(0.1, 0.2), 0.5, "right", 3))]
+)
+def test_written_out_init_keeps_the_dataclass_contract(cls, args):
+    """The per-hit value types write their own ``__init__``: it takes the
+    dataclass fields in order, with their defaults, and the instances stay
+    frozen, equal by value, hashable and replaceable."""
+    fields = dataclasses.fields(cls)
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [(p.name, p.default) for p in params] == [
+        (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default) for f in fields
+    ]
+    a, b = cls(*args), cls(**{f.name: value for f, value in zip(fields, args)})
+    assert tuple(getattr(a, f.name) for f in fields) == args
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, fields[0].name, None)
+    assert dataclasses.replace(a, **{fields[-1].name: args[-1]}) == a
