@@ -13,7 +13,6 @@ from .geometry import (
     deproject,
     from_workplane,
     plane_from_corners,
-    point_in_bounds,
     project,
     to_workplane,
     workplane_frame,
@@ -33,7 +32,6 @@ from .snap import (
 )
 from .stabilizer import GesturePoint, RunningAverageStabilizer
 from .stream import (
-    GestureScenario,
     KeypointFrame,
     parse_frame,
     serialize_frame,
@@ -46,7 +44,6 @@ __all__ = [
     "CameraIntrinsics",
     "GesturePipeline",
     "GesturePoint",
-    "GestureScenario",
     "KeypointFrame",
     "PlanarPoint",
     "Plane",
@@ -65,7 +62,6 @@ __all__ = [
     "pick_snap",
     "place_snap",
     "plane_from_corners",
-    "point_in_bounds",
     "project",
     "serialize_frame",
     "stability_gate",

@@ -84,7 +84,6 @@ from .stream import (
     finite_float,
     json_int,
     json_number,
-    load_scenario_config,
     parse_intrinsics_header,
     parse_kv_config,
     parse_position,
@@ -114,6 +113,14 @@ def non_negative_int(text: str) -> int:
     value = decimal_int(text)
     if value < 0:
         raise ValueError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """The type of ``generate --count`` (and the ``count`` config key)."""
+    value = decimal_int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
     return value
 
 
@@ -264,19 +271,16 @@ def cmd_define_plane(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .evaluation import generate_scenario
+    from .evaluation import generate_scenario, load_scenario_config
 
     _check_out_spares_inputs(args.out, args.scenario)
-    scenario = load_scenario_config(args.scenario)
-    overrides = {}
+    template, target, seed, count = load_scenario_config(args.scenario)
     if args.seed is not None:
-        overrides["rng_seed"] = args.seed
+        seed = args.seed
     if args.count is not None:
-        overrides["sample_count"] = args.count
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-    count = write_stream(args.out, generate_scenario(scenario))
-    print(f"wrote {count} frames to {args.out}", file=sys.stderr)
+        count = args.count
+    written = write_stream(args.out, generate_scenario(template, target, seed, count))
+    print(f"wrote {written} frames to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -358,29 +362,14 @@ def cmd_live(args) -> int:
     return EXIT_OK
 
 
-def _template_from_args(template_cls, args, sigma: float):
-    overrides = {}
-    if args.n is not None:
-        overrides["snap_samples"] = args.n
-    if args.threshold is not None:
-        overrides["stability_threshold"] = args.threshold
-    if args.aim_bias is not None:
-        overrides["aim_bias_sigma"] = args.aim_bias
-    if args.scenario:
-        scenario = load_scenario_config(args.scenario)
-        plane = scenario.plane
-        frame = workplane_frame(plane)
-        return template_cls(
-            plane=plane,
-            frame=frame,
-            shoulder_base=scenario.shoulder_base,
-            arm_length=scenario.arm_length,
-            sigma=sigma,
-            frame_rate=scenario.frame_rate,
-            hand=scenario.hand,
-            **overrides,
-        )
-    return template_cls.desk_default(sigma, **overrides)
+def _template_from_args(args, sigma: float):
+    """The scenario file's template (its target, seed and count unused), or
+    the desk default, with ``sigma`` and the flags given."""
+    from .evaluation import ScenarioTemplate, load_scenario_config
+
+    template = load_scenario_config(args.scenario)[0] if args.scenario else ScenarioTemplate.desk_default()
+    flags = {"snap_samples": args.n, "stability_threshold": args.threshold, "aim_bias_sigma": args.aim_bias}
+    return dataclasses.replace(template, sigma=sigma, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_l_values(text: str) -> tuple[float, ...]:
@@ -394,9 +383,8 @@ def _parse_l_values(text: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args) -> int:
-    from .evaluation import (PICK_DISTANCES, PLACE_SIZES, ScenarioTemplate, calibrate_sigma,
-                             emit_report, load_boards, make_board, run_boards, save_boards,
-                             template_plane_size)
+    from .evaluation import (PICK_DISTANCES, PLACE_SIZES, calibrate_sigma, emit_report, load_boards,
+                             make_board, run_boards, save_boards, template_plane_size)
 
     if args.calibrate is not None and args.sigma is not None:
         raise ConfigError("give either --sigma or --calibrate, not both")
@@ -404,7 +392,7 @@ def cmd_sweep(args) -> int:
     _positive("--threshold", args.threshold)
     if args.sigma is not None and args.sigma < 0:
         raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
-    template = _template_from_args(ScenarioTemplate, args, args.sigma or 0.0)
+    template = _template_from_args(args, args.sigma or 0.0)
     if args.calibrate is not None:
         calibrated = calibrate_sigma(args.calibrate, template, seed=args.seed)
         template = dataclasses.replace(template, sigma=calibrated)
@@ -447,10 +435,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .evaluation import ScenarioTemplate, calibrate_sigma
+    from .evaluation import calibrate_sigma
 
     _positive("--samples", args.samples)
-    template = _template_from_args(ScenarioTemplate, args, 0.0)
+    template = _template_from_args(args, 0.0)
     sigma = calibrate_sigma(args.target_error, template, samples=args.samples, seed=args.seed)
     print(f"{sigma:.6f}")
     return EXIT_OK
@@ -468,34 +456,27 @@ def cmd_registry(args) -> int:
     if args.action == "list":
         print(json.dumps(layout_document(targets, areas), indent=2, sort_keys=True))
         return EXIT_OK
-    if args.action == "add-target":
-        _require(args, "id", "u", "v")
-        new = Target(id=args.id, label=args.label or args.id,
-                     position=PlanarPoint(args.u, args.v), group=args.group)
-        if any(t.id == new.id for t in targets):
-            raise DuplicateIdError(f"target id {new.id!r} already registered")
-        targets.append(new)
-    elif args.action == "remove-target":
-        _require(args, "id")
-        if not any(t.id == args.id for t in targets):
-            raise UnknownIdError(f"target id {args.id!r} not registered")
-        targets = [t for t in targets if t.id != args.id]
-    elif args.action == "add-area":
-        _require(args, "id", "cu", "cv", "hu", "hv")
-        try:
-            new_area = Area(id=args.id, center=PlanarPoint(args.cu, args.cv), half_extent=(args.hu, args.hv))
-        except SnapError as exc:  # a half extent <= 0 is a usage error
-            raise ConfigError(str(exc)) from exc
-        if any(a.id == new_area.id for a in areas):
-            raise DuplicateIdError(f"area id {new_area.id!r} already registered")
-        areas.append(new_area)
-    elif args.action == "remove-area":
-        _require(args, "id")
-        if not any(a.id == args.id for a in areas):
-            raise UnknownIdError(f"area id {args.id!r} not registered")
-        areas = [a for a in areas if a.id != args.id]
+    op, kind = args.action.split("-")
+    entries = targets if kind == "target" else areas
+    if op == "add":
+        if kind == "target":
+            _require(args, "id", "u", "v")
+            new = Target(id=args.id, label=args.label or args.id,
+                         position=PlanarPoint(args.u, args.v), group=args.group)
+        else:
+            _require(args, "id", "cu", "cv", "hu", "hv")
+            try:
+                new = Area(id=args.id, center=PlanarPoint(args.cu, args.cv), half_extent=(args.hu, args.hv))
+            except SnapError as exc:  # a half extent <= 0 is a usage error
+                raise ConfigError(str(exc)) from exc
+        if any(e.id == new.id for e in entries):
+            raise DuplicateIdError(f"{kind} id {new.id!r} already registered")
+        entries.append(new)
     else:
-        raise ConfigError(f"unknown registry action {args.action!r}")
+        _require(args, "id")
+        if not any(e.id == args.id for e in entries):
+            raise UnknownIdError(f"{kind} id {args.id!r} not registered")
+        entries[:] = [e for e in entries if e.id != args.id]
     save_layout(path, targets, areas)
     print(f"wrote {path}")
     return EXIT_OK
@@ -548,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="flat key=value scenario file")
     p.add_argument("--out", required=True, help="stream JSONL to write")
     p.add_argument("--seed", type=non_negative_int, help="override the scenario seed")
-    p.add_argument("--count", type=decimal_int, help="override the scenario frame count")
+    p.add_argument("--count", type=positive_int, help="override the scenario frame count")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("replay", help="run a recorded stream through the pipeline")

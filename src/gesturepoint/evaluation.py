@@ -1,16 +1,46 @@
-"""Desk-scale evaluation harness: the synthetic joint generator, board
-layouts, error metrics, seeded Monte-Carlo pick/place sweeps, calibration
-and report emission. It is the one module that imports numpy.
+"""Desk-scale evaluation harness: the simulated pointer, the synthetic joint
+generator, board layouts, error metrics, seeded Monte-Carlo pick/place
+sweeps, calibration and report emission. It is the one module that imports
+numpy.
 
-All synthetic joints come from one sampler in two steps: a draw
+One type describes the simulated pointer: :class:`ScenarioTemplate` (plane,
+workplane frame, shoulder, arm length, joint noise, aim bias, hand, frame
+rate and the per-trial settings). It checks its own values, and
+:meth:`ScenarioTemplate.check_target` checks each aimed point. Every
+synthetic joint comes from one sampler in two steps: a draw
 (:func:`draw_joint_noise`: aim biases, then standard normals, from one seed)
 and a placement (:func:`ideal_wrists` once per plane for all trials, then
-:func:`noisy_joints`). :func:`sample_joint_positions` chains them for one
-scenario, and :func:`generate_scenario` streams its trial 0 as KeypointFrames
-for files and live clients. Sweeps (``run_boards``) stack one draw per trial
-and place every trial at once; sigma calibration draws one frame from each
-of many trials once and re-noises it per sigma, so calibration fits the
-noise the sweeps run on.
+:func:`noisy_joints`). :func:`generate_scenario` chains them for one gesture
+and streams it as KeypointFrames for files and live clients. Sweeps
+(``run_boards``) stack one draw per trial and place every trial at once;
+sigma calibration draws one frame from each of many trials once and
+re-noises it per sigma, so calibration fits the noise the sweeps run on.
+
+Scenario config files (``generate``, ``sweep --scenario``, ``calibrate
+--scenario``; read by :func:`load_scenario_config`) are flat ``key = value``
+text (``#`` comments allowed):
+
+    plane_corner_1 = 0.0, 0.0, 0.0      # three or four corners, meters
+    plane_corner_2 = 0.6, 0.0, 0.0
+    plane_corner_3 = 0.6, 0.8, 0.0
+    plane_corner_4 = 0.0, 0.8, 0.0
+    shoulder   = 0.3, -0.1, 0.6         # shoulder base position
+    target     = 0.3, 0.4, 0.0          # aimed point, must lie on the plane
+    sigma      = 0.01                   # per-axis Gaussian noise, meters
+    arm_length = 0.55
+    seed       = 42                     # >= 0
+    count      = 100                    # >= 1
+    frame_rate = 30                     # optional, Hz
+    hand       = right                  # optional
+
+Every number is a finite plain decimal (``stream.finite_float``; ``seed`` and
+``count`` plain integers). The template rejects a ``sigma`` (or aim bias)
+below 0, an ``arm_length`` or ``frame_rate`` not above 0 and an unknown
+``hand``; the target check rejects a target off the plane and one the arm
+reaches past. Each is a ``StreamError`` (exit 2). Only ``generate`` uses
+``target``, ``seed`` and ``count``; the sweeps and calibration take the
+plane, frame, shoulder, arm length, frame rate and hand, and their sigma
+from their flags.
 
 All randomness flows from a single base seed through per-trial SeedSequence
 derivations, so every sweep is reproducible byte for byte. Reports are
@@ -46,6 +76,7 @@ from .geometry import (
     ARM_SEPARATION_MIN,
     DEFAULT_T_MIN,
     PARALLEL_TOL,
+    PLANARITY_TOL,
     PlanarPoint,
     Plane,
     Point3,
@@ -71,9 +102,10 @@ from .snap import (
 )
 from .stabilizer import DEFAULT_WINDOW
 from .stream import (  # re-exports the EvalError family and the sample-count defaults
-    DEFAULT_CALIBRATION_SAMPLES, DEFAULT_FRAME_RATE, DEFAULT_TRIALS_PER_TARGET,
-    EvalError, GestureScenario, InvalidParametersError, JointSample,
-    KeypointFrame, NonConvergenceError, UnsupportedFormatError, decode_object, json_number, read_text,
+    DEFAULT_CALIBRATION_SAMPLES, DEFAULT_TRIALS_PER_TARGET, HANDS,
+    EvalError, InvalidParametersError, JointSample, KeypointFrame, NonConvergenceError,
+    StreamError, TargetUnreachableError, UnsupportedFormatError, decimal_int, decode_object,
+    finite_float, json_number, parse_kv_config, parse_triplet, read_text,
 )
 
 PLANE_SIZE = (0.60, 0.80)
@@ -82,6 +114,7 @@ PLACE_SIZES = (0.20, 0.10, 0.05)
 BOARD_MARGIN = 0.10
 CALIBRATION_REL_TOL = 0.02  # calibrate_sigma stops within this share of the target
 CALIBRATION_MAX_ITER = 60  # bracket doublings, then bisection steps
+DEFAULT_FRAME_RATE = 30.0
 
 CSV_COLUMNS = (
     "kind", "l_m", "target_id", "trials", "successes", "success_pct",
@@ -257,8 +290,18 @@ def desk_plane(size: tuple[float, float] = PLANE_SIZE) -> Plane:
 
 @dataclass(frozen=True)
 class ScenarioTemplate:
-    """Everything about a simulated gesture except the target: the geometry of
-    the pointer and the pipeline/snap settings used per trial."""
+    """The simulated pointer, everything about a gesture except its target:
+    the geometry, the noise and the pipeline/snap settings used per trial.
+
+    The ideal wrist sits on the shoulder->aim segment at ``arm_length``;
+    independent per-axis Gaussian noise (``sigma``) is added to both shoulder
+    and wrist each frame. ``aim_bias_sigma`` adds one in-plane Gaussian
+    offset to the aimed point, drawn once per trial: it models the
+    trial-persistent component of pointing error (a steady hand can be
+    precisely wrong), which per-frame noise cannot reproduce because the
+    downstream averaging removes it. Construction checks every value; a bad
+    one raises StreamError.
+    """
 
     plane: Plane
     frame: WorkplaneFrame
@@ -272,6 +315,21 @@ class ScenarioTemplate:
     window: int = DEFAULT_WINDOW
     frame_rate: float = DEFAULT_FRAME_RATE
     hand: str = "right"
+
+    def __post_init__(self) -> None:
+        # each range test fails on NaN and on infinities
+        if not 0 <= self.sigma < math.inf:
+            raise StreamError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 0 <= self.aim_bias_sigma < math.inf:
+            raise StreamError(f"aim_bias_sigma must be finite and >= 0, got {self.aim_bias_sigma}")
+        if self.frames_per_trial < 1:
+            raise StreamError(f"frames_per_trial must be >= 1, got {self.frames_per_trial}")
+        if not 0 < self.arm_length < math.inf:
+            raise StreamError(f"arm_length must be finite and positive, got {self.arm_length}")
+        if not 0 < self.frame_rate < math.inf:
+            raise StreamError(f"frame_rate must be finite and positive, got {self.frame_rate}")
+        if self.hand not in HANDS:
+            raise StreamError(f"unknown hand {self.hand!r}")
 
     @classmethod
     def desk_default(cls, sigma: float = 0.0, **overrides) -> "ScenarioTemplate":
@@ -287,19 +345,61 @@ class ScenarioTemplate:
             **overrides,
         )
 
-    def scenario_for(self, target_world: Point3, seed: int) -> GestureScenario:
-        return GestureScenario(
-            plane=self.plane,
-            shoulder_base=self.shoulder_base,
-            target=target_world,
-            noise_sigma=self.sigma,
-            arm_length=self.arm_length,
-            sample_count=self.frames_per_trial,
-            rng_seed=seed,
-            frame_rate=self.frame_rate,
-            hand=self.hand,
-            aim_bias_sigma=self.aim_bias_sigma,
+    def check_target(self, target: Point3) -> Point3:
+        """``target``, once it lies on the plane and beyond the arm's reach
+        (else the wrist would overshoot the plane); StreamError otherwise."""
+        off = abs(self.plane.signed_distance(target))
+        if off > PLANARITY_TOL:
+            raise StreamError(f"target lies {off:.4f} m off the plane")
+        dx, dy, dz = (t - b for t, b in zip(target.as_tuple(), self.shoulder_base.as_tuple()))
+        reach = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if self.arm_length >= reach:
+            raise TargetUnreachableError(
+                f"arm_length {self.arm_length} m reaches past the target "
+                f"({reach:.4f} m away); the wrist would overshoot the plane"
+            )
+        return target
+
+
+def load_scenario_config(path: str | os.PathLike) -> tuple[ScenarioTemplate, Point3, int, int]:
+    """Read a scenario config file (format in the module docstring) into
+    (template, target, seed, count), the arguments of
+    :func:`generate_scenario`. The template holds the file's plane and its
+    workplane frame, shoulder, arm length, sigma, frame rate and hand; its
+    other fields keep their defaults."""
+    cfg = parse_kv_config(read_text(path))
+    required = [
+        "plane_corner_1", "plane_corner_2", "plane_corner_3",
+        "shoulder", "target", "sigma", "arm_length", "seed", "count",
+    ]
+    missing = [k for k in required if k not in cfg]
+    if missing:
+        raise StreamError(f"scenario config missing keys: {', '.join(missing)}")
+    corners = [parse_triplet(cfg[f"plane_corner_{i}"], f"plane_corner_{i}") for i in (1, 2, 3)]
+    if "plane_corner_4" in cfg:
+        corners.append(parse_triplet(cfg["plane_corner_4"], "plane_corner_4"))
+    try:
+        plane = plane_from_corners(corners)
+        template = ScenarioTemplate(
+            plane=plane,
+            frame=workplane_frame(plane),
+            shoulder_base=parse_triplet(cfg["shoulder"], "shoulder"),
+            arm_length=finite_float(cfg["arm_length"]),
+            sigma=finite_float(cfg["sigma"]),
+            frame_rate=finite_float(cfg["frame_rate"]) if "frame_rate" in cfg else DEFAULT_FRAME_RATE,
+            hand=cfg.get("hand", "right"),
         )
+        target = template.check_target(parse_triplet(cfg["target"], "target"))
+        seed, count = decimal_int(cfg["seed"]), decimal_int(cfg["count"])
+    except ValueError as exc:
+        if isinstance(exc, StreamError):
+            raise
+        raise StreamError(f"bad scenario config: {exc}") from exc
+    if seed < 0:
+        raise StreamError(f"seed must be >= 0, got {seed}")
+    if count < 1:
+        raise StreamError(f"count must be >= 1, got {count}")
+    return template, target, seed, count
 
 
 @dataclass(frozen=True)
@@ -383,23 +483,21 @@ def draw_joint_noise(
     return aim_bias_sigma * rng.standard_normal((trials, 2)), rng.standard_normal((trials, frames, 2, 3))
 
 
-def ideal_wrists(
-    geometry: GestureScenario | ScenarioTemplate, targets: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
+def ideal_wrists(template: ScenarioTemplate, targets: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """The sampler's placement step: each trial's noiseless wrist, shape
     (trials, 3). It sits ``arm_length`` along the segment from the shoulder
     base to the trial's aim, its target ((3,) or (trials, 3)) moved by its
-    (u, v) bias. ``geometry`` gives the plane, shoulder base and arm length;
+    (u, v) bias. ``template`` gives the plane, shoulder base and arm length;
     the in-plane basis is computed once for all trials."""
-    plane = geometry.plane
+    plane = template.plane
     n = np.array(plane.normal.as_tuple())
     e1 = np.array(plane.corners[1].as_tuple()) - np.array(plane.corners[0].as_tuple())
     e1 = e1 - n * (e1 @ n)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
-    base = np.array(geometry.shoulder_base.as_tuple())
+    base = np.array(template.shoulder_base.as_tuple())
     aim_dirs = targets + bias[:, :1] * e1 + bias[:, 1:] * e2 - base
-    return base + aim_dirs * (geometry.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
+    return base + aim_dirs * (template.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
 
 
 def noisy_joints(
@@ -411,38 +509,29 @@ def noisy_joints(
     return base + sigma * eps[:, :, 0, :], ideal[:, None, :] + sigma * eps[:, :, 1, :]
 
 
-def sample_joint_positions(
-    scenario: GestureScenario, trials: int = 1, frames: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (shoulders, wrists) for ``trials`` independent gestures of
-    ``frames`` frames each (default ``sample_count``), shape (trials, frames, 3).
-
-    It is :func:`draw_joint_noise` seeded with ``rng_seed`` (one (trials, 2)
-    block of aim biases, then one (trials, frames, 2, 3) block of standard
-    normals), :func:`ideal_wrists` and :func:`noisy_joints`, so trial 0 is
-    the scenario's stream. Sweeps and calibration call the same steps on
-    draws they stack or keep across sigmas.
-    """
-    frames = scenario.sample_count if frames is None else frames
-    bias, eps = draw_joint_noise(scenario.rng_seed, scenario.aim_bias_sigma, trials, frames)
-    ideal = ideal_wrists(scenario, np.array(scenario.target.as_tuple()), bias)
-    return noisy_joints(scenario.shoulder_base, ideal, eps, scenario.noise_sigma)
-
-
-def generate_scenario(scenario: GestureScenario) -> Iterator[KeypointFrame]:
-    """Yield the scenario's KeypointFrames (timestamps step by 1/frame_rate):
-    trial 0 of :func:`sample_joint_positions`."""
-    shoulders, wrists = sample_joint_positions(scenario)
-    shoulder_name = f"{scenario.hand}_shoulder"
-    wrist_name = f"{scenario.hand}_wrist"
+def generate_scenario(
+    template: ScenarioTemplate, target: Point3, seed: int, count: int
+) -> Iterator[KeypointFrame]:
+    """Yield ``count`` KeypointFrames of one gesture at ``target`` (timestamps
+    step by 1/frame_rate, source ``"synthetic"``): :func:`draw_joint_noise`
+    seeded with ``seed`` for one trial, :func:`ideal_wrists` and
+    :func:`noisy_joints`, the steps sweeps and calibration run on draws they
+    stack or keep across sigmas. The caller has checked ``target``, ``seed``
+    and ``count`` (:meth:`ScenarioTemplate.check_target`,
+    :func:`load_scenario_config`)."""
+    bias, eps = draw_joint_noise(seed, template.aim_bias_sigma, 1, count)
+    ideal = ideal_wrists(template, np.array(target.as_tuple()), bias)
+    shoulders, wrists = noisy_joints(template.shoulder_base, ideal, eps, template.sigma)
+    shoulder_name = f"{template.hand}_shoulder"
+    wrist_name = f"{template.hand}_wrist"
     for k, (shoulder, wrist) in enumerate(zip(shoulders[0].tolist(), wrists[0].tolist())):
         yield KeypointFrame(
-            timestamp=k / scenario.frame_rate,
+            timestamp=k / template.frame_rate,
             joints={
                 shoulder_name: JointSample(Point3(*shoulder), 1.0),
                 wrist_name: JointSample(Point3(*wrist), 1.0),
             },
-            source_id=scenario.source_id,
+            source_id="synthetic",
         )
 
 
@@ -612,9 +701,9 @@ def run_boards(
     aimed = [(board, e_idx, entity) for board in boards
              for e_idx, entity in enumerate(board.targets or board.areas)]
     runs = [(board, e_idx, entity, k) for board, e_idx, entity in aimed for k in range(trials_per_target)]
-    # one scenario per aimed entity checks its target; its trials differ only in their draws
+    # one target per aimed entity; its trials differ only in their draws
     targets = [
-        template.scenario_for(from_workplane(_aimed_uv(entity), template.frame), base_seed).target.as_tuple()
+        template.check_target(from_workplane(_aimed_uv(entity), template.frame)).as_tuple()
         for _, _, entity in aimed
     ]
     bias, eps = (np.concatenate(block) for block in zip(*(
@@ -665,17 +754,16 @@ def _mean_error_by_sigma(
 ) -> Callable[[float], float]:
     """Calibration's objective: the joints are drawn and placed once, so each
     sigma costs only the noisy joints, the ray-plane hit and the mean error.
-    The template's scenario runs its checks; its own sigma is not used."""
+    The template's own sigma is not used."""
     if samples < 1:
         raise InvalidParametersError(f"calibration needs at least 1 sample, got {samples}")
-    scenario = template.scenario_for(target_world, seed)
-    target = np.array(target_world.as_tuple())
-    bias, eps = draw_joint_noise(seed, scenario.aim_bias_sigma, samples, 1)
-    ideal = ideal_wrists(scenario, target, bias)
+    target = np.array(template.check_target(target_world).as_tuple())
+    bias, eps = draw_joint_noise(seed, template.aim_bias_sigma, samples, 1)
+    ideal = ideal_wrists(template, target, bias)
 
     def mean_error(sigma: float) -> float:
-        shoulders, wrists = noisy_joints(scenario.shoulder_base, ideal, eps, sigma)
-        hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], scenario.plane)
+        shoulders, wrists = noisy_joints(template.shoulder_base, ideal, eps, sigma)
+        hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], template.plane)
         if not valid.any():
             raise EvalError("no ray reached the plane; scenario geometry is off")
         return float(np.linalg.norm(hits[valid] - target, axis=1).mean())
@@ -700,7 +788,7 @@ def mean_intersection_error(
     the plane (parallel, or hit not beyond the wrist) are excluded from the
     mean.
     """
-    # the template carries sigma, so the scenario's checks see it
+    # the template carries sigma, so its checks see it
     with_sigma = dataclasses.replace(template, sigma=sigma)
     return _mean_error_by_sigma(with_sigma, target_world, samples, seed)(sigma)
 

@@ -418,17 +418,12 @@ def planar_mean(points: Sequence[PlanarPoint]) -> PlanarPoint:
     return PlanarPoint(u=fu + su / k, v=fv + sv / k, z_residual=fz + sz / k)
 
 
-def point_in_bounds(p: PlanarPoint, bounds: Sequence[tuple[float, float]]) -> bool:
-    """Even-odd containment test of (u, v) in a simple polygon; boundary counts
-    as inside."""
-    return bool(points_in_bounds(p.u, p.v, bounds))
-
-
 def points_in_bounds(
     u: float | np.ndarray, v: float | np.ndarray, bounds: Sequence[tuple[float, float]]
 ) -> bool | np.ndarray:
-    """:func:`point_in_bounds` elementwise over float or array coordinates,
-    with one arithmetic for both; NaN is outside."""
+    """Even-odd containment test of (u, v) in a simple polygon, elementwise
+    over float or array coordinates with one arithmetic for both; the
+    boundary counts as inside and NaN is outside."""
     on_edge = inside = False
     for (ax, ay), (bx, by) in zip(bounds, bounds[1:] + bounds[:1]):
         dx, dy, du, dv = bx - ax, by - ay, u - ax, v - ay

@@ -1,10 +1,7 @@
-"""Skeleton-frame data model, JSONL ingestion and the configuration of the
-synthetic noisy gesture. A frame's pointing ray runs from a shoulder or elbow
-(``PAIRS``) through the wrist of one of ``HANDS``;
-``pipeline.GesturePipeline.process`` reads it from the frame's joints.
-
-The numpy generator of a :class:`GestureScenario`'s joints lives in
-``evaluation`` (``sample_joint_positions``, ``generate_scenario``).
+"""Skeleton-frame data model, JSONL ingestion and the readers of every input
+file. A frame's pointing ray runs from a shoulder or elbow (``PAIRS``) through
+the wrist of one of ``HANDS``; ``pipeline.GesturePipeline.process`` reads it
+from the frame's joints.
 
 Wire format (one JSON object per line, coordinates in meters, camera frame):
 
@@ -29,23 +26,6 @@ file (UTF-8, optionally BOM-prefixed), :func:`decode_object` decodes JSON,
 :func:`decimal_int` those of text and :func:`parse_position` every joint and corner.
 The record parsers :func:`parse_frame` and :func:`parse_intrinsics_header`
 take the object that :func:`decode_object` returned, never text.
-
-Scenario config files are flat ``key = value`` text (``#`` comments allowed):
-
-    plane_corner_1 = 0.0, 0.0, 0.0      # four corners, meters
-    plane_corner_2 = 0.6, 0.0, 0.0
-    plane_corner_3 = 0.6, 0.8, 0.0
-    plane_corner_4 = 0.0, 0.8, 0.0
-    shoulder   = 0.3, -0.1, 0.6         # shoulder base position
-    target     = 0.3, 0.4, 0.0          # aimed point, must lie on the plane
-    sigma      = 0.01                   # per-axis Gaussian noise, meters
-    arm_length = 0.55
-    seed       = 42                     # >= 0
-    count      = 100
-    frame_rate = 30                     # optional, Hz
-    hand       = right                  # optional
-
-Every number must be finite (:func:`finite_float`, :class:`GestureScenario`).
 """
 
 from __future__ import annotations
@@ -57,16 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .geometry import (
-    MAX_JOINT_COORD,
-    PLANARITY_TOL,
-    CameraIntrinsics,
-    GeometryError,
-    Plane,
-    Point3,
-    deproject,
-    plane_from_corners,
-)
+from .geometry import MAX_JOINT_COORD, CameraIntrinsics, GeometryError, Point3, deproject
 
 HANDS = ("left", "right")
 PAIRS = ("shoulder_wrist", "elbow_wrist")
@@ -74,7 +45,6 @@ KNOWN_JOINTS = frozenset(
     f"{side}_{part}" for side in HANDS for part in ("shoulder", "elbow", "wrist")
 )
 DEFAULT_MIN_CONFIDENCE = 0.3
-DEFAULT_FRAME_RATE = 30.0
 
 
 # what json.loads raises on an untrusted line: bad syntax, an integer past
@@ -333,61 +303,6 @@ class StreamReader:
             yield frame
 
 
-@dataclass(frozen=True)
-class GestureScenario:
-    """Configuration of one synthetic pointing gesture.
-
-    The ideal wrist sits on the shoulder->aim segment at ``arm_length``;
-    independent per-axis Gaussian noise (``noise_sigma``) is added to both
-    shoulder and wrist each frame. ``aim_bias_sigma`` adds one in-plane
-    Gaussian offset to the aimed point, drawn once per scenario: it models
-    the trial-persistent component of pointing error (a steady hand can be
-    precisely wrong), which per-frame noise cannot reproduce because the
-    downstream averaging removes it. It defaults to zero. Streams are
-    deterministic given ``rng_seed``.
-    """
-
-    plane: Plane
-    shoulder_base: Point3
-    target: Point3
-    noise_sigma: float
-    arm_length: float
-    sample_count: int
-    rng_seed: int
-    frame_rate: float = DEFAULT_FRAME_RATE
-    hand: str = "right"
-    source_id: str = "synthetic"
-    aim_bias_sigma: float = 0.0
-
-    def __post_init__(self) -> None:
-        if abs(self.plane.signed_distance(self.target)) > PLANARITY_TOL:
-            raise StreamError(
-                f"target lies {abs(self.plane.signed_distance(self.target)):.4f} m off the plane"
-            )
-        # each range test fails on NaN and on infinities
-        if not 0 <= self.noise_sigma < math.inf:
-            raise StreamError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not 0 <= self.aim_bias_sigma < math.inf:
-            raise StreamError(f"aim_bias_sigma must be finite and >= 0, got {self.aim_bias_sigma}")
-        if self.sample_count < 1:
-            raise StreamError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.rng_seed < 0:
-            raise StreamError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if not 0 < self.arm_length < math.inf:
-            raise StreamError(f"arm_length must be finite and positive, got {self.arm_length}")
-        if not 0 < self.frame_rate < math.inf:
-            raise StreamError(f"frame_rate must be finite and positive, got {self.frame_rate}")
-        if self.hand not in HANDS:
-            raise StreamError(f"unknown hand {self.hand!r}")
-        dx, dy, dz = (t - b for t, b in zip(self.target.as_tuple(), self.shoulder_base.as_tuple()))
-        reach = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if self.arm_length >= reach:
-            raise TargetUnreachableError(
-                f"arm_length {self.arm_length} m reaches past the target "
-                f"({reach:.4f} m away); the wrist would overshoot the plane"
-            )
-
-
 def write_stream(path: str | os.PathLike, frames: Iterable[KeypointFrame]) -> int:
     """Write frames as JSONL, one full line per write. Returns the frame count."""
     count = 0
@@ -421,35 +336,3 @@ def parse_triplet(value: str, key: str) -> Point3:
         return Point3(finite_float(parts[0]), finite_float(parts[1]), finite_float(parts[2]))
     except ValueError as exc:
         raise StreamError(f"{key}: {exc}") from exc
-
-
-def load_scenario_config(path: str | os.PathLike) -> GestureScenario:
-    """Load a GestureScenario from a flat key/value config file."""
-    cfg = parse_kv_config(read_text(path))
-    required = [
-        "plane_corner_1", "plane_corner_2", "plane_corner_3",
-        "shoulder", "target", "sigma", "arm_length", "seed", "count",
-    ]
-    missing = [k for k in required if k not in cfg]
-    if missing:
-        raise StreamError(f"scenario config missing keys: {', '.join(missing)}")
-    corners = [parse_triplet(cfg[f"plane_corner_{i}"], f"plane_corner_{i}") for i in (1, 2, 3)]
-    if "plane_corner_4" in cfg:
-        corners.append(parse_triplet(cfg["plane_corner_4"], "plane_corner_4"))
-    try:
-        plane = plane_from_corners(corners)
-        return GestureScenario(
-            plane=plane,
-            shoulder_base=parse_triplet(cfg["shoulder"], "shoulder"),
-            target=parse_triplet(cfg["target"], "target"),
-            noise_sigma=finite_float(cfg["sigma"]),
-            arm_length=finite_float(cfg["arm_length"]),
-            sample_count=decimal_int(cfg["count"]),
-            rng_seed=decimal_int(cfg["seed"]),
-            frame_rate=finite_float(cfg["frame_rate"]) if "frame_rate" in cfg else DEFAULT_FRAME_RATE,
-            hand=cfg.get("hand", "right"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, StreamError):
-            raise
-        raise StreamError(f"bad scenario config: {exc}") from exc

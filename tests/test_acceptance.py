@@ -43,7 +43,6 @@ from gesturepoint.geometry import (
     Point3,
     Quaternion,
     plane_from_corners,
-    point_in_bounds,
 )
 from gesturepoint.live import LiveServer, PipelineSettings
 from gesturepoint.snap import Area, Target, pick_snap, place_snap, stability_gate
@@ -242,12 +241,14 @@ def test_criterion_6_stabilizer_algebra():
     bounds = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
     def oracle_mean(window: list[PlanarPoint]) -> tuple[float, float]:
+        # the documented mean: offsets from the first point added one by one
+        # (sum() compensates float sums from Python 3.12 on)
         first = window[0]
-        k = len(window)
-        return (
-            first.u + sum(p.u - first.u for p in window) / k,
-            first.v + sum(p.v - first.v for p in window) / k,
-        )
+        su = sv = 0.0
+        for p in window:
+            su += p.u - first.u
+            sv += p.v - first.v
+        return first.u + su / len(window), first.v + sv / len(window)
 
     rng = np.random.default_rng(0xF1F0)
     ok = True

@@ -504,11 +504,20 @@ def test_registry_lifecycle(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["targets"][0]["id"] == "t1"
     assert doc["areas"][0]["id"] == "a1"
-    assert run_cli(["registry", "add-target", "--file", str(layout), "--id", "t1",
-                    "--u", "0.0", "--v", "0.0"]) == 1  # duplicate
-    assert run_cli(["registry", "remove-target", "--file", str(layout), "--id", "zzz"]) == 1
+    before = layout.read_bytes()
+    for action, flags, message in [
+        ("add-target", ["--id", "t1", "--u", "0.0", "--v", "0.0"], "error: target id 't1' already registered"),
+        ("add-area", ["--id", "a1", "--cu", "0", "--cv", "0", "--hu", "0.1", "--hv", "0.1"],
+         "error: area id 'a1' already registered"),
+        ("remove-target", ["--id", "zzz"], "error: target id 'zzz' not registered"),
+        ("remove-area", ["--id", "zzz"], "error: area id 'zzz' not registered"),
+    ]:
+        assert run_cli(["registry", action, "--file", str(layout), *flags]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert layout.read_bytes() == before
     assert run_cli(["registry", "remove-target", "--file", str(layout), "--id", "t1"]) == 0
     assert run_cli(["registry", "remove-area", "--file", str(layout), "--id", "a1"]) == 0
+    assert json.loads(layout.read_text(encoding="utf-8")) == {"targets": [], "areas": []}
 
 
 def test_registry_missing_flags_exit_2(tmp_path):

@@ -27,18 +27,20 @@ from gesturepoint.evaluation import (
     board_from_document,
     calibrate_sigma,
     desk_plane,
+    draw_joint_noise,
     emit_report,
     euclidean_error,
     generate_scenario,
+    ideal_wrists,
     intersect_rays_plane,
     make_board,
     mean_intersection_error,
+    noisy_joints,
     run_boards,
     run_pick_sweep,
     run_place_sweep,
     run_quantitative,
     run_trial,
-    sample_joint_positions,
     stabilize_trials,
     template_plane_size,
 )
@@ -395,9 +397,10 @@ def test_sweep_trials_match_pipeline_per_trial(template):
             aimed_uv = aimed.position if board.targets else aimed.center
             for k in range(3):
                 seed = _derived_seed(11, _KIND_CODES[board.kind], e_idx, k)
-                scenario = template.scenario_for(from_workplane(aimed_uv, template.frame), seed)
+                frames = generate_scenario(template, from_workplane(aimed_uv, template.frame), seed,
+                                           template.frames_per_trial)
                 engine = next(engine_trials)
-                reference, _ = reference_trial(template, board, aimed, engine.trial_id, generate_scenario(scenario))
+                reference, _ = reference_trial(template, board, aimed, engine.trial_id, frames)
                 assert_same_trial(engine, reference, exact)
                 outcomes.add((engine.gestured_mean is None, engine.selected_id is None, engine.success))
     assert next(engine_trials, None) is None
@@ -430,14 +433,14 @@ def test_calibrated_sigma_reproduces_on_fresh_seed():
     "make_template", [ScenarioTemplate.desk_default, tilted_template], ids=["desk", "tilted"]
 )
 def test_calibration_objective_matches_a_fresh_draw_per_sigma(make_template):
-    """The reference: each sigma draws its own trials through
-    ``sample_joint_positions``, as calibration did before it drew once."""
+    """The reference: each sigma draws and places its own trials, as
+    calibration did before it drew once."""
     template = make_template(0.0, aim_bias_sigma=0.008)
     target = from_workplane(PlanarPoint(0.2, 0.5), template.frame)
     target_xyz = np.array(target.as_tuple())
     for sigma in (0.0, 0.004, 0.03):
-        scenario = dataclasses.replace(template.scenario_for(target, 11), noise_sigma=sigma)
-        shoulders, wrists = sample_joint_positions(scenario, trials=1500, frames=1)
+        bias, eps = draw_joint_noise(11, template.aim_bias_sigma, 1500, 1)
+        shoulders, wrists = noisy_joints(template.shoulder_base, ideal_wrists(template, target_xyz, bias), eps, sigma)
         hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], template.plane)
         expected = float(np.linalg.norm(hits[valid] - target_xyz, axis=1).mean())
         assert mean_intersection_error(template, target, sigma, samples=1500, seed=11) == expected

@@ -30,7 +30,6 @@ from gesturepoint.geometry import (
     deproject,
     from_workplane,
     plane_from_corners,
-    point_in_bounds,
     points_in_bounds,
     project,
     to_workplane,
@@ -384,14 +383,14 @@ SQUARE_UV = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
 
 def test_point_in_bounds_basic():
-    assert point_in_bounds(PlanarPoint(0.5, 0.5), SQUARE_UV)
-    assert not point_in_bounds(PlanarPoint(1.5, 0.5), SQUARE_UV)
+    assert points_in_bounds(0.5, 0.5, SQUARE_UV)
+    assert not points_in_bounds(1.5, 0.5, SQUARE_UV)
 
 
 def test_point_in_bounds_boundary_counts_inside():
-    assert point_in_bounds(PlanarPoint(1.0, 0.5), SQUARE_UV)
-    assert point_in_bounds(PlanarPoint(0.0, 0.0), SQUARE_UV)
-    assert point_in_bounds(PlanarPoint(0.5, 1.0), SQUARE_UV)
+    assert points_in_bounds(1.0, 0.5, SQUARE_UV)
+    assert points_in_bounds(0.0, 0.0, SQUARE_UV)
+    assert points_in_bounds(0.5, 1.0, SQUARE_UV)
 
 
 def _winding_inside(u: float, v: float, poly) -> bool:
@@ -426,7 +425,7 @@ def test_point_in_bounds_matches_winding_oracle(poly):
         u, v = rng.uniform(-0.6, 2.4, 2)
         if _distance_to_edges(u, v, poly) < 1e-9:
             continue
-        assert point_in_bounds(PlanarPoint(u, v), poly) == _winding_inside(u, v, poly)
+        assert points_in_bounds(u, v, poly) == _winding_inside(u, v, poly)
         checked += 1
 
 
@@ -460,7 +459,7 @@ def test_points_in_bounds_matches_branching_reference(poly):
     uv = np.concatenate([rng.uniform(-0.6, 2.4, (5000, 2)), *on_edges])
     want = [_reference_in_bounds(u, v, poly) for u, v in uv.tolist()]
     assert points_in_bounds(uv[:, 0], uv[:, 1], poly).tolist() == want
-    assert [point_in_bounds(PlanarPoint(u, v), poly) for u, v in uv.tolist()] == want
+    assert [points_in_bounds(u, v, poly) for u, v in uv.tolist()] == want
     assert all(want[5000:])  # the boundary counts as inside
     assert not points_in_bounds(np.array([np.nan, 0.5]), np.array([0.5, np.nan]), poly).any()
 

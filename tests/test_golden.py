@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+from conftest import run_cli
+
 from gesturepoint.cli import save_plane_file
 from gesturepoint.evaluation import (
     _KIND_CODES,
@@ -115,9 +117,9 @@ def _scalar_drops(template, board, trials, base_seed) -> list[int]:
         aimed = entity.position if board.targets else entity.center
         for k in range(trials):
             seed = _derived_seed(base_seed, _KIND_CODES[board.kind], e_idx, k)
-            scenario = template.scenario_for(from_workplane(aimed, template.frame), seed)
             pipe = GesturePipeline(template.plane, template.frame, window=template.window)
-            for frame in generate_scenario(scenario):
+            target = from_workplane(aimed, template.frame)
+            for frame in generate_scenario(template, target, seed, template.frames_per_trial):
                 pipe.process(frame)
             drops.append(pipe.frames_seen - len(pipe.recent(template.hand, template.frames_per_trial)))
     return drops
@@ -246,3 +248,66 @@ def test_plane_file_digest(tmp_path):
                 save_plane_file(str(path), plane, frame, origin_corner, x_corner)
                 digest.update(path.read_bytes())
     assert digest.hexdigest() == "dbfcf2612d545931fe1f06c9a0f12eac0bc62e20480b64b22ff0042c14adf17d"
+
+
+# --- the scenario paths of the CLI ------------------------------------------------
+# Each scenario file runs through ``generate``, and the tilted one through
+# ``calibrate --scenario`` and ``sweep --scenario``. The sweep file's sigma and
+# count are values the sweep ignores: it takes sigma from its flags and runs
+# the template's frames per trial.
+
+_SCENARIO_FILES = {
+    "three-corners": "plane_corner_1 = 0, 0, 0\nplane_corner_2 = 0.6, 0, 0\nplane_corner_3 = 0.6, 0.8, 0\n"
+                     "shoulder = 0.3, -0.1, 0.6\ntarget = 0.2, 0.5, 0\nsigma = 0\n"
+                     "arm_length = 0.55\nseed = 1\ncount = 4\n",
+    "tilted-left-15hz": "plane_corner_1 = 0, 0, 0\nplane_corner_2 = 0.6, 0, 0\nplane_corner_3 = 0.6, 0.8, 0.2\n"
+                        "plane_corner_4 = 0, 0.8, 0.2\nshoulder = 0.3, -0.1, 0.6\ntarget = 0.3, 0.4, 0.1\n"
+                        "sigma = 0.004\narm_length = 0.5\nseed = 2\ncount = 3\nframe_rate = 15\nhand = left\n",
+    "noisy": "plane_corner_1 = 0, 0, 0\nplane_corner_2 = 0.6, 0, 0\nplane_corner_3 = 0.6, 0.8, 0\n"
+             "plane_corner_4 = 0, 0.8, 0\nshoulder = 0.3, -0.1, 0.6\ntarget = 0.45, 0.55, 0\n"
+             "sigma = 0.013\narm_length = 0.55\nseed = 3\ncount = 5\n",
+}
+
+
+def _scenario_file(tmp_path, name):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(_SCENARIO_FILES[name], encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("three-corners", "ae97f25e6b9cdca5f2423853d89e27428940cc00e248750ff6e9247465fc9c44"),
+    ("tilted-left-15hz", "538b3835dabfe9aeb588deec15009cd839b149455137ef15b5248eace06bd5ce"),
+    ("noisy", "dbbafc8fd5ef90abb6d9eaeb266707978d2b05468ebfd843636d35eb191506ae"),
+])
+def test_generate_scenario_file_digest(tmp_path, name, expected):
+    out = tmp_path / "stream.jsonl"
+    argv = ["generate", "--scenario", _scenario_file(tmp_path, name), "--out", str(out), "--seed", "17", "--count", "9"]
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_calibrate_scenario_file_stdout(tmp_path, capsys):
+    argv = ["calibrate", "--target-error", "0.027", "--scenario", _scenario_file(tmp_path, "tilted-left-15hz"),
+            "--samples", "800", "--seed", "5", "--aim-bias", "0.003"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "0.013500\n"
+
+
+@pytest.mark.parametrize("kind, lengths, expected", [
+    ("pick", ["--distances", "0.3,0.06"],
+     {"csv": "0473b9122908e452ae084da5b701280d7d1c7c03e2f052018cdfd13939a785e3",
+      "json": "70544f35e73d35126f8349189d0cb3759afe5784e9a59bed85795c0353aea928"}),
+    ("place", ["--sizes", "0.2,0.05"],
+     {"csv": "79167df0f89bdbdb9cf47bd8fa3f3345c8fa49f64c0ea3aedba44c5ac75d927e",
+      "json": "eb059f07146770c3c40225e18d81cd50178f02467f79fe52ca68eb3bb519632e"}),
+])
+def test_sweep_scenario_file_report_digests(tmp_path, kind, lengths, expected):
+    out = tmp_path / "reports"
+    argv = ["sweep", "--kind", kind, "--scenario", _scenario_file(tmp_path, "tilted-left-15hz"),
+            "--sigma", "0.03", "--aim-bias", "0.01", "--n", "12", "--trials", "2", "--seed", "9",
+            "--out", str(out), *lengths]
+    assert run_cli(argv) == 0
+    board = {"pick": "pick_square", "place": "place_areas"}[kind]
+    assert {fmt: hashlib.sha256((out / f"{board}_report.{fmt}").read_bytes()).hexdigest()
+            for fmt in ("csv", "json")} == expected

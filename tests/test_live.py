@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 from conftest import INTRINSICS, desk_corners, make_plane_file, run_cli, wrist_frame, write_scenario_file
 from gesturepoint.cli import load_plane_file
-from gesturepoint.evaluation import generate_scenario
+from gesturepoint.evaluation import generate_scenario, load_scenario_config
 from gesturepoint.live import MAX_LINE_BYTES, LiveServer, LiveSession, PipelineSettings, gesture_point_record
 from gesturepoint.geometry import PlanarPoint, Point3, Quaternion, from_workplane, plane_from_corners, workplane_frame
 from gesturepoint.snap import Area, AreaRegistry, Target, TargetRegistry
 from gesturepoint.stabilizer import GesturePoint
-from gesturepoint.stream import load_scenario_config, parse_frame, serialize_frame
+from gesturepoint.stream import parse_frame, serialize_frame
 
 
 def make_settings(tmp_path) -> PipelineSettings:
@@ -47,7 +47,7 @@ def stream_lines(tmp_path, count=20, target="0.2, 0.3, 0.0", sigma=0.0, seed=42)
     scenario = load_scenario_config(
         write_scenario_file(tmp_path / "s.cfg", target=target, sigma=sigma, seed=seed, count=count)
     )
-    return [serialize_frame(f) for f in generate_scenario(scenario)]
+    return [serialize_frame(f) for f in generate_scenario(*scenario)]
 
 
 def talk(address, lines) -> list[dict]:

@@ -23,9 +23,12 @@ from conftest import (
 )
 from gesturepoint.evaluation import (
     ScenarioTemplate,
+    draw_joint_noise,
     generate_scenario,
+    ideal_wrists,
+    load_scenario_config,
     mean_intersection_error,
-    sample_joint_positions,
+    noisy_joints,
 )
 from gesturepoint.geometry import (
     CameraIntrinsics,
@@ -39,7 +42,6 @@ from gesturepoint.pipeline import GesturePipeline, PipelineSettings
 from gesturepoint.snap import AreaRegistry, TargetRegistry
 from gesturepoint.stream import (
     MAX_JOINT_COORD,
-    GestureScenario,
     MalformedRecordError,
     StreamError,
     StreamReader,
@@ -48,7 +50,6 @@ from gesturepoint.stream import (
     decode_object,
     finite_float,
     json_number,
-    load_scenario_config,
     parse_frame,
     parse_intrinsics_header,
     parse_triplet,
@@ -59,18 +60,28 @@ from gesturepoint.stream import (
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
-def make_scenario(**overrides) -> GestureScenario:
+TARGET = Point3(0.3, 0.4, 0.0)
+
+
+def make_template(**overrides) -> ScenarioTemplate:
+    plane = plane_from_corners(desk_corners())
     params = dict(
-        plane=plane_from_corners(desk_corners()),
+        plane=plane,
+        frame=workplane_frame(plane),
         shoulder_base=Point3(0.3, -0.1, 0.6),
-        target=Point3(0.3, 0.4, 0.0),
-        noise_sigma=0.0,
         arm_length=0.55,
-        sample_count=30,
-        rng_seed=42,
+        sigma=0.0,
     )
     params.update(overrides)
-    return GestureScenario(**params)
+    return ScenarioTemplate(**params)
+
+
+def sampled(template: ScenarioTemplate, target: Point3, seed: int, trials: int, frames: int):
+    """(shoulders, wrists) of ``trials`` gestures at ``target``: the sampler's
+    draw and placement steps, chained."""
+    bias, eps = draw_joint_noise(seed, template.aim_bias_sigma, trials, frames)
+    ideal = ideal_wrists(template, np.array(target.as_tuple()), bias)
+    return noisy_joints(template.shoulder_base, ideal, eps, template.sigma)
 
 
 # --- parsing ------------------------------------------------------------------
@@ -236,10 +247,10 @@ def test_decimal_int_rejects_text_that_is_no_plain_integer(text):
 
 
 @non_finite
-@pytest.mark.parametrize("field", ["noise_sigma", "aim_bias_sigma", "arm_length", "frame_rate"])
+@pytest.mark.parametrize("field", ["sigma", "aim_bias_sigma", "arm_length", "frame_rate"])
 def test_scenario_rejects_non_finite_parameters(field, bad):
     with pytest.raises(StreamError):
-        make_scenario(**{field: bad})
+        make_template(**{field: bad})
 
 
 def test_serialize_parse_round_trip():
@@ -304,9 +315,9 @@ def test_stream_reader_bad_header_keeps_the_last_good_one():
 
 
 @pytest.mark.parametrize("seed", [-1, -5])
-def test_scenario_rejects_negative_seed(seed):
-    with pytest.raises(StreamError, match="rng_seed must be >= 0"):
-        make_scenario(rng_seed=seed)
+def test_scenario_rejects_negative_seed(tmp_path, seed):
+    with pytest.raises(StreamError, match="seed must be >= 0"):
+        load_scenario_config(write_scenario_file(tmp_path / "s.cfg", seed=seed))
 
 
 def test_stream_reader_skip_malformed_counts():
@@ -381,54 +392,60 @@ def test_arm_ray_elbow_pair():
 # --- scenarios ------------------------------------------------------------------
 
 
-def test_scenario_validation():
-    with pytest.raises(Exception):
-        make_scenario(target=Point3(0.3, 0.4, 0.2))  # off the plane
-    with pytest.raises(Exception):
-        make_scenario(noise_sigma=-0.1)
-    with pytest.raises(Exception):
-        make_scenario(sample_count=0)
+def test_scenario_validation(tmp_path):
+    template = make_template()
+    assert template.check_target(TARGET) == TARGET
+    with pytest.raises(StreamError, match="off the plane"):
+        template.check_target(Point3(0.3, 0.4, 0.2))
+    with pytest.raises(StreamError):
+        make_template(sigma=-0.1)
+    with pytest.raises(StreamError):
+        make_template(frames_per_trial=0)
+    with pytest.raises(StreamError, match="unknown hand"):
+        make_template(hand="both")
+    with pytest.raises(StreamError, match="count must be >= 1"):
+        load_scenario_config(write_scenario_file(tmp_path / "s.cfg", count=0))
     with pytest.raises(TargetUnreachableError):
-        make_scenario(arm_length=0.9)  # reaches past the target
+        make_template(arm_length=0.9).check_target(TARGET)  # reaches past the target
 
 
 def test_generator_deterministic_bitwise():
-    scenario = make_scenario(noise_sigma=0.01, aim_bias_sigma=0.005)
-    first = [serialize_frame(f) for f in generate_scenario(scenario)]
-    second = [serialize_frame(f) for f in generate_scenario(scenario)]
+    template = make_template(sigma=0.01, aim_bias_sigma=0.005)
+    first = [serialize_frame(f) for f in generate_scenario(template, TARGET, 42, 30)]
+    second = [serialize_frame(f) for f in generate_scenario(template, TARGET, 42, 30)]
     assert first == second
-    other_seed = make_scenario(noise_sigma=0.01, aim_bias_sigma=0.005, rng_seed=43)
-    assert [serialize_frame(f) for f in generate_scenario(other_seed)] != first
+    assert [serialize_frame(f) for f in generate_scenario(template, TARGET, 43, 30)] != first
 
 
 def test_generator_timestamps_step():
-    frames = list(generate_scenario(make_scenario(sample_count=4)))
+    frames = list(generate_scenario(make_template(), TARGET, 42, 4))
     assert [f.timestamp for f in frames] == [0.0, 1 / 30, 2 / 30, 3 / 30]
+    assert {f.source_id for f in frames} == {"synthetic"}
 
 
 def test_noiseless_frames_intersect_exactly_at_target():
-    scenario = make_scenario(noise_sigma=0.0)
-    pipe = GesturePipeline(scenario.plane, window=1)
-    for frame in generate_scenario(scenario):
+    template = make_template(sigma=0.0)
+    pipe = GesturePipeline(template.plane, window=1)
+    for frame in generate_scenario(template, TARGET, 42, 30):
         (point,) = pipe.process(frame)
-        err = math.dist(from_workplane(point.position, pipe.frame).as_tuple(), scenario.target.as_tuple())
+        err = math.dist(from_workplane(point.position, pipe.frame).as_tuple(), TARGET.as_tuple())
         assert err < 1e-9
     assert pipe.frames_without_ray == 0
 
 
 def test_vectorized_sampling_matches_generator():
-    scenario = make_scenario(noise_sigma=0.013, aim_bias_sigma=0.004, sample_count=50)
-    shoulders, wrists = sample_joint_positions(scenario)
+    template = make_template(sigma=0.013, aim_bias_sigma=0.004)
+    shoulders, wrists = sampled(template, TARGET, 42, 1, 50)
     assert shoulders.shape == wrists.shape == (1, 50, 3)
-    for i, frame in enumerate(generate_scenario(scenario)):
+    for i, frame in enumerate(generate_scenario(template, TARGET, 42, 50)):
         assert frame.joints["right_shoulder"].position.as_tuple() == tuple(shoulders[0, i])
         assert frame.joints["right_wrist"].position.as_tuple() == tuple(wrists[0, i])
 
 
 def test_calibration_sampling_draws_one_bias_and_one_frame_per_trial():
-    scenario = make_scenario(noise_sigma=0.013, aim_bias_sigma=0.004, rng_seed=7)
+    template = make_template(sigma=0.013, aim_bias_sigma=0.004)
     trials = 64
-    shoulders, wrists = sample_joint_positions(scenario, trials=trials, frames=1)
+    shoulders, wrists = sampled(template, TARGET, 7, trials, 1)
     assert shoulders.shape == wrists.shape == (trials, 1, 3)
     rng = np.random.default_rng(7)
     bias = 0.004 * rng.standard_normal((trials, 2))
@@ -444,17 +461,9 @@ def test_calibration_sampling_draws_one_bias_and_one_frame_per_trial():
 
 
 def test_mean_error_monotone_in_sigma():
-    plane = plane_from_corners(desk_corners())
-    template = ScenarioTemplate(
-        plane=plane,
-        frame=workplane_frame(plane),
-        shoulder_base=Point3(0.3, -0.1, 0.6),
-        arm_length=0.55,
-        sigma=0.0,
-    )
-    target = Point3(0.3, 0.4, 0.0)
+    template = make_template()
     errors = [
-        mean_intersection_error(template, target, s, samples=10_000, seed=99)
+        mean_intersection_error(template, TARGET, s, samples=10_000, seed=99)
         for s in (0.0, 0.002, 0.005, 0.01, 0.02, 0.04)
     ]
     assert errors[0] < 1e-9
@@ -466,24 +475,24 @@ def test_mean_error_monotone_in_sigma():
 
 
 def test_write_and_read_stream(tmp_path):
-    scenario = make_scenario(noise_sigma=0.01, sample_count=10)
+    template = make_template(sigma=0.01)
     path = tmp_path / "stream.jsonl"
-    count = write_stream(path, generate_scenario(scenario))
+    count = write_stream(path, generate_scenario(template, TARGET, 42, 10))
     assert count == 10
     with open(path, "r", encoding="utf-8") as fh:
         frames = list(StreamReader(fh))
     assert len(frames) == 10
-    assert frames[0] == next(iter(generate_scenario(scenario)))
+    assert frames[0] == next(iter(generate_scenario(template, TARGET, 42, 10)))
 
 
 def test_scenario_config_round_trip(tmp_path):
     path = write_scenario_file(tmp_path / "scenario.cfg", sigma=0.012, seed=9, count=25)
-    scenario = load_scenario_config(path)
-    assert scenario.noise_sigma == 0.012
-    assert scenario.rng_seed == 9
-    assert scenario.sample_count == 25
-    assert scenario.shoulder_base == Point3(0.3, -0.1, 0.6)
-    assert scenario.plane.normal.z == pytest.approx(1.0)
+    template, target, seed, count = load_scenario_config(path)
+    assert (template.sigma, target, seed, count) == (0.012, TARGET, 9, 25)
+    assert template.shoulder_base == Point3(0.3, -0.1, 0.6)
+    assert template.plane.normal.z == pytest.approx(1.0)
+    assert template.frame == workplane_frame(template.plane)
+    assert template == make_template(sigma=0.012, plane=template.plane, frame=template.frame)
 
 
 def test_scenario_config_missing_keys(tmp_path):
