@@ -362,13 +362,14 @@ def cmd_live(args) -> int:
     return EXIT_OK
 
 
-def _template_from_args(args, sigma: float):
+def _template_from_args(args, sigma: float, **flags):
     """The scenario file's template (its target, seed and count unused), or
-    the desk default, with ``sigma`` and the flags given."""
+    the desk default, with ``sigma``, and ``--aim-bias`` and the template
+    fields in ``flags`` where they are not None."""
     from .evaluation import ScenarioTemplate, load_scenario_config
 
     template = load_scenario_config(args.scenario)[0] if args.scenario else ScenarioTemplate.desk_default()
-    flags = {"snap_samples": args.n, "stability_threshold": args.threshold, "aim_bias_sigma": args.aim_bias}
+    flags["aim_bias_sigma"] = args.aim_bias
     return dataclasses.replace(template, sigma=sigma, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -392,7 +393,7 @@ def cmd_sweep(args) -> int:
     _positive("--threshold", args.threshold)
     if args.sigma is not None and args.sigma < 0:
         raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
-    template = _template_from_args(args, args.sigma or 0.0)
+    template = _template_from_args(args, args.sigma or 0.0, snap_samples=args.n, stability_threshold=args.threshold)
     if args.calibrate is not None:
         calibrated = calibrate_sigma(args.calibrate, template, seed=args.seed)
         template = dataclasses.replace(template, sigma=calibrated)
@@ -577,8 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=decimal_int, default=DEFAULT_CALIBRATION_SAMPLES,
                    help="Monte-Carlo samples per evaluation (default %(default)s)")
     p.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default %(default)s)")
-    p.add_argument("--n", type=decimal_int, help=argparse.SUPPRESS)
-    p.add_argument("--threshold", type=finite_float, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("registry", help="create and edit target/area files")

@@ -51,7 +51,11 @@ Sweeps run an array engine: ``stabilize_trials`` takes every trial's joints
 as (trials, frames, 3) arrays through the per-frame path at once, with the
 ray-plane hit of :func:`intersect_rays_plane`, and ``run_trial`` snaps and
 scores each trial through ``evaluate_request``. The scalar ``pipeline``
-serves live and replay and is the engine's test reference.
+serves live and replay, and the engine is its bit-exact twin on any plane:
+each hit, workplane transform and decision is ``GesturePipeline.process``'s
+expression, written out per component in the same order. The twin uses no
+matmul (``@``) or ``np.linalg.norm``, whose summation order and FMA use
+depend on the numpy/BLAS build and the CPU, so sweep bytes do not either.
 
 Calibration note: ``calibrate_sigma`` matches the *raw* per-frame
 intersection error (before any stabilization) against the requested mean
@@ -545,18 +549,21 @@ def intersect_rays_plane(
     joints lie within ``ARM_SEPARATION_MIN``, it runs parallel to the plane
     (``PARALLEL_TOL``) or the hit would lie behind the wrist
     (t < ``DEFAULT_T_MIN``). Returns the hit points (NaN where a ray misses)
-    and the mask of rays that hit."""
-    n = np.array(plane.normal.as_tuple())
+    and the mask of rays that hit. Each value is ``GesturePipeline.process``'s
+    expression, per component and in its order, so hits and decisions equal
+    the per-frame kernel's bit for bit; ``@`` or ``np.linalg.norm`` would sum
+    in an order that depends on the numpy/BLAS build and the CPU."""
+    nx, ny, nz = plane.normal.as_tuple()
     dirs = wrists - shoulders
-    lengths = np.linalg.norm(dirs, axis=-1)
-    denom = dirs @ n
+    sx, sy, sz = np.moveaxis(shoulders, -1, 0)
+    dx, dy, dz = np.moveaxis(dirs, -1, 0)
+    length = np.sqrt(dx * dx + dy * dy + dz * dz)
+    denom = nx * dx + ny * dy + nz * dz
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit_dot = np.abs(denom) / lengths
-        t = -(shoulders @ n + plane.d) / denom
-        hits = shoulders + t[..., None] * dirs
-    valid = (lengths > ARM_SEPARATION_MIN) & (unit_dot >= PARALLEL_TOL) & (t >= DEFAULT_T_MIN)
+        t = -(nx * sx + ny * sy + nz * sz + plane.d) / denom
+        valid = (length > ARM_SEPARATION_MIN) & (abs(denom / length) >= PARALLEL_TOL) & (t >= DEFAULT_T_MIN)
+        hits = shoulders + dirs * t[..., None]
     return np.where(valid[..., None], hits, np.nan), valid
-
 
 
 def _derived_seed(base_seed: int, *path: int) -> int:
@@ -586,7 +593,11 @@ def stabilize_trials(
     buffer order, as :func:`~gesturepoint.geometry.planar_mean` does."""
     hits, valid = intersect_rays_plane(shoulders, wrists, template.plane)
     frame = template.frame
-    local = (hits - np.array(frame.origin.as_tuple())) @ np.array(frame.rows)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = frame.rows
+    x, y, z = np.moveaxis(hits - np.array(frame.origin.as_tuple()), -1, 0)
+    local = np.stack(
+        (r00 * x + r10 * y + r20 * z, r01 * x + r11 * y + r21 * z, r02 * x + r12 * y + r22 * z), axis=-1
+    )
     bounds = corners_in_frame(template.plane, frame)
     accepted = valid & points_in_bounds(local[..., 0], local[..., 1], bounds)
     order = np.argsort(~accepted, axis=1, kind="stable")

@@ -16,10 +16,11 @@ Conventions
   on the plane get (u, v, z_residual) coordinates with z_residual ~ 0.
 
 Everything in this module is a pure function over immutable values. The
-ray-plane hit lives outside it, twice: ``evaluation.intersect_rays_plane``
-over arrays for the sweeps, and the float arithmetic of
-``pipeline.GesturePipeline.process`` for live and replay; the tests hold each
-to the other. The bounds test takes floats and numpy arrays alike.
+ray-plane hit lives outside it, in one arithmetic written twice: the float
+arithmetic of ``pipeline.GesturePipeline.process`` for live and replay, and
+the same expressions elementwise over arrays in
+``evaluation.intersect_rays_plane`` for the sweeps; the tests hold the two
+equal bit for bit. The bounds test takes floats and numpy arrays alike.
 
 Numbers are checked once, where they enter from outside, by ``stream``'s
 readers: ``json_number`` (and ``json_int``) for JSON, ``finite_float`` (and

@@ -4,7 +4,8 @@ geometry on floats, from plane and frame constants taken once per pipeline,
 and loads no numpy; each hit's bounds test and window mean are one call of
 ``RunningAverageStabilizer.push``, against edge constants also taken once
 per pipeline. ``evaluation.stabilize_trials``, with
-``evaluation.intersect_rays_plane``, is its array twin for the sweeps. Live
+``evaluation.intersect_rays_plane``, is its bit-exact array twin for the
+sweeps: the same expressions in the same order, elementwise. Live
 and replay build one pipeline per session and never reset it; state is the
 per-hand stabilizer buffers plus a short history of stabilized points for
 snap requests.
@@ -128,7 +129,10 @@ class GesturePipeline:
         return out
 
     def recent(self, hand: str, count: int) -> list[PlanarPoint]:
-        """The most recent stabilized positions for a hand, oldest first."""
+        """The ``count`` most recent stabilized positions for a hand, oldest
+        first; none for a count <= 0."""
+        if count <= 0:
+            return []
         history = self._history.get(hand, ())
         return [gp.position for gp in list(history)[-count:]]
 

@@ -567,10 +567,17 @@ def test_env_config_supplies_defaults(tmp_path, monkeypatch, capsys):
 
 def test_calibrate_ignores_env_config_n_beyond_trial_frames(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "defaults.cfg"
-    cfg.write_text("n = 40\n", encoding="utf-8")
+    # calibrate has no snap flags, so neither key is read, not even a bad threshold
+    cfg.write_text("n = 40\nthreshold = nan\n", encoding="utf-8")
     monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
     assert run_cli(["calibrate", "--target-error", "0.03", "--samples", "2000"]) == 0
     assert float(capsys.readouterr().out) > 0
+
+
+@pytest.mark.parametrize("flag", ["--n=5", "--threshold=0.03"])
+def test_calibrate_takes_no_snap_flags(capsys, flag):
+    assert run_cli(["calibrate", "--target-error", "0", flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_env_config_flags_override(tmp_path, monkeypatch):
@@ -1017,7 +1024,7 @@ def _float_flag_commands(tmp_path) -> dict[str, list[str]]:
     ("live", "--min-confidence"), ("live", "--threshold"),
     ("sweep", "--sigma"), ("sweep", "--aim-bias"), ("sweep", "--calibrate"), ("sweep", "--threshold"),
     ("sweep", "--distances"), ("sweep", "--sizes"),
-    ("calibrate", "--target-error"), ("calibrate", "--aim-bias"), ("calibrate", "--threshold"),
+    ("calibrate", "--target-error"), ("calibrate", "--aim-bias"),
     ("add-target", "--u"), ("add-target", "--v"),
     ("add-area", "--cu"), ("add-area", "--cv"), ("add-area", "--hu"), ("add-area", "--hv"),
 ])
@@ -1039,7 +1046,7 @@ def test_float_flag_with_non_finite_value_exits_2(tmp_path, monkeypatch, command
 def test_env_config_float_key_with_non_finite_value_exits_2(tmp_path, monkeypatch, capsys, key, bad):
     # target_error, the last float key, can only come from its required flag
     commands = _float_flag_commands(tmp_path)
-    argv = {"threshold": commands["calibrate"], "min_confidence": commands["replay"],
+    argv = {"threshold": commands["sweep"], "min_confidence": commands["replay"],
             "sigma": commands["sweep"], "calibrate": commands["sweep"],
             "aim_bias": commands["calibrate"]}[key]
     cfg = tmp_path / "defaults.cfg"
@@ -1063,7 +1070,7 @@ _NOT_PLAIN = {"underscore": lambda v: "0_" + v,
     ("define-plane", "--origin-corner", "2"), ("define-plane", "--x-corner", "3"),
     ("generate", "--count", "5"), ("generate", "--seed", "7"),
     ("sweep", "--trials", "1"), ("sweep", "--n", "5"), ("sweep", "--seed", "3"), ("sweep", "--sigma", "0.01"),
-    ("calibrate", "--samples", "200"), ("calibrate", "--seed", "3"), ("calibrate", "--n", "5"),
+    ("calibrate", "--samples", "200"), ("calibrate", "--seed", "3"),
     ("add-target", "--u", "0.2"),
 ])
 def test_flag_number_that_is_no_plain_decimal_exits_2(tmp_path, monkeypatch, command, flag, value, form):

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesturepoint import evaluation
 from gesturepoint.evaluation import (
@@ -45,6 +47,8 @@ from gesturepoint.evaluation import (
     template_plane_size,
 )
 from gesturepoint.geometry import (
+    ARM_SEPARATION_MIN,
+    PARALLEL_TOL,
     PlanarPoint,
     Point3,
     Quaternion,
@@ -284,18 +288,6 @@ def reference_trial(template, board, aimed, trial_id, frames) -> tuple[TrialResu
     return TrialResult(trial_id, aimed_uv, mean, error, selected, success, fallback), points
 
 
-def assert_same_trial(engine: TrialResult, reference: TrialResult, exact: bool) -> None:
-    if exact:
-        assert engine == reference
-        return
-    assert (engine.selected_id, engine.success, engine.fallback_used) == (
-        reference.selected_id, reference.success, reference.fallback_used
-    )
-    assert (engine.error is None) == (reference.error is None)
-    if engine.error is not None:
-        assert abs(engine.error - reference.error) <= 1e-12
-
-
 def engine_samples(points, count: int, n: int) -> list[PlanarPoint]:
     return [PlanarPoint(*p) for p in points[count - n:count].tolist()] if count >= n else []
 
@@ -362,13 +354,9 @@ def test_engine_matches_pipeline_on_hand_built_joints(tilted):
                 template, board, aimed, "t", joint_frames(template, shoulders[k], wrists[k])
             )
             got = points[k, :counts[k]]
-            want = np.array([(p.u, p.v, p.z_residual) for p in ref_points]).reshape(-1, 3)
-            if tilted:
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            else:
-                assert got.tolist() == want.tolist()
+            assert got.tolist() == [[p.u, p.v, p.z_residual] for p in ref_points]
             engine = run_trial(template, board, aimed, "t", engine_samples(points[k], counts[k], 5))
-            assert_same_trial(engine, reference, exact=not tilted)
+            assert engine == reference
 
 
 @pytest.mark.parametrize(
@@ -381,7 +369,6 @@ def test_engine_matches_pipeline_on_hand_built_joints(tilted):
     ids=["desk-noisy", "desk", "tilted"],
 )
 def test_sweep_trials_match_pipeline_per_trial(template):
-    exact = template.plane.normal.as_tuple() == (0.0, 0.0, 1.0)
     size = template_plane_size(template)
     boards = [
         make_board("pick_square", 0.3, plane_size=size),
@@ -401,10 +388,86 @@ def test_sweep_trials_match_pipeline_per_trial(template):
                                            template.frames_per_trial)
                 engine = next(engine_trials)
                 reference, _ = reference_trial(template, board, aimed, engine.trial_id, frames)
-                assert_same_trial(engine, reference, exact)
+                assert engine == reference
                 outcomes.add((engine.gestured_mean is None, engine.selected_id is None, engine.success))
     assert next(engine_trials, None) is None
     assert (False, False, True) in outcomes  # some trials succeed
+
+
+def edge_rays(plane, rng, trials: int, frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """(trials, frames, 3) shoulders and wrists of rays at the edge of every
+    decision. Each ray aims at a point on a plane edge, within 1e-13 m of it,
+    or up to 0.2 m inside or outside it, and is one of four kinds: an arm of
+    0.2-1.2 m, a wrist on the plane (t = DEFAULT_T_MIN), an arm a few ulps
+    from ARM_SEPARATION_MIN, or a ray a few ulps from PARALLEL_TOL that
+    starts just off the plane, so its hit can still land near the edge."""
+    count = trials * frames
+    n = np.array(plane.normal.as_tuple())
+    corners = np.array([c.as_tuple() for c in plane.corners])
+    edge = rng.integers(0, 4, count)
+    a, along = corners[edge], corners[(edge + 1) % 4] - corners[edge]
+    along /= np.sqrt((along * along).sum(axis=1))[:, None]
+    across = np.cross(n, along)
+    offset = rng.choice([0.0, 1e-13, -1e-13, 0.2, -0.2], count) * rng.random(count)
+    aim = a + rng.random(count)[:, None] * (corners[(edge + 1) % 4] - a) + offset[:, None] * across
+    height = rng.choice([-1.0, 1.0], count) * rng.uniform(0.2, 1.0, count)
+    lateral = rng.uniform(-0.5, 0.5, (count, 2))
+    shoulders = aim + height[:, None] * n + lateral[:, :1] * along + lateral[:, 1:] * across
+    to_aim = aim - shoulders
+    unit = to_aim / np.sqrt((to_aim * to_aim).sum(axis=1))[:, None]
+    ulps = rng.integers(-4, 5, count)
+    reach = np.where(rng.random(count) < 0.5, rng.uniform(0.2, 1.2, count),
+                     ARM_SEPARATION_MIN * (1 + ulps * 2.0 ** -52))
+    wrists = shoulders + reach[:, None] * unit
+    on_plane = rng.random(count) < 0.3
+    wrists[on_plane] = aim[on_plane]
+    # nearly parallel: |<n, unit dir>| within a few ulps of PARALLEL_TOL
+    grazing = rng.random(count) < 0.3
+    c = PARALLEL_TOL * (1 + ulps * 2.0 ** -50)
+    direction = along * np.sqrt(1 - c * c)[:, None] - (np.sign(height) * c)[:, None] * n
+    span = rng.uniform(0.05, 0.5, count)
+    start = aim - span[:, None] * direction
+    arm = span * np.where(rng.random(count) < 0.5, 1.0, rng.uniform(0.5, 1.0, count))
+    shoulders[grazing] = start[grazing]
+    wrists[grazing] = (start + arm[:, None] * direction)[grazing]
+    return shoulders.reshape(trials, frames, 3), wrists.reshape(trials, frames, 3)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(lambda q: sum(x * x for x in q) > 0.01),
+    origin=st.tuples(_UNIT, _UNIT, _UNIT),
+    size=st.tuples(st.floats(0.2, 1.2), st.floats(0.2, 1.2)),
+    window=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_equals_the_per_frame_kernel_at_every_decision_edge(q, origin, size, window, seed):
+    """Scalar ``process`` against ``stabilize_trials`` on a random tilted
+    plane: the same accept/drop decision for every ray, and bit-equal
+    stabilized points for every trial."""
+    norm = math.sqrt(sum(x * x for x in q))
+    tilt = WorkplaneFrame(Point3(*origin), Quaternion(*(x / norm for x in q)))
+    w, h = size
+    plane = plane_from_corners([from_workplane(PlanarPoint(u, v), tilt) for u, v in ((0, 0), (w, 0), (w, h), (0, h))])
+    template = ScenarioTemplate(plane=plane, frame=workplane_frame(plane), shoulder_base=Point3(*origin),
+                                arm_length=0.55, sigma=0.0, window=window)
+    trials, frames = 40, 50
+    shoulders, wrists = edge_rays(plane, np.random.default_rng(seed), trials, frames)
+    # one frame per trial: the engine's decision for every ray, and its raw point
+    _, decided = stabilize_trials(template, shoulders.reshape(-1, 1, 3), wrists.reshape(-1, 1, 3))
+    points, counts = stabilize_trials(template, shoulders, wrists)
+    decisions = []
+    for k in range(trials):
+        pipe = GesturePipeline(plane, template.frame, hands=(template.hand,), window=window)
+        outputs = [pipe.process(f) for f in joint_frames(template, shoulders[k], wrists[k])]
+        decisions += [len(out) for out in outputs]
+        want = [[gp.position.u, gp.position.v, gp.position.z_residual] for out in outputs for gp in out]
+        assert points[k, :counts[k]].tolist() == want
+    assert decided.tolist() == decisions
+    assert 0 < sum(decisions) < trials * frames
 
 
 # --- calibration ----------------------------------------------------------------

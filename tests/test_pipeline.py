@@ -117,6 +117,15 @@ def test_recent_returns_oldest_first():
     assert recent[0].u < recent[1].u < recent[2].u
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_recent_with_a_count_below_one_returns_no_points(count):
+    pipe = GesturePipeline(PLANE, hands=("right",))
+    for i in range(5):
+        pipe.process(two_hand_frame(t=i / 30))
+    assert len(pipe.recent("right", 5)) == 5
+    assert pipe.recent("right", count) == []
+
+
 def test_replay_supports_2d_streams_with_header(tmp_path, capsys):
     intr = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
     # camera 2 m above the plane center, looking straight down: reuse the 3D
