@@ -76,7 +76,6 @@ from .stream import (
     EvalError,
     InvalidParametersError,
     MalformedRecordError,
-    NonConvergenceError,
     StreamError,
     StreamReader,
     decimal_int,
@@ -89,6 +88,7 @@ from .stream import (
     parse_position,
     parse_triplet,
     read_text,
+    write_document,
     write_stream,
 )
 
@@ -150,9 +150,7 @@ def save_plane_file(
             "quaternion": [q.w, q.x, q.y, q.z],
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(path, doc)
 
 
 def load_plane_file(path: str) -> tuple[Plane, WorkplaneFrame, int, int]:
@@ -235,7 +233,7 @@ def _settings_from_args(args) -> PipelineSettings:
 
 
 def _check_out_spares_inputs(out: str, *inputs: str | None) -> None:
-    """Opening ``--out`` for writing truncates it, so it may name no file the
+    """Writing ``--out`` destroys what it held, so it may name no file the
     command reads; naming one is a ConfigError (exit 2)."""
     for path in inputs:
         try:
@@ -390,9 +388,6 @@ def cmd_sweep(args) -> int:
     if args.calibrate is not None and args.sigma is not None:
         raise ConfigError("give either --sigma or --calibrate, not both")
     _positive("--trials", args.trials)
-    _positive("--threshold", args.threshold)
-    if args.sigma is not None and args.sigma < 0:
-        raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
     template = _template_from_args(args, args.sigma or 0.0, snap_samples=args.n, stability_threshold=args.threshold)
     if args.calibrate is not None:
         calibrated = calibrate_sigma(args.calibrate, template, seed=args.seed)
@@ -423,8 +418,7 @@ def cmd_sweep(args) -> int:
     paths = []
     for fmt in ("csv", "json"):
         path = os.path.join(args.out, f"{report.kind}_report.{fmt}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(emit_report(report, fmt))
+        write_document(path, emit_report(report, fmt))
         paths.append(path)
     boards_path = os.path.join(args.out, f"{report.kind}_boards.json")
     save_boards(boards_path, boards)
@@ -641,8 +635,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CONFIG_EXCEPTIONS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, NonConvergenceError, DuplicateIdError, UnknownIdError,
-            SnapError, EvalError, RuntimeError) as exc:
+    except (OSError, SnapError, EvalError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except KeyboardInterrupt:

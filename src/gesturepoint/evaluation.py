@@ -35,9 +35,10 @@ text (``#`` comments allowed):
 
 Every number is a finite plain decimal (``stream.finite_float``; ``seed`` and
 ``count`` plain integers). The template rejects a ``sigma`` (or aim bias)
-below 0, an ``arm_length`` or ``frame_rate`` not above 0 and an unknown
-``hand``; the target check rejects a target off the plane and one the arm
-reaches past. Each is a ``StreamError`` (exit 2). Only ``generate`` uses
+below 0, an ``arm_length``, ``frame_rate`` or stability threshold not above
+0, a window below 1, a snap sample count outside 1..frames per trial and an
+unknown ``hand``; the target check rejects a target off the plane and one
+the arm reaches past. Each is a ``StreamError`` (exit 2). Only ``generate`` uses
 ``target``, ``seed`` and ``count``; the sweeps and calibration take the
 plane, frame, shoulder, arm length, frame rate and hand, and their sigma
 from their flags.
@@ -109,7 +110,7 @@ from .stream import (  # re-exports the EvalError family and the sample-count de
     DEFAULT_CALIBRATION_SAMPLES, DEFAULT_TRIALS_PER_TARGET, HANDS,
     EvalError, InvalidParametersError, JointSample, KeypointFrame, NonConvergenceError,
     StreamError, TargetUnreachableError, UnsupportedFormatError, decimal_int, decode_object,
-    finite_float, json_number, parse_kv_config, parse_triplet, read_text,
+    finite_float, json_number, parse_kv_config, parse_triplet, read_text, write_document,
 )
 
 PLANE_SIZE = (0.60, 0.80)
@@ -251,10 +252,8 @@ def board_from_document(doc: dict) -> BoardLayout:
 
 
 def save_boards(path: str | os.PathLike, boards: Sequence[BoardLayout]) -> None:
-    """Write a board series as ``{"boards": [board document, ...]}``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"boards": [board_document(b) for b in boards]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a board series as ``{"boards": [board document, ...]}``, whole."""
+    write_document(path, {"boards": [board_document(b) for b in boards]})
 
 
 def load_boards(path: str | os.PathLike) -> list[BoardLayout]:
@@ -328,6 +327,13 @@ class ScenarioTemplate:
             raise StreamError(f"aim_bias_sigma must be finite and >= 0, got {self.aim_bias_sigma}")
         if self.frames_per_trial < 1:
             raise StreamError(f"frames_per_trial must be >= 1, got {self.frames_per_trial}")
+        if not 1 <= self.snap_samples <= self.frames_per_trial:
+            raise StreamError(f"snap sample count must be in 1..{self.frames_per_trial} "
+                              f"(frames per trial), got {self.snap_samples}")
+        if not 0 < self.stability_threshold < math.inf:
+            raise StreamError(f"stability_threshold must be finite and > 0, got {self.stability_threshold}")
+        if self.window < 1:
+            raise StreamError(f"window must be >= 1, got {self.window}")
         if not 0 < self.arm_length < math.inf:
             raise StreamError(f"arm_length must be finite and positive, got {self.arm_length}")
         if not 0 < self.frame_rate < math.inf:
@@ -700,15 +706,8 @@ def run_boards(
     first board's kind."""
     if not boards:
         raise EvalError("no boards to run")
-    if not 1 <= template.snap_samples <= template.frames_per_trial:
-        raise InvalidParametersError(
-            f"snap sample count must be in 1..{template.frames_per_trial} "
-            f"(frames per trial), got {template.snap_samples}"
-        )
-    if template.window < 1 or trials_per_target < 1:
-        raise InvalidParametersError(
-            f"window and trials per target must be >= 1, got {template.window} and {trials_per_target}"
-        )
+    if trials_per_target < 1:
+        raise InvalidParametersError(f"trials per target must be >= 1, got {trials_per_target}")
     aimed = [(board, e_idx, entity) for board in boards
              for e_idx, entity in enumerate(board.targets or board.areas)]
     runs = [(board, e_idx, entity, k) for board, e_idx, entity in aimed for k in range(trials_per_target)]

@@ -151,9 +151,8 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     responses = [json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"})]
                 else:
                     responses = session.handle_line(raw.decode("utf-8", errors="replace"))
-                for line in responses:
-                    self.wfile.write(line.encode("utf-8") + b"\n")
-                self.wfile.flush()
+                if responses:  # one write, so one send, per input line
+                    self.wfile.write(("\n".join(responses) + "\n").encode("utf-8"))
         except (BrokenPipeError, ConnectionResetError):  # the client went away
             pass
 

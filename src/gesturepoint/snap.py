@@ -24,15 +24,13 @@ strings, every number a finite JSON number, half extents > 0, ids unique):
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import PlanarPoint, planar_mean
-from .stream import decode_object, json_number, read_text
+from .stream import decode_object, json_number, read_text, write_document
 
 DEFAULT_STABILITY_THRESHOLD = 0.05
 DEFAULT_SAMPLE_COUNT = 15
@@ -283,17 +281,5 @@ def layout_document(
 
 
 def save_layout(path: str | os.PathLike, targets: Sequence[Target], areas: Sequence[Area]) -> None:
-    """Write a layout document atomically (write-then-rename)."""
-    doc = layout_document(targets, areas)
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
+    """Write a layout document whole (``stream.write_document``)."""
+    write_document(path, layout_document(targets, areas))

@@ -25,7 +25,9 @@ file (UTF-8, optionally BOM-prefixed), :func:`decode_object` decodes JSON,
 :func:`json_number`/:func:`json_int` read its numbers, :func:`finite_float`/
 :func:`decimal_int` those of text and :func:`parse_position` every joint and corner.
 The record parsers :func:`parse_frame` and :func:`parse_intrinsics_header`
-take the object that :func:`decode_object` returned, never text.
+take the object that :func:`decode_object` returned, never text. Every saved
+document (plane, layout, board and report files) has one writer,
+:func:`write_document`.
 """
 
 from __future__ import annotations
@@ -76,6 +78,25 @@ def read_text(path: str | os.PathLike) -> str:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def write_document(path: str | os.PathLike, document: str | dict) -> None:
+    """The one writer of saved documents: ``document``'s text (a dict as JSON
+    with ``indent=2``, sorted keys and a final newline) goes to a new file
+    beside ``path``, which then replaces ``path``. A reader sees the old file
+    or the whole new one; a symlink at ``path`` is replaced, not written
+    through. The file gets the mode ``open(path, "w")`` gives a new file."""
+    text = document if isinstance(document, str) else json.dumps(document, indent=2, sort_keys=True) + "\n"
+    # the pid sets concurrent processes apart, the random part threads; O_EXCL never shares a file
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies, as for open()
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def decode_object(text: str | bytes, error: type[ValueError], source: str | os.PathLike = "") -> dict:

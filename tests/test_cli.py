@@ -1469,6 +1469,60 @@ def test_input_file_fuzz_exits_0_or_2(tmp_path, capsys, kind, how, bom, data):
     capsys.readouterr()
 
 
+# --- saved documents are written whole ----------------------------------------------
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def _write_every_document(d: pathlib.Path) -> list[pathlib.Path]:
+    """Write a plane, a layout, and a sweep's reports and boards into ``d``."""
+    corners = write_corner_file(d / "corners.json", desk_corners())
+    assert run_cli(["define-plane", "--corners", str(corners), "--out", str(d / "plane.json")]) == 0
+    assert run_cli(["registry", "init", "--file", str(d / "layout.json")]) == 0
+    assert run_cli(["sweep", "--kind", "pick", "--trials", "1", "--distances", "0.2", "--out", str(d / "sweep")]) == 0
+    sweep = ["pick_square_report.csv", "pick_square_report.json", "pick_square_boards.json"]
+    return [d / "plane.json", d / "layout.json"] + [d / "sweep" / name for name in sweep]
+
+
+def test_saved_documents_get_the_mode_of_a_new_file(tmp_path, umask_022, capsys):
+    for path in _write_every_document(tmp_path):
+        assert os.stat(path).st_mode & 0o777 == 0o644, path.name
+
+
+def test_registry_edit_keeps_a_readable_layout_readable(tmp_path, umask_022):
+    layout = tmp_path / "layout.json"
+    layout.write_text('{"areas": [], "targets": []}\n', encoding="utf-8")
+    os.chmod(layout, 0o644)
+    assert run_cli(["registry", "add-target", "--file", str(layout), "--id", "t1", "--u", "0.1", "--v", "0.2"]) == 0
+    assert os.stat(layout).st_mode & 0o777 == 0o644
+
+
+def test_failed_document_write_leaves_the_old_file_and_no_other(tmp_path, monkeypatch, capsys):
+    plane, layout = _write_every_document(tmp_path)[:2]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def refuse(src, dst):
+        assert os.path.exists(src)  # the write fails after its temporary file exists
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_layout(str(layout), [Target("t", "t", PlanarPoint(0.1, 0.2))], [])
+    for argv in (["registry", "add-target", "--file", str(layout), "--id", "t1", "--u", "0.1", "--v", "0.2"],
+                 ["define-plane", "--corners", str(tmp_path / "corners.json"), "--out", str(plane)],
+                 ["sweep", "--kind", "pick", "--trials", "1", "--distances", "0.2", "--out", str(tmp_path / "sweep")]):
+        assert run_cli(argv) == 1
+        assert "replace refused" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 # --- docs ------------------------------------------------------------------------
 
 

@@ -54,6 +54,7 @@ from gesturepoint.stream import (
     parse_intrinsics_header,
     parse_triplet,
     serialize_frame,
+    write_document,
     write_stream,
 )
 
@@ -409,6 +410,16 @@ def test_scenario_validation(tmp_path):
         make_template(arm_length=0.9).check_target(TARGET)  # reaches past the target
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("window", 0), ("snap_samples", 0), ("snap_samples", 31),
+    ("stability_threshold", 0.0), ("stability_threshold", -0.01),
+    ("stability_threshold", math.nan), ("stability_threshold", math.inf),
+])
+def test_scenario_rejects_bad_trial_settings_at_construction(field, bad):
+    with pytest.raises(StreamError, match="snap sample count must be in 1..30" if field == "snap_samples" else field):
+        make_template(**{field: bad})
+
+
 def test_generator_deterministic_bitwise():
     template = make_template(sigma=0.01, aim_bias_sigma=0.005)
     first = [serialize_frame(f) for f in generate_scenario(template, TARGET, 42, 30)]
@@ -483,6 +494,19 @@ def test_write_and_read_stream(tmp_path):
         frames = list(StreamReader(fh))
     assert len(frames) == 10
     assert frames[0] == next(iter(generate_scenario(template, TARGET, 42, 10)))
+
+
+def test_write_document_writes_json_text_whole_and_replaces_a_symlink(tmp_path):
+    doc = {"b": [1.5, None], "a": {"z": "\u00e9", "y": True}}
+    elsewhere, path = tmp_path / "elsewhere.json", tmp_path / "doc.json"
+    elsewhere.write_text("kept\n", encoding="utf-8")
+    path.symlink_to(elsewhere)
+    write_document(path, doc)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert not path.is_symlink() and elsewhere.read_text(encoding="utf-8") == "kept\n"
+    write_document(path, "text as is")
+    assert path.read_bytes() == b"text as is"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json", "elsewhere.json"]
 
 
 def test_scenario_config_round_trip(tmp_path):
