@@ -301,11 +301,13 @@ def cmd_replay(args) -> int:
         raise ConfigError(f"cannot read {args.stream}: {exc}") from exc
     reader = StreamReader(stream, skip_malformed=True,
                           on_warning=lambda message: print(f"warning: {message}", file=sys.stderr))
-    # line buffering: whole records reach the file even on interruption
+    # line buffering and one write per frame: whole records reach the file
+    # even on interruption
     with stream, open(args.out, "w", encoding="utf-8", buffering=1) as out:
         for frame in reader:
+            records = []
             for gp in pipe.process(frame):
-                out.write(gesture_point_record(gp, settings) + "\n")
+                records.append(gesture_point_record(gp, settings))
                 points_written += 1
                 if args.snap:
                     accepted[gp.hand] += 1
@@ -328,7 +330,9 @@ def cmd_replay(args) -> int:
                                 "fallback": result.fallback_used if result else False,
                             },
                         }
-                        out.write(json.dumps(record, separators=(",", ":")) + "\n")
+                        records.append(json.dumps(record, separators=(",", ":")))
+            if records:
+                out.write("\n".join(records) + "\n")
     warnings = reader.malformed + reader.nonmonotonic + pipe.frames_without_ray
     print(f"frames={pipe.frames_seen} points={points_written} warnings={warnings}", file=sys.stderr)
     return EXIT_OK

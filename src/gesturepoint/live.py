@@ -6,6 +6,7 @@ snap over the most recent N stabilized points and answers with one result
 line ``{"ok": ..., "id": ..., "fallback": ...}``. Malformed input is answered
 with ``{"err": ...}`` and never terminates the session; so is a line longer
 than ``MAX_LINE_BYTES``, which is skipped without being held in memory.
+The replies to the lines of one socket read go out together, in input order.
 Gesture-point lines are written out by ``gesture_point_record``, with the
 bytes ``json.dumps`` would give them.
 
@@ -35,6 +36,8 @@ from .stream import HANDS, MalformedRecordError, decode_object, json_int, parse_
 # one is skipped and answered with one {"err": ...}, so no line holds more
 # than this much memory
 MAX_LINE_BYTES = 64 * 1024
+# the size of the one receive buffer each session reads the socket into
+RECV_BYTES = 8 * 1024
 
 
 # the JSON text of each hand name the pipeline accepts
@@ -136,24 +139,58 @@ class LiveSession:
         )
 
 
-class _SessionHandler(socketserver.StreamRequestHandler):
+def _send(sock, replies: list[str]) -> None:
+    if replies:
+        sock.sendall(("\n".join(replies) + "\n").encode("utf-8"))
+
+
+class _SessionHandler(socketserver.BaseRequestHandler):
+    """Reads the socket into one reused buffer, splits each read into lines
+    and answers all of a read's lines with one ``sendall``, in input order.
+    A line that spans reads builds up in ``partial``, never past the cap;
+    beyond it the rest of the line is dropped up to its newline."""
+
     server: LiveServer
 
     def handle(self) -> None:
-        session = LiveSession(self.server.settings, self.server.targets, self.server.areas)
-        readline = self.rfile.readline
+        handle_line = LiveSession(self.server.settings, self.server.targets, self.server.areas).handle_line
+        sock = self.request
+        buf = bytearray(RECV_BYTES)
+        view = memoryview(buf)
+        partial = bytearray()
+        skipping = False  # inside a line already past the cap
+        too_long = json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"})
         try:
-            while raw := readline(MAX_LINE_BYTES + 1):
-                if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
-                    # skip the rest of the line, one bounded read at a time
-                    while (rest := readline(MAX_LINE_BYTES + 1)) and not rest.endswith(b"\n"):
-                        pass
-                    responses = [json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"})]
-                else:
-                    responses = session.handle_line(raw.decode("utf-8", errors="replace"))
-                if responses:  # one write, so one send, per input line
-                    self.wfile.write(("\n".join(responses) + "\n").encode("utf-8"))
-        except (BrokenPipeError, ConnectionResetError):  # the client went away
+            while n := sock.recv_into(buf):
+                replies: list[str] = []
+                start = 0
+                while (end := buf.find(b"\n", start, n)) >= 0:
+                    if skipping:
+                        skipping = False
+                        replies.append(too_long)
+                    elif len(partial) + end - start > MAX_LINE_BYTES:
+                        partial.clear()
+                        replies.append(too_long)
+                    elif partial:
+                        partial += view[start:end]
+                        replies += handle_line(str(partial, "utf-8", "replace"))
+                        partial.clear()
+                    else:
+                        replies += handle_line(str(view[start:end], "utf-8", "replace"))
+                    start = end + 1
+                if start < n and not skipping:
+                    if len(partial) + n - start > MAX_LINE_BYTES:
+                        partial.clear()
+                        skipping = True
+                    else:
+                        partial += view[start:n]
+                _send(sock, replies)
+            # an unterminated last line is answered at EOF
+            if skipping:
+                _send(sock, [too_long])
+            elif partial:
+                _send(sock, handle_line(str(partial, "utf-8", "replace")))
+        except ConnectionError:  # the client went away
             pass
 
 

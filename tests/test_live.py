@@ -8,10 +8,13 @@ import itertools
 import json
 import math
 import random
+import re
 import socket
 import struct
 import threading
 import tracemalloc
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +24,16 @@ from hypothesis import strategies as st
 from conftest import INTRINSICS, desk_corners, make_plane_file, run_cli, wrist_frame, write_scenario_file
 from gesturepoint.cli import load_plane_file
 from gesturepoint.evaluation import generate_scenario, load_scenario_config
-from gesturepoint.live import MAX_LINE_BYTES, LiveServer, LiveSession, PipelineSettings, gesture_point_record
+from gesturepoint import live
+from gesturepoint.live import (
+    MAX_LINE_BYTES,
+    RECV_BYTES,
+    LiveServer,
+    LiveSession,
+    PipelineSettings,
+    _SessionHandler,
+    gesture_point_record,
+)
 from gesturepoint.geometry import PlanarPoint, Point3, Quaternion, from_workplane, plane_from_corners, workplane_frame
 from gesturepoint.snap import Area, AreaRegistry, Target, TargetRegistry
 from gesturepoint.stabilizer import GesturePoint
@@ -404,3 +416,159 @@ def test_handle_line_fuzz_never_raises_and_answers_in_json(lines):
             assert len(replies) == 1
     # the session survives whatever came before
     assert len(session.handle_line(json.dumps(wrist_frame("t", 99.0)))) == 1
+
+
+# --- the session read loop -------------------------------------------------------
+
+class _FakeSocket:
+    """Serves ``chunks`` to ``recv_into``, each cut to the buffer's size as a
+    socket would, then EOF (or ``error``); records every ``sendall``."""
+
+    def __init__(self, chunks, error=None):
+        self.chunks = [bytes(c) for c in chunks if c]
+        self.error = error
+        self.reads = 0
+        self.sent: list[bytes] = []
+
+    def recv_into(self, buf):
+        if not self.chunks:
+            if self.error is not None:
+                raise self.error
+            return 0
+        chunk = self.chunks.pop(0)
+        n = min(len(chunk), len(buf))
+        buf[:n] = chunk[:n]
+        if n < len(chunk):
+            self.chunks.insert(0, chunk[n:])
+        self.reads += 1
+        return n
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+
+
+def _serve(chunks, error=None) -> _FakeSocket:
+    """Runs one session over a fake socket (``BaseRequestHandler.__init__``
+    calls ``handle``) and returns the socket."""
+    sock = _FakeSocket(chunks, error)
+    targets, areas = registries()
+    _SessionHandler(sock, ("127.0.0.1", 0), types.SimpleNamespace(settings=_DESK_SETTINGS, targets=targets, areas=areas))
+    return sock
+
+
+def _line_at_a_time(stream: bytes, handle_line) -> bytes:
+    """The reference: each line read whole with its newline, as ``readline``
+    gives it, then answered before the next is read; a line longer than the
+    cap gets one err."""
+    session = LiveSession(_DESK_SETTINGS, *registries())
+    replies = []
+    for raw in re.findall(rb"[^\n]*\n|[^\n]+", stream):
+        if len(raw.removesuffix(b"\n")) > live.MAX_LINE_BYTES:
+            replies.append(json.dumps({"err": f"line longer than {live.MAX_LINE_BYTES} bytes"}))
+        else:
+            replies += handle_line(session, raw.decode("utf-8", errors="replace"))
+    return "".join(reply + "\n" for reply in replies).encode("utf-8")
+
+
+def _frame(k: int, pad_to: int = 0) -> bytes:
+    record = wrist_frame("t", k / 30)
+    record["source"] = "cam é€😀"  # two-, three- and four-byte UTF-8 to cut through
+    line = json.dumps(record, ensure_ascii=False).encode("utf-8")
+    return line + b" " * (pad_to - len(line))
+
+
+_CAP = 200  # above every frame line below, so padding decides which are too long
+_LINE_KINDS = st.sampled_from([
+    "frame", _CAP - 1, _CAP, _CAP + 1, _CAP + 2, 3 * _CAP + 7,
+    json.dumps(wrist_frame("px", 330)).encode(), json.dumps({"intrinsics": INTRINSICS}).encode(),
+    b'{"cmd": "snap", "strategy": "pick", "n": 3}', b'{"cmd": "snap", "strategy": "place", "n": 2}',
+    b'{"cmd": "snap"}', b'{"cmd": "launch"}',
+    b"", b"   ", b"\r", b"{broken", b"[1, 2]", b"\xff\xfe", b"\xe2\x82", b"\xf0\x9f\x98",
+    b'{"t": 0.5, "source": "\xe2\x82", "joints": {}}',
+])
+
+
+def _stream_line(kind, k: int) -> bytes:
+    """Line ``k`` of a stream: a frame (padded to ``kind`` bytes when it is a
+    number, or plain filler past twice the cap), or the given bytes."""
+    if kind == "frame":
+        return _frame(k)
+    if isinstance(kind, int):
+        return _frame(k, kind) if kind <= 2 * _CAP else b"x" * kind
+    return kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=st.lists(_LINE_KINDS, max_size=24), terminated=st.booleans(), data=st.data())
+def test_any_chunking_answers_as_line_at_a_time(kinds, terminated, data):
+    """Whatever the cut points (mid-line, mid-UTF-8, at the cap and one byte
+    either side of it), a session sends the bytes a line-at-a-time reader
+    would, and passes each line to ``handle_line`` once."""
+    lines = [_stream_line(kind, k) for k, kind in enumerate(kinds)]
+    stream = b"\n".join(lines) + (b"\n" if terminated and lines else b"")
+    starts = list(itertools.accumulate((len(line) + 1 for line in lines), initial=0))
+    near_cap = [s + _CAP + d for s in starts for d in (-1, 0, 1) if 0 < s + _CAP + d < len(stream)]
+    cuts = data.draw(st.lists(st.integers(0, len(stream)) | st.sampled_from(near_cap or [0]), max_size=30))
+    stride = data.draw(st.none() | st.integers(1, 64))
+    if stride:
+        cuts += range(stride, len(stream), stride)
+    bounds = sorted({0, len(stream), *cuts})
+    chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    handle_line = LiveSession.handle_line
+    seen = []
+
+    def recording(session, line):
+        seen.append(line.strip())
+        return handle_line(session, line)
+
+    with mock.patch.object(live, "MAX_LINE_BYTES", _CAP), mock.patch.object(LiveSession, "handle_line", recording):
+        sock = _serve(chunks)
+        answered = seen[:]
+        seen.clear()
+        expected = _line_at_a_time(stream, recording)
+    assert b"".join(sock.sent) == expected
+    assert answered == seen
+    assert all(sock.sent) and len(sock.sent) <= sock.reads + 1
+
+
+def test_unterminated_last_line_is_answered_at_eof(tmp_path):
+    frame = stream_lines(tmp_path, count=1)[0]
+    with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(f"{frame}\n{frame}".encode("utf-8"))
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as reader:
+                responses = [json.loads(line) for line in reader]
+    assert len(responses) == 2 and all("u" in r for r in responses)
+
+
+@pytest.mark.parametrize("first", [MAX_LINE_BYTES, MAX_LINE_BYTES + 1], ids=["at-cap", "one-past"])
+def test_cap_crossed_at_a_read_boundary_gets_one_err(first):
+    """The first reads hold ``first`` bytes of one line (the cap, or one byte
+    past it) and end exactly there; the next read carries the rest."""
+    head = [b"x" * RECV_BYTES] * (first // RECV_BYTES) + [b"x" * (first % RECV_BYTES)]
+    sock = _serve(head + [b"xx\n" + _frame(1) + b"\n"])
+    replies = [json.loads(line) for line in b"".join(sock.sent).splitlines()]
+    assert replies[0] == {"err": f"line longer than {MAX_LINE_BYTES} bytes"}
+    assert len(replies) == 2 and "u" in replies[1]
+
+
+def test_lines_of_one_read_are_answered_with_one_sendall():
+    lines = [_frame(k) for k in range(20)] + [b'{"cmd": "snap", "strategy": "pick"}', b"{broken"]
+    sock = _serve([b"\n".join(lines) + b"\n"])
+    assert len(sock.sent) == 1
+    replies = [json.loads(line) for line in sock.sent[0].splitlines()]
+    assert len(replies) == 22 and "ok" in replies[20] and "err" in replies[21]
+
+
+def test_read_of_header_and_blank_lines_sends_nothing():
+    header = json.dumps({"intrinsics": INTRINSICS}).encode()
+    sock = _serve([header + b"\n\n  \n\r\n", b"\n", _frame(0) + b"\n"])
+    assert len(sock.sent) == 1 and b'"u"' in sock.sent[0]
+
+
+@pytest.mark.parametrize("error", [ConnectionAbortedError, ConnectionResetError, BrokenPipeError])
+def test_session_ends_quietly_on_any_connection_error(error):
+    sock = _serve([_frame(0) + b"\n"], error=error())
+    assert len(sock.sent) == 1  # answered what it read, then ended without raising
