@@ -13,7 +13,6 @@ from .geometry import (
     deproject,
     from_workplane,
     plane_from_corners,
-    project,
     to_workplane,
     workplane_frame,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "pick_snap",
     "place_snap",
     "plane_from_corners",
-    "project",
     "serialize_frame",
     "stability_gate",
     "to_workplane",

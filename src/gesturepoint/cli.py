@@ -61,7 +61,6 @@ from .snap import (
     SnapRequest,
     Target,
     TargetRegistry,
-    UnknownIdError,
     evaluate_request,
     layout_document,
     load_layout,
@@ -252,10 +251,7 @@ def cmd_define_plane(args) -> int:
         viewpoint = parse_triplet(args.viewpoint, "--viewpoint")
     elif used_pixels:
         viewpoint = Point3(0.0, 0.0, 0.0)  # pixel corners imply the camera at the origin
-    try:
-        plane = plane_from_corners(corners, viewpoint)
-    except GeometryError as exc:
-        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+    plane = plane_from_corners(corners, viewpoint)
     frame = workplane_frame(plane, args.origin_corner, args.x_corner)
     save_plane_file(args.out, plane, frame, args.origin_corner, args.x_corner)
     q = frame.orientation
@@ -474,7 +470,7 @@ def cmd_registry(args) -> int:
     else:
         _require(args, "id")
         if not any(e.id == args.id for e in entries):
-            raise UnknownIdError(f"{kind} id {args.id!r} not registered")
+            raise SnapError(f"{kind} id {args.id!r} not registered")
         entries[:] = [e for e in entries if e.id != args.id]
     save_layout(path, targets, areas)
     print(f"wrote {path}")

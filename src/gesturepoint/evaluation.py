@@ -106,10 +106,10 @@ from .snap import (
     stability_gate,
 )
 from .stabilizer import DEFAULT_WINDOW
-from .stream import (  # re-exports the EvalError family and the sample-count defaults
+from .stream import (  # re-exports EvalError, InvalidParametersError and the sample-count defaults
     DEFAULT_CALIBRATION_SAMPLES, DEFAULT_TRIALS_PER_TARGET, HANDS,
-    EvalError, InvalidParametersError, JointSample, KeypointFrame, NonConvergenceError,
-    StreamError, TargetUnreachableError, UnsupportedFormatError, decimal_int, decode_object,
+    EvalError, InvalidParametersError, JointSample, KeypointFrame,
+    StreamError, decimal_int, decode_object,
     finite_float, json_number, parse_kv_config, parse_triplet, read_text, write_document,
 )
 
@@ -364,7 +364,7 @@ class ScenarioTemplate:
         dx, dy, dz = (t - b for t, b in zip(target.as_tuple(), self.shoulder_base.as_tuple()))
         reach = math.sqrt(dx * dx + dy * dy + dz * dz)
         if self.arm_length >= reach:
-            raise TargetUnreachableError(
+            raise StreamError(
                 f"arm_length {self.arm_length} m reaches past the target "
                 f"({reach:.4f} m away); the wrist would overshoot the plane"
             )
@@ -831,7 +831,7 @@ def calibrate_sigma(
     f = _mean_error_by_sigma(template, target_world, samples, seed)
     floor = f(0.0)
     if floor > target_mean_error * (1.0 + CALIBRATION_REL_TOL):
-        raise NonConvergenceError(
+        raise EvalError(
             f"aim bias alone yields {floor:.4f} m mean error, above the "
             f"{target_mean_error} m target; no joint-noise sigma can reach it"
         )
@@ -841,7 +841,7 @@ def calibrate_sigma(
             break
         hi *= 2.0
     else:
-        raise NonConvergenceError(
+        raise EvalError(
             f"could not bracket sigma for target error {target_mean_error} m"
         )
     for _ in range(CALIBRATION_MAX_ITER):
@@ -853,7 +853,7 @@ def calibrate_sigma(
             lo = mid
         else:
             hi = mid
-    raise NonConvergenceError(
+    raise EvalError(
         f"bisection did not reach {CALIBRATION_REL_TOL:.0%} of {target_mean_error} m "
         f"in {CALIBRATION_MAX_ITER} iterations"
     )
@@ -944,4 +944,4 @@ def emit_report(report: SweepReport, format: str) -> str:
             ]
             doc["cells"].append(entry)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    raise UnsupportedFormatError(f"unsupported report format {format!r}")
+    raise EvalError(f"unsupported report format {format!r}")

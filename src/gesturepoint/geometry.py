@@ -1,4 +1,4 @@
-"""Pure geometric core: plane construction, pinhole (de)projection and
+"""Pure geometric core: plane construction, pinhole deprojection and
 workplane frame transforms, on the standard library alone.
 
 Conventions
@@ -56,42 +56,10 @@ class GeometryError(ValueError):
     """Base class for geometric precondition violations."""
 
 
-class NonFiniteValueError(GeometryError):
-    pass
-
-
-class CollinearCornersError(GeometryError):
-    pass
-
-
-class NonPlanarCornerError(GeometryError):
-    pass
-
-
-class NonSimpleQuadrilateralError(GeometryError):
-    pass
-
-
-class NonPositiveDepthError(GeometryError):
-    pass
-
-
-class PixelOutOfBoundsError(GeometryError):
-    pass
-
-
-class BehindCameraError(GeometryError):
-    pass
-
-
-class InvalidCornerPairError(GeometryError):
-    pass
-
-
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise NonFiniteValueError(f"{name} has non-finite component {v!r}")
+            raise GeometryError(f"{name} has non-finite component {v!r}")
 
 
 @dataclass(frozen=True)
@@ -238,12 +206,12 @@ class Plane:
         for i, c in enumerate(self.corners):
             res = self.signed_distance(c)
             if abs(res) > PLANARITY_TOL:
-                raise NonPlanarCornerError(
+                raise GeometryError(
                     f"corner {i + 1} lies {abs(res):.4f} m off the plane "
                     f"(tolerance {PLANARITY_TOL} m)"
                 )
         if not _simple_quadrilateral(self._corners_2d()):
-            raise NonSimpleQuadrilateralError("plane corners self-intersect in corner order")
+            raise GeometryError("plane corners self-intersect in corner order")
 
     def signed_distance(self, p: Point3) -> float:
         return self.normal.x * p.x + self.normal.y * p.y + self.normal.z * p.z + self.d
@@ -301,7 +269,7 @@ def plane_from_corners(
     p1, p2, p3 = corners[0], corners[1], corners[2]
     cx, cy, cz = _cross((p2.x - p1.x, p2.y - p1.y, p2.z - p1.z), (p3.x - p2.x, p3.y - p2.y, p3.z - p2.z))
     if math.sqrt(cx * cx + cy * cy + cz * cz) <= COLLINEARITY_TOL:
-        raise CollinearCornersError("corners 1-3 are collinear (degenerate cross product)")
+        raise GeometryError("corners 1-3 are collinear (degenerate cross product)")
     n = _orient_normal(_unit(cx, cy, cz), p1, viewpoint)
     d = -(n.x * p3.x + n.y * p3.y + n.z * p3.z)
     if len(corners) == 3:
@@ -320,25 +288,15 @@ def deproject(pixel: tuple[float, float], depth: float, intr: CameraIntrinsics) 
     """Pinhole back-projection of an image pixel at a given depth."""
     px, py = pixel
     if not 0 < depth < math.inf:
-        raise NonPositiveDepthError(f"depth must be positive and finite, got {depth!r}")
+        raise GeometryError(f"depth must be positive and finite, got {depth!r}")
     if not (0 <= px < intr.width and 0 <= py < intr.height):  # NaN fails too
-        raise PixelOutOfBoundsError(
+        raise GeometryError(
             f"pixel ({px}, {py}) outside {intr.width}x{intr.height} image"
         )
     return Point3(
         (px - intr.cx) * depth / intr.fx,
         (py - intr.cy) * depth / intr.fy,
         depth,
-    )
-
-
-def project(point: Point3, intr: CameraIntrinsics) -> tuple[float, float]:
-    """Pinhole projection; inverse of :func:`deproject` for z > 0."""
-    if point.z <= 0:
-        raise BehindCameraError(f"point z={point.z} is behind the camera")
-    return (
-        intr.fx * point.x / point.z + intr.cx,
-        intr.fy * point.y / point.z + intr.cy,
     )
 
 
@@ -350,17 +308,17 @@ def workplane_frame(plane: Plane, origin_corner: int = 0, x_corner: int = 1) -> 
     re-orthogonalized) edge direction, y = z x x.
     """
     if origin_corner == x_corner:
-        raise InvalidCornerPairError("origin and x corners must differ")
+        raise GeometryError("origin and x corners must differ")
     if not (0 <= origin_corner < 4 and 0 <= x_corner < 4):
-        raise InvalidCornerPairError(f"corner indices out of range: {origin_corner}, {x_corner}")
+        raise GeometryError(f"corner indices out of range: {origin_corner}, {x_corner}")
     if abs(origin_corner - x_corner) % 4 not in (1, 3):
-        raise InvalidCornerPairError(
+        raise GeometryError(
             f"corners {origin_corner} and {x_corner} are not adjacent in corner order"
         )
     origin, far = plane.corners[origin_corner], plane.corners[x_corner]
     ex, ey, ez = far.x - origin.x, far.y - origin.y, far.z - origin.z
     if math.sqrt(ex * ex + ey * ey + ez * ez) <= COLLINEARITY_TOL:
-        raise InvalidCornerPairError("chosen corners coincide")
+        raise GeometryError("chosen corners coincide")
     z = plane.normal
     s = ex * z.x + ey * z.y + ez * z.z
     x = _unit(ex - z.x * s, ey - z.y * s, ez - z.z * s)  # remove any planarity slack

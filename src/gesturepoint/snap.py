@@ -40,23 +40,7 @@ class SnapError(ValueError):
     pass
 
 
-class EmptySamplesError(SnapError):
-    pass
-
-
-class EmptyRegistryError(SnapError):
-    pass
-
-
-class EmptyAreasError(SnapError):
-    pass
-
-
 class DuplicateIdError(SnapError):
-    pass
-
-
-class UnknownIdError(SnapError):
     pass
 
 
@@ -124,7 +108,7 @@ def stability_gate(
 ) -> GateResult:
     """Mean the samples and check every radial deviation is < threshold."""
     if not samples:
-        raise EmptySamplesError("stability gate needs at least one sample")
+        raise SnapError("stability gate needs at least one sample")
     mean = planar_mean(samples)
     max_dev = max(_distance_uv(p, mean) for p in samples)
     return GateResult(mean=mean, max_deviation=max_dev, stable=max_dev < threshold)
@@ -143,7 +127,7 @@ def pick_snap(
     nothing. The nearest target is selected however far away it is.
     """
     if not targets:
-        raise EmptyRegistryError("no targets registered")
+        raise SnapError("no targets registered")
     candidates = [t for t in targets if group is None or t.group == group]
     if not candidates:
         return None
@@ -168,7 +152,7 @@ def place_snap(
     """Select the area containing the stable sample mean, else the nearest
     area center (fallback), or None when the gate fails."""
     if not areas:
-        raise EmptyAreasError("no areas registered")
+        raise SnapError("no areas registered")
     gate = stability_gate(samples, threshold)
     if not gate.stable:
         return None

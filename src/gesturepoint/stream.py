@@ -62,10 +62,6 @@ class MalformedRecordError(StreamError):
     pass
 
 
-class TargetUnreachableError(StreamError):
-    pass
-
-
 class ConfigError(ValueError):
     """Bad or missing configuration/input files; maps to exit code 2."""
 
@@ -155,8 +151,9 @@ def decimal_int(text: str) -> int:
     return int(text)
 
 
-# evaluation's errors and sample-count defaults, here so that the CLI maps exit
-# codes and prints its help without importing evaluation (and numpy)
+# evaluation's two errors and sample-count defaults, here so that the CLI maps
+# exit codes and prints its help without importing evaluation (and numpy):
+# EvalError exits 1, its InvalidParametersError (bad sweep or board inputs) 2
 DEFAULT_TRIALS_PER_TARGET = 10
 DEFAULT_CALIBRATION_SAMPLES = 10_000
 
@@ -166,14 +163,6 @@ class EvalError(ValueError):
 
 
 class InvalidParametersError(EvalError):
-    pass
-
-
-class NonConvergenceError(EvalError):
-    pass
-
-
-class UnsupportedFormatError(EvalError):
     pass
 
 

@@ -62,6 +62,15 @@ def write_corner_file(path, corners: list[Point3]):
     return path
 
 
+def project(point: Point3, intr) -> tuple[float, float]:
+    """Pinhole projection of a point in front of the camera (z > 0): the
+    inverse of ``geometry.deproject``, for building pixel-form inputs."""
+    return (
+        intr.fx * point.x / point.z + intr.cx,
+        intr.fy * point.y / point.z + intr.cy,
+    )
+
+
 def make_plane_file(path, corners: list[Point3] | None = None):
     """Build a plane file via the CLI's own writer."""
     from gesturepoint.cli import save_plane_file

@@ -21,6 +21,7 @@ from conftest import (
     desk_corners,
     make_plane_file,
     non_finite,
+    project,
     run_cli,
     wrist_frame,
     write_corner_file,
@@ -29,8 +30,10 @@ from conftest import (
 import gesturepoint
 from gesturepoint.cli import ConfigError, _load_registries, build_parser, load_plane_file
 from gesturepoint.evaluation import EvalError, load_boards
-from gesturepoint.geometry import PlanarPoint, Point3, project, CameraIntrinsics
-from gesturepoint.snap import Area, MalformedFileError, Target, load_layout, save_layout
+from gesturepoint.geometry import GeometryError, PlanarPoint, Point3, CameraIntrinsics
+from gesturepoint.snap import (Area, DuplicateIdError, MalformedFileError, SnapError, Target, load_layout,
+                               save_layout)
+from gesturepoint.stream import InvalidParametersError, MalformedRecordError, StreamError
 
 
 def read_jsonl(path):
@@ -84,7 +87,7 @@ def test_define_plane_collinear_exits_2(tmp_path, capsys):
     )
     code = run_cli(["define-plane", "--corners", str(corners), "--out", str(tmp_path / "p.json")])
     assert code == 2
-    assert "CollinearCorners" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: corners 1-3 are collinear (degenerate cross product)\n"
 
 
 @pytest.mark.parametrize(
@@ -734,6 +737,26 @@ def test_no_command_prints_usage():
 
 def test_unknown_flag_exits_2():
     assert run_cli(["sweep", "--kind", "pick", "--bogus-flag", "1"]) == 2
+
+
+EXIT_CODES = [
+    (ConfigError, 2), (GeometryError, 2), (StreamError, 2), (MalformedRecordError, 2),
+    (MalformedFileError, 2), (InvalidParametersError, 2),
+    (SnapError, 1), (DuplicateIdError, 1), (EvalError, 1), (OSError, 1), (RuntimeError, 1),
+]
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES, ids=[error.__name__ for error, _ in EXIT_CODES])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code):
+    """Input faults exit 2 and failed runs 1, each printing its message; a
+    MalformedFileError (a SnapError) and an InvalidParametersError (an
+    EvalError) exit 2 although their bases exit 1."""
+    def fail(args):
+        raise error("the reason")
+
+    monkeypatch.setattr("gesturepoint.cli.cmd_calibrate", fail)
+    assert run_cli(["calibrate", "--target-error", "0.01"]) == code
+    assert capsys.readouterr().err == "error: the reason\n"
 
 
 def test_version_flag():

@@ -18,12 +18,12 @@ from gesturepoint import evaluation
 from gesturepoint.evaluation import (
     _KIND_CODES,
     CSV_COLUMNS,
+    EvalError,
     InvalidParametersError,
     PICK_DISTANCES,
     ScenarioTemplate,
     SweepReport,
     TrialResult,
-    UnsupportedFormatError,
     _derived_seed,
     board_document,
     board_from_document,
@@ -549,7 +549,7 @@ def test_empty_report_csv_is_header_only():
 
 
 def test_report_unsupported_format():
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(EvalError, match="unsupported report format"):
         emit_report(_empty_report(), "xml")
 
 

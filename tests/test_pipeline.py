@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from conftest import make_plane_file, run_cli, write_scenario_file
+from conftest import make_plane_file, project, run_cli, write_scenario_file
 from gesturepoint.evaluation import (
     ScenarioTemplate,
     board_document,
@@ -18,7 +18,7 @@ from gesturepoint.evaluation import (
     run_boards,
     save_boards,
 )
-from gesturepoint.geometry import CameraIntrinsics, Point3, Quaternion, plane_from_corners, project, workplane_frame
+from gesturepoint.geometry import CameraIntrinsics, Point3, Quaternion, plane_from_corners, workplane_frame
 from gesturepoint.live import gesture_point_record
 from gesturepoint.pipeline import GesturePipeline, PipelineSettings
 from gesturepoint.stream import parse_frame

@@ -16,10 +16,8 @@ from gesturepoint.snap import (
     Area,
     AreaRegistry,
     DuplicateIdError,
-    EmptyAreasError,
-    EmptyRegistryError,
-    EmptySamplesError,
     MalformedFileError,
+    SnapError,
     SnapRequest,
     Target,
     TargetRegistry,
@@ -79,7 +77,7 @@ def test_gate_boundary_is_strict_less_than():
 
 
 def test_gate_empty_samples():
-    with pytest.raises(EmptySamplesError):
+    with pytest.raises(SnapError, match="at least one sample"):
         stability_gate([])
 
 
@@ -104,7 +102,7 @@ def test_pick_unstable_returns_none():
 
 
 def test_pick_empty_registry_raises():
-    with pytest.raises(EmptyRegistryError):
+    with pytest.raises(SnapError, match="no targets registered"):
         pick_snap(cluster((0.1, 0.1)), [])
 
 
@@ -213,7 +211,7 @@ def test_place_fallback_exact_tie_breaks_by_id():
 
 def test_place_unstable_and_empty():
     assert place_snap(pts(*[(0.2, 0.2)] * 14, (0.2, 0.35)), AREAS) is None
-    with pytest.raises(EmptyAreasError):
+    with pytest.raises(SnapError, match="no areas registered"):
         place_snap(pts((0.2, 0.2)), [])
 
 

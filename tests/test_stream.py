@@ -45,7 +45,6 @@ from gesturepoint.stream import (
     MalformedRecordError,
     StreamError,
     StreamReader,
-    TargetUnreachableError,
     decimal_int,
     decode_object,
     finite_float,
@@ -406,7 +405,7 @@ def test_scenario_validation(tmp_path):
         make_template(hand="both")
     with pytest.raises(StreamError, match="count must be >= 1"):
         load_scenario_config(write_scenario_file(tmp_path / "s.cfg", count=0))
-    with pytest.raises(TargetUnreachableError):
+    with pytest.raises(StreamError, match="reaches past the target"):
         make_template(arm_length=0.9).check_target(TARGET)  # reaches past the target
 
 
