@@ -382,17 +382,13 @@ def _parse_l_values(text: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args) -> int:
-    from .evaluation import (PICK_DISTANCES, PLACE_SIZES, calibrate_sigma, emit_report, load_boards,
-                             make_board, run_boards, save_boards, template_plane_size)
+    from .evaluation import calibrate_sigma, emit_report, load_boards, run_boards, save_boards, standard_boards
 
     if args.calibrate is not None and args.sigma is not None:
         raise ConfigError("give either --sigma or --calibrate, not both")
     _positive("--trials", args.trials)
     template = _template_from_args(args, args.sigma or 0.0, snap_samples=args.n, stability_threshold=args.threshold)
-    if args.calibrate is not None:
-        calibrated = calibrate_sigma(args.calibrate, template, seed=args.seed)
-        template = dataclasses.replace(template, sigma=calibrated)
-    size = template_plane_size(template)
+    # the series needs only the plane and frame, so a bad one fails before calibration
     if args.board:
         try:
             boards = load_boards(args.board)
@@ -402,14 +398,12 @@ def cmd_sweep(args) -> int:
         for i, board in enumerate(boards, start=1):
             if ("pick" if board.targets else "place") != mode:
                 raise ConfigError(f"{args.board}: board {i} ({board.kind}) does not fit --kind {args.kind}")
-    elif args.kind == "pick":
-        distances = _parse_l_values(args.distances) if args.distances else PICK_DISTANCES
-        boards = [make_board("pick_square", l, plane_size=size) for l in distances]
-    elif args.kind == "place":
-        sizes = _parse_l_values(args.sizes) if args.sizes else PLACE_SIZES
-        boards = [make_board("place_areas", l, plane_size=size) for l in sizes]
     else:
-        boards = [make_board("quantitative_10", plane_size=size)]
+        lengths = {"pick": args.distances, "place": args.sizes}.get(args.kind)
+        boards = standard_boards(args.kind, template, _parse_l_values(lengths) if lengths else None)
+    if args.calibrate is not None:
+        calibrated = calibrate_sigma(args.calibrate, template, seed=args.seed)
+        template = dataclasses.replace(template, sigma=calibrated)
     report = run_boards(template, boards, args.trials, args.seed)
     try:
         os.makedirs(args.out, exist_ok=True)

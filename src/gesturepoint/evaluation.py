@@ -36,9 +36,9 @@ text (``#`` comments allowed):
 Every number is a finite plain decimal (``stream.finite_float``; ``seed`` and
 ``count`` plain integers). The template rejects a ``sigma`` (or aim bias)
 below 0, an ``arm_length``, ``frame_rate`` or stability threshold not above
-0, a window below 1, a snap sample count outside 1..frames per trial and an
-unknown ``hand``; the target check rejects a target off the plane and one
-the arm reaches past. Each is a ``StreamError`` (exit 2). Only ``generate`` uses
+0, a snap sample count outside ``1..FRAMES_PER_TRIAL`` and an unknown
+``hand``; the target check rejects a target off the plane and one the arm
+reaches past. Each is a ``StreamError`` (exit 2). Only ``generate`` uses
 ``target``, ``seed`` and ``count``; the sweeps and calibration take the
 plane, frame, shoulder, arm length, frame rate and hand, and their sigma
 from their flags.
@@ -120,6 +120,7 @@ BOARD_MARGIN = 0.10
 CALIBRATION_REL_TOL = 0.02  # calibrate_sigma stops within this share of the target
 CALIBRATION_MAX_ITER = 60  # bracket doublings, then bisection steps
 DEFAULT_FRAME_RATE = 30.0
+FRAMES_PER_TRIAL = 30
 
 CSV_COLUMNS = (
     "kind", "l_m", "target_id", "trials", "successes", "success_pct",
@@ -283,14 +284,6 @@ def load_boards(path: str | os.PathLike) -> list[BoardLayout]:
 # --- scenario template and trials ------------------------------------------
 
 
-def desk_plane(size: tuple[float, float] = PLANE_SIZE) -> Plane:
-    """The workplane used by the desk-scale harness: z = 0, corner at the origin."""
-    w, h = size
-    return plane_from_corners(
-        [Point3(0, 0, 0), Point3(w, 0, 0), Point3(w, h, 0), Point3(0, h, 0)]
-    )
-
-
 @dataclass(frozen=True)
 class ScenarioTemplate:
     """The simulated pointer, everything about a gesture except its target:
@@ -312,10 +305,8 @@ class ScenarioTemplate:
     arm_length: float
     sigma: float
     aim_bias_sigma: float = 0.0
-    frames_per_trial: int = 30
     snap_samples: int = DEFAULT_SAMPLE_COUNT
     stability_threshold: float = DEFAULT_STABILITY_THRESHOLD
-    window: int = DEFAULT_WINDOW
     frame_rate: float = DEFAULT_FRAME_RATE
     hand: str = "right"
 
@@ -325,15 +316,11 @@ class ScenarioTemplate:
             raise StreamError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0 <= self.aim_bias_sigma < math.inf:
             raise StreamError(f"aim_bias_sigma must be finite and >= 0, got {self.aim_bias_sigma}")
-        if self.frames_per_trial < 1:
-            raise StreamError(f"frames_per_trial must be >= 1, got {self.frames_per_trial}")
-        if not 1 <= self.snap_samples <= self.frames_per_trial:
-            raise StreamError(f"snap sample count must be in 1..{self.frames_per_trial} "
+        if not 1 <= self.snap_samples <= FRAMES_PER_TRIAL:
+            raise StreamError(f"snap sample count must be in 1..{FRAMES_PER_TRIAL} "
                               f"(frames per trial), got {self.snap_samples}")
         if not 0 < self.stability_threshold < math.inf:
             raise StreamError(f"stability_threshold must be finite and > 0, got {self.stability_threshold}")
-        if self.window < 1:
-            raise StreamError(f"window must be >= 1, got {self.window}")
         if not 0 < self.arm_length < math.inf:
             raise StreamError(f"arm_length must be finite and positive, got {self.arm_length}")
         if not 0 < self.frame_rate < math.inf:
@@ -345,7 +332,10 @@ class ScenarioTemplate:
     def desk_default(cls, sigma: float = 0.0, **overrides) -> "ScenarioTemplate":
         """Operator at the short edge of a 0.60 x 0.80 m table, shoulder 0.6 m
         above the surface, 0.55 m arm."""
-        plane = desk_plane()
+        w, h = PLANE_SIZE
+        plane = plane_from_corners(
+            [Point3(0, 0, 0), Point3(w, 0, 0), Point3(w, h, 0), Point3(0, h, 0)]
+        )
         return cls(
             plane=plane,
             frame=workplane_frame(plane),
@@ -609,13 +599,13 @@ def stabilize_trials(
     order = np.argsort(~accepted, axis=1, kind="stable")
     raw = np.take_along_axis(local, order[..., None], axis=1)
     idx = np.arange(raw.shape[1])
-    start = np.maximum(idx - template.window + 1, 0)
+    start = np.maximum(idx - DEFAULT_WINDOW + 1, 0)
     first = raw[:, start]
     total = np.zeros_like(raw)
-    for slot in range(1, template.window):
+    for slot in range(1, DEFAULT_WINDOW):
         j = start + slot
         total += np.where((j <= idx)[:, None], raw[:, np.minimum(j, idx)] - first, 0.0)
-    return first + total / np.minimum(idx + 1, template.window)[:, None], accepted.sum(axis=1)
+    return first + total / np.minimum(idx + 1, DEFAULT_WINDOW)[:, None], accepted.sum(axis=1)
 
 
 def run_trial(
@@ -668,9 +658,7 @@ def run_pick_sweep(
 ) -> SweepReport:
     """Pick boards over a series of square side lengths, 10 trials per bolt by
     default; success means the aimed bolt was selected."""
-    size = template_plane_size(template)
-    boards = [make_board("pick_square", l, plane_size=size) for l in distances]
-    return run_boards(template, boards, trials_per_target, base_seed)
+    return run_boards(template, standard_boards("pick", template, distances), trials_per_target, base_seed)
 
 
 def run_place_sweep(
@@ -681,19 +669,7 @@ def run_place_sweep(
 ) -> SweepReport:
     """Place boards over a series of area sizes; per-trial offsets from the
     area centers are retained for downstream analysis."""
-    size = template_plane_size(template)
-    boards = [make_board("place_areas", l, plane_size=size) for l in sizes]
-    return run_boards(template, boards, trials_per_area, base_seed)
-
-
-def run_quantitative(
-    template: ScenarioTemplate,
-    trials_per_target: int = DEFAULT_TRIALS_PER_TARGET,
-    base_seed: int = 0,
-) -> SweepReport:
-    """The ten-target accuracy board, selection via the pick strategy."""
-    board = make_board("quantitative_10", plane_size=template_plane_size(template))
-    return run_boards(template, [board], trials_per_target, base_seed)
+    return run_boards(template, standard_boards("place", template, sizes), trials_per_area, base_seed)
 
 
 def run_boards(
@@ -703,7 +679,7 @@ def run_boards(
     base_seed: int = 0,
 ) -> SweepReport:
     """Sweep over board layouts, generated or measured; the report takes the
-    first board's kind."""
+    first board's kind. An aimed point off the workspace is an error."""
     if not boards:
         raise EvalError("no boards to run")
     if trials_per_target < 1:
@@ -712,13 +688,17 @@ def run_boards(
              for e_idx, entity in enumerate(board.targets or board.areas)]
     runs = [(board, e_idx, entity, k) for board, e_idx, entity in aimed for k in range(trials_per_target)]
     # one target per aimed entity; its trials differ only in their draws
-    targets = [
-        template.check_target(from_workplane(_aimed_uv(entity), template.frame)).as_tuple()
-        for _, _, entity in aimed
-    ]
+    bounds = corners_in_frame(template.plane, template.frame)
+    targets = []
+    for board, _, entity in aimed:
+        uv = _aimed_uv(entity)
+        if not points_in_bounds(uv.u, uv.v, bounds):
+            raise InvalidParametersError(f"{board.kind} board: {entity.id} at (u, v) = ({uv.u:.4f}, {uv.v:.4f}) "
+                                         f"lies off the workspace")
+        targets.append(template.check_target(from_workplane(uv, template.frame)).as_tuple())
     bias, eps = (np.concatenate(block) for block in zip(*(
         draw_joint_noise(_derived_seed(base_seed, _KIND_CODES.get(board.kind, 9), e_idx, k),
-                         template.aim_bias_sigma, 1, template.frames_per_trial)
+                         template.aim_bias_sigma, 1, FRAMES_PER_TRIAL)
         for board, e_idx, _, k in runs
     )))
     ideal = ideal_wrists(template, np.repeat(targets, trials_per_target, axis=0), bias)
@@ -748,12 +728,18 @@ def run_boards(
     )
 
 
-def template_plane_size(template: ScenarioTemplate) -> tuple[float, float]:
-    """Workplane extent implied by the template's plane corners (u, v spans)."""
-    uv = corners_in_frame(template.plane, template.frame)
-    us = [p[0] for p in uv]
-    vs = [p[1] for p in uv]
-    return (max(us) - min(us), max(vs) - min(vs))
+def standard_boards(kind: str, template: ScenarioTemplate,
+                    lengths: Sequence[float] | None = None) -> list[BoardLayout]:
+    """The generated board series of a sweep ``kind`` (``sweep --kind``) over
+    the (u, v) extent of the template's corners: a pick board per square side
+    in ``lengths`` (default ``PICK_DISTANCES``), a place board per area side
+    (default ``PLACE_SIZES``), or the one ten-target board."""
+    us, vs = zip(*corners_in_frame(template.plane, template.frame))
+    size = (max(us) - min(us), max(vs) - min(vs))
+    if kind == "quantitative":
+        return [make_board("quantitative_10", plane_size=size)]
+    board_kind, default = {"pick": ("pick_square", PICK_DISTANCES), "place": ("place_areas", PLACE_SIZES)}[kind]
+    return [make_board(board_kind, l, plane_size=size) for l in (default if lengths is None else lengths)]
 
 
 # --- calibration -----------------------------------------------------------
@@ -806,13 +792,13 @@ def mean_intersection_error(
 def calibrate_sigma(
     target_mean_error: float,
     template: ScenarioTemplate,
-    target_world: Point3 | None = None,
     *,
     samples: int = DEFAULT_CALIBRATION_SAMPLES,
     seed: int = 0,
 ) -> float:
     """Bisect the joint-noise sigma until the simulated mean intersection
-    error lands within ``CALIBRATION_REL_TOL`` of ``target_mean_error``.
+    error at the centroid of the plane corners lands within
+    ``CALIBRATION_REL_TOL`` of ``target_mean_error``.
 
     The joints are drawn once and reused for every sigma evaluation (common
     random numbers), which keeps the objective smooth and monotone. A zero
@@ -822,13 +808,12 @@ def calibrate_sigma(
         raise InvalidParametersError(f"target mean error must be >= 0, got {target_mean_error}")
     if target_mean_error == 0:
         return 0.0
-    if target_world is None:
-        cs = template.plane.corners
-        target_world = Point3(
-            sum(c.x for c in cs) / 4, sum(c.y for c in cs) / 4, sum(c.z for c in cs) / 4
-        )
+    cs = template.plane.corners
+    centroid = Point3(
+        sum(c.x for c in cs) / 4, sum(c.y for c in cs) / 4, sum(c.z for c in cs) / 4
+    )
 
-    f = _mean_error_by_sigma(template, target_world, samples, seed)
+    f = _mean_error_by_sigma(template, centroid, samples, seed)
     floor = f(0.0)
     if floor > target_mean_error * (1.0 + CALIBRATION_REL_TOL):
         raise EvalError(

@@ -34,9 +34,10 @@ from gesturepoint.evaluation import (
     calibrate_sigma,
     emit_report,
     mean_intersection_error,
+    run_boards,
     run_pick_sweep,
     run_place_sweep,
-    run_quantitative,
+    standard_boards,
 )
 from gesturepoint.geometry import (
     PlanarPoint,
@@ -111,7 +112,7 @@ def test_criterion_2_noiseless_end_to_end():
     template = ScenarioTemplate.desk_default(0.0)
     started = time.perf_counter()
     reports = [
-        run_quantitative(template, trials_per_target=10, base_seed=2),
+        run_boards(template, standard_boards("quantitative", template), trials_per_target=10, base_seed=2),
         run_pick_sweep(template, trials_per_target=10, base_seed=2),
         run_place_sweep(template, trials_per_area=10, base_seed=2),
     ]

@@ -28,6 +28,7 @@ from conftest import (
     write_scenario_file,
 )
 import gesturepoint
+from gesturepoint import evaluation
 from gesturepoint.cli import ConfigError, _load_registries, build_parser, load_plane_file
 from gesturepoint.evaluation import EvalError, load_boards
 from gesturepoint.geometry import GeometryError, PlanarPoint, Point3, CameraIntrinsics
@@ -441,6 +442,59 @@ def test_sweep_board_with_duplicate_ids_exits_2(tmp_path, capsys):
                     "--out", str(out)]) == 2
     assert "id 'B1' appears twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _board_file(path, **layout):
+    path.write_text(json.dumps({"boards": [{"board": {"kind": "custom"}, **layout}]}), encoding="utf-8")
+    return str(path)
+
+
+def test_sweep_boards_off_the_workspace_exit_2(tmp_path, capsys):
+    """Every aimed target and area center must lie in the workspace. Listing
+    the desk corners clockwise puts it at v in [-0.6, 0], off every
+    generated board, and a board file may place a target or area off the
+    table; each exits 2 before any report is written."""
+    clockwise = tmp_path / "cw.cfg"
+    clockwise.write_text(
+        "plane_corner_1 = 0, 0, 0\nplane_corner_2 = 0, 0.8, 0\n"
+        "plane_corner_3 = 0.6, 0.8, 0\nplane_corner_4 = 0.6, 0, 0\n"
+        "shoulder = 0.3, -0.1, 0.6\ntarget = 0.3, 0.4, 0\nsigma = 0\n"
+        "arm_length = 0.55\nseed = 1\ncount = 30\n",
+        encoding="utf-8",
+    )
+    pick = _board_file(tmp_path / "pick.json", targets=[{"id": "T1", "label": "t", "u": 0.3, "v": 0.4},
+                                                        {"id": "T2", "label": "t", "u": 0.9, "v": 0.4}])
+    place = _board_file(tmp_path / "place.json", areas=[{"id": "A1", "cu": 0.3, "cv": -0.05, "hu": 0.1, "hv": 0.1}])
+    cases = [
+        (["--kind", "quantitative", "--scenario", str(clockwise)], "quantitative_10 board: T1 at (u, v) = (0.1000, 0.1000)"),
+        (["--kind", "pick", "--board", pick], "custom board: T2 at (u, v) = (0.9000, 0.4000)"),
+        (["--kind", "place", "--board", place], "custom board: A1 at (u, v) = (0.3000, -0.0500)"),
+    ]
+    for args, where in cases:
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--trials", "1", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {where} lies off the workspace\n"
+        assert not out.exists()
+
+
+def test_sweep_checks_its_series_before_calibrating(tmp_path, capsys, monkeypatch):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("sweep calibrated before it checked its board series")
+
+    monkeypatch.setattr(evaluation, "calibrate_sigma", no_calibration)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json", encoding="utf-8")
+    place = _board_file(tmp_path / "place.json", areas=[{"id": "A1", "cu": 0.3, "cv": 0.4, "hu": 0.05, "hv": 0.05}])
+    cases = [
+        (["--board", str(broken)], "error: bad board file: "),
+        (["--distances", "5.0"], "error: side 5.0 m does not fit the 0.6x0.8 m plane\n"),
+        (["--board", place], f"error: {place}: board 1 (custom) does not fit --kind pick\n"),
+    ]
+    for args, message in cases:
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--kind", "pick", "--calibrate", "0.03", *args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_rerun_byte_identical(tmp_path):

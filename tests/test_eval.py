@@ -19,6 +19,7 @@ from gesturepoint.evaluation import (
     _KIND_CODES,
     CSV_COLUMNS,
     EvalError,
+    FRAMES_PER_TRIAL,
     InvalidParametersError,
     PICK_DISTANCES,
     ScenarioTemplate,
@@ -28,7 +29,6 @@ from gesturepoint.evaluation import (
     board_document,
     board_from_document,
     calibrate_sigma,
-    desk_plane,
     draw_joint_noise,
     emit_report,
     euclidean_error,
@@ -41,10 +41,9 @@ from gesturepoint.evaluation import (
     run_boards,
     run_pick_sweep,
     run_place_sweep,
-    run_quantitative,
     run_trial,
     stabilize_trials,
-    template_plane_size,
+    standard_boards,
 )
 from gesturepoint.geometry import (
     ARM_SEPARATION_MIN,
@@ -95,7 +94,7 @@ def test_euclidean_error_triangle_inequality():
 
 def test_euclidean_error_rigid_invariance_under_workplane_transform():
     rng = np.random.default_rng(15)
-    plane = desk_plane()
+    plane = ScenarioTemplate.desk_default().plane
     frame = workplane_frame(plane)
     for _ in range(200):
         a = Point3(rng.uniform(0, 0.6), rng.uniform(0, 0.8), 0.0)
@@ -182,7 +181,8 @@ def test_noiseless_place_sweep_is_perfect_without_fallback():
 
 
 def test_noiseless_quantitative_board():
-    report = run_quantitative(ScenarioTemplate.desk_default(0.0), trials_per_target=2, base_seed=5)
+    template = ScenarioTemplate.desk_default(0.0)
+    report = run_boards(template, standard_boards("quantitative", template), trials_per_target=2, base_seed=5)
     assert len(report.cells) == 10
     assert all(cell.success_pct == 100.0 for cell in report.cells)
 
@@ -268,7 +268,7 @@ def reference_trial(template, board, aimed, trial_id, frames) -> tuple[TrialResu
     """The per-frame reference: frames one at a time through GesturePipeline,
     then evaluate_request over the last snap_samples points. Returns the
     trial result and every stabilized point."""
-    pipe = GesturePipeline(template.plane, template.frame, hands=(template.hand,), window=template.window)
+    pipe = GesturePipeline(template.plane, template.frame, hands=(template.hand,))
     for frame in frames:
         pipe.process(frame)
     points = pipe.recent(template.hand, HISTORY_CAPACITY)
@@ -346,8 +346,7 @@ def test_engine_matches_pipeline_on_hand_built_joints(tilted):
     shoulders, wrists = hand_built_joints(template, PATTERNS)
     points, counts = stabilize_trials(template, shoulders, wrists)
     assert counts.tolist() == [p.count("i") for p in PATTERNS]
-    size = template_plane_size(template)
-    for board in (make_board("pick_square", 0.1, plane_size=size), make_board("place_areas", 0.2, plane_size=size)):
+    for board in (*standard_boards("pick", template, (0.1,)), *standard_boards("place", template, (0.2,))):
         aimed = (board.targets or board.areas)[0]
         for k in range(len(PATTERNS)):
             reference, ref_points = reference_trial(
@@ -369,12 +368,10 @@ def test_engine_matches_pipeline_on_hand_built_joints(tilted):
     ids=["desk-noisy", "desk", "tilted"],
 )
 def test_sweep_trials_match_pipeline_per_trial(template):
-    size = template_plane_size(template)
     boards = [
-        make_board("pick_square", 0.3, plane_size=size),
-        make_board("pick_square", 0.04, plane_size=size),
-        make_board("place_areas", 0.1, plane_size=size),
-        make_board("quantitative_10", plane_size=size),
+        *standard_boards("pick", template, (0.3, 0.04)),
+        *standard_boards("place", template, (0.1,)),
+        *standard_boards("quantitative", template),
     ]
     report = run_boards(template, boards, trials_per_target=3, base_seed=11)
     engine_trials = iter(t for cell in report.cells for t in cell.trials)
@@ -385,7 +382,7 @@ def test_sweep_trials_match_pipeline_per_trial(template):
             for k in range(3):
                 seed = _derived_seed(11, _KIND_CODES[board.kind], e_idx, k)
                 frames = generate_scenario(template, from_workplane(aimed_uv, template.frame), seed,
-                                           template.frames_per_trial)
+                                           FRAMES_PER_TRIAL)
                 engine = next(engine_trials)
                 reference, _ = reference_trial(template, board, aimed, engine.trial_id, frames)
                 assert engine == reference
@@ -441,10 +438,9 @@ _UNIT = st.floats(-1.0, 1.0)
     q=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(lambda q: sum(x * x for x in q) > 0.01),
     origin=st.tuples(_UNIT, _UNIT, _UNIT),
     size=st.tuples(st.floats(0.2, 1.2), st.floats(0.2, 1.2)),
-    window=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_engine_equals_the_per_frame_kernel_at_every_decision_edge(q, origin, size, window, seed):
+def test_engine_equals_the_per_frame_kernel_at_every_decision_edge(q, origin, size, seed):
     """Scalar ``process`` against ``stabilize_trials`` on a random tilted
     plane: the same accept/drop decision for every ray, and bit-equal
     stabilized points for every trial."""
@@ -453,7 +449,7 @@ def test_engine_equals_the_per_frame_kernel_at_every_decision_edge(q, origin, si
     w, h = size
     plane = plane_from_corners([from_workplane(PlanarPoint(u, v), tilt) for u, v in ((0, 0), (w, 0), (w, h), (0, h))])
     template = ScenarioTemplate(plane=plane, frame=workplane_frame(plane), shoulder_base=Point3(*origin),
-                                arm_length=0.55, sigma=0.0, window=window)
+                                arm_length=0.55, sigma=0.0)
     trials, frames = 40, 50
     shoulders, wrists = edge_rays(plane, np.random.default_rng(seed), trials, frames)
     # one frame per trial: the engine's decision for every ray, and its raw point
@@ -461,7 +457,7 @@ def test_engine_equals_the_per_frame_kernel_at_every_decision_edge(q, origin, si
     points, counts = stabilize_trials(template, shoulders, wrists)
     decisions = []
     for k in range(trials):
-        pipe = GesturePipeline(plane, template.frame, hands=(template.hand,), window=window)
+        pipe = GesturePipeline(plane, template.frame, hands=(template.hand,))
         outputs = [pipe.process(f) for f in joint_frames(template, shoulders[k], wrists[k])]
         decisions += [len(out) for out in outputs]
         want = [[gp.position.u, gp.position.v, gp.position.z_residual] for out in outputs for gp in out]

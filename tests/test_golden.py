@@ -4,7 +4,10 @@ intersection maths cannot shift them unnoticed."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -14,6 +17,7 @@ from conftest import run_cli
 from gesturepoint.cli import save_plane_file
 from gesturepoint.evaluation import (
     _KIND_CODES,
+    FRAMES_PER_TRIAL,
     ScenarioTemplate,
     _derived_seed,
     calibrate_sigma,
@@ -21,9 +25,10 @@ from gesturepoint.evaluation import (
     generate_scenario,
     make_board,
     mean_intersection_error,
+    run_boards,
     run_pick_sweep,
     run_place_sweep,
-    run_quantitative,
+    standard_boards,
 )
 from gesturepoint.geometry import Point3, Quaternion, from_workplane, plane_from_corners, workplane_frame
 from gesturepoint.live import gesture_point_record
@@ -100,9 +105,33 @@ def test_small_pick_and_place_report_digests():
     }
 
 
+# the benchmark's sweep workload checks each envelope it runs against these
+_ENVELOPES = json.loads((pathlib.Path(__file__).parents[1] / "perfbench" / "sweep_digests.json")
+                        .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("seed", sorted(_ENVELOPES["digests"], key=int))
+def test_benchmark_sweep_envelope_digest(seed):
+    """One envelope of the benchmark's sweep workload, rebuilt from its pinned
+    digest: the desk template with a 1.9 cm aim bias, calibrated to a 3.1 cm
+    mean error at the envelope's seed, every pick board and every place
+    board at the pinned trial count, and the pick CSV, pick JSON, place CSV
+    and place JSON reports hashed in that order."""
+    seed, trials = int(seed), _ENVELOPES["trials"]
+    biased = ScenarioTemplate.desk_default(0.0, aim_bias_sigma=0.019)
+    template = dataclasses.replace(biased, sigma=calibrate_sigma(0.031, biased, seed=seed))
+    reports = (run_pick_sweep(template, trials_per_target=trials, base_seed=seed),
+               run_place_sweep(template, trials_per_area=trials, base_seed=seed))
+    digest = hashlib.sha256()
+    for report in reports:
+        for fmt in ("csv", "json"):
+            digest.update(emit_report(report, fmt).encode("utf-8"))
+    assert digest.hexdigest() == _ENVELOPES["digests"][str(seed)]
+
+
 def test_small_quantitative_report_digests():
     template = ScenarioTemplate.desk_default(0.01, aim_bias_sigma=0.004)
-    report = run_quantitative(template, trials_per_target=2, base_seed=3)
+    report = run_boards(template, standard_boards("quantitative", template), trials_per_target=2, base_seed=3)
     assert _digests({"quantitative": report}) == {
         ("quantitative", "csv"): "741601eeae37f90eef79737e8cb44d3e5c0da586ef18a2d3e06abdeb20d3a9b9",
         ("quantitative", "json"): "ac7a6b8acf8db4615418baef1ea7a445179ee59360556da87966cd6c20417a18",
@@ -117,11 +146,11 @@ def _scalar_drops(template, board, trials, base_seed) -> list[int]:
         aimed = entity.position if board.targets else entity.center
         for k in range(trials):
             seed = _derived_seed(base_seed, _KIND_CODES[board.kind], e_idx, k)
-            pipe = GesturePipeline(template.plane, template.frame, window=template.window)
+            pipe = GesturePipeline(template.plane, template.frame)
             target = from_workplane(aimed, template.frame)
-            for frame in generate_scenario(template, target, seed, template.frames_per_trial):
+            for frame in generate_scenario(template, target, seed, FRAMES_PER_TRIAL):
                 pipe.process(frame)
-            drops.append(pipe.frames_seen - len(pipe.recent(template.hand, template.frames_per_trial)))
+            drops.append(pipe.frames_seen - len(pipe.recent(template.hand, FRAMES_PER_TRIAL)))
     return drops
 
 
@@ -142,7 +171,7 @@ def test_noisy_pick_and_place_report_digests():
     snapped = [t.gestured_mean is not None for t in trials]
     assert len(drops) == len(trials)
     assert any(d > 0 and s for d, s in zip(drops, snapped))  # compaction before a snap
-    assert any(d > template.frames_per_trial - template.snap_samples for d in drops)
+    assert any(d > FRAMES_PER_TRIAL - template.snap_samples for d in drops)
     assert not all(snapped)  # fewer than snap_samples accepted: no snap
     assert any(s and t.selected_id is None for s, t in zip(snapped, trials))  # gate failed
     assert any(t.success for t in trials)

@@ -49,6 +49,14 @@ def test_stream_reader_takes_skip_malformed():
     inspect.signature(StreamReader).bind([], skip_malformed=True)
 
 
+@pytest.mark.parametrize("name, trials", [("run_pick_sweep", "trials_per_target"),
+                                          ("run_place_sweep", "trials_per_area")])
+def test_sweep_takes_the_harness_call_form(name, trials):
+    evaluation = importlib.import_module("gesturepoint.evaluation")
+    template = evaluation.ScenarioTemplate.desk_default()
+    inspect.signature(getattr(evaluation, name)).bind(template, **{trials: 2}, base_seed=0)
+
+
 def test_cli_runs_as_a_module():
     result = subprocess.run([sys.executable, "-m", "gesturepoint.cli", "--version"],
                             capture_output=True, text=True, timeout=60)

@@ -399,8 +399,6 @@ def test_scenario_validation(tmp_path):
         template.check_target(Point3(0.3, 0.4, 0.2))
     with pytest.raises(StreamError):
         make_template(sigma=-0.1)
-    with pytest.raises(StreamError):
-        make_template(frames_per_trial=0)
     with pytest.raises(StreamError, match="unknown hand"):
         make_template(hand="both")
     with pytest.raises(StreamError, match="count must be >= 1"):
@@ -410,7 +408,7 @@ def test_scenario_validation(tmp_path):
 
 
 @pytest.mark.parametrize("field,bad", [
-    ("window", 0), ("snap_samples", 0), ("snap_samples", 31),
+    ("snap_samples", 0), ("snap_samples", 31),
     ("stability_threshold", 0.0), ("stability_threshold", -0.01),
     ("stability_threshold", math.nan), ("stability_threshold", math.inf),
 ])
