@@ -382,13 +382,15 @@ def _parse_l_values(text: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args) -> int:
-    from .evaluation import calibrate_sigma, emit_report, load_boards, run_boards, save_boards, standard_boards
+    from .evaluation import (
+        aimed_targets, calibrate_sigma, emit_report, load_boards, run_boards, save_boards, standard_boards,
+    )
 
     if args.calibrate is not None and args.sigma is not None:
         raise ConfigError("give either --sigma or --calibrate, not both")
     _positive("--trials", args.trials)
     template = _template_from_args(args, args.sigma or 0.0, snap_samples=args.n, stability_threshold=args.threshold)
-    # the series needs only the plane and frame, so a bad one fails before calibration
+    # the series and its workspace check need no sigma, so a bad one fails before calibration
     if args.board:
         try:
             boards = load_boards(args.board)
@@ -401,6 +403,7 @@ def cmd_sweep(args) -> int:
     else:
         lengths = {"pick": args.distances, "place": args.sizes}.get(args.kind)
         boards = standard_boards(args.kind, template, _parse_l_values(lengths) if lengths else None)
+    aimed_targets(template, boards)
     if args.calibrate is not None:
         calibrated = calibrate_sigma(args.calibrate, template, seed=args.seed)
         template = dataclasses.replace(template, sigma=calibrated)

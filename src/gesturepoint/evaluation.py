@@ -688,14 +688,7 @@ def run_boards(
              for e_idx, entity in enumerate(board.targets or board.areas)]
     runs = [(board, e_idx, entity, k) for board, e_idx, entity in aimed for k in range(trials_per_target)]
     # one target per aimed entity; its trials differ only in their draws
-    bounds = corners_in_frame(template.plane, template.frame)
-    targets = []
-    for board, _, entity in aimed:
-        uv = _aimed_uv(entity)
-        if not points_in_bounds(uv.u, uv.v, bounds):
-            raise InvalidParametersError(f"{board.kind} board: {entity.id} at (u, v) = ({uv.u:.4f}, {uv.v:.4f}) "
-                                         f"lies off the workspace")
-        targets.append(template.check_target(from_workplane(uv, template.frame)).as_tuple())
+    targets = aimed_targets(template, boards)
     bias, eps = (np.concatenate(block) for block in zip(*(
         draw_joint_noise(_derived_seed(base_seed, _KIND_CODES.get(board.kind, 9), e_idx, k),
                          template.aim_bias_sigma, 1, FRAMES_PER_TRIAL)
@@ -726,6 +719,22 @@ def run_boards(
         stability_threshold=template.stability_threshold,
         cells=tuple(cells),
     )
+
+
+def aimed_targets(template: ScenarioTemplate, boards: Sequence[BoardLayout]) -> list[tuple[float, float, float]]:
+    """The world point of every target or area center of ``boards``, board by
+    board. A point off the workspace, or one the arm reaches past, is an error;
+    the template's sigma is not used."""
+    bounds = corners_in_frame(template.plane, template.frame)
+    targets = []
+    for board in boards:
+        for entity in board.targets or board.areas:
+            uv = _aimed_uv(entity)
+            if not points_in_bounds(uv.u, uv.v, bounds):
+                raise InvalidParametersError(f"{board.kind} board: {entity.id} at (u, v) = ({uv.u:.4f}, {uv.v:.4f}) "
+                                             f"lies off the workspace")
+            targets.append(template.check_target(from_workplane(uv, template.frame)).as_tuple())
+    return targets
 
 
 def standard_boards(kind: str, template: ScenarioTemplate,

@@ -4,9 +4,9 @@ A session accepts skeleton JSONL lines and answers with gesture-point lines;
 a control line ``{"cmd": "snap", "strategy": "pick"|"place", ...}`` runs a
 snap over the most recent N stabilized points and answers with one result
 line ``{"ok": ..., "id": ..., "fallback": ...}``. Malformed input is answered
-with ``{"err": ...}`` and never terminates the session; so is a line longer
-than ``MAX_LINE_BYTES``, which is skipped without being held in memory.
-The replies to the lines of one socket read go out together, in input order.
+with ``{"err": ...}`` and never terminates the session. ``_split_lines``
+states how a session cuts its socket reads into lines, and caps their length;
+the replies to the lines of one read go out together, in input order.
 Gesture-point lines are written out by ``gesture_point_record``, with the
 bytes ``json.dumps`` would give them.
 
@@ -33,8 +33,7 @@ from .stabilizer import GesturePoint
 from .stream import HANDS, MalformedRecordError, decode_object, json_int, parse_frame, parse_intrinsics_header
 
 # the longest input line a session reads, its newline not counted; a longer
-# one is skipped and answered with one {"err": ...}, so no line holds more
-# than this much memory
+# one is answered with one {"err": ...} (see _split_lines)
 MAX_LINE_BYTES = 64 * 1024
 # the size of the one receive buffer each session reads the socket into
 RECV_BYTES = 8 * 1024
@@ -139,59 +138,42 @@ class LiveSession:
         )
 
 
-def _send(sock, replies: list[str]) -> None:
-    if replies:
-        sock.sendall(("\n".join(replies) + "\n").encode("utf-8"))
+def _split_lines(rest: bytes | None, data: bytes) -> tuple[list[bytes | None], bytes | None]:
+    """Split one read into whole lines: the first piece of ``data`` joins
+    ``rest`` (the previous read's unterminated end) and its last piece is the
+    new rest. A line or rest longer than ``MAX_LINE_BYTES`` becomes None, and
+    the rest stays None up to the next newline, so no more than the cap is
+    held. Empty ``data`` is EOF: a rest other than ``b""`` is one more line."""
+    if not data:
+        return ([] if rest == b"" else [rest]), b""
+    pieces = data.split(b"\n")
+    pieces[0] = None if rest is None else rest + pieces[0]
+    lines = [None if piece is None or len(piece) > MAX_LINE_BYTES else piece for piece in pieces]
+    return lines[:-1], lines[-1]
 
 
-class _SessionHandler(socketserver.BaseRequestHandler):
-    """Reads the socket into one reused buffer, splits each read into lines
-    and answers all of a read's lines with one ``sendall``, in input order.
-    A line that spans reads builds up in ``partial``, never past the cap;
-    beyond it the rest of the line is dropped up to its newline."""
-
-    server: LiveServer
-
-    def handle(self) -> None:
-        handle_line = LiveSession(self.server.settings, self.server.targets, self.server.areas).handle_line
-        sock = self.request
-        buf = bytearray(RECV_BYTES)
-        view = memoryview(buf)
-        partial = bytearray()
-        skipping = False  # inside a line already past the cap
-        too_long = json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"})
-        try:
-            while n := sock.recv_into(buf):
-                replies: list[str] = []
-                start = 0
-                while (end := buf.find(b"\n", start, n)) >= 0:
-                    if skipping:
-                        skipping = False
-                        replies.append(too_long)
-                    elif len(partial) + end - start > MAX_LINE_BYTES:
-                        partial.clear()
-                        replies.append(too_long)
-                    elif partial:
-                        partial += view[start:end]
-                        replies += handle_line(str(partial, "utf-8", "replace"))
-                        partial.clear()
-                    else:
-                        replies += handle_line(str(view[start:end], "utf-8", "replace"))
-                    start = end + 1
-                if start < n and not skipping:
-                    if len(partial) + n - start > MAX_LINE_BYTES:
-                        partial.clear()
-                        skipping = True
-                    else:
-                        partial += view[start:n]
-                _send(sock, replies)
-            # an unterminated last line is answered at EOF
-            if skipping:
-                _send(sock, [too_long])
-            elif partial:
-                _send(sock, handle_line(str(partial, "utf-8", "replace")))
-        except ConnectionError:  # the client went away
-            pass
+def _serve_session(sock, session: LiveSession) -> None:
+    """Reads the socket into one reused buffer until EOF and answers all of a
+    read's lines with one ``sendall``, in input order; a client that goes
+    away ends the session quietly."""
+    handle_line = session.handle_line
+    too_long = json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"})
+    buf = bytearray(RECV_BYTES)
+    view = memoryview(buf)
+    rest = b""
+    try:
+        while True:
+            n = sock.recv_into(buf)
+            lines, rest = _split_lines(rest, bytes(view[:n]))
+            replies: list[str] = []
+            for line in lines:
+                replies += [too_long] if line is None else handle_line(str(line, "utf-8", "replace"))
+            if replies:
+                sock.sendall(("\n".join(replies) + "\n").encode("utf-8"))
+            if not n:
+                return
+    except ConnectionError:  # the client went away
+        pass
 
 
 class LiveServer(socketserver.ThreadingTCPServer):
@@ -213,7 +195,11 @@ class LiveServer(socketserver.ThreadingTCPServer):
         self.targets = targets if targets is not None else TargetRegistry()
         self.areas = areas if areas is not None else AreaRegistry()
         self._thread: threading.Thread | None = None
-        super().__init__((host, port), _SessionHandler)
+        # finish_request serves each connection, so no handler class is needed
+        super().__init__((host, port), None)
+
+    def finish_request(self, request, client_address) -> None:
+        _serve_session(request, LiveSession(self.settings, self.targets, self.areas))
 
     @property
     def address(self) -> tuple[str, int]:

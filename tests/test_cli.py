@@ -449,11 +449,16 @@ def _board_file(path, **layout):
     return str(path)
 
 
-def test_sweep_boards_off_the_workspace_exit_2(tmp_path, capsys):
+def test_sweep_boards_off_the_workspace_exit_2(tmp_path, capsys, monkeypatch):
     """Every aimed target and area center must lie in the workspace. Listing
     the desk corners clockwise puts it at v in [-0.6, 0], off every
     generated board, and a board file may place a target or area off the
-    table; each exits 2 before any report is written."""
+    table; each exits 2 before any report is written, and before
+    ``--calibrate`` runs a calibration."""
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("sweep calibrated before it checked its boards against the workspace")
+
+    monkeypatch.setattr(evaluation, "calibrate_sigma", no_calibration)
     clockwise = tmp_path / "cw.cfg"
     clockwise.write_text(
         "plane_corner_1 = 0, 0, 0\nplane_corner_2 = 0, 0.8, 0\n"
@@ -471,10 +476,11 @@ def test_sweep_boards_off_the_workspace_exit_2(tmp_path, capsys):
         (["--kind", "place", "--board", place], "custom board: A1 at (u, v) = (0.3000, -0.0500)"),
     ]
     for args, where in cases:
-        out = tmp_path / "out"
-        assert run_cli(["sweep", "--trials", "1", *args, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {where} lies off the workspace\n"
-        assert not out.exists()
+        for calibrate in ([], ["--calibrate", "0.03"]):
+            out = tmp_path / "out"
+            assert run_cli(["sweep", "--trials", "1", *calibrate, *args, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {where} lies off the workspace\n"
+            assert not out.exists()
 
 
 def test_sweep_checks_its_series_before_calibrating(tmp_path, capsys, monkeypatch):

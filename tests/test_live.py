@@ -9,11 +9,15 @@ import json
 import math
 import random
 import re
+import select
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
-import types
 from unittest import mock
 
 import numpy as np
@@ -31,11 +35,12 @@ from gesturepoint.live import (
     LiveServer,
     LiveSession,
     PipelineSettings,
-    _SessionHandler,
+    _serve_session,
+    _split_lines,
     gesture_point_record,
 )
 from gesturepoint.geometry import PlanarPoint, Point3, Quaternion, from_workplane, plane_from_corners, workplane_frame
-from gesturepoint.snap import Area, AreaRegistry, Target, TargetRegistry
+from gesturepoint.snap import Area, AreaRegistry, Target, TargetRegistry, save_layout
 from gesturepoint.stabilizer import GesturePoint
 from gesturepoint.stream import parse_frame, serialize_frame
 
@@ -229,6 +234,84 @@ def test_concurrent_sessions_have_independent_buffers(tmp_path):
             first.sendall((snap_cmd + "\n").encode("utf-8"))
             snap = json.loads(reader.readline())
             assert snap["ok"] is True and snap["id"] == "goal"
+
+
+def test_client_that_never_reads_does_not_delay_another_session(tmp_path):
+    """Session A is sent lines that each get a reply, and reads none of them,
+    until its sends stay blocked: its replies fill both socket buffers, so
+    the server can neither send to it nor read from it. Session B is then
+    served at once."""
+    with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server:
+        with socket.create_connection(server.address, timeout=10) as stalled:
+            stalled.setblocking(False)
+            chunk = b"{broken\n" * 4096
+            deadline = time.monotonic() + 3
+            while True:
+                assert time.monotonic() < deadline, "the server kept reading a client that reads nothing"
+                try:
+                    stalled.send(chunk)
+                except BlockingIOError:
+                    if not select.select([], [stalled], [], 0.25)[1]:
+                        break
+            start = time.monotonic()
+            responses = talk(server.address, ["{broken", "{broken", stream_lines(tmp_path, count=1)[0]])
+            elapsed = time.monotonic() - start
+    assert len(responses) == 3 and "err" in responses[0] and "err" in responses[1] and "u" in responses[2]
+    assert elapsed < 2.0, elapsed
+
+
+def test_cli_live_server_answers_as_an_in_process_session(tmp_path):
+    """``gesturepoint live`` started as a command, as the benchmark starts it,
+    answers every line with the bytes an in-process session gives, and a
+    line past the cap, sent in several pieces, with one err."""
+    plane = make_plane_file(tmp_path / "plane.json")
+    targets, areas = registries()
+    layout = tmp_path / "layout.json"
+    save_layout(layout, targets.snapshot(), areas.snapshot())
+    frames = stream_lines(tmp_path)
+    header = json.dumps({"intrinsics": INTRINSICS})
+    # wrists in pixels, pointing near (0.1, 0.7) on the desk
+    pixel_frames = [json.dumps({"t": 5.0 + k, "joints": {
+        "right_shoulder": {"x": 0.3, "y": -0.1, "z": 0.6, "c": 0.9},
+        "right_wrist": {"px": 630 + k, "py": 240, "depth": 0.53, "c": 0.9},
+    }}) for k in range(4)]
+    snaps = [json.dumps({"cmd": "snap", "strategy": s}) for s in ("pick", "place")]
+    head = [header] + frames[:10] + ["{broken", json.dumps({"cmd": "launch"})]
+    tail = frames[10:] + snaps + pixel_frames  # the last line goes without its newline
+    too_long = b"x" * (MAX_LINE_BYTES + 1)
+    sends = [
+        "\n".join(head).encode("utf-8") + b"\n",
+        *(too_long[i:i + 20_000] for i in range(0, len(too_long), 20_000)),
+        b"\n" + "\n".join(tail).encode("utf-8"),
+    ]
+    session = LiveSession(make_settings(tmp_path), targets, areas)
+    expected = [reply for line in head for reply in session.handle_line(line)]
+    expected.append(json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"}))
+    expected += [reply for line in tail for reply in session.handle_line(line)]
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gesturepoint.cli", "live", "--plane", str(plane), "--registry", str(layout),
+         "--listen", "127.0.0.1:0"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        host, port = json.loads(proc.stdout.readline())["listening"].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            for data in sends:
+                sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as reader:
+                received = reader.read()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
+    assert received == "".join(reply + "\n" for reply in expected).encode("utf-8")
+    replies = [json.loads(reply) for reply in expected]
+    assert sum(r.get("ok") is True for r in replies) == 2 and sum("err" in r for r in replies) == 3
+    assert len(expected) == 20 + 3 + 2 + 4 and all("u" in r for r in replies[-4:])
 
 
 def test_intrinsics_header_enables_2d_joints(tmp_path):
@@ -448,11 +531,9 @@ class _FakeSocket:
 
 
 def _serve(chunks, error=None) -> _FakeSocket:
-    """Runs one session over a fake socket (``BaseRequestHandler.__init__``
-    calls ``handle``) and returns the socket."""
+    """Runs one session over a fake socket and returns the socket."""
     sock = _FakeSocket(chunks, error)
-    targets, areas = registries()
-    _SessionHandler(sock, ("127.0.0.1", 0), types.SimpleNamespace(settings=_DESK_SETTINGS, targets=targets, areas=areas))
+    _serve_session(sock, LiveSession(_DESK_SETTINGS, *registries()))
     return sock
 
 
@@ -502,8 +583,9 @@ def _stream_line(kind, k: int) -> bytes:
 @given(kinds=st.lists(_LINE_KINDS, max_size=24), terminated=st.booleans(), data=st.data())
 def test_any_chunking_answers_as_line_at_a_time(kinds, terminated, data):
     """Whatever the cut points (mid-line, mid-UTF-8, at the cap and one byte
-    either side of it), a session sends the bytes a line-at-a-time reader
-    would, and passes each line to ``handle_line`` once."""
+    either side of it), ``_split_lines`` cuts the reads into the lines a
+    line-at-a-time reader would see, answered with the same bytes, and never
+    holds a rest past the cap."""
     lines = [_stream_line(kind, k) for k, kind in enumerate(kinds)]
     stream = b"\n".join(lines) + (b"\n" if terminated and lines else b"")
     starts = list(itertools.accumulate((len(line) + 1 for line in lines), initial=0))
@@ -515,21 +597,21 @@ def test_any_chunking_answers_as_line_at_a_time(kinds, terminated, data):
     bounds = sorted({0, len(stream), *cuts})
     chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    handle_line = LiveSession.handle_line
-    seen = []
-
-    def recording(session, line):
-        seen.append(line.strip())
-        return handle_line(session, line)
-
-    with mock.patch.object(live, "MAX_LINE_BYTES", _CAP), mock.patch.object(LiveSession, "handle_line", recording):
-        sock = _serve(chunks)
-        answered = seen[:]
-        seen.clear()
-        expected = _line_at_a_time(stream, recording)
-    assert b"".join(sock.sent) == expected
-    assert answered == seen
-    assert all(sock.sent) and len(sock.sent) <= sock.reads + 1
+    session = LiveSession(_DESK_SETTINGS, *registries())
+    too_long = json.dumps({"err": f"line longer than {_CAP} bytes"})
+    split, replies, rest = [], [], b""
+    with mock.patch.object(live, "MAX_LINE_BYTES", _CAP):
+        for chunk in chunks + [b""]:  # the empty read is EOF
+            got, rest = _split_lines(rest, chunk)
+            assert rest is None or (type(rest) is bytes and len(rest) <= _CAP)
+            split += got
+            for line in got:
+                replies += [too_long] if line is None else session.handle_line(str(line, "utf-8", "replace"))
+        expected = _line_at_a_time(stream, LiveSession.handle_line)
+    raws = [raw.removesuffix(b"\n") for raw in re.findall(rb"[^\n]*\n|[^\n]+", stream)]
+    assert split == [raw if len(raw) <= _CAP else None for raw in raws]
+    assert all(line is None or type(line) is bytes for line in split)
+    assert "".join(reply + "\n" for reply in replies).encode("utf-8") == expected
 
 
 def test_unterminated_last_line_is_answered_at_eof(tmp_path):
