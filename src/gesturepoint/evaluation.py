@@ -12,9 +12,11 @@ synthetic joint comes from one sampler in two steps: a draw
 and a placement (:func:`ideal_wrists` once per plane for all trials, then
 :func:`noisy_joints`). :func:`generate_scenario` chains them for one gesture
 and streams it as KeypointFrames for files and live clients. Sweeps
-(``run_boards``) stack one draw per trial and place every trial at once;
-sigma calibration draws one frame from each of many trials once and
-re-noises it per sigma, so calibration fits the noise the sweeps run on.
+(``run_boards``) draw once per trial key (kind, entity, trial), a draw the
+boards of an l series share, and place every trial at once; sigma
+calibration draws one frame from each of many trials once and re-noises it
+per sigma, per component and with no ``np.linalg.norm``, so calibration
+fits the noise the sweeps run on.
 
 Scenario config files (``generate``, ``sweep --scenario``, ``calibrate
 --scenario``; read by :func:`load_scenario_config`) are flat ``key = value``
@@ -54,9 +56,12 @@ ray-plane hit of :func:`intersect_rays_plane`, and ``run_trial`` snaps and
 scores each trial through ``evaluate_request``. The scalar ``pipeline``
 serves live and replay, and the engine is its bit-exact twin on any plane:
 each hit, workplane transform and decision is ``GesturePipeline.process``'s
-expression, written out per component in the same order. The twin uses no
-matmul (``@``) or ``np.linalg.norm``, whose summation order and FMA use
-depend on the numpy/BLAS build and the CPU, so sweep bytes do not either.
+expression, written out per component in the same order, with no matmul
+(``@``) or ``np.linalg.norm``, whose summation order and FMA use depend on
+the numpy/BLAS build and the CPU. Placement still uses them: ``ideal_wrists``
+takes its in-plane basis with a 1-D ``@`` and ``np.linalg.norm`` of
+3-vectors, so on a tilted plane sweep and calibration bytes can follow the
+BLAS build (on an axis-aligned plane every such sum is exact).
 
 Calibration note: ``calibrate_sigma`` matches the *raw* per-frame
 intersection error (before any stabilization) against the requested mean
@@ -67,12 +72,13 @@ a smooth monotone function.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 import math
 import os
-import statistics
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -468,6 +474,12 @@ class SweepReport:
             if trials
         }
 
+    @functools.cached_property
+    def rows(self) -> tuple[dict, ...]:
+        """One row of aggregates per cell, as both report formats write it;
+        built on first use and kept with the report."""
+        return tuple(_cell_row(cell, self) for cell in self.cells)
+
 
 # --- synthetic joints and the array ray-plane hit -----------------------------
 
@@ -549,17 +561,22 @@ def intersect_rays_plane(
     expression, per component and in its order, so hits and decisions equal
     the per-frame kernel's bit for bit; ``@`` or ``np.linalg.norm`` would sum
     in an order that depends on the numpy/BLAS build and the CPU."""
-    nx, ny, nz = plane.normal.as_tuple()
     dirs = wrists - shoulders
-    sx, sy, sz = np.moveaxis(shoulders, -1, 0)
-    dx, dy, dz = np.moveaxis(dirs, -1, 0)
-    length = np.sqrt(dx * dx + dy * dy + dz * dz)
-    denom = nx * dx + ny * dy + nz * dz
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = -(nx * sx + ny * sy + nz * sz + plane.d) / denom
-        valid = (length > ARM_SEPARATION_MIN) & (abs(denom / length) >= PARALLEL_TOL) & (t >= DEFAULT_T_MIN)
+        t, valid = _ray_scale(plane, *np.moveaxis(shoulders, -1, 0), *np.moveaxis(dirs, -1, 0))
         hits = shoulders + dirs * t[..., None]
     return np.where(valid[..., None], hits, np.nan), valid
+
+
+def _ray_scale(plane: Plane, sx, sy, sz, dx, dy, dz) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` and the hit mask of :func:`intersect_rays_plane`, from the
+    shoulders and the shoulder->wrist directions given per component; the
+    caller silences the division warnings of missing rays."""
+    nx, ny, nz = plane.normal.as_tuple()
+    length = np.sqrt(dx * dx + dy * dy + dz * dz)
+    denom = nx * dx + ny * dy + nz * dz
+    t = -(nx * sx + ny * sy + nz * sz + plane.d) / denom
+    return t, (length > ARM_SEPARATION_MIN) & (abs(denom / length) >= PARALLEL_TOL) & (t >= DEFAULT_T_MIN)
 
 
 def _derived_seed(base_seed: int, *path: int) -> int:
@@ -689,10 +706,12 @@ def run_boards(
     runs = [(board, e_idx, entity, k) for board, e_idx, entity in aimed for k in range(trials_per_target)]
     # one target per aimed entity; its trials differ only in their draws
     targets = aimed_targets(template, boards)
-    bias, eps = (np.concatenate(block) for block in zip(*(
-        draw_joint_noise(_derived_seed(base_seed, _KIND_CODES.get(board.kind, 9), e_idx, k),
-                         template.aim_bias_sigma, 1, FRAMES_PER_TRIAL)
-        for board, e_idx, _, k in runs
+    # one draw per (kind, entity, trial) key: the l series shares its draws
+    keys = [(_KIND_CODES.get(board.kind, 9), e_idx, k) for board, e_idx, _, k in runs]
+    drawn = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    bias, eps = (np.concatenate(block)[[drawn[key] for key in keys]] for block in zip(*(
+        draw_joint_noise(_derived_seed(base_seed, *key), template.aim_bias_sigma, 1, FRAMES_PER_TRIAL)
+        for key in drawn
     )))
     ideal = ideal_wrists(template, np.repeat(targets, trials_per_target, axis=0), bias)
     points, counts = stabilize_trials(
@@ -757,21 +776,31 @@ def standard_boards(kind: str, template: ScenarioTemplate,
 def _mean_error_by_sigma(
     template: ScenarioTemplate, target_world: Point3, samples: int, seed: int
 ) -> Callable[[float], float]:
-    """Calibration's objective: the joints are drawn and placed once, so each
-    sigma costs only the noisy joints, the ray-plane hit and the mean error.
+    """Calibration's objective: the joints are drawn and placed once, as
+    contiguous arrays per component, so each sigma costs only the noisy
+    joints, the ray-plane hit and the mean error, per component in the order
+    of :func:`intersect_rays_plane` and ``np.linalg.norm`` (x, y, then z).
     The template's own sigma is not used."""
     if samples < 1:
         raise InvalidParametersError(f"calibration needs at least 1 sample, got {samples}")
-    target = np.array(template.check_target(target_world).as_tuple())
+    target = template.check_target(target_world).as_tuple()
     bias, eps = draw_joint_noise(seed, template.aim_bias_sigma, samples, 1)
-    ideal = ideal_wrists(template, target, bias)
+    ideal = ideal_wrists(template, np.array(target), bias).T.copy()
+    shoulder_eps, wrist_eps = eps[:, 0].transpose(1, 2, 0).copy()
+    base = template.shoulder_base.as_tuple()
 
     def mean_error(sigma: float) -> float:
-        shoulders, wrists = noisy_joints(template.shoulder_base, ideal, eps, sigma)
-        hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], template.plane)
+        shoulders = [b + sigma * e for b, e in zip(base, shoulder_eps)]
+        dirs = [w + sigma * e - s for w, e, s in zip(ideal, wrist_eps, shoulders)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t, valid = _ray_scale(template.plane, *shoulders, *dirs)
+            ex, ey, ez = (s + d * t - c for s, d, c in zip(shoulders, dirs, target))
+            error = np.sqrt(ex * ex + ey * ey + ez * ez)
+        if valid.all():
+            return float(error.mean())
         if not valid.any():
             raise EvalError("no ray reached the plane; scenario geometry is off")
-        return float(np.linalg.norm(hits[valid] - target, axis=1).mean())
+        return float(error[valid].mean())
 
     return mean_error
 
@@ -864,10 +893,28 @@ def _round2(x: float) -> float:
     return round(x, 2)
 
 
+def _pstdev(values: list[float]) -> float:
+    """``statistics.pstdev(values)`` (Python 3.11 on) from integer sums: the
+    correctly rounded root of the exact population variance; NaN if a value
+    is NaN or infinite."""
+    if not all(map(math.isfinite, values)):
+        return math.nan
+    ratios = [x.as_integer_ratio() for x in values]  # each denominator is a power of two
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    # the variance is num / den; its root, rounded to odd on >= 55 bits, rounds correctly once converted
+    num, den = len(ints) * sum(a * a for a in ints) - sum(ints) ** 2, (len(ints) * scale) ** 2
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * shift) if shift >= 0 else (num << -2 * shift, den)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def _cell_row(cell: SweepCell, report: SweepReport) -> dict:
     errors = cell.errors
     mean_err = _round4(sum(errors) / len(errors)) if errors else None
-    std_err = _round4(statistics.pstdev(errors)) if errors else None
+    std_err = _round4(_pstdev(errors)) if errors else None
     du, dv = cell.offset_means()
     return {
         "kind": cell.kind,
@@ -896,46 +943,62 @@ def _fmt_csv(value, column: str) -> str:
     return str(value)
 
 
+# the text json.dumps gives each scalar of these exact types
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get,
+                 type(None): {None: "null"}.get}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``'s text for a report
+    document (string keys), written directly rather than through the
+    pure-Python encoder that ``indent`` selects."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if not isinstance(value, (dict, list)):
+        return _JSON_SCALARS.get(type(value), json.dumps)(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, brackets = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}" for k in sorted(value)], "{}"
+    else:
+        items, brackets = [_json_text(v, inner) for v in value], "[]"
+    return brackets[0] + ",".join(inner + item for item in items) + indent + brackets[1] if items else brackets
+
+
 def emit_report(report: SweepReport, format: str) -> str:
     """Render a sweep report as 'csv' (cell aggregates) or 'json' (aggregates
     plus per-trial offsets). Values shared between the two formats are
     identical; reruns with the same config are byte-identical."""
-    rows = [_cell_row(cell, report) for cell in report.cells]
+    if format not in ("csv", "json"):
+        raise EvalError(f"unsupported report format {format!r}")
     if format == "csv":
         buf = io.StringIO()
         buf.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
+        for row in report.rows:
             buf.write(",".join(_fmt_csv(row[c], c) for c in CSV_COLUMNS) + "\n")
         return buf.getvalue()
-    if format == "json":
-        doc = {
-            "kind": report.kind,
-            "config": {
-                "sigma_m": report.sigma,
-                "seed": report.seed,
-                "snap_samples": report.snap_samples,
-                "trials_per_target": report.trials_per_target,
-                "stability_threshold_m": report.stability_threshold,
-                "source": "synthetic",
-            },
-            "cells": [],
-        }
-        for row, cell in zip(rows, report.cells):
-            entry = dict(row)
-            entry["trials_detail"] = [
-                {
-                    "trial": t.trial_id,
-                    "du_m": _round4(t.gestured_mean.u - t.ground_truth_uv.u)
-                    if t.gestured_mean is not None else None,
-                    "dv_m": _round4(t.gestured_mean.v - t.ground_truth_uv.v)
-                    if t.gestured_mean is not None else None,
-                    "err_m": _round4(t.error),
-                    "selected": t.selected_id,
-                    "success": t.success,
-                    "fallback": t.fallback_used,
-                }
-                for t in cell.trials
-            ]
-            doc["cells"].append(entry)
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    raise EvalError(f"unsupported report format {format!r}")
+    doc = {
+        "kind": report.kind,
+        "config": {
+            "sigma_m": report.sigma,
+            "seed": report.seed,
+            "snap_samples": report.snap_samples,
+            "trials_per_target": report.trials_per_target,
+            "stability_threshold_m": report.stability_threshold,
+            "source": "synthetic",
+        },
+        "cells": [{**row, "trials_detail": [
+            {
+                "trial": t.trial_id,
+                "du_m": _round4(t.gestured_mean.u - t.ground_truth_uv.u)
+                if t.gestured_mean is not None else None,
+                "dv_m": _round4(t.gestured_mean.v - t.ground_truth_uv.v)
+                if t.gestured_mean is not None else None,
+                "err_m": _round4(t.error),
+                "selected": t.selected_id,
+                "success": t.success,
+                "fallback": t.fallback_used,
+            }
+            for t in cell.trials
+        ]} for row, cell in zip(report.rows, report.cells)],
+    }
+    return _json_text(doc) + "\n"

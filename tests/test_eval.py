@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
+import statistics
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from gesturepoint.evaluation import (
     InvalidParametersError,
     PICK_DISTANCES,
     ScenarioTemplate,
+    SweepCell,
     SweepReport,
     TrialResult,
     _derived_seed,
@@ -493,16 +498,33 @@ def test_calibrated_sigma_reproduces_on_fresh_seed():
 )
 def test_calibration_objective_matches_a_fresh_draw_per_sigma(make_template):
     """The reference: each sigma draws and places its own trials, as
-    calibration did before it drew once."""
+    calibration did before it drew once, and averages the ``np.linalg.norm``
+    errors of the rays that hit. The arm held 5 cm above the plane makes
+    some rays miss (parallel, or a hit behind the wrist) at the larger
+    sigmas, so both the all-hit and the some-hit means are pinned."""
     template = make_template(0.0, aim_bias_sigma=0.008)
+    low = dataclasses.replace(template, arm_length=0.1,
+                              shoulder_base=from_workplane(PlanarPoint(0.3, -0.1, 0.05), template.frame))
     target = from_workplane(PlanarPoint(0.2, 0.5), template.frame)
     target_xyz = np.array(target.as_tuple())
-    for sigma in (0.0, 0.004, 0.03):
-        bias, eps = draw_joint_noise(11, template.aim_bias_sigma, 1500, 1)
-        shoulders, wrists = noisy_joints(template.shoulder_base, ideal_wrists(template, target_xyz, bias), eps, sigma)
-        hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], template.plane)
-        expected = float(np.linalg.norm(hits[valid] - target_xyz, axis=1).mean())
-        assert mean_intersection_error(template, target, sigma, samples=1500, seed=11) == expected
+    hit_shares = set()
+    for tpl in (template, low):
+        for sigma in (0.0, 0.004, 0.03):
+            bias, eps = draw_joint_noise(11, tpl.aim_bias_sigma, 1500, 1)
+            shoulders, wrists = noisy_joints(tpl.shoulder_base, ideal_wrists(tpl, target_xyz, bias), eps, sigma)
+            hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], tpl.plane)
+            expected = float(np.linalg.norm(hits[valid] - target_xyz, axis=1).mean())
+            assert mean_intersection_error(tpl, target, sigma, samples=1500, seed=11) == expected
+            hit_shares.add("all" if valid.all() else "some")
+    assert hit_shares == {"all", "some"}
+
+
+def test_calibration_objective_with_no_ray_on_the_plane_raises():
+    """A shoulder in the plane aims every ray along it: no ray hits."""
+    template = ScenarioTemplate.desk_default(0.0, aim_bias_sigma=0.008)
+    flat = dataclasses.replace(template, shoulder_base=Point3(0.3, -0.4, 0.0))
+    with pytest.raises(EvalError, match="no ray reached the plane"):
+        mean_intersection_error(flat, Point3(0.3, 0.4, 0.0), 0.0, samples=50, seed=1)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -545,8 +567,86 @@ def test_empty_report_csv_is_header_only():
 
 
 def test_report_unsupported_format():
-    with pytest.raises(EvalError, match="unsupported report format"):
-        emit_report(_empty_report(), "xml")
+    report = run_place_sweep(ScenarioTemplate.desk_default(0.006), sizes=(0.2,), trials_per_area=1, base_seed=1)
+    for rejected in (_empty_report(), report):
+        with pytest.raises(EvalError, match="unsupported report format"):
+            emit_report(rejected, "xml")
+        assert "rows" not in rejected.__dict__  # no row was built
+
+
+def test_report_rows_are_built_once_and_freed_with_the_report(monkeypatch):
+    built = []
+    cell_row = evaluation._cell_row
+    monkeypatch.setattr(evaluation, "_cell_row", lambda cell, report: built.append(cell) or cell_row(cell, report))
+    report = run_place_sweep(ScenarioTemplate.desk_default(0.006), sizes=(0.2, 0.1), trials_per_area=1, base_seed=1)
+    texts = [emit_report(report, fmt) for fmt in ("csv", "json", "csv")]
+    assert built == list(report.cells) and texts[0] == texts[2]
+    alive = weakref.ref(report)
+    del report
+    gc.collect()
+    assert alive() is None
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.pstdev rounds twice before Python 3.11")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.floats(0.0, 0.2),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1.7976931348623157e308]),
+), min_size=1, max_size=40))
+def test_exact_pstdev_equals_statistics(values):
+    assert evaluation._pstdev(values).hex() == statistics.pstdev(values).hex()
+
+
+def _edge_report() -> SweepReport:
+    """Cells with no gesture (None everywhere), no trials, and the float and
+    string edges of the JSON text: -0.0, 1e16, 5e-324, NaN and infinite
+    errors, and ids with quotes, backslashes and non-ASCII characters."""
+    def trial(trial_id, mean, error, selected=None):
+        return TrialResult(trial_id, PlanarPoint(0.3, 0.4), mean, error, selected, selected is not None, False)
+
+    edges = (trial('B"1\\-0', PlanarPoint(0.3, 0.4), -0.0, 'B"1\\'),
+             trial("B-1", PlanarPoint(1e16 + 0.3, -0.0), 1e16),
+             trial("B-2", PlanarPoint(5e-324, 0.4), 5e-324, "Zielfläche ✓"))
+    return SweepReport(
+        kind="pick_square", sigma=-0.0, seed=2**40, snap_samples=15, trials_per_target=3,
+        stability_threshold=np.float64(5e-324),  # a float subclass
+        cells=(
+            SweepCell("pick_square", None, "none", (trial("n-0", None, None), trial("n-1", None, None))),
+            SweepCell("pick_square", 0.04, "empty", ()),
+            SweepCell("pick_square", 1e16, 'B"1\\ü', edges),
+            SweepCell("place_areas", -0.0, "\u00e9\t\n", (trial("nan", PlanarPoint(0.1, 0.1), math.nan),
+                                                           trial("inf", PlanarPoint(0.1, 0.1), math.inf))),
+        ),
+    )
+
+
+@pytest.mark.parametrize("report", [_empty_report(), _edge_report()], ids=["no-cells", "edges"])
+def test_json_report_is_the_json_module_text(report):
+    doc = {
+        "kind": report.kind,
+        "config": {"sigma_m": report.sigma, "seed": report.seed, "snap_samples": report.snap_samples,
+                   "trials_per_target": report.trials_per_target,
+                   "stability_threshold_m": report.stability_threshold, "source": "synthetic"},
+        "cells": [{**row, "trials_detail": [
+            {"trial": t.trial_id, "err_m": None if t.error is None else round(t.error, 4),
+             "du_m": None if t.gestured_mean is None else round(t.gestured_mean.u - t.ground_truth_uv.u, 4),
+             "dv_m": None if t.gestured_mean is None else round(t.gestured_mean.v - t.ground_truth_uv.v, 4),
+             "selected": t.selected_id, "success": t.success, "fallback": t.fallback_used}
+            for t in cell.trials]} for row, cell in zip(report.rows, report.cells)],
+    }
+    assert emit_report(report, "json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_JSON_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)), max_leaves=20))
+def test_json_writer_equals_json_dumps(doc):
+    assert evaluation._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_csv_and_json_carry_identical_values():

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import run_cli
 
+from gesturepoint import evaluation
 from gesturepoint.cli import save_plane_file
 from gesturepoint.evaluation import (
     _KIND_CODES,
@@ -110,6 +111,19 @@ _ENVELOPES = json.loads((pathlib.Path(__file__).parents[1] / "perfbench" / "swee
                         .read_text(encoding="utf-8"))
 
 
+def _envelope_digest(seed: int) -> str:
+    biased = ScenarioTemplate.desk_default(0.0, aim_bias_sigma=0.019)
+    template = dataclasses.replace(biased, sigma=calibrate_sigma(0.031, biased, seed=seed))
+    trials = _ENVELOPES["trials"]
+    reports = (run_pick_sweep(template, trials_per_target=trials, base_seed=seed),
+               run_place_sweep(template, trials_per_area=trials, base_seed=seed))
+    digest = hashlib.sha256()
+    for report in reports:
+        for fmt in ("csv", "json"):
+            digest.update(emit_report(report, fmt).encode("utf-8"))
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("seed", sorted(_ENVELOPES["digests"], key=int))
 def test_benchmark_sweep_envelope_digest(seed):
     """One envelope of the benchmark's sweep workload, rebuilt from its pinned
@@ -117,16 +131,18 @@ def test_benchmark_sweep_envelope_digest(seed):
     mean error at the envelope's seed, every pick board and every place
     board at the pinned trial count, and the pick CSV, pick JSON, place CSV
     and place JSON reports hashed in that order."""
-    seed, trials = int(seed), _ENVELOPES["trials"]
-    biased = ScenarioTemplate.desk_default(0.0, aim_bias_sigma=0.019)
-    template = dataclasses.replace(biased, sigma=calibrate_sigma(0.031, biased, seed=seed))
-    reports = (run_pick_sweep(template, trials_per_target=trials, base_seed=seed),
-               run_place_sweep(template, trials_per_area=trials, base_seed=seed))
-    digest = hashlib.sha256()
-    for report in reports:
-        for fmt in ("csv", "json"):
-            digest.update(emit_report(report, fmt).encode("utf-8"))
-    assert digest.hexdigest() == _ENVELOPES["digests"][str(seed)]
+    assert _envelope_digest(int(seed)) == _ENVELOPES["digests"][seed]
+
+
+def test_benchmark_envelope_derives_one_seed_per_trial_key(monkeypatch):
+    """The l series shares its trial seeds, so an envelope draws once per
+    (kind, entity, trial) key: 4 bolts and 3 areas, 2 trials each, 14 seeds
+    for its 82 trials, and the same report bytes."""
+    keys = []
+    derived_seed = evaluation._derived_seed
+    monkeypatch.setattr(evaluation, "_derived_seed", lambda *key: keys.append(key) or derived_seed(*key))
+    assert _envelope_digest(3) == _ENVELOPES["digests"]["3"]
+    assert len(keys) == len(set(keys)) == (4 + 3) * _ENVELOPES["trials"] == 14
 
 
 def test_small_quantitative_report_digests():
