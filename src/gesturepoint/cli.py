@@ -61,6 +61,7 @@ from .snap import (
     SnapRequest,
     Target,
     TargetRegistry,
+    checked_half_extent,
     evaluate_request,
     layout_document,
     load_layout,
@@ -457,10 +458,8 @@ def cmd_registry(args) -> int:
                          position=PlanarPoint(args.u, args.v), group=args.group)
         else:
             _require(args, "id", "cu", "cv", "hu", "hv")
-            try:
-                new = Area(id=args.id, center=PlanarPoint(args.cu, args.cv), half_extent=(args.hu, args.hv))
-            except SnapError as exc:  # a half extent <= 0 is a usage error
-                raise ConfigError(str(exc)) from exc
+            new = Area(id=args.id, center=PlanarPoint(args.cu, args.cv),
+                       half_extent=checked_half_extent(args.id, args.hu, args.hv, ConfigError))
         if any(e.id == new.id for e in entries):
             raise DuplicateIdError(f"{kind} id {new.id!r} already registered")
         entries.append(new)

@@ -57,11 +57,10 @@ scores each trial through ``evaluate_request``. The scalar ``pipeline``
 serves live and replay, and the engine is its bit-exact twin on any plane:
 each hit, workplane transform and decision is ``GesturePipeline.process``'s
 expression, written out per component in the same order, with no matmul
-(``@``) or ``np.linalg.norm``, whose summation order and FMA use depend on
-the numpy/BLAS build and the CPU. Placement still uses them: ``ideal_wrists``
-takes its in-plane basis with a 1-D ``@`` and ``np.linalg.norm`` of
-3-vectors, so on a tilted plane sweep and calibration bytes can follow the
-BLAS build (on an axis-aligned plane every such sum is exact).
+(``@``) or 1-D ``np.linalg.norm``, whose summation order and FMA use depend
+on the numpy/BLAS build and the CPU. Placement takes its in-plane basis on
+floats too (``geometry.edge_axes``), so sweep and calibration bytes do not
+follow the BLAS build on any plane.
 
 Calibration note: ``calibrate_sigma`` matches the *raw* per-frame
 intersection error (before any stabilization) against the requested mean
@@ -93,6 +92,7 @@ from .geometry import (
     Point3,
     WorkplaneFrame,
     corners_in_frame,
+    edge_axes,
     from_workplane,
     plane_from_corners,
     points_in_bounds,
@@ -197,8 +197,9 @@ def make_board(
         )
         return BoardLayout(kind, l, targets, (), plane_size)
     if kind == "place_areas":
-        if parameter is None or parameter <= 0:
-            raise InvalidParametersError(f"place_areas needs a positive side length, got {parameter}")
+        # the half side is each area's half extent: 5e-324 > 0, but its half rounds to 0
+        if parameter is None or not parameter / 2 > 0:
+            raise InvalidParametersError(f"place_areas needs a side length whose half is above 0, got {parameter}")
         l = parameter
         gap = (h - 3 * l) / 4
         if gap <= 0 or l > w:
@@ -306,7 +307,6 @@ class ScenarioTemplate:
     """
 
     plane: Plane
-    frame: WorkplaneFrame
     shoulder_base: Point3
     arm_length: float
     sigma: float
@@ -334,17 +334,19 @@ class ScenarioTemplate:
         if self.hand not in HANDS:
             raise StreamError(f"unknown hand {self.hand!r}")
 
+    @functools.cached_property
+    def frame(self) -> WorkplaneFrame:
+        """The plane's default workplane frame (``workplane_frame(plane)``),
+        computed once."""
+        return workplane_frame(self.plane)
+
     @classmethod
     def desk_default(cls, sigma: float = 0.0, **overrides) -> "ScenarioTemplate":
         """Operator at the short edge of a 0.60 x 0.80 m table, shoulder 0.6 m
         above the surface, 0.55 m arm."""
         w, h = PLANE_SIZE
-        plane = plane_from_corners(
-            [Point3(0, 0, 0), Point3(w, 0, 0), Point3(w, h, 0), Point3(0, h, 0)]
-        )
         return cls(
-            plane=plane,
-            frame=workplane_frame(plane),
+            plane=plane_from_corners([Point3(0, 0, 0), Point3(w, 0, 0), Point3(w, h, 0), Point3(0, h, 0)]),
             shoulder_base=Point3(0.30, -0.10, 0.60),
             arm_length=0.55,
             sigma=sigma,
@@ -385,16 +387,15 @@ def load_scenario_config(path: str | os.PathLike) -> tuple[ScenarioTemplate, Poi
     if "plane_corner_4" in cfg:
         corners.append(parse_triplet(cfg["plane_corner_4"], "plane_corner_4"))
     try:
-        plane = plane_from_corners(corners)
         template = ScenarioTemplate(
-            plane=plane,
-            frame=workplane_frame(plane),
+            plane=plane_from_corners(corners),
             shoulder_base=parse_triplet(cfg["shoulder"], "shoulder"),
             arm_length=finite_float(cfg["arm_length"]),
             sigma=finite_float(cfg["sigma"]),
             frame_rate=finite_float(cfg["frame_rate"]) if "frame_rate" in cfg else DEFAULT_FRAME_RATE,
             hand=cfg.get("hand", "right"),
         )
+        template.frame  # built here: corners 1 and 2 that give no frame make a bad scenario config
         target = template.check_target(parse_triplet(cfg["target"], "target"))
         seed, count = decimal_int(cfg["seed"]), decimal_int(cfg["count"])
     except ValueError as exc:
@@ -425,32 +426,6 @@ class SweepCell:
     l: float | None
     target_id: str
     trials: tuple[TrialResult, ...]
-
-    @property
-    def successes(self) -> int:
-        return sum(1 for t in self.trials if t.success)
-
-    @property
-    def success_pct(self) -> float:
-        return 100.0 * self.successes / len(self.trials) if self.trials else 0.0
-
-    @property
-    def errors(self) -> list[float]:
-        return [t.error for t in self.trials if t.error is not None]
-
-    @property
-    def fallback_pct(self) -> float:
-        if not self.trials:
-            return 0.0
-        return 100.0 * sum(1 for t in self.trials if t.fallback_used) / len(self.trials)
-
-    def offset_means(self) -> tuple[float | None, float | None]:
-        with_mean = [t for t in self.trials if t.gestured_mean is not None]
-        if not with_mean:
-            return None, None
-        dus = [t.gestured_mean.u - t.ground_truth_uv.u for t in with_mean]
-        dvs = [t.gestured_mean.v - t.ground_truth_uv.v for t in with_mean]
-        return sum(dus) / len(dus), sum(dvs) / len(dvs)
 
 
 @dataclass(frozen=True)
@@ -500,13 +475,9 @@ def ideal_wrists(template: ScenarioTemplate, targets: np.ndarray, bias: np.ndarr
     (trials, 3). It sits ``arm_length`` along the segment from the shoulder
     base to the trial's aim, its target ((3,) or (trials, 3)) moved by its
     (u, v) bias. ``template`` gives the plane, shoulder base and arm length;
-    the in-plane basis is computed once for all trials."""
-    plane = template.plane
-    n = np.array(plane.normal.as_tuple())
-    e1 = np.array(plane.corners[1].as_tuple()) - np.array(plane.corners[0].as_tuple())
-    e1 = e1 - n * (e1 @ n)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    the in-plane basis is ``geometry.edge_axes``, the workplane frame's, on
+    floats and once for all trials."""
+    e1, e2 = (np.array(axis) for axis in edge_axes(template.plane))
     base = np.array(template.shoulder_base.as_tuple())
     aim_dirs = targets + bias[:, :1] * e1 + bias[:, 1:] * e2 - base
     return base + aim_dirs * (template.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
@@ -912,20 +883,25 @@ def _pstdev(values: list[float]) -> float:
 
 
 def _cell_row(cell: SweepCell, report: SweepReport) -> dict:
-    errors = cell.errors
-    mean_err = _round4(sum(errors) / len(errors)) if errors else None
-    std_err = _round4(_pstdev(errors)) if errors else None
-    du, dv = cell.offset_means()
+    trials = cell.trials
+    successes = sum(1 for t in trials if t.success)
+    fallbacks = sum(1 for t in trials if t.fallback_used)
+    errors = [t.error for t in trials if t.error is not None]
+    with_mean = [t for t in trials if t.gestured_mean is not None]
+    du = dv = None
+    if with_mean:
+        du = sum(t.gestured_mean.u - t.ground_truth_uv.u for t in with_mean) / len(with_mean)
+        dv = sum(t.gestured_mean.v - t.ground_truth_uv.v for t in with_mean) / len(with_mean)
     return {
         "kind": cell.kind,
         "l_m": _round4(cell.l),
         "target_id": cell.target_id,
-        "trials": len(cell.trials),
-        "successes": cell.successes,
-        "success_pct": _round2(cell.success_pct),
-        "mean_err_m": mean_err,
-        "std_err_m": std_err,
-        "fallback_pct": _round2(cell.fallback_pct),
+        "trials": len(trials),
+        "successes": successes,
+        "success_pct": _round2(100.0 * successes / len(trials) if trials else 0.0),
+        "mean_err_m": _round4(sum(errors) / len(errors)) if errors else None,
+        "std_err_m": _round4(_pstdev(errors)) if errors else None,
+        "fallback_pct": _round2(100.0 * fallbacks / len(trials) if trials else 0.0),
         "mean_du_m": _round4(du),
         "mean_dv_m": _round4(dv),
         "sigma_m": _round4(report.sigma),

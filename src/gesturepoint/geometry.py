@@ -22,11 +22,14 @@ the same expressions elementwise over arrays in
 ``evaluation.intersect_rays_plane`` for the sweeps; the tests hold the two
 equal bit for bit. The bounds test takes floats and numpy arrays alike.
 
-Numbers are checked once, where they enter from outside, by ``stream``'s
-readers: ``json_number`` (and ``json_int``) for JSON, ``finite_float`` (and
-``decimal_int``) for text; values built inside the package are trusted, so
-``Point3`` and ``PlanarPoint`` check nothing. Joint and plane corner
-coordinates are bounded by ``MAX_JOINT_COORD``.
+Each value from outside is checked once, by the reader that reads it: a
+number by ``stream.json_number`` or ``finite_float`` (and their integer
+twins), a range right after it (a joint's confidence, a header's intrinsics,
+an area's half extents). So the value types built from it (``Point3``,
+``PlanarPoint``, ``CameraIntrinsics``, ``Quaternion``) check nothing; only
+:class:`Plane` and ``evaluation.ScenarioTemplate`` do, as two readers share
+each one's checks. Joint and plane corner coordinates are bounded by
+``MAX_JOINT_COORD``.
 """
 
 from __future__ import annotations
@@ -113,15 +116,6 @@ class CameraIntrinsics:
     width: int
     height: int
 
-    def __post_init__(self) -> None:
-        _require_finite("CameraIntrinsics", self.fx, self.fy, self.cx, self.cy)
-        if self.fx <= 0 or self.fy <= 0:
-            raise GeometryError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise GeometryError(
-                f"principal point ({self.cx}, {self.cy}) outside {self.width}x{self.height} image"
-            )
-
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -131,12 +125,6 @@ class Quaternion:
     x: float
     y: float
     z: float
-
-    def __post_init__(self) -> None:
-        _require_finite("Quaternion", self.w, self.x, self.y, self.z)
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if abs(n - 1.0) > 1e-6:
-            raise GeometryError(f"quaternion norm {n} too far from 1")
 
     def to_matrix(self) -> tuple[tuple[float, float, float], ...]:
         """Rows of the 3x3 rotation matrix R with parent = R @ frame."""
@@ -201,8 +189,6 @@ class Plane:
         norm = math.sqrt(nx * nx + ny * ny + nz * nz)
         if abs(norm - 1.0) > UNIT_TOL:
             raise GeometryError(f"plane normal must be unit length, |n|={norm}")
-        if len(self.corners) != 4:
-            raise GeometryError(f"plane needs exactly 4 corners, got {len(self.corners)}")
         for i, c in enumerate(self.corners):
             res = self.signed_distance(c)
             if abs(res) > PLANARITY_TOL:
@@ -315,6 +301,15 @@ def workplane_frame(plane: Plane, origin_corner: int = 0, x_corner: int = 1) -> 
         raise GeometryError(
             f"corners {origin_corner} and {x_corner} are not adjacent in corner order"
         )
+    x, y = edge_axes(plane, origin_corner, x_corner)
+    rows = tuple(zip(x, y, plane.normal.as_tuple()))  # columns x, y, z
+    return WorkplaneFrame(origin=plane.corners[origin_corner], orientation=Quaternion.from_matrix(rows))
+
+
+def edge_axes(plane: Plane, origin_corner: int = 0,
+              x_corner: int = 1) -> tuple[tuple[float, ...], ...]:
+    """The in-plane unit axes (x, y) of :func:`workplane_frame`: x along the
+    edge between the two corners, less its normal part, and y = normal x x."""
     origin, far = plane.corners[origin_corner], plane.corners[x_corner]
     ex, ey, ez = far.x - origin.x, far.y - origin.y, far.z - origin.z
     if math.sqrt(ex * ex + ey * ey + ez * ez) <= COLLINEARITY_TOL:
@@ -322,9 +317,7 @@ def workplane_frame(plane: Plane, origin_corner: int = 0, x_corner: int = 1) -> 
     z = plane.normal
     s = ex * z.x + ey * z.y + ez * z.z
     x = _unit(ex - z.x * s, ey - z.y * s, ez - z.z * s)  # remove any planarity slack
-    y = _cross(z.as_tuple(), x)
-    rows = tuple(zip(x, y, z.as_tuple()))  # columns x, y, z
-    return WorkplaneFrame(origin=origin, orientation=Quaternion.from_matrix(rows))
+    return x, _cross(z.as_tuple(), x)
 
 
 def to_workplane(point: Point3, frame: WorkplaneFrame) -> PlanarPoint:

@@ -108,6 +108,8 @@ class LiveSession:
         if not 1 <= n <= HISTORY_CAPACITY:
             return json.dumps({"err": f"n must be an integer in 1..{HISTORY_CAPACITY}, got {n!r}"})
         group = obj.get("group", self.settings.group)
+        if not (group is None or isinstance(group, str)):
+            return json.dumps({"err": f"snap group must be a JSON string or null, got {type(group).__name__}"})
         samples = self.pipeline.recent(hand, n)
         if not samples:
             return json.dumps({"err": "no samples"})

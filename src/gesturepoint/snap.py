@@ -62,13 +62,6 @@ class Area:
     center: PlanarPoint
     half_extent: tuple[float, float]
 
-    def __post_init__(self) -> None:
-        hu, hv = self.half_extent
-        if not (0 < hu < math.inf and 0 < hv < math.inf):  # NaN fails too
-            raise SnapError(
-                f"area {self.id!r} half_extent must be positive and finite, got {self.half_extent}"
-            )
-
     def contains(self, p: PlanarPoint) -> bool:
         """Axis-aligned containment in (u, v); the boundary counts as inside."""
         return (
@@ -124,11 +117,12 @@ def pick_snap(
     """Select the nearest target to the stable sample mean, or None.
 
     None means no selection: the gate failed or the group filter matched
-    nothing. The nearest target is selected however far away it is.
+    nothing. A ``group`` of None or ``""`` filters nothing. The nearest
+    target is selected however far away it is.
     """
     if not targets:
         raise SnapError("no targets registered")
-    candidates = [t for t in targets if group is None or t.group == group]
+    candidates = [t for t in targets if not group or t.group == group]
     if not candidates:
         return None
     gate = stability_gate(samples, threshold)
@@ -215,18 +209,24 @@ def _target_from_dict(spec) -> Target:
                                        v=json_number(spec.get("v"), MalformedFileError, "v of target", tid)))
 
 
+def checked_half_extent(aid: str, hu: float, hv: float, error: type[ValueError]) -> tuple[float, float]:
+    """The one check of an area's half extents, for the layout reader and
+    ``registry add-area``: (hu, hv) once both are positive and finite, else
+    ``error``."""
+    if not (0 < hu < math.inf and 0 < hv < math.inf):  # NaN fails too
+        raise error(f"area {aid!r} half_extent must be positive and finite, got {(hu, hv)}")
+    return hu, hv
+
+
 def _area_from_dict(spec) -> Area:
     if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)):
         raise MalformedFileError("bad area entry: expected an object whose id is a JSON string")
     aid = spec["id"]
     center = PlanarPoint(u=json_number(spec.get("cu"), MalformedFileError, "cu of area", aid),
                          v=json_number(spec.get("cv"), MalformedFileError, "cv of area", aid))
-    half_extent = (json_number(spec.get("hu"), MalformedFileError, "hu of area", aid),
-                   json_number(spec.get("hv"), MalformedFileError, "hv of area", aid))
-    try:
-        return Area(id=aid, center=center, half_extent=half_extent)
-    except SnapError as exc:  # a half extent <= 0
-        raise MalformedFileError(str(exc)) from exc
+    hu = json_number(spec.get("hu"), MalformedFileError, "hu of area", aid)
+    hv = json_number(spec.get("hv"), MalformedFileError, "hv of area", aid)
+    return Area(id=aid, center=center, half_extent=checked_half_extent(aid, hu, hv, MalformedFileError))
 
 
 def parse_layout(doc: dict) -> tuple[list[Target], list[Area]]:

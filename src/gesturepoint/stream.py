@@ -171,10 +171,6 @@ class JointSample:
     position: Point3
     confidence: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.confidence <= 1.0):
-            raise MalformedRecordError(f"confidence {self.confidence} outside [0, 1]")
-
 
 @dataclass(frozen=True)
 class KeypointFrame:
@@ -229,6 +225,8 @@ def parse_frame(record: dict, intrinsics: CameraIntrinsics | None = None) -> Key
             continue
         position = parse_position(spec, intrinsics, "joint", name)
         confidence = json_number(spec.get("c", 1.0), MalformedRecordError, "joint", name)
+        if not 0.0 <= confidence <= 1.0:
+            raise MalformedRecordError(f"confidence {confidence} outside [0, 1]")
         joints[name] = JointSample(position=position, confidence=confidence)
     return KeypointFrame(
         timestamp=timestamp, joints=joints, source_id=str(record.get("source", ""))
@@ -249,23 +247,21 @@ def serialize_frame(frame: KeypointFrame) -> str:
 
 
 def parse_intrinsics_header(record: dict) -> CameraIntrinsics | None:
-    """Return intrinsics if the decoded record is a stream header, else None."""
+    """Return intrinsics if the decoded record is a stream header, else None.
+    A header's focal lengths must be > 0 and its principal point inside the image."""
     if "intrinsics" not in record:
         return None
     spec, what = record["intrinsics"], "bad intrinsics header"
     if not isinstance(spec, dict):
         raise MalformedRecordError(f"{what}: expected an object, got {type(spec).__name__}")
-    try:
-        return CameraIntrinsics(
-            fx=json_number(spec.get("fx"), MalformedRecordError, what, "fx"),
-            fy=json_number(spec.get("fy"), MalformedRecordError, what, "fy"),
-            cx=json_number(spec.get("cx"), MalformedRecordError, what, "cx"),
-            cy=json_number(spec.get("cy"), MalformedRecordError, what, "cy"),
-            width=json_int(spec.get("width"), MalformedRecordError, what, "width"),
-            height=json_int(spec.get("height"), MalformedRecordError, what, "height"),
-        )
-    except GeometryError as exc:
-        raise MalformedRecordError(f"{what}: {exc}") from exc
+    fx, fy, cx, cy = (json_number(spec.get(k), MalformedRecordError, what, k)
+                      for k in ("fx", "fy", "cx", "cy"))
+    width, height = (json_int(spec.get(k), MalformedRecordError, what, k) for k in ("width", "height"))
+    if fx <= 0 or fy <= 0:
+        raise MalformedRecordError(f"{what}: focal lengths must be positive, got fx={fx}, fy={fy}")
+    if not (0 <= cx < width and 0 <= cy < height):
+        raise MalformedRecordError(f"{what}: principal point ({cx}, {cy}) outside {width}x{height} image")
+    return CameraIntrinsics(fx, fy, cx, cy, width, height)
 
 
 class StreamReader:

@@ -117,7 +117,7 @@ def test_criterion_2_noiseless_end_to_end():
         run_place_sweep(template, trials_per_area=10, base_seed=2),
     ]
     elapsed = time.perf_counter() - started
-    perfect = all(cell.success_pct == 100.0 for rep in reports for cell in rep.cells)
+    perfect = all(row["success_pct"] == 100.0 for rep in reports for row in rep.rows)
     ok = perfect and elapsed < 30.0
     report(2, f"sigma=0 selects the aimed target in 100% of trials on every board in {elapsed:.1f}s (< 30s)", ok)
 

@@ -32,8 +32,10 @@ from gesturepoint import evaluation
 from gesturepoint.cli import ConfigError, _load_registries, build_parser, load_plane_file
 from gesturepoint.evaluation import EvalError, load_boards
 from gesturepoint.geometry import GeometryError, PlanarPoint, Point3, CameraIntrinsics
-from gesturepoint.snap import (Area, DuplicateIdError, MalformedFileError, SnapError, Target, load_layout,
-                               save_layout)
+from gesturepoint.live import LiveSession
+from gesturepoint.pipeline import PipelineSettings
+from gesturepoint.snap import (Area, AreaRegistry, DuplicateIdError, MalformedFileError, SnapError, Target,
+                               TargetRegistry, load_layout, save_layout)
 from gesturepoint.stream import InvalidParametersError, MalformedRecordError, StreamError
 
 
@@ -612,6 +614,106 @@ def test_registry_add_area_with_bad_half_extent_exits_2(tmp_path, flag, value):
             "--cu", "0.1", "--cv", "0.1", "--hu", "0.1", "--hv", "0.1"]
     assert run_cli(argv + [f"{flag}={value}"]) == 2
     assert layout.read_bytes() == before
+
+
+# --- each range check on outside input is made once, by the reader that reads it --
+
+_BAD_HEADERS = {
+    "fx-0": ({"fx": 0}, "bad intrinsics header: focal lengths must be positive, got fx=0.0, fy=600.0"),
+    "cx-outside": ({"cx": 700}, "bad intrinsics header: principal point (700.0, 240.0) outside 640x480 image"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_HEADERS))
+def test_bad_intrinsics_header_message_in_live_replay_and_define_plane(tmp_path, capsys, case):
+    change, message = _BAD_HEADERS[case]
+    header = {"intrinsics": {**INTRINSICS, **change}}
+    plane = str(make_plane_file(tmp_path / "plane.json"))
+    session = LiveSession(PipelineSettings(*load_plane_file(plane)[:2]), TargetRegistry(), AreaRegistry())
+    assert session.handle_line(json.dumps(header)) == [json.dumps({"err": message})]
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(json.dumps(header) + "\n", encoding="utf-8")
+    assert run_cli(["replay", "--plane", plane, "--stream", str(stream), "--out", str(tmp_path / "o.jsonl")]) == 0
+    assert capsys.readouterr().err == f"warning: line 1: {message}\nframes=0 points=0 warnings=1\n"
+    corners = tmp_path / "corners.json"
+    corners.write_text(json.dumps({**header, "corners": [{"px": 1, "py": 1, "depth": 1}] * 3}), encoding="utf-8")
+    assert run_cli(["define-plane", "--corners", str(corners), "--out", str(tmp_path / "p.json")]) == 2
+    assert capsys.readouterr().err == f"error: {corners}: {message}\n"
+
+
+@pytest.mark.parametrize("x, message", [(0.3, "confidence 1.5 outside [0, 1]"),
+                                        ("a", "joint 'right_wrist': expected a finite JSON number, got 'a'")],
+                         ids=["confidence", "position-first"])
+def test_joint_confidence_outside_0_1_message_in_live_and_replay(tmp_path, capsys, x, message):
+    record = wrist_frame("c", 1.5)
+    record["joints"]["right_wrist"]["x"] = x
+    plane = str(make_plane_file(tmp_path / "plane.json"))
+    session = LiveSession(PipelineSettings(*load_plane_file(plane)[:2]), TargetRegistry(), AreaRegistry())
+    assert session.handle_line(json.dumps(record)) == [json.dumps({"err": message})]
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert run_cli(["replay", "--plane", plane, "--stream", str(stream), "--out", str(tmp_path / "o.jsonl")]) == 0
+    assert capsys.readouterr().err == f"warning: line 1: {message}\nframes=0 points=0 warnings=1\n"
+
+
+def test_area_half_extent_0_message_for_every_layout_reader_and_registry_add_area(tmp_path, capsys):
+    message = "area 'a1' half_extent must be positive and finite, got (0.0, 0.1)"
+    area = {"id": "a1", "cu": 0.3, "cv": 0.4, "hu": 0, "hv": 0.1}
+    layout, empty = tmp_path / "layout.json", tmp_path / "empty.json"
+    layout.write_text(json.dumps({"areas": [area]}), encoding="utf-8")
+    empty.write_text(json.dumps({}), encoding="utf-8")
+    board = _board_file(tmp_path / "board.json", areas=[area])
+    plane = str(make_plane_file(tmp_path / "plane.json"))
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(_generated_lines(tmp_path)) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    cases = [
+        (["replay", "--plane", plane, "--stream", str(stream), "--out", str(tmp_path / "o.jsonl"),
+          "--snap", "place", "--registry", str(layout)], message),
+        (["live", "--plane", plane, "--registry", str(layout)], message),
+        (["registry", "list", "--file", str(layout)], message),
+        (["sweep", "--kind", "place", "--trials", "1", "--board", board, "--out", str(tmp_path / "out")],
+         f"bad board file: {board}: board 1 (custom): {message}"),
+        (["registry", "add-area", "--file", str(empty), "--id", "a1",
+          "--cu", "0.3", "--cv", "0.4", "--hu", "0", "--hv", "0.1"], message),
+    ]
+    for argv, err in cases:
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert not (tmp_path / "o.jsonl").exists() and not (tmp_path / "out").exists()
+    assert json.loads(empty.read_text(encoding="utf-8")) == {}
+
+
+def test_sweep_place_size_whose_half_rounds_to_0_exits_2(tmp_path, capsys):
+    """5e-324 m passes the length list, but its half, each area's half
+    extent, is 0: a bad flag value, not a runtime failure."""
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--kind", "place", "--sizes", "5e-324", "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: place_areas needs a side length whose half is above 0, got 5e-324\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_replay_empty_group_filters_nothing(tmp_path, monkeypatch, source):
+    plane = make_plane_file(tmp_path / "plane.json")
+    scenario = write_scenario_file(tmp_path / "s.cfg", target="0.2, 0.3, 0.0", count=30)
+    stream = tmp_path / "stream.jsonl"
+    run_cli(["generate", "--scenario", str(scenario), "--out", str(stream)])
+    registry = tmp_path / "layout.json"
+    registry.write_text(json.dumps({"targets": [{"id": "goal", "group": "left", "u": 0.2, "v": 0.3},
+                                                {"id": "decoy", "u": 0.5, "v": 0.6}]}), encoding="utf-8")
+    base = ["replay", "--plane", str(plane), "--stream", str(stream), "--snap", "pick", "--registry", str(registry)]
+    assert run_cli(base + ["--out", str(tmp_path / "none.jsonl")]) == 0
+    if source == "flag":
+        base += ["--group", ""]
+    else:
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("group =\n", encoding="utf-8")
+        monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    assert run_cli(base + ["--out", str(tmp_path / "empty.jsonl")]) == 0
+    snaps = [r["snap"] for r in read_jsonl(tmp_path / "empty.jsonl") if "snap" in r]
+    assert snaps == [{"ok": True, "id": "goal", "fallback": False}] * 2
+    assert (tmp_path / "empty.jsonl").read_bytes() == (tmp_path / "none.jsonl").read_bytes()
 
 
 # --- env config ------------------------------------------------------------------

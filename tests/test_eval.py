@@ -173,7 +173,7 @@ def test_noiseless_pick_sweep_is_perfect():
     report = run_pick_sweep(
         ScenarioTemplate.desk_default(0.0), distances=(0.10, 0.02), trials_per_target=3, base_seed=5
     )
-    assert all(cell.success_pct == 100.0 for cell in report.cells)
+    assert all(row["success_pct"] == 100.0 for row in report.rows)
     assert all(len(cell.trials) == 3 for cell in report.cells)
 
 
@@ -181,15 +181,15 @@ def test_noiseless_place_sweep_is_perfect_without_fallback():
     report = run_place_sweep(
         ScenarioTemplate.desk_default(0.0), sizes=(0.20, 0.05), trials_per_area=3, base_seed=5
     )
-    assert all(cell.success_pct == 100.0 for cell in report.cells)
-    assert all(cell.fallback_pct == 0.0 for cell in report.cells)
+    assert all(row["success_pct"] == 100.0 for row in report.rows)
+    assert all(row["fallback_pct"] == 0.0 for row in report.rows)
 
 
 def test_noiseless_quantitative_board():
     template = ScenarioTemplate.desk_default(0.0)
     report = run_boards(template, standard_boards("quantitative", template), trials_per_target=2, base_seed=5)
     assert len(report.cells) == 10
-    assert all(cell.success_pct == 100.0 for cell in report.cells)
+    assert all(row["success_pct"] == 100.0 for row in report.rows)
 
 
 def test_run_trial_gates_each_trial_once(monkeypatch):
@@ -261,12 +261,53 @@ def tilted_template(sigma: float = 0.0, **overrides) -> ScenarioTemplate:
     plane = plane_from_corners(corners)
     return ScenarioTemplate(
         plane=plane,
-        frame=workplane_frame(plane),
         shoulder_base=from_workplane(PlanarPoint(0.30, -0.10, 0.60), tilt),
         arm_length=0.55,
         sigma=sigma,
         **overrides,
     )
+
+
+def test_template_frame_follows_its_plane():
+    """The frame is derived from the plane, so a template given another plane
+    gets that plane's frame."""
+    desk, tilted = ScenarioTemplate.desk_default(), tilted_template()
+    moved = dataclasses.replace(desk, plane=tilted.plane)
+    assert moved.frame == workplane_frame(tilted.plane) == tilted.frame != desk.frame
+
+
+def _float_ideal_wrist(template, target, bu: float, bv: float) -> list[float]:
+    """One ideal wrist on Python floats: the in-plane basis as
+    ``workplane_frame`` takes its axes, then the aim in ``ideal_wrists``'s
+    operation order."""
+    n, (c0, c1) = template.plane.normal, template.plane.corners[:2]
+    ex, ey, ez = c1.x - c0.x, c1.y - c0.y, c1.z - c0.z
+    s = ex * n.x + ey * n.y + ez * n.z
+    ex, ey, ez = ex - n.x * s, ey - n.y * s, ez - n.z * s
+    k = math.sqrt(ex * ex + ey * ey + ez * ez)
+    e1 = (ex / k, ey / k, ez / k)
+    e2 = (n.y * e1[2] - n.z * e1[1], n.z * e1[0] - n.x * e1[2], n.x * e1[1] - n.y * e1[0])
+    base = template.shoulder_base.as_tuple()
+    aim = [t + bu * a + bv * b - o for t, a, b, o in zip(target, e1, e2, base)]
+    scale = template.arm_length / math.sqrt(aim[0] * aim[0] + aim[1] * aim[1] + aim[2] * aim[2])
+    return [o + a * scale for o, a in zip(base, aim)]
+
+
+def test_ideal_wrists_equal_a_float_reference_on_tilted_planes():
+    """Placement takes no 1-D ``@`` or ``np.linalg.norm``, whose sums follow
+    the BLAS build: on seeded random tilted planes each wrist equals the
+    pure-float reference bit for bit."""
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        q = rng.normal(size=4)
+        tilt = WorkplaneFrame(Point3(*rng.uniform(-1, 1, 3).tolist()), Quaternion(*(q / np.linalg.norm(q)).tolist()))
+        corners = [from_workplane(PlanarPoint(u, v), tilt) for u, v in ((0, 0), (0.6, 0), (0.6, 0.8), (0, 0.8))]
+        template = ScenarioTemplate(plane=plane_from_corners(corners), arm_length=0.55, sigma=0.0,
+                                    shoulder_base=from_workplane(PlanarPoint(0.3, -0.1, 0.6), tilt))
+        targets = [from_workplane(PlanarPoint(*rng.uniform(0.1, 0.5, 2).tolist()), tilt).as_tuple() for _ in range(3)]
+        bias = rng.normal(scale=0.02, size=(3, 2))
+        want = [_float_ideal_wrist(template, t, bu, bv) for t, (bu, bv) in zip(targets, bias.tolist())]
+        assert ideal_wrists(template, np.array(targets), bias).tolist() == want
 
 
 def reference_trial(template, board, aimed, trial_id, frames) -> tuple[TrialResult, list]:
@@ -453,7 +494,7 @@ def test_engine_equals_the_per_frame_kernel_at_every_decision_edge(q, origin, si
     tilt = WorkplaneFrame(Point3(*origin), Quaternion(*(x / norm for x in q)))
     w, h = size
     plane = plane_from_corners([from_workplane(PlanarPoint(u, v), tilt) for u, v in ((0, 0), (w, 0), (w, h), (0, h))])
-    template = ScenarioTemplate(plane=plane, frame=workplane_frame(plane), shoulder_base=Point3(*origin),
+    template = ScenarioTemplate(plane=plane, shoulder_base=Point3(*origin),
                                 arm_length=0.55, sigma=0.0)
     trials, frames = 40, 50
     shoulders, wrists = edge_rays(plane, np.random.default_rng(seed), trials, frames)

@@ -28,6 +28,7 @@ from gesturepoint.geometry import (
     workplane_frame,
 )
 from gesturepoint.stabilizer import RunningAverageStabilizer
+from gesturepoint.stream import MalformedRecordError, parse_intrinsics_header
 
 UNIT_SQUARE = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0), Point3(0, 1, 0)]
 
@@ -188,10 +189,21 @@ def test_deproject_inverts_project_for_visible_points():
 
 
 def test_intrinsics_validation():
-    with pytest.raises(Exception):
-        CameraIntrinsics(fx=-1.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
-    with pytest.raises(Exception):
-        CameraIntrinsics(fx=600.0, fy=600.0, cx=800.0, cy=240.0, width=640, height=480)
+    """The header reader checks the intrinsics, focal lengths first; the
+    CameraIntrinsics it returns checks nothing."""
+    good = {"fx": 600, "fy": 600, "cx": 320, "cy": 240, "width": 640, "height": 480}
+    assert parse_intrinsics_header({"intrinsics": good}) == CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
+    for change, message in [
+        ({"fx": -1.0}, "focal lengths must be positive, got fx=-1.0, fy=600.0"),
+        ({"fy": 0}, "focal lengths must be positive, got fx=600.0, fy=0.0"),
+        ({"fx": 0, "cx": 800}, "focal lengths must be positive, got fx=0.0, fy=600.0"),
+        ({"cx": 800}, "principal point (800.0, 240.0) outside 640x480 image"),
+        ({"cy": 480}, "principal point (320.0, 480.0) outside 640x480 image"),
+        ({"cx": -0.5}, "principal point (-0.5, 240.0) outside 640x480 image"),
+    ]:
+        with pytest.raises(MalformedRecordError) as info:
+            parse_intrinsics_header({"intrinsics": {**good, **change}})
+        assert str(info.value) == f"bad intrinsics header: {message}"
 
 
 # --- ray-plane intersection --------------------------------------------------

@@ -139,6 +139,27 @@ def test_snap_rejects_bad_sample_count(tmp_path, n):
     assert ok["ok"] is True and ok["id"] == "goal"
 
 
+@pytest.mark.parametrize("group, kind", [(5, "int"), ([], "list"), (True, "bool"), ({}, "dict")])
+def test_snap_group_that_is_no_json_string_is_answered_with_err(tmp_path, group, kind):
+    session = LiveSession(make_settings(tmp_path), *registries())
+    for line in stream_lines(tmp_path):
+        session.handle_line(line)
+    replies = session.handle_line(json.dumps({"cmd": "snap", "strategy": "pick", "group": group}))
+    assert replies == [json.dumps({"err": f"snap group must be a JSON string or null, got {kind}"})]
+
+
+def test_snap_with_an_empty_group_answers_as_without_one(tmp_path):
+    """``""`` means no group, as null does, and both override the session's --group."""
+    session = LiveSession(dataclasses.replace(make_settings(tmp_path), group="left"), *registries())
+    for line in stream_lines(tmp_path):
+        session.handle_line(line)
+    assert session.handle_line(json.dumps({"cmd": "snap"})) == [
+        json.dumps({"ok": False, "id": None, "fallback": False})]
+    without = session.handle_line(json.dumps({"cmd": "snap", "group": None}))
+    assert json.loads(without[0])["id"] == "goal"
+    assert session.handle_line(json.dumps({"cmd": "snap", "group": ""})) == without
+
+
 def test_overflowing_frame_answered_with_err_and_session_kept(tmp_path):
     targets, areas = registries()
     session = LiveSession(make_settings(tmp_path), targets, areas)

@@ -173,7 +173,7 @@ def test_board_file_round_trip_and_custom_sweep(tmp_path):
     assert loaded == boards
     report = run_boards(ScenarioTemplate.desk_default(0.0), loaded, trials_per_target=2, base_seed=1)
     assert len(report.cells) == 8
-    assert all(cell.success_pct == 100.0 for cell in report.cells)
+    assert all(row["success_pct"] == 100.0 for row in report.rows)
 
 
 def test_sweep_with_custom_board_file(tmp_path):

@@ -23,6 +23,7 @@ from gesturepoint.snap import (
     TargetRegistry,
     evaluate_request,
     load_layout,
+    parse_layout,
     pick_snap,
     place_snap,
     save_layout,
@@ -410,5 +411,11 @@ def test_registry_readers_see_whole_layouts_during_replace_all():
 
 
 def test_area_validation():
-    with pytest.raises(Exception):
-        Area(id="bad", center=PlanarPoint(0, 0), half_extent=(0.0, 0.1))
+    """The layout reader checks the half extents; the Area it builds checks nothing."""
+    good = {"id": "ok", "cu": 0.1, "cv": 0.2, "hu": 0.05, "hv": 0.1}
+    assert parse_layout({"areas": [good]}) == ([], [Area(id="ok", center=PlanarPoint(0.1, 0.2),
+                                                         half_extent=(0.05, 0.1))])
+    for hu, hv, got in [(0.0, 0.1, "(0.0, 0.1)"), (0.1, 0, "(0.1, 0.0)"), (-0.1, 0.1, "(-0.1, 0.1)")]:
+        with pytest.raises(MalformedFileError) as info:
+            parse_layout({"areas": [{**good, "id": "bad", "hu": hu, "hv": hv}]})
+        assert str(info.value) == f"area 'bad' half_extent must be positive and finite, got {got}"

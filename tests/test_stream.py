@@ -67,7 +67,6 @@ def make_template(**overrides) -> ScenarioTemplate:
     plane = plane_from_corners(desk_corners())
     params = dict(
         plane=plane,
-        frame=workplane_frame(plane),
         shoulder_base=Point3(0.3, -0.1, 0.6),
         arm_length=0.55,
         sigma=0.0,
@@ -513,7 +512,18 @@ def test_scenario_config_round_trip(tmp_path):
     assert template.shoulder_base == Point3(0.3, -0.1, 0.6)
     assert template.plane.normal.z == pytest.approx(1.0)
     assert template.frame == workplane_frame(template.plane)
-    assert template == make_template(sigma=0.012, plane=template.plane, frame=template.frame)
+    assert template == make_template(sigma=0.012, plane=template.plane)
+
+
+def test_scenario_whose_first_edge_gives_no_frame_is_a_bad_config(tmp_path):
+    """Corners 1 and 2 within 1e-6 m pass the plane's checks when corner 3 lies
+    far enough away, but give no workplane frame: the reader rejects them."""
+    path = tmp_path / "s.cfg"
+    path.write_text("plane_corner_1 = 0, 0, 0\nplane_corner_2 = 1e-7, 0, 0\nplane_corner_3 = 0, 1e6, 0\n"
+                    "shoulder = 0, 0, 1\ntarget = 0, 1, 0\nsigma = 0\narm_length = 0.5\nseed = 1\ncount = 2\n",
+                    encoding="utf-8")
+    with pytest.raises(StreamError, match="^bad scenario config: chosen corners coincide$"):
+        load_scenario_config(path)
 
 
 def test_scenario_config_missing_keys(tmp_path):
