@@ -455,7 +455,7 @@ def cmd_registry(args) -> int:
         if kind == "target":
             _require(args, "id", "u", "v")
             new = Target(id=args.id, label=args.label or args.id,
-                         position=PlanarPoint(args.u, args.v), group=args.group)
+                         position=PlanarPoint(args.u, args.v), group=args.group or None)
         else:
             _require(args, "id", "cu", "cv", "hu", "hv")
             new = Area(id=args.id, center=PlanarPoint(args.cu, args.cv),

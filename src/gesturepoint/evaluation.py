@@ -114,7 +114,7 @@ from .snap import (
 from .stabilizer import DEFAULT_WINDOW
 from .stream import (  # re-exports EvalError, InvalidParametersError and the sample-count defaults
     DEFAULT_CALIBRATION_SAMPLES, DEFAULT_TRIALS_PER_TARGET, HANDS,
-    EvalError, InvalidParametersError, JointSample, KeypointFrame,
+    EvalError, InvalidParametersError, KeypointFrame,
     StreamError, decimal_int, decode_object,
     finite_float, json_number, parse_kv_config, parse_triplet, read_text, write_document,
 )
@@ -511,8 +511,8 @@ def generate_scenario(
         yield KeypointFrame(
             timestamp=k / template.frame_rate,
             joints={
-                shoulder_name: JointSample(Point3(*shoulder), 1.0),
-                wrist_name: JointSample(Point3(*wrist), 1.0),
+                shoulder_name: (*shoulder, 1.0),
+                wrist_name: (*wrist, 1.0),
             },
             source_id="synthetic",
         )

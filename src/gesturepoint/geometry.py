@@ -99,7 +99,7 @@ class PlanarPoint:
 
     # written out: a frozen dataclass's generated __init__ makes one
     # object.__setattr__ call per field, and this fills the instance dict
-    # directly, in half the time; the per-frame path builds two per hit
+    # directly, in half the time; the per-frame path builds one per accepted hit
     def __init__(self, u: float, v: float, z_residual: float = 0.0) -> None:
         d = self.__dict__
         d["u"], d["v"], d["z_residual"] = u, v, z_residual

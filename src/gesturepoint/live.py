@@ -10,15 +10,16 @@ the replies to the lines of one read go out together, in input order.
 Gesture-point lines are written out by ``gesture_point_record``, with the
 bytes ``json.dumps`` would give them.
 
-``LiveServer`` serves any number of concurrent TCP sessions; each session
-owns its pipeline state, while every session reads the same load-once
-target/area tuples.
+``LiveServer`` serves any number of concurrent TCP sessions from one
+thread; each session owns its pipeline state, while every session reads the
+same load-once target/area tuples.
 """
 
 from __future__ import annotations
 
 import json
-import socketserver
+import selectors
+import socket
 import threading
 
 from .pipeline import HISTORY_CAPACITY, PipelineSettings
@@ -35,8 +36,12 @@ from .stream import HANDS, MalformedRecordError, decode_object, json_int, parse_
 # the longest input line a session reads, its newline not counted; a longer
 # one is answered with one {"err": ...} (see _split_lines)
 MAX_LINE_BYTES = 64 * 1024
-# the size of the one receive buffer each session reads the socket into
+# the size of the one receive buffer the server reads every session into
 RECV_BYTES = 8 * 1024
+# a session whose client has not taken more reply bytes than this is not read
+MAX_UNSENT_BYTES = 256 * 1024
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+_TOO_LONG = json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"})
 
 
 # the JSON text of each hand name the pipeline accepts
@@ -66,19 +71,27 @@ def gesture_point_record(gp: GesturePoint, settings: PipelineSettings) -> str:
 
 
 class LiveSession:
-    """One connection's state: a pipeline plus the shared registries."""
+    """One connection's state: a pipeline plus the shared registries, the
+    unterminated end of its last read, the replies its client has not taken
+    yet, and whether the client has sent EOF."""
 
-    def __init__(
-        self,
-        settings: PipelineSettings,
-        targets: TargetRegistry,
-        areas: AreaRegistry,
-    ) -> None:
-        self.settings = settings
-        self.targets = targets
-        self.areas = areas
+    def __init__(self, settings: PipelineSettings, targets: TargetRegistry, areas: AreaRegistry) -> None:
+        self.settings, self.targets, self.areas = settings, targets, areas
         self.pipeline = settings.make_pipeline()
         self.intrinsics = None
+        self.rest, self.unsent, self.eof = b"", bytearray(), False
+
+    def handle_read(self, data: bytes) -> None:
+        """Answer one read (``data``; empty at EOF): its lines, cut by
+        ``_split_lines``, are answered in input order, and the replies join
+        ``unsent`` together."""
+        lines, self.rest = _split_lines(self.rest, data)
+        replies: list[str] = []
+        for line in lines:
+            replies += [_TOO_LONG] if line is None else self.handle_line(str(line, "utf-8", "replace"))
+        if replies:
+            self.unsent += ("\n".join(replies) + "\n").encode("utf-8")
+        self.eof = not data
 
     def handle_line(self, line: str) -> list[str]:
         """Process one input line, returning response lines (possibly none)."""
@@ -154,59 +167,97 @@ def _split_lines(rest: bytes | None, data: bytes) -> tuple[list[bytes | None], b
     return lines[:-1], lines[-1]
 
 
-def _serve_session(sock, session: LiveSession) -> None:
-    """Reads the socket into one reused buffer until EOF and answers all of a
-    read's lines with one ``sendall``, in input order; a client that goes
-    away ends the session quietly."""
-    handle_line = session.handle_line
-    too_long = json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"})
-    buf = bytearray(RECV_BYTES)
-    view = memoryview(buf)
-    rest = b""
-    try:
-        while True:
-            n = sock.recv_into(buf)
-            lines, rest = _split_lines(rest, bytes(view[:n]))
-            replies: list[str] = []
-            for line in lines:
-                replies += [too_long] if line is None else handle_line(str(line, "utf-8", "replace"))
-            if replies:
-                sock.sendall(("\n".join(replies) + "\n").encode("utf-8"))
-            if not n:
-                return
-    except ConnectionError:  # the client went away
-        pass
+class LiveServer:
+    """TCP server running one LiveSession per connection, all on the thread
+    that calls ``serve_forever``: one selector loop over the listening socket
+    and each session's non-blocking socket, read into one shared buffer. A
+    session holding more than ``MAX_UNSENT_BYTES`` of replies is not read
+    until its client takes them, so a client that never reads stalls only
+    itself. The ``with`` form serves from a background thread and shuts the
+    server down on exit."""
 
-
-class LiveServer(socketserver.ThreadingTCPServer):
-    """TCP server running one LiveSession per connection. Its ``with`` form
-    serves from a background thread and shuts the server down on exit."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        settings: PipelineSettings,
-        targets: TargetRegistry | None = None,
-        areas: AreaRegistry | None = None,
-    ) -> None:
+    def __init__(self, host: str, port: int, settings: PipelineSettings,
+                 targets: TargetRegistry | None = None, areas: AreaRegistry | None = None) -> None:
         self.settings = settings
         self.targets = targets if targets is not None else TargetRegistry()
         self.areas = areas if areas is not None else AreaRegistry()
-        self._thread: threading.Thread | None = None
-        # finish_request serves each connection, so no handler class is needed
-        super().__init__((host, port), None)
-
-    def finish_request(self, request, client_address) -> None:
-        _serve_session(request, LiveSession(self.settings, self.targets, self.areas))
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind((host, port))
+            self.socket.listen()
+        except BaseException:
+            self.socket.close()
+            raise
+        self.socket.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, _READ)
+        self._view = memoryview(bytearray(RECV_BYTES))
+        self._stop = False
+        self._stopped = threading.Event()
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self.server_address[:2]
-        return str(host), int(port)
+        return self.socket.getsockname()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until ``shutdown`` is called from another thread."""
+        self._stopped.clear()
+        try:
+            while not self._stop:
+                for key, events in self._selector.select(poll_interval):
+                    if key.data is None:
+                        self._accept()
+                    else:
+                        self._serve(key, events)
+        finally:
+            self._stop = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Make ``serve_forever`` return, and wait until it has."""
+        self._stop = True
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        """Close the listening socket and every session's socket."""
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self.socket.accept()
+        except OSError:  # the client gave up before it was accepted
+            return
+        sock.setblocking(False)
+        self._selector.register(sock, _READ, LiveSession(self.settings, self.targets, self.areas))
+
+    def _serve(self, key: selectors.SelectorKey, events: int) -> None:
+        """One ready connection: read once and answer, send what the socket
+        takes, then watch for what the connection waits on, or close it."""
+        sock, session = key.fileobj, key.data
+        try:
+            if events & _READ:
+                n = sock.recv_into(self._view)
+                session.handle_read(bytes(self._view[:n]))
+            if session.unsent:
+                del session.unsent[:sock.send(session.unsent)]
+        except BlockingIOError:  # nothing to read after all, or no room to send
+            pass
+        except OSError:  # the client went away
+            session.eof, session.unsent = True, bytearray()
+        except Exception:  # a fault in one session ends that session, not the server
+            import traceback  # here, not at the top: the import costs each start a few ms
+            traceback.print_exc()
+            session.eof, session.unsent = True, bytearray()
+        unsent = len(session.unsent)
+        wanted = (_WRITE if unsent else 0) | (0 if session.eof or unsent > MAX_UNSENT_BYTES else _READ)
+        if not wanted:
+            self._selector.unregister(sock)
+            sock.close()
+        elif wanted != key.events:  # re-armed only on a change: most reads send all they answer
+            self._selector.modify(sock, wanted, session)
 
     def __enter__(self) -> "LiveServer":
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)

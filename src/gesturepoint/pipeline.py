@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from . import stream as streammod
@@ -100,10 +101,10 @@ class GesturePipeline:
             wrist = joints.get(wrist_name)
             if start is None or wrist is None:
                 continue
-            if start.confidence < min_confidence or wrist.confidence < min_confidence:
+            (sx, sy, sz, sc), (wx, wy, wz, wc) = start, wrist
+            if sc < min_confidence or wc < min_confidence:
                 continue
-            s, w = start.position, wrist.position
-            dx, dy, dz = w.x - s.x, w.y - s.y, w.z - s.z
+            dx, dy, dz = wx - sx, wy - sy, wz - sz
             length = math.sqrt(dx * dx + dy * dy + dz * dz)
             if length <= ARM_SEPARATION_MIN:
                 continue
@@ -111,14 +112,12 @@ class GesturePipeline:
             denom = nx * dx + ny * dy + nz * dz
             if abs(denom / length) < PARALLEL_TOL:
                 continue
-            t = -(nx * s.x + ny * s.y + nz * s.z + d) / denom
+            t = -(nx * sx + ny * sy + nz * sz + d) / denom
             if t < DEFAULT_T_MIN:
                 continue
-            x, y, z = s.x + dx * t - ox, s.y + dy * t - oy, s.z + dz * t - oz
-            raw = PlanarPoint(
-                r00 * x + r10 * y + r20 * z, r01 * x + r11 * y + r21 * z, r02 * x + r12 * y + r22 * z
-            )
-            point = push(raw, timestamp, hand)
+            x, y, z = sx + dx * t - ox, sy + dy * t - oy, sz + dz * t - oz
+            point = push(r00 * x + r10 * y + r20 * z, r01 * x + r11 * y + r21 * z, r02 * x + r12 * y + r22 * z,
+                         timestamp, hand)
             if point is None:
                 self.discarded_out_of_bounds += 1
                 continue
@@ -133,8 +132,7 @@ class GesturePipeline:
         first; none for a count <= 0."""
         if count <= 0:
             return []
-        history = self._history.get(hand, ())
-        return [gp.position for gp in list(history)[-count:]]
+        return [gp.position for gp in islice(reversed(self._history.get(hand, ())), count)][::-1]
 
 
 @dataclass(frozen=True)

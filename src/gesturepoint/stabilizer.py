@@ -59,13 +59,10 @@ class RunningAverageStabilizer:
         self._edges = tuple(edges)
         self._buffers: dict[str, deque[tuple[float, float, float]]] = {}
 
-    def push(
-        self, raw: PlanarPoint, timestamp: float, hand: str
-    ) -> GesturePoint | None:
-        """Accept one raw sample; emit the buffer mean, or None if discarded.
-        The sample is kept when it lies on an edge or inside by even-odd
-        crossings; NaN is outside."""
-        u, v = raw.u, raw.v
+    def push(self, u: float, v: float, z_residual: float, timestamp: float, hand: str) -> GesturePoint | None:
+        """Accept one raw sample (u, v, z_residual); emit the buffer mean, or
+        None if discarded. The sample is kept when it lies on an edge or
+        inside by even-odd crossings; NaN is outside."""
         inside = False
         for ax, ay, by, dx, dy, tol, reach in self._edges:
             du, dv = u - ax, v - ay
@@ -80,7 +77,7 @@ class RunningAverageStabilizer:
         buf = self._buffers.get(hand)
         if buf is None:
             buf = self._buffers[hand] = deque(maxlen=self.window)
-        buf.append((u, v, raw.z_residual))
+        buf.append((u, v, z_residual))
         fu, fv, fz = buf[0]
         su = sv = sz = 0.0
         for pu, pv, pz in buf:

@@ -19,6 +19,8 @@ session. Unknown joint names are ignored; missing joints are simply absent. A
 joint with any coordinate that is NaN, infinite or beyond ``MAX_JOINT_COORD``
 meters (after deprojection for the 2D form) makes the record malformed; so
 does any number field that holds a string, a bool or a non-finite value.
+A parsed frame holds each joint as a plain ``(x, y, z, confidence)`` tuple
+of floats, in meters in the camera frame.
 
 Each input format has one reader here: :func:`read_text` opens every input
 file (UTF-8, optionally BOM-prefixed), :func:`decode_object` decodes JSON,
@@ -52,6 +54,8 @@ DEFAULT_MIN_CONFIDENCE = 0.3
 # what json.loads raises on an untrusted line: bad syntax, an integer past
 # Python's digit limit (ValueError), or nesting past the recursion limit
 JSON_DECODE_ERRORS = (ValueError, RecursionError)
+# the default decoder's one-value step: json.loads without its BOM, whitespace and extra-data checks
+_scan_once = json.JSONDecoder().scan_once
 
 
 class StreamError(ValueError):
@@ -97,7 +101,14 @@ def write_document(path: str | os.PathLike, document: str | dict) -> None:
 
 def decode_object(text: str | bytes, error: type[ValueError], source: str | os.PathLike = "") -> dict:
     """The one JSON decoder: ``text`` must hold one JSON object, else
-    ``error`` is raised, naming ``source`` (a file) if given."""
+    ``error`` is raised, naming ``source`` (a file) if given. A str of one
+    object and nothing else is scanned directly, the rest by ``json.loads``."""
+    try:
+        doc, end = _scan_once(text, 0) if type(text) is str else (None, -1)
+    except (StopIteration, *JSON_DECODE_ERRORS):
+        doc, end = None, -1
+    if type(doc) is dict and end == len(text):
+        return doc
     try:
         doc = json.loads(text)
     except JSON_DECODE_ERRORS as exc:
@@ -167,18 +178,17 @@ class InvalidParametersError(EvalError):
 
 
 @dataclass(frozen=True)
-class JointSample:
-    position: Point3
-    confidence: float
-
-
-@dataclass(frozen=True)
 class KeypointFrame:
-    """One timestamped skeleton observation."""
+    """One timestamped skeleton observation; each joint is ``(x, y, z, confidence)``."""
 
     timestamp: float
-    joints: Mapping[str, JointSample]
+    joints: Mapping[str, tuple[float, float, float, float]]
     source_id: str = ""
+
+    # written out, as PlanarPoint's: one per parsed line
+    def __init__(self, timestamp: float, joints: Mapping, source_id: str = "") -> None:
+        d = self.__dict__
+        d["timestamp"], d["joints"], d["source_id"] = timestamp, joints, source_id
 
 
 def parse_position(spec: dict, intrinsics: CameraIntrinsics | None, kind: str, name) -> Point3:
@@ -215,22 +225,30 @@ def parse_frame(record: dict, intrinsics: CameraIntrinsics | None = None) -> Key
     2D+depth joints require ``intrinsics`` (normally taken from the stream
     header); unknown joints are dropped.
     """
-    timestamp = json_number(record.get("t"), MalformedRecordError, 'timestamp "t"')
+    timestamp = record.get("t")
+    if type(timestamp) is not float or not math.isfinite(timestamp):
+        timestamp = json_number(timestamp, MalformedRecordError, 'timestamp "t"')
     raw_joints = record.get("joints", {})
     if not isinstance(raw_joints, dict):
         raise MalformedRecordError('"joints" must be an object')
-    joints: dict[str, JointSample] = {}
+    joints: dict[str, tuple[float, float, float, float]] = {}
     for name, spec in raw_joints.items():
         if name not in KNOWN_JOINTS:
             continue
+        # a 3D joint of floats that passes every check is taken as is; any other goes the full way
+        if type(spec) is dict:
+            x, y, z, c = spec.get("x"), spec.get("y"), spec.get("z"), spec.get("c", 1.0)
+            if (type(x) is float and type(y) is float and type(z) is float and type(c) is float
+                    and -MAX_JOINT_COORD <= x <= MAX_JOINT_COORD and -MAX_JOINT_COORD <= y <= MAX_JOINT_COORD
+                    and -MAX_JOINT_COORD <= z <= MAX_JOINT_COORD and 0.0 <= c <= 1.0):
+                joints[name] = (x, y, z, c)
+                continue
         position = parse_position(spec, intrinsics, "joint", name)
         confidence = json_number(spec.get("c", 1.0), MalformedRecordError, "joint", name)
         if not 0.0 <= confidence <= 1.0:
             raise MalformedRecordError(f"confidence {confidence} outside [0, 1]")
-        joints[name] = JointSample(position=position, confidence=confidence)
-    return KeypointFrame(
-        timestamp=timestamp, joints=joints, source_id=str(record.get("source", ""))
-    )
+        joints[name] = (position.x, position.y, position.z, confidence)
+    return KeypointFrame(timestamp, joints, str(record.get("source", "")))
 
 
 def serialize_frame(frame: KeypointFrame) -> str:
@@ -239,8 +257,7 @@ def serialize_frame(frame: KeypointFrame) -> str:
         "t": frame.timestamp,
         "source": frame.source_id,
         "joints": {
-            name: {"x": j.position.x, "y": j.position.y, "z": j.position.z, "c": j.confidence}
-            for name, j in sorted(frame.joints.items())
+            name: {"x": x, "y": y, "z": z, "c": c} for name, (x, y, z, c) in sorted(frame.joints.items())
         },
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

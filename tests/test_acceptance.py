@@ -259,11 +259,11 @@ def test_criterion_6_stabilizer_algebra():
         for i in range(int(rng.integers(1, 40))):
             if rng.random() < 0.35:
                 p = PlanarPoint(*rng.uniform(1.5, 4.0, 2))  # out of bounds
-                if stab.push(p, i / 30.0, "right") is not None:
+                if stab.push(p.u, p.v, p.z_residual, i / 30.0, "right") is not None:
                     ok = False
             else:
                 p = PlanarPoint(*rng.uniform(0.01, 0.99, 2))
-                out = stab.push(p, i / 30.0, "right")
+                out = stab.push(p.u, p.v, p.z_residual, i / 30.0, "right")
                 accepted.append(p)
                 expected = oracle_mean(accepted[-5:])
                 if (out.position.u, out.position.v) != expected:

@@ -585,6 +585,21 @@ def test_registry_lifecycle(tmp_path, capsys):
     assert json.loads(layout.read_text(encoding="utf-8")) == {"targets": [], "areas": []}
 
 
+def test_registry_add_target_with_an_empty_group_stores_null_so_other_edits_keep_its_bytes(tmp_path):
+    """``--group ""`` means no group, as the layout reader takes it: the
+    target is written with ``"group": null``, and adding another entry
+    rewrites the first one's text unchanged."""
+    layout = tmp_path / "layout.json"
+    assert run_cli(["registry", "init", "--file", str(layout)]) == 0
+    assert run_cli(["registry", "add-target", "--file", str(layout), "--id", "t1", "--group", "",
+                    "--u", "0.2", "--v", "0.3"]) == 0
+    first = layout.read_text(encoding="utf-8")
+    assert json.loads(first)["targets"] == [{"id": "t1", "label": "t1", "group": None, "u": 0.2, "v": 0.3}]
+    assert run_cli(["registry", "add-target", "--file", str(layout), "--id", "t2", "--u", "0.4", "--v", "0.5"]) == 0
+    entry = first[first.index("    {"):first.index("    }") + 5]  # t1's text
+    assert '"group": null' in entry and entry in layout.read_text(encoding="utf-8")
+
+
 def test_registry_missing_flags_exit_2(tmp_path):
     layout = tmp_path / "layout.json"
     run_cli(["registry", "init", "--file", str(layout)])

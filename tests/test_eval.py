@@ -64,7 +64,7 @@ from gesturepoint.geometry import (
 )
 from gesturepoint.pipeline import HISTORY_CAPACITY, GesturePipeline
 from gesturepoint.snap import DEFAULT_STABILITY_THRESHOLD, SnapRequest, evaluate_request, stability_gate
-from gesturepoint.stream import JointSample, KeypointFrame
+from gesturepoint.stream import KeypointFrame
 
 
 # --- error metric ------------------------------------------------------------
@@ -343,8 +343,8 @@ def joint_frames(template, shoulders, wrists) -> list[KeypointFrame]:
         KeypointFrame(
             timestamp=k / 30.0,
             joints={
-                f"{template.hand}_shoulder": JointSample(Point3(*s), 1.0),
-                f"{template.hand}_wrist": JointSample(Point3(*w), 1.0),
+                f"{template.hand}_shoulder": (*s, 1.0),
+                f"{template.hand}_wrist": (*w, 1.0),
             },
         )
         for k, (s, w) in enumerate(zip(shoulders.tolist(), wrists.tolist()))

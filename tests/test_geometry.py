@@ -493,7 +493,7 @@ def test_stabilizer_bounds_kernel_matches_points_in_bounds(polygon, offsets):
     stab = RunningAverageStabilizer(poly)
     kept = {}
     for u, v in [*poly, *on_edges, *scattered, *non_finite]:
-        kept[u, v] = stab.push(PlanarPoint(u, v), 0.0, "right") is not None
+        kept[u, v] = stab.push(u, v, 0.0, 0.0, "right") is not None
         assert kept[u, v] == bool(points_in_bounds(u, v, poly)), (u, v)
     for u, v in scattered:
         if _distance_to_edges(u, v, poly) > 1e-9:

@@ -34,7 +34,7 @@ from gesturepoint.evaluation import (
 from gesturepoint.geometry import Point3, Quaternion, from_workplane, plane_from_corners, workplane_frame
 from gesturepoint.live import gesture_point_record
 from gesturepoint.pipeline import GesturePipeline, PipelineSettings
-from gesturepoint.stream import JointSample, KeypointFrame
+from gesturepoint.stream import KeypointFrame
 
 
 @pytest.mark.parametrize(
@@ -239,7 +239,7 @@ def _tilted_plane_case(rng: random.Random, pair: str) -> list[str]:
             elbow = tuple(s + 0.5 * (w - s) + rng.gauss(0.0, noise) for s, w in zip(shoulder, wrist))
             confidence = rng.uniform(0.0, 0.25) if kind == "low" else rng.uniform(0.35, 1.0)
             for part, position in (("shoulder", shoulder), ("elbow", elbow), ("wrist", wrist)):
-                joints[f"{hand}_{part}"] = JointSample(Point3(*position), confidence)
+                joints[f"{hand}_{part}"] = (*position, confidence)
             if kind == "missing":
                 del joints[f"{hand}_{rng.choice(('shoulder', 'elbow', 'wrist'))}"]
         for gp in pipe.process(KeypointFrame(timestamp=k / 30, joints=joints)):

@@ -32,20 +32,8 @@ _PROBE = "import os, sys; print(sys.implementation.name, *sys.version_info[:2], 
 _LIVE = """\
 import sys
 from gesturepoint.cli import load_plane_file
-from gesturepoint.live import LiveSession, PipelineSettings, _serve_session
+from gesturepoint.live import LiveSession, PipelineSettings
 from gesturepoint.snap import AreaRegistry, TargetRegistry, load_layout
-
-class Socket:
-    def __init__(self, data):
-        self.data = data
-
-    def recv_into(self, buf):
-        n = min(len(buf), len(self.data), 997)
-        buf[:n], self.data = self.data[:n], self.data[n:]
-        return n
-
-    def sendall(self, data):
-        sys.stdout.buffer.write(data)
 
 plane, frame, _, _ = load_plane_file("plane.json")
 targets, areas = TargetRegistry(), AreaRegistry()
@@ -54,7 +42,11 @@ targets.replace_all(loaded_targets)
 areas.replace_all(loaded_areas)
 with open(sys.argv[1], "rb") as f:
     data = f.read() + b'{"cmd": "snap", "strategy": "pick"}\\n{"cmd": "snap", "strategy": "place", "n": 5}\\n'
-_serve_session(Socket(data), LiveSession(PipelineSettings(plane=plane, frame=frame), targets, areas))
+session = LiveSession(PipelineSettings(plane=plane, frame=frame), targets, areas)
+for read in [data[i:i + 997] for i in range(0, len(data), 997)] + [b""]:  # the empty read is EOF
+    session.handle_read(read)
+    sys.stdout.buffer.write(session.unsent)
+    session.unsent.clear()
 """
 
 

@@ -15,7 +15,6 @@ import socket
 import struct
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -31,11 +30,11 @@ from gesturepoint.evaluation import generate_scenario, load_scenario_config
 from gesturepoint import live
 from gesturepoint.live import (
     MAX_LINE_BYTES,
+    MAX_UNSENT_BYTES,
     RECV_BYTES,
     LiveServer,
     LiveSession,
     PipelineSettings,
-    _serve_session,
     _split_lines,
     gesture_point_record,
 )
@@ -185,10 +184,21 @@ def test_malformed_lines_answered_without_terminating(tmp_path):
     assert sum("u" in r for r in responses) == 1  # the session survived to process it
 
 
+def _sessions(server: LiveServer) -> list[LiveSession]:
+    """The sessions the server holds a socket for."""
+    return [key.data for key in list(server._selector.get_map().values()) if key.data is not None]
+
+
+def _wait_for_sessions(server: LiveServer, count: int) -> None:
+    deadline = time.monotonic() + 10
+    while len(_sessions(server)) != count:
+        assert time.monotonic() < deadline, f"the server holds {len(_sessions(server))} sessions, not {count}"
+        time.sleep(0.01)
+
+
 def test_client_that_resets_its_connection_ends_its_session_quietly(tmp_path, capsys):
     frame = stream_lines(tmp_path, count=1)[0]
     with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server:
-        before = set(threading.enumerate())
         with socket.create_connection(server.address, timeout=10) as sock:
             sock.sendall((frame + "\n").encode("utf-8"))
             with sock.makefile("rb") as reader:
@@ -196,11 +206,8 @@ def test_client_that_resets_its_connection_ends_its_session_quietly(tmp_path, ca
             sock.sendall(frame[:20].encode("utf-8"))
             # closing with a zero linger time resets the connection mid-line
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        _wait_for_sessions(server, 0)  # the server closed its socket too
         responses = talk(server.address, [frame])
-        sessions = set(threading.enumerate()) - before
-        for thread in sessions:
-            thread.join(timeout=10)
-    assert not any(thread.is_alive() for thread in sessions)
     assert len(responses) == 1 and "u" in responses[0]
     assert "Traceback" not in capsys.readouterr().err
 
@@ -279,6 +286,82 @@ def test_client_that_never_reads_does_not_delay_another_session(tmp_path):
             elapsed = time.monotonic() - start
     assert len(responses) == 3 and "err" in responses[0] and "err" in responses[1] and "u" in responses[2]
     assert elapsed < 2.0, elapsed
+
+
+def test_client_that_never_reads_holds_at_most_the_unsent_bound_plus_one_read(tmp_path):
+    """A client that sends lines and reads no reply: once the kernel's socket
+    buffers are full, the server keeps its replies unsent, stops reading past
+    ``MAX_UNSENT_BYTES`` and so holds no more than the replies of one read
+    beyond it, while other sessions are answered throughout."""
+    line = b"{broken\n"
+    reply = LiveSession(_DESK_SETTINGS, *registries()).handle_line("{broken")[0]
+    one_read = (RECV_BYTES // len(line)) * (len(reply) + 1)
+    with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server:
+        with socket.create_connection(server.address, timeout=10) as stalled:
+            stalled.setblocking(False)
+            deadline = time.monotonic() + 20
+            while True:  # send until the server has stopped reading, with more than the bound unsent
+                assert time.monotonic() < deadline, "the server kept reading a client that reads nothing"
+                try:
+                    stalled.send(line * 4096)
+                except BlockingIOError:
+                    blocked = not select.select([], [stalled], [], 0.25)[1]
+                    if blocked and len(_sessions(server)[0].unsent) > MAX_UNSENT_BYTES:
+                        break
+            (session,) = _sessions(server)
+            assert MAX_UNSENT_BYTES < len(session.unsent) <= MAX_UNSENT_BYTES + one_read
+            for _ in range(3):
+                responses = talk(server.address, ["{broken", stream_lines(tmp_path, count=1)[0]])
+                assert len(responses) == 2 and "err" in responses[0] and "u" in responses[1]
+            assert len(session.unsent) <= MAX_UNSENT_BYTES + one_read
+
+
+_ONE_THREAD = """
+import json, signal, sys, threading
+from gesturepoint import cli, live
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # also when started with SIGINT ignored
+threads = set()
+handle_line = live.LiveSession.handle_line
+
+def counted(self, line):
+    threads.add(threading.active_count())
+    return handle_line(self, line)
+
+live.LiveSession.handle_line = counted
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "threads": sorted(threads), "socketserver": "socketserver" in sys.modules}))
+"""
+
+
+def test_cli_live_serves_concurrent_sessions_on_one_thread(tmp_path):
+    """``gesturepoint live`` answers two sessions whose lines interleave, and
+    runs every line on its one thread, without importing socketserver."""
+    plane = make_plane_file(tmp_path / "plane.json")
+    lines = stream_lines(tmp_path, count=20)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_THREAD, "live", "--plane", str(plane), "--listen", "127.0.0.1:0"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        host, port = json.loads(proc.stdout.readline())["listening"].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as a, \
+                socket.create_connection((host, int(port)), timeout=10) as b:
+            readers = [a.makefile("rb"), b.makefile("rb")]
+            for k in range(0, 20, 5):
+                for sock in (a, b):
+                    sock.sendall("".join(line + "\n" for line in lines[k:k + 5]).encode("utf-8"))
+                for reader in readers:
+                    assert all("u" in json.loads(reader.readline()) for _ in range(5))
+            for reader in readers:
+                reader.close()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert json.loads(out.splitlines()[-1]) == {"code": 0, "threads": [1], "socketserver": False}, err
 
 
 def test_cli_live_server_answers_as_an_in_process_session(tmp_path):
@@ -524,38 +607,20 @@ def test_handle_line_fuzz_never_raises_and_answers_in_json(lines):
 
 # --- the session read loop -------------------------------------------------------
 
-class _FakeSocket:
-    """Serves ``chunks`` to ``recv_into``, each cut to the buffer's size as a
-    socket would, then EOF (or ``error``); records every ``sendall``."""
-
-    def __init__(self, chunks, error=None):
-        self.chunks = [bytes(c) for c in chunks if c]
-        self.error = error
-        self.reads = 0
-        self.sent: list[bytes] = []
-
-    def recv_into(self, buf):
-        if not self.chunks:
-            if self.error is not None:
-                raise self.error
-            return 0
-        chunk = self.chunks.pop(0)
-        n = min(len(chunk), len(buf))
-        buf[:n] = chunk[:n]
-        if n < len(chunk):
-            self.chunks.insert(0, chunk[n:])
-        self.reads += 1
-        return n
-
-    def sendall(self, data):
-        self.sent.append(bytes(data))
-
-
-def _serve(chunks, error=None) -> _FakeSocket:
-    """Runs one session over a fake socket and returns the socket."""
-    sock = _FakeSocket(chunks, error)
-    _serve_session(sock, LiveSession(_DESK_SETTINGS, *registries()))
-    return sock
+def _serve(chunks) -> list[bytes]:
+    """Gives ``chunks`` to one session as its reads, each cut to the server's
+    buffer size as a socket read would be, then EOF; returns what each read
+    added to the unsent replies, for the reads that added any."""
+    session = LiveSession(_DESK_SETTINGS, *registries())
+    reads = [chunk[i:i + RECV_BYTES] for chunk in chunks for i in range(0, len(chunk), RECV_BYTES)]
+    sent = []
+    for data in reads + [b""]:
+        session.handle_read(data)
+        if session.unsent:
+            sent.append(bytes(session.unsent))
+            session.unsent.clear()
+    assert session.eof
+    return sent
 
 
 def _line_at_a_time(stream: bytes, handle_line) -> bytes:
@@ -651,27 +716,72 @@ def test_cap_crossed_at_a_read_boundary_gets_one_err(first):
     """The first reads hold ``first`` bytes of one line (the cap, or one byte
     past it) and end exactly there; the next read carries the rest."""
     head = [b"x" * RECV_BYTES] * (first // RECV_BYTES) + [b"x" * (first % RECV_BYTES)]
-    sock = _serve(head + [b"xx\n" + _frame(1) + b"\n"])
-    replies = [json.loads(line) for line in b"".join(sock.sent).splitlines()]
+    replies = [json.loads(line) for line in b"".join(_serve(head + [b"xx\n" + _frame(1) + b"\n"])).splitlines()]
     assert replies[0] == {"err": f"line longer than {MAX_LINE_BYTES} bytes"}
     assert len(replies) == 2 and "u" in replies[1]
 
 
 def test_lines_of_one_read_are_answered_with_one_sendall():
+    """The replies to the lines of one read join the unsent replies together,
+    so the server hands them to the socket in one ``send``."""
     lines = [_frame(k) for k in range(20)] + [b'{"cmd": "snap", "strategy": "pick"}', b"{broken"]
-    sock = _serve([b"\n".join(lines) + b"\n"])
-    assert len(sock.sent) == 1
-    replies = [json.loads(line) for line in sock.sent[0].splitlines()]
+    sent = _serve([b"\n".join(lines) + b"\n"])
+    assert len(sent) == 1
+    replies = [json.loads(line) for line in sent[0].splitlines()]
     assert len(replies) == 22 and "ok" in replies[20] and "err" in replies[21]
 
 
 def test_read_of_header_and_blank_lines_sends_nothing():
     header = json.dumps({"intrinsics": INTRINSICS}).encode()
-    sock = _serve([header + b"\n\n  \n\r\n", b"\n", _frame(0) + b"\n"])
-    assert len(sock.sent) == 1 and b'"u"' in sock.sent[0]
+    sent = _serve([header + b"\n\n  \n\r\n", b"\n", _frame(0) + b"\n"])
+    assert len(sent) == 1 and b'"u"' in sent[0]
 
 
 @pytest.mark.parametrize("error", [ConnectionAbortedError, ConnectionResetError, BrokenPipeError])
-def test_session_ends_quietly_on_any_connection_error(error):
-    sock = _serve([_frame(0) + b"\n"], error=error())
-    assert len(sock.sent) == 1  # answered what it read, then ended without raising
+def test_session_ends_quietly_on_any_connection_error(tmp_path, capsys, error):
+    """A session whose socket read fails with a connection error, after it
+    answered its first line, is closed without a traceback, and the server
+    serves the next session."""
+    frame = stream_lines(tmp_path, count=1)[0]
+    recv_into, reads = socket.socket.recv_into, []
+
+    def failing_second_read(sock, *args):
+        if sock.getsockname()[1] == server.address[1]:  # a session's end, not a client's
+            reads.append(sock)
+            if sock is reads[0] and reads.count(sock) > 1:
+                raise error()
+        return recv_into(sock, *args)
+
+    with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server, \
+            mock.patch.object(socket.socket, "recv_into", failing_second_read):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall((frame + "\n").encode("utf-8"))
+            answered = sock.recv(65536)
+            sock.sendall((frame + "\n").encode("utf-8"))
+            try:  # the server closes the socket with the second line unread, which resets it
+                assert sock.recv(65536) == b""
+            except ConnectionResetError:
+                pass
+        assert len(answered.splitlines()) == 1 and b'"u"' in answered
+        _wait_for_sessions(server, 0)
+        assert len(talk(server.address, [frame])) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_fault_in_one_session_ends_it_with_a_traceback_and_the_server_serves_on(tmp_path, capsys):
+    frame = stream_lines(tmp_path, count=1)[0]
+    handle_line = LiveSession.handle_line
+
+    def faulty(session, line):
+        if line == "boom":
+            raise RuntimeError("a fault in handle_line")
+        return handle_line(session, line)
+
+    with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server, \
+            mock.patch.object(LiveSession, "handle_line", faulty):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(b"boom\n")
+            assert sock.recv(65536) == b""
+        _wait_for_sessions(server, 0)
+        assert len(talk(server.address, [frame])) == 1
+    assert "RuntimeError: a fault in handle_line" in capsys.readouterr().err

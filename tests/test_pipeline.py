@@ -20,7 +20,7 @@ from gesturepoint.evaluation import (
 )
 from gesturepoint.geometry import CameraIntrinsics, Point3, Quaternion, plane_from_corners, workplane_frame
 from gesturepoint.live import gesture_point_record
-from gesturepoint.pipeline import GesturePipeline, PipelineSettings
+from gesturepoint.pipeline import HISTORY_CAPACITY, GesturePipeline, PipelineSettings
 from gesturepoint.stream import parse_frame
 
 PLANE = plane_from_corners(
@@ -115,6 +115,21 @@ def test_recent_returns_oldest_first():
     recent = pipe.recent("right", 3)
     assert len(recent) == 3
     assert recent[0].u < recent[1].u < recent[2].u
+
+
+def test_recent_reads_the_last_count_points_as_the_whole_history_slice_does():
+    """``recent`` equals the slice of the whole history, oldest first, for
+    every count from 0 to past the capacity, before and after the history
+    fills up and starts dropping its oldest points."""
+    pipe = GesturePipeline(PLANE, hands=("right",))
+    history = pipe._history["right"]
+    for i in range(HISTORY_CAPACITY + 40):
+        pipe.process(two_hand_frame(t=i / 30, right_target=(0.05 + 0.5 * ((i * 37) % 101) / 101, 0.4)))
+        if i in (0, 9, HISTORY_CAPACITY - 1, HISTORY_CAPACITY + 39):
+            assert len(history) == min(i + 1, HISTORY_CAPACITY)
+            for count in range(301):
+                expected = [gp.position for gp in list(history)[-count:]] if count > 0 else []
+                assert pipe.recent("right", count) == expected
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -11,6 +11,7 @@ import pytest
 
 from gesturepoint.geometry import PlanarPoint, planar_mean
 from gesturepoint.stabilizer import GesturePoint, RunningAverageStabilizer
+from gesturepoint.stream import KeypointFrame
 
 BOUNDS = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -24,14 +25,14 @@ def test_symmetric_five_sample_mean():
     points = [(0.1, 0.1), (0.2, 0.1), (0.1, 0.2), (0.2, 0.2), (0.15, 0.15)]
     out = None
     for i, (u, v) in enumerate(points):
-        out = stab.push(PlanarPoint(u, v), timestamp=i / 30, hand="right")
+        out = stab.push(u, v, 0.0, timestamp=i / 30, hand="right")
     assert out.window_size == 5
     assert out.position.u == pytest.approx(0.15)
     assert out.position.v == pytest.approx(0.15)
 
 
 def test_single_push_is_identity():
-    out = make().push(PlanarPoint(0.3, 0.4), 0.0, "right")
+    out = make().push(0.3, 0.4, 0.0, 0.0, "right")
     assert (out.position.u, out.position.v) == (0.3, 0.4)
     assert out.window_size == 1
 
@@ -44,11 +45,11 @@ def test_out_of_bounds_discarded_without_eviction():
     for i in range(200):
         if rng.random() < 0.3:
             p = PlanarPoint(*rng.uniform(1.2, 3.0, 2))  # clearly outside
-            assert stab.push(p, i / 30.0, "right") is None
+            assert stab.push(p.u, p.v, p.z_residual, i / 30.0, "right") is None
         else:
             p = PlanarPoint(*rng.uniform(0.05, 0.95, 2))
-            outputs.append(stab.push(p, i / 30.0, "right").position)
-            expected.append(filtered.push(p, i / 30.0, "right").position)
+            outputs.append(stab.push(p.u, p.v, p.z_residual, i / 30.0, "right").position)
+            expected.append(filtered.push(p.u, p.v, p.z_residual, i / 30.0, "right").position)
     assert outputs == expected  # exact: same floats through the same mean
 
 
@@ -56,7 +57,7 @@ def test_window_caps_at_five():
     stab = make()
     out = None
     for i in range(12):
-        out = stab.push(PlanarPoint(0.1 + i * 0.01, 0.5), i / 30.0, "right")
+        out = stab.push(0.1 + i * 0.01, 0.5, 0.0, i / 30.0, "right")
     assert out.window_size == 5
     # mean of the last five samples only
     last5 = [0.1 + i * 0.01 for i in range(7, 12)]
@@ -67,17 +68,17 @@ def test_constant_input_fixed_point():
     stab = make()
     p = PlanarPoint(0.37, 0.41)
     for i in range(10):
-        out = stab.push(p, i / 30.0, "right")
+        out = stab.push(p.u, p.v, p.z_residual, i / 30.0, "right")
         assert (out.position.u, out.position.v) == (0.37, 0.41)
 
 
 def test_bounded_lag_after_five_samples():
     stab = make()
     for i in range(5):
-        stab.push(PlanarPoint(0.2, 0.2), i / 30.0, "right")
+        stab.push(0.2, 0.2, 0.0, i / 30.0, "right")
     out = None
     for i in range(5):
-        out = stab.push(PlanarPoint(0.8, 0.7), (5 + i) / 30.0, "right")
+        out = stab.push(0.8, 0.7, 0.0, (5 + i) / 30.0, "right")
     assert (out.position.u, out.position.v) == (0.8, 0.7)
 
 
@@ -89,7 +90,7 @@ def test_output_inside_convex_hull_of_buffer():
         p = PlanarPoint(*rng.uniform(0.0, 1.0, 2))
         window.append(p)
         window = window[-5:]
-        out = stab.push(p, i / 30.0, "right")
+        out = stab.push(p.u, p.v, p.z_residual, i / 30.0, "right")
         us = [q.u for q in window]
         vs = [q.v for q in window]
         assert min(us) - 1e-12 <= out.position.u <= max(us) + 1e-12
@@ -101,7 +102,7 @@ def test_mean_matches_fraction_oracle():
     samples = [(0.125, 0.25), (0.5, 0.375), (0.25, 0.75), (0.625, 0.125)]
     out = None
     for i, (u, v) in enumerate(samples):
-        out = stab.push(PlanarPoint(u, v), i / 30.0, "right")
+        out = stab.push(u, v, 0.0, i / 30.0, "right")
     exact_u = sum(Fraction(u).limit_denominator(8) for u, _ in samples) / len(samples)
     exact_v = sum(Fraction(v).limit_denominator(8) for _, v in samples) / len(samples)
     assert out.position.u == float(exact_u)
@@ -116,18 +117,21 @@ def test_mean_adds_offsets_one_by_one_on_every_python():
     assert planar_mean(window).u == 0.5
     huge = ((-2e16, -2e16), (2e16, -2e16), (2e16, 2e16), (-2e16, 2e16))
     stab = RunningAverageStabilizer(huge)
-    outs = [stab.push(p, i / 30, "right") for i, p in enumerate(window)]
+    outs = [stab.push(p.u, p.v, p.z_residual, i / 30, "right") for i, p in enumerate(window)]
     assert outs[-1].position == PlanarPoint(0.5, 0.25, 0.0)
     assert outs[-1].window_size == 4
 
 
-@pytest.mark.parametrize(
-    "cls, args", [(PlanarPoint, (0.1, 0.2, 0.3)), (GesturePoint, (PlanarPoint(0.1, 0.2), 0.5, "right", 3))]
-)
+@pytest.mark.parametrize("cls, args", [
+    (PlanarPoint, (0.1, 0.2, 0.3)),
+    (GesturePoint, (PlanarPoint(0.1, 0.2), 0.5, "right", 3)),
+    # a hashable stand-in for the joints dict, so that hashing is checked too
+    (KeypointFrame, (0.5, (("right_wrist", (0.1, 0.2, 1.0, 0.9)),), "cam0")),
+])
 def test_written_out_init_keeps_the_dataclass_contract(cls, args):
-    """The per-hit value types write their own ``__init__``: it takes the
-    dataclass fields in order, with their defaults, and the instances stay
-    frozen, equal by value, hashable and replaceable."""
+    """The per-line and per-hit value types write their own ``__init__``: it
+    takes the dataclass fields in order, with their defaults, and the
+    instances stay frozen, equal by value, hashable and replaceable."""
     fields = dataclasses.fields(cls)
     params = list(inspect.signature(cls.__init__).parameters.values())[1:]
     assert [(p.name, p.default) for p in params] == [

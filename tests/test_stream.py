@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -32,7 +32,9 @@ from gesturepoint.evaluation import (
 )
 from gesturepoint.geometry import (
     CameraIntrinsics,
+    GeometryError,
     Point3,
+    deproject,
     from_workplane,
     plane_from_corners,
     workplane_frame,
@@ -42,6 +44,7 @@ from gesturepoint.pipeline import GesturePipeline, PipelineSettings
 from gesturepoint.snap import AreaRegistry, TargetRegistry
 from gesturepoint.stream import (
     MAX_JOINT_COORD,
+    KeypointFrame,
     MalformedRecordError,
     StreamError,
     StreamReader,
@@ -101,8 +104,7 @@ def test_parse_frame_basic():
     assert frame.timestamp == 1.5
     assert frame.source_id == "cam0"
     assert set(frame.joints) == {"right_shoulder", "right_wrist"}
-    assert frame.joints["right_wrist"].position == Point3(0.0, 0.0, 0.5)
-    assert frame.joints["right_wrist"].confidence == 0.8
+    assert frame.joints["right_wrist"] == (0.0, 0.0, 0.5, 0.8)
 
 
 def test_parse_frame_ignores_unknown_joints():
@@ -133,7 +135,7 @@ def test_parse_frame_bad_json_and_missing_fields():
 def test_parse_frame_2d_form_deprojects():
     record = {"t": 0.0, "joints": {"right_wrist": {"px": 320, "py": 240, "depth": 1.0, "c": 1.0}}}
     frame = parse_frame(record, INTR)
-    assert frame.joints["right_wrist"].position == Point3(0.0, 0.0, 1.0)
+    assert frame.joints["right_wrist"] == (0.0, 0.0, 1.0, 1.0)
 
 
 def test_parse_frame_2d_form_requires_intrinsics():
@@ -182,6 +184,157 @@ def test_json_number_reads_exactly_the_ints_and_floats_a_finite_float_holds(valu
     else:
         with pytest.raises(StreamError, match="value: expected a finite JSON number"):
             json_number(value, StreamError, "value")
+
+
+# --- the parser's fast paths against plain references --------------------------------
+
+def _reference_frame(record: dict, intrinsics: CameraIntrinsics | None) -> KeypointFrame:
+    """``parse_frame`` with no fast path: every number read by ``json_number``
+    and every check made, in the order the module docstring states them."""
+    timestamp = json_number(record.get("t"), MalformedRecordError, 'timestamp "t"')
+    raw = record.get("joints", {})
+    if not isinstance(raw, dict):
+        raise MalformedRecordError('"joints" must be an object')
+    joints = {}
+    for name, spec in raw.items():
+        if name not in _KNOWN_JOINTS:
+            continue
+        if not isinstance(spec, dict):
+            raise MalformedRecordError(f"joint {name!r} must be an object")
+
+        def number(key):
+            return json_number(spec[key], MalformedRecordError, "joint", name)
+
+        if "x" in spec and "y" in spec and "z" in spec:
+            x, y, z = number("x"), number("y"), number("z")
+        elif "px" in spec and "py" in spec and "depth" in spec:
+            if intrinsics is None:
+                raise MalformedRecordError(f"joint {name!r} uses the 2D form without intrinsics")
+            px, py, depth = number("px"), number("py"), number("depth")
+            try:
+                x, y, z = deproject((px, py), depth, intrinsics).as_tuple()
+            except GeometryError as exc:
+                raise MalformedRecordError(f"joint {name!r}: {exc}") from exc
+        else:
+            raise MalformedRecordError(f"joint {name!r} has neither x/y/z nor px/py/depth")
+        if not (abs(x) <= MAX_JOINT_COORD and abs(y) <= MAX_JOINT_COORD and abs(z) <= MAX_JOINT_COORD):
+            raise MalformedRecordError(f"joint {name!r} lies beyond {MAX_JOINT_COORD:g} m")
+        confidence = json_number(spec.get("c", 1.0), MalformedRecordError, "joint", name)
+        if not 0.0 <= confidence <= 1.0:
+            raise MalformedRecordError(f"confidence {confidence} outside [0, 1]")
+        joints[name] = (x, y, z, confidence)
+    return KeypointFrame(timestamp, joints, str(record.get("source", "")))
+
+
+def _reference_decode(text, source=""):
+    """``decode_object`` as ``json.loads`` and a type test."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedRecordError(f"{source}: invalid JSON: {exc}" if source else f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedRecordError(f"{source or 'record'} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns (its repr, which tells -0.0, NaN and float types
+    apart), or the type and message of what it raises."""
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - any exception must be the reference's
+        return type(exc).__name__, str(exc)
+
+
+_KNOWN_JOINTS = [f"{side}_{part}" for side in ("left", "right") for part in ("shoulder", "elbow", "wrist")]
+_MISSING = object()  # a key left out
+# what the input fuzz puts where a number belongs: a bool, a numeric string,
+# null, a container, a huge or non-finite number, an int, a bound
+_MUTATIONS = [True, False, "0.5", "1e3", None, [], [0.5], {}, {"x": 0.5}, 1e308, -1e308, 10**400, math.nan,
+              math.inf, -math.inf, 0, 1, -2, 700, MAX_JOINT_COORD, -MAX_JOINT_COORD, 2 * MAX_JOINT_COORD,
+              5e-324, -0.0, 1.5, _MISSING]
+_VALID = {"x": st.floats(-2.0, 2.0), "y": st.floats(-2.0, 2.0), "z": st.floats(0.05, 3.0),
+          "px": st.floats(0.0, 639.9), "py": st.floats(0.0, 479.9), "depth": st.floats(0.05, 3.0),
+          "c": st.floats(0.0, 1.0), "t": st.floats(0.0, 1e4)}
+
+
+def _mostly(valid, weight: int):
+    """``valid`` ``weight`` times as often as a mutation."""
+    return st.sampled_from(range(weight + 1)).flatmap(lambda k: valid if k else st.sampled_from(_MUTATIONS))
+
+
+def _field(key, weight=3):
+    return _mostly(_VALID[key], weight)
+
+
+def _kept(d: dict) -> dict:
+    return {k: v for k, v in d.items() if v is not _MISSING}
+
+
+_FORMS = (("x", "y", "z", "c"), ("px", "py", "depth", "c"))
+_JOINT = st.one_of(
+    *(st.fixed_dictionaries({k: _VALID[k] for k in keys}) for keys in _FORMS),
+    *(st.fixed_dictionaries({k: _field(k) for k in keys}).map(_kept) for keys in (*_FORMS, _FORMS[0] + _FORMS[1])),
+    st.sampled_from(_MUTATIONS[:9]),  # a joint that is no object
+)
+_JOINTS = st.dictionaries(st.sampled_from(_KNOWN_JOINTS + ["nose", "head"]), _JOINT, max_size=5)
+_RECORD = st.fixed_dictionaries(
+    {"t": _field("t", 8), "joints": _mostly(_JOINTS, 8)},
+    optional={"source": st.text(max_size=4) | st.integers() | st.none()},
+).map(_kept)
+
+
+@settings(max_examples=400, deadline=None)
+@given(record=_RECORD, with_intrinsics=st.booleans())
+def test_parse_frame_gives_the_reference_frame_or_error(record, with_intrinsics):
+    intrinsics = INTR if with_intrinsics else None
+    assert _outcome(parse_frame, record, intrinsics) == _outcome(_reference_frame, record, intrinsics)
+
+
+@pytest.mark.parametrize("form", ["3d", "pixel"])
+def test_parse_frame_gives_the_reference_for_every_mutation_of_every_field(form):
+    """A valid frame with one field replaced by each mutation, or left out."""
+    joint = ({"x": 0.3, "y": -0.1, "z": 0.6, "c": 0.9} if form == "3d"
+             else {"px": 330.5, "py": 240.25, "depth": 0.53, "c": 0.9})
+    for key in ["t", "joints", *joint]:
+        for mutation in _MUTATIONS:
+            wrist = dict(joint)
+            record = {"t": 0.5, "joints": {"right_shoulder": {"x": 0.3, "y": -0.1, "z": 0.6}, "right_wrist": wrist}}
+            target = record if key in ("t", "joints") else wrist
+            target[key] = mutation
+            if mutation is _MISSING:
+                del target[key]
+            for intrinsics in (None, INTR):
+                assert _outcome(parse_frame, record, intrinsics) == _outcome(_reference_frame, record, intrinsics)
+
+
+_TEXT_OBJECTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_TEXT_OBJECTS | _RECORD, before=st.sampled_from(["", " ", "\n", "\ufeff", "\t "]),
+       after=st.sampled_from(["", " ", "\n", " {}", "x", ",", "\ufeff"]), cut=st.none() | st.integers(0, 60),
+       as_bytes=st.booleans(), source=st.sampled_from(["", "f.json"]))
+@example(value={}, before="", after="", cut=None, as_bytes=False, source="")
+@example(value=[[]], before="", after="", cut=None, as_bytes=False, source="f.json")
+def test_decode_object_gives_json_loads_value_or_error(value, before, after, cut, as_bytes, source):
+    text = before + json.dumps(value) + after
+    text = text if cut is None else text[:cut]
+    data = text.encode("utf-8") if as_bytes else text
+    assert (_outcome(decode_object, data, MalformedRecordError, source)
+            == _outcome(_reference_decode, data, source))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "{\"a\": " + "[" * 100_000, "{\"a\": " + "9" * 5000 + "}",
+                                  "{\"a\": NaN, \"b\": -Infinity}", "{\"a\": 1}{}", "{\"a\": 1", "{}", "",
+                                  "\ufeff{}", " {} ", "{\"a\": 1, \"a\": 2}", "{\"\\ud800\": 1}"])
+def test_decode_object_gives_json_loads_value_or_error_at_the_edges(text):
+    for data in (text, text.encode("utf-8", "surrogatepass")):
+        assert _outcome(decode_object, data, MalformedRecordError) == _outcome(_reference_decode, data)
 
 
 @non_finite
@@ -279,7 +432,7 @@ def test_stream_reader_header_and_warnings():
     reader = StreamReader(lines)
     frames = list(reader)
     assert len(frames) == 3
-    assert frames[0].joints["right_wrist"].position == Point3(0.0, 0.0, 1.0)
+    assert frames[0].joints["right_wrist"] == (0.0, 0.0, 1.0, 1.0)
     assert reader.nonmonotonic == 1
     assert reader.malformed == 0
 
@@ -297,8 +450,7 @@ def test_stream_reader_header_sets_intrinsics_for_the_records_after_it():
     ]
     reader = StreamReader(lines)
     frames = list(reader)
-    assert [f.joints["right_wrist"].position for f in frames[1:]] == [
-        Point3(0.0, 0.0, 1.0), Point3(320 / 600, 0.0, 1.0)]
+    assert [f.joints["right_wrist"] for f in frames[1:]] == [(0.0, 0.0, 1.0, 1.0), (320 / 600, 0.0, 1.0, 1.0)]
     assert reader.intrinsics.cx == 0 and reader.malformed == 0
 
 
@@ -445,8 +597,8 @@ def test_vectorized_sampling_matches_generator():
     shoulders, wrists = sampled(template, TARGET, 42, 1, 50)
     assert shoulders.shape == wrists.shape == (1, 50, 3)
     for i, frame in enumerate(generate_scenario(template, TARGET, 42, 50)):
-        assert frame.joints["right_shoulder"].position.as_tuple() == tuple(shoulders[0, i])
-        assert frame.joints["right_wrist"].position.as_tuple() == tuple(wrists[0, i])
+        assert frame.joints["right_shoulder"] == (*shoulders[0, i], 1.0)
+        assert frame.joints["right_wrist"] == (*wrists[0, i], 1.0)
 
 
 def test_calibration_sampling_draws_one_bias_and_one_frame_per_trial():
