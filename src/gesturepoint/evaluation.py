@@ -52,15 +52,19 @@ signed offsets for downstream offset analysis).
 
 Sweeps run an array engine: ``stabilize_trials`` takes every trial's joints
 as (trials, frames, 3) arrays through the per-frame path at once, with the
-ray-plane hit of :func:`intersect_rays_plane`, and ``run_trial`` snaps and
-scores each trial through ``evaluate_request``. The scalar ``pipeline``
-serves live and replay, and the engine is its bit-exact twin on any plane:
-each hit, workplane transform and decision is ``GesturePipeline.process``'s
-expression, written out per component in the same order, with no matmul
-(``@``) or 1-D ``np.linalg.norm``, whose summation order and FMA use depend
-on the numpy/BLAS build and the CPU. Placement takes its in-plane basis on
-floats too (``geometry.edge_axes``), so sweep and calibration bytes do not
-follow the BLAS build on any plane.
+ray-plane hit of :func:`intersect_rays_plane`, and ``snap_trials`` gates,
+snaps and scores every trial at once as ``run_trial`` would through
+``evaluate_request``; only a trial whose gate or nearest-entity decision
+lies within a few ulps of the threshold or of a tie goes through
+``run_trial`` itself. The scalar ``pipeline`` serves live and replay, and
+the engine is its bit-exact twin on any plane: each hit, workplane transform
+and decision is ``GesturePipeline.process``'s expression, written out per
+component in the same order, with no matmul (``@``) or 1-D
+``np.linalg.norm``, whose summation order and FMA use depend on the
+numpy/BLAS build and the CPU. Placement takes its in-plane basis on floats
+too (``geometry.edge_axes``) and its norm per component, so sweep and
+calibration bytes do not follow the BLAS build on any plane. Reports are
+written along their fixed shape, with ``json.dumps``'s bytes.
 
 Calibration note: ``calibrate_sigma`` matches the *raw* per-frame
 intersection error (before any stabilization) against the requested mean
@@ -72,7 +76,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -476,11 +479,13 @@ def ideal_wrists(template: ScenarioTemplate, targets: np.ndarray, bias: np.ndarr
     base to the trial's aim, its target ((3,) or (trials, 3)) moved by its
     (u, v) bias. ``template`` gives the plane, shoulder base and arm length;
     the in-plane basis is ``geometry.edge_axes``, the workplane frame's, on
-    floats and once for all trials."""
-    e1, e2 = (np.array(axis) for axis in edge_axes(template.plane))
-    base = np.array(template.shoulder_base.as_tuple())
-    aim_dirs = targets + bias[:, :1] * e1 + bias[:, 1:] * e2 - base
-    return base + aim_dirs * (template.arm_length / np.linalg.norm(aim_dirs, axis=1))[:, None]
+    floats and once for all trials. Each component is one contiguous row of
+    the result's transpose, which calibration reads as is."""
+    (e1, e2), base, bu, bv = edge_axes(template.plane), template.shoulder_base.as_tuple(), bias[:, 0], bias[:, 1]
+    x, y, z = (t + bu * a + bv * b - o for t, a, b, o in zip(np.moveaxis(targets, -1, 0), e1, e2, base))
+    # the order in which np.linalg.norm(axis=1) sums a length-3 axis
+    scale = template.arm_length / np.sqrt((x * x + y * y) + z * z)
+    return np.array([o + c * scale for o, c in zip(base, (x, y, z))]).T
 
 
 def noisy_joints(
@@ -574,7 +579,9 @@ def stabilize_trials(
     points, oldest first. Dropped samples neither enter nor evict the window,
     so a stable sort first moves each trial's accepted samples to the front;
     the running mean then sums offsets from the window's first point in
-    buffer order, as :func:`~gesturepoint.geometry.planar_mean` does."""
+    buffer order, as :func:`~gesturepoint.geometry.planar_mean` does. Each
+    window is a slice of the points padded in front with copies of the first:
+    a short window's padding adds offsets of 0.0 first, which sum to 0.0."""
     hits, valid = intersect_rays_plane(shoulders, wrists, template.plane)
     frame = template.frame
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = frame.rows
@@ -586,14 +593,12 @@ def stabilize_trials(
     accepted = valid & points_in_bounds(local[..., 0], local[..., 1], bounds)
     order = np.argsort(~accepted, axis=1, kind="stable")
     raw = np.take_along_axis(local, order[..., None], axis=1)
-    idx = np.arange(raw.shape[1])
-    start = np.maximum(idx - DEFAULT_WINDOW + 1, 0)
-    first = raw[:, start]
-    total = np.zeros_like(raw)
+    frames = raw.shape[1]
+    padded = np.concatenate((np.repeat(raw[:, :1], DEFAULT_WINDOW - 1, axis=1), raw), axis=1)
+    first, total = padded[:, :frames], np.zeros_like(raw)
     for slot in range(1, DEFAULT_WINDOW):
-        j = start + slot
-        total += np.where((j <= idx)[:, None], raw[:, np.minimum(j, idx)] - first, 0.0)
-    return first + total / np.minimum(idx + 1, DEFAULT_WINDOW)[:, None], accepted.sum(axis=1)
+        total += padded[:, slot:slot + frames] - first
+    return first + total / np.minimum(np.arange(1, frames + 1), DEFAULT_WINDOW)[:, None], accepted.sum(axis=1)
 
 
 def run_trial(
@@ -605,7 +610,8 @@ def run_trial(
 ) -> TrialResult:
     """Snap and score one trial aimed at a target or area of ``board``, given
     its last stabilized points (fewer than ``template.snap_samples`` means
-    no snap).
+    no snap). This is the scalar path: sweeps take it only for a trial that
+    :func:`snap_trials` cannot decide from its arrays.
 
     Pick success means the aimed target was selected. Place success means the
     gestured mean landed inside the aimed area; a nearest-center fallback
@@ -636,6 +642,67 @@ def run_trial(
         success=success,
         fallback_used=bool(result and result.fallback_used),
     )
+
+
+# an array decision's relative margin: np.hypot and math.hypot each lie within
+# an ulp (2**-52) of the exact value; the absolute term covers subnormals
+_MARGIN, _TINY = 2.0 ** -48, 2.0 ** -1000
+
+
+def _surely_below(a, b):
+    """Where the exact value that ``a`` approximates lies below ``b``'s."""
+    return a * (1 + _MARGIN) + _TINY < b
+
+
+def snap_trials(template: ScenarioTemplate, boards: Sequence[BoardLayout], board_of: np.ndarray,
+                runs: Sequence[tuple], points: np.ndarray, counts: np.ndarray) -> list[TrialResult]:
+    """:func:`run_trial` for every trial at once: ``runs[k]`` (board, entity
+    index, entity, trial) aims at an entity of ``boards[board_of[k]]``, with
+    the points of :func:`stabilize_trials`. The gate's mean adds offsets
+    column by column in ``planar_mean``'s order and containment is exact, so
+    both equal the scalar path's. A decision ``math.hypot`` takes (the gate's
+    strict ``<``, the nearest target or area center) comes from ``np.hypot``
+    only past ``_MARGIN``; a trial within a few ulps of the threshold or of a
+    tie goes through ``run_trial``."""
+    n, threshold = template.snap_samples, template.stability_threshold
+    ids = [[entity.id for entity in board.targets or board.areas] for board in boards]
+    table = np.full((len(boards), 4, 1 + max(map(len, ids))), np.nan)  # u, v, half u, half v; NaN: absent
+    for b, board in enumerate(boards):
+        for j, entity in enumerate(board.targets or board.areas):
+            uv = _aimed_uv(entity)
+            table[b, :, j] = uv.u, uv.v, *getattr(entity, "half_extent", (np.nan, np.nan))
+    cu, cv, hu, hv = table[board_of].transpose(1, 0, 2)
+    with np.errstate(invalid="ignore"):
+        window = np.take_along_axis(points, (np.maximum(counts, n)[:, None] - n + np.arange(n))[..., None], axis=1)
+        first, total = window[:, 0], np.zeros_like(window[:, 0])
+        for j in range(n):
+            total += window[:, j] - first
+        means = first + total / n
+        mu, mv = means[:, :1], means[:, 1:2]
+        deviation = np.hypot(window[..., 0] - mu, window[..., 1] - mv).max(axis=1)
+        inside = (abs(mu - cu) <= hu) & (abs(mv - cv) <= hv)  # never for a target: its half extents are NaN
+        contained = inside.any(axis=1)
+        distance = np.where(np.where(contained[:, None], inside, ~np.isnan(cu)), np.hypot(mu - cu, mv - cv), np.inf)
+        ranked = np.sort(distance, axis=1)
+        stable = _surely_below(deviation, threshold)
+        clear = _surely_below(ranked[:, 0], ranked[:, 1])
+        decided = (counts < n) | _surely_below(threshold, deviation) | stable & clear
+    results = []
+    for i, ((board, _, entity, k), b, gestured, sure, snapped, best, inner, mean_uvz) in enumerate(zip(
+            runs, board_of.tolist(), (counts >= n).tolist(), decided.tolist(), stable.tolist(),
+            distance.argmin(axis=1).tolist(), contained.tolist(), means.tolist())):
+        trial_id, aimed_uv = f"{board.kind}-{board.parameter}-{entity.id}-{k}", _aimed_uv(entity)
+        if not sure:
+            results.append(run_trial(template, board, entity, trial_id, [PlanarPoint(*p) for p in window[i].tolist()]))
+        elif not gestured:
+            results.append(TrialResult(trial_id, aimed_uv, None, None, None, False, False))
+        else:
+            mean, selected = PlanarPoint(*mean_uvz), ids[b][best] if snapped else None
+            fallback = snapped and not board.targets and not inner
+            error = euclidean_error(mean, PlanarPoint(aimed_uv.u, aimed_uv.v))
+            results.append(TrialResult(trial_id, aimed_uv, mean, error, selected,
+                                       selected == entity.id and not fallback, fallback))
+    return results
 
 
 def run_pick_sweep(
@@ -688,13 +755,8 @@ def run_boards(
     points, counts = stabilize_trials(
         template, *noisy_joints(template.shoulder_base, ideal, eps, template.sigma)
     )
-    trials = [
-        run_trial(
-            template, board, entity, f"{board.kind}-{board.parameter}-{entity.id}-{k}",
-            [PlanarPoint(*p) for p in points[i, :counts[i]][-template.snap_samples:].tolist()],
-        )
-        for i, (board, _, entity, k) in enumerate(runs)
-    ]
+    sizes = [len(board.targets or board.areas) * trials_per_target for board in boards]
+    trials = snap_trials(template, boards, np.repeat(np.arange(len(boards)), sizes), runs, points, counts)
     cells = [
         SweepCell(kind=board.kind, l=board.parameter, target_id=entity.id,
                   trials=tuple(trials[c * trials_per_target:(c + 1) * trials_per_target]))
@@ -756,7 +818,7 @@ def _mean_error_by_sigma(
         raise InvalidParametersError(f"calibration needs at least 1 sample, got {samples}")
     target = template.check_target(target_world).as_tuple()
     bias, eps = draw_joint_noise(seed, template.aim_bias_sigma, samples, 1)
-    ideal = ideal_wrists(template, np.array(target), bias).T.copy()
+    ideal = ideal_wrists(template, np.array(target), bias).T  # its rows are contiguous
     shoulder_eps, wrist_eps = eps[:, 0].transpose(1, 2, 0).copy()
     base = template.shoulder_base.as_tuple()
 
@@ -909,14 +971,8 @@ def _cell_row(cell: SweepCell, report: SweepReport) -> dict:
     }
 
 
-def _fmt_csv(value, column: str) -> str:
-    if value is None:
-        return ""
-    if column in ("success_pct", "fallback_pct"):
-        return format(value, ".2f")
-    if column.endswith("_m"):
-        return format(value, ".4f")
-    return str(value)
+# each CSV column's format spec; the spec "" formats a value as str() does
+_CSV_SPECS = tuple((c, ".2f" if c.endswith("_pct") else ".4f" if c.endswith("_m") else "") for c in CSV_COLUMNS)
 
 
 # the text json.dumps gives each scalar of these exact types
@@ -924,20 +980,43 @@ _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {False: 
                  type(None): {None: "null"}.get}
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``'s text for a report
-    document (string keys), written directly rather than through the
-    pure-Python encoder that ``indent`` selects."""
-    if isinstance(value, float) and math.isfinite(value):
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` for one report value."""
+    if type(value) is float and -math.inf < value < math.inf:
         return float.__repr__(value)
-    if not isinstance(value, (dict, list)):
-        return _JSON_SCALARS.get(type(value), json.dumps)(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items, brackets = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}" for k in sorted(value)], "{}"
-    else:
-        items, brackets = [_json_text(v, inner) for v in value], "[]"
-    return brackets[0] + ",".join(inner + item for item in items) + indent + brackets[1] if items else brackets
+    return _JSON_SCALARS.get(type(value), json.dumps)(value)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    return "[" + ",".join(items) + indent + "]" if items else "[]"
+
+
+# the JSON report's fixed shape, keys in sort_keys order and indented as indent=2 does
+_ROW_KEYS = sorted(CSV_COLUMNS)  # then "trials_detail", which sorts after them all
+_CELL_JSON = "\n    {" + "".join(f'\n      "{k}": %s,' for k in _ROW_KEYS) + '\n      "trials_detail": %s\n    }'
+_TRIAL_JSON = "\n        {" + ",".join(f'\n          "{k}": %s' for k in (
+    "du_m", "dv_m", "err_m", "fallback", "selected", "success", "trial")) + "\n        }"
+_REPORT_JSON = ('{\n  "cells": %s,\n  "config": {\n    "seed": %s,\n    "sigma_m": %s,\n    "snap_samples": %s,'
+                '\n    "source": "synthetic",\n    "stability_threshold_m": %s,\n    "trials_per_target": %s\n  },'
+                '\n  "kind": %s\n}\n')
+
+
+def _json_report(report: SweepReport) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` of the report document
+    (the config, and per cell its row and trial details) plus a newline,
+    written along its known shape."""
+    text = _json_scalar
+    cells = []
+    for row, cell in zip(report.rows, report.cells):
+        trials = []
+        for t in cell.trials:
+            mean, truth = t.gestured_mean, t.ground_truth_uv
+            du, dv = (None, None) if mean is None else (round(mean.u - truth.u, 4), round(mean.v - truth.v, 4))
+            trials.append(_TRIAL_JSON % (text(du), text(dv), text(_round4(t.error)), text(t.fallback_used),
+                                         text(t.selected_id), text(t.success), text(t.trial_id)))
+        cells.append(_CELL_JSON % (*[text(row[k]) for k in _ROW_KEYS], _json_list(trials, "\n      ")))
+    return _REPORT_JSON % (_json_list(cells, "\n  "), text(report.seed), text(report.sigma), text(report.snap_samples),
+                           text(report.stability_threshold), text(report.trials_per_target), text(report.kind))
 
 
 def emit_report(report: SweepReport, format: str) -> str:
@@ -946,35 +1025,9 @@ def emit_report(report: SweepReport, format: str) -> str:
     identical; reruns with the same config are byte-identical."""
     if format not in ("csv", "json"):
         raise EvalError(f"unsupported report format {format!r}")
-    if format == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(CSV_COLUMNS) + "\n")
-        for row in report.rows:
-            buf.write(",".join(_fmt_csv(row[c], c) for c in CSV_COLUMNS) + "\n")
-        return buf.getvalue()
-    doc = {
-        "kind": report.kind,
-        "config": {
-            "sigma_m": report.sigma,
-            "seed": report.seed,
-            "snap_samples": report.snap_samples,
-            "trials_per_target": report.trials_per_target,
-            "stability_threshold_m": report.stability_threshold,
-            "source": "synthetic",
-        },
-        "cells": [{**row, "trials_detail": [
-            {
-                "trial": t.trial_id,
-                "du_m": _round4(t.gestured_mean.u - t.ground_truth_uv.u)
-                if t.gestured_mean is not None else None,
-                "dv_m": _round4(t.gestured_mean.v - t.ground_truth_uv.v)
-                if t.gestured_mean is not None else None,
-                "err_m": _round4(t.error),
-                "selected": t.selected_id,
-                "success": t.success,
-                "fallback": t.fallback_used,
-            }
-            for t in cell.trials
-        ]} for row, cell in zip(report.rows, report.cells)],
-    }
-    return _json_text(doc) + "\n"
+    if format == "json":
+        return _json_report(report)
+    lines = [",".join(CSV_COLUMNS)]
+    for row in report.rows:
+        lines.append(",".join("" if (v := row[c]) is None else f"{v:{spec}}" for c, spec in _CSV_SPECS))
+    return "\n".join(lines) + "\n"

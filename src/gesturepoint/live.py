@@ -186,12 +186,16 @@ class LiveServer:
             self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self.socket.bind((host, port))
             self.socket.listen()
+            # shutdown writes a byte to _wake, so a select waiting on _woken returns at once
+            self._woken, self._wake = socket.socketpair()
         except BaseException:
             self.socket.close()
             raise
         self.socket.setblocking(False)
+        self._woken.setblocking(False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self.socket, _READ)
+        self._selector.register(self._woken, _READ)
         self._view = memoryview(bytearray(RECV_BYTES))
         self._stop = False
         self._stopped = threading.Event()
@@ -206,7 +210,9 @@ class LiveServer:
         try:
             while not self._stop:
                 for key, events in self._selector.select(poll_interval):
-                    if key.data is None:
+                    if key.fileobj is self._woken:
+                        self._woken.recv(RECV_BYTES)
+                    elif key.data is None:
                         self._accept()
                     else:
                         self._serve(key, events)
@@ -217,13 +223,15 @@ class LiveServer:
     def shutdown(self) -> None:
         """Make ``serve_forever`` return, and wait until it has."""
         self._stop = True
+        self._wake.send(b"\0")
         self._stopped.wait()
 
     def server_close(self) -> None:
-        """Close the listening socket and every session's socket."""
+        """Close the listening socket, every session's socket and the wake-up pair."""
         for key in list(self._selector.get_map().values()):
             key.fileobj.close()
         self._selector.close()
+        self._wake.close()
 
     def _accept(self) -> None:
         try:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 
 import pytest
 
@@ -13,6 +14,13 @@ from gesturepoint.geometry import Point3, plane_from_corners
 # CLI subprocesses started by tests import the package from this same source tree
 _SRC = os.path.dirname(os.path.dirname(gesturepoint.__file__))
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def default_sigint() -> None:
+    """``preexec_fn`` of a ``gesturepoint live`` child that a test stops with
+    SIGINT: a child inherits an ignored SIGINT (as a background job's is), so
+    without this it would never see the signal."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
 def run_cli(argv: list[str]) -> int:

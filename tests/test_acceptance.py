@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    default_sigint,
     desk_corners,
     make_plane_file,
     run_cli,
@@ -370,7 +371,7 @@ def test_criterion_7_determinism_and_formats(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "gesturepoint.cli", "live", "--plane", str(plane_file),
          "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, preexec_fn=default_sigint,
     )
     try:
         ready = proc.stdout.readline()

@@ -22,6 +22,7 @@ from gesturepoint import evaluation
 from gesturepoint.evaluation import (
     _KIND_CODES,
     CSV_COLUMNS,
+    BoardLayout,
     EvalError,
     FRAMES_PER_TRIAL,
     InvalidParametersError,
@@ -57,13 +58,14 @@ from gesturepoint.geometry import (
     Point3,
     Quaternion,
     WorkplaneFrame,
+    edge_axes,
     from_workplane,
     plane_from_corners,
     to_workplane,
     workplane_frame,
 )
 from gesturepoint.pipeline import HISTORY_CAPACITY, GesturePipeline
-from gesturepoint.snap import DEFAULT_STABILITY_THRESHOLD, SnapRequest, evaluate_request, stability_gate
+from gesturepoint.snap import DEFAULT_STABILITY_THRESHOLD, Area, SnapRequest, Target, evaluate_request, stability_gate
 from gesturepoint.stream import KeypointFrame
 
 
@@ -192,7 +194,10 @@ def test_noiseless_quantitative_board():
     assert all(row["success_pct"] == 100.0 for row in report.rows)
 
 
-def test_run_trial_gates_each_trial_once(monkeypatch):
+def test_one_scalar_gate_per_fallback_trial(monkeypatch):
+    """Sweeps gate and snap in arrays; only a trial whose decision is within
+    a few ulps of a tie or of the threshold goes through ``run_trial``, which
+    gates it once."""
     calls = []
 
     def counting_gate(samples, threshold=DEFAULT_STABILITY_THRESHOLD):
@@ -203,7 +208,15 @@ def test_run_trial_gates_each_trial_once(monkeypatch):
     monkeypatch.setattr("gesturepoint.evaluation.stability_gate", counting_gate)
     template = ScenarioTemplate.desk_default(0.0)
     run_pick_sweep(template, distances=(0.10,), trials_per_target=2, base_seed=5)
-    assert calls == [template.snap_samples] * 8  # noiseless: every snap's gate passes
+    assert calls == []  # clear decisions: no scalar gate
+    # two targets on one spot tie exactly, so every trial falls back; the id breaks the tie
+    twins = BoardLayout("custom", None, tuple(
+        Target(tid, tid, PlanarPoint(0.3, 0.4)) for tid in ("B", "A")), ())
+    report = run_boards(template, [twins], trials_per_target=3, base_seed=5)
+    assert calls == [template.snap_samples] * 6
+    assert [t.selected_id for c in report.cells for t in c.trials] == ["A"] * 6
+    assert [c.target_id for c in report.cells] == ["B", "A"]
+    assert [row["successes"] for row in report.rows] == [0, 3]
     # a failed gate selects nothing, so the trial's mean needs one more
     board = make_board("pick_square", 0.10)
     samples = [PlanarPoint(0.3, 0.4)] * 14 + [PlanarPoint(0.9, 0.4)]
@@ -247,6 +260,80 @@ def test_sweep_rerun_is_identical():
     b = run_pick_sweep(tpl, distances=(0.04,), trials_per_target=5, base_seed=77)
     assert emit_report(a, "json") == emit_report(b, "json")
     assert emit_report(a, "csv") == emit_report(b, "csv")
+
+
+def _edge_entities(rng, mean, kind: str, place: bool) -> list:
+    """Targets or areas around a trial's gate mean (None: no snap), with the
+    decision edge ``kind`` puts on the mean: two entities on one spot (an
+    exact tie), two mirrored about it (a tie up to rounding), or an area
+    whose edge runs through it in u, in v or in both."""
+    u, v = (0.3, 0.4) if mean is None else (mean.u, mean.v)
+    spots = [(u + x, v + y) for x, y in rng.normal(0, 0.05, (int(rng.integers(1, 4)), 2)).tolist()]
+    d = float(rng.uniform(1e-6, 0.05))
+    if kind == "twins":
+        spots += [spots[0]]
+    elif kind == "mirror":
+        spots += [(u + d, v), (u - d, v)]
+    halves = [tuple(rng.uniform(0.005, 0.1, 2).tolist()) for _ in spots]
+    if place and kind in ("edge_u", "edge_v", "corner"):
+        cu, cv = spots[0]
+        hu, hv = halves[0]
+        halves[0] = (abs(u - cu) if kind != "edge_v" else max(hu, 2 * abs(u - cu)),
+                     abs(v - cv) if kind != "edge_u" else max(hv, 2 * abs(v - cv)))
+        if not halves[0][0] > 0 or not halves[0][1] > 0:
+            halves[0] = (0.01, 0.01)
+    ids = [str(len(spots) - j) for j in range(len(spots))]  # so a tie breaks against the list order
+    if place:
+        return [Area(f"A{i}", PlanarPoint(cu, cv), half) for i, (cu, cv), half in zip(ids, spots, halves)]
+    return [Target(f"T{i}", "t", PlanarPoint(cu, cv)) for i, (cu, cv) in zip(ids, spots)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    spread=st.sampled_from([0.0, 1e-3, 0.02, 0.2]),
+    threshold_at=st.sampled_from(["plain", "at", "below", "above"]),
+    kinds=st.lists(st.sampled_from(["plain", "twins", "mirror", "edge_u", "edge_v", "corner"]), min_size=1, max_size=6),
+)
+def test_array_gate_and_snap_equal_evaluate_request_trial_by_trial(seed, n, spread, threshold_at, kinds):
+    """``snap_trials`` against ``run_trial`` (``evaluate_request`` on the
+    trial's last points) for every trial of a batch of one-board trials:
+    the first trial's maximum deviation can sit exactly at the threshold or
+    an ulp from it, and the entities put exact and rounded ties and area
+    edges on the gate mean."""
+    rng = np.random.default_rng(seed)
+    frames = n + 3
+    points = rng.normal(0, spread, (len(kinds), frames, 3)) + [0.3, 0.4, 0.0]
+    counts = rng.choice([n - 1, n, frames, int(rng.integers(0, frames + 1))], len(kinds))
+    counts[0] = frames
+    if threshold_at != "plain" and n > 1 and spread > 0:
+        # redraw the first trial until np.hypot rounds its maximum deviation unlike math.hypot
+        for _ in range(5000):
+            gate = stability_gate([PlanarPoint(*p) for p in points[0, -n:].tolist()])
+            offsets = points[0, -n:, :2] - [gate.mean.u, gate.mean.v]
+            if np.hypot(offsets[:, 0], offsets[:, 1]).max() != gate.max_deviation:
+                break
+            points[0] = rng.normal(0, spread, (frames, 3)) + [0.3, 0.4, 0.0]
+    samples = [[PlanarPoint(*p) for p in points[k, :c][-n:].tolist()] for k, c in enumerate(counts.tolist())]
+    gates = [stability_gate(s) if len(s) >= n else None for s in samples]
+    threshold = DEFAULT_STABILITY_THRESHOLD
+    if gates[0] is not None and gates[0].max_deviation > 0 and threshold_at != "plain":
+        deviation = gates[0].max_deviation
+        threshold = {"at": deviation, "below": math.nextafter(deviation, math.inf),
+                     "above": math.nextafter(deviation, 0.0)}[threshold_at]
+    template = ScenarioTemplate.desk_default(0.0, snap_samples=n, stability_threshold=threshold)
+    boards, runs = [], []
+    for k, kind in enumerate(kinds):
+        entities = _edge_entities(rng, gates[k] and gates[k].mean, kind, place=bool(rng.integers(2)))
+        board = BoardLayout("pick_square" if isinstance(entities[0], Target) else "place_areas", None,
+                            tuple(e for e in entities if isinstance(e, Target)),
+                            tuple(e for e in entities if isinstance(e, Area)))
+        boards.append(board)
+        runs.append((board, 0, entities[int(rng.integers(len(entities)))], k))
+    got = evaluation.snap_trials(template, boards, np.arange(len(kinds)), runs, points, counts)
+    for (board, _, entity, k), result, trial_samples in zip(runs, got, samples):
+        assert result == run_trial(template, board, entity, result.trial_id, trial_samples)
 
 
 # --- array trial engine against the per-frame pipeline ----------------------
@@ -308,6 +395,29 @@ def test_ideal_wrists_equal_a_float_reference_on_tilted_planes():
         bias = rng.normal(scale=0.02, size=(3, 2))
         want = [_float_ideal_wrist(template, t, bu, bv) for t, (bu, bv) in zip(targets, bias.tolist())]
         assert ideal_wrists(template, np.array(targets), bias).tolist() == want
+
+
+@pytest.mark.parametrize("trials", [1, 3, 82, 10_000])
+def test_ideal_wrists_per_component_equal_the_row_norm_form(trials):
+    """Placement per component, ``sqrt((x*x + y*y) + z*z)`` on component
+    rows, gives the wrists of the (trials, 3) form it replaced, whose
+    ``np.linalg.norm(axis=1)`` sums a length-3 axis in that order, bit for
+    bit on random tilted planes, from one trial up to calibration's count."""
+    rng = np.random.default_rng(trials)
+    for _ in range(20):
+        q = rng.normal(size=4)
+        tilt = WorkplaneFrame(Point3(*rng.uniform(-1, 1, 3).tolist()), Quaternion(*(q / np.linalg.norm(q)).tolist()))
+        corners = [from_workplane(PlanarPoint(u, v), tilt) for u, v in ((0, 0), (0.6, 0), (0.6, 0.8), (0, 0.8))]
+        template = ScenarioTemplate(plane=plane_from_corners(corners), arm_length=0.55, sigma=0.0,
+                                    shoulder_base=from_workplane(PlanarPoint(0.3, -0.1, 0.6), tilt))
+        bias = rng.normal(scale=0.02, size=(trials, 2))
+        e1, e2 = (np.array(axis) for axis in edge_axes(template.plane))
+        base = np.array(template.shoulder_base.as_tuple())
+        for targets in (np.array(from_workplane(PlanarPoint(0.3, 0.4), tilt).as_tuple()),
+                        rng.uniform(-1, 1, (trials, 3))):
+            aim = targets + bias[:, :1] * e1 + bias[:, 1:] * e2 - base
+            want = base + aim * (template.arm_length / np.linalg.norm(aim, axis=1))[:, None]
+            assert ideal_wrists(template, targets, bias).tolist() == want.tolist()
 
 
 def reference_trial(template, board, aimed, trial_id, frames) -> tuple[TrialResult, list]:
@@ -663,9 +773,9 @@ def _edge_report() -> SweepReport:
     )
 
 
-@pytest.mark.parametrize("report", [_empty_report(), _edge_report()], ids=["no-cells", "edges"])
-def test_json_report_is_the_json_module_text(report):
-    doc = {
+def _report_document(report: SweepReport) -> dict:
+    """The JSON report's document, as the report writer documents it."""
+    return {
         "kind": report.kind,
         "config": {"sigma_m": report.sigma, "seed": report.seed, "snap_samples": report.snap_samples,
                    "trials_per_target": report.trials_per_target,
@@ -677,17 +787,27 @@ def test_json_report_is_the_json_module_text(report):
              "selected": t.selected_id, "success": t.success, "fallback": t.fallback_used}
             for t in cell.trials]} for row, cell in zip(report.rows, report.cells)],
     }
-    assert emit_report(report, "json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+@pytest.mark.parametrize("report", [_empty_report(), _edge_report()], ids=["no-cells", "edges"])
+def test_json_report_is_the_json_module_text(report):
+    assert emit_report(report, "json") == json.dumps(_report_document(report), indent=2, sort_keys=True) + "\n"
+
+
+_FLOAT = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]))
+_POINT = st.builds(PlanarPoint, _FLOAT, _FLOAT, _FLOAT)
+_TRIAL = st.builds(TrialResult, st.text(), _POINT, st.none() | _POINT, st.none() | _FLOAT,
+                   st.none() | st.text(), st.booleans(), st.booleans())
+_CELL = st.builds(SweepCell, st.text(), st.none() | _FLOAT, st.text(), st.lists(_TRIAL, max_size=4).map(tuple))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.recursive(_JSON_SCALAR, lambda inner: st.one_of(
-    st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)), max_leaves=20))
-def test_json_writer_equals_json_dumps(doc):
-    assert evaluation._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+@given(st.builds(SweepReport, st.text(), _FLOAT, st.integers(), st.integers(), st.integers(), _FLOAT,
+                 st.lists(_CELL, max_size=4).map(tuple)))
+def test_json_report_equals_json_dumps_on_random_reports(report):
+    """Any report, with NaN, infinite, -0.0 and None values and non-ASCII
+    text anywhere, gives the json module's text of its document."""
+    assert emit_report(report, "json") == json.dumps(_report_document(report), indent=2, sort_keys=True) + "\n"
 
 
 def test_csv_and_json_carry_identical_values():

@@ -134,6 +134,19 @@ def test_benchmark_sweep_envelope_digest(seed):
     assert _envelope_digest(int(seed)) == _ENVELOPES["digests"][seed]
 
 
+def test_benchmark_envelopes_take_every_decision_from_the_arrays(monkeypatch):
+    """Sweeps gate and snap every trial in arrays and send a trial through
+    the scalar ``run_trial`` only when a decision is within a few ulps of a
+    tie or of the threshold: none of the 656 trials of the 8 pinned
+    envelopes does, and the reports keep their bytes."""
+    fallbacks = []
+    run_trial = evaluation.run_trial
+    monkeypatch.setattr(evaluation, "run_trial", lambda *args: fallbacks.append(args[3]) or run_trial(*args))
+    for seed, digest in _ENVELOPES["digests"].items():
+        assert _envelope_digest(int(seed)) == digest
+    assert fallbacks == []
+
+
 def test_benchmark_envelope_derives_one_seed_per_trial_key(monkeypatch):
     """The l series shares its trial seeds, so an envelope draws once per
     (kind, entity, trial) key: 4 bolts and 3 areas, 2 trials each, 14 seeds

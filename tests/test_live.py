@@ -4,6 +4,7 @@ and replay/live output equivalence."""
 from __future__ import annotations
 
 import dataclasses
+import errno
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -24,7 +26,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import INTRINSICS, desk_corners, make_plane_file, run_cli, wrist_frame, write_scenario_file
+from conftest import (
+    INTRINSICS, default_sigint, desk_corners, make_plane_file, run_cli, wrist_frame, write_scenario_file,
+)
 from gesturepoint.cli import load_plane_file
 from gesturepoint.evaluation import generate_scenario, load_scenario_config
 from gesturepoint import live
@@ -196,6 +200,41 @@ def _wait_for_sessions(server: LiveServer, count: int) -> None:
         time.sleep(0.01)
 
 
+def test_shutdown_returns_without_waiting_for_the_poll(tmp_path):
+    """``shutdown`` wakes the selector, so it returns at once even when
+    ``serve_forever`` polls once a minute, and the server serves again after."""
+    server = LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries())
+    try:
+        for _ in range(2):
+            thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 60}, daemon=True)
+            thread.start()
+            assert len(talk(server.address, stream_lines(tmp_path, count=2))) == 2
+            start = time.monotonic()
+            server.shutdown()
+            thread.join(timeout=5)
+            assert not thread.is_alive() and time.monotonic() - start < 5
+    finally:
+        server.server_close()
+
+
+def test_failed_wake_up_pair_closes_the_listening_socket(tmp_path, monkeypatch):
+    """When the wake-up pair cannot be made (say, no file descriptor is left),
+    the bound listening socket is closed before the error propagates, so its
+    port is free again while the error's traceback still holds the server."""
+    def no_pair():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    monkeypatch.setattr(socket, "socketpair", no_pair)
+    with pytest.raises(OSError, match="Too many open files") as caught:
+        LiveServer("127.0.0.1", port, make_settings(tmp_path), *registries())
+    monkeypatch.undo()
+    LiveServer("127.0.0.1", port, make_settings(tmp_path), *registries()).server_close()
+    assert caught.value.errno == errno.EMFILE
+
+
 def test_client_that_resets_its_connection_ends_its_session_quietly(tmp_path, capsys):
     frame = stream_lines(tmp_path, count=1)[0]
     with LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries()) as server:
@@ -317,10 +356,9 @@ def test_client_that_never_reads_holds_at_most_the_unsent_bound_plus_one_read(tm
 
 
 _ONE_THREAD = """
-import json, signal, sys, threading
+import json, sys, threading
 from gesturepoint import cli, live
 
-signal.signal(signal.SIGINT, signal.default_int_handler)  # also when started with SIGINT ignored
 threads = set()
 handle_line = live.LiveSession.handle_line
 
@@ -342,6 +380,7 @@ def test_cli_live_serves_concurrent_sessions_on_one_thread(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-c", _ONE_THREAD, "live", "--plane", str(plane), "--listen", "127.0.0.1:0"],
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=default_sigint,
     )
     try:
         host, port = json.loads(proc.stdout.readline())["listening"].rsplit(":", 1)
@@ -397,6 +436,7 @@ def test_cli_live_server_answers_as_an_in_process_session(tmp_path):
         [sys.executable, "-m", "gesturepoint.cli", "live", "--plane", str(plane), "--registry", str(layout),
          "--listen", "127.0.0.1:0"],
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=default_sigint,
     )
     try:
         host, port = json.loads(proc.stdout.readline())["listening"].rsplit(":", 1)
