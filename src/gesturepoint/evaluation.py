@@ -52,11 +52,12 @@ signed offsets for downstream offset analysis).
 
 Sweeps run an array engine: ``stabilize_trials`` takes every trial's joints
 as (trials, frames, 3) arrays through the per-frame path at once, with the
-ray-plane hit of :func:`intersect_rays_plane`, and ``snap_trials`` gates,
-snaps and scores every trial at once as ``run_trial`` would through
-``evaluate_request``; only a trial whose gate or nearest-entity decision
-lies within a few ulps of the threshold or of a tie goes through
-``run_trial`` itself. The scalar ``pipeline`` serves live and replay, and
+ray-plane hit of :func:`intersect_rays_plane`, and ``snap_trials``, the
+one place a trial's points become a :class:`TrialResult`, gates, snaps and
+scores every trial at once with ``evaluate_request``'s decisions; only a
+trial whose gate or nearest-entity decision lies within a few ulps of the
+threshold or of a tie takes its deviations and distances again from
+``math.hypot``. The scalar ``pipeline`` serves live and replay, and
 the engine is its bit-exact twin on any plane: each hit, workplane transform
 and decision is ``GesturePipeline.process``'s expression, written out per
 component in the same order, with no matmul (``@``) or 1-D
@@ -106,13 +107,9 @@ from .snap import (
     DEFAULT_STABILITY_THRESHOLD,
     Area,
     MalformedFileError,
-    SnapRequest,
-    SnapResult,
     Target,
-    evaluate_request,
     layout_document,
     parse_layout,
-    stability_gate,
 )
 from .stabilizer import DEFAULT_WINDOW
 from .stream import (  # re-exports EvalError, InvalidParametersError and the sample-count defaults
@@ -140,7 +137,8 @@ CSV_COLUMNS = (
 
 def euclidean_error(a: PlanarPoint, b: PlanarPoint) -> float:
     """Euclidean norm of the componentwise difference of two workplane points."""
-    return math.sqrt((a.u - b.u) ** 2 + (a.v - b.v) ** 2 + (a.z_residual - b.z_residual) ** 2)
+    du, dv, dz = a.u - b.u, a.v - b.v, a.z_residual - b.z_residual
+    return math.sqrt(du * du + dv * dv + dz * dz)
 
 
 # --- boards ---------------------------------------------------------------
@@ -270,7 +268,8 @@ def save_boards(path: str | os.PathLike, boards: Sequence[BoardLayout]) -> None:
 def load_boards(path: str | os.PathLike) -> list[BoardLayout]:
     """Read a board series written by :func:`save_boards`, so measured layouts
     can replace the generated ones. A lone board document (registry schema
-    plus a "board" metadata key) reads as a one-board series."""
+    plus a "board" metadata key) reads as a one-board series. Each board
+    holds targets (a pick board) or areas (a place board), not both."""
     doc = decode_object(read_text(path), EvalError, path)
     docs = doc["boards"] if "boards" in doc else [doc]
     if not isinstance(docs, list) or not docs:
@@ -287,6 +286,8 @@ def load_boards(path: str | os.PathLike) -> list[BoardLayout]:
             raise EvalError(f"{path}: board {i} ({entry.get('board', {}).get('kind', 'custom')}): {exc}") from exc
         if not board.targets and not board.areas:
             raise EvalError(f"{path}: board {i} holds no targets or areas")
+        if board.targets and board.areas:
+            raise EvalError(f"{path}: board {i} holds both targets and areas")
         boards.append(board)
     return boards
 
@@ -601,49 +602,6 @@ def stabilize_trials(
     return first + total / np.minimum(np.arange(1, frames + 1), DEFAULT_WINDOW)[:, None], accepted.sum(axis=1)
 
 
-def run_trial(
-    template: ScenarioTemplate,
-    board: BoardLayout,
-    aimed: Target | Area,
-    trial_id: str,
-    samples: Sequence[PlanarPoint],
-) -> TrialResult:
-    """Snap and score one trial aimed at a target or area of ``board``, given
-    its last stabilized points (fewer than ``template.snap_samples`` means
-    no snap). This is the scalar path: sweeps take it only for a trial that
-    :func:`snap_trials` cannot decide from its arrays.
-
-    Pick success means the aimed target was selected. Place success means the
-    gestured mean landed inside the aimed area; a nearest-center fallback
-    selection is recorded (``fallback_used``) but counts as a failure, the
-    same way out-of-bounds selections are set aside in the reference
-    protocol. No selection at all is always a failure.
-    """
-    aimed_uv = _aimed_uv(aimed)
-    result: SnapResult | None = None
-    mean = error = None
-    if len(samples) >= template.snap_samples:
-        request = SnapRequest(samples=tuple(samples), strategy="pick" if board.targets else "place")
-        result = evaluate_request(
-            request, board.targets, board.areas, threshold=template.stability_threshold
-        )
-        # a result carries the gate's mean; only a failed gate needs its own
-        mean = result.mean_point if result else stability_gate(samples, template.stability_threshold).mean
-        error = euclidean_error(mean, PlanarPoint(aimed_uv.u, aimed_uv.v, 0.0))
-    success = bool(result and result.selected_id == aimed.id)
-    if not board.targets and result is not None and result.fallback_used:
-        success = False
-    return TrialResult(
-        trial_id=trial_id,
-        ground_truth_uv=aimed_uv,
-        gestured_mean=mean,
-        error=error,
-        selected_id=result.selected_id if result else None,
-        success=success,
-        fallback_used=bool(result and result.fallback_used),
-    )
-
-
 # an array decision's relative margin: np.hypot and math.hypot each lie within
 # an ulp (2**-52) of the exact value; the absolute term covers subnormals
 _MARGIN, _TINY = 2.0 ** -48, 2.0 ** -1000
@@ -656,22 +614,32 @@ def _surely_below(a, b):
 
 def snap_trials(template: ScenarioTemplate, boards: Sequence[BoardLayout], board_of: np.ndarray,
                 runs: Sequence[tuple], points: np.ndarray, counts: np.ndarray) -> list[TrialResult]:
-    """:func:`run_trial` for every trial at once: ``runs[k]`` (board, entity
-    index, entity, trial) aims at an entity of ``boards[board_of[k]]``, with
-    the points of :func:`stabilize_trials`. The gate's mean adds offsets
-    column by column in ``planar_mean``'s order and containment is exact, so
-    both equal the scalar path's. A decision ``math.hypot`` takes (the gate's
-    strict ``<``, the nearest target or area center) comes from ``np.hypot``
-    only past ``_MARGIN``; a trial within a few ulps of the threshold or of a
-    tie goes through ``run_trial``."""
+    """Snap and score every trial at once: ``runs[k]`` (board, entity index,
+    entity, trial) aims at an entity of ``boards[board_of[k]]``, with the
+    points of :func:`stabilize_trials`; a trial with fewer than
+    ``template.snap_samples`` of them has no snap, mean or error. The gate
+    and snaps are ``evaluate_request``'s: the gate's mean adds offsets column
+    by column in ``planar_mean``'s order, the gate is a strict ``deviation <
+    threshold``, containment is exact, and each board's entities sit in id
+    order, so ``argmin`` breaks a distance tie by id. Deviations and
+    distances come from ``np.hypot``; a trial whose decision is not clear
+    past ``_MARGIN`` takes them again from ``math.hypot``, as the scalar
+    snaps do. The error is ``euclidean_error``'s expression against the aimed
+    ``(u, v, 0)``. Pick success means the aimed target was selected; place
+    success means the mean landed inside the aimed area, so a nearest-center
+    fallback is recorded but counts as a failure. No selection is always a
+    failure."""
     n, threshold = template.snap_samples, template.stability_threshold
-    ids = [[entity.id for entity in board.targets or board.areas] for board in boards]
-    table = np.full((len(boards), 4, 1 + max(map(len, ids))), np.nan)  # u, v, half u, half v; NaN: absent
-    for b, board in enumerate(boards):
-        for j, entity in enumerate(board.targets or board.areas):
+    entities = [sorted(board.targets or board.areas, key=lambda e: e.id) for board in boards]
+    table = np.full((len(boards), 4, 1 + max(map(len, entities))), np.nan)  # u, v, half u, half v; NaN: absent
+    for b, row in enumerate(entities):
+        for j, entity in enumerate(row):
             uv = _aimed_uv(entity)
             table[b, :, j] = uv.u, uv.v, *getattr(entity, "half_extent", (np.nan, np.nan))
     cu, cv, hu, hv = table[board_of].transpose(1, 0, 2)
+    aims = [_aimed_uv(entity) for _, _, entity, _ in runs]
+    au, av = np.array([(uv.u, uv.v) for uv in aims]).T
+    gestured = counts >= n
     with np.errstate(invalid="ignore"):
         window = np.take_along_axis(points, (np.maximum(counts, n)[:, None] - n + np.arange(n))[..., None], axis=1)
         first, total = window[:, 0], np.zeros_like(window[:, 0])
@@ -679,29 +647,28 @@ def snap_trials(template: ScenarioTemplate, boards: Sequence[BoardLayout], board
             total += window[:, j] - first
         means = first + total / n
         mu, mv = means[:, :1], means[:, 1:2]
+        du, dv, dz = means[:, 0] - au, means[:, 1] - av, means[:, 2]
+        error = np.sqrt((du * du + dv * dv) + dz * dz)
         deviation = np.hypot(window[..., 0] - mu, window[..., 1] - mv).max(axis=1)
         inside = (abs(mu - cu) <= hu) & (abs(mv - cv) <= hv)  # never for a target: its half extents are NaN
         contained = inside.any(axis=1)
         distance = np.where(np.where(contained[:, None], inside, ~np.isnan(cu)), np.hypot(mu - cu, mv - cv), np.inf)
         ranked = np.sort(distance, axis=1)
-        stable = _surely_below(deviation, threshold)
-        clear = _surely_below(ranked[:, 0], ranked[:, 1])
-        decided = (counts < n) | _surely_below(threshold, deviation) | stable & clear
+        clear = _surely_below(threshold, deviation) | (
+            _surely_below(deviation, threshold) & _surely_below(ranked[:, 0], ranked[:, 1]))
+    for i in np.flatnonzero(gestured & ~clear).tolist():  # a close call: math.hypot's values decide it
+        deviation[i] = max(map(math.hypot, (window[i, :, 0] - mu[i]).tolist(), (window[i, :, 1] - mv[i]).tolist()))
+        pool = np.isfinite(distance[i])
+        distance[i, pool] = list(map(math.hypot, (mu[i] - cu[i, pool]).tolist(), (mv[i] - cv[i, pool]).tolist()))
     results = []
-    for i, ((board, _, entity, k), b, gestured, sure, snapped, best, inner, mean_uvz) in enumerate(zip(
-            runs, board_of.tolist(), (counts >= n).tolist(), decided.tolist(), stable.tolist(),
-            distance.argmin(axis=1).tolist(), contained.tolist(), means.tolist())):
-        trial_id, aimed_uv = f"{board.kind}-{board.parameter}-{entity.id}-{k}", _aimed_uv(entity)
-        if not sure:
-            results.append(run_trial(template, board, entity, trial_id, [PlanarPoint(*p) for p in window[i].tolist()]))
-        elif not gestured:
-            results.append(TrialResult(trial_id, aimed_uv, None, None, None, False, False))
-        else:
-            mean, selected = PlanarPoint(*mean_uvz), ids[b][best] if snapped else None
-            fallback = snapped and not board.targets and not inner
-            error = euclidean_error(mean, PlanarPoint(aimed_uv.u, aimed_uv.v))
-            results.append(TrialResult(trial_id, aimed_uv, mean, error, selected,
-                                       selected == entity.id and not fallback, fallback))
+    for (board, _, entity, k), aimed_uv, b, scored, snapped, best, inner, mean_uvz, err in zip(
+            runs, aims, board_of.tolist(), gestured.tolist(), (gestured & (deviation < threshold)).tolist(),
+            distance.argmin(axis=1).tolist(), contained.tolist(), means.tolist(), error.tolist()):
+        selected = entities[b][best].id if snapped else None
+        fallback = snapped and not board.targets and not inner
+        results.append(TrialResult(f"{board.kind}-{board.parameter}-{entity.id}-{k}", aimed_uv,
+                                   PlanarPoint(*mean_uvz) if scored else None, err if scored else None,
+                                   selected, selected == entity.id and not fallback, fallback))
     return results
 
 

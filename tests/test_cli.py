@@ -446,6 +446,23 @@ def test_sweep_board_with_duplicate_ids_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_board_with_targets_and_areas_exits_2(tmp_path, capsys):
+    """A board holds targets or areas, not both: either kind of sweep would
+    drop one of them."""
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"board": {"kind": "custom"},
+                                "targets": [{"id": "T1", "label": "t", "group": None, "u": 0.3, "v": 0.3}],
+                                "areas": [{"id": "A1", "cu": 0.3, "cv": 0.5, "hu": 0.05, "hv": 0.05}]}),
+                    encoding="utf-8")
+    with pytest.raises(EvalError, match="board 1 holds both targets and areas"):
+        load_boards(path)
+    for kind in ("pick", "place"):
+        out = tmp_path / kind
+        assert run_cli(["sweep", "--kind", kind, "--trials", "1", "--board", str(path), "--out", str(out)]) == 2
+        assert "board 1 holds both targets and areas" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _board_file(path, **layout):
     path.write_text(json.dumps({"boards": [{"board": {"kind": "custom"}, **layout}]}), encoding="utf-8")
     return str(path)

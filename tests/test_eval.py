@@ -47,7 +47,6 @@ from gesturepoint.evaluation import (
     run_boards,
     run_pick_sweep,
     run_place_sweep,
-    run_trial,
     stabilize_trials,
     standard_boards,
 )
@@ -194,36 +193,72 @@ def test_noiseless_quantitative_board():
     assert all(row["success_pct"] == 100.0 for row in report.rows)
 
 
-def test_one_scalar_gate_per_fallback_trial(monkeypatch):
-    """Sweeps gate and snap in arrays; only a trial whose decision is within
-    a few ulps of a tie or of the threshold goes through ``run_trial``, which
-    gates it once."""
-    calls = []
+def test_sweeps_never_call_the_scalar_gate_or_snap(monkeypatch):
+    """``snap_trials`` decides every trial itself: no sweep calls
+    ``stability_gate`` or a snap. Two targets on one spot tie exactly, so
+    each trial is a close call whose 15 deviations and 2 distances come from
+    ``math.hypot``, and the id breaks the tie."""
+    def scalar(*args, **kwargs):
+        raise AssertionError("a sweep called the scalar gate or snap")
 
-    def counting_gate(samples, threshold=DEFAULT_STABILITY_THRESHOLD):
-        calls.append(len(samples))
-        return stability_gate(samples, threshold)
-
-    monkeypatch.setattr("gesturepoint.snap.stability_gate", counting_gate)
-    monkeypatch.setattr("gesturepoint.evaluation.stability_gate", counting_gate)
+    scalar_names = ("stability_gate", "pick_snap", "place_snap", "evaluate_request")
+    assert not set(scalar_names) & set(vars(evaluation))  # so patching them in snap reaches every caller
+    for name in scalar_names:
+        monkeypatch.setattr(f"gesturepoint.snap.{name}", scalar)
+    hypot_calls = []
+    hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda *xy: hypot_calls.append(xy) or hypot(*xy))
     template = ScenarioTemplate.desk_default(0.0)
     run_pick_sweep(template, distances=(0.10,), trials_per_target=2, base_seed=5)
-    assert calls == []  # clear decisions: no scalar gate
-    # two targets on one spot tie exactly, so every trial falls back; the id breaks the tie
+    run_place_sweep(template, sizes=(0.10,), trials_per_area=2, base_seed=5)
+    assert hypot_calls == []  # clear decisions: no close call
     twins = BoardLayout("custom", None, tuple(
         Target(tid, tid, PlanarPoint(0.3, 0.4)) for tid in ("B", "A")), ())
     report = run_boards(template, [twins], trials_per_target=3, base_seed=5)
-    assert calls == [template.snap_samples] * 6
+    assert len(hypot_calls) == 6 * (template.snap_samples + 2)
     assert [t.selected_id for c in report.cells for t in c.trials] == ["A"] * 6
     assert [c.target_id for c in report.cells] == ["B", "A"]
     assert [row["successes"] for row in report.rows] == [0, 3]
-    # a failed gate selects nothing, so the trial's mean needs one more
+    # a failed gate selects nothing, yet the trial keeps its mean and error
     board = make_board("pick_square", 0.10)
-    samples = [PlanarPoint(0.3, 0.4)] * 14 + [PlanarPoint(0.9, 0.4)]
-    calls.clear()
-    result = run_trial(template, board, board.targets[0], "t", samples)
-    assert result.selected_id is None and result.gestured_mean == stability_gate(samples).mean
-    assert len(calls) == 2
+    points = np.array([[[0.3, 0.4, 0.0]] * 14 + [[0.9, 0.4, 0.0]]])
+    (result,) = evaluation.snap_trials(template, [board], np.zeros(1, int), [(board, 0, board.targets[0], 0)],
+                                       points, np.array([15]))
+    assert result.selected_id is None and not result.success
+    assert result.gestured_mean == PlanarPoint(0.3 + 0.6 / 15, 0.4, 0.0)
+    assert result.error == euclidean_error(result.gestured_mean, board.targets[0].position)
+
+
+def test_an_exact_distance_tie_selects_the_smaller_id():
+    """Two targets on one spot, listed "T2" then "T10": every trial ties
+    exactly and selects "T10", the smaller id as strings compare, as
+    ``evaluate_request``'s ``(distance, id)`` key does."""
+    template = ScenarioTemplate.desk_default(0.0)
+    twins = BoardLayout("custom", None, tuple(Target(tid, tid, PlanarPoint(0.3, 0.4)) for tid in ("T2", "T10")), ())
+    report = run_boards(template, [twins], trials_per_target=2, base_seed=5)
+    assert [t.selected_id for c in report.cells for t in c.trials] == ["T10"] * 4
+    assert [row["successes"] for row in report.rows] == [0, 2]
+
+
+def test_a_maximum_deviation_at_the_threshold_is_unstable():
+    """The gate is a strict ``<``: with the threshold set to a trial's own
+    maximum deviation (``math.hypot``'s) the trial selects nothing, and one
+    ulp above it the trial snaps."""
+    template = ScenarioTemplate.desk_default(0.01)
+    board = make_board("pick_square", 0.10)
+    aimed = board.targets[0]
+    frames = generate_scenario(template, from_workplane(aimed.position, template.frame),
+                               _derived_seed(9, _KIND_CODES[board.kind], 0, 0), FRAMES_PER_TRIAL)
+    _, points = reference_trial(template, board, aimed, "t", frames)
+    deviation = stability_gate(points[-template.snap_samples:]).max_deviation
+    selected = []
+    for threshold in (deviation, math.nextafter(deviation, math.inf)):
+        report = run_boards(dataclasses.replace(template, stability_threshold=threshold), [board],
+                            trials_per_target=1, base_seed=9)
+        first = report.cells[0].trials[0]
+        assert first.gestured_mean == stability_gate(points[-template.snap_samples:]).mean
+        selected.append(first.selected_id)
+    assert selected == [None, aimed.id]
 
 
 def test_default_pick_sweep_counts_match_protocol():
@@ -297,8 +332,8 @@ def _edge_entities(rng, mean, kind: str, place: bool) -> list:
     kinds=st.lists(st.sampled_from(["plain", "twins", "mirror", "edge_u", "edge_v", "corner"]), min_size=1, max_size=6),
 )
 def test_array_gate_and_snap_equal_evaluate_request_trial_by_trial(seed, n, spread, threshold_at, kinds):
-    """``snap_trials`` against ``run_trial`` (``evaluate_request`` on the
-    trial's last points) for every trial of a batch of one-board trials:
+    """``snap_trials`` against :func:`scalar_trial` (``evaluate_request`` on
+    the trial's last points) for every trial of a batch of one-board trials:
     the first trial's maximum deviation can sit exactly at the threshold or
     an ulp from it, and the entities put exact and rounded ties and area
     edges on the gate mean."""
@@ -333,7 +368,33 @@ def test_array_gate_and_snap_equal_evaluate_request_trial_by_trial(seed, n, spre
         runs.append((board, 0, entities[int(rng.integers(len(entities)))], k))
     got = evaluation.snap_trials(template, boards, np.arange(len(kinds)), runs, points, counts)
     for (board, _, entity, k), result, trial_samples in zip(runs, got, samples):
-        assert result == run_trial(template, board, entity, result.trial_id, trial_samples)
+        assert result == scalar_trial(template, board, entity, result.trial_id, trial_samples)
+
+
+# doubles whose ``x ** 2`` (the C library's ``pow``) differed from ``x * x`` on
+# one glibc; any x is a valid input elsewhere
+POW_ROUNDS_APART = (-0.016989283321025218, -0.0018380501578693187, -9.342045199082216e-07,
+                    0.041384671915959084, 0.0008087626066796805, 0.0038474772126138503)
+offsets = st.one_of(st.sampled_from(POW_ROUNDS_APART), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(offsets, offsets, offsets, st.floats(0.0, 0.6), st.floats(0.0, 0.8)), min_size=1, max_size=8))
+def test_array_error_equals_euclidean_error_bit_for_bit(cases):
+    """Each trial's error, one array expression over all trials, equals
+    ``euclidean_error`` of its mean and the aimed ``(u, v, 0)`` bit for
+    bit; both square by multiplication, never ``**``, whose ``pow`` can
+    round a square differently, as it does for ``POW_ROUNDS_APART``."""
+    template = ScenarioTemplate.desk_default(0.0, snap_samples=1)
+    boards = [BoardLayout("custom", None, (Target("T", "t", PlanarPoint(u, v)),), ()) for *_, u, v in cases]
+    points = np.array([[[u + du, v + dv, dz]] for du, dv, dz, u, v in cases])
+    runs = [(board, 0, board.targets[0], k) for k, board in enumerate(boards)]
+    got = evaluation.snap_trials(template, boards, np.arange(len(cases)), runs, points, np.ones(len(cases), int))
+    for result, board in zip(got, boards):
+        mean, aim = result.gestured_mean, board.targets[0].position
+        assert result.error == euclidean_error(mean, aim)
+        du, dv, dz = mean.u - aim.u, mean.v - aim.v, mean.z_residual
+        assert result.error == math.sqrt(du * du + dv * dv + dz * dz)
 
 
 # --- array trial engine against the per-frame pipeline ----------------------
@@ -420,19 +481,16 @@ def test_ideal_wrists_per_component_equal_the_row_norm_form(trials):
             assert ideal_wrists(template, targets, bias).tolist() == want.tolist()
 
 
-def reference_trial(template, board, aimed, trial_id, frames) -> tuple[TrialResult, list]:
-    """The per-frame reference: frames one at a time through GesturePipeline,
-    then evaluate_request over the last snap_samples points. Returns the
-    trial result and every stabilized point."""
-    pipe = GesturePipeline(template.plane, template.frame, hands=(template.hand,))
-    for frame in frames:
-        pipe.process(frame)
-    points = pipe.recent(template.hand, HISTORY_CAPACITY)
+def scalar_trial(template, board, aimed, trial_id, samples) -> TrialResult:
+    """One trial scored on the scalar path from its last stabilized points
+    (fewer than snap_samples: no snap): the gate's mean, ``evaluate_request``
+    and ``euclidean_error``. Pick success means the aimed target was
+    selected; a place fallback counts as a failure."""
     aimed_uv = aimed.position if board.targets else aimed.center
     mode = "pick" if board.targets else "place"
     mean = result = error = None
-    if len(points) >= template.snap_samples:
-        samples = tuple(points[-template.snap_samples:])
+    if len(samples) >= template.snap_samples:
+        samples = tuple(samples[-template.snap_samples:])
         mean = stability_gate(samples, template.stability_threshold).mean
         result = evaluate_request(
             SnapRequest(samples, mode), board.targets, board.areas, threshold=template.stability_threshold
@@ -441,11 +499,18 @@ def reference_trial(template, board, aimed, trial_id, frames) -> tuple[TrialResu
     selected = result.selected_id if result else None
     fallback = bool(result and result.fallback_used)
     success = selected == aimed.id and not (mode == "place" and fallback)
-    return TrialResult(trial_id, aimed_uv, mean, error, selected, success, fallback), points
+    return TrialResult(trial_id, aimed_uv, mean, error, selected, success, fallback)
 
 
-def engine_samples(points, count: int, n: int) -> list[PlanarPoint]:
-    return [PlanarPoint(*p) for p in points[count - n:count].tolist()] if count >= n else []
+def reference_trial(template, board, aimed, trial_id, frames) -> tuple[TrialResult, list]:
+    """The per-frame reference: frames one at a time through GesturePipeline,
+    then :func:`scalar_trial` over the last snap_samples points. Returns the
+    trial result and every stabilized point."""
+    pipe = GesturePipeline(template.plane, template.frame, hands=(template.hand,))
+    for frame in frames:
+        pipe.process(frame)
+    points = pipe.recent(template.hand, HISTORY_CAPACITY)
+    return scalar_trial(template, board, aimed, trial_id, points), points
 
 
 def joint_frames(template, shoulders, wrists) -> list[KeypointFrame]:
@@ -504,14 +569,15 @@ def test_engine_matches_pipeline_on_hand_built_joints(tilted):
     assert counts.tolist() == [p.count("i") for p in PATTERNS]
     for board in (*standard_boards("pick", template, (0.1,)), *standard_boards("place", template, (0.2,))):
         aimed = (board.targets or board.areas)[0]
+        runs = [(board, 0, aimed, k) for k in range(len(PATTERNS))]
+        engine = evaluation.snap_trials(template, [board], np.zeros(len(runs), int), runs, points, counts)
         for k in range(len(PATTERNS)):
             reference, ref_points = reference_trial(
-                template, board, aimed, "t", joint_frames(template, shoulders[k], wrists[k])
+                template, board, aimed, engine[k].trial_id, joint_frames(template, shoulders[k], wrists[k])
             )
             got = points[k, :counts[k]]
             assert got.tolist() == [[p.u, p.v, p.z_residual] for p in ref_points]
-            engine = run_trial(template, board, aimed, "t", engine_samples(points[k], counts[k], 5))
-            assert engine == reference
+            assert engine[k] == reference
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
 import random
 
@@ -135,16 +136,17 @@ def test_benchmark_sweep_envelope_digest(seed):
 
 
 def test_benchmark_envelopes_take_every_decision_from_the_arrays(monkeypatch):
-    """Sweeps gate and snap every trial in arrays and send a trial through
-    the scalar ``run_trial`` only when a decision is within a few ulps of a
-    tie or of the threshold: none of the 656 trials of the 8 pinned
-    envelopes does, and the reports keep their bytes."""
-    fallbacks = []
-    run_trial = evaluation.run_trial
-    monkeypatch.setattr(evaluation, "run_trial", lambda *args: fallbacks.append(args[3]) or run_trial(*args))
+    """Sweeps gate and snap every trial from ``np.hypot`` and take a trial's
+    deviations and distances again from ``math.hypot`` only when a decision
+    is within a few ulps of a tie or of the threshold: no call to
+    ``math.hypot`` means none of the 656 trials of the 8 pinned envelopes
+    does, and the reports keep their bytes."""
+    calls = []
+    hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda *xy: calls.append(xy) or hypot(*xy))
     for seed, digest in _ENVELOPES["digests"].items():
         assert _envelope_digest(int(seed)) == digest
-    assert fallbacks == []
+    assert calls == []
 
 
 def test_benchmark_envelope_derives_one_seed_per_trial_key(monkeypatch):
