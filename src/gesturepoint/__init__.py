@@ -20,11 +20,9 @@ from .pipeline import GesturePipeline
 from .snap import (
     Area,
     AreaRegistry,
-    SnapRequest,
     SnapResult,
     Target,
     TargetRegistry,
-    evaluate_request,
     pick_snap,
     place_snap,
     stability_gate,
@@ -49,13 +47,11 @@ __all__ = [
     "Point3",
     "Quaternion",
     "RunningAverageStabilizer",
-    "SnapRequest",
     "SnapResult",
     "Target",
     "TargetRegistry",
     "WorkplaneFrame",
     "deproject",
-    "evaluate_request",
     "from_workplane",
     "parse_frame",
     "pick_snap",

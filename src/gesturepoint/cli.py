@@ -58,14 +58,13 @@ from .snap import (
     DuplicateIdError,
     MalformedFileError,
     SnapError,
-    SnapRequest,
     Target,
     TargetRegistry,
     checked_half_extent,
-    evaluate_request,
     layout_document,
     load_layout,
     save_layout,
+    snap_fields,
 )
 from .stabilizer import DEFAULT_WINDOW
 from .stream import (
@@ -284,9 +283,9 @@ def cmd_replay(args) -> int:
     pipe = settings.make_pipeline()
     if args.snap and not args.registry:
         raise ConfigError("--snap needs --registry FILE")
-    targets, areas = _load_registries(args.registry if args.snap else None)
+    targets, areas = load_layout(args.registry) if args.snap else ([], [])
     pool, kind = (targets, "targets") if args.snap == "pick" else (areas, "areas")
-    if args.snap and not pool.snapshot():
+    if args.snap and not pool:
         raise ConfigError(f"{args.registry}: no {kind} registered for --snap {args.snap}")
     accepted: dict[str, int] = {hand: 0 for hand in settings.hands}
     points_written = 0
@@ -309,24 +308,9 @@ def cmd_replay(args) -> int:
                 if args.snap:
                     accepted[gp.hand] += 1
                     if accepted[gp.hand] % settings.snap_samples == 0:
-                        request = SnapRequest(
-                            samples=tuple(pipe.recent(gp.hand, settings.snap_samples)),
-                            strategy=args.snap,
-                            group_filter=settings.group,
-                        )
-                        result = evaluate_request(
-                            request, targets.snapshot(), areas.snapshot(),
-                            threshold=settings.threshold,
-                        )
-                        record = {
-                            "t": gp.timestamp,
-                            "hand": gp.hand,
-                            "snap": {
-                                "ok": result is not None,
-                                "id": result.selected_id if result else None,
-                                "fallback": result.fallback_used if result else False,
-                            },
-                        }
+                        result = pipe.snap(gp.hand, settings.snap_samples, args.snap, settings.group,
+                                           targets, areas, settings.threshold)
+                        record = {"t": gp.timestamp, "hand": gp.hand, "snap": snap_fields(result)}
                         records.append(json.dumps(record, separators=(",", ":")))
             if records:
                 out.write("\n".join(records) + "\n")

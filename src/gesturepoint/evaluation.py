@@ -540,7 +540,7 @@ def intersect_rays_plane(
     in an order that depends on the numpy/BLAS build and the CPU."""
     dirs = wrists - shoulders
     with np.errstate(divide="ignore", invalid="ignore"):
-        t, valid = _ray_scale(plane, *np.moveaxis(shoulders, -1, 0), *np.moveaxis(dirs, -1, 0))
+        t, valid = _ray_scale(plane, *(joints[..., k] for joints in (shoulders, dirs) for k in range(3)))
         hits = shoulders + dirs * t[..., None]
     return np.where(valid[..., None], hits, np.nan), valid
 

@@ -1,12 +1,15 @@
 """Line-protocol sessions: the interactive counterpart of stream replay.
 
 A session accepts skeleton JSONL lines and answers with gesture-point lines;
-a control line ``{"cmd": "snap", "strategy": "pick"|"place", ...}`` runs a
-snap over the most recent N stabilized points and answers with one result
-line ``{"ok": ..., "id": ..., "fallback": ...}``. Malformed input is answered
-with ``{"err": ...}`` and never terminates the session. ``_split_lines``
-states how a session cuts its socket reads into lines, and caps their length;
-the replies to the lines of one read go out together, in input order.
+a control line ``{"cmd": "snap", "strategy": "pick"|"place", ...}`` runs
+``GesturePipeline.snap`` over exactly the most recent N stabilized points and
+answers with one result line: ``snap.snap_fields``'s ``{"ok": ..., "id": ...,
+"fallback": ...}``, plus ``mean`` and ``max_dev`` on a selection, or
+``{"err": ...}`` when the hand has fewer than N points. Malformed input is
+answered with ``{"err": ...}`` and never terminates the session.
+``_split_lines`` states how a session cuts its socket reads into lines, and
+caps their length; the replies to the lines of one read go out together, in
+input order.
 Gesture-point lines are written out by ``gesture_point_record``, with the
 bytes ``json.dumps`` would give them.
 
@@ -23,13 +26,7 @@ import socket
 import threading
 
 from .pipeline import HISTORY_CAPACITY, PipelineSettings
-from .snap import (
-    AreaRegistry,
-    SnapError,
-    SnapRequest,
-    TargetRegistry,
-    evaluate_request,
-)
+from .snap import AreaRegistry, SnapError, TargetRegistry, snap_fields
 from .stabilizer import GesturePoint
 from .stream import HANDS, MalformedRecordError, decode_object, json_int, parse_frame, parse_intrinsics_header
 
@@ -123,34 +120,15 @@ class LiveSession:
         group = obj.get("group", self.settings.group)
         if not (group is None or isinstance(group, str)):
             return json.dumps({"err": f"snap group must be a JSON string or null, got {type(group).__name__}"})
-        samples = self.pipeline.recent(hand, n)
-        if not samples:
-            return json.dumps({"err": "no samples"})
-        if len(samples) < n:
-            return json.dumps({"err": f"insufficient samples: {len(samples)} of {n}"})
-        request = SnapRequest(
-            samples=tuple(samples), strategy=obj.get("strategy", "pick"), group_filter=group
-        )
         try:
-            result = evaluate_request(
-                request,
-                self.targets.snapshot(),
-                self.areas.snapshot(),
-                threshold=self.settings.threshold,
-            )
-        except SnapError as exc:  # unknown strategy, or nothing registered
+            result = self.pipeline.snap(hand, n, obj.get("strategy", "pick"), group, self.targets.snapshot(),
+                                        self.areas.snapshot(), self.settings.threshold)
+        except SnapError as exc:  # too few samples, an unknown strategy, or nothing registered
             return json.dumps({"err": str(exc)})
-        if result is None:
-            return json.dumps({"ok": False, "id": None, "fallback": False})
-        return json.dumps(
-            {
-                "ok": True,
-                "id": result.selected_id,
-                "fallback": result.fallback_used,
-                "mean": [result.mean_point.u, result.mean_point.v],
-                "max_dev": result.max_radial_deviation,
-            }
-        )
+        fields = snap_fields(result)
+        if result is not None:
+            fields.update(mean=[result.mean_point.u, result.mean_point.v], max_dev=result.max_radial_deviation)
+        return json.dumps(fields)
 
 
 def _split_lines(rest: bytes | None, data: bytes) -> tuple[list[bytes | None], bytes | None]:
@@ -204,12 +182,13 @@ class LiveServer:
     def address(self) -> tuple[str, int]:
         return self.socket.getsockname()
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        """Serve until ``shutdown`` is called from another thread."""
+    def serve_forever(self) -> None:
+        """Serve until ``shutdown`` is called from another thread; the
+        selector waits with no timeout, so an idle server does not wake."""
         self._stopped.clear()
         try:
             while not self._stop:
-                for key, events in self._selector.select(poll_interval):
+                for key, events in self._selector.select():
                     if key.fileobj is self._woken:
                         self._woken.recv(RECV_BYTES)
                     elif key.data is None:

@@ -7,8 +7,9 @@ per pipeline. ``evaluation.stabilize_trials``, with
 ``evaluation.intersect_rays_plane``, is its bit-exact array twin for the
 sweeps: the same expressions in the same order, elementwise. Live
 and replay build one pipeline per session and never reset it; state is the
-per-hand stabilizer buffers plus a short history of stabilized points for
-snap requests.
+per-hand stabilizer buffers plus a short history of stabilized points.
+``GesturePipeline.snap`` is live's and replay's one snap step over that
+history; each formats its own answer around ``snap.snap_fields``.
 ``PipelineSettings`` holds the resolved configuration that replay and live
 share; its defaults are the module constants."""
 
@@ -31,7 +32,8 @@ from .geometry import (
     corners_in_frame,
     workplane_frame,
 )
-from .snap import DEFAULT_SAMPLE_COUNT, DEFAULT_STABILITY_THRESHOLD
+from .snap import (DEFAULT_SAMPLE_COUNT, DEFAULT_STABILITY_THRESHOLD, Area, SnapError, SnapRequest, SnapResult,
+                   Target, evaluate_request)
 from .stabilizer import DEFAULT_WINDOW, GesturePoint, RunningAverageStabilizer
 
 HISTORY_CAPACITY = 256
@@ -133,6 +135,16 @@ class GesturePipeline:
         if count <= 0:
             return []
         return [gp.position for gp in islice(reversed(self._history.get(hand, ())), count)][::-1]
+
+    def snap(self, hand: str, n: int, strategy: str, group: str | None, targets: Sequence[Target],
+             areas: Sequence[Area], threshold: float) -> SnapResult | None:
+        """One snap over exactly the last ``n`` stabilized points of ``hand``:
+        ``evaluate_request`` on ``recent(hand, n)``. Fewer than ``n`` points
+        raise SnapError, "no samples" or "insufficient samples: k of n"."""
+        samples = self.recent(hand, n)
+        if len(samples) < n:
+            raise SnapError(f"insufficient samples: {len(samples)} of {n}" if samples else "no samples")
+        return evaluate_request(SnapRequest(tuple(samples), strategy, group), targets, areas, threshold=threshold)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ threshold of their mean, strict ``<``):
   every area, the nearest area center wins (``fallback_used``).
 
 Ties (equidistant targets, overlapping areas) break deterministically by
-distance then lexicographic id. ``evaluate_request`` is the one dispatch from
-a SnapRequest to a strategy; it is pure over the tuples it is given. Layouts
+distance then lexicographic id, whatever the order of the entries given.
+``evaluate_request`` is the one dispatch from a SnapRequest to a strategy,
+pure over the tuples it is given; ``GesturePipeline.snap`` calls it. Layouts
 load once: a registry validates and sorts its items in ``replace_all`` and
 hands every reader the same immutable tuple.
 
@@ -174,6 +175,13 @@ def evaluate_request(
     if request.strategy == "place":
         return place_snap(request.samples, areas, threshold=threshold)
     raise SnapError(f"unknown strategy {request.strategy!r}")
+
+
+def snap_fields(result: SnapResult | None) -> dict:
+    """The ok/id/fallback fields that live's and replay's snap answers share."""
+    if result is None:
+        return {"ok": False, "id": None, "fallback": False}
+    return {"ok": True, "id": result.selected_id, "fallback": result.fallback_used}
 
 
 class Registry:

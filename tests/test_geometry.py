@@ -34,35 +34,32 @@ UNIT_SQUARE = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0), Point3(0, 1, 0
 
 
 def random_plane(rng: np.random.Generator) -> Plane:
-    """A random oriented rectangle somewhere in space."""
-    center = rng.uniform(-2, 2, 3)
+    """A random oriented rectangle somewhere in space. Python floats, in the
+    expression order the numpy form ``center - a * e1 - b * e2`` has."""
+    center = rng.uniform(-2, 2, 3).tolist()
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
-    rot = Quaternion(*q).to_matrix()
-    e1 = np.array([rot[i][0] for i in range(3)])
-    e2 = np.array([rot[i][1] for i in range(3)])
-    a, b = rng.uniform(0.3, 1.5, 2)
-    corners = [
-        center - a * e1 - b * e2,
-        center + a * e1 - b * e2,
-        center + a * e1 + b * e2,
-        center - a * e1 + b * e2,
-    ]
-    return plane_from_corners([Point3(*c.tolist()) for c in corners])
+    rows = Quaternion(*q.tolist()).to_matrix()
+    e1, e2 = [row[0] for row in rows], [row[1] for row in rows]
+    a, b = rng.uniform(0.3, 1.5, 2).tolist()
+    corners = zip(*([c - a * i - b * j, c + a * i - b * j, c + a * i + b * j, c - a * i + b * j]
+                    for c, i, j in zip(center, e1, e2)))
+    return plane_from_corners([Point3(*c) for c in corners])
 
 
 def random_arm_case(rng: np.random.Generator):
-    """A plane plus shoulder/wrist whose ray is guaranteed to hit it with t > 1."""
+    """A plane plus shoulder/wrist whose ray is guaranteed to hit it with t > 1.
+    Python floats, drawn and computed in the order of the numpy form
+    ``target + uniform(0.5, 2.0) * n + uniform(-0.3, 0.3, 3)``."""
     plane = random_plane(rng)
-    n = np.array(plane.normal.as_tuple())
-    c = np.array(plane.corners[0].as_tuple())
-    e1 = np.subtract(plane.corners[1].as_tuple(), plane.corners[0].as_tuple())
-    e2 = np.subtract(plane.corners[3].as_tuple(), plane.corners[0].as_tuple())
-    target = c + rng.uniform(0.1, 0.9) * e1 + rng.uniform(0.1, 0.9) * e2
-    shoulder = target + rng.uniform(0.5, 2.0) * n + rng.uniform(-0.3, 0.3, 3)
+    c0, c1, _, c3 = (c.as_tuple() for c in plane.corners)
+    f1, f2 = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
+    target = [c + f1 * (p - c) + f2 * (r - c) for c, p, r in zip(c0, c1, c3)]
+    reach = rng.uniform(0.5, 2.0)
+    shoulder = [p + reach * n + j for p, n, j in zip(target, plane.normal.as_tuple(), rng.uniform(-0.3, 0.3, 3).tolist())]
     frac = rng.uniform(0.2, 0.8)  # wrist partway to the target, so t = 1/frac > 1
-    wrist = shoulder + frac * (target - shoulder)
-    return plane, Point3(*shoulder.tolist()), Point3(*wrist.tolist())
+    wrist = [s + frac * (p - s) for s, p in zip(shoulder, target)]
+    return plane, Point3(*shoulder), Point3(*wrist)
 
 
 # --- plane construction ------------------------------------------------------

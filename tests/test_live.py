@@ -201,12 +201,12 @@ def _wait_for_sessions(server: LiveServer, count: int) -> None:
 
 
 def test_shutdown_returns_without_waiting_for_the_poll(tmp_path):
-    """``shutdown`` wakes the selector, so it returns at once even when
-    ``serve_forever`` polls once a minute, and the server serves again after."""
+    """``shutdown`` wakes the selector, which waits with no timeout, so it
+    returns at once, and the server serves again after."""
     server = LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries())
     try:
         for _ in range(2):
-            thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 60}, daemon=True)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
             assert len(talk(server.address, stream_lines(tmp_path, count=2))) == 2
             start = time.monotonic()
@@ -215,6 +215,32 @@ def test_shutdown_returns_without_waiting_for_the_poll(tmp_path):
             assert not thread.is_alive() and time.monotonic() - start < 5
     finally:
         server.server_close()
+
+
+def test_idle_server_does_not_wake(tmp_path):
+    """With no client and no shutdown, the selector's wait does not return:
+    over 1.25 s idle it returns at most once (a poll every 0.5 s would
+    return twice)."""
+    server = LiveServer("127.0.0.1", 0, make_settings(tmp_path), *registries())
+    returns, select = [], server._selector.select
+
+    def counting_select(*args, **kwargs):
+        ready = select(*args, **kwargs)
+        returns.append(ready)
+        return ready
+
+    server._selector.select = counting_select
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    try:
+        thread.start()
+        time.sleep(1.25)
+        idle_returns = len(returns)
+        server.shutdown()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    finally:
+        server.server_close()
+    assert idle_returns <= 1
 
 
 def test_failed_wake_up_pair_closes_the_listening_socket(tmp_path, monkeypatch):
@@ -486,6 +512,9 @@ def test_intrinsics_header_enables_2d_joints(tmp_path):
     (13, "0.1, 0.7, 0.0", 0.015),
 ])
 def test_replay_and_live_emit_identical_sequences(tmp_path, seed, target, sigma):
+    """Replay and live emit the same gesture points; and with pick snaps
+    every 5th point, each replay snap record carries the ok/id/fallback of
+    live's reply to a snap command sent right after the frame of that point."""
     plane_file = make_plane_file(tmp_path / "plane.json")
     scenario = write_scenario_file(tmp_path / "s.cfg", target=target, sigma=sigma, seed=seed, count=40)
     stream_path = tmp_path / "stream.jsonl"
@@ -495,10 +524,34 @@ def test_replay_and_live_emit_identical_sequences(tmp_path, seed, target, sigma)
                     "--out", str(replay_out)]) == 0
     plane, frame, _, _ = load_plane_file(str(plane_file))
     settings = PipelineSettings(plane=plane, frame=frame)
+    frames = stream_path.read_text(encoding="utf-8").splitlines()
     with LiveServer("127.0.0.1", 0, settings) as server:
-        live_lines = talk(server.address, stream_path.read_text(encoding="utf-8").splitlines())
+        live_lines = talk(server.address, frames)
     replay_lines = [json.loads(l) for l in replay_out.read_text(encoding="utf-8").splitlines()]
     assert live_lines == replay_lines
+
+    aimed_u, aimed_v, _ = (float(c) for c in target.split(","))
+    targets = [Target(id="aimed", label="aimed", position=PlanarPoint(aimed_u, aimed_v)),
+               Target(id="near", label="near", position=PlanarPoint(aimed_u + 0.02, aimed_v))]
+    save_layout(tmp_path / "layout.json", targets, [])
+    snap_out = tmp_path / "snaps.jsonl"
+    assert run_cli(["replay", "--plane", str(plane_file), "--stream", str(stream_path), "--out", str(snap_out),
+                    "--snap", "pick", "--registry", str(tmp_path / "layout.json"), "--n", "5"]) == 0
+    registry = TargetRegistry()
+    registry.replace_all(targets)
+    command = json.dumps({"cmd": "snap", "strategy": "pick"})
+    with LiveServer("127.0.0.1", 0, dataclasses.replace(settings, snap_samples=5), registry) as server:
+        replies = talk(server.address, [line for frame_line in frames for line in (frame_line, command)])
+    points, expected = 0, []
+    for previous, reply in zip([None, *replies], replies):
+        if "t" in reply:
+            points += 1
+            expected.append(reply)
+        elif "t" in (previous or {}) and points % 5 == 0:
+            snap = {key: reply[key] for key in ("ok", "id", "fallback")}
+            expected.append({"t": previous["t"], "hand": previous["hand"], "snap": snap})
+    snap_lines = [json.loads(l) for l in snap_out.read_text(encoding="utf-8").splitlines()]
+    assert snap_lines == expected and len(snap_lines) > len(replay_lines)
 
 
 def test_per_frame_path_runs_no_finiteness_check(tmp_path, monkeypatch):

@@ -4,11 +4,17 @@ files)."""
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import random
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gesturepoint.pipeline
 from conftest import make_plane_file, project, run_cli, write_scenario_file
 from gesturepoint.evaluation import (
     ScenarioTemplate,
@@ -20,8 +26,10 @@ from gesturepoint.evaluation import (
 )
 from gesturepoint.geometry import CameraIntrinsics, Point3, Quaternion, plane_from_corners, workplane_frame
 from gesturepoint.live import gesture_point_record
+from gesturepoint.geometry import PlanarPoint
 from gesturepoint.pipeline import HISTORY_CAPACITY, GesturePipeline, PipelineSettings
-from gesturepoint.stream import parse_frame
+from gesturepoint.snap import Area, SnapError, SnapRequest, Target, evaluate_request
+from gesturepoint.stream import KeypointFrame, parse_frame
 
 PLANE = plane_from_corners(
     [Point3(0, 0, 0), Point3(0.6, 0, 0), Point3(0.6, 0.8, 0), Point3(0, 0.8, 0)]
@@ -139,6 +147,74 @@ def test_recent_with_a_count_below_one_returns_no_points(count):
         pipe.process(two_hand_frame(t=i / 30))
     assert len(pipe.recent("right", 5)) == 5
     assert pipe.recent("right", count) == []
+
+
+def _pointing_frame(t: float, aims: dict) -> KeypointFrame:
+    """Each hand's arm points straight down at its (u, v) on PLANE."""
+    joints = {}
+    for hand, (u, v) in aims.items():
+        joints[f"{hand}_shoulder"], joints[f"{hand}_wrist"] = (u, v, 0.5, 0.9), (u, v, 0.25, 0.9)
+    return KeypointFrame(t, joints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), frames=st.integers(0, 2 * HISTORY_CAPACITY),
+       n=st.integers(1, HISTORY_CAPACITY), strategy=st.sampled_from(["pick", "place"]),
+       group=st.sampled_from([None, "g1"]), hand=st.sampled_from(["left", "right"]))
+@example(seed=1, frames=0, n=1, strategy="pick", group=None, hand="right")  # no samples
+@example(seed=2, frames=10, n=HISTORY_CAPACITY, strategy="place", group=None, hand="left")  # too few
+@example(seed=3, frames=2 * HISTORY_CAPACITY, n=HISTORY_CAPACITY, strategy="pick", group="g1", hand="right")
+def test_snap_reads_exactly_the_last_n_points_of_its_hand(seed, frames, n, strategy, group, hand):
+    """``GesturePipeline.snap`` is ``evaluate_request`` on ``recent(hand, n)``
+    (histories past the 256-point capacity included); redrawing every point
+    older than the hand's last n, and every point of the other hand, leaves
+    its result as it was; fewer than n points raise the protocol's texts."""
+    rng = random.Random(seed)
+    cu, cv, spread = rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.7), rng.choice([0.001, 0.02, 0.05])
+    aim = lambda: (cu + rng.uniform(-spread, spread), cv + rng.uniform(-spread, spread))  # noqa: E731
+    history = [{h: aim() for h in ("left", "right") if rng.random() < 0.7} for _ in range(frames)]
+    targets = [Target(f"t{i}", f"t{i}", PlanarPoint(rng.uniform(0, 0.6), rng.uniform(0, 0.8)),
+                      rng.choice([None, "g1", "g2"])) for i in range(rng.randint(1, 4))]
+    areas = [Area(f"a{i}", PlanarPoint(rng.uniform(0, 0.6), rng.uniform(0, 0.8)),
+                  (rng.uniform(0.01, 0.2), rng.uniform(0.01, 0.2))) for i in range(rng.randint(1, 4))]
+    k = sum(hand in aims for aims in history)
+    redrawn, seen = [], 0
+    for aims in history:
+        seen += hand in aims
+        redrawn.append({h: (uv if h == hand and seen > k - n else aim()) for h, uv in aims.items()})
+    pipes = []
+    for frames_fed in (history, redrawn):
+        pipe = GesturePipeline(PLANE, hands=("left", "right"), window=1)
+        for t, aims in enumerate(frames_fed):
+            pipe.process(_pointing_frame(float(t), aims))
+        pipes.append(pipe)
+    pipe, redrawn_pipe = pipes
+    args = (hand, n, strategy, group, targets, areas, 0.05)
+    if k < n:
+        for p in pipes:
+            with pytest.raises(SnapError) as caught:
+                p.snap(*args)
+            assert str(caught.value) == ("no samples" if k == 0 else f"insufficient samples: {k} of {n}")
+        return
+    result = pipe.snap(*args)
+    samples = tuple(pipe.recent(hand, n))
+    assert len(samples) == n
+    assert result == evaluate_request(SnapRequest(samples, strategy, group), targets, areas, threshold=0.05)
+    assert redrawn_pipe.snap(*args) == result
+
+
+def test_only_snap_and_pipeline_name_the_snap_request():
+    """``GesturePipeline.snap`` is the one place that builds a SnapRequest
+    and calls ``evaluate_request``: no other source module's code (imports,
+    names, attributes; docstrings aside) names either."""
+    def names(path: Path) -> set[str]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+
+    naming = {path.name for path in Path(gesturepoint.pipeline.__file__).parent.glob("*.py")
+              if names(path) & {"SnapRequest", "evaluate_request"}}
+    assert naming == {"snap.py", "pipeline.py"}
 
 
 def test_replay_supports_2d_streams_with_header(tmp_path, capsys):
