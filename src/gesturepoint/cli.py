@@ -1,7 +1,8 @@
 """Command-line front end wiring the pipeline end to end.
 
 Subcommands: define-plane, generate, replay, live, sweep, calibrate,
-registry; only generate, sweep and calibrate import ``evaluation`` and numpy.
+registry; only generate, sweep and calibrate import ``evaluation`` and numpy,
+and only live imports ``live`` and the socket layer.
 Exit codes: 0 success, 1 runtime failure (write errors, port bind,
 non-convergence, registry id conflicts), 2 usage or configuration error (bad
 flags, missing or invalid input files).
@@ -33,7 +34,6 @@ Replay's stream is the one other file read.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -48,8 +48,7 @@ from .geometry import (
     plane_from_corners,
     workplane_frame,
 )
-from .live import LiveServer, gesture_point_record
-from .pipeline import HISTORY_CAPACITY, PipelineSettings
+from .pipeline import HISTORY_CAPACITY, PipelineSettings, gesture_point_record
 from .snap import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_STABILITY_THRESHOLD,
@@ -320,6 +319,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_live(args) -> int:
+    from .live import LiveServer
+
     settings = _settings_from_args(args)
     targets, areas = _load_registries(args.registry)
     host, sep, port_text = args.listen.rpartition(":")
@@ -349,6 +350,8 @@ def _template_from_args(args, sigma: float, **flags):
     """The scenario file's template (its target, seed and count unused), or
     the desk default, with ``sigma``, and ``--aim-bias`` and the template
     fields in ``flags`` where they are not None."""
+    import dataclasses
+
     from .evaluation import ScenarioTemplate, load_scenario_config
 
     template = load_scenario_config(args.scenario)[0] if args.scenario else ScenarioTemplate.desk_default()
@@ -367,6 +370,8 @@ def _parse_l_values(text: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args) -> int:
+    import dataclasses
+
     from .evaluation import (
         aimed_targets, calibrate_sigma, emit_report, load_boards, run_boards, save_boards, standard_boards,
     )
@@ -609,8 +614,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         command = args.commands[args.command]
-        command.set_defaults(**_config_defaults(command))
-        args = parser.parse_args(argv)  # again, so that explicit flags override the file
+        defaults = _config_defaults(command)
+        if defaults:
+            command.set_defaults(**defaults)
+            args = parser.parse_args(argv)  # again, so that explicit flags override the file
         return args.func(args)
     except _CONFIG_EXCEPTIONS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,6 @@ each one's checks. Joint and plane corner coordinates are bounded by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -65,13 +64,46 @@ def _require_finite(name: str, *values: float) -> None:
             raise GeometryError(f"{name} has non-finite component {v!r}")
 
 
-@dataclass(frozen=True)
-class Point3:
+class FrozenValue:
+    """The base of the numpy-free value types. A subclass's fields are the
+    parameters of its ``__init__``, in order, which fills them into the
+    instance dict. Assigning or deleting an attribute raises AttributeError;
+    ``==`` (between instances of one class), ``hash`` and ``repr`` run over
+    the fields, with a frozen dataclass's repr text."""
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point3(FrozenValue):
     """A 3D position in meters; a plane's unit normal is one too."""
 
-    x: float
-    y: float
-    z: float
+    def __init__(self, x: float, y: float, z: float) -> None:
+        d = self.__dict__
+        d["x"], d["y"], d["z"] = x, y, z
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -89,42 +121,28 @@ def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
     return (x / n, y / n, z / n)
 
 
-@dataclass(frozen=True)
-class PlanarPoint:
+class PlanarPoint(FrozenValue):
     """A point expressed in a workplane frame: (u, v) in-plane, z_residual out of plane."""
 
-    u: float
-    v: float
-    z_residual: float = 0.0
-
-    # written out: a frozen dataclass's generated __init__ makes one
-    # object.__setattr__ call per field, and this fills the instance dict
-    # directly, in half the time; the per-frame path builds one per accepted hit
     def __init__(self, u: float, v: float, z_residual: float = 0.0) -> None:
         d = self.__dict__
         d["u"], d["v"], d["z_residual"] = u, v, z_residual
 
 
-@dataclass(frozen=True)
-class CameraIntrinsics:
+class CameraIntrinsics(FrozenValue):
     """Pinhole intrinsics: focal lengths and principal point in pixels."""
 
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    width: int
-    height: int
+    def __init__(self, fx: float, fy: float, cx: float, cy: float, width: int, height: int) -> None:
+        d = self.__dict__
+        d["fx"], d["fy"], d["cx"], d["cy"], d["width"], d["height"] = fx, fy, cx, cy, width, height
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(FrozenValue):
     """Unit quaternion (w, x, y, z) mapping frame axes into parent axes."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+        d = self.__dict__
+        d["w"], d["x"], d["y"], d["z"] = w, x, y, z
 
     def to_matrix(self) -> tuple[tuple[float, float, float], ...]:
         """Rows of the 3x3 rotation matrix R with parent = R @ frame."""
@@ -172,15 +190,16 @@ class Quaternion:
         return cls(sign * w / n, sign * x / n, sign * y / n, sign * z / n)
 
 
-@dataclass(frozen=True)
-class Plane:
-    """An oriented plane <n, p> + d = 0 with its four corner points."""
+class Plane(FrozenValue):
+    """An oriented plane <n, p> + d = 0 with its four corner points, checked
+    on construction."""
 
-    normal: Point3
-    d: float
-    corners: tuple[Point3, Point3, Point3, Point3]
+    def __init__(self, normal: Point3, d: float, corners: tuple[Point3, Point3, Point3, Point3]) -> None:
+        attrs = self.__dict__
+        attrs["normal"], attrs["d"], attrs["corners"] = normal, d, corners
+        self._check()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         coords = [v for c in self.corners for v in (c.x, c.y, c.z)]
         _require_finite("Plane", self.d, *self.normal.as_tuple(), *coords)
         if max(map(abs, coords)) > MAX_JOINT_COORD:
@@ -214,12 +233,12 @@ class Plane:
         return out
 
 
-@dataclass(frozen=True)
-class WorkplaneFrame:
+class WorkplaneFrame(FrozenValue):
     """Coordinate frame anchored at a plane corner, z axis along the normal."""
 
-    origin: Point3
-    orientation: Quaternion
+    def __init__(self, origin: Point3, orientation: Quaternion) -> None:
+        d = self.__dict__
+        d["origin"], d["orientation"] = origin, orientation
 
     @cached_property
     def rows(self) -> tuple[tuple[float, float, float], ...]:

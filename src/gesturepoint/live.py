@@ -10,8 +10,8 @@ answered with ``{"err": ...}`` and never terminates the session.
 ``_split_lines`` states how a session cuts its socket reads into lines, and
 caps their length; the replies to the lines of one read go out together, in
 input order.
-Gesture-point lines are written out by ``gesture_point_record``, with the
-bytes ``json.dumps`` would give them.
+Gesture-point lines are written out by ``pipeline.gesture_point_record``,
+with the bytes ``json.dumps`` would give them.
 
 ``LiveServer`` serves any number of concurrent TCP sessions from one
 thread; each session owns its pipeline state, while every session reads the
@@ -25,10 +25,9 @@ import selectors
 import socket
 import threading
 
-from .pipeline import HISTORY_CAPACITY, PipelineSettings
+from .pipeline import HISTORY_CAPACITY, PipelineSettings, gesture_point_record
 from .snap import AreaRegistry, SnapError, TargetRegistry, snap_fields
-from .stabilizer import GesturePoint
-from .stream import HANDS, MalformedRecordError, decode_object, json_int, parse_frame, parse_intrinsics_header
+from .stream import MalformedRecordError, decode_object, json_int, parse_frame, parse_intrinsics_header
 
 # the longest input line a session reads, its newline not counted; a longer
 # one is answered with one {"err": ...} (see _split_lines)
@@ -39,32 +38,6 @@ RECV_BYTES = 8 * 1024
 MAX_UNSENT_BYTES = 256 * 1024
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 _TOO_LONG = json.dumps({"err": f"line longer than {MAX_LINE_BYTES} bytes"})
-
-
-# the JSON text of each hand name the pipeline accepts
-_HAND_JSON = {hand: json.dumps(hand) for hand in HANDS}
-_float_repr = float.__repr__  # json.dumps's float text, also for numpy floats
-
-
-def gesture_point_record(gp: GesturePoint, settings: PipelineSettings) -> str:
-    """Serialize one stabilized point in the configured output frame, as
-    ``json.dumps(doc, separators=(",", ":"))`` would, written out directly;
-    camera mode maps (u, v, z_residual) back as ``geometry.from_workplane``
-    does. Coordinates must be finite floats (every point the pipeline emits
-    is one); an int timestamp prints as an int."""
-    t = gp.timestamp
-    t = _float_repr(t) if isinstance(t, float) else json.dumps(t)
-    hand = _HAND_JSON.get(gp.hand) or json.dumps(gp.hand)
-    p = gp.position
-    if settings.frame_mode == "camera":
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = settings.frame.rows
-        o = settings.frame.origin
-        u, v, w = p.u, p.v, p.z_residual
-        x = _float_repr(o.x + (r00 * u + r01 * v + r02 * w))
-        y = _float_repr(o.y + (r10 * u + r11 * v + r12 * w))
-        z = _float_repr(o.z + (r20 * u + r21 * v + r22 * w))
-        return f'{{"t":{t},"hand":{hand},"x":{x},"y":{y},"z":{z},"window":{gp.window_size}}}'
-    return f'{{"t":{t},"hand":{hand},"u":{_float_repr(p.u)},"v":{_float_repr(p.v)},"window":{gp.window_size}}}'
 
 
 class LiveSession:

@@ -11,13 +11,14 @@ per-hand stabilizer buffers plus a short history of stabilized points.
 ``GesturePipeline.snap`` is live's and replay's one snap step over that
 history; each formats its own answer around ``snap.snap_fields``.
 ``PipelineSettings`` holds the resolved configuration that replay and live
-share; its defaults are the module constants."""
+share; its defaults are the module constants. ``gesture_point_record``
+writes out the gesture-point lines of both."""
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .geometry import (
     ARM_SEPARATION_MIN,
     DEFAULT_T_MIN,
     PARALLEL_TOL,
+    FrozenValue,
     PlanarPoint,
     Plane,
     WorkplaneFrame,
@@ -147,20 +149,19 @@ class GesturePipeline:
         return evaluate_request(SnapRequest(tuple(samples), strategy, group), targets, areas, threshold=threshold)
 
 
-@dataclass(frozen=True)
-class PipelineSettings:
-    """Resolved pipeline configuration shared by replay and live modes."""
+class PipelineSettings(FrozenValue):
+    """Resolved pipeline configuration shared by replay and live modes; the
+    "workplane" ``frame_mode`` emits u/v, "camera" x/y/z."""
 
-    plane: Plane
-    frame: WorkplaneFrame
-    frame_mode: str = "workplane"  # "workplane" emits u/v, "camera" emits x/y/z
-    hands: tuple[str, ...] = ("right",)
-    pair: str = "shoulder_wrist"
-    min_confidence: float = streammod.DEFAULT_MIN_CONFIDENCE
-    snap_samples: int = DEFAULT_SAMPLE_COUNT
-    threshold: float = DEFAULT_STABILITY_THRESHOLD
-    window: int = DEFAULT_WINDOW
-    group: str | None = None
+    def __init__(self, plane: Plane, frame: WorkplaneFrame, frame_mode: str = "workplane",
+                 hands: tuple[str, ...] = ("right",), pair: str = "shoulder_wrist",
+                 min_confidence: float = streammod.DEFAULT_MIN_CONFIDENCE, snap_samples: int = DEFAULT_SAMPLE_COUNT,
+                 threshold: float = DEFAULT_STABILITY_THRESHOLD, window: int = DEFAULT_WINDOW,
+                 group: str | None = None) -> None:
+        d = self.__dict__
+        d["plane"], d["frame"], d["frame_mode"], d["hands"], d["pair"] = plane, frame, frame_mode, hands, pair
+        d["min_confidence"], d["snap_samples"], d["threshold"] = min_confidence, snap_samples, threshold
+        d["window"], d["group"] = window, group
 
     def make_pipeline(self) -> GesturePipeline:
         return GesturePipeline(
@@ -171,3 +172,29 @@ class PipelineSettings:
             min_confidence=self.min_confidence,
             window=self.window,
         )
+
+
+# the JSON text of each hand name the pipeline accepts
+_HAND_JSON = {hand: json.dumps(hand) for hand in streammod.HANDS}
+_float_repr = float.__repr__  # json.dumps's float text, also for numpy floats
+
+
+def gesture_point_record(gp: GesturePoint, settings: PipelineSettings) -> str:
+    """Serialize one stabilized point in the configured output frame, as
+    ``json.dumps(doc, separators=(",", ":"))`` would, written out directly;
+    camera mode maps (u, v, z_residual) back as ``geometry.from_workplane``
+    does. Coordinates must be finite floats (every point the pipeline emits
+    is one); an int timestamp prints as an int."""
+    t = gp.timestamp
+    t = _float_repr(t) if isinstance(t, float) else json.dumps(t)
+    hand = _HAND_JSON.get(gp.hand) or json.dumps(gp.hand)
+    p = gp.position
+    if settings.frame_mode == "camera":
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = settings.frame.rows
+        o = settings.frame.origin
+        u, v, w = p.u, p.v, p.z_residual
+        x = _float_repr(o.x + (r00 * u + r01 * v + r02 * w))
+        y = _float_repr(o.y + (r10 * u + r11 * v + r12 * w))
+        z = _float_repr(o.z + (r20 * u + r21 * v + r22 * w))
+        return f'{{"t":{t},"hand":{hand},"x":{x},"y":{y},"z":{z},"window":{gp.window_size}}}'
+    return f'{{"t":{t},"hand":{hand},"u":{_float_repr(p.u)},"v":{_float_repr(p.v)},"window":{gp.window_size}}}'

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import PlanarPoint, planar_mean
+from .geometry import FrozenValue, PlanarPoint, planar_mean
 from .stream import decode_object, json_number, read_text, write_document
 
 DEFAULT_STABILITY_THRESHOLD = 0.05
@@ -49,19 +48,16 @@ class MalformedFileError(SnapError):
     pass
 
 
-@dataclass(frozen=True)
-class Target:
-    id: str
-    label: str
-    position: PlanarPoint
-    group: str | None = None
+class Target(FrozenValue):
+    def __init__(self, id: str, label: str, position: PlanarPoint, group: str | None = None) -> None:
+        d = self.__dict__
+        d["id"], d["label"], d["position"], d["group"] = id, label, position, group
 
 
-@dataclass(frozen=True)
-class Area:
-    id: str
-    center: PlanarPoint
-    half_extent: tuple[float, float]
+class Area(FrozenValue):
+    def __init__(self, id: str, center: PlanarPoint, half_extent: tuple[float, float]) -> None:
+        d = self.__dict__
+        d["id"], d["center"], d["half_extent"] = id, center, half_extent
 
     def contains(self, p: PlanarPoint) -> bool:
         """Axis-aligned containment in (u, v); the boundary counts as inside."""
@@ -71,26 +67,24 @@ class Area:
         )
 
 
-@dataclass(frozen=True)
-class SnapRequest:
-    samples: tuple[PlanarPoint, ...]
-    strategy: str
-    group_filter: str | None = None
+class SnapRequest(FrozenValue):
+    def __init__(self, samples: tuple[PlanarPoint, ...], strategy: str, group_filter: str | None = None) -> None:
+        d = self.__dict__
+        d["samples"], d["strategy"], d["group_filter"] = samples, strategy, group_filter
 
 
-@dataclass(frozen=True)
-class GateResult:
-    mean: PlanarPoint
-    max_deviation: float
-    stable: bool
+class GateResult(FrozenValue):
+    def __init__(self, mean: PlanarPoint, max_deviation: float, stable: bool) -> None:
+        d = self.__dict__
+        d["mean"], d["max_deviation"], d["stable"] = mean, max_deviation, stable
 
 
-@dataclass(frozen=True)
-class SnapResult:
-    selected_id: str
-    mean_point: PlanarPoint
-    max_radial_deviation: float
-    fallback_used: bool
+class SnapResult(FrozenValue):
+    def __init__(self, selected_id: str, mean_point: PlanarPoint, max_radial_deviation: float,
+                 fallback_used: bool) -> None:
+        d = self.__dict__
+        d["selected_id"], d["mean_point"] = selected_id, mean_point
+        d["max_radial_deviation"], d["fallback_used"] = max_radial_deviation, fallback_used
 
 
 def _distance_uv(a: PlanarPoint, b: PlanarPoint) -> float:

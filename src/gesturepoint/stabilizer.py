@@ -17,24 +17,16 @@ change with the compensated ``sum()`` of Python 3.12 on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import PlanarPoint
+from .geometry import FrozenValue, PlanarPoint
 
 DEFAULT_WINDOW = 5
 
 
-@dataclass(frozen=True)
-class GesturePoint:
+class GesturePoint(FrozenValue):
     """A stabilized pointed location in workplane coordinates."""
 
-    position: PlanarPoint
-    timestamp: float
-    hand: str
-    window_size: int
-
-    # written out for speed, as PlanarPoint's: one per accepted hit
     def __init__(self, position: PlanarPoint, timestamp: float, hand: str, window_size: int) -> None:
         d = self.__dict__
         d["position"], d["timestamp"], d["hand"], d["window_size"] = position, timestamp, hand, window_size

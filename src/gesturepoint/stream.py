@@ -38,10 +38,9 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .geometry import MAX_JOINT_COORD, CameraIntrinsics, GeometryError, Point3, deproject
+from .geometry import MAX_JOINT_COORD, CameraIntrinsics, FrozenValue, GeometryError, Point3, deproject
 
 HANDS = ("left", "right")
 PAIRS = ("shoulder_wrist", "elbow_wrist")
@@ -177,16 +176,11 @@ class InvalidParametersError(EvalError):
     pass
 
 
-@dataclass(frozen=True)
-class KeypointFrame:
+class KeypointFrame(FrozenValue):
     """One timestamped skeleton observation; each joint is ``(x, y, z, confidence)``."""
 
-    timestamp: float
-    joints: Mapping[str, tuple[float, float, float, float]]
-    source_id: str = ""
-
-    # written out, as PlanarPoint's: one per parsed line
-    def __init__(self, timestamp: float, joints: Mapping, source_id: str = "") -> None:
+    def __init__(self, timestamp: float, joints: Mapping[str, tuple[float, float, float, float]],
+                 source_id: str = "") -> None:
         d = self.__dict__
         d["timestamp"], d["joints"], d["source_id"] = timestamp, joints, source_id
 

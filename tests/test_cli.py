@@ -6,6 +6,8 @@ import ast
 import json
 import os
 import pathlib
+import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import (
     INTRINSICS,
     JOINT_FIELDS,
+    default_sigint,
     desk_corners,
     make_plane_file,
     non_finite,
@@ -974,7 +977,7 @@ class _NoServer:
 @pytest.mark.parametrize("port", ["99999", "-1", "x", "9" * 5000, "\u0668\u0660"],
                          ids=["99999", "-1", "x", "5000-digits", "arabic-indic-80"])
 def test_live_port_outside_0_to_65535_exits_2(tmp_path, monkeypatch, capsys, port):
-    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    monkeypatch.setattr("gesturepoint.live.LiveServer", _NoServer)
     plane = make_plane_file(tmp_path / "plane.json")
     assert run_cli(["live", "--plane", str(plane), f"--listen=127.0.0.1:{port}"]) == 2
     assert f"bad port {port!r}" in capsys.readouterr().err
@@ -1045,7 +1048,7 @@ def _set_plane_value(doc: dict, field: str, bad: float) -> None:
 @pytest.mark.parametrize("command", ["replay", "live"])
 @pytest.mark.parametrize("field", ["normal", "d", "corners"])
 def test_plane_file_with_non_finite_value_exits_2(tmp_path, monkeypatch, command, field, bad):
-    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    monkeypatch.setattr("gesturepoint.live.LiveServer", _NoServer)
     plane = make_plane_file(tmp_path / "plane.json")
     doc = json.loads(plane.read_text(encoding="utf-8"))
     _set_plane_value(doc, field, bad)
@@ -1061,7 +1064,7 @@ def test_plane_file_with_non_finite_value_exits_2(tmp_path, monkeypatch, command
 @pytest.mark.parametrize("command", ["replay", "live"])
 def test_plane_file_beyond_coordinate_bound_exits_2(tmp_path, monkeypatch, capsys, command):
     """Corners at 1e200 m once overflowed the bounds test of the first frame."""
-    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    monkeypatch.setattr("gesturepoint.live.LiveServer", _NoServer)
     plane = tmp_path / "plane.json"
     plane.write_text(json.dumps({
         "normal": [0.0, 0.0, 1.0], "d": 0.0,
@@ -1137,7 +1140,7 @@ _LAYOUT_AREA = {"id": "a1", "cu": 0.3, "cv": 0.4, "hu": 0.1, "hv": 0.1}
 @pytest.mark.parametrize("command", ["replay", "live", "registry"])
 @pytest.mark.parametrize("field", ["u", "v", "cu", "cv", "hu", "hv"])
 def test_layout_with_non_finite_value_exits_2(tmp_path, monkeypatch, command, field, bad):
-    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    monkeypatch.setattr("gesturepoint.live.LiveServer", _NoServer)
     target, area = dict(_LAYOUT_TARGET), dict(_LAYOUT_AREA)
     (target if field in target else area)[field] = bad
     layout = tmp_path / "layout.json"
@@ -1246,7 +1249,7 @@ def _float_flag_commands(tmp_path) -> dict[str, list[str]]:
     ("add-area", "--cu"), ("add-area", "--cv"), ("add-area", "--hu"), ("add-area", "--hv"),
 ])
 def test_float_flag_with_non_finite_value_exits_2(tmp_path, monkeypatch, command, flag, bad):
-    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    monkeypatch.setattr("gesturepoint.live.LiveServer", _NoServer)
     argv = _float_flag_commands(tmp_path)[command]
     if flag == "--sizes":
         argv[argv.index("pick")] = "place"
@@ -1291,7 +1294,7 @@ _NOT_PLAIN = {"underscore": lambda v: "0_" + v,
     ("add-target", "--u", "0.2"),
 ])
 def test_flag_number_that_is_no_plain_decimal_exits_2(tmp_path, monkeypatch, command, flag, value, form):
-    monkeypatch.setattr("gesturepoint.cli.LiveServer", _NoServer)
+    monkeypatch.setattr("gesturepoint.live.LiveServer", _NoServer)
     out = str(tmp_path / "out")
     argv = dict(_float_flag_commands(tmp_path), **{
         "define-plane": ["define-plane", "--corners", str(write_corner_file(tmp_path / "c.json", desk_corners())),
@@ -1802,3 +1805,69 @@ def test_streaming_side_never_imports_numpy(tmp_path):
     assert (point["u"], point["v"]) == pytest.approx((0.3, 0.3))
     assert snap["ok"] and snap["id"] == "t1"
     assert result["numpy"] == []
+
+
+# the modules loaded when a CLI run ends, after its exit code
+_MODULES_AT_EXIT = """
+import sys
+from gesturepoint import cli
+print(cli.main(sys.argv[1:]), *sorted(sys.modules))
+"""
+
+
+def _modules_at_exit(proc: subprocess.Popen) -> tuple[int, set[str]]:
+    out, _ = proc.communicate(timeout=60)
+    code, *modules = out.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """Over a bare interpreter's start set (this host's ``site`` may already
+    load ``threading``, so it is not pinned): define-plane, registry and
+    replay load neither the socket layer nor ``dataclasses``/``inspect``, and
+    a live session adds no ``dataclasses``/``inspect``; none loads numpy,
+    and each loads only its own package modules."""
+    bare = set(subprocess.run([sys.executable, "-c", "import sys; print(*sorted(sys.modules))"],
+                              capture_output=True, text=True, timeout=60, check=True).stdout.split())
+    write_corner_file(tmp_path / "corners.json", desk_corners())
+    frame_line = json.dumps(wrist_frame("c", 0.9))
+    (tmp_path / "stream.jsonl").write_text(frame_line + "\n", encoding="utf-8")
+    plane, layout = str(tmp_path / "plane.json"), str(tmp_path / "layout.json")
+    runs = {
+        "define-plane": ["--corners", str(tmp_path / "corners.json"), "--out", plane],
+        "registry": ["add-target", "--file", layout, "--id", "t1", "--u", "0.3", "--v", "0.3"],
+        "replay": ["--plane", plane, "--stream", str(tmp_path / "stream.jsonl"), "--out", str(tmp_path / "out.jsonl"),
+                   "--snap", "pick", "--n", "1", "--registry", layout],
+    }
+    added = {}
+    assert run_cli(["registry", "init", "--file", layout]) == 0
+    for command, argv in runs.items():
+        code, modules = _modules_at_exit(subprocess.Popen(
+            [sys.executable, "-c", _MODULES_AT_EXIT, command, *argv], stdout=subprocess.PIPE, text=True))
+        assert code == 0
+        added[command] = modules - bare
+    assert [r["snap"]["id"] for r in read_jsonl(tmp_path / "out.jsonl") if "snap" in r] == ["t1"]
+
+    proc = subprocess.Popen([sys.executable, "-c", _MODULES_AT_EXIT, "live", "--plane", plane, "--registry", layout,
+                             "--listen", "127.0.0.1:0"],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True, preexec_fn=default_sigint)
+    try:
+        host, port = json.loads(proc.stdout.readline())["listening"].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as conn, conn.makefile("rb") as replies:
+            conn.sendall(f'{frame_line}\n{{"cmd": "snap", "n": 1}}\n'.encode("utf-8"))
+            point, snap = json.loads(replies.readline()), json.loads(replies.readline())
+        proc.send_signal(signal.SIGINT)
+        code, modules = _modules_at_exit(proc)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert code == 0 and "u" in point and snap["id"] == "t1"
+    added["live"] = modules - bare
+
+    heavy = {"dataclasses", "inspect", "numpy"}
+    for command, modules in added.items():
+        package = {m.split(".", 1)[1] for m in modules if m.startswith("gesturepoint.")}
+        assert package == {"cli", "geometry", "pipeline", "snap", "stabilizer", "stream"} | (
+            {"live"} if command == "live" else set()), command
+        assert not modules & (heavy if command == "live" else heavy | {"socket", "selectors"}), command

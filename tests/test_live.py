@@ -3,7 +3,6 @@ and replay/live output equivalence."""
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import itertools
 import json
@@ -48,9 +47,9 @@ from gesturepoint.stabilizer import GesturePoint
 from gesturepoint.stream import parse_frame, serialize_frame
 
 
-def make_settings(tmp_path) -> PipelineSettings:
+def make_settings(tmp_path, **overrides) -> PipelineSettings:
     plane, frame, _, _ = load_plane_file(str(make_plane_file(tmp_path / "plane.json")))
-    return PipelineSettings(plane=plane, frame=frame)
+    return PipelineSettings(plane=plane, frame=frame, **overrides)
 
 
 def registries():
@@ -153,7 +152,7 @@ def test_snap_group_that_is_no_json_string_is_answered_with_err(tmp_path, group,
 
 def test_snap_with_an_empty_group_answers_as_without_one(tmp_path):
     """``""`` means no group, as null does, and both override the session's --group."""
-    session = LiveSession(dataclasses.replace(make_settings(tmp_path), group="left"), *registries())
+    session = LiveSession(make_settings(tmp_path, group="left"), *registries())
     for line in stream_lines(tmp_path):
         session.handle_line(line)
     assert session.handle_line(json.dumps({"cmd": "snap"})) == [
@@ -540,7 +539,7 @@ def test_replay_and_live_emit_identical_sequences(tmp_path, seed, target, sigma)
     registry = TargetRegistry()
     registry.replace_all(targets)
     command = json.dumps({"cmd": "snap", "strategy": "pick"})
-    with LiveServer("127.0.0.1", 0, dataclasses.replace(settings, snap_samples=5), registry) as server:
+    with LiveServer("127.0.0.1", 0, PipelineSettings(plane, frame, snap_samples=5), registry) as server:
         replies = talk(server.address, [line for frame_line in frames for line in (frame_line, command)])
     points, expected = 0, []
     for previous, reply in zip([None, *replies], replies):
@@ -555,8 +554,7 @@ def test_replay_and_live_emit_identical_sequences(tmp_path, seed, target, sigma)
 
 
 def test_per_frame_path_runs_no_finiteness_check(tmp_path, monkeypatch):
-    base = make_settings(tmp_path)
-    sessions = [LiveSession(dataclasses.replace(base, frame_mode=mode), *registries())
+    sessions = [LiveSession(make_settings(tmp_path, frame_mode=mode), *registries())
                 for mode in ("workplane", "camera")]
     for session in sessions:  # the header is a boundary: its intrinsics are checked once
         assert session.handle_line(json.dumps({"intrinsics": INTRINSICS})) == []
@@ -623,9 +621,8 @@ def test_gesture_point_record_writes_the_bytes_of_json_dumps(mode):
 
 def test_gesture_point_record_matches_json_dumps_on_pipeline_points(tmp_path):
     """Every point of a noisy session, in both output frames."""
-    base = make_settings(tmp_path)
     frames = [parse_frame(json.loads(line)) for line in stream_lines(tmp_path, count=60, sigma=0.01)]
-    for settings in (base, dataclasses.replace(base, frame_mode="camera")):
+    for settings in (make_settings(tmp_path), make_settings(tmp_path, frame_mode="camera")):
         pipe = settings.make_pipeline()
         points = [gp for f in frames for gp in pipe.process(f)]
         assert points

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gesturepoint.geometry import PlanarPoint, planar_mean
-from gesturepoint.stabilizer import GesturePoint, RunningAverageStabilizer
-from gesturepoint.stream import KeypointFrame
+from conftest import unit_square_plane
+from gesturepoint.geometry import (CameraIntrinsics, FrozenValue, PlanarPoint, Plane, Point3, Quaternion,
+                                   WorkplaneFrame, planar_mean, workplane_frame)
+from gesturepoint.pipeline import PipelineSettings
+from gesturepoint.snap import (DEFAULT_SAMPLE_COUNT, DEFAULT_STABILITY_THRESHOLD, Area, GateResult, SnapRequest,
+                               SnapResult, Target)
+from gesturepoint.stabilizer import DEFAULT_WINDOW, GesturePoint, RunningAverageStabilizer
+from gesturepoint.stream import DEFAULT_MIN_CONFIDENCE, KeypointFrame
 
 BOUNDS = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -122,24 +126,82 @@ def test_mean_adds_offsets_one_by_one_on_every_python():
     assert outs[-1].window_size == 4
 
 
-@pytest.mark.parametrize("cls, args", [
+_PLANE = unit_square_plane()
+_FRAME = workplane_frame(_PLANE)
+# each value type's fields, in order, and the defaults of those that have one
+_FIELDS = {
+    Point3: ("x y z", {}),
+    PlanarPoint: ("u v z_residual", {"z_residual": 0.0}),
+    CameraIntrinsics: ("fx fy cx cy width height", {}),
+    Quaternion: ("w x y z", {}),
+    Plane: ("normal d corners", {}),
+    WorkplaneFrame: ("origin orientation", {}),
+    Target: ("id label position group", {"group": None}),
+    Area: ("id center half_extent", {}),
+    SnapRequest: ("samples strategy group_filter", {"group_filter": None}),
+    GateResult: ("mean max_deviation stable", {}),
+    SnapResult: ("selected_id mean_point max_radial_deviation fallback_used", {}),
+    KeypointFrame: ("timestamp joints source_id", {"source_id": ""}),
+    GesturePoint: ("position timestamp hand window_size", {}),
+    PipelineSettings: ("plane frame frame_mode hands pair min_confidence snap_samples threshold window group", {
+        "frame_mode": "workplane", "hands": ("right",), "pair": "shoulder_wrist",
+        "min_confidence": DEFAULT_MIN_CONFIDENCE, "snap_samples": DEFAULT_SAMPLE_COUNT,
+        "threshold": DEFAULT_STABILITY_THRESHOLD, "window": DEFAULT_WINDOW, "group": None}),
+}
+
+
+_CASES = [
     (PlanarPoint, (0.1, 0.2, 0.3)),
     (GesturePoint, (PlanarPoint(0.1, 0.2), 0.5, "right", 3)),
     # a hashable stand-in for the joints dict, so that hashing is checked too
     (KeypointFrame, (0.5, (("right_wrist", (0.1, 0.2, 1.0, 0.9)),), "cam0")),
-])
+    (Point3, (0.1, 0.2, 0.3)),
+    (CameraIntrinsics, (600.0, 610.0, 320.0, 240.0, 640, 480)),
+    (Quaternion, (1.0, 0.0, 0.0, 0.0)),
+    (Plane, (_PLANE.normal, _PLANE.d, _PLANE.corners)),
+    (WorkplaneFrame, (_FRAME.origin, _FRAME.orientation)),
+    (Target, ("t1", "bolt", PlanarPoint(0.1, 0.2), "bolts")),
+    (Area, ("a1", PlanarPoint(0.1, 0.2), (0.05, 0.06))),
+    (SnapRequest, ((PlanarPoint(0.1, 0.2),), "pick", "bolts")),
+    (GateResult, (PlanarPoint(0.1, 0.2), 0.01, True)),
+    (SnapResult, ("t1", PlanarPoint(0.1, 0.2), 0.01, False)),
+    (PipelineSettings, (_PLANE, _FRAME, "camera", ("left",), "elbow_wrist", 0.5, 7, 0.02, 3, "bolts")),
+]
+
+
+@pytest.mark.parametrize("cls, args", _CASES)
 def test_written_out_init_keeps_the_dataclass_contract(cls, args):
-    """The per-line and per-hit value types write their own ``__init__``: it
-    takes the dataclass fields in order, with their defaults, and the
-    instances stay frozen, equal by value, hashable and replaceable."""
-    fields = dataclasses.fields(cls)
-    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    """Each numpy-free value type writes its own ``__init__``: it takes the
+    fields in order, with their defaults, and the instances are frozen,
+    equal and hashable by value (never equal to another class's, a
+    subclass's included), with a frozen dataclass's repr text."""
+    names, defaults = _FIELDS[cls][0].split(), _FIELDS[cls][1]
+    params = list(inspect.signature(cls).parameters.values())
     assert [(p.name, p.default) for p in params] == [
-        (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default) for f in fields
+        (name, defaults.get(name, inspect.Parameter.empty)) for name in names
     ]
-    a, b = cls(*args), cls(**{f.name: value for f, value in zip(fields, args)})
-    assert tuple(getattr(a, f.name) for f in fields) == args
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(a, fields[0].name, None)
-    assert dataclasses.replace(a, **{fields[-1].name: args[-1]}) == a
+    a, b = cls(*args), cls(**dict(zip(names, args)))
+    assert tuple(getattr(a, name) for name in names) == args
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert repr(a) == f"{cls.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, args))})"
+    assert a != type("Twin", (cls,), {})(*args) and a != args
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert tuple(getattr(a, name) for name in names) == args
+
+
+def test_every_value_type_has_its_contract_pinned():
+    assert {cls for cls, _ in _CASES} == set(_FIELDS) == set(FrozenValue.__subclasses__())
+    assert len(_FIELDS) == 14
+
+
+def test_workplane_frame_rows_are_computed_once_and_leave_equality_alone():
+    frame = workplane_frame(_PLANE)
+    rows = frame.rows
+    assert frame.rows is rows and rows == frame.orientation.to_matrix()
+    assert frame == workplane_frame(_PLANE) and hash(frame) == hash(workplane_frame(_PLANE))
