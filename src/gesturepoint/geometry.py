@@ -402,7 +402,7 @@ def points_in_bounds(
         on_edge = on_edge | (
             (abs(dx * dv - dy * du) <= 1e-12 * max(abs(dx), abs(dy), 1.0))
             & (dot >= -1e-12)
-            & (dot <= dx ** 2 + dy ** 2 + 1e-12)
+            & (dot <= dx * dx + dy * dy + 1e-12)
         )
         if dy:
             inside = inside ^ (((ay > v) != (by > v)) & (u < ax + dv * dx / dy))

@@ -47,7 +47,7 @@ class RunningAverageStabilizer:
         edges = []
         for (ax, ay), (bx, by) in zip(self.bounds, self.bounds[1:] + self.bounds[:1]):
             dx, dy = bx - ax, by - ay
-            edges.append((ax, ay, by, dx, dy, 1e-12 * max(abs(dx), abs(dy), 1.0), dx ** 2 + dy ** 2 + 1e-12))
+            edges.append((ax, ay, by, dx, dy, 1e-12 * max(abs(dx), abs(dy), 1.0), dx * dx + dy * dy + 1e-12))
         self._edges = tuple(edges)
         self._buffers: dict[str, deque[tuple[float, float, float]]] = {}
 

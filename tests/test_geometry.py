@@ -463,6 +463,21 @@ def test_points_in_bounds_matches_branching_reference(poly):
     assert not points_in_bounds(np.array([np.nan, 0.5]), np.array([0.5, np.nan]), poly).any()
 
 
+def test_bounds_reach_squares_by_multiplication():
+    """An edge's reach is ``dx * dx + dy * dy + 1e-12`` in ``push`` and in
+    ``points_in_bounds``: ``dx ** 2`` goes to libm's ``pow``, which for this
+    ``dx`` gives one ulp more and so would keep the point beyond the edge's end."""
+    dx = 0.3221098846663417
+    assert dx ** 2 != dx * dx
+    poly = ((0.0, 0.0), (dx, 0.0), (dx, 1.0), (0.0, 1.0))
+    stab = RunningAverageStabilizer(poly)
+    assert stab._edges[0][6] == dx * dx + 1e-12 == 0.10375477780076396
+    u = 0.3221098846694463  # u * dx lies between the product's reach and pow's
+    assert dx * dx + 1e-12 < u * dx <= dx ** 2 + 1e-12
+    assert not points_in_bounds(u, 0.0, poly)
+    assert stab.push(u, 0.0, 0.0, 0.0, "right") is None
+
+
 @st.composite
 def _star_polygons(draw):
     """A simple polygon and a point it surrounds: 3-8 vertices at increasing
