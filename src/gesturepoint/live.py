@@ -78,8 +78,10 @@ class LiveSession:
             frame = parse_frame(obj, self.intrinsics)
         except MalformedRecordError as exc:
             return [json.dumps({"err": str(exc)})]
-        points = self.pipeline.process(frame)
-        return [gesture_point_record(gp, self.settings) for gp in points]
+        replies = []
+        for gp in self.pipeline.process(frame):
+            replies.append(gesture_point_record(gp, self.settings))
+        return replies
 
     def _handle_command(self, obj: dict) -> str:
         if obj.get("cmd") != "snap":

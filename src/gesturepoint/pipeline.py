@@ -72,12 +72,11 @@ class GesturePipeline:
         self.frames_seen = 0
         self.frames_without_ray = 0
         self.discarded_out_of_bounds = 0
-        # what process reads per frame: the plane, the frame, each hand's joints
-        n = plane.normal
-        self._plane = (n.x, n.y, n.z, plane.d)
-        o = self.frame.origin
-        self._origin = (o.x, o.y, o.z)
-        self._rows = self.frame.rows
+        # what process reads per frame: the plane, the frame's origin and rows, the
+        # confidence floor, and each hand's joints
+        n, o = plane.normal, self.frame.origin
+        self._constants = (n.x, n.y, n.z, plane.d, o.x, o.y, o.z, *self.frame.rows[0], *self.frame.rows[1],
+                           *self.frame.rows[2], min_confidence)
         start = "shoulder" if pair == "shoulder_wrist" else "elbow"
         self._arms = tuple((hand, f"{hand}_{start}", f"{hand}_wrist") for hand in self.hands)
 
@@ -92,10 +91,7 @@ class GesturePipeline:
         at least ``DEFAULT_T_MIN``; the hit's workplane coordinates
         R^T (hit - origin) go to the stabilizer."""
         self.frames_seen += 1
-        nx, ny, nz, d = self._plane
-        ox, oy, oz = self._origin
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self._rows
-        min_confidence = self.min_confidence
+        nx, ny, nz, d, ox, oy, oz, r00, r01, r02, r10, r11, r12, r20, r21, r22, min_confidence = self._constants
         push = self.stabilizer.push
         joints, timestamp = frame.joints, frame.timestamp
         got_ray = False

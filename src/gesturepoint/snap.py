@@ -98,7 +98,8 @@ def stability_gate(
     if not samples:
         raise SnapError("stability gate needs at least one sample")
     mean = planar_mean(samples)
-    max_dev = max(_distance_uv(p, mean) for p in samples)
+    mu, mv = mean.u, mean.v
+    max_dev = max([math.hypot(p.u - mu, p.v - mv) for p in samples])
     return GateResult(mean=mean, max_deviation=max_dev, stable=max_dev < threshold)
 
 

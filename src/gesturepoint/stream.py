@@ -20,7 +20,11 @@ joint with any coordinate that is NaN, infinite or beyond ``MAX_JOINT_COORD``
 meters (after deprojection for the 2D form) makes the record malformed; so
 does any number field that holds a string, a bool or a non-finite value.
 A parsed frame holds each joint as a plain ``(x, y, z, confidence)`` tuple
-of floats, in meters in the camera frame.
+of floats, in meters in the camera frame. :func:`parse_frame` has two typed
+fast paths to that tuple: a 3D joint of floats that pass every check, and a
+pixel joint of floats that pass ``deproject``'s checks and the bound,
+deprojected with ``deproject``'s expressions; every other joint takes the
+full path, with its messages.
 
 Each input format has one reader here: :func:`read_text` opens every input
 file (UTF-8, optionally BOM-prefixed), :func:`decode_object` decodes JSON,
@@ -229,14 +233,26 @@ def parse_frame(record: dict, intrinsics: CameraIntrinsics | None = None) -> Key
     for name, spec in raw_joints.items():
         if name not in KNOWN_JOINTS:
             continue
-        # a 3D joint of floats that passes every check is taken as is; any other goes the full way
+        # a 3D joint of floats that passes every check is taken as is, and a pixel joint of floats
+        # that passes deproject's checks and the bound is deprojected with deproject's expressions;
+        # any other joint goes the full way
         if type(spec) is dict:
             x, y, z, c = spec.get("x"), spec.get("y"), spec.get("z"), spec.get("c", 1.0)
             if (type(x) is float and type(y) is float and type(z) is float and type(c) is float
-                    and -MAX_JOINT_COORD <= x <= MAX_JOINT_COORD and -MAX_JOINT_COORD <= y <= MAX_JOINT_COORD
-                    and -MAX_JOINT_COORD <= z <= MAX_JOINT_COORD and 0.0 <= c <= 1.0):
+                    and abs(x) <= MAX_JOINT_COORD and abs(y) <= MAX_JOINT_COORD and abs(z) <= MAX_JOINT_COORD
+                    and 0.0 <= c <= 1.0):
                 joints[name] = (x, y, z, c)
                 continue
+            if intrinsics is not None and "x" not in spec:
+                px, py, depth = spec.get("px"), spec.get("py"), spec.get("depth")
+                if (type(px) is float and type(py) is float and type(depth) is float and type(c) is float
+                        and 0.0 < depth <= MAX_JOINT_COORD and 0 <= px < intrinsics.width
+                        and 0 <= py < intrinsics.height and 0.0 <= c <= 1.0):
+                    x = (px - intrinsics.cx) * depth / intrinsics.fx
+                    y = (py - intrinsics.cy) * depth / intrinsics.fy
+                    if abs(x) <= MAX_JOINT_COORD and abs(y) <= MAX_JOINT_COORD:
+                        joints[name] = (x, y, depth, c)
+                        continue
         position = parse_position(spec, intrinsics, "joint", name)
         confidence = json_number(spec.get("c", 1.0), MalformedRecordError, "joint", name)
         if not 0.0 <= confidence <= 1.0:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import project
+from conftest import desk_corners, project
 from gesturepoint.evaluation import intersect_rays_plane
 from gesturepoint.geometry import (
     CameraIntrinsics,
@@ -27,7 +27,7 @@ from gesturepoint.geometry import (
     to_workplane,
     workplane_frame,
 )
-from gesturepoint.stabilizer import RunningAverageStabilizer
+from gesturepoint.stabilizer import NO_BOX, RunningAverageStabilizer
 from gesturepoint.stream import MalformedRecordError, parse_intrinsics_header
 
 UNIT_SQUARE = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0), Point3(0, 1, 0)]
@@ -512,3 +512,83 @@ def test_stabilizer_bounds_kernel_matches_points_in_bounds(polygon, offsets):
             assert kept[u, v] == _winding_inside(u, v, poly), (u, v)
     assert all(kept[p] for p in poly)
     assert not any(kept[p] for p in non_finite)
+
+
+@st.composite
+def _quadrilaterals(draw):
+    """A w x h rectangle, sheared, rotated (often by 0 or a rounding-sized
+    angle) and moved, near the origin or ~1e5 m out; either way round, and
+    in a third of the draws with one corner pulled in past the diagonal, so
+    that it is non-convex. Returns the corners and whether they are convex."""
+    w, h = draw(st.floats(1e-3, 3.0)), draw(st.floats(1e-3, 3.0))
+    shear = draw(st.sampled_from([0.0, 1e-16]) | st.floats(-2.0, 2.0))
+    angle = draw(st.sampled_from([0.0, 1e-16, -1e-9, math.pi / 2]) | st.floats(-math.pi, math.pi))
+    ou, ov = (draw(st.sampled_from([0.0, 1e5, -1e5])) + draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    cos, sin = math.cos(angle), math.sin(angle)
+    corners = [(u + shear * v, v) for u, v in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))]
+    corners = [(ou + cos * u - sin * v, ov + sin * u + cos * v) for u, v in corners]
+    convex = draw(st.integers(0, 2)) > 0
+    if not convex:  # corner 2 pulled towards corner 0, past the diagonal from corner 1 to corner 3
+        f = draw(st.floats(0.05, 0.45))
+        (au, av), (cu, cv) = corners[0], corners[2]
+        corners[2] = (au + f * (cu - au), av + f * (cv - av))
+    if draw(st.booleans()):
+        corners.reverse()
+    return tuple(corners), convex
+
+
+def _ulp_neighbours(u: float, v: float) -> list[tuple[float, float]]:
+    """(u, v) and the points one ulp to either side of it on each axis."""
+    return [(u, v), (math.nextafter(u, -math.inf), v), (math.nextafter(u, math.inf), v),
+            (u, math.nextafter(v, -math.inf)), (u, math.nextafter(v, math.inf))]
+
+
+def _box_edge_points(left: float, right: float, bottom: float, top: float) -> list[tuple[float, float]]:
+    sides = [((left, bottom), (right, bottom)), ((right, bottom), (right, top)),
+             ((right, top), (left, top)), ((left, top), (left, bottom))]
+    return [(au + f * (bu - au), av + f * (bv - av)) for (au, av), (bu, bv) in sides for f in (0.0, 0.25, 0.5, 0.9)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadrilaterals(), st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=10))
+def test_stabilizer_inner_box_keeps_only_what_points_in_bounds_keeps(quad, fractions):
+    """The inner box that ``push`` keeps hits in at once is sound: on sheared,
+    rotated and non-convex quadrilaterals, near the origin and ~1e5 m out,
+    ``push`` keeps exactly what ``points_in_bounds`` keeps, over points on
+    the box's edges, on the polygon's edges and inside the box, each also one
+    ulp to either side, and NaN. A non-convex quadrilateral gets no box. So
+    does a box taken from the second-smallest and second-largest corner
+    coordinates unchecked: its edges are among the points."""
+    poly, convex = quad
+    stab = RunningAverageStabilizer(poly)
+    if not convex:
+        assert stab._box == NO_BOX
+    us, vs = sorted(u for u, _ in poly), sorted(v for _, v in poly)
+    boxes = [(us[1], us[2], vs[1], vs[2])] + ([stab._box] if stab._box != NO_BOX else [])
+    points = [p for box in boxes for p in _box_edge_points(*box)]
+    points += [(left + fu * (right - left), bottom + fv * (top - bottom))
+               for left, right, bottom, top in boxes for fu, fv in fractions]
+    points += [(ax + f * (bx - ax), ay + f * (by - ay))
+               for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]) for f in (0.0, 0.25, 0.5, 1 / 3)]
+    points = [q for p in points for q in _ulp_neighbours(*p)] + [(math.nan, vs[1]), (us[1], math.nan)]
+    for u, v in points:
+        assert (stab.push(u, v, 0.0, 0.0, "right") is not None) == bool(points_in_bounds(u, v, poly)), (u, v)
+
+
+@pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-0.3, -0.4, 1.2), (1e5, -1e5, 3e4)])
+def test_desk_gets_an_inner_box_and_a_dart_or_a_parallelogram_none(origin):
+    """The desk rectangle in its own workplane frame, near the camera or
+    ~1e5 m away, gets a box that covers all of it but a sliver; a dart and a
+    sheared parallelogram get none, so (1.5, 0.1), outside the parallelogram
+    but inside its second-coordinate box, is dropped."""
+    ox, oy, oz = origin
+    plane = plane_from_corners([Point3(ox + c.x, oy + c.y, oz + c.z) for c in desk_corners()])
+    desk = corners_in_frame(plane, workplane_frame(plane))
+    left, right, bottom, top = RunningAverageStabilizer(desk)._box
+    margin = 1e-8 * max(1.0, *(abs(c) for corner in desk for c in corner))
+    assert 0.0 < left < margin and 0.6 - margin < right < 0.6 and 0.0 < bottom < margin and 0.8 - margin < top < 0.8
+    assert RunningAverageStabilizer(((0.0, 0.0), (2.0, 0.0), (1.0, 0.5), (1.0, 2.0)))._box == NO_BOX
+    parallelogram = ((0.0, 0.0), (1.0, 0.0), (3.0, 1.0), (2.0, 1.0))
+    stab = RunningAverageStabilizer(parallelogram)
+    assert stab._box == NO_BOX
+    assert stab.push(1.5, 0.1, 0.0, 0.0, "right") is None and not points_in_bounds(1.5, 0.1, parallelogram)

@@ -308,6 +308,54 @@ def test_parse_frame_gives_the_reference_for_every_mutation_of_every_field(form)
                 assert _outcome(parse_frame, record, intrinsics) == _outcome(_reference_frame, record, intrinsics)
 
 
+# fx = 100 with px - cx = 200 deprojects x to about twice the depth, so a depth
+# within MAX_JOINT_COORD can put x just beyond it
+_INTR_WIDE = CameraIntrinsics(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+def _least_depth_beyond_bound(px: float) -> float:
+    """The least depth whose deprojected x through ``_INTR_WIDE`` lies beyond MAX_JOINT_COORD."""
+    depth = MAX_JOINT_COORD * _INTR_WIDE.fx / (px - _INTR_WIDE.cx)
+    while (px - _INTR_WIDE.cx) * depth / _INTR_WIDE.fx > MAX_JOINT_COORD:
+        depth = math.nextafter(depth, 0.0)
+    while (px - _INTR_WIDE.cx) * depth / _INTR_WIDE.fx <= MAX_JOINT_COORD:
+        depth = math.nextafter(depth, math.inf)
+    return depth
+
+
+_BEYOND = _least_depth_beyond_bound(520.0)
+_PIXEL_BORDERS = {
+    "px-at-width": {"px": 640.0, "py": 240.25, "depth": 0.53, "c": 0.9},
+    "px-below-width": {"px": math.nextafter(640.0, 0.0), "py": 240.25, "depth": 0.53, "c": 0.9},
+    "py-zero": {"px": 330.5, "py": 0.0, "depth": 0.53, "c": 0.9},
+    "py-at-height": {"px": 330.5, "py": 480.0, "depth": 0.53, "c": 0.9},
+    "least-depth": {"px": 330.5, "py": 240.25, "depth": 5e-324, "c": 0.9},
+    "depth-at-bound": {"px": 330.5, "py": 240.25, "depth": MAX_JOINT_COORD, "c": 0.9},
+    "x-beyond-bound": {"px": 520.0, "py": 240.25, "depth": _BEYOND, "c": 0.9},
+    "x-within-bound": {"px": 520.0, "py": 240.25, "depth": math.nextafter(_BEYOND, 0.0), "c": 0.9},
+    "int-px-py": {"px": 330, "py": 240, "depth": 0.53, "c": 0.9},
+    "no-c": {"px": 330.5, "py": 240.25, "depth": 0.53},
+    "x-and-px": {"x": 0.3, "y": -0.1, "z": 0.6, "px": 330.5, "py": 240.25, "depth": 0.53, "c": 0.9},
+    "int-x-and-px": {"x": 1, "y": -0.1, "z": 0.6, "px": 330.5, "py": 240.25, "depth": 0.53, "c": 0.9},
+    "null-x-and-px": {"x": None, "y": -0.1, "z": 0.6, "px": 330.5, "py": 240.25, "depth": 0.53, "c": 0.9},
+    "x-only-and-px": {"x": 0.3, "px": 330.5, "py": 240.25, "depth": 0.53, "c": 0.9},
+}
+
+
+@pytest.mark.parametrize("joint", list(_PIXEL_BORDERS.values()), ids=list(_PIXEL_BORDERS))
+def test_parse_frame_pixel_fast_path_gives_the_reference_at_its_borders(joint):
+    """Pixel joints at the edges of the image, of the depth range and of the
+    coordinate bound, with int fields, without ``c`` and beside 3D keys: the
+    values and messages of the full path, through either camera and none."""
+    record = {"t": 0.5, "joints": {"right_shoulder": {"x": 0.3, "y": -0.1, "z": 0.6}, "right_wrist": joint}}
+    for intrinsics in (INTR, _INTR_WIDE, None):
+        assert _outcome(parse_frame, record, intrinsics) == _outcome(_reference_frame, record, intrinsics)
+    beyond = _PIXEL_BORDERS["x-beyond-bound"]
+    assert "lies beyond" in _outcome(parse_frame, {"t": 0.5, "joints": {"right_wrist": beyond}}, _INTR_WIDE)[1]
+    within = _PIXEL_BORDERS["x-within-bound"]
+    assert _outcome(parse_frame, {"t": 0.5, "joints": {"right_wrist": within}}, _INTR_WIDE)[0] == "ok"
+
+
 _TEXT_OBJECTS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
