@@ -2,8 +2,8 @@
 workplane transform -> stabilizer. ``GesturePipeline.process`` runs the
 geometry on floats, from plane and frame constants taken once per pipeline,
 and loads no numpy; each hit's bounds test and window mean are one call of
-``RunningAverageStabilizer.push``, against edge constants also taken once
-per pipeline. ``evaluation.stabilize_trials``, with
+``RunningAverageStabilizer.push``, against an inner box and edge constants
+also taken once per pipeline. ``evaluation.stabilize_trials``, with
 ``evaluation.intersect_rays_plane``, is its bit-exact array twin for the
 sweeps: the same expressions in the same order, elementwise. Live
 and replay build one pipeline per session and never reset it; state is the
