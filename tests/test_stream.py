@@ -350,10 +350,13 @@ def test_parse_frame_pixel_fast_path_gives_the_reference_at_its_borders(joint):
     record = {"t": 0.5, "joints": {"right_shoulder": {"x": 0.3, "y": -0.1, "z": 0.6}, "right_wrist": joint}}
     for intrinsics in (INTR, _INTR_WIDE, None):
         assert _outcome(parse_frame, record, intrinsics) == _outcome(_reference_frame, record, intrinsics)
-    beyond = _PIXEL_BORDERS["x-beyond-bound"]
-    assert "lies beyond" in _outcome(parse_frame, {"t": 0.5, "joints": {"right_wrist": beyond}}, _INTR_WIDE)[1]
-    within = _PIXEL_BORDERS["x-within-bound"]
-    assert _outcome(parse_frame, {"t": 0.5, "joints": {"right_wrist": within}}, _INTR_WIDE)[0] == "ok"
+
+
+def test_pixel_border_depths_straddle_the_coordinate_bound():
+    """The two depths above put the deprojected x one step either side of MAX_JOINT_COORD."""
+    for key, verdict in (("x-beyond-bound", "MalformedRecordError"), ("x-within-bound", "ok")):
+        record = {"t": 0.5, "joints": {"right_wrist": _PIXEL_BORDERS[key]}}
+        assert _outcome(parse_frame, record, _INTR_WIDE)[0] == verdict
 
 
 _TEXT_OBJECTS = st.recursive(
