@@ -1,8 +1,12 @@
 """Command-line front end wiring the pipeline end to end.
 
 Subcommands: define-plane, generate, replay, live, sweep, calibrate,
-registry; only generate, sweep and calibrate import ``evaluation`` and numpy,
-and only live imports ``live`` and the socket layer.
+registry. This module holds define-plane, replay and live; the other four
+live in ``offline``, imported only when one of them is chosen. The parser
+names every command but adds the flags of the chosen one alone, so each
+command compiles and builds only what it runs. Only generate, sweep and
+calibrate import ``evaluation`` and numpy, and only live imports ``live``
+and the socket layer.
 Exit codes: 0 success, 1 runtime failure (write errors, port bind,
 non-convergence, registry id conflicts), 2 usage or configuration error (bad
 flags, missing or invalid input files).
@@ -39,56 +43,15 @@ import os
 import sys
 
 from . import __version__
-from .geometry import (
-    GeometryError,
-    PlanarPoint,
-    Plane,
-    Point3,
-    WorkplaneFrame,
-    plane_from_corners,
-    workplane_frame,
-)
+from .geometry import GeometryError, Plane, Point3, WorkplaneFrame, plane_from_corners, workplane_frame
 from .pipeline import HISTORY_CAPACITY, PipelineSettings, gesture_point_record
-from .snap import (
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_STABILITY_THRESHOLD,
-    Area,
-    AreaRegistry,
-    DuplicateIdError,
-    MalformedFileError,
-    SnapError,
-    Target,
-    TargetRegistry,
-    checked_half_extent,
-    layout_document,
-    load_layout,
-    save_layout,
-    snap_fields,
-)
+from .snap import (DEFAULT_SAMPLE_COUNT, DEFAULT_STABILITY_THRESHOLD, AreaRegistry, MalformedFileError, SnapError,
+                   TargetRegistry, load_layout, snap_fields)
 from .stabilizer import DEFAULT_WINDOW
-from .stream import (
-    DEFAULT_CALIBRATION_SAMPLES,
-    DEFAULT_MIN_CONFIDENCE,
-    DEFAULT_TRIALS_PER_TARGET,
-    ConfigError,
-    EvalError,
-    InvalidParametersError,
-    MalformedRecordError,
-    StreamError,
-    StreamReader,
-    decimal_int,
-    decode_object,
-    finite_float,
-    json_int,
-    json_number,
-    parse_intrinsics_header,
-    parse_kv_config,
-    parse_position,
-    parse_triplet,
-    read_text,
-    write_document,
-    write_stream,
-)
+from .stream import (DEFAULT_MIN_CONFIDENCE, ConfigError, EvalError, InvalidParametersError, MalformedRecordError,
+                     StreamError, StreamReader, check_out_spares_inputs, decimal_int, decode_object, finite_float,
+                     json_int, json_number, parse_intrinsics_header, parse_kv_config, parse_position, parse_triplet,
+                     read_text, write_document)
 
 ENV_CONFIG = "GESTURE_POINTER_CONFIG"
 
@@ -104,22 +67,6 @@ _CONFIG_EXCEPTIONS = (
     MalformedFileError,
     InvalidParametersError,
 )
-
-
-def non_negative_int(text: str) -> int:
-    """The type of every ``--seed`` flag (and ``seed`` config key)."""
-    value = decimal_int(text)
-    if value < 0:
-        raise ValueError(f"expected an integer >= 0, got {text!r}")
-    return value
-
-
-def positive_int(text: str) -> int:
-    """The type of ``generate --count`` (and the ``count`` config key)."""
-    value = decimal_int(text)
-    if value < 1:
-        raise ValueError(f"expected an integer >= 1, got {text!r}")
-    return value
 
 
 def _load_registries(path: str | None) -> tuple[TargetRegistry, AreaRegistry]:
@@ -230,20 +177,8 @@ def _settings_from_args(args) -> PipelineSettings:
 # --- subcommands -------------------------------------------------------------
 
 
-def _check_out_spares_inputs(out: str, *inputs: str | None) -> None:
-    """Writing ``--out`` destroys what it held, so it may name no file the
-    command reads; naming one is a ConfigError (exit 2)."""
-    for path in inputs:
-        try:
-            same = path is not None and os.path.samefile(out, path)
-        except (OSError, ValueError):  # --out does not exist yet, or a path holds a NUL
-            same = False
-        if same:
-            raise ConfigError(f"--out {out} is the input file {path}; writing it would destroy it")
-
-
 def cmd_define_plane(args) -> int:
-    _check_out_spares_inputs(args.out, args.corners)
+    check_out_spares_inputs(args.out, args.corners)
     corners, used_pixels = load_corner_file(args.corners)
     viewpoint = None
     if args.viewpoint is not None:
@@ -263,20 +198,6 @@ def cmd_define_plane(args) -> int:
     return EXIT_OK
 
 
-def cmd_generate(args) -> int:
-    from .evaluation import generate_scenario, load_scenario_config
-
-    _check_out_spares_inputs(args.out, args.scenario)
-    template, target, seed, count = load_scenario_config(args.scenario)
-    if args.seed is not None:
-        seed = args.seed
-    if args.count is not None:
-        count = args.count
-    written = write_stream(args.out, generate_scenario(template, target, seed, count))
-    print(f"wrote {written} frames to {args.out}", file=sys.stderr)
-    return EXIT_OK
-
-
 def cmd_replay(args) -> int:
     settings = _settings_from_args(args)
     pipe = settings.make_pipeline()
@@ -288,7 +209,7 @@ def cmd_replay(args) -> int:
         raise ConfigError(f"{args.registry}: no {kind} registered for --snap {args.snap}")
     accepted: dict[str, int] = {hand: 0 for hand in settings.hands}
     points_written = 0
-    _check_out_spares_inputs(args.out, args.plane, args.stream, args.registry if args.snap else None)
+    check_out_spares_inputs(args.out, args.plane, args.stream, args.registry if args.snap else None)
     try:
         # undecodable bytes become U+FFFD and fail as one malformed line, as live
         stream = open(args.stream, "r", encoding="utf-8-sig", errors="replace")
@@ -346,128 +267,6 @@ def cmd_live(args) -> int:
     return EXIT_OK
 
 
-def _template_from_args(args, sigma: float, **flags):
-    """The scenario file's template (its target, seed and count unused), or
-    the desk default, with ``sigma``, and ``--aim-bias`` and the template
-    fields in ``flags`` where they are not None."""
-    import dataclasses
-
-    from .evaluation import ScenarioTemplate, load_scenario_config
-
-    template = load_scenario_config(args.scenario)[0] if args.scenario else ScenarioTemplate.desk_default()
-    flags["aim_bias_sigma"] = args.aim_bias
-    return dataclasses.replace(template, sigma=sigma, **{k: v for k, v in flags.items() if v is not None})
-
-
-def _parse_l_values(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(finite_float(p) for p in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"bad length list {text!r}: {exc}") from exc
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError(f"length list must hold positive sizes, got {text!r}")
-    return values
-
-
-def cmd_sweep(args) -> int:
-    import dataclasses
-
-    from .evaluation import (
-        aimed_targets, calibrate_sigma, emit_report, load_boards, run_boards, save_boards, standard_boards,
-    )
-
-    if args.calibrate is not None and args.sigma is not None:
-        raise ConfigError("give either --sigma or --calibrate, not both")
-    _positive("--trials", args.trials)
-    template = _template_from_args(args, args.sigma or 0.0, snap_samples=args.n, stability_threshold=args.threshold)
-    # the series and its workspace check need no sigma, so a bad one fails before calibration
-    if args.board:
-        try:
-            boards = load_boards(args.board)
-        except EvalError as exc:
-            raise ConfigError(f"bad board file: {exc}") from exc
-        mode = "place" if args.kind == "place" else "pick"
-        for i, board in enumerate(boards, start=1):
-            if ("pick" if board.targets else "place") != mode:
-                raise ConfigError(f"{args.board}: board {i} ({board.kind}) does not fit --kind {args.kind}")
-    else:
-        lengths = {"pick": args.distances, "place": args.sizes}.get(args.kind)
-        boards = standard_boards(args.kind, template, _parse_l_values(lengths) if lengths else None)
-    aimed_targets(template, boards)
-    if args.calibrate is not None:
-        calibrated = calibrate_sigma(args.calibrate, template, seed=args.seed)
-        template = dataclasses.replace(template, sigma=calibrated)
-    report = run_boards(template, boards, args.trials, args.seed)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except ValueError as exc:  # a NUL in the path
-        raise ConfigError(f"cannot create {args.out!r}: {exc}") from exc
-    paths = []
-    for fmt in ("csv", "json"):
-        path = os.path.join(args.out, f"{report.kind}_report.{fmt}")
-        write_document(path, emit_report(report, fmt))
-        paths.append(path)
-    boards_path = os.path.join(args.out, f"{report.kind}_boards.json")
-    save_boards(boards_path, boards)
-    paths.append(boards_path)
-    print(f"sigma_m={template.sigma:.6f}", file=sys.stderr)
-    for path in paths:
-        print(path)
-    return EXIT_OK
-
-
-def cmd_calibrate(args) -> int:
-    from .evaluation import calibrate_sigma
-
-    _positive("--samples", args.samples)
-    template = _template_from_args(args, 0.0)
-    sigma = calibrate_sigma(args.target_error, template, samples=args.samples, seed=args.seed)
-    print(f"{sigma:.6f}")
-    return EXIT_OK
-
-
-def cmd_registry(args) -> int:
-    path = args.file
-    if args.action == "init":
-        if os.path.exists(path) and not args.force:
-            raise RuntimeError(f"{path} already exists (use --force to overwrite)")
-        save_layout(path, [], [])
-        print(f"wrote {path}")
-        return EXIT_OK
-    targets, areas = load_layout(path)
-    if args.action == "list":
-        print(json.dumps(layout_document(targets, areas), indent=2, sort_keys=True))
-        return EXIT_OK
-    op, kind = args.action.split("-")
-    entries = targets if kind == "target" else areas
-    if op == "add":
-        if kind == "target":
-            _require(args, "id", "u", "v")
-            new = Target(id=args.id, label=args.label or args.id,
-                         position=PlanarPoint(args.u, args.v), group=args.group or None)
-        else:
-            _require(args, "id", "cu", "cv", "hu", "hv")
-            new = Area(id=args.id, center=PlanarPoint(args.cu, args.cv),
-                       half_extent=checked_half_extent(args.id, args.hu, args.hv, ConfigError))
-        if any(e.id == new.id for e in entries):
-            raise DuplicateIdError(f"{kind} id {new.id!r} already registered")
-        entries.append(new)
-    else:
-        _require(args, "id")
-        if not any(e.id == args.id for e in entries):
-            raise SnapError(f"{kind} id {args.id!r} not registered")
-        entries[:] = [e for e in entries if e.id != args.id]
-    save_layout(path, targets, areas)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _require(args, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise ConfigError(f"missing required flags: {', '.join('--' + n for n in missing)}")
-
-
 # --- parser ------------------------------------------------------------------
 
 
@@ -486,7 +285,53 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=decimal_int, help=f"stabilizer window (default {DEFAULT_WINDOW})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every command, in --help order, with its help line
+COMMANDS = {
+    "define-plane": "build a workplane file from corner points",
+    "generate": "synthesize a skeleton stream from a scenario config",
+    "replay": "run a recorded stream through the pipeline",
+    "live": "serve the line protocol over TCP",
+    "sweep": "run a seeded Monte-Carlo selection sweep",
+    "calibrate": "find the sigma matching a target mean error",
+    "registry": "create and edit target/area files",
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, name: str) -> None:
+    """Add command ``name``'s flags to its subparser ``p``, with its function as ``func``."""
+    if name == "define-plane":
+        p.add_argument("--corners", required=True, help="corner JSON file (3D or pixel+depth)")
+        p.add_argument("--out", required=True, help="plane file to write")
+        p.add_argument("--origin-corner", dest="origin_corner", type=decimal_int, default=0,
+                       help="frame origin corner (default %(default)s)")
+        p.add_argument("--x-corner", dest="x_corner", type=decimal_int, default=1,
+                       help="frame x-axis corner (default %(default)s)")
+        p.add_argument("--viewpoint", help="orient the normal toward this point, 'x,y,z'")
+        p.set_defaults(func=cmd_define_plane)
+    elif name == "replay":
+        _add_pipeline_flags(p)
+        p.add_argument("--stream", required=True, help="skeleton JSONL file")
+        p.add_argument("--out", required=True, help="gesture-point JSONL to write")
+        p.add_argument("--snap", choices=("pick", "place"), help="attempt a snap every N accepted points")
+        p.add_argument("--registry", help="targets/areas JSON file for --snap")
+        p.add_argument("--group", help="target group filter for pick snaps")
+        p.set_defaults(func=cmd_replay)
+    elif name == "live":
+        _add_pipeline_flags(p)
+        p.add_argument("--listen", default="127.0.0.1:0", help="HOST:PORT to bind (default %(default)s)")
+        p.add_argument("--registry", help="targets/areas JSON file")
+        p.add_argument("--group", help="default target group filter")
+        p.set_defaults(func=cmd_live)
+    else:
+        from .offline import add_flags
+
+        add_flags(p, name)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command's name and help line. Flags go to the
+    command that ``argv``'s first token not starting with ``-`` names, if
+    any, or to every command when ``argv`` is None."""
     parser = argparse.ArgumentParser(
         prog="gesturepoint",
         description="Localize pointed targets on a planar workspace from skeleton streams.",
@@ -494,87 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command")
     parser.set_defaults(commands=sub.choices)
-
-    p = sub.add_parser("define-plane", help="build a workplane file from corner points")
-    p.add_argument("--corners", required=True, help="corner JSON file (3D or pixel+depth)")
-    p.add_argument("--out", required=True, help="plane file to write")
-    p.add_argument("--origin-corner", dest="origin_corner", type=decimal_int, default=0,
-                   help="frame origin corner (default %(default)s)")
-    p.add_argument("--x-corner", dest="x_corner", type=decimal_int, default=1,
-                   help="frame x-axis corner (default %(default)s)")
-    p.add_argument("--viewpoint", help="orient the normal toward this point, 'x,y,z'")
-    p.set_defaults(func=cmd_define_plane)
-
-    p = sub.add_parser("generate", help="synthesize a skeleton stream from a scenario config")
-    p.add_argument("--scenario", required=True, help="flat key=value scenario file")
-    p.add_argument("--out", required=True, help="stream JSONL to write")
-    p.add_argument("--seed", type=non_negative_int, help="override the scenario seed")
-    p.add_argument("--count", type=positive_int, help="override the scenario frame count")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("replay", help="run a recorded stream through the pipeline")
-    _add_pipeline_flags(p)
-    p.add_argument("--stream", required=True, help="skeleton JSONL file")
-    p.add_argument("--out", required=True, help="gesture-point JSONL to write")
-    p.add_argument("--snap", choices=("pick", "place"), help="attempt a snap every N accepted points")
-    p.add_argument("--registry", help="targets/areas JSON file for --snap")
-    p.add_argument("--group", help="target group filter for pick snaps")
-    p.set_defaults(func=cmd_replay)
-
-    p = sub.add_parser("live", help="serve the line protocol over TCP")
-    _add_pipeline_flags(p)
-    p.add_argument("--listen", default="127.0.0.1:0", help="HOST:PORT to bind (default %(default)s)")
-    p.add_argument("--registry", help="targets/areas JSON file")
-    p.add_argument("--group", help="default target group filter")
-    p.set_defaults(func=cmd_live)
-
-    p = sub.add_parser("sweep", help="run a seeded Monte-Carlo selection sweep")
-    p.add_argument("--kind", required=True, choices=("pick", "place", "quantitative"))
-    p.add_argument("--sigma", type=finite_float, help="joint noise sigma in meters (default 0)")
-    p.add_argument("--aim-bias", dest="aim_bias", type=finite_float,
-                   help="per-trial aim bias sigma in meters (default 0)")
-    p.add_argument("--calibrate", type=finite_float, metavar="ERROR_M",
-                   help="calibrate sigma to this mean intersection error first")
-    p.add_argument("--trials", type=decimal_int, default=DEFAULT_TRIALS_PER_TARGET,
-                   help="trials per target (default %(default)s)")
-    p.add_argument("--seed", type=non_negative_int, default=0, help="base seed (default %(default)s)")
-    p.add_argument("--distances", help="comma-separated pick square sides in meters")
-    p.add_argument("--sizes", help="comma-separated place area sides in meters")
-    p.add_argument("--board", help="board layout JSON file replacing the generated series")
-    p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
-    p.add_argument("--n", type=decimal_int, help=f"snap sample count (default {DEFAULT_SAMPLE_COUNT})")
-    p.add_argument("--threshold", type=finite_float,
-                   help=f"stability threshold (default {DEFAULT_STABILITY_THRESHOLD})")
-    p.add_argument("--out", default=".", help="report directory (default %(default)s)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("calibrate", help="find the sigma matching a target mean error")
-    p.add_argument("--target-error", dest="target_error", type=finite_float, required=True,
-                   help="target mean intersection error in meters")
-    p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
-    p.add_argument("--aim-bias", dest="aim_bias", type=finite_float,
-                   help="per-trial aim bias sigma held fixed during calibration")
-    p.add_argument("--samples", type=decimal_int, default=DEFAULT_CALIBRATION_SAMPLES,
-                   help="Monte-Carlo samples per evaluation (default %(default)s)")
-    p.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default %(default)s)")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("registry", help="create and edit target/area files")
-    p.add_argument("action", choices=("init", "list", "add-target", "remove-target",
-                                      "add-area", "remove-area"))
-    p.add_argument("--file", required=True, help="layout JSON file")
-    p.add_argument("--force", action="store_true", help="allow init to overwrite")
-    p.add_argument("--id", help="target/area id")
-    p.add_argument("--label", help="target label")
-    p.add_argument("--group", help="target group")
-    p.add_argument("--u", type=finite_float, help="target u, meters")
-    p.add_argument("--v", type=finite_float, help="target v, meters")
-    p.add_argument("--cu", type=finite_float, help="area center u, meters")
-    p.add_argument("--cv", type=finite_float, help="area center v, meters")
-    p.add_argument("--hu", type=finite_float, help="area half extent u, meters")
-    p.add_argument("--hv", type=finite_float, help="area half extent v, meters")
-    p.set_defaults(func=cmd_registry)
-
+    chosen = None if argv is None else next((arg for arg in argv if not arg.startswith("-")), "")
+    for name, text in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if chosen in (None, name):
+            _add_flags(p, name)
     return parser
 
 
@@ -607,7 +376,8 @@ def _config_defaults(command: argparse.ArgumentParser) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)

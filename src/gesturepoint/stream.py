@@ -102,6 +102,18 @@ def write_document(path: str | os.PathLike, document: str | dict) -> None:
         raise
 
 
+def check_out_spares_inputs(out: str, *inputs: str | None) -> None:
+    """Writing ``--out`` destroys what it held, so it may name no file the
+    command reads; naming one is a ConfigError (exit 2)."""
+    for path in inputs:
+        try:
+            same = path is not None and os.path.samefile(out, path)
+        except (OSError, ValueError):  # --out does not exist yet, or a path holds a NUL
+            same = False
+        if same:
+            raise ConfigError(f"--out {out} is the input file {path}; writing it would destroy it")
+
+
 def decode_object(text: str | bytes, error: type[ValueError], source: str | os.PathLike = "") -> dict:
     """The one JSON decoder: ``text`` must hold one JSON object, else
     ``error`` is raised, naming ``source`` (a file) if given. A str of one

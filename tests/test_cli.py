@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -951,13 +952,57 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code):
     def fail(args):
         raise error("the reason")
 
-    monkeypatch.setattr("gesturepoint.cli.cmd_calibrate", fail)
+    monkeypatch.setattr("gesturepoint.offline.cmd_calibrate", fail)
     assert run_cli(["calibrate", "--target-error", "0.01"]) == code
+    assert capsys.readouterr().err == "error: the reason\n"
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES, ids=[error.__name__ for error, _ in EXIT_CODES])
+def test_each_error_class_exits_with_its_code_from_a_cli_command(monkeypatch, capsys, error, code):
+    """The same codes from replay, which ``cli`` holds itself, as from
+    calibrate, which it imports from ``offline``: both paths map alike."""
+    def fail(args):
+        raise error("the reason")
+
+    monkeypatch.setattr("gesturepoint.cli.cmd_replay", fail)
+    assert run_cli(["replay", "--stream", "s.jsonl", "--out", "o.jsonl"]) == code
     assert capsys.readouterr().err == "error: the reason\n"
 
 
 def test_version_flag():
     assert run_cli(["--version"]) == 0
+
+
+# sha256 (first 16 hex digits) of "{code}\n{stdout}\0{stderr}" at 80 columns,
+# taken before the parser built only the chosen command's flags
+_CLI_TEXTS = {
+    "help": (["--help"], "46eecb3688535dcd"),
+    "define-plane-help": (["define-plane", "--help"], "01b8ebc9a483ff88"),
+    "generate-help": (["generate", "--help"], "73f4d0e7fa7c4e5b"),
+    "replay-help": (["replay", "--help"], "1c1e43eb1ba3ea8d"),
+    "live-help": (["live", "--help"], "d61a4398a837b257"),
+    "sweep-help": (["sweep", "--help"], "80857a9cb388529b"),
+    "calibrate-help": (["calibrate", "--help"], "cfd44f826f729c93"),
+    "registry-help": (["registry", "--help"], "bb2a223631fc71d2"),
+    "no-command": ([], "d9a0176d080afd2d"),
+    "bogus": (["bogus"], "9a5f4041c9c57ad2"),
+    "sweep-without-kind": (["sweep"], "957442732e10a414"),
+    "replay-extra": (["replay", "--plane", "p.json", "--stream", "s", "--out", "o", "extra"], "c581418a0b07193e"),
+    "version": (["--version"], "5a2fff76d45e5ee3"),
+}
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="argparse's text is pinned for CPython 3.11")
+@pytest.mark.parametrize("case", sorted(_CLI_TEXTS))
+def test_help_usage_and_version_text_keep_their_bytes(monkeypatch, capsys, case):
+    argv, digest = _CLI_TEXTS[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("GESTURE_POINTER_CONFIG", raising=False)
+    code = run_cli(argv)
+    out, err = capsys.readouterr()
+    text = f"{code}\n{out}\0{err}"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, text
 
 
 def test_package_all_names_resolve():
@@ -1807,11 +1852,14 @@ def test_streaming_side_never_imports_numpy(tmp_path):
     assert result["numpy"] == []
 
 
-# the modules loaded when a CLI run ends, after its exit code
+# the modules loaded when a CLI run ends, after its exit code; the CLI runs
+# as ``python -m gesturepoint.cli`` does, as ``__main__``
 _MODULES_AT_EXIT = """
-import sys
-from gesturepoint import cli
-print(cli.main(sys.argv[1:]), *sorted(sys.modules))
+import runpy, sys
+try:
+    runpy.run_module("gesturepoint.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, *sorted(sys.modules))
 """
 
 
@@ -1825,8 +1873,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     """Over a bare interpreter's start set (this host's ``site`` may already
     load ``threading``, so it is not pinned): define-plane, registry and
     replay load neither the socket layer nor ``dataclasses``/``inspect``, and
-    a live session adds no ``dataclasses``/``inspect``; none loads numpy,
-    and each loads only its own package modules."""
+    a live session adds no ``dataclasses``/``inspect``; none of them loads
+    numpy, and each loads only its own package modules: ``offline`` for
+    registry and generate alone, ``evaluation`` for generate alone. Run as a
+    module, no command loads ``gesturepoint.cli`` beside ``__main__``."""
     bare = set(subprocess.run([sys.executable, "-c", "import sys; print(*sorted(sys.modules))"],
                               capture_output=True, text=True, timeout=60, check=True).stdout.split())
     write_corner_file(tmp_path / "corners.json", desk_corners())
@@ -1838,6 +1888,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "registry": ["add-target", "--file", layout, "--id", "t1", "--u", "0.3", "--v", "0.3"],
         "replay": ["--plane", plane, "--stream", str(tmp_path / "stream.jsonl"), "--out", str(tmp_path / "out.jsonl"),
                    "--snap", "pick", "--n", "1", "--registry", layout],
+        "generate": ["--scenario", str(write_scenario_file(tmp_path / "s.cfg", count=2)),
+                     "--out", str(tmp_path / "generated.jsonl")],
     }
     added = {}
     assert run_cli(["registry", "init", "--file", layout]) == 0
@@ -1866,8 +1918,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     added["live"] = modules - bare
 
     heavy = {"dataclasses", "inspect", "numpy"}
+    own = {"live": {"live"}, "registry": {"offline"}, "generate": {"offline", "evaluation"}}
     for command, modules in added.items():
         package = {m.split(".", 1)[1] for m in modules if m.startswith("gesturepoint.")}
-        assert package == {"cli", "geometry", "pipeline", "snap", "stabilizer", "stream"} | (
-            {"live"} if command == "live" else set()), command
-        assert not modules & (heavy if command == "live" else heavy | {"socket", "selectors"}), command
+        assert package == {"geometry", "pipeline", "snap", "stabilizer", "stream"} | own.get(command, set()), command
+        if command != "generate":
+            assert not modules & (heavy if command == "live" else heavy | {"socket", "selectors"}), command
