@@ -911,6 +911,16 @@ def _pstdev(values: list[float]) -> float:
     return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
+def _float_sum(values) -> float:
+    """The values added one by one from 0.0, in order: not ``sum()``, which
+    compensates float sums from Python 3.12 on, so report means are the same
+    on every Python (``geometry.planar_mean`` adds the same way)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _cell_row(cell: SweepCell, report: SweepReport) -> dict:
     trials = cell.trials
     successes = sum(1 for t in trials if t.success)
@@ -919,8 +929,8 @@ def _cell_row(cell: SweepCell, report: SweepReport) -> dict:
     with_mean = [t for t in trials if t.gestured_mean is not None]
     du = dv = None
     if with_mean:
-        du = sum(t.gestured_mean.u - t.ground_truth_uv.u for t in with_mean) / len(with_mean)
-        dv = sum(t.gestured_mean.v - t.ground_truth_uv.v for t in with_mean) / len(with_mean)
+        du = _float_sum(t.gestured_mean.u - t.ground_truth_uv.u for t in with_mean) / len(with_mean)
+        dv = _float_sum(t.gestured_mean.v - t.ground_truth_uv.v for t in with_mean) / len(with_mean)
     return {
         "kind": cell.kind,
         "l_m": _round4(cell.l),
@@ -928,7 +938,7 @@ def _cell_row(cell: SweepCell, report: SweepReport) -> dict:
         "trials": len(trials),
         "successes": successes,
         "success_pct": _round2(100.0 * successes / len(trials) if trials else 0.0),
-        "mean_err_m": _round4(sum(errors) / len(errors)) if errors else None,
+        "mean_err_m": _round4(_float_sum(errors) / len(errors)) if errors else None,
         "std_err_m": _round4(_pstdev(errors)) if errors else None,
         "fallback_pct": _round2(100.0 * fallbacks / len(trials) if trials else 0.0),
         "mean_du_m": _round4(du),

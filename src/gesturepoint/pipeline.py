@@ -5,11 +5,12 @@ and loads no numpy; each hit's bounds test and window mean are one call of
 ``RunningAverageStabilizer.push``, against an inner box and edge constants
 also taken once per pipeline. ``evaluation.stabilize_trials``, with
 ``evaluation.intersect_rays_plane``, is its bit-exact array twin for the
-sweeps: the same expressions in the same order, elementwise. Live
-and replay build one pipeline per session and never reset it; state is the
-per-hand stabilizer buffers plus a short history of stabilized points.
-``GesturePipeline.snap`` is live's and replay's one snap step over that
-history; each formats its own answer around ``snap.snap_fields``.
+sweeps: the same expressions in the same order, elementwise. Live and
+replay build one pipeline per session and never reset it; state is the
+per-hand stabilizer buffers plus each hand's history of stabilized
+positions, a ``deque[PlanarPoint]``. ``GesturePipeline.snap`` is live's and
+replay's one snap step over that history; each formats its own answer
+around ``snap.snap_fields``.
 ``PipelineSettings`` holds the resolved configuration that replay and live
 share; its defaults are the module constants. ``gesture_point_record``
 writes out the gesture-point lines of both."""
@@ -66,7 +67,7 @@ class GesturePipeline:
         self.min_confidence = min_confidence
         self.bounds = corners_in_frame(plane, self.frame)
         self.stabilizer = RunningAverageStabilizer(self.bounds, window)
-        self._history: dict[str, deque[GesturePoint]] = {
+        self._history: dict[str, deque[PlanarPoint]] = {
             hand: deque(maxlen=HISTORY_CAPACITY) for hand in self.hands
         }
         self.frames_seen = 0
@@ -122,7 +123,7 @@ class GesturePipeline:
                 self.discarded_out_of_bounds += 1
                 continue
             out.append(point)
-            self._history[hand].append(point)
+            self._history[hand].append(point.position)
         if not got_ray:
             self.frames_without_ray += 1
         return out
@@ -132,7 +133,7 @@ class GesturePipeline:
         first; none for a count <= 0."""
         if count <= 0:
             return []
-        return [gp.position for gp in islice(reversed(self._history.get(hand, ())), count)][::-1]
+        return list(islice(reversed(self._history.get(hand, ())), count))[::-1]
 
     def snap(self, hand: str, n: int, strategy: str, group: str | None, targets: Sequence[Target],
              areas: Sequence[Area], threshold: float) -> SnapResult | None:

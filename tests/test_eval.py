@@ -816,6 +816,19 @@ def test_exact_pstdev_equals_statistics(values):
     assert evaluation._pstdev(values).hex() == statistics.pstdev(values).hex()
 
 
+def test_report_means_add_the_trial_values_in_order_on_every_python():
+    """The row means add each trial's value one by one from 0.0: for these
+    errors the compensated ``sum()`` of Python 3.12 on gives 0.0778, the
+    ordered sum (and ``sum()`` up to 3.11) 0.0779."""
+    errors = (0.0774627732406665, 0.07856702881271312, 0.07752019794662038)
+    trials = tuple(TrialResult(f"B0-{k}", PlanarPoint(0.0, 0.0), PlanarPoint(e, -e), e, "B0", True, False)
+                   for k, e in enumerate(errors))
+    report = SweepReport(kind="pick_square", sigma=0.01, seed=7, snap_samples=15, trials_per_target=3,
+                         stability_threshold=0.05, cells=(SweepCell("pick_square", 0.04, "B0", trials),))
+    row = report.rows[0]
+    assert (row["mean_err_m"], row["mean_du_m"], row["mean_dv_m"]) == (0.0779, 0.0779, -0.0779)
+
+
 def _edge_report() -> SweepReport:
     """Cells with no gesture (None everywhere), no trials, and the float and
     string edges of the JSON text: -0.0, 1e16, 5e-324, NaN and infinite

@@ -12,6 +12,11 @@ lines) answered by ``LiveSession.handle_read`` in 1 KiB reads, and a
 malformed lines) run through ``cli.main(["replay", ...])`` with place snaps
 and camera-frame output. Each count may be at most its budget + 3%. A change
 that moves the per-line path on purpose sets the budget again and says so.
+
+Beside them, an exact memory budget: the bytes (``tracemalloc``) that a live
+session with both hands enabled, fed the replay recording, still holds once
+both per-hand histories are full, at most its budget + 10%.
+
 The counts belong to one CPython minor version, so other versions skip.
 """
 
@@ -23,13 +28,14 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 from gesturepoint import cli
 from gesturepoint.geometry import Point3, plane_from_corners, to_workplane, workplane_frame
 from gesturepoint.live import LiveSession
-from gesturepoint.pipeline import PipelineSettings
+from gesturepoint.pipeline import HISTORY_CAPACITY, PipelineSettings
 from gesturepoint.snap import Area, AreaRegistry, Target, TargetRegistry, save_layout
 
 pytestmark = pytest.mark.skipif(
@@ -38,9 +44,12 @@ pytestmark = pytest.mark.skipif(
 )
 
 # instructions per input line, counted on CPython 3.11.7
-LIVE_BUDGET = 940.52
-REPLAY_BUDGET = 2180.55
+LIVE_BUDGET = 935.53
+REPLAY_BUDGET = 2113.89
 SLACK = 1.03
+# bytes a two-hand live session retains with both histories full, traced on CPython 3.11.7
+SESSION_BUDGET = 128253
+SESSION_SLACK = 1.10
 
 FRAMES = 500
 CORNERS = ((-0.3, -0.4, 1.2), (0.3, -0.4, 1.2), (0.3, 0.4, 1.2), (-0.3, 0.4, 1.2))
@@ -180,3 +189,26 @@ def test_replay_instructions_per_line_stay_within_budget(layout):
         per_line = count_instructions(lambda: cli.main(argv)) / len(lines)
     assert f"frames={FRAMES}" in err.getvalue().splitlines()[-1]
     assert per_line <= REPLAY_BUDGET * SLACK, f"{per_line:.2f} instructions per replay line, budget {REPLAY_BUDGET}"
+
+
+def test_live_session_retains_within_budget_with_full_histories(layout):
+    _, plane, frame, targets, areas = layout
+    target_registry, area_registry = TargetRegistry(), AreaRegistry()
+    target_registry.replace_all(targets)
+    area_registry.replace_all(areas)
+    settings = PipelineSettings(plane, frame, hands=("right", "left"))
+    data = ("\n".join(replay_lines()) + "\n").encode()  # both hands, as replay's input
+    pieces = [data[i:i + 1024] for i in range(0, len(data), 1024)]
+    LiveSession(settings, target_registry, area_registry).handle_read(pieces[0])  # first-use caches, untraced
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        session = LiveSession(settings, target_registry, area_registry)
+        for piece in pieces:
+            session.handle_read(piece)
+            session.unsent.clear()  # replies leave with the socket
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [len(h) for h in session.pipeline._history.values()] == [HISTORY_CAPACITY] * 2
+    assert retained <= SESSION_BUDGET * SESSION_SLACK, f"a session retains {retained} bytes, budget {SESSION_BUDGET}"

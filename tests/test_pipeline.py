@@ -136,7 +136,7 @@ def test_recent_reads_the_last_count_points_as_the_whole_history_slice_does():
         if i in (0, 9, HISTORY_CAPACITY - 1, HISTORY_CAPACITY + 39):
             assert len(history) == min(i + 1, HISTORY_CAPACITY)
             for count in range(301):
-                expected = [gp.position for gp in list(history)[-count:]] if count > 0 else []
+                expected = list(history)[-count:] if count > 0 else []
                 assert pipe.recent("right", count) == expected
 
 
