@@ -52,7 +52,8 @@ signed offsets for downstream offset analysis).
 
 Sweeps run an array engine: ``stabilize_trials`` takes every trial's joints
 as (trials, frames, 3) arrays through the per-frame path at once, with the
-ray-plane hit of :func:`intersect_rays_plane`, and ``snap_trials``, the
+ray-plane hit of :func:`intersect_rays_plane` and ``stabilizer.points_in_bounds``
+over ``push``'s ``edge_table``, and ``snap_trials``, the
 one place a trial's points become a :class:`TrialResult`, gates, snaps and
 scores every trial at once with ``evaluate_request``'s decisions; only a
 trial whose gate or nearest-entity decision lies within a few ulps of the
@@ -99,7 +100,6 @@ from .geometry import (
     edge_axes,
     from_workplane,
     plane_from_corners,
-    points_in_bounds,
     workplane_frame,
 )
 from .snap import (
@@ -111,7 +111,7 @@ from .snap import (
     layout_document,
     parse_layout,
 )
-from .stabilizer import DEFAULT_WINDOW
+from .stabilizer import DEFAULT_WINDOW, points_in_bounds
 from .stream import (  # re-exports EvalError, InvalidParametersError and the sample-count defaults
     DEFAULT_CALIBRATION_SAMPLES, DEFAULT_TRIALS_PER_TARGET, HANDS,
     EvalError, InvalidParametersError, KeypointFrame,
@@ -847,9 +847,7 @@ def calibrate_sigma(
     if target_mean_error == 0:
         return 0.0
     cs = template.plane.corners
-    centroid = Point3(
-        sum(c.x for c in cs) / 4, sum(c.y for c in cs) / 4, sum(c.z for c in cs) / 4
-    )
+    centroid = Point3(_float_sum(c.x for c in cs) / 4, _float_sum(c.y for c in cs) / 4, _float_sum(c.z for c in cs) / 4)
 
     f = _mean_error_by_sigma(template, centroid, samples, seed)
     floor = f(0.0)
@@ -913,8 +911,8 @@ def _pstdev(values: list[float]) -> float:
 
 def _float_sum(values) -> float:
     """The values added one by one from 0.0, in order: not ``sum()``, which
-    compensates float sums from Python 3.12 on, so report means are the same
-    on every Python (``geometry.planar_mean`` adds the same way)."""
+    compensates float sums from Python 3.12 on, so report means and the
+    calibration centroid are the same on every Python (as ``planar_mean``)."""
     total = 0.0
     for x in values:
         total += x

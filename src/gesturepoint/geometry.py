@@ -20,7 +20,8 @@ ray-plane hit lives outside it, in one arithmetic written twice: the float
 arithmetic of ``pipeline.GesturePipeline.process`` for live and replay, and
 the same expressions elementwise over arrays in
 ``evaluation.intersect_rays_plane`` for the sweeps; the tests hold the two
-equal bit for bit. The bounds test takes floats and numpy arrays alike.
+equal bit for bit. The bounds test is ``stabilizer.points_in_bounds``, over
+``stabilizer.edge_table``.
 
 Each value from outside is checked once, by the reader that reads it: a
 number by ``stream.json_number`` or ``finite_float`` (and their integer
@@ -36,10 +37,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 # Default tolerances (meters unless noted).
 PLANARITY_TOL = 0.005          # 4th-corner residual allowed off the plane
@@ -387,26 +385,6 @@ def planar_mean(points: Sequence[PlanarPoint]) -> PlanarPoint:
         sv += p.v - fv
         sz += p.z_residual - fz
     return PlanarPoint(u=fu + su / k, v=fv + sv / k, z_residual=fz + sz / k)
-
-
-def points_in_bounds(
-    u: float | np.ndarray, v: float | np.ndarray, bounds: Sequence[tuple[float, float]]
-) -> bool | np.ndarray:
-    """Even-odd containment test of (u, v) in a simple polygon, elementwise
-    over float or array coordinates with one arithmetic for both; the
-    boundary counts as inside and NaN is outside."""
-    on_edge = inside = False
-    for (ax, ay), (bx, by) in zip(bounds, bounds[1:] + bounds[:1]):
-        dx, dy, du, dv = bx - ax, by - ay, u - ax, v - ay
-        dot = du * dx + dv * dy
-        on_edge = on_edge | (
-            (abs(dx * dv - dy * du) <= 1e-12 * max(abs(dx), abs(dy), 1.0))
-            & (dot >= -1e-12)
-            & (dot <= dx * dx + dy * dy + 1e-12)
-        )
-        if dy:
-            inside = inside ^ (((ay > v) != (by > v)) & (u < ax + dv * dx / dy))
-    return on_edge | inside
 
 
 def _simple_quadrilateral(pts: Sequence[tuple[float, float]]) -> bool:

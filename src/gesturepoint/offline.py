@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no command here calls BLAS: numpy need not spin a thread per core
+
 from .geometry import PlanarPoint
 from .snap import (DEFAULT_SAMPLE_COUNT, DEFAULT_STABILITY_THRESHOLD, Area, DuplicateIdError, SnapError, Target,
                    checked_half_extent, layout_document, load_layout, save_layout)

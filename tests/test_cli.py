@@ -1924,3 +1924,28 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         assert package == {"geometry", "pipeline", "snap", "stabilizer", "stream"} | own.get(command, set()), command
         if command != "generate":
             assert not modules & (heavy if command == "live" else heavy | {"socket", "selectors"}), command
+
+
+_OPENBLAS_AFTER_IMPORT = """
+import importlib, json, os, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
+"""
+
+
+def test_offline_commands_run_one_openblas_thread_unless_set():
+    """Importing ``offline``, as generate, sweep, calibrate and registry do
+    before numpy loads, sets ``OPENBLAS_NUM_THREADS`` to 1 when it is unset
+    and keeps a value the user set; importing ``evaluation`` alone, as a
+    library, leaves the environment as it was."""
+    def after_import(module: str, preset: str | None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", _OPENBLAS_AFTER_IMPORT, module], env=env,
+                             capture_output=True, text=True, timeout=60, check=True).stdout
+        return json.loads(out)
+
+    assert after_import("gesturepoint.offline", None) == "1"
+    assert after_import("gesturepoint.offline", "4") == "4"
+    assert after_import("gesturepoint.evaluation", None) is None

@@ -829,6 +829,54 @@ def test_report_means_add_the_trial_values_in_order_on_every_python():
     assert (row["mean_err_m"], row["mean_du_m"], row["mean_dv_m"]) == (0.0779, 0.0779, -0.0779)
 
 
+
+def test_calibration_centroid_adds_the_corners_in_order_on_every_python(monkeypatch):
+    """The centroid adds the four corner coordinates one by one from 0.0: for
+    x = 0.1, 0.7, 0.7, 0.1 that is 0.4, where the compensated ``sum()`` of
+    Python 3.12 on gives 0.39999999999999997."""
+    seen = []
+
+    def objective(template, centroid, samples, seed):
+        seen.append(centroid)
+        raise EvalError("stop")
+
+    monkeypatch.setattr(evaluation, "_mean_error_by_sigma", objective)
+    plane = plane_from_corners([Point3(0.1, 0.0, 0.0), Point3(0.7, 0.0, 0.0), Point3(0.7, 0.8, 0.0),
+                                Point3(0.1, 0.8, 0.0)])
+    assert [c.x for c in plane.corners] == [0.1, 0.7, 0.7, 0.1]
+    with pytest.raises(EvalError, match="stop"):
+        calibrate_sigma(0.031, dataclasses.replace(ScenarioTemplate.desk_default(0.0), plane=plane))
+    assert seen == [Point3(0.4, 0.4, 0.0)]
+
+
+# the builtin sum() calls the package may make, by enclosing function: each adds integers only
+INTEGER_SUMS = {"SweepReport.success_by_l": 1, "_pstdev": 2, "_cell_row": 2}
+
+
+def test_the_package_calls_sum_on_integers_only():
+    """``sum()`` of floats is compensated from Python 3.12 on, so a float
+    ``sum()`` would make an output differ between Pythons; the package adds
+    floats one by one. Every call of the builtin ``sum`` in its source is one
+    of the integer sums listed, found by walking each module's syntax tree."""
+    import ast
+    import pathlib
+
+    found: dict[str, int] = {}
+
+    def walk(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "sum":
+                name = ".".join(scope) or "<module>"
+                found[name] = found.get(name, 0) + 1
+            walk(child, scope)
+
+    for path in sorted(pathlib.Path(evaluation.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), ())
+    assert found == INTEGER_SUMS
+
 def _edge_report() -> SweepReport:
     """Cells with no gesture (None everywhere), no trials, and the float and
     string edges of the JSON text: -0.0, 1e16, 5e-324, NaN and infinite

@@ -23,11 +23,10 @@ from gesturepoint.geometry import (
     deproject,
     from_workplane,
     plane_from_corners,
-    points_in_bounds,
     to_workplane,
     workplane_frame,
 )
-from gesturepoint.stabilizer import NO_BOX, RunningAverageStabilizer
+from gesturepoint.stabilizer import NO_BOX, RunningAverageStabilizer, points_in_bounds
 from gesturepoint.stream import MalformedRecordError, parse_intrinsics_header
 
 UNIT_SQUARE = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0), Point3(0, 1, 0)]

@@ -2,11 +2,17 @@
 the source lines of the ``gesturepoint`` modules it loads (with no bytecode
 cache, each start compiles all of them), and the bytecode instructions that
 ``cli.main`` executes on a replay of a file holding only an intrinsics
-header, which is argument parsing and set-up alone. Both counts repeat to
-the last digit, unlike start-up time on a noisy host. The loaded lines are
-taken in a fresh child for ``replay``, for ``live`` up to its ready line and
-for ``define-plane``; the instructions in process, after one warm-up call,
-with test_opcode_budget's counter. Each count may be at most its budget + 3%.
+header, which is argument parsing and set-up alone, and those that
+``import gesturepoint.cli`` executes: every module body, class-creation hook
+and module-level call, with the import machinery's own work. The counts
+repeat to the last digit, unlike start-up time on a noisy host. The loaded
+lines are taken in a fresh child for ``replay``, for ``live`` up to its
+ready line and for ``define-plane``; ``cli.main``'s instructions in process,
+after one warm-up call, with test_opcode_budget's counter; the import's in a
+fresh ``python -S`` child (so the host's ``site`` stays out of the count)
+with a fixed environment and an empty bytecode cache, so every module,
+standard library included, compiles from source as in a fresh checkout.
+Each count may be at most its budget + 3%.
 A change that moves a count on purpose sets the budget again and says so.
 The counts belong to one CPython minor version, so other versions skip.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -35,6 +42,7 @@ pytestmark = pytest.mark.skipif(
 # counted on CPython 3.11.7
 LOADED_LINES_BUDGET = {"replay": 1877, "live": 2109, "define-plane": 1877}
 REPLAY_MAIN_BUDGET = 52367
+IMPORT_CLI_BUDGET = 255669
 SLACK = 1.03
 
 # the files of the package modules loaded when a CLI run ends, after its exit code
@@ -105,3 +113,34 @@ def test_replay_start_up_instructions_stay_within_budget(inputs, monkeypatch):
         count = count_instructions(lambda: cli.main(argv))
     assert err.getvalue().splitlines()[-1] == "frames=0 points=0 warnings=0"
     assert count <= REPLAY_MAIN_BUDGET * SLACK, f"cli.main runs {count} instructions, budget {REPLAY_MAIN_BUDGET}"
+
+
+# the instructions that importing the CLI runs, counted in every frame it opens, from the source tree in argv[1]
+_IMPORT_INSTRUCTIONS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+count = 0
+
+def local(frame, event, arg):
+    global count
+    if event == "opcode":
+        count += 1
+    return local
+
+def on_call(frame, event, arg):
+    frame.f_trace_opcodes, frame.f_trace_lines = True, False
+    return local
+
+sys.settrace(on_call)
+import gesturepoint.cli
+sys.settrace(None)
+print(count)
+"""
+
+
+def test_importing_the_cli_runs_instructions_within_budget(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    count = int(subprocess.run([sys.executable, "-S", "-B", "-X", f"pycache_prefix={tmp_path / 'cache'}",
+                                "-c", _IMPORT_INSTRUCTIONS, src], cwd=tmp_path, env={"PYTHONHASHSEED": "0"},
+                               capture_output=True, text=True, timeout=60, check=True).stdout)
+    assert count <= IMPORT_CLI_BUDGET * SLACK, f"importing cli runs {count} instructions, budget {IMPORT_CLI_BUDGET}"
