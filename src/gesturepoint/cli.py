@@ -15,8 +15,8 @@ The environment variable GESTURE_POINTER_CONFIG may name a flat
 ``key = value`` file supplying defaults for the chosen subcommand's optional
 flags that take a value (dashes become underscores, e.g.
 ``min_confidence = 0.4``); explicit flags win, and other keys are ignored.
-Each value goes through its flag's own type and choices, so ``nan``, ``inf``
-or an unknown choice is a usage error (exit 2) from either source.
+Each value goes through its flag's own type, range and choices, so ``nan``,
+``n = 0`` or an unknown choice is a usage error (exit 2) from either source.
 
 Plane file format (written by define-plane, read by --plane):
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,13 +61,7 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 # exceptions that indicate the *inputs* were wrong, not that the run failed
-_CONFIG_EXCEPTIONS = (
-    ConfigError,
-    GeometryError,
-    StreamError,
-    MalformedFileError,
-    InvalidParametersError,
-)
+_CONFIG_EXCEPTIONS = (ConfigError, GeometryError, StreamError, MalformedFileError, InvalidParametersError)
 
 
 def _load_registries(path: str | None) -> tuple[TargetRegistry, AreaRegistry]:
@@ -139,23 +134,10 @@ def load_corner_file(path: str) -> tuple[list[Point3], bool]:
     return corners, any(not {"x", "y", "z"} <= spec.keys() for spec in raw)
 
 
-def _positive(name: str, value) -> None:
-    if value is not None and value <= 0:
-        raise ConfigError(f"{name} must be > 0, got {value}")
-
-
 def _settings_from_args(args) -> PipelineSettings:
-    if args.plane is None:
+    if args.plane is None:  # the one check left after parsing: the config file may name the plane
         raise ConfigError("--plane FILE is required")
     plane, frame, _, _ = load_plane_file(args.plane)
-    if args.n is not None and not 1 <= args.n <= HISTORY_CAPACITY:
-        raise ConfigError(f"--n must be in 1..{HISTORY_CAPACITY}, got {args.n}")
-    _positive("--threshold", args.threshold)
-    _positive("--window", args.window)
-    if args.window is not None and args.window > sys.maxsize:  # the stabilizer's deque bound
-        raise ConfigError(f"--window must be at most {sys.maxsize}, got {args.window}")
-    if args.min_confidence is not None and not 0 <= args.min_confidence <= 1:
-        raise ConfigError(f"--min-confidence must be in [0, 1], got {args.min_confidence}")
     # only the flags given override the PipelineSettings defaults
     given = {
         "frame_mode": args.frame,
@@ -244,14 +226,9 @@ def cmd_live(args) -> int:
 
     settings = _settings_from_args(args)
     targets, areas = _load_registries(args.registry)
-    host, sep, port_text = args.listen.rpartition(":")
-    if not sep:
-        raise ConfigError(f"--listen expects HOST:PORT, got {args.listen!r}")
-    if not (len(port_text) <= 5 and port_text.isascii() and port_text.isdecimal()
-            and int(port_text) <= 65535):
-        raise ConfigError(f"bad port {port_text!r}")
+    host, port = args.listen
     try:
-        server = LiveServer(host or "127.0.0.1", int(port_text), settings, targets, areas)
+        server = LiveServer(host, port, settings, targets, areas)
     except TypeError as exc:  # the socket layer's verdict on a host it cannot encode (a NUL, bad IDNA)
         raise ConfigError(f"bad --listen host {host!r}: {exc}") from exc
     bound_host, bound_port = server.address
@@ -270,19 +247,41 @@ def cmd_live(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _checked(read, low, high, shown: str):
+    """An argparse type: ``read``'s value, which must lie in [low, high] ("must be {shown}")."""
+    def check(text: str):
+        value = read(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {shown}, got {value}")
+        return value
+    check.__name__ = read.__name__  # argparse names it in "invalid decimal_int value"
+    return check
+
+
+def _address(text: str) -> tuple[str, int]:
+    """The type of ``--listen``: HOST:PORT as (host, port), an empty host meaning 127.0.0.1."""
+    host, sep, port = text.rpartition(":")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expects HOST:PORT, got {text!r}")
+    if not (len(port) <= 5 and port.isascii() and port.isdecimal() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"bad port {port!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plane", help="plane JSON file (from define-plane)")
     p.add_argument("--frame", choices=("workplane", "camera"),
                    help="output coordinate frame (default workplane)")
     p.add_argument("--hand", choices=("left", "right", "both"), help="hand selection")
     p.add_argument("--pair", choices=("shoulder-wrist", "elbow-wrist"), help="joint pair")
-    p.add_argument("--min-confidence", dest="min_confidence", type=finite_float,
+    p.add_argument("--min-confidence", type=_checked(finite_float, 0.0, 1.0, "in [0, 1]"),
                    help=f"joint confidence floor (default {DEFAULT_MIN_CONFIDENCE})")
-    p.add_argument("--n", type=decimal_int,
+    p.add_argument("--n", type=_checked(decimal_int, 1, HISTORY_CAPACITY, f"in 1..{HISTORY_CAPACITY}"),
                    help=f"snap sample count, 1..{HISTORY_CAPACITY} (default {DEFAULT_SAMPLE_COUNT})")
-    p.add_argument("--threshold", type=finite_float,
+    p.add_argument("--threshold", type=_checked(finite_float, math.ulp(0.0), math.inf, "> 0"),
                    help=f"stability threshold in meters (default {DEFAULT_STABILITY_THRESHOLD})")
-    p.add_argument("--window", type=decimal_int, help=f"stabilizer window (default {DEFAULT_WINDOW})")
+    p.add_argument("--window", type=_checked(decimal_int, 1, sys.maxsize, f"in 1..{sys.maxsize}"),
+                   help=f"stabilizer window (default {DEFAULT_WINDOW})")  # sys.maxsize: the deque's bound
 
 
 # every command, in --help order, with its help line
@@ -318,7 +317,8 @@ def _add_flags(p: argparse.ArgumentParser, name: str) -> None:
         p.set_defaults(func=cmd_replay)
     elif name == "live":
         _add_pipeline_flags(p)
-        p.add_argument("--listen", default="127.0.0.1:0", help="HOST:PORT to bind (default %(default)s)")
+        p.add_argument("--listen", type=_address, default="127.0.0.1:0",
+                       help="HOST:PORT to bind (default %(default)s)")
         p.add_argument("--registry", help="targets/areas JSON file")
         p.add_argument("--group", help="default target group filter")
         p.set_defaults(func=cmd_live)
@@ -369,7 +369,7 @@ def _config_defaults(command: argparse.ArgumentParser) -> dict:
             value = action.type(raw) if action.type else raw
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"{raw!r} is not one of {', '.join(action.choices)}")
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
         defaults[action.dest] = value
     return defaults

@@ -76,14 +76,13 @@ a smooth monotone function.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import os
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -773,14 +772,25 @@ def standard_boards(kind: str, template: ScenarioTemplate,
 # --- calibration -----------------------------------------------------------
 
 
-def _mean_error_by_sigma(
-    template: ScenarioTemplate, target_world: Point3, samples: int, seed: int
+def mean_error_by_sigma(
+    template: ScenarioTemplate,
+    target_world: Point3,
+    *,
+    samples: int = DEFAULT_CALIBRATION_SAMPLES,
+    seed: int = 0,
 ) -> Callable[[float], float]:
-    """Calibration's objective: the joints are drawn and placed once, as
-    contiguous arrays per component, so each sigma costs only the noisy
-    joints, the ray-plane hit and the mean error, per component in the order
-    of :func:`intersect_rays_plane` and ``np.linalg.norm`` (x, y, then z).
-    The template's own sigma is not used."""
+    """Calibration's objective: the mean Euclidean error, against the aimed
+    target, of raw per-frame ray-plane intersections, as a function of the
+    joint-noise sigma (the template's own sigma is not used).
+
+    This is the ensemble error over trials: each sample is the one frame of
+    its own trial from the generator's sampler steps, with its own aim
+    bias (when the template has one) and joint noise. Frames whose ray misses
+    the plane (parallel, or hit not beyond the wrist) are excluded from the
+    mean. The joints are drawn and placed once, as contiguous arrays per
+    component, so each sigma costs only the noisy joints, the ray-plane hit
+    and the mean error, per component in the order of
+    :func:`intersect_rays_plane` and ``np.linalg.norm`` (x, y, then z)."""
     if samples < 1:
         raise InvalidParametersError(f"calibration needs at least 1 sample, got {samples}")
     target = template.check_target(target_world).as_tuple()
@@ -805,28 +815,6 @@ def _mean_error_by_sigma(
     return mean_error
 
 
-def mean_intersection_error(
-    template: ScenarioTemplate,
-    target_world: Point3,
-    sigma: float,
-    *,
-    samples: int = DEFAULT_CALIBRATION_SAMPLES,
-    seed: int = 0,
-) -> float:
-    """Mean Euclidean error of raw per-frame ray-plane intersections against
-    the aimed target, vectorized: calibration's objective at one sigma.
-
-    This is the ensemble error over trials: each sample is the one frame of
-    its own trial from the generator's sampler steps, with its own aim
-    bias (when the template has one) and joint noise. Frames whose ray misses
-    the plane (parallel, or hit not beyond the wrist) are excluded from the
-    mean.
-    """
-    # the template carries sigma, so its checks see it
-    with_sigma = dataclasses.replace(template, sigma=sigma)
-    return _mean_error_by_sigma(with_sigma, target_world, samples, seed)(sigma)
-
-
 def calibrate_sigma(
     target_mean_error: float,
     template: ScenarioTemplate,
@@ -849,7 +837,7 @@ def calibrate_sigma(
     cs = template.plane.corners
     centroid = Point3(_float_sum(c.x for c in cs) / 4, _float_sum(c.y for c in cs) / 4, _float_sum(c.z for c in cs) / 4)
 
-    f = _mean_error_by_sigma(template, centroid, samples, seed)
+    f = mean_error_by_sigma(template, centroid, samples=samples, seed=seed)
     floor = f(0.0)
     if floor > target_mean_error * (1.0 + CALIBRATION_REL_TOL):
         raise EvalError(

@@ -36,8 +36,8 @@ each one's checks. Joint and plane corner coordinates are bounded by
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
 # Default tolerances (meters unless noted).
 PLANARITY_TOL = 0.005          # 4th-corner residual allowed off the plane

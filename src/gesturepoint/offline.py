@@ -9,6 +9,7 @@ running ``cli`` is ``__main__``, and an import would compile a second copy.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -31,16 +32,12 @@ def non_negative_int(text: str) -> int:
 
 
 def positive_int(text: str) -> int:
-    """The type of ``generate --count`` (and the ``count`` config key)."""
+    """The type of ``generate --count``, ``sweep --trials`` and ``calibrate --samples``
+    (and their config keys)."""
     value = decimal_int(text)
     if value < 1:
         raise ValueError(f"expected an integer >= 1, got {text!r}")
     return value
-
-
-def _positive(name: str, value) -> None:
-    if value is not None and value <= 0:
-        raise ConfigError(f"{name} must be > 0, got {value}")
 
 
 def cmd_generate(args) -> int:
@@ -71,12 +68,13 @@ def _template_from_args(args, sigma: float, **flags):
 
 
 def _parse_l_values(text: str) -> tuple[float, ...]:
+    """The type of ``sweep --distances`` and ``--sizes``: comma- or space-separated positive sizes."""
     try:
         values = tuple(finite_float(p) for p in text.replace(",", " ").split())
     except ValueError as exc:
-        raise ConfigError(f"bad length list {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad length list {text!r}: {exc}") from exc
     if not values or any(v <= 0 for v in values):
-        raise ConfigError(f"length list must hold positive sizes, got {text!r}")
+        raise argparse.ArgumentTypeError(f"length list must hold positive sizes, got {text!r}")
     return values
 
 
@@ -89,7 +87,6 @@ def cmd_sweep(args) -> int:
 
     if args.calibrate is not None and args.sigma is not None:
         raise ConfigError("give either --sigma or --calibrate, not both")
-    _positive("--trials", args.trials)
     template = _template_from_args(args, args.sigma or 0.0, snap_samples=args.n, stability_threshold=args.threshold)
     # the series and its workspace check need no sigma, so a bad one fails before calibration
     if args.board:
@@ -102,8 +99,7 @@ def cmd_sweep(args) -> int:
             if ("pick" if board.targets else "place") != mode:
                 raise ConfigError(f"{args.board}: board {i} ({board.kind}) does not fit --kind {args.kind}")
     else:
-        lengths = {"pick": args.distances, "place": args.sizes}.get(args.kind)
-        boards = standard_boards(args.kind, template, _parse_l_values(lengths) if lengths else None)
+        boards = standard_boards(args.kind, template, {"pick": args.distances, "place": args.sizes}.get(args.kind))
     aimed_targets(template, boards)
     if args.calibrate is not None:
         calibrated = calibrate_sigma(args.calibrate, template, seed=args.seed)
@@ -130,7 +126,6 @@ def cmd_sweep(args) -> int:
 def cmd_calibrate(args) -> int:
     from .evaluation import calibrate_sigma
 
-    _positive("--samples", args.samples)
     template = _template_from_args(args, 0.0)
     sigma = calibrate_sigma(args.target_error, template, samples=args.samples, seed=args.seed)
     print(f"{sigma:.6f}")
@@ -194,11 +189,11 @@ def add_flags(p, name: str) -> None:
                        help="per-trial aim bias sigma in meters (default 0)")
         p.add_argument("--calibrate", type=finite_float, metavar="ERROR_M",
                        help="calibrate sigma to this mean intersection error first")
-        p.add_argument("--trials", type=decimal_int, default=DEFAULT_TRIALS_PER_TARGET,
+        p.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS_PER_TARGET,
                        help="trials per target (default %(default)s)")
         p.add_argument("--seed", type=non_negative_int, default=0, help="base seed (default %(default)s)")
-        p.add_argument("--distances", help="comma-separated pick square sides in meters")
-        p.add_argument("--sizes", help="comma-separated place area sides in meters")
+        p.add_argument("--distances", type=_parse_l_values, help="comma-separated pick square sides in meters")
+        p.add_argument("--sizes", type=_parse_l_values, help="comma-separated place area sides in meters")
         p.add_argument("--board", help="board layout JSON file replacing the generated series")
         p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
         p.add_argument("--n", type=decimal_int, help=f"snap sample count (default {DEFAULT_SAMPLE_COUNT})")
@@ -212,7 +207,7 @@ def add_flags(p, name: str) -> None:
         p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
         p.add_argument("--aim-bias", dest="aim_bias", type=finite_float,
                        help="per-trial aim bias sigma held fixed during calibration")
-        p.add_argument("--samples", type=decimal_int, default=DEFAULT_CALIBRATION_SAMPLES,
+        p.add_argument("--samples", type=positive_int, default=DEFAULT_CALIBRATION_SAMPLES,
                        help="Monte-Carlo samples per evaluation (default %(default)s)")
         p.add_argument("--seed", type=non_negative_int, default=0, help="RNG seed (default %(default)s)")
         p.set_defaults(func=cmd_calibrate)

@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from collections.abc import Sequence
 from itertools import islice
-from typing import Sequence
 
 from . import stream as streammod
 from .geometry import (

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .geometry import FrozenValue, PlanarPoint, planar_mean
 from .stream import decode_object, json_number, read_text, write_document

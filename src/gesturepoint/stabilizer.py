@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Sequence
+from collections.abc import Sequence
 
 from .geometry import FrozenValue, PlanarPoint
 

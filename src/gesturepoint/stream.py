@@ -42,7 +42,7 @@ import json
 import math
 import os
 import re
-from typing import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .geometry import MAX_JOINT_COORD, CameraIntrinsics, FrozenValue, GeometryError, Point3, deproject
 

@@ -35,7 +35,7 @@ from gesturepoint.evaluation import (
     calibrate_sigma,
     emit_report,
     intersect_rays_plane,
-    mean_intersection_error,
+    mean_error_by_sigma,
     run_boards,
     run_pick_sweep,
     run_place_sweep,
@@ -132,7 +132,7 @@ def test_criterion_3_calibration_fidelity():
     details = []
     for label, target_error in (("dominant", 0.031), ("non-dominant", 0.065)):
         sigma = calibrate_sigma(target_error, template, samples=10_000, seed=2024)
-        held_out = mean_intersection_error(template, target, sigma, samples=10_000, seed=777)
+        held_out = mean_error_by_sigma(template, target, samples=10_000, seed=777)(sigma)
         rel = abs(held_out - target_error) / target_error
         details.append(f"{label}: sigma={sigma:.4f} held-out={held_out:.4f} ({rel:.1%})")
         ok &= rel < 0.05

@@ -246,7 +246,7 @@ def test_replay_n_beyond_history_capacity_exits_2(tmp_path, capsys):
     run_cli(["generate", "--scenario", str(scenario), "--out", str(stream)])
     base = ["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(tmp_path / "o.jsonl")]
     assert run_cli(base + ["--n", "300"]) == 2
-    assert "--n must be in 1..256" in capsys.readouterr().err
+    assert "argument --n: must be in 1..256, got 300" in capsys.readouterr().err
     assert run_cli(base + ["--n", "256"]) == 0
 
 
@@ -571,7 +571,7 @@ def test_calibrate_unreachable_exits_1(tmp_path):
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_calibrate_samples_below_one_exits_2(capsys, samples):
     assert run_cli(["calibrate", "--target-error", "0.03", "--samples", samples]) == 2
-    assert "--samples must be > 0" in capsys.readouterr().err
+    assert f"argument --samples: invalid positive_int value: {samples!r}" in capsys.readouterr().err
 
 
 # --- registry ------------------------------------------------------------------
@@ -927,6 +927,68 @@ def test_nonpositive_numeric_params_exit_2(tmp_path):
     assert run_cli(base + ["--min-confidence", "1.5"]) == 2
     assert run_cli(base + ["--window", str(2**63)]) == 2  # beyond what a deque can hold
     assert run_cli(["sweep", "--kind", "pick", "--trials", "0", "--out", str(tmp_path)]) == 2
+
+
+# Each range is its flag's type, so a value outside it fails where it enters,
+# named by its flag (argv) or its key (config file), before the command reads
+# any file. Per value: its command, flag, text, and the type's message from
+# argv and from the file (a ValueError reads "invalid <type> value" in argv).
+_OUT_OF_RANGE = [
+    ("replay", "--n", "0", "must be in 1..256, got 0", None),
+    ("replay", "--n", "257", "must be in 1..256, got 257", None),
+    ("replay", "--window", "0", f"must be in 1..{sys.maxsize}, got 0", None),
+    ("replay", "--window", str(2**63), f"must be in 1..{sys.maxsize}, got {2**63}", None),
+    ("replay", "--threshold", "0", "must be > 0, got 0.0", None),
+    ("live", "--min-confidence", "1.5", "must be in [0, 1], got 1.5", None),
+    ("live", "--listen", "127.0.0.1:99999", "bad port '99999'", None),
+    ("live", "--listen", "localhost", "expects HOST:PORT, got 'localhost'", None),
+    ("sweep", "--trials", "0", "invalid positive_int value: '0'", "expected an integer >= 1, got '0'"),
+    ("sweep", "--distances", "0.1,-0.2", "length list must hold positive sizes, got '0.1,-0.2'", None),
+    ("sweep", "--sizes", "0.1,x", "bad length list '0.1,x': expected a plain decimal number, got 'x'", None),
+    ("calibrate", "--samples", "0", "invalid positive_int value: '0'", "expected an integer >= 1, got '0'"),
+]
+_OUT_OF_RANGE_IDS = [f"{command}{flag}={value}" for command, flag, value, *_ in _OUT_OF_RANGE]
+
+
+def _missing_input_commands(tmp_path) -> dict[str, list[str]]:
+    """Each command of ``_OUT_OF_RANGE`` with every file it would read missing."""
+    missing, out = str(tmp_path / "missing.json"), str(tmp_path / "out")
+    return {"replay": ["replay", "--plane", missing, "--stream", missing, "--out", out],
+            "live": ["live", "--plane", missing, "--registry", missing],
+            "sweep": ["sweep", "--kind", "pick", "--scenario", missing, "--board", missing, "--out", out],
+            "calibrate": ["calibrate", "--target-error", "0.02", "--scenario", missing]}
+
+
+@pytest.mark.parametrize("command, flag, value, message, _", _OUT_OF_RANGE, ids=_OUT_OF_RANGE_IDS)
+def test_out_of_range_flag_exits_2_naming_the_flag_before_any_file_is_read(tmp_path, monkeypatch, capsys,
+                                                                           command, flag, value, message, _):
+    monkeypatch.setattr("gesturepoint.live.LiveServer", _NoServer)
+    assert run_cli(_missing_input_commands(tmp_path)[command] + [f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f": error: argument {flag}: {message}\n"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message, from_file", _OUT_OF_RANGE, ids=_OUT_OF_RANGE_IDS)
+def test_env_config_out_of_range_value_exits_2_as_a_bad_value_for_its_key(tmp_path, monkeypatch, capsys,
+                                                                          command, flag, value, message, from_file):
+    monkeypatch.setattr("gesturepoint.live.LiveServer", _NoServer)
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    monkeypatch.setenv("GESTURE_POINTER_CONFIG", str(cfg))
+    assert run_cli(_missing_input_commands(tmp_path)[command]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: bad value for {key}: {from_file or message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_listen_type_reads_host_and_port_and_defaults_to_loopback():
+    def listen(*flags: str):
+        return build_parser(["live"]).parse_args(["live", *flags]).listen
+
+    assert listen("--listen", "0.0.0.0:8080") == ("0.0.0.0", 8080)
+    assert listen("--listen", ":0") == ("127.0.0.1", 0)
+    assert listen() == ("127.0.0.1", 0)  # argparse runs the string default through the type
 
 
 def test_no_command_prints_usage():
@@ -1850,6 +1912,28 @@ def test_streaming_side_never_imports_numpy(tmp_path):
     assert (point["u"], point["v"]) == pytest.approx((0.3, 0.3))
     assert snap["ok"] and snap["id"] == "t1"
     assert result["numpy"] == []
+
+
+_TYPING_LOADED = "import sys; sys.path.insert(0, sys.argv[1]); import gesturepoint.cli; print('typing' in sys.modules)"
+
+
+def test_the_package_never_imports_typing():
+    """Annotations are never evaluated (``from __future__ import annotations``),
+    so their names come from ``collections.abc``: no package module imports
+    ``typing``, and a ``python -S`` child (no host ``site`` to load it first)
+    that imports the CLI leaves it unloaded."""
+    src = pathlib.Path(gesturepoint.__file__).parent
+    imported = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.append((path.name, node.module))
+    assert [(name, module) for name, module in imported if module.partition(".")[0] == "typing"] == []
+    child = subprocess.run([sys.executable, "-S", "-c", _TYPING_LOADED, str(src.parent)],
+                           capture_output=True, text=True, timeout=60, check=True)
+    assert child.stdout.split() == ["False"]
 
 
 # the modules loaded when a CLI run ends, after its exit code; the CLI runs

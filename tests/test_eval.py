@@ -42,7 +42,7 @@ from gesturepoint.evaluation import (
     ideal_wrists,
     intersect_rays_plane,
     make_board,
-    mean_intersection_error,
+    mean_error_by_sigma,
     noisy_joints,
     run_boards,
     run_pick_sweep,
@@ -706,7 +706,7 @@ def test_calibrated_sigma_reproduces_on_fresh_seed():
     tpl = ScenarioTemplate.desk_default(0.0)
     target = Point3(0.3, 0.4, 0.0)
     sigma = calibrate_sigma(0.031, tpl, samples=6000, seed=3)
-    err = mean_intersection_error(tpl, target, sigma, samples=6000, seed=1234)
+    err = mean_error_by_sigma(tpl, target, samples=6000, seed=1234)(sigma)
     assert abs(err - 0.031) / 0.031 < 0.05
 
 
@@ -731,7 +731,7 @@ def test_calibration_objective_matches_a_fresh_draw_per_sigma(make_template):
             shoulders, wrists = noisy_joints(tpl.shoulder_base, ideal_wrists(tpl, target_xyz, bias), eps, sigma)
             hits, valid = intersect_rays_plane(shoulders[:, 0], wrists[:, 0], tpl.plane)
             expected = float(np.linalg.norm(hits[valid] - target_xyz, axis=1).mean())
-            assert mean_intersection_error(tpl, target, sigma, samples=1500, seed=11) == expected
+            assert mean_error_by_sigma(tpl, target, samples=1500, seed=11)(sigma) == expected
             hit_shares.add("all" if valid.all() else "some")
     assert hit_shares == {"all", "some"}
 
@@ -741,7 +741,7 @@ def test_calibration_objective_with_no_ray_on_the_plane_raises():
     template = ScenarioTemplate.desk_default(0.0, aim_bias_sigma=0.008)
     flat = dataclasses.replace(template, shoulder_base=Point3(0.3, -0.4, 0.0))
     with pytest.raises(EvalError, match="no ray reached the plane"):
-        mean_intersection_error(flat, Point3(0.3, 0.4, 0.0), 0.0, samples=50, seed=1)
+        mean_error_by_sigma(flat, Point3(0.3, 0.4, 0.0), samples=50, seed=1)(0.0)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -754,7 +754,7 @@ def test_calibration_samples_below_one_raise_before_drawing(monkeypatch, samples
     with pytest.raises(InvalidParametersError, match="at least 1 sample"):
         calibrate_sigma(0.031, tpl, samples=samples, seed=3)
     with pytest.raises(InvalidParametersError, match="at least 1 sample"):
-        mean_intersection_error(tpl, Point3(0.3, 0.4, 0.0), 0.01, samples=samples, seed=3)
+        mean_error_by_sigma(tpl, Point3(0.3, 0.4, 0.0), samples=samples, seed=3)(0.01)
 
 
 def test_calibrate_negative_target_is_an_invalid_parameter():
@@ -836,11 +836,11 @@ def test_calibration_centroid_adds_the_corners_in_order_on_every_python(monkeypa
     Python 3.12 on gives 0.39999999999999997."""
     seen = []
 
-    def objective(template, centroid, samples, seed):
+    def objective(template, centroid, *, samples, seed):
         seen.append(centroid)
         raise EvalError("stop")
 
-    monkeypatch.setattr(evaluation, "_mean_error_by_sigma", objective)
+    monkeypatch.setattr(evaluation, "mean_error_by_sigma", objective)
     plane = plane_from_corners([Point3(0.1, 0.0, 0.0), Point3(0.7, 0.0, 0.0), Point3(0.7, 0.8, 0.0),
                                 Point3(0.1, 0.8, 0.0)])
     assert [c.x for c in plane.corners] == [0.1, 0.7, 0.7, 0.1]

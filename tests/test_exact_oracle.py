@@ -29,6 +29,25 @@ So outside band_e = 2 tol / |e| of every edge, the float rule keeps a point
 exactly when the exact even-odd test does; inside the band it may keep a
 point just outside as on the edge, but it never drops one that is exactly
 inside or on the boundary.
+
+(c) Ray decisions. ``process`` drops an arm whose float length
+sqrt(dx^2 + dy^2 + dz^2) is at most ARM_SEPARATION_MIN (no ray), a ray with
+|<n, w - s>| / length below PARALLEL_TOL (parallel), and a hit at t below
+DEFAULT_T_MIN (behind the wrist). The exact decisions compare squares, with
+no roots, on the exact d = w - s: |d|^2 against ARM_SEPARATION_MIN^2,
+<n, d>^2 against PARALLEL_TOL^2 |d|^2, and t = -(<n, s> + d0) / <n, d>
+against DEFAULT_T_MIN. To first order:
+- the float length is |d| (1 + 3.5u): each rounded difference, square and
+  sum adds u to |d|^2 (7u in all), and the root halves that and adds u; so
+  outside |d|^2 = ARM_SEPARATION_MIN^2 (1 +- 8 eps) the decisions agree;
+- the float <n, d> is off by at most 4u sum |n_i d_i| <= 4u |d| (|n| is 1
+  to a few u), and the quotient by the length adds 4.5u relative, so the
+  float cosine is off by less than 2 eps + 2.25 eps P near P = PARALLEL_TOL;
+  outside (P +- 4 eps)^2 |d|^2 they agree;
+- t is off by |t| (2 eps (A + B) / |<n, d>| + eps / 2), with A = sum
+  |n_i s_i| + |d0| and B = sum |n_i d_i| bounding the rounding of the
+  numerator and the denominator; outside twice that of DEFAULT_T_MIN they
+  agree.
 """
 
 from __future__ import annotations
@@ -40,7 +59,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesturepoint.geometry import Point3, corners_in_frame, plane_from_corners, workplane_frame
+from gesturepoint.geometry import (ARM_SEPARATION_MIN, DEFAULT_T_MIN, PARALLEL_TOL, Point3, corners_in_frame,
+                                   plane_from_corners, workplane_frame)
 from gesturepoint.pipeline import GesturePipeline
 from gesturepoint.stabilizer import RunningAverageStabilizer, edge_table, points_in_bounds
 from gesturepoint.stream import KeypointFrame
@@ -176,3 +196,96 @@ def test_bounds_rule_equals_the_exact_test_outside_the_stated_band(case):
             assert kept or not exact, (u, v)
         else:
             assert kept == exact, (u, v)
+
+
+def _exact_decision(plane, s, w) -> str | None:
+    """``process``'s decision for joints s and w in exact arithmetic ("no ray",
+    "dropped" for a parallel ray or one hit behind the wrist, or "hit"), or
+    None inside a decision's band, derived above."""
+    n, d0 = [Fraction(c) for c in plane.normal.as_tuple()], Fraction(plane.d)
+    s, w = [Fraction(c) for c in s], [Fraction(c) for c in w]
+    ray = [b - a for a, b in zip(s, w)]
+    length2 = sum(r * r for r in ray)
+    eps, sep2 = Fraction(EPS), Fraction(ARM_SEPARATION_MIN) ** 2
+    if abs(length2 - sep2) <= 8 * eps * sep2:
+        return None
+    if length2 <= sep2:
+        return "no ray"
+    denom, tol = sum(a * r for a, r in zip(n, ray)), Fraction(PARALLEL_TOL)
+    if (tol - 4 * eps) ** 2 * length2 <= denom * denom <= (tol + 4 * eps) ** 2 * length2:
+        return None
+    if denom * denom < tol * tol * length2:
+        return "dropped"
+    t = -(sum(a * b for a, b in zip(n, s)) + d0) / denom
+    rounding = sum(abs(a * b) for a, b in zip(n, s)) + abs(d0) + sum(abs(a * r) for a, r in zip(n, ray))
+    if abs(t - Fraction(DEFAULT_T_MIN)) <= abs(t) * eps * (4 * rounding / abs(denom) + 1):
+        return None
+    return "dropped" if t < Fraction(DEFAULT_T_MIN) else "hit"
+
+
+def _decision(pipeline: GesturePipeline, k: int, s, w) -> str:
+    """What ``process`` decided for one arm, read from its output and counters."""
+    without, discarded = pipeline.frames_without_ray, pipeline.discarded_out_of_bounds
+    out = pipeline.process(KeypointFrame(float(k), {"right_shoulder": (*s, 1.0), "right_wrist": (*w, 1.0)}))
+    if pipeline.frames_without_ray > without:
+        return "no ray"
+    return "hit" if out or pipeline.discarded_out_of_bounds > discarded else "dropped"
+
+
+def _near(draw, value: float) -> float:
+    """``value``, or ``value`` off by a relative 1e-16 to 0.3, or up to 3 times it."""
+    return draw(st.sampled_from([value]) | st.floats(-16.0, -0.5).map(lambda e: value * (1.0 + 10.0 ** e))
+                | st.floats(-16.0, -0.5).map(lambda e: value * (1.0 - 10.0 ** e)) | st.floats(0.0, 3.0 * value))
+
+
+@st.composite
+def _decision_arms(draw):
+    """A plane and, per example, arms of three kinds, each shoulder scattered
+    15 cm around the plane's operator: arms about ARM_SEPARATION_MIN long;
+    rays 2 cm to 100 m long (far from 1 m, where the parallel test's division
+    by the length shows) whose cosine to the normal is about PARALLEL_TOL,
+    aimed towards the plane; and rays towards a workspace point whose wrist
+    lies at a fraction f of the way there or beyond it, so the plane may lie
+    between shoulder and wrist (0 < t = 1 / f < 1)."""
+    name = draw(st.sampled_from(sorted(PLANES)))
+    plane, shoulder = PLANES[name]
+    n = plane.normal.as_tuple()
+    c0, c1, _, c3 = (p.as_tuple() for p in plane.corners)
+    edge = [b - a for a, b in zip(c0, c1)]
+    e1 = [a - sum(b * m for b, m in zip(edge, n)) * m for a, m in zip(edge, n)]  # in the plane
+    e1 = [a / math.sqrt(sum(b * b for b in e1)) for a in e1]
+    e2 = (n[1] * e1[2] - n[2] * e1[1], n[2] * e1[0] - n[0] * e1[2], n[0] * e1[1] - n[1] * e1[0])
+    arms = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = tuple(a + draw(st.floats(-0.15, 0.15)) for a in shoulder)
+        height = sum(a * m for a, m in zip(s, n)) + plane.d
+        phi = draw(st.floats(0.0, 2.0 * math.pi))
+        along = [math.cos(phi) * a + math.sin(phi) * b for a, b in zip(e1, e2)]
+        # about ARM_SEPARATION_MIN long, in any direction off the normal
+        cos = draw(st.floats(-1.0, 1.0))
+        unit = [cos * m + math.sqrt(1.0 - cos * cos) * a for m, a in zip(n, along)]
+        arms.append((s, tuple(a + _near(draw, ARM_SEPARATION_MIN) * u for a, u in zip(s, unit))))
+        # about PARALLEL_TOL off the plane, towards it
+        cos = -math.copysign(_near(draw, PARALLEL_TOL), height)
+        unit = [cos * m + math.sqrt(1.0 - cos * cos) * a for m, a in zip(n, along)]
+        length = 10.0 ** draw(st.floats(math.log10(0.02), 2.0))
+        arms.append((s, tuple(a + length * u for a, u in zip(s, unit))))
+        # towards a workspace point, the wrist at a fraction f of the way
+        g, h = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        aim = [a + g * (b - a) + h * (e - a) for a, b, e in zip(c0, c1, c3)]
+        f = draw(st.sampled_from([1.0]) | st.floats(0.3, 3.0) | st.floats(-16.0, -1.0).map(lambda e: 1.0 + 10.0 ** e)
+                 | st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0 ** e))
+        arms.append((s, tuple(a + f * (b - a) for a, b in zip(s, aim))))
+    return name, arms
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_decision_arms())
+def test_ray_decisions_equal_the_exact_ones_outside_their_bands(case):
+    name, arms = case
+    plane = PLANES[name][0]
+    pipeline = GesturePipeline(plane, window=1)
+    for k, (s, w) in enumerate(arms):
+        decision = _decision(pipeline, k, s, w)
+        exact = _exact_decision(plane, s, w)
+        assert exact is None or decision == exact, (s, w, decision, exact)

@@ -26,7 +26,7 @@ from gesturepoint.evaluation import (
     emit_report,
     generate_scenario,
     make_board,
-    mean_intersection_error,
+    mean_error_by_sigma,
     run_boards,
     run_pick_sweep,
     run_place_sweep,
@@ -51,7 +51,7 @@ from gesturepoint.stream import KeypointFrame
 )
 def test_mean_intersection_error_golden(aim_bias, seed, expected):
     template = ScenarioTemplate.desk_default(0.0, aim_bias_sigma=aim_bias)
-    value = mean_intersection_error(template, Point3(0.2, 0.5, 0.0), 0.012, samples=2000, seed=seed)
+    value = mean_error_by_sigma(template, Point3(0.2, 0.5, 0.0), samples=2000, seed=seed)(0.012)
     assert value.hex() == expected
 
 

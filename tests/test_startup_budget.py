@@ -42,7 +42,7 @@ pytestmark = pytest.mark.skipif(
 # counted on CPython 3.11.7
 LOADED_LINES_BUDGET = {"replay": 1877, "live": 2109, "define-plane": 1877}
 REPLAY_MAIN_BUDGET = 52367
-IMPORT_CLI_BUDGET = 255669
+IMPORT_CLI_BUDGET = 223196
 SLACK = 1.03
 
 # the files of the package modules loaded when a CLI run ends, after its exit code

@@ -27,7 +27,7 @@ from gesturepoint.evaluation import (
     generate_scenario,
     ideal_wrists,
     load_scenario_config,
-    mean_intersection_error,
+    mean_error_by_sigma,
     noisy_joints,
 )
 from gesturepoint.geometry import (
@@ -671,11 +671,8 @@ def test_calibration_sampling_draws_one_bias_and_one_frame_per_trial():
 
 
 def test_mean_error_monotone_in_sigma():
-    template = make_template()
-    errors = [
-        mean_intersection_error(template, TARGET, s, samples=10_000, seed=99)
-        for s in (0.0, 0.002, 0.005, 0.01, 0.02, 0.04)
-    ]
+    mean_error = mean_error_by_sigma(make_template(), TARGET, samples=10_000, seed=99)
+    errors = [mean_error(s) for s in (0.0, 0.002, 0.005, 0.01, 0.02, 0.04)]
     assert errors[0] < 1e-9
     for lo, hi in zip(errors, errors[1:]):
         assert hi >= lo * 0.95  # non-decreasing within Monte-Carlo slack
