@@ -29,7 +29,6 @@ from .snap import (
 )
 from .stabilizer import GesturePoint, RunningAverageStabilizer
 from .stream import (
-    KeypointFrame,
     parse_frame,
     serialize_frame,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "CameraIntrinsics",
     "GesturePipeline",
     "GesturePoint",
-    "KeypointFrame",
     "PlanarPoint",
     "Plane",
     "Point3",

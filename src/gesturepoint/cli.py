@@ -193,8 +193,9 @@ def cmd_replay(args) -> int:
     points_written = 0
     check_out_spares_inputs(args.out, args.plane, args.stream, args.registry if args.snap else None)
     try:
-        # undecodable bytes become U+FFFD and fail as one malformed line, as live
-        stream = open(args.stream, "r", encoding="utf-8-sig", errors="replace")
+        # as in live, lines end at "\n" alone (a CRLF line's "\r" is stripped with its blanks),
+        # and undecodable bytes become U+FFFD and fail as one malformed line
+        stream = open(args.stream, "r", encoding="utf-8-sig", errors="replace", newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot read {args.stream}: {exc}") from exc
     reader = StreamReader(stream, skip_malformed=True,

@@ -11,9 +11,9 @@ synthetic joint comes from one sampler in two steps: a draw
 (:func:`draw_joint_noise`: aim biases, then standard normals, from one seed)
 and a placement (:func:`ideal_wrists` once per plane for all trials, then
 :func:`noisy_joints`). :func:`generate_scenario` chains them for one gesture
-and streams it as KeypointFrames for files and live clients. Sweeps
-(``run_boards``) draw once per trial key (kind, entity, trial), a draw the
-boards of an l series share, and place every trial at once; sigma
+and streams it as ``(timestamp, joints)`` frames for files and live clients.
+Sweeps (``run_boards``) draw once per trial key (kind, entity, trial), a draw
+the boards of an l series share, and place every trial at once; sigma
 calibration draws one frame from each of many trials once and re-noises it
 per sigma, per component and with no ``np.linalg.norm``, so calibration
 fits the noise the sweeps run on.
@@ -112,10 +112,8 @@ from .snap import (
 )
 from .stabilizer import DEFAULT_WINDOW, points_in_bounds
 from .stream import (  # re-exports EvalError, InvalidParametersError and the sample-count defaults
-    DEFAULT_CALIBRATION_SAMPLES, DEFAULT_TRIALS_PER_TARGET, HANDS,
-    EvalError, InvalidParametersError, KeypointFrame,
-    StreamError, decimal_int, decode_object,
-    finite_float, json_number, parse_kv_config, parse_triplet, read_text, write_document,
+    DEFAULT_CALIBRATION_SAMPLES, DEFAULT_TRIALS_PER_TARGET, HANDS, EvalError, InvalidParametersError, StreamError,
+    decimal_int, decode_object, finite_float, json_number, parse_kv_config, parse_triplet, read_text, write_document,
 )
 
 PLANE_SIZE = (0.60, 0.80)
@@ -499,9 +497,9 @@ def noisy_joints(
 
 def generate_scenario(
     template: ScenarioTemplate, target: Point3, seed: int, count: int
-) -> Iterator[KeypointFrame]:
-    """Yield ``count`` KeypointFrames of one gesture at ``target`` (timestamps
-    step by 1/frame_rate, source ``"synthetic"``): :func:`draw_joint_noise`
+) -> Iterator[tuple[float, dict]]:
+    """Yield ``count`` ``(timestamp, joints)`` frames of one gesture at
+    ``target`` (timestamps step by 1/frame_rate): :func:`draw_joint_noise`
     seeded with ``seed`` for one trial, :func:`ideal_wrists` and
     :func:`noisy_joints`, the steps sweeps and calibration run on draws they
     stack or keep across sigmas. The caller has checked ``target``, ``seed``
@@ -513,14 +511,7 @@ def generate_scenario(
     shoulder_name = f"{template.hand}_shoulder"
     wrist_name = f"{template.hand}_wrist"
     for k, (shoulder, wrist) in enumerate(zip(shoulders[0].tolist(), wrists[0].tolist())):
-        yield KeypointFrame(
-            timestamp=k / template.frame_rate,
-            joints={
-                shoulder_name: (*shoulder, 1.0),
-                wrist_name: (*wrist, 1.0),
-            },
-            source_id="synthetic",
-        )
+        yield k / template.frame_rate, {shoulder_name: (*shoulder, 1.0), wrist_name: (*wrist, 1.0)}
 
 
 def intersect_rays_plane(

@@ -32,11 +32,19 @@ def non_negative_int(text: str) -> int:
 
 
 def positive_int(text: str) -> int:
-    """The type of ``generate --count``, ``sweep --trials`` and ``calibrate --samples``
+    """The type of ``generate --count``, ``sweep --trials`` and ``--n``, and ``calibrate --samples``
     (and their config keys)."""
     value = decimal_int(text)
     if value < 1:
         raise ValueError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """The type of ``sweep --threshold`` (and its config key)."""
+    value = finite_float(text)
+    if value <= 0:
+        raise ValueError(f"expected a number > 0, got {text!r}")
     return value
 
 
@@ -49,7 +57,7 @@ def cmd_generate(args) -> int:
         seed = args.seed
     if args.count is not None:
         count = args.count
-    written = write_stream(args.out, generate_scenario(template, target, seed, count))
+    written = write_stream(args.out, generate_scenario(template, target, seed, count), "synthetic")
     print(f"wrote {written} frames to {args.out}", file=sys.stderr)
     return 0
 
@@ -196,8 +204,8 @@ def add_flags(p, name: str) -> None:
         p.add_argument("--sizes", type=_parse_l_values, help="comma-separated place area sides in meters")
         p.add_argument("--board", help="board layout JSON file replacing the generated series")
         p.add_argument("--scenario", help="scenario config supplying plane/shoulder/arm")
-        p.add_argument("--n", type=decimal_int, help=f"snap sample count (default {DEFAULT_SAMPLE_COUNT})")
-        p.add_argument("--threshold", type=finite_float,
+        p.add_argument("--n", type=positive_int, help=f"snap sample count (default {DEFAULT_SAMPLE_COUNT})")
+        p.add_argument("--threshold", type=positive_float,
                        help=f"stability threshold (default {DEFAULT_STABILITY_THRESHOLD})")
         p.add_argument("--out", default=".", help="report directory (default %(default)s)")
         p.set_defaults(func=cmd_sweep)

@@ -43,7 +43,7 @@ HISTORY_CAPACITY = 256
 
 
 class GesturePipeline:
-    """Turns KeypointFrames into stabilized GesturePoints for selected hands."""
+    """Turns ``(timestamp, joints)`` frames into stabilized GesturePoints for selected hands."""
 
     def __init__(
         self,
@@ -81,9 +81,9 @@ class GesturePipeline:
         start = "shoulder" if pair == "shoulder_wrist" else "elbow"
         self._arms = tuple((hand, f"{hand}_{start}", f"{hand}_wrist") for hand in self.hands)
 
-    def process(self, frame: streammod.KeypointFrame) -> list[GesturePoint]:
-        """Feed one skeleton frame; returns the stabilized points it produced
-        (zero, one, or one per hand).
+    def process(self, frame: tuple[float, dict]) -> list[GesturePoint]:
+        """Feed one skeleton frame, a ``(timestamp, joints)`` pair; returns the
+        stabilized points it produced (zero, one, or one per hand).
 
         Per hand: two joints present, at ``min_confidence`` or above and more
         than ``ARM_SEPARATION_MIN`` apart make a ray (a frame without one
@@ -94,7 +94,7 @@ class GesturePipeline:
         self.frames_seen += 1
         nx, ny, nz, d, ox, oy, oz, r00, r01, r02, r10, r11, r12, r20, r21, r22, min_confidence = self._constants
         push = self.stabilizer.push
-        joints, timestamp = frame.joints, frame.timestamp
+        timestamp, joints = frame
         got_ray = False
         out: list[GesturePoint] = []
         for hand, start_name, wrist_name in self._arms:

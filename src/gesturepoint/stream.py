@@ -19,12 +19,13 @@ session. Unknown joint names are ignored; missing joints are simply absent. A
 joint with any coordinate that is NaN, infinite or beyond ``MAX_JOINT_COORD``
 meters (after deprojection for the 2D form) makes the record malformed; so
 does any number field that holds a string, a bool or a non-finite value.
-A parsed frame holds each joint as a plain ``(x, y, z, confidence)`` tuple
-of floats, in meters in the camera frame. :func:`parse_frame` has two typed
-fast paths to that tuple: a 3D joint of floats that pass every check, and a
-pixel joint of floats that pass ``deproject``'s checks and the bound,
-deprojected with ``deproject``'s expressions; every other joint takes the
-full path, with its messages.
+A ``"source"`` key is accepted and ignored. A parsed frame is the plain pair
+``(timestamp, joints)``, where ``joints`` maps each joint name to an
+``(x, y, z, confidence)`` tuple of floats, in meters in the camera frame.
+:func:`parse_frame` has two typed fast paths to that tuple: a 3D joint of
+floats that pass every check, and a pixel joint of floats that pass
+``deproject``'s checks and the bound, deprojected with ``deproject``'s
+expressions; every other joint takes the full path, with its messages.
 
 Each input format has one reader here: :func:`read_text` opens every input
 file (UTF-8, optionally BOM-prefixed), :func:`decode_object` decodes JSON,
@@ -42,9 +43,9 @@ import json
 import math
 import os
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator
 
-from .geometry import MAX_JOINT_COORD, CameraIntrinsics, FrozenValue, GeometryError, Point3, deproject
+from .geometry import MAX_JOINT_COORD, CameraIntrinsics, GeometryError, Point3, deproject
 
 HANDS = ("left", "right")
 PAIRS = ("shoulder_wrist", "elbow_wrist")
@@ -192,15 +193,6 @@ class InvalidParametersError(EvalError):
     pass
 
 
-class KeypointFrame(FrozenValue):
-    """One timestamped skeleton observation; each joint is ``(x, y, z, confidence)``."""
-
-    def __init__(self, timestamp: float, joints: Mapping[str, tuple[float, float, float, float]],
-                 source_id: str = "") -> None:
-        d = self.__dict__
-        d["timestamp"], d["joints"], d["source_id"] = timestamp, joints, source_id
-
-
 def parse_position(spec: dict, intrinsics: CameraIntrinsics | None, kind: str, name) -> Point3:
     """The one joint-position parser: ``x/y/z``, or ``px/py/depth``
     deprojected through ``intrinsics``, within ``MAX_JOINT_COORD`` of the
@@ -229,8 +221,8 @@ def parse_position(spec: dict, intrinsics: CameraIntrinsics | None, kind: str, n
     return position
 
 
-def parse_frame(record: dict, intrinsics: CameraIntrinsics | None = None) -> KeypointFrame:
-    """Parse one decoded JSONL record into a KeypointFrame.
+def parse_frame(record: dict, intrinsics: CameraIntrinsics | None = None) -> tuple[float, dict]:
+    """Parse one decoded JSONL record into its ``(timestamp, joints)`` pair.
 
     2D+depth joints require ``intrinsics`` (normally taken from the stream
     header); unknown joints are dropped.
@@ -270,19 +262,14 @@ def parse_frame(record: dict, intrinsics: CameraIntrinsics | None = None) -> Key
         if not 0.0 <= confidence <= 1.0:
             raise MalformedRecordError(f"confidence {confidence} outside [0, 1]")
         joints[name] = (position.x, position.y, position.z, confidence)
-    return KeypointFrame(timestamp, joints, str(record.get("source", "")))
+    return timestamp, joints
 
 
-def serialize_frame(frame: KeypointFrame) -> str:
-    """Canonical one-line JSON for a frame (3D joint form, sorted keys)."""
-    doc = {
-        "t": frame.timestamp,
-        "source": frame.source_id,
-        "joints": {
-            name: {"x": x, "y": y, "z": z, "c": c} for name, (x, y, z, c) in sorted(frame.joints.items())
-        },
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def serialize_frame(frame: tuple[float, dict], source: str) -> str:
+    """Canonical one-line JSON for a ``(timestamp, joints)`` frame from ``source`` (3D joint form, sorted keys)."""
+    timestamp, joints = frame
+    joints = {name: {"x": x, "y": y, "z": z, "c": c} for name, (x, y, z, c) in sorted(joints.items())}
+    return json.dumps({"t": timestamp, "source": source, "joints": joints}, sort_keys=True, separators=(",", ":"))
 
 
 def parse_intrinsics_header(record: dict) -> CameraIntrinsics | None:
@@ -304,7 +291,7 @@ def parse_intrinsics_header(record: dict) -> CameraIntrinsics | None:
 
 
 class StreamReader:
-    """Iterate KeypointFrames out of JSONL lines.
+    """Iterate ``(timestamp, joints)`` frames out of JSONL lines.
 
     Decodes each line once. A record holding ``"intrinsics"`` is a header: it
     sets the intrinsics for the records after it, as in a live session.
@@ -323,7 +310,7 @@ class StreamReader:
         self.malformed = 0
         self.nonmonotonic = 0
 
-    def __iter__(self) -> Iterator[KeypointFrame]:
+    def __iter__(self) -> Iterator[tuple[float, dict]]:
         last_t: float | None = None
         for lineno, line in enumerate(self._lines, start=1):
             line = line.strip()
@@ -341,19 +328,19 @@ class StreamReader:
                 self.malformed += 1
                 self._warn(f"line {lineno}: {exc}")
                 continue
-            if last_t is not None and frame.timestamp < last_t:
+            if last_t is not None and frame[0] < last_t:
                 self.nonmonotonic += 1
-                self._warn(f"line {lineno}: timestamp {frame.timestamp} before {last_t}")
-            last_t = frame.timestamp
+                self._warn(f"line {lineno}: timestamp {frame[0]} before {last_t}")
+            last_t = frame[0]
             yield frame
 
 
-def write_stream(path: str | os.PathLike, frames: Iterable[KeypointFrame]) -> int:
-    """Write frames as JSONL, one full line per write. Returns the frame count."""
+def write_stream(path: str | os.PathLike, frames: Iterable[tuple[float, dict]], source: str) -> int:
+    """Write ``(timestamp, joints)`` frames from ``source`` as JSONL, one full line per write; returns the count."""
     count = 0
     with open(path, "w", encoding="utf-8", buffering=1) as fh:
         for frame in frames:
-            fh.write(serialize_frame(frame) + "\n")
+            fh.write(serialize_frame(frame, source) + "\n")
             count += 1
     return count
 

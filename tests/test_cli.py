@@ -407,9 +407,10 @@ def test_sweep_writes_the_boards_it_ran_on_a_scenario_plane(tmp_path):
 
 def test_sweep_n_outside_trial_frames_exits_2(tmp_path, capsys):
     base = ["sweep", "--kind", "pick", "--trials", "2", "--distances", "0.2", "--out", str(tmp_path)]
-    for n in ("40", "0"):
-        assert run_cli(base + ["--n", n]) == 2
-        assert "snap sample count" in capsys.readouterr().err
+    assert run_cli(base + ["--n", "40"]) == 2
+    assert "snap sample count" in capsys.readouterr().err
+    assert run_cli(base + ["--n", "0"]) == 2  # below 1: the flag's own type says so
+    assert "argument --n: invalid positive_int value: '0'" in capsys.readouterr().err
     assert not (tmp_path / "pick_square_report.csv").exists()
     assert run_cli(base + ["--n", "30"]) == 0
 
@@ -945,6 +946,8 @@ _OUT_OF_RANGE = [
     ("sweep", "--trials", "0", "invalid positive_int value: '0'", "expected an integer >= 1, got '0'"),
     ("sweep", "--distances", "0.1,-0.2", "length list must hold positive sizes, got '0.1,-0.2'", None),
     ("sweep", "--sizes", "0.1,x", "bad length list '0.1,x': expected a plain decimal number, got 'x'", None),
+    ("sweep", "--n", "0", "invalid positive_int value: '0'", "expected an integer >= 1, got '0'"),
+    ("sweep", "--threshold", "0", "invalid positive_float value: '0'", "expected a number > 0, got '0'"),
     ("calibrate", "--samples", "0", "invalid positive_int value: '0'", "expected an integer >= 1, got '0'"),
 ]
 _OUT_OF_RANGE_IDS = [f"{command}{flag}={value}" for command, flag, value, *_ in _OUT_OF_RANGE]
@@ -1457,6 +1460,24 @@ def test_replay_streams_crlf_file_with_unchanged_line_numbers(tmp_path, capsys):
         assert "warning: line 4: invalid JSON" in err and "frames=6 points=6 warnings=1" in err
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_replay_splits_lines_where_live_does(tmp_path, capsys):
+    """Lines end at "\\n" alone in both: a bare "\\r" joins two records into
+    one malformed line, and a CRLF line's "\\r" is stripped."""
+    plane = make_plane_file(tmp_path / "plane.json")
+    first, second, third = _generated_lines(tmp_path, count=3)
+    data = f"{first}\r{second}\r\n{third}\n".encode("utf-8")
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "o.jsonl"
+    stream.write_bytes(data)
+    assert run_cli(["replay", "--plane", str(plane), "--stream", str(stream), "--out", str(out)]) == 0
+    assert "frames=1 points=1 warnings=1" in capsys.readouterr().err
+    session = LiveSession(PipelineSettings(*load_plane_file(plane)[:2]), TargetRegistry(), AreaRegistry())
+    session.handle_read(data)
+    replies = session.unsent.decode("utf-8").splitlines()
+    docs = [json.loads(r) for r in replies]
+    assert [set(doc) for doc in docs if "err" in doc] == [{"err"}]
+    assert [r for r, doc in zip(replies, docs) if "err" not in doc] == out.read_text(encoding="utf-8").splitlines()
 
 
 def test_replay_undecodable_bytes_are_one_malformed_line(tmp_path, capsys):

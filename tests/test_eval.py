@@ -65,7 +65,6 @@ from gesturepoint.geometry import (
 )
 from gesturepoint.pipeline import HISTORY_CAPACITY, GesturePipeline
 from gesturepoint.snap import DEFAULT_STABILITY_THRESHOLD, Area, SnapRequest, Target, evaluate_request, stability_gate
-from gesturepoint.stream import KeypointFrame
 
 
 # --- error metric ------------------------------------------------------------
@@ -513,15 +512,9 @@ def reference_trial(template, board, aimed, trial_id, frames) -> tuple[TrialResu
     return scalar_trial(template, board, aimed, trial_id, points), points
 
 
-def joint_frames(template, shoulders, wrists) -> list[KeypointFrame]:
+def joint_frames(template, shoulders, wrists) -> list[tuple[float, dict]]:
     return [
-        KeypointFrame(
-            timestamp=k / 30.0,
-            joints={
-                f"{template.hand}_shoulder": (*s, 1.0),
-                f"{template.hand}_wrist": (*w, 1.0),
-            },
-        )
+        (k / 30.0, {f"{template.hand}_shoulder": (*s, 1.0), f"{template.hand}_wrist": (*w, 1.0)})
         for k, (s, w) in enumerate(zip(shoulders.tolist(), wrists.tolist()))
     ]
 

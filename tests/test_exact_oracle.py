@@ -48,22 +48,48 @@ against DEFAULT_T_MIN. To first order:
   |n_i s_i| + |d0| and B = sum |n_i d_i| bounding the rounding of the
   numerator and the denominator; outside twice that of DEFAULT_T_MIN they
   agree.
+
+(d) Snap decisions. With k samples p_i, f = p_0 and S the largest |p_i - f|
+over both components, ``planar_mean`` rounds k offsets (u S each), adds them
+one by one (at most (k - 1) u k S), divides by k and adds f back (u |m|), so
+to first order each component of the float mean m lies within
+(k + 1) u S + u |m| of the exact mean M; the test states
+delta = (k + 2) eps (S + |m|), twice that, with |m| the mean's larger
+component. Then:
+- the gate: each float deviation, math.hypot (or np.hypot, both within an
+  ulp) of two rounded differences from m, lies within 2 delta + 2 eps dev
+  of the exact deviation from M; so outside |e_max - T| <= 2 delta + 3 eps T,
+  compared in squares, the strict ``e_max < T`` decisions agree;
+- the nearest entity: each float distance lies within 2 delta + 2 eps d of
+  the exact one, and d is at most L = |du| + |dv| of its exact offsets. If
+  the exact nearest (d1) and any other entity (d2) at another position had
+  d2 - d1 <= W = 4 delta + 2 eps (L1 + L2), then d2^2 - d1^2 <= W (L1 + L2);
+  so past that, in squares, the float choice is the exact one. Entities on
+  one spot get equal float distances, and both break the tie by id;
+- containment: each float |m_u - c_u| lies within delta + eps |M_u - c_u| of
+  the exact one, so outside that band around each half extent the decisions
+  agree.
+Inside a band the exact decision is None and the float one is not checked.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesturepoint.geometry import (ARM_SEPARATION_MIN, DEFAULT_T_MIN, PARALLEL_TOL, Point3, corners_in_frame,
-                                   plane_from_corners, workplane_frame)
+import numpy as np
+
+from gesturepoint.evaluation import BoardLayout, ScenarioTemplate, snap_trials
+from gesturepoint.geometry import (ARM_SEPARATION_MIN, DEFAULT_T_MIN, PARALLEL_TOL, PlanarPoint, Point3,
+                                   corners_in_frame, planar_mean, plane_from_corners, workplane_frame)
 from gesturepoint.pipeline import GesturePipeline
+from gesturepoint.snap import Area, SnapRequest, Target, evaluate_request, stability_gate
 from gesturepoint.stabilizer import RunningAverageStabilizer, edge_table, points_in_bounds
-from gesturepoint.stream import KeypointFrame
 
 EPS = sys.float_info.epsilon
 K = 24  # the hit bound's constant, derived above
@@ -121,7 +147,7 @@ def test_raw_hits_lie_within_the_stated_bound_of_the_exact_hit(rays):
     name, arms = rays
     pipeline = GesturePipeline(PLANES[name][0], window=1)
     for k, (s, w) in enumerate(arms):
-        out = pipeline.process(KeypointFrame(float(k), {"right_shoulder": (*s, 1.0), "right_wrist": (*w, 1.0)}))
+        out = pipeline.process((float(k), {"right_shoulder": (*s, 1.0), "right_wrist": (*w, 1.0)}))
         if not out:
             continue
         u, v, scale = _exact_hit(pipeline, s, w)
@@ -226,7 +252,7 @@ def _exact_decision(plane, s, w) -> str | None:
 def _decision(pipeline: GesturePipeline, k: int, s, w) -> str:
     """What ``process`` decided for one arm, read from its output and counters."""
     without, discarded = pipeline.frames_without_ray, pipeline.discarded_out_of_bounds
-    out = pipeline.process(KeypointFrame(float(k), {"right_shoulder": (*s, 1.0), "right_wrist": (*w, 1.0)}))
+    out = pipeline.process((float(k), {"right_shoulder": (*s, 1.0), "right_wrist": (*w, 1.0)}))
     if pipeline.frames_without_ray > without:
         return "no ray"
     return "hit" if out or pipeline.discarded_out_of_bounds > discarded else "dropped"
@@ -289,3 +315,114 @@ def test_ray_decisions_equal_the_exact_ones_outside_their_bands(case):
         decision = _decision(pipeline, k, s, w)
         exact = _exact_decision(plane, s, w)
         assert exact is None or decision == exact, (s, w, decision, exact)
+
+
+def _exact_snap(samples, strategy: str, entities, threshold: float):
+    """The snap's decision in exact arithmetic on the same floats: None inside
+    a band derived above, else ("none",) when nothing is selected, or the
+    selected id and whether the place fallback chose it."""
+    k, f, m = len(samples), samples[0], planar_mean(samples)
+    exact_mean = [sum(Fraction(getattr(p, c)) for p in samples) / k for c in ("u", "v")]
+    spread = max(abs(Fraction(getattr(p, c)) - Fraction(getattr(f, c))) for p in samples for c in ("u", "v"))
+    eps = Fraction(EPS)
+    delta = (k + 2) * eps * (spread + max(abs(Fraction(m.u)), abs(Fraction(m.v))))
+    mu, mv = exact_mean
+    dev2 = max((Fraction(p.u) - mu) ** 2 + (Fraction(p.v) - mv) ** 2 for p in samples)
+    t = Fraction(threshold)
+    band = 2 * delta + 3 * eps * t
+    if t <= band or (t - band) ** 2 <= dev2 <= (t + band) ** 2:
+        return None
+    if dev2 >= t * t:
+        return ("none",)
+    spots = {e.id: (Fraction(e.position.u), Fraction(e.position.v)) if strategy == "pick"
+             else (Fraction(e.center.u), Fraction(e.center.v)) for e in entities}
+    pool, inside = list(entities), []
+    if strategy == "place":
+        for a in entities:
+            cu, cv = spots[a.id]
+            offsets = ((abs(mu - cu), Fraction(a.half_extent[0])), (abs(mv - cv), Fraction(a.half_extent[1])))
+            if any(abs(off - half) <= delta + eps * off for off, half in offsets):
+                return None
+            if all(off <= half for off, half in offsets):
+                inside.append(a)
+        pool = inside or pool
+
+    def d2(e):
+        cu, cv = spots[e.id]
+        return (mu - cu) ** 2 + (mv - cv) ** 2
+
+    def reach(e):
+        cu, cv = spots[e.id]
+        return abs(mu - cu) + abs(mv - cv)
+
+    best = min(pool, key=lambda e: (d2(e), e.id))
+    for other in pool:
+        if spots[other.id] != spots[best.id]:
+            width = 4 * delta + 2 * eps * (reach(best) + reach(other))
+            if d2(other) - d2(best) <= width * (reach(best) + reach(other)):
+                return None
+    return (best.id, strategy == "place" and not inside)
+
+
+def _off_by(rng: random.Random, value: float) -> float:
+    """``value`` off by a relative 1e-15 to 0.1, either way: the small offsets
+    fall inside a band, the others test a decision close to its edge."""
+    return value * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -1.0))
+
+
+@st.composite
+def _snap_cases(draw):
+    """1 to 15 samples spread 1e-6 to 0.1 m around a desk point; a threshold
+    of 0.05 or near the samples' own largest deviation; and 1 to 4 targets or
+    areas around their float mean: anywhere, on one spot twice under two ids
+    (an exact tie), mirrored about the mean up to a relative perturbation (a
+    near tie), or with an edge near the mean. Hypothesis draws the structure;
+    one seeded ``random.Random`` draws the numbers."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    k, cu, cv, spread = rng.randint(1, 15), rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.8), 10.0 ** rng.uniform(-6, -1)
+    samples = tuple(PlanarPoint(cu + spread * rng.uniform(-1.0, 1.0), cv + spread * rng.uniform(-1.0, 1.0),
+                                rng.uniform(-0.01, 0.01)) for _ in range(k))
+    m, deviation = planar_mean(samples), stability_gate(samples).max_deviation
+    threshold = 0.05 if deviation == 0.0 or draw(st.integers(0, 2)) == 0 else _off_by(rng, deviation)
+    strategy = draw(st.sampled_from(["pick", "place"]))
+    spots = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["anywhere", "twin", "mirror", "edge"]))
+        du, dv = rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)
+        if kind == "twin" and spots:
+            spots.append(spots[-1])
+        elif kind == "mirror" and spots:
+            su, sv, half = spots[-1]
+            scale = _off_by(rng, 1.0)
+            spots.append((m.u - (su - m.u) * scale, m.v - (sv - m.v) * scale, half))
+        else:
+            half = (rng.uniform(0.005, 0.1), rng.uniform(0.005, 0.1))
+            if kind == "edge":  # the mean near a u edge, a v edge or a corner
+                which = draw(st.sampled_from(["u", "v", "uv"]))
+                if "u" in which:
+                    du = math.copysign(_off_by(rng, half[0]), du)
+                if "v" in which:
+                    dv = math.copysign(_off_by(rng, half[1]), dv)
+            spots.append((m.u + du, m.v + dv, half))
+    ids = [f"E{len(spots) - j}" for j in range(len(spots))]  # a tie breaks against the list order
+    if strategy == "pick":
+        return samples, strategy, tuple(Target(i, i, PlanarPoint(u, v)) for i, (u, v, _) in zip(ids, spots)), threshold
+    return samples, strategy, tuple(Area(i, PlanarPoint(u, v), half) for i, (u, v, half) in zip(ids, spots)), threshold
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_snap_cases())
+def test_snap_decisions_equal_the_exact_ones_outside_their_bands(case):
+    samples, strategy, entities, threshold = case
+    exact = _exact_snap(samples, strategy, entities, threshold)
+    if exact is None:
+        return
+    targets, areas = (entities, ()) if strategy == "pick" else ((), entities)
+    result = evaluate_request(SnapRequest(samples, strategy), targets, areas, threshold=threshold)
+    assert (("none",) if result is None else (result.selected_id, result.fallback_used)) == exact
+    board = BoardLayout("custom", None, targets, areas)
+    template = ScenarioTemplate.desk_default(0.0, snap_samples=len(samples), stability_threshold=threshold)
+    points = np.array([[(p.u, p.v, p.z_residual) for p in samples]])
+    (trial,) = snap_trials(template, [board], np.zeros(1, int), [(board, 0, entities[0], 0)], points,
+                           np.array([len(samples)]))
+    assert (("none",) if trial.selected_id is None else (trial.selected_id, trial.fallback_used)) == exact

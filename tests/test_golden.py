@@ -35,7 +35,6 @@ from gesturepoint.evaluation import (
 from gesturepoint.geometry import Point3, Quaternion, from_workplane, plane_from_corners, workplane_frame
 from gesturepoint.live import gesture_point_record
 from gesturepoint.pipeline import GesturePipeline, PipelineSettings
-from gesturepoint.stream import KeypointFrame
 
 
 @pytest.mark.parametrize(
@@ -257,7 +256,7 @@ def _tilted_plane_case(rng: random.Random, pair: str) -> list[str]:
                 joints[f"{hand}_{part}"] = (*position, confidence)
             if kind == "missing":
                 del joints[f"{hand}_{rng.choice(('shoulder', 'elbow', 'wrist'))}"]
-        for gp in pipe.process(KeypointFrame(timestamp=k / 30, joints=joints)):
+        for gp in pipe.process((k / 30, joints)):
             out.append(gesture_point_record(gp, settings))
             out.append(gesture_point_record(gp, camera))
     out.append(f"{pipe.frames_seen} {pipe.frames_without_ray} {pipe.discarded_out_of_bounds}")

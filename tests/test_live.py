@@ -66,7 +66,7 @@ def stream_lines(tmp_path, count=20, target="0.2, 0.3, 0.0", sigma=0.0, seed=42)
     scenario = load_scenario_config(
         write_scenario_file(tmp_path / "s.cfg", target=target, sigma=sigma, seed=seed, count=count)
     )
-    return [serialize_frame(f) for f in generate_scenario(*scenario)]
+    return [serialize_frame(f, "synthetic") for f in generate_scenario(*scenario)]
 
 
 def talk(address, lines) -> list[dict]:

@@ -44,8 +44,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 # instructions per input line, counted on CPython 3.11.7
-LIVE_BUDGET = 935.53
-REPLAY_BUDGET = 2113.89
+LIVE_BUDGET = 906.94
+REPLAY_BUDGET = 2066.17
 SLACK = 1.03
 # bytes a two-hand live session retains with both histories full, traced on CPython 3.11.7
 SESSION_BUDGET = 128253

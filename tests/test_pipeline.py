@@ -29,7 +29,7 @@ from gesturepoint.live import gesture_point_record
 from gesturepoint.geometry import PlanarPoint
 from gesturepoint.pipeline import HISTORY_CAPACITY, GesturePipeline, PipelineSettings
 from gesturepoint.snap import Area, SnapError, SnapRequest, Target, evaluate_request
-from gesturepoint.stream import KeypointFrame, parse_frame
+from gesturepoint.stream import parse_frame
 
 PLANE = plane_from_corners(
     [Point3(0, 0, 0), Point3(0.6, 0, 0), Point3(0.6, 0.8, 0), Point3(0, 0.8, 0)]
@@ -149,12 +149,12 @@ def test_recent_with_a_count_below_one_returns_no_points(count):
     assert pipe.recent("right", count) == []
 
 
-def _pointing_frame(t: float, aims: dict) -> KeypointFrame:
+def _pointing_frame(t: float, aims: dict) -> tuple[float, dict]:
     """Each hand's arm points straight down at its (u, v) on PLANE."""
     joints = {}
     for hand, (u, v) in aims.items():
         joints[f"{hand}_shoulder"], joints[f"{hand}_wrist"] = (u, v, 0.5, 0.9), (u, v, 0.25, 0.9)
-    return KeypointFrame(t, joints)
+    return t, joints
 
 
 @settings(max_examples=60, deadline=None)

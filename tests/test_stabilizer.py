@@ -15,7 +15,7 @@ from gesturepoint.pipeline import PipelineSettings
 from gesturepoint.snap import (DEFAULT_SAMPLE_COUNT, DEFAULT_STABILITY_THRESHOLD, Area, GateResult, SnapRequest,
                                SnapResult, Target)
 from gesturepoint.stabilizer import DEFAULT_WINDOW, GesturePoint, RunningAverageStabilizer
-from gesturepoint.stream import DEFAULT_MIN_CONFIDENCE, KeypointFrame
+from gesturepoint.stream import DEFAULT_MIN_CONFIDENCE
 
 BOUNDS = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -141,7 +141,6 @@ _FIELDS = {
     SnapRequest: ("samples strategy group_filter", {"group_filter": None}),
     GateResult: ("mean max_deviation stable", {}),
     SnapResult: ("selected_id mean_point max_radial_deviation fallback_used", {}),
-    KeypointFrame: ("timestamp joints source_id", {"source_id": ""}),
     GesturePoint: ("position timestamp hand window_size", {}),
     PipelineSettings: ("plane frame frame_mode hands pair min_confidence snap_samples threshold window group", {
         "frame_mode": "workplane", "hands": ("right",), "pair": "shoulder_wrist",
@@ -153,8 +152,7 @@ _FIELDS = {
 _CASES = [
     (PlanarPoint, (0.1, 0.2, 0.3)),
     (GesturePoint, (PlanarPoint(0.1, 0.2), 0.5, "right", 3)),
-    # a hashable stand-in for the joints dict, so that hashing is checked too
-    (KeypointFrame, (0.5, (("right_wrist", (0.1, 0.2, 1.0, 0.9)),), "cam0")),
+    (PipelineSettings, (_PLANE, _FRAME, "camera", ("left",), "elbow_wrist", 0.5, 7, 0.02, 3, "bolts")),
     (Point3, (0.1, 0.2, 0.3)),
     (CameraIntrinsics, (600.0, 610.0, 320.0, 240.0, 640, 480)),
     (Quaternion, (1.0, 0.0, 0.0, 0.0)),
@@ -165,7 +163,6 @@ _CASES = [
     (SnapRequest, ((PlanarPoint(0.1, 0.2),), "pick", "bolts")),
     (GateResult, (PlanarPoint(0.1, 0.2), 0.01, True)),
     (SnapResult, ("t1", PlanarPoint(0.1, 0.2), 0.01, False)),
-    (PipelineSettings, (_PLANE, _FRAME, "camera", ("left",), "elbow_wrist", 0.5, 7, 0.02, 3, "bolts")),
 ]
 
 
@@ -197,7 +194,7 @@ def test_written_out_init_keeps_the_dataclass_contract(cls, args):
 
 def test_every_value_type_has_its_contract_pinned():
     assert {cls for cls, _ in _CASES} == set(_FIELDS) == set(FrozenValue.__subclasses__())
-    assert len(_FIELDS) == 14
+    assert len(_FIELDS) == 13
 
 
 def test_workplane_frame_rows_are_computed_once_and_leave_equality_alone():

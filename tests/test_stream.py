@@ -44,7 +44,6 @@ from gesturepoint.pipeline import GesturePipeline, PipelineSettings
 from gesturepoint.snap import AreaRegistry, TargetRegistry
 from gesturepoint.stream import (
     MAX_JOINT_COORD,
-    KeypointFrame,
     MalformedRecordError,
     StreamError,
     StreamReader,
@@ -100,18 +99,17 @@ def test_parse_frame_basic():
             },
         }
     )
-    frame = parse_frame(json.loads(line))
-    assert frame.timestamp == 1.5
-    assert frame.source_id == "cam0"
-    assert set(frame.joints) == {"right_shoulder", "right_wrist"}
-    assert frame.joints["right_wrist"] == (0.0, 0.0, 0.5, 0.8)
+    timestamp, joints = parse_frame(json.loads(line))
+    assert timestamp == 1.5
+    assert set(joints) == {"right_shoulder", "right_wrist"}
+    assert joints["right_wrist"] == (0.0, 0.0, 0.5, 0.8)
 
 
 def test_parse_frame_ignores_unknown_joints():
-    frame = parse_frame(
+    _, joints = parse_frame(
         {"t": 0.0, "joints": {"nose": {"x": 1, "y": 1, "z": 1, "c": 1}, "left_wrist": {"x": 0, "y": 0, "z": 1, "c": 1}}}
     )
-    assert set(frame.joints) == {"left_wrist"}
+    assert set(joints) == {"left_wrist"}
 
 
 def test_parse_frame_confidence_out_of_range():
@@ -134,8 +132,7 @@ def test_parse_frame_bad_json_and_missing_fields():
 
 def test_parse_frame_2d_form_deprojects():
     record = {"t": 0.0, "joints": {"right_wrist": {"px": 320, "py": 240, "depth": 1.0, "c": 1.0}}}
-    frame = parse_frame(record, INTR)
-    assert frame.joints["right_wrist"] == (0.0, 0.0, 1.0, 1.0)
+    assert parse_frame(record, INTR)[1]["right_wrist"] == (0.0, 0.0, 1.0, 1.0)
 
 
 def test_parse_frame_2d_form_requires_intrinsics():
@@ -146,7 +143,7 @@ def test_parse_frame_2d_form_requires_intrinsics():
 
 def test_parse_frame_rejects_joints_beyond_coordinate_bound():
     at_bound = {"x": MAX_JOINT_COORD, "y": -MAX_JOINT_COORD, "z": 1.0}
-    assert parse_frame({"t": 0.0, "joints": {"right_wrist": at_bound}}).joints["right_wrist"]
+    assert parse_frame({"t": 0.0, "joints": {"right_wrist": at_bound}})[1]["right_wrist"]
     for spec in ({"x": 1e308, "y": 1e308, "z": 1e308}, {"x": 0.0, "y": -2 * MAX_JOINT_COORD, "z": 1.0}):
         with pytest.raises(MalformedRecordError, match="beyond"):
             parse_frame({"t": 0.0, "joints": {"right_shoulder": spec}})
@@ -188,7 +185,7 @@ def test_json_number_reads_exactly_the_ints_and_floats_a_finite_float_holds(valu
 
 # --- the parser's fast paths against plain references --------------------------------
 
-def _reference_frame(record: dict, intrinsics: CameraIntrinsics | None) -> KeypointFrame:
+def _reference_frame(record: dict, intrinsics: CameraIntrinsics | None) -> tuple[float, dict]:
     """``parse_frame`` with no fast path: every number read by ``json_number``
     and every check made, in the order the module docstring states them."""
     timestamp = json_number(record.get("t"), MalformedRecordError, 'timestamp "t"')
@@ -223,7 +220,7 @@ def _reference_frame(record: dict, intrinsics: CameraIntrinsics | None) -> Keypo
         if not 0.0 <= confidence <= 1.0:
             raise MalformedRecordError(f"confidence {confidence} outside [0, 1]")
         joints[name] = (x, y, z, confidence)
-    return KeypointFrame(timestamp, joints, str(record.get("source", "")))
+    return timestamp, joints
 
 
 def _reference_decode(text, source=""):
@@ -468,9 +465,12 @@ def test_serialize_parse_round_trip():
         }
     )
     frame = parse_frame(json.loads(line))
-    canonical = serialize_frame(frame)
+    canonical = serialize_frame(frame, "s")
     assert parse_frame(json.loads(canonical)) == frame
-    assert serialize_frame(parse_frame(json.loads(canonical))) == canonical
+    assert serialize_frame(parse_frame(json.loads(canonical)), "s") == canonical
+    # the source is the writer's, not the frame's: parsing ignores it
+    assert json.loads(serialize_frame(frame, "cam1"))["source"] == "cam1"
+    assert parse_frame({**json.loads(line), "source": ["any", {"value": 1}]}) == frame
 
 
 def test_stream_reader_header_and_warnings():
@@ -483,7 +483,7 @@ def test_stream_reader_header_and_warnings():
     reader = StreamReader(lines)
     frames = list(reader)
     assert len(frames) == 3
-    assert frames[0].joints["right_wrist"] == (0.0, 0.0, 1.0, 1.0)
+    assert frames[0][1]["right_wrist"] == (0.0, 0.0, 1.0, 1.0)
     assert reader.nonmonotonic == 1
     assert reader.malformed == 0
 
@@ -501,7 +501,7 @@ def test_stream_reader_header_sets_intrinsics_for_the_records_after_it():
     ]
     reader = StreamReader(lines)
     frames = list(reader)
-    assert [f.joints["right_wrist"] for f in frames[1:]] == [(0.0, 0.0, 1.0, 1.0), (320 / 600, 0.0, 1.0, 1.0)]
+    assert [joints["right_wrist"] for _, joints in frames[1:]] == [(0.0, 0.0, 1.0, 1.0), (320 / 600, 0.0, 1.0, 1.0)]
     assert reader.intrinsics.cx == 0 and reader.malformed == 0
 
 
@@ -621,16 +621,15 @@ def test_scenario_rejects_bad_trial_settings_at_construction(field, bad):
 
 def test_generator_deterministic_bitwise():
     template = make_template(sigma=0.01, aim_bias_sigma=0.005)
-    first = [serialize_frame(f) for f in generate_scenario(template, TARGET, 42, 30)]
-    second = [serialize_frame(f) for f in generate_scenario(template, TARGET, 42, 30)]
+    first = [serialize_frame(f, "synthetic") for f in generate_scenario(template, TARGET, 42, 30)]
+    second = [serialize_frame(f, "synthetic") for f in generate_scenario(template, TARGET, 42, 30)]
     assert first == second
-    assert [serialize_frame(f) for f in generate_scenario(template, TARGET, 43, 30)] != first
+    assert [serialize_frame(f, "synthetic") for f in generate_scenario(template, TARGET, 43, 30)] != first
 
 
 def test_generator_timestamps_step():
     frames = list(generate_scenario(make_template(), TARGET, 42, 4))
-    assert [f.timestamp for f in frames] == [0.0, 1 / 30, 2 / 30, 3 / 30]
-    assert {f.source_id for f in frames} == {"synthetic"}
+    assert [t for t, _ in frames] == [0.0, 1 / 30, 2 / 30, 3 / 30]
 
 
 def test_noiseless_frames_intersect_exactly_at_target():
@@ -647,9 +646,9 @@ def test_vectorized_sampling_matches_generator():
     template = make_template(sigma=0.013, aim_bias_sigma=0.004)
     shoulders, wrists = sampled(template, TARGET, 42, 1, 50)
     assert shoulders.shape == wrists.shape == (1, 50, 3)
-    for i, frame in enumerate(generate_scenario(template, TARGET, 42, 50)):
-        assert frame.joints["right_shoulder"] == (*shoulders[0, i], 1.0)
-        assert frame.joints["right_wrist"] == (*wrists[0, i], 1.0)
+    for i, (_, joints) in enumerate(generate_scenario(template, TARGET, 42, 50)):
+        assert joints["right_shoulder"] == (*shoulders[0, i], 1.0)
+        assert joints["right_wrist"] == (*wrists[0, i], 1.0)
 
 
 def test_calibration_sampling_draws_one_bias_and_one_frame_per_trial():
@@ -684,8 +683,9 @@ def test_mean_error_monotone_in_sigma():
 def test_write_and_read_stream(tmp_path):
     template = make_template(sigma=0.01)
     path = tmp_path / "stream.jsonl"
-    count = write_stream(path, generate_scenario(template, TARGET, 42, 10))
+    count = write_stream(path, generate_scenario(template, TARGET, 42, 10), "synthetic")
     assert count == 10
+    assert {json.loads(line)["source"] for line in path.read_text(encoding="utf-8").splitlines()} == {"synthetic"}
     with open(path, "r", encoding="utf-8") as fh:
         frames = list(StreamReader(fh))
     assert len(frames) == 10
